@@ -11,7 +11,7 @@ real ``kill -9``:
   output to ``--backend serial``, and a seeded chaos run must replay the
   identical per-round fault trace over the wire.
 - ``worker-kill``: SIGKILL one of 4 workers mid-task; the round must
-  degrade to a partial cohort (``fault_lost`` in the metrics) and the
+  degrade to a partial cohort (``fault_crashed`` in the metrics) and the
   run still completes under the fractional quorum.
 - ``coordinator-restart``: SIGKILL the coordinator mid-training; a
   restarted coordinator auto-resumes from its ``--state-dir`` snapshot,
@@ -243,14 +243,14 @@ def command_worker_kill(arguments: argparse.Namespace) -> int:
     records = [
         json.loads(line) for line in metrics.read_text().splitlines() if line
     ]
-    lost = [record for record in records if record.get("fault_lost", 0) > 0]
+    lost = [record for record in records if record.get("fault_crashed", 0) > 0]
     if not lost:
         raise SystemExit(
-            f"no round recorded fault_lost > 0 across {len(records)} rounds"
+            f"no round recorded fault_crashed > 0 across {len(records)} rounds"
         )
     print(
         f"worker-kill: round {lost[0]['round']} lost "
-        f"{int(lost[0]['fault_lost'])} worker(s), run completed under quorum"
+        f"{int(lost[0]['fault_crashed'])} worker(s), run completed under quorum"
     )
     return 0
 

@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         # choices include aliases so every name build_backend accepts works here
         sub.add_argument("--backend", default="serial",
                          choices=BACKENDS.names(include_aliases=True),
-                         help="execution backend for pool shards and evaluation "
-                              "chunks (results are bitwise-identical across "
-                              "backends; threaded/process use --jobs workers)")
+                         help="execution backend for pool shards (results are "
+                              "bitwise-identical across backends; "
+                              "threaded/process use --jobs workers)")
         sub.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker threads/processes for parallel backends "
                               "(default: all cores; ignored by --backend serial)")

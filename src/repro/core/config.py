@@ -100,8 +100,8 @@ class BackendConfig:
     """Parallel execution backend selection (how round tasks are dispatched).
 
     The *backend* decides how the independent tasks of a round -- the
-    worker pools' shard finalisations and the server's evaluation chunks
-    -- are executed: in order on the calling thread (``"serial"``),
+    worker pools' shard tasks -- are executed: in order on the calling
+    thread (``"serial"``),
     concurrently on a thread pool (``"threaded"``) or over worker
     processes (``"process"``).  Backends are registered in
     :data:`repro.federated.backends.BACKENDS`; this config is pure data

@@ -84,8 +84,7 @@ class ExperimentConfig:
         Parallel execution backend name (see
         :func:`repro.federated.available_backends`; ``"serial"`` is the
         in-order reference, ``"threaded"``/``"process"`` dispatch pool
-        shards and evaluation chunks concurrently with bitwise-identical
-        results) and builder arguments (``{"max_workers": N}`` is the
+        shards concurrently with bitwise-identical results) and builder arguments (``{"max_workers": N}`` is the
         CLI's ``--jobs N``).
     faults, faults_kwargs:
         Fault-injection scenario name (see

@@ -24,9 +24,8 @@
   bounded-size pool shards.
 - :mod:`repro.federated.backends` -- pluggable execution backends
   (:data:`~repro.federated.backends.BACKENDS` registry): serial,
-  threaded and process dispatch of the round's independent tasks (pool
-  shards, evaluation chunks), all bitwise identical to the serial
-  reference.
+  threaded and process dispatch of the round's independent pool shard
+  tasks, all bitwise identical to the serial reference.
 - :mod:`repro.federated.faults` -- seeded fault injection
   (:data:`~repro.federated.faults.FAULTS` registry): dropout, straggler,
   crash and churn models whose per-round draws replay bit-identically on

@@ -1,10 +1,10 @@
 """Parallel execution backends for the federated round.
 
 An *execution backend* decides how the independent tasks of one round --
-the :class:`~repro.federated.worker.WorkerPool`'s shard finalisations
-(honest and Byzantine populations alike) and the server's evaluation
-chunks -- are dispatched: in order on the calling thread, concurrently
-over a thread pool, or over worker processes.  Backends are registered
+the :class:`~repro.federated.worker.WorkerPool`'s shard tasks (honest
+and Byzantine populations alike) -- are dispatched: in order on the
+calling thread, concurrently over a thread pool, or over worker
+processes.  Backends are registered
 in the :data:`BACKENDS` registry, making execution the sixth scenario
 axis next to attacks, defenses, datasets, models and engines:
 ``ExperimentConfig(backend=..., backend_kwargs=...)``, ``python -m repro
@@ -25,21 +25,23 @@ Three backends ship built-in:
   through shared memory (:meth:`ProcessBackend.share_array`).  For
   workloads dominated by Python overhead rather than BLAS time.
 
-The one contract every backend must honour is the **ordered reduction**:
-:meth:`ExecutionBackend.map_ordered` returns results in *submission*
-order no matter in which order tasks complete.  Combined with the
-per-worker random streams and the disjoint per-shard state slices of the
-worker pool, this makes every backend produce bitwise-identical results:
-parallelism changes wall-clock time and nothing else.
+A backend has one map method, :meth:`ExecutionBackend.map_ordered`, and
+one contract, the **ordered reduction**: results come back in *submission*
+order no matter in which order tasks complete.  The result is an
+ordered, possibly lazy iterable, so a streaming consumer drives the
+dispatch.  Combined with pure shard tasks whose results the worker pool
+commits in shard order, this makes every backend produce
+bitwise-identical results: parallelism changes wall-clock time and
+nothing else.
 
-Fault-tolerant execution builds on the same contract:
-:meth:`ExecutionBackend.map_resilient` retries tasks raising
-:class:`TransientTaskError` under a bounded, deterministic
-:class:`RetryPolicy` (exponential backoff with a seeded jitter stream,
-optional advisory timeout) and keeps the ordered reduction intact by
-filling permanently failed slots with :class:`TaskFailure` markers
-instead of raising -- the caller degrades gracefully over the surviving
-slots.
+Fault tolerance wraps the task, not the map:
+:meth:`ExecutionBackend.resilient` returns the task under a bounded,
+deterministic :class:`RetryPolicy` (exponential backoff with a seeded
+jitter stream, optional advisory timeout, optional injected crashes).
+Tasks raising :class:`TransientTaskError` are retried, and a task that
+exhausts the policy yields a :class:`TaskFailure` marker in its ordered
+slot instead of raising -- the caller degrades gracefully over the
+surviving slots.
 
 Shared memory uses file-backed :func:`numpy.memmap` views rather than
 :mod:`multiprocessing.shared_memory`: attaching a ``SharedMemory`` block
@@ -50,13 +52,14 @@ temp file has identical sharing semantics without that failure mode.
 
 from __future__ import annotations
 
+import itertools
 import os
-import queue
 import shutil
 import tempfile
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,9 +89,9 @@ BACKENDS = Registry("backend")
 class TransientTaskError(RuntimeError):
     """A task failure worth retrying (crashed shard, injected fault).
 
-    :meth:`ExecutionBackend.map_resilient` retries a task only when it
-    raises this type; any other exception is a programming error and
-    propagates immediately, exactly as under :meth:`map_ordered`.
+    A task wrapped by :meth:`ExecutionBackend.resilient` is retried only
+    when it raises this type; any other exception is a programming error
+    and propagates immediately.
     """
 
 
@@ -113,8 +116,8 @@ class RetryPolicy:
     timeout:
         Advisory per-attempt wall-clock deadline in seconds: an attempt
         finishing after it is treated as a transient failure (its result
-        is discarded) and retried.  Meant for side-effect-free tasks;
-        ``None`` disables the deadline.
+        is discarded) and retried.  Sound because round tasks are pure
+        functions of their payloads; ``None`` disables the deadline.
     seed:
         Seed of the jitter stream.
     """
@@ -158,10 +161,12 @@ class RetryPolicy:
 class TaskFailure:
     """Ordered-reduction slot of a task that exhausted its retry policy.
 
-    :meth:`ExecutionBackend.map_resilient` keeps the ordered-reduction
-    contract under faults by filling the failed task's result slot with
-    this marker instead of raising, so surviving results stay pinned to
-    their submission indices and the caller decides how to degrade.
+    A task wrapped by :meth:`ExecutionBackend.resilient` keeps the
+    ordered-reduction contract under faults by filling its result slot
+    with this marker instead of raising, so surviving results stay pinned
+    to their submission indices and the caller decides how to degrade.
+    Remote backends also fill the slot of a task whose transport retry
+    budget ran out.
     """
 
     index: int
@@ -172,10 +177,17 @@ class TaskFailure:
 class _ResilientRunner:
     """Retry loop wrapped around one task function (picklable if ``fn`` is).
 
-    Runs as the mapped callable of :meth:`ExecutionBackend.map_resilient`:
-    each item travels as an ``(index, item)`` pair so the retry RNG and
-    the failure marker know the task's submission slot even inside an
-    out-of-process worker.
+    The mapped callable built by :meth:`ExecutionBackend.resilient`: each
+    item travels as an ``(index, item)`` pair so the retry RNG, the
+    injected crash schedule and the failure marker know the task's
+    submission slot even inside an out-of-process worker.  A successful
+    task returns its result unchanged; one that exhausts the policy
+    returns a :class:`TaskFailure`.
+
+    ``crashes[index]`` injects that many :class:`TransientTaskError`
+    failures *before* ``fn`` runs, so a task retried within the budget
+    replays exactly like one that never failed (tasks are pure functions
+    of their items).
     """
 
     def __init__(
@@ -183,21 +195,30 @@ class _ResilientRunner:
         fn: Callable,
         policy: RetryPolicy,
         on_retry: Callable[[int, int, str], None] | None = None,
+        crashes: Sequence[int] = (),
     ) -> None:
         self.fn = fn
         self.policy = policy
         self.on_retry = on_retry  # observation hook; must stay side-effect-free
+        self.crashes = tuple(int(count) for count in crashes)
 
     def _note(self, index: int, attempt: int, error: str) -> None:
         if self.on_retry is not None:
             self.on_retry(index, attempt, error)
 
-    def _attempt(self, call: Callable, index: int):
+    def __call__(self, pair: tuple[int, object]):
+        index, item = pair
+        crashes = self.crashes[index] if index < len(self.crashes) else 0
         policy = self.policy
         for attempt in range(1, policy.max_attempts + 1):
             started = time.monotonic()
             try:
-                result = call()
+                if attempt <= crashes:
+                    raise TransientTaskError(
+                        f"injected shard crash (attempt {attempt} of "
+                        f"{crashes} scheduled failures)"
+                    )
+                result = self.fn(item)
             except TransientTaskError as error:
                 self._note(index, attempt, str(error))
                 if attempt == policy.max_attempts:
@@ -212,45 +233,30 @@ class _ResilientRunner:
             ):
                 # Past the advisory deadline: the round treats this
                 # attempt as a straggler and discards its result.
-                self._note(
-                    index, attempt,
-                    f"task exceeded the {policy.timeout}s deadline",
-                )
+                error = f"task exceeded the {policy.timeout}s deadline"
+                self._note(index, attempt, error)
                 if attempt == policy.max_attempts:
-                    return TaskFailure(
-                        index=index,
-                        attempts=attempt,
-                        error=f"task exceeded the {policy.timeout}s deadline",
-                    )
+                    return TaskFailure(index=index, attempts=attempt, error=error)
                 continue
             return result
         raise AssertionError("unreachable: every attempt returns or continues")
-
-    def __call__(self, pair: tuple[int, object]):
-        index, item = pair
-        return self._attempt(lambda: self.fn(item), index)
-
-    def leased(self, resource, pair: tuple[int, object]):
-        """Run one attempt of ``fn(resource, item)`` under the retry policy."""
-        index, item = pair
-        return self._attempt(lambda: self.fn(resource, item), index)
 
 
 class ExecutionBackend:
     """Base class of execution backends.
 
-    A backend executes a list of *independent* tasks and reduces their
-    results in submission order.  Subclasses override :meth:`map_ordered`
-    (and usually :attr:`max_workers`); holders of expensive resources
+    A backend executes *independent* tasks and reduces their results in
+    submission order.  Subclasses override :meth:`map_ordered` (and
+    usually :attr:`max_workers`); holders of expensive resources
     (thread/process pools, shared-memory slots) create them lazily and
     release them in :meth:`shutdown` -- a backend must remain usable
     after ``shutdown()``, recreating its resources on the next call.
     """
 
     #: Whether tasks run in the calling process.  In-process backends may
-    #: be handed closures over live objects; out-of-process backends (the
-    #: process pool) require picklable callables and payloads, and
-    #: callers with unpicklable tasks fall back to serial execution.
+    #: be handed closures over live objects; out-of-process backends
+    #: (worker processes, remote workers) require picklable callables and
+    #: payloads.
     in_process: bool = True
 
     #: Attached trace recorder (``None`` = tracing off, the default).
@@ -289,87 +295,45 @@ class ExecutionBackend:
 
         return traced
 
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
+    def map_ordered(self, fn: Callable, items: Iterable) -> Iterable:
         """Apply ``fn`` to every item; results in **submission order**.
 
-        Tasks may complete in any order, but the returned list is always
-        ordered like ``items`` -- the ordered reduction that keeps
-        parallel rounds bitwise identical to serial ones.  The first
-        task exception propagates to the caller.
+        Returns an ordered, possibly lazy iterable: tasks may complete in
+        any order, but results come out ordered like ``items`` -- the
+        ordered reduction that keeps parallel rounds bitwise identical to
+        serial ones.  A lazy implementation may pull ``items`` and run
+        tasks only as the consumer advances, so a streaming caller never
+        holds more than the in-flight results.  A task exception
+        propagates to the consumer at its position.
         """
         raise NotImplementedError
 
-    def map_streamed(self, fn: Callable, items: Iterable) -> Iterable:
-        """Lazily apply ``fn``; yield results in **submission order**.
+    def resilient(
+        self, fn: Callable, policy: RetryPolicy, crashes: Sequence[int] = ()
+    ) -> Callable:
+        """``fn`` under ``policy``'s retry loop, for :meth:`map_ordered`.
 
-        The streaming sibling of :meth:`map_ordered`: results are
-        consumed one at a time instead of being collected into a list, so
-        an out-of-core reduction never holds more than the in-flight
-        results.  The base implementation evaluates tasks on demand
-        (nothing runs until the consumer advances); pooled backends
-        overlap execution while preserving the yield order.
-        """
-        return (fn(item) for item in items)
-
-    def map_leased(self, fn: Callable, items: Iterable, resources: list) -> list:
-        """:meth:`map_ordered` with a leased per-task resource.
-
-        Each task borrows one entry of ``resources`` (a workspace, a
-        model replica, ...) from a free list for its duration and returns
-        it afterwards, so at most ``len(resources)`` tasks run at once
-        and no resource is ever shared by two concurrent tasks.  ``fn``
-        is called as ``fn(resource, item)``.
-        """
-        free: queue.SimpleQueue = queue.SimpleQueue()
-        for resource in resources:
-            free.put(resource)
-
-        def run(item):
-            resource = free.get()
-            try:
-                return fn(resource, item)
-            finally:
-                free.put(resource)
-
-        return self.map_ordered(run, items)
-
-    def map_resilient(
-        self,
-        fn: Callable,
-        items: Iterable,
-        policy: RetryPolicy | None = None,
-        resources: list | None = None,
-    ) -> list:
-        """:meth:`map_ordered` with bounded retries and failed-slot results.
-
-        Each task runs under ``policy`` (default: a fresh
-        :class:`RetryPolicy`): attempts raising
-        :class:`TransientTaskError` are retried up to
-        ``policy.max_attempts`` times with deterministic backoff, and a
-        task that exhausts its attempts yields a :class:`TaskFailure` in
-        its ordered result slot instead of poisoning the whole reduction.
-        Any other exception propagates immediately.  With ``resources``,
-        tasks lease per-slot resources exactly like :meth:`map_leased`
-        (``fn`` is then called as ``fn(resource, item)``).
+        The returned callable maps ``(index, item)`` pairs: attempts
+        raising :class:`TransientTaskError` (or exceeding the advisory
+        timeout) are retried up to ``policy.max_attempts`` times with
+        deterministic backoff, and an exhausted task comes back as a
+        :class:`TaskFailure` in its ordered slot instead of poisoning the
+        whole reduction.  Any other exception propagates.
+        ``crashes[index]`` injects that many failures before task
+        ``index`` runs.  On an in-process backend
+        with a tracer attached every failed attempt is also recorded as a
+        ``retry`` event; out-of-process runners must stay picklable, so
+        they carry no hook.
         """
         tracer = self._tracer
         on_retry = None
         if tracer is not None and self.in_process:
-            # Out-of-process runners must stay picklable, so only the
-            # in-process path hooks per-attempt retry events.
             def on_retry(index: int, attempt: int, error: str) -> None:
                 tracer.trace_event(
                     "retry", "task_attempt",
                     index=index, attempt=attempt, error=error,
                 )
-        runner = _ResilientRunner(
-            fn, policy if policy is not None else RetryPolicy(),
-            on_retry=on_retry,
-        )
-        pairs = list(enumerate(items))
-        if resources is None:
-            return self.map_ordered(runner, pairs)
-        return self.map_leased(runner.leased, pairs, resources)
+        return _ResilientRunner(fn, policy, on_retry=on_retry, crashes=crashes)
 
     def shutdown(self) -> None:
         """Release pools/shared resources (no-op by default).
@@ -400,10 +364,10 @@ class SerialBackend(ExecutionBackend):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive when set")
 
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Run tasks in submission order on the calling thread."""
+    def map_ordered(self, fn: Callable, items: Iterable) -> Iterable:
+        """Run tasks lazily, in submission order, on the calling thread."""
         fn = self._traced(fn)
-        return [fn(item) for item in items]
+        return (fn(item) for item in items)
 
 
 class _PooledBackend(ExecutionBackend):
@@ -432,39 +396,40 @@ class _PooledBackend(ExecutionBackend):
                 self._executor = self._create_executor()
             return self._executor
 
-    def _trace_dispatch(self, count: int) -> None:
-        """Record one coarse dispatch event for an out-of-process map."""
-        if self._tracer is not None and not self.in_process:
-            self._tracer.trace_event(
-                "dispatch", type(self).__name__, tasks=count
-            )
+    def map_ordered(self, fn: Callable, items: Iterable) -> Iterable:
+        """Lazily yield results in submission order while tasks overlap.
 
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Dispatch tasks to the pool; results return in submission order."""
-        items = list(items)
-        if not items:
-            return []
+        Items are pulled as the window advances: at most
+        :attr:`max_workers` + 1 tasks are in flight (one queued behind the
+        running ones), so the consumer's progress bounds how many
+        payloads and results exist at once.
+        """
         fn = self._traced(fn)
-        if self.in_process and (len(items) == 1 or self._max_workers == 1):
+        items = iter(items)
+        head = list(itertools.islice(items, 2))
+        if self.in_process and (len(head) < 2 or self._max_workers == 1):
             # Nothing to overlap; skip the dispatch overhead entirely.
-            return [fn(item) for item in items]
-        self._trace_dispatch(len(items))
-        # Executor.map yields results in submission order by construction
-        # and re-raises the first task exception at its position.
-        return list(self._ensure_executor().map(fn, items))
+            return (fn(item) for item in itertools.chain(head, items))
+        return self._windowed(fn, itertools.chain(head, items))
 
-    def map_streamed(self, fn: Callable, items: Iterable) -> Iterable:
-        """Lazily yield results in submission order while tasks overlap."""
-        items = list(items)
-        if not items:
-            return iter(())
-        fn = self._traced(fn)
-        if self.in_process and (len(items) == 1 or self._max_workers == 1):
-            return (fn(item) for item in items)
-        self._trace_dispatch(len(items))
-        # Executor.map is already an ordered lazy iterator; tasks overlap
-        # while the consumer drains results one at a time.
-        return self._ensure_executor().map(fn, items)
+    def _windowed(self, fn: Callable, items: Iterable) -> Iterator:
+        executor = self._ensure_executor()
+        if self._tracer is not None and not self.in_process:
+            # One coarse event per out-of-process map; per-task spans
+            # would need a picklable recorder.
+            self._tracer.trace_event("dispatch", type(self).__name__)
+        window: deque = deque()
+        try:
+            for item in items:
+                window.append(executor.submit(fn, item))
+                if len(window) > self._max_workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            # An abandoned or failed map leaves nothing queued behind it.
+            for future in window:
+                future.cancel()
 
     def shutdown(self) -> None:
         """Stop the lazy executor (a later map creates a fresh one)."""
@@ -524,7 +489,7 @@ class ProcessBackend(_PooledBackend):
     """Dispatch picklable tasks over a lazily created process pool.
 
     Meant for client engines dominated by Python overhead rather than
-    BLAS time: each shard pays pickling for its sampled batch, so the
+    BLAS time: each shard pays pickling for its payload, so the
     per-shard compute must dwarf that cost to win.  Large round-constant
     arrays (the flat model parameters) are published once per round via
     :meth:`share_array` and mapped -- not copied -- by the workers.

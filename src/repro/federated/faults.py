@@ -24,21 +24,21 @@ Two fault *seams* exist in the round:
   discarded, or buffered and delivered next round).  These are injected
   at the pipeline seam *after* upload computation, so worker RNG streams
   and pool state stay untouched and backend-invariant.
-- **crash faults** (:meth:`FaultModel.crash_failures`) -- a shard
-  finalisation raises mid-task.  These are injected *before* any shard
-  state mutation (sampling, noise, momentum), so a retried shard is
-  bitwise identical to one that never failed; shards that exhaust the
-  :class:`~repro.federated.backends.RetryPolicy` lose their workers for
-  the round.
+- **crash faults** (:meth:`FaultModel.crash_failures`) -- a shard task
+  raises.  Shard tasks are pure and their results are committed by the
+  worker pool only on success, so a retried shard is bitwise identical
+  to one that never failed; shards that exhaust the
+  :class:`~repro.federated.backends.RetryPolicy` are never committed and
+  lose their workers for the round.
 
 Graceful degradation is enforced by a quorum: the server aggregates over
 the surviving ``(m, d)`` sub-cohort and raises :class:`QuorumError`
 (naming the round and the survivor count) when fewer than
 :func:`resolve_quorum` workers report.
 
-With the default :class:`NoFaults` model every fault seam is skipped
-entirely -- the zero-fault configuration runs the exact pre-fault code
-path and stays byte-identical to the seeded reference output.
+The default :class:`NoFaults` model plans nothing: its empty plans make
+the faulty round the clean round, which stays byte-identical to the
+seeded reference output and emits no ``fault_*`` diagnostic.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "FAULTS",
     "ChaosFaults",
     "ChurnFaults",
-    "CrashCounter",
     "CrashFaults",
     "DropoutFaults",
     "FaultModel",
@@ -197,52 +196,21 @@ class PoolFaultReport:
     Attributes
     ----------
     failed_workers:
-        Boolean ``(n_workers,)`` mask of workers whose shard exhausted
-        the retry policy (their upload rows are invalid for the round).
+        Boolean ``(n_workers,)`` mask of workers whose shard ended as a
+        :class:`~repro.federated.backends.TaskFailure` (never committed:
+        their upload rows are invalid for the round).
     retried:
-        Total retry attempts executed beyond each shard's first attempt.
+        Attempts beyond each shard's first: the injected crashes of
+        committed shards, plus every extra attempt of a shard that ended
+        as a :class:`~repro.federated.backends.TaskFailure` (transport
+        re-dispatches of a remote backend included).
     crashed_shards:
-        Number of shards that raised at least once.
+        Number of shards scheduled to crash or lost for the round.
     """
 
     failed_workers: np.ndarray
     retried: int
     crashed_shards: int
-
-
-class CrashCounter:
-    """Mutable per-shard attempt counter driving injected crashes.
-
-    ``tick()`` raises a :class:`~repro.federated.backends
-    .TransientTaskError` for the first ``failures`` calls and succeeds
-    afterwards -- called at the *top* of a shard task, before any state
-    mutation, so a retried shard replays bitwise identically.  Instances
-    are picklable and travel inside process-backend task items, where the
-    retry loop runs on the same unpickled object.
-    """
-
-    __slots__ = ("failures", "calls")
-
-    def __init__(self, failures: int) -> None:
-        self.failures = int(failures)
-        self.calls = 0
-
-    def tick(self) -> None:
-        """Raise ``TransientTaskError`` until the budget is spent."""
-        from repro.federated.backends import TransientTaskError
-
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientTaskError(
-                f"injected shard crash (attempt {self.calls} of "
-                f"{self.failures} scheduled failures)"
-            )
-
-    def __getstate__(self) -> tuple[int, int]:
-        return (self.failures, self.calls)
-
-    def __setstate__(self, state: tuple[int, int]) -> None:
-        self.failures, self.calls = state
 
 
 # ---------------------------------------------------------------------- #
@@ -266,8 +234,8 @@ class FaultModel:
         follow the experiment seed by default.
     """
 
-    #: ``False`` only for :class:`NoFaults`: lets every seam skip the
-    #: fault path entirely, keeping the zero-fault run byte-identical.
+    #: ``False`` only for :class:`NoFaults`: its rounds emit no
+    #: ``fault_*`` diagnostics and may stream their uploads.
     is_active: bool = True
 
     def __init__(self, seed: int = 0) -> None:
@@ -310,7 +278,7 @@ class FaultModel:
     summary="no injected faults -- the byte-identical reference path",
 )
 class NoFaults(FaultModel):
-    """The default: every fault seam is skipped entirely."""
+    """The default: empty plans at every fault seam (the clean round)."""
 
     is_active = False
 

@@ -41,7 +41,6 @@ import numpy as np
 from repro.federated.faults import (
     BYZANTINE_SCOPE,
     HONEST_SCOPE,
-    FaultModel,
     ReportFaultPlan,
     ShardFaultPlan,
 )
@@ -622,17 +621,22 @@ class RoundPipeline:
         """
         return self.simulation.server.broadcast()
 
-    def honest_uploads(self) -> np.ndarray:
+    def honest_uploads(self, crash_plan: ShardFaultPlan | None = None) -> np.ndarray:
         """Stage 2: the honest pool computes its DP uploads, ``(n_honest, d)``."""
         with self._span("stage", "honest_uploads"):
-            return self.simulation.honest_uploads()
+            return self.simulation.honest_uploads(crash_plan=crash_plan)
 
     def byzantine_uploads(
-        self, honest_uploads: np.ndarray, round_index: int
+        self,
+        honest_uploads: np.ndarray,
+        round_index: int,
+        crash_plan: ShardFaultPlan | None = None,
     ) -> np.ndarray:
         """Stage 3: the attacker produces its uploads, ``(n_byzantine, d)``."""
         with self._span("stage", "byzantine_uploads"):
-            return self.simulation.byzantine_uploads(honest_uploads, round_index)
+            return self.simulation.byzantine_uploads(
+                honest_uploads, round_index, crash_plan=crash_plan
+            )
 
     def aggregate_and_update(
         self,
@@ -727,165 +731,40 @@ class RoundPipeline:
         the hot path (:meth:`broadcast` stays available to callers that
         want to observe ``w_{t-1}``).
 
-        With an active fault model on the simulation, the round runs
-        through the fault seams instead (see :meth:`_run_faulty_round`);
-        the default no-fault configuration takes this exact path.
+        Every round runs through the fault seams; the default
+        :class:`~repro.federated.faults.NoFaults` model plans nothing,
+        which makes this the clean round.  Crash faults are injected into
+        the worker pools (shards retry under the simulation's
+        :class:`~repro.federated.backends.RetryPolicy`; exhausted shards
+        lose their workers).  Pools can also lose shards for real: a
+        remote backend turns an exhausted transport retry budget into
+        ordered :class:`~repro.federated.backends.TaskFailure` slots.
+        Report faults mask the stacked upload matrix *after* computation
+        -- worker streams never observe them, so the fault trace is a
+        pure function of the round counters and identical across
+        backends.
 
-        Without injected faults the pools can still lose shards for real:
-        a remote backend turns an exhausted transport retry budget into
-        ordered :class:`~repro.federated.backends.TaskFailure` slots (a
-        worker process was killed and nobody reconnected in time).  The
-        pools publish that through ``last_fault_report``; the round then
-        degrades to partial-cohort aggregation over the survivors exactly
-        like an injected crash fault, instead of silently averaging the
-        dead workers' zero rows.
+        With faults inactive and every shard committed, the stacked
+        ``(n, d)`` matrix goes to the server as-is and the round emits no
+        ``fault_*`` diagnostic.  Otherwise the surviving ``(m, d)``
+        sub-cohort reaches the server together with its worker ids and
+        six ``fault_*`` counts; quorum enforcement lives in
+        :meth:`~repro.federated.server.Server.update`.
         """
         simulation = self.simulation
         prepare = getattr(simulation, "prepare_round", None)
         if callable(prepare):
             prepare(round_index)
-        faults = getattr(simulation, "fault_model", None)
-        if faults is not None and faults.is_active:
-            return self._run_faulty_round(round_index, faults)
         if self._streaming_eligible(round_index):
             return self._run_streaming_round(round_index)
-        honest = self.honest_uploads()
-        honest_report = simulation.honest_pool.last_fault_report
-        if honest_report is None:
-            byzantine = self.byzantine_uploads(honest, round_index)
-        else:
-            # The attacker only observes uploads that were actually
-            # computed; rows lost in transit degenerate to nothing.
-            lost_honest = honest_report.failed_workers
-            attacker_view = honest[~lost_honest]
-            if simulation.n_byzantine > 0 and attacker_view.shape[0] == 0:
-                byzantine = np.zeros((simulation.n_byzantine, honest.shape[1]))
-            else:
-                byzantine = self.byzantine_uploads(attacker_view, round_index)
-        byzantine_report = (
-            simulation.byzantine_pool.last_fault_report
-            if simulation.byzantine_pool is not None
-            else None
-        )
-        uploads = np.concatenate((honest, byzantine), axis=0)
-        if honest_report is None and byzantine_report is None:
-            return self.aggregate_and_update(uploads)
-        n_workers = simulation.n_workers
-        lost = np.zeros(n_workers, dtype=bool)
-        retried = 0
-        if honest_report is not None:
-            lost[: simulation.n_honest] = honest_report.failed_workers
-            retried += honest_report.retried
-        if byzantine_report is not None:
-            lost[simulation.n_honest:] = byzantine_report.failed_workers
-            retried += byzantine_report.retried
-        survivor_ids = np.nonzero(~lost)[0]
-        diagnostics = {
-            "fault_lost": float(np.count_nonzero(lost)),
-            "fault_retried": float(retried),
-            "fault_survivors": float(survivor_ids.shape[0]),
-        }
-        return self.aggregate_and_update(
-            uploads[survivor_ids],
-            worker_ids=self._state_ids(survivor_ids),
-            fault_diagnostics=diagnostics,
-        )
-
-    def _streaming_eligible(self, round_index: int) -> bool:
-        """Whether this round can stream upload blocks to the server.
-
-        Streaming feeds shard-sized blocks straight into the rule's
-        :meth:`~repro.defenses.base.Aggregator.aggregate_stream` (bitwise
-        identical to the in-memory path), so the stacked ``(n, d)``
-        matrix never materialises.  It requires a rule that accepts
-        streams, an in-process backend (a remote transport can lose
-        shards mid-stream, which needs the partial-cohort path), and an
-        attacker that never looks at the honest matrix this round: no
-        Byzantine workers at all, or a protocol-following attack in an
-        active round (inactive rounds copy honest uploads, and crafting
-        attacks read the omniscient view).
-        """
-        simulation = self.simulation
-        if not getattr(simulation.server.aggregator, "accepts_streaming", False):
-            return False
-        pool = getattr(simulation, "honest_pool", None)
-        if pool is None or not hasattr(pool, "iter_upload_blocks"):
-            return False
-        backend = getattr(simulation, "backend", None)
-        if backend is not None and not backend.in_process:
-            return False
-        if simulation.n_byzantine == 0:
-            return True
-        attack = getattr(simulation, "attack", None)
-        return (
-            attack is not None
-            and attack.follows_protocol
-            and attack.is_active(round_index, simulation.settings.total_rounds)
-            and simulation.byzantine_pool is not None
-        )
-
-    def _run_streaming_round(self, round_index: int) -> dict[str, float]:
-        """Stages 2-5 out-of-core: upload blocks flow straight to the rule.
-
-        Only taken when :meth:`_streaming_eligible` holds, so the round
-        is clean (no faults, no fault reports possible) and the full
-        cohort reports.  The aggregated update is bitwise equal to the
-        in-memory path's.
-        """
-        simulation = self.simulation
-        model = simulation.model
-        n_rows = simulation.n_workers
-
-        def blocks():
-            yield from simulation.honest_pool.iter_upload_blocks(model)
-            if simulation.byzantine_pool is not None:
-                yield from simulation.byzantine_pool.iter_upload_blocks(model)
-
-        if getattr(simulation, "population_source", None) is not None:
-            worker_ids = simulation.global_worker_ids()
-            with self._span("stage", "streaming_update"):
-                simulation.server.update_stream(
-                    blocks(),
-                    n_rows,
-                    worker_ids=worker_ids,
-                    population=simulation.total_population,
-                    expected=n_rows,
-                )
-            return self._selection_diagnostics(worker_ids)
-        with self._span("stage", "streaming_update"):
-            simulation.server.update_stream(blocks(), n_rows)
-        return self._selection_diagnostics(None)
-
-    def _run_faulty_round(
-        self, round_index: int, faults: FaultModel
-    ) -> dict[str, float]:
-        """One round through the fault seams: crash, report, quorum.
-
-        Crash faults are injected into the worker pools (shards retry
-        under the simulation's :class:`~repro.federated.backends
-        .RetryPolicy`; exhausted shards lose their workers).  Report
-        faults mask the stacked upload matrix *after* computation --
-        worker streams never observe them, so the fault trace is a pure
-        function of the round counters and identical across backends.
-        The surviving ``(m, d)`` sub-cohort reaches the server together
-        with its worker ids; quorum enforcement lives in
-        :meth:`~repro.federated.server.Server.update`.
-        """
-        simulation = self.simulation
+        faults = simulation.fault_model
         n_honest = simulation.n_honest
         n_byzantine = simulation.n_byzantine
         n_workers = simulation.n_workers
-        policy = simulation.retry_policy
 
-        # Stage 2 under crash faults: honest pool.
-        honest_plan = ShardFaultPlan(
-            failures=faults.crash_failures(
-                round_index, HONEST_SCOPE, simulation.honest_pool.n_shards
-            ),
-            policy=policy,
+        honest = self.honest_uploads(
+            self._crash_plan(round_index, HONEST_SCOPE, simulation.honest_pool)
         )
-        with self._span("stage", "honest_uploads"):
-            honest = simulation.honest_uploads(crash_plan=honest_plan)
         crashed = np.zeros(n_workers, dtype=bool)
         retried = 0
         honest_report = simulation.honest_pool.last_fault_report
@@ -893,32 +772,23 @@ class RoundPipeline:
             crashed[:n_honest] = honest_report.failed_workers
             retried += honest_report.retried
 
-        # Stage 3: the omniscient attacker observes every *computed*
-        # honest upload (report faults happen at the server's deadline,
-        # not on the devices); only permanently crashed rows -- never
-        # computed -- are invisible to it.
-        byzantine_plan = None
-        if simulation.byzantine_pool is not None:
-            byzantine_plan = ShardFaultPlan(
-                failures=faults.crash_failures(
-                    round_index, BYZANTINE_SCOPE, simulation.byzantine_pool.n_shards
-                ),
-                policy=policy,
-            )
-        attacker_view = honest[~crashed[:n_honest]]
+        # The omniscient attacker observes every committed honest upload
+        # (report faults happen at the server's deadline, not on the
+        # devices); only the rows of lost shards are invisible to it.
+        byzantine_pool = simulation.byzantine_pool
+        attacker_view = honest[~crashed[:n_honest]] if crashed.any() else honest
         if n_byzantine > 0 and attacker_view.shape[0] == 0:
-            # Every honest shard crashed out: the attacker has nothing to
+            # Every honest shard was lost: the attacker has nothing to
             # observe or mimic, so its uploads degenerate to zeros.
             byzantine = np.zeros((n_byzantine, honest.shape[1]))
         else:
-            with self._span("stage", "byzantine_uploads"):
-                byzantine = simulation.byzantine_uploads(
-                    attacker_view, round_index, crash_plan=byzantine_plan
-                )
+            byzantine = self.byzantine_uploads(
+                attacker_view,
+                round_index,
+                self._crash_plan(round_index, BYZANTINE_SCOPE, byzantine_pool),
+            )
         byzantine_report = (
-            simulation.byzantine_pool.last_fault_report
-            if simulation.byzantine_pool is not None
-            else None
+            byzantine_pool.last_fault_report if byzantine_pool is not None else None
         )
         if byzantine_report is not None:
             crashed[n_honest:] = byzantine_report.failed_workers
@@ -928,6 +798,15 @@ class RoundPipeline:
         plan = faults.report_faults(round_index, n_workers)
         dropped, late = self._validated_report(plan, n_workers)
         stacked = np.concatenate((honest, byzantine), axis=0)
+        arrivals = self._pending
+        self._pending = None
+        if (
+            not faults.is_active
+            and honest_report is None
+            and byzantine_report is None
+            and arrivals is None
+        ):
+            return self.aggregate_and_update(stacked)
 
         lost = crashed | dropped | late
         survivor_ids = np.nonzero(~lost)[0]
@@ -943,8 +822,6 @@ class RoundPipeline:
         # stash this round's for the next (a worker may then contribute
         # a stale and a fresh row -- the id-keyed aggregation handles
         # duplicates).
-        arrivals = self._pending
-        self._pending = None
         buffered = 0
         if plan.buffer_late:
             buffer_mask = late & ~dropped & ~crashed
@@ -972,6 +849,90 @@ class RoundPipeline:
         return self.aggregate_and_update(
             rows, worker_ids=survivor_ids, fault_diagnostics=diagnostics
         )
+
+    def _crash_plan(
+        self, round_index: int, scope: int, pool
+    ) -> ShardFaultPlan | None:
+        """The fault model's crash schedule for one pool and round
+        (``None`` without a pool: crafted uploads have no shards)."""
+        if pool is None:
+            return None
+        simulation = self.simulation
+        return ShardFaultPlan(
+            failures=simulation.fault_model.crash_failures(
+                round_index, scope, pool.n_shards
+            ),
+            policy=simulation.retry_policy,
+        )
+
+    def _streaming_eligible(self, round_index: int) -> bool:
+        """Whether this round can stream upload blocks to the server.
+
+        Streaming feeds shard-sized blocks straight into the rule's
+        :meth:`~repro.defenses.base.Aggregator.aggregate_stream` (bitwise
+        identical to the in-memory path), so the stacked ``(n, d)``
+        matrix never materialises.  It requires an inactive fault model
+        (faulty rounds mask rows of the stacked matrix), a rule that
+        accepts streams, an in-process backend (a remote transport can
+        lose shards mid-stream, which needs the partial-cohort path), and
+        an attacker that never looks at the honest matrix this round: no
+        Byzantine workers at all, or a protocol-following attack in an
+        active round (inactive rounds copy honest uploads, and crafting
+        attacks read the omniscient view).
+        """
+        simulation = self.simulation
+        if simulation.fault_model.is_active:
+            return False
+        if not getattr(simulation.server.aggregator, "accepts_streaming", False):
+            return False
+        pool = getattr(simulation, "honest_pool", None)
+        if pool is None or not hasattr(pool, "iter_upload_blocks"):
+            return False
+        backend = getattr(simulation, "backend", None)
+        if backend is not None and not backend.in_process:
+            return False
+        if simulation.n_byzantine == 0:
+            return True
+        attack = getattr(simulation, "attack", None)
+        return (
+            attack is not None
+            and attack.follows_protocol
+            and attack.is_active(round_index, simulation.settings.total_rounds)
+            and simulation.byzantine_pool is not None
+        )
+
+    def _run_streaming_round(self, round_index: int) -> dict[str, float]:
+        """Stages 2-5 out-of-core: upload blocks flow straight to the rule.
+
+        Only taken when :meth:`_streaming_eligible` holds, so the round
+        is clean (no faults, no fault reports possible) and the full
+        cohort reports.  The blocks come from the same dispatch-and-commit
+        loop as :meth:`run_round`'s matrices.  The aggregated update is bitwise equal to the
+        in-memory path's.
+        """
+        simulation = self.simulation
+        model = simulation.model
+        n_rows = simulation.n_workers
+
+        def blocks():
+            yield from simulation.honest_pool.iter_upload_blocks(model)
+            if simulation.byzantine_pool is not None:
+                yield from simulation.byzantine_pool.iter_upload_blocks(model)
+
+        if getattr(simulation, "population_source", None) is not None:
+            worker_ids = simulation.global_worker_ids()
+            with self._span("stage", "streaming_update"):
+                simulation.server.update_stream(
+                    blocks(),
+                    n_rows,
+                    worker_ids=worker_ids,
+                    population=simulation.total_population,
+                    expected=n_rows,
+                )
+            return self._selection_diagnostics(worker_ids)
+        with self._span("stage", "streaming_update"):
+            simulation.server.update_stream(blocks(), n_rows)
+        return self._selection_diagnostics(None)
 
     @staticmethod
     def _validated_report(

@@ -8,7 +8,6 @@ from repro.core.dp_protocol import upload_noise_std
 from repro.core.config import DPConfig
 from repro.data.dataset import Dataset
 from repro.defenses.base import AggregationContext, Aggregator
-from repro.federated.backends import ExecutionBackend
 from repro.federated.faults import QuorumError, resolve_quorum, validate_quorum
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
@@ -39,13 +38,6 @@ class Server:
         aggregation context.
     rng:
         Generator for any server-side randomness.
-    backend:
-        Optional :class:`~repro.federated.backends.ExecutionBackend`; an
-        in-process parallel backend evaluates the test-set chunks of
-        :meth:`evaluate` concurrently (on per-slot model replicas --
-        bitwise-identical accuracies, the chunks are disjoint pure
-        forwards).  ``None`` or an out-of-process backend keeps the
-        serial chunk loop.
     min_quorum:
         Minimum surviving cohort a round must deliver: an ``int >= 1``
         is an absolute upload count, a ``float`` in ``(0, 1]`` a fraction
@@ -65,7 +57,6 @@ class Server:
         auxiliary: Dataset | None,
         gamma: float,
         rng: np.random.Generator,
-        backend: ExecutionBackend | None = None,
         min_quorum: int | float = 1,
     ) -> None:
         if learning_rate <= 0:
@@ -83,10 +74,7 @@ class Server:
         self.auxiliary = auxiliary
         self.gamma = gamma
         self.rng = rng
-        self.backend = backend
         self.round_index = 0
-        self._eval_replicas: list[Sequential] = []
-        self._eval_source: Sequential | None = None
 
     def broadcast(self) -> np.ndarray:
         """The current global parameters ``w_{t-1}`` (model broadcasting)."""
@@ -199,65 +187,20 @@ class Server:
     #: evaluation chunk size; bounds peak activation memory on large test sets
     eval_batch_size: int = 8192
 
-    def _evaluation_replicas(self, count: int) -> list[Sequential]:
-        """``count`` model replicas synced to the current parameters.
-
-        A :class:`Sequential` caches per-call state on its layers, so
-        concurrent chunk forwards need private model copies; the replicas
-        are kept across evaluations and refreshed from the true model's
-        flat parameters (an exact copy -- chunk predictions are bitwise
-        identical to true-model predictions).
-        """
-        if self._eval_source is not self.model:
-            self._eval_replicas = []
-            self._eval_source = self.model
-        while len(self._eval_replicas) < count:
-            self._eval_replicas.append(self.model.clone())
-        replicas = self._eval_replicas[:count]
-        flat = self.model.get_flat_parameters()
-        for replica in replicas:
-            replica.set_flat_parameters(flat)
-        return replicas
-
     def evaluate(self, dataset: Dataset, batch_size: int | None = None) -> float:
         """Test accuracy of the current global model on ``dataset``.
 
         The forward pass runs in fixed-size chunks (``batch_size``, default
         :attr:`eval_batch_size`) so peak memory stays bounded by the chunk's
         activations rather than the whole test set; the result is identical
-        to a single full-set forward.  With an in-process parallel
-        :attr:`backend`, the chunks run concurrently on per-slot model
-        replicas -- the chunks are disjoint pure forwards, so the reported
-        accuracy is identical again.
+        to a single full-set forward.
         """
         batch_size = self.eval_batch_size if batch_size is None else batch_size
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         n = len(dataset)
         predictions = np.empty(n, dtype=np.int64)
-        bounds = [
-            (start, min(start + batch_size, n)) for start in range(0, n, batch_size)
-        ]
-        backend = self.backend
-        if (
-            backend is None
-            or not backend.in_process
-            or backend.max_workers <= 1
-            or len(bounds) <= 1
-        ):
-            for start, stop in bounds:
-                predictions[start:stop] = self.model.predict(
-                    dataset.features[start:stop]
-                )
-            return accuracy(predictions, dataset.labels)
-
-        def predict_chunk(replica: Sequential, chunk: tuple[int, int]) -> None:
-            start, stop = chunk
-            predictions[start:stop] = replica.predict(dataset.features[start:stop])
-
-        backend.map_leased(
-            predict_chunk,
-            bounds,
-            self._evaluation_replicas(min(backend.max_workers, len(bounds))),
-        )
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
+            predictions[start:stop] = self.model.predict(dataset.features[start:stop])
         return accuracy(predictions, dataset.labels)

@@ -54,7 +54,6 @@ from repro.federated.backends import (
     ExecutionBackend,
     RetryPolicy,
     TaskFailure,
-    _ResilientRunner,
 )
 from repro.federated.wire import (
     PROTOCOL_VERSION,
@@ -690,16 +689,18 @@ class CoordinatorServer:
 class RemoteBackend(ExecutionBackend):
     """Dispatch tasks to ``repro worker`` processes over TCP.
 
-    An out-of-process backend: the worker pools route through the same
-    picklable shard payloads as :class:`~repro.federated.backends
-    .ProcessBackend`, with mini-batches sampled in the coordinator and
-    generator states restored from the results -- so a zero-fault remote
-    run is byte-identical to ``--backend serial``.  Unlike the process
-    backend, a lost worker does not kill the run: its tasks are retried
-    on surviving workers and, past the transport budget, surface as
-    ordered :class:`~repro.federated.backends.TaskFailure` slots that the
-    pool converts into lost workers for the round (partial-cohort
-    aggregation + ``min_quorum`` decide the outcome).
+    An out-of-process backend: the worker pools send the same picklable
+    shard payloads as to :class:`~repro.federated.backends.ProcessBackend`,
+    with mini-batches sampled in the coordinator and the results committed
+    there -- so a zero-fault remote run is byte-identical to ``--backend
+    serial``.  A task's own retry loop (injected crashes, advisory
+    deadlines) runs inside the remote worker; losing the worker itself is
+    handled here.  Unlike the process backend, a lost worker does not kill
+    the run: its tasks are retried on surviving workers and, past the
+    transport budget, surface as ordered
+    :class:`~repro.federated.backends.TaskFailure` slots that the pool
+    leaves uncommitted and reports as lost workers for the round
+    (partial-cohort aggregation + ``min_quorum`` decide the outcome).
 
     Parameters
     ----------
@@ -803,29 +804,6 @@ class RemoteBackend(ExecutionBackend):
         if not items:
             return []
         return self._ensure_server().execute(fn, items, self._policy)
-
-    def map_resilient(
-        self,
-        fn: Callable,
-        items: Iterable,
-        policy: RetryPolicy | None = None,
-        resources: list | None = None,
-    ) -> list:
-        """Task-level retries run worker-side; transport retries on top.
-
-        ``policy`` governs the *task* retry loop (injected crashes,
-        advisory deadlines) inside the remote worker, exactly like the
-        process backend; losing the worker itself is handled by the
-        backend's transport policy.  ``resources`` is not supported over
-        the wire (out-of-process callers don't lease live objects).
-        """
-        if resources is not None:
-            raise TypeError("RemoteBackend does not support leased resources")
-        runner = _ResilientRunner(fn, policy if policy is not None else RetryPolicy())
-        pairs = list(enumerate(items))
-        if not pairs:
-            return []
-        return self._ensure_server().execute(runner, pairs, self._policy)
 
     def shutdown(self) -> None:
         """Send ``shutdown`` to the workers and release the port.

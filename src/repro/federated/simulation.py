@@ -14,10 +14,10 @@ One round of :class:`FederatedSimulation` performs:
 
 Both client populations travel through the batched pool path, so a round
 performs two model passes at most (honest pool, Byzantine pool) instead of
-one small forward/backward per worker.  Both pools and the server share
-one :class:`~repro.federated.backends.ExecutionBackend`, so pool shards
-and evaluation chunks may run concurrently (threads or worker processes)
-with results bitwise identical to the serial reference.
+one small forward/backward per worker.  Both pools share one
+:class:`~repro.federated.backends.ExecutionBackend`, so their shards may
+run concurrently (threads, worker processes or remote workers) with
+results bitwise identical to the serial reference.
 
 The loop itself is executed by a
 :class:`~repro.federated.pipeline.RoundPipeline`, which makes the stages
@@ -135,14 +135,14 @@ class FederatedSimulation:
         :class:`~repro.federated.worker.WorkerPool`); overrides an
         ``EngineConfig``'s value when both are given.
     backend:
-        Parallel execution backend for the round's independent tasks
-        (honest and Byzantine shard finalisations, evaluation chunks): a
-        registered name (``"serial"``, ``"threaded"``, ``"process"``), a
+        Parallel execution backend for the round's independent shard
+        tasks (honest and Byzantine pools): a registered name
+        (``"serial"``, ``"threaded"``, ``"process"``), a
         :class:`~repro.core.config.BackendConfig`, a ready
         :class:`~repro.federated.backends.ExecutionBackend` instance, or
         ``None`` for the serial reference.  One backend instance (one
-        thread/process pool) is shared by both worker pools and the
-        server; every backend produces bitwise-identical runs.  Call
+        thread/process pool) is shared by both worker pools; every
+        backend produces bitwise-identical runs.  Call
         :meth:`close` when done to release pooled threads/processes.
     faults:
         Fault-injection scenario: a registered name (``"none"``,
@@ -360,7 +360,6 @@ class FederatedSimulation:
             auxiliary=auxiliary,
             gamma=settings.gamma,
             rng=self._server_rng,
-            backend=self.backend,
             min_quorum=self.min_quorum,
         )
 
@@ -455,11 +454,8 @@ class FederatedSimulation:
         """This round's honest uploads, shape ``(n_honest, d)``.
 
         ``crash_plan`` injects seeded shard crashes (retried under the
-        simulation's retry policy); ``None`` is the fault-free path (and
-        keeps the call signature of pre-fault pool substitutes working).
+        plan's retry policy); ``None`` is the empty plan.
         """
-        if crash_plan is None:
-            return self.honest_pool.compute_uploads(self.model)
         return self.honest_pool.compute_uploads(self.model, crash_plan=crash_plan)
 
     def byzantine_uploads(
@@ -498,16 +494,10 @@ class FederatedSimulation:
 
         if attack.follows_protocol:
             assert self.byzantine_pool is not None
-            if crash_plan is None:
-                return self.byzantine_pool.compute_uploads(self.model)
             return self.byzantine_pool.compute_uploads(
                 self.model, crash_plan=crash_plan
             )
         return np.asarray(attack.craft(context), dtype=np.float64)
-
-    # Backwards-compatible aliases for the pre-pipeline private names.
-    _honest_uploads = honest_uploads
-    _byzantine_uploads = byzantine_uploads
 
     def run_round(self, round_index: int) -> dict[str, float]:
         """Execute one aggregation round; returns per-round diagnostics.

@@ -6,37 +6,45 @@ e.g. label flipping), samples each worker's mini-batch from that worker's
 own generator in worker order, and drives a pluggable
 :class:`~repro.federated.engines.ClientEngine` over bounded-size
 **shards** of the population.  The default (``shard_size=None``) runs the
-whole pool as one shard -- a single stacked forward/backward per round,
-exactly the pre-shard behaviour; with ``shard_size=k`` the engine sees at
-most ``k`` workers at a time, so peak scratch memory (the sampled batch
-and the engine's gradient buffers) is bounded by the shard, not the
-population.  Sharded and unsharded pools produce bitwise-identical
-uploads: every protocol step is per-worker row-wise, so splitting the
-worker axis never changes a single floating-point operation.  (The only
-shape-dependent step is the stacked forward/backward GEMM, where BLAS
-switches micro-kernels -- and accumulation order -- for degenerate row
-counts of 1-3; the protocol's real batch sizes, multiples of 4, keep
-every shard on the same kernel, which the regression tests assert.)
+whole pool as one shard -- a single stacked forward/backward per round;
+with ``shard_size=k`` the engine sees at most ``k`` workers at a time, so
+peak scratch memory (the sampled batch and the engine's gradient
+buffers) is bounded by the shard, not the population.  Sharded and
+unsharded pools produce bitwise-identical uploads: every protocol step is
+per-worker row-wise, so splitting the worker axis never changes a single
+floating-point operation.  (The only shape-dependent step is the stacked
+forward/backward GEMM, where BLAS switches micro-kernels -- and
+accumulation order -- for degenerate row counts of 1-3; the protocol's
+real batch sizes, multiples of 4, keep every shard on the same kernel,
+which the regression tests assert.)
 
-Shards are **independent between finalisations**: each shard touches only
-its own workers' generators (sampling and noise), its own rows of the
-pool's momentum state and its own rows of the upload matrix.  A pool may
-therefore dispatch its shards through a parallel
-:class:`~repro.federated.backends.ExecutionBackend` -- concurrently over
-threads, or over worker processes with the flat parameters in shared
-memory -- and still produce uploads bitwise identical to the serial
-in-order loop, no matter in which order shards complete (the backend's
-ordered reduction plus the per-worker streams pin every result to its
-worker index).  Each concurrent slot gets its own sampling scratch, its
-own engine instance and -- because a :class:`~repro.nn.network
-.Sequential` caches per-call state on its layers -- its own model
-replica, refreshed from the true model's flat parameters each round.
-When no ``shard_size`` is given, parallel backends split the pool into
+Shards are **pure tasks committed in order**.  Algorithm 1 line 11
+overwrites every momentum slot with the upload itself, so a shard's whole
+effect on worker state is its uploads plus its workers' post-noise
+generator states.  The pool samples each shard's mini-batches from
+*copies* of the workers' generators, packs them with the shard's
+momentum rows and generator states into a payload, and maps one
+picklable task, ``payload -> (uploads, post-noise generator states)``,
+over the shards on its :class:`~repro.federated.backends
+.ExecutionBackend` -- inline, on threads, in worker processes or on
+remote workers.  The parent then *commits* the results in shard order:
+upload rows, momentum rows and generator states.  A shard that ends as a
+:class:`~repro.federated.backends.TaskFailure` is not committed, so its
+workers' generators and momentum keep their pre-round state on every
+backend.  Injected crashes and retries wrap the same task in the
+backend's retry loop; since the task is pure, a retried attempt replays
+bitwise.  Commit order, not completion order, fixes every result, so
+every backend's uploads are bitwise identical to the serial loop.
+
+A task running on the dispatching thread uses the pool's own engine and
+the caller's model.  Any other thread builds a private model replica and
+engine once -- cloned from a template the pool makes once per model, or,
+in another process, unpickled from the pool's model skeleton (a
+:class:`~repro.nn.network.Sequential` caches per-call state on its
+layers, so concurrent shards must not share one) -- and keeps them for
+later rounds: one engine scratch per pool per executing thread.  When no
+``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
-
-Mini-batches are gathered per worker straight out of each worker's own
-dataset, so the pool no longer keeps a concatenated second copy of its
-shard data alive (the pre-shard gather-matrix).
 
 :class:`HonestWorker` is kept as a thin wrapper around a single-slot pool
 for code (and tests) that talk to one worker at a time; upload-crafting
@@ -47,9 +55,10 @@ all its fake workers at once).
 from __future__ import annotations
 
 import pickle
-import queue
 import threading
 import uuid
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,149 +67,149 @@ from repro.core.dp_protocol import BatchedDPState, LocalDPState
 from repro.data.dataset import Dataset
 from repro.federated.backends import (
     ExecutionBackend,
+    RetryPolicy,
     SharedArray,
     TaskFailure,
     build_backend,
 )
 from repro.federated.engines import ClientEngine, build_engine
-from repro.federated.faults import CrashCounter, PoolFaultReport, ShardFaultPlan
+from repro.federated.faults import PoolFaultReport, ShardFaultPlan
 from repro.nn.network import Sequential
 
 __all__ = ["HonestWorker", "WorkerPool", "WorkerSlot"]
 
 
-class _ShardWorkspace:
-    """Scratch of one concurrent execution slot.
+#: Per-thread cache of (model, engine) replicas built by shard tasks,
+#: keyed by the owning pool's token: repeated shard tasks on the same
+#: thread reuse one model replica and one engine's scratch.  The cache must be
+#: thread-local, not merely process-local: threaded backends and
+#: service-mode workers running as threads of one process (the test
+#: harness does) would otherwise race on a shared model's parameters and
+#: activations.
+_REPLICAS = threading.local()
+_REPLICA_LIMIT = 8
 
-    Holds the sampling buffers (sized by the largest shard), the slot's
-    engine instance and -- for the parallel slots only -- a private model
-    replica (``model is None`` means "use the caller's model directly",
-    which is what the serial path and the first parallel slot do).
+#: Per-thread scratch generators, re-positioned before every use:
+#: setting a state is ~10x cheaper than building a ``Generator``.
+_SCRATCH_RNGS = threading.local()
+
+
+def _positioned(states: list[dict]) -> list[np.random.Generator]:
+    """This thread's scratch generators, positioned at ``states``.
+
+    Valid until the next call on the same thread: callers read the
+    states back out rather than keep the objects.
+    """
+    scratch = getattr(_SCRATCH_RNGS, "generators", None)
+    if scratch is None:
+        scratch = _SCRATCH_RNGS.generators = []
+    scratch.extend([None] * (len(states) - len(scratch)))
+    for index, state in enumerate(states):
+        name = state["bit_generator"]
+        rng = scratch[index]
+        if rng is None or type(rng.bit_generator).__name__ != name:
+            # The seed is a placeholder: the state set below replaces it.
+            rng = scratch[index] = np.random.Generator(getattr(np.random, name)(0))
+        rng.bit_generator.state = state
+    return scratch[: len(states)]
+
+
+@dataclass(frozen=True)
+class _Replicas:
+    """Recipe for a pool's (model, engine) pair on a thread or process
+    other than the dispatching one.
+
+    Out of process, ``model`` is the pickled model skeleton (parameters
+    travel in every payload) and ``engine`` the pickled engine
+    specification.  In process, ``model`` is a template clone nobody
+    computes on, so any thread may clone it, and ``engine`` the pool's
+    engine specification.
     """
 
-    __slots__ = ("engine", "model", "_indices", "_features", "_labels")
+    token: str
+    model: Sequential | bytes
+    engine: object
 
-    def __init__(self, engine: ClientEngine, model: Sequential | None = None) -> None:
-        self.engine = engine
-        self.model = model
-        self._indices: np.ndarray | None = None
-        self._features: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
-
-    def ensure_scratch(self, batch: int, rows: int, feature_dim: int) -> None:
-        """Allocate or reuse the gather buffers for one shard."""
-        if self._features is None or self._features.shape != (rows, feature_dim):
-            self._indices = np.empty(batch, dtype=np.int64)
-            self._features = np.empty((rows, feature_dim), dtype=np.float64)
-            self._labels = np.empty(rows, dtype=np.int64)
-
-    def sample(
-        self,
-        datasets: list[Dataset],
-        rngs: list[np.random.Generator],
-        start: int,
-        stop: int,
-        batch: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the shard's mini-batches into this workspace's scratch.
-
-        Same draws as ``Dataset.sample_batch`` (uniform with replacement,
-        each worker's own stream, worker order), gathered per worker
-        straight from that worker's dataset -- no concatenated copy of
-        the pool's data is kept.
-        """
-        assert self._indices is not None
-        assert self._features is not None and self._labels is not None
-        for position, index in enumerate(range(start, stop)):
-            dataset, rng = datasets[index], rngs[index]
-            self._indices[...] = rng.integers(0, len(dataset), size=batch)
-            rows = slice(position * batch, (position + 1) * batch)
-            np.take(dataset.features, self._indices, axis=0, out=self._features[rows])
-            np.take(dataset.labels, self._indices, out=self._labels[rows])
-        rows = (stop - start) * batch
-        return self._features[:rows], self._labels[:rows]
+    def resolve(self) -> tuple[Sequential, ClientEngine]:
+        """This thread's replica pair, built on first use."""
+        cache = getattr(_REPLICAS, "entries", None)
+        if cache is None:
+            cache = _REPLICAS.entries = {}
+        pair = cache.get(self.token)
+        if pair is None:
+            if isinstance(self.model, bytes):
+                model, engine = pickle.loads(self.model), pickle.loads(self.engine)
+            else:
+                model, engine = self.model.clone(), self.engine
+                if isinstance(engine, ClientEngine):
+                    engine = engine.clone()
+            if not isinstance(engine, ClientEngine):
+                engine = build_engine(engine)
+            if len(cache) >= _REPLICA_LIMIT:
+                cache.clear()
+            pair = cache[self.token] = (model, engine)
+        return pair
 
 
-#: Per-thread cache of (model, engine) pairs built by process-backend
-#: tasks, keyed by the owning pool's token: repeated shard tasks in the
-#: same worker reuse one skeleton and one engine's scratch.  The cache
-#: must be thread-local, not merely process-local: service-mode workers
-#: can run as threads of one process (the test harness does), and two
-#: threads finalising shards of the same pool concurrently would race on
-#: a shared model's parameters and activations.
-_PROCESS_CACHE = threading.local()
-_PROCESS_CACHE_LIMIT = 8
+@dataclass(frozen=True)
+class _ShardPayload:
+    """Everything one shard task reads; it writes only to ``out``.
 
-
-def _process_cache() -> dict[str, tuple[Sequential, ClientEngine]]:
-    cache = getattr(_PROCESS_CACHE, "entries", None)
-    if cache is None:
-        cache = _PROCESS_CACHE.entries = {}
-    return cache
-
-
-def _process_shard_task(payload: tuple) -> tuple[np.ndarray, list[dict]]:
-    """One shard finalisation inside a process-backend worker.
-
-    The payload carries everything the shard needs: the pool token plus
-    pickled model/engine blobs (unpickled once per worker process and
-    cached), the shared-memory handle of the current flat parameters,
-    the pre-sampled mini-batches, the shard's momentum rows and the
-    shard's generators.  Returns the uploads and the post-noise
-    generator states so the parent can keep its streams in sync.
+    ``caller`` is ``(thread ident, model, engine)`` of the dispatching
+    thread on in-process backends (``None`` when the payload is pickled):
+    tasks running there, or anywhere when the backend runs one task at a
+    time (``replicas is None``), use the caller's pair.  ``momentum`` may
+    be a view of the pool's rows: only the commit writes them, after the
+    task finished.  ``out`` is the result buffer of in-process payloads,
+    allocated by the dispatching thread so results never pile up in the
+    executing threads' malloc arenas; pickled payloads leave it ``None``.
     """
-    (
-        token,
-        model_blob,
-        engine_blob,
-        parameters,
-        features,
-        labels,
-        n_workers,
-        momentum,
-        dp_config,
-        rngs,
-    ) = payload
-    cache = _process_cache()
-    cached = cache.get(token)
-    if cached is None:
-        model = pickle.loads(model_blob)
-        engine_ref = pickle.loads(engine_blob)
-        engine = (
-            engine_ref
-            if isinstance(engine_ref, ClientEngine)
-            else build_engine(engine_ref)
-        )
-        if len(cache) >= _PROCESS_CACHE_LIMIT:
-            cache.clear()
-        cache[token] = (model, engine)
+
+    replicas: _Replicas | None
+    caller: tuple[int, Sequential, ClientEngine] | None
+    parameters: np.ndarray | SharedArray
+    features: np.ndarray
+    labels: np.ndarray
+    momentum: np.ndarray
+    rng_states: list[dict]
+    dp_config: DPConfig
+    out: np.ndarray | None
+
+
+def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
+    """The one shard task: ``payload -> (uploads, post-noise rng states)``.
+
+    Sampling already happened in the parent, so the task runs the engine
+    on the payload's mini-batches, a private copy of the shard's
+    momentum and generators positioned at the payload's states.  Pure:
+    a retried attempt computes exactly the same result.
+    """
+    caller = payload.caller
+    if caller is not None and (
+        payload.replicas is None or caller[0] == threading.get_ident()
+    ):
+        _, model, engine = caller
     else:
-        model, engine = cached
-    vector = parameters.open() if isinstance(parameters, SharedArray) else parameters
-    model.set_flat_parameters(vector)
-    state = BatchedDPState(slot_momentum=momentum, batch_size=dp_config.batch_size)
-    uploads = engine.compute_uploads(
-        model, features, labels, n_workers, state, dp_config, rngs
+        model, engine = payload.replicas.resolve()
+    parameters = payload.parameters
+    model.set_flat_parameters(
+        parameters.open() if isinstance(parameters, SharedArray) else parameters
     )
-    return np.array(uploads), [rng.bit_generator.state for rng in rngs]
-
-
-def _faulty_process_shard_task(
-    item: tuple[CrashCounter, tuple],
-) -> tuple[np.ndarray, list[dict], int]:
-    """A :func:`_process_shard_task` with an injected-crash counter.
-
-    The counter ticks (and possibly raises) *before* the shard runs, so a
-    retried attempt starts from the exact pre-task state -- the payload's
-    generators are only advanced by the attempt that succeeds.  The retry
-    loop of ``map_resilient`` runs on the same unpickled item inside the
-    worker process, so the counter's attempt count survives retries and
-    travels back with the result.
-    """
-    counter, payload = item
-    counter.tick()
-    uploads, rng_states = _process_shard_task(payload)
-    return uploads, rng_states, counter.calls
+    rngs = _positioned(payload.rng_states)
+    # Every attempt starts from the pool's rows; the engine updates this
+    # private copy, and by line 11 the momentum *is* the upload, so the
+    # copy doubles as the result (the engine's array may be its scratch).
+    momentum = payload.out if payload.out is not None else np.empty_like(payload.momentum)
+    np.copyto(momentum, payload.momentum)
+    state = BatchedDPState(
+        slot_momentum=momentum, batch_size=payload.dp_config.batch_size
+    )
+    uploads = engine.compute_uploads(
+        model, payload.features, payload.labels, len(rngs), state,
+        payload.dp_config, rngs,
+    )
+    np.copyto(momentum, uploads)
+    return momentum, [rng.bit_generator.state for rng in rngs]
 
 
 class WorkerPool:
@@ -223,9 +232,9 @@ class WorkerPool:
         ready :class:`~repro.federated.engines.ClientEngine` instance, or
         ``None`` for the default materialized engine.  An
         ``EngineConfig``'s ``shard_size`` is used when the ``shard_size``
-        argument is not given.  Parallel backends give every concurrent
-        slot its own engine (via the spec, or ``engine.clone()`` for a
-        ready instance).
+        argument is not given.  Threads and processes other than the
+        dispatching one get their own engine (via the spec, or
+        ``engine.clone()`` for a ready instance).
     shard_size:
         Maximum number of workers per engine call; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -287,22 +296,12 @@ class WorkerPool:
         self._shard_bounds = [
             (start, min(start + size, n)) for start in range(0, n, size)
         ]
-        # Execution slots: slot 0 (the serial path) samples into its own
-        # reusable scratch and drives the pool's primary engine on the
-        # caller's model; parallel slots are appended lazily with private
-        # engines and model replicas.
-        self._primary = _ShardWorkspace(self.engine)
-        self._workspaces: list[_ShardWorkspace] = [self._primary]
+        # The replica recipe published for threads and processes other
+        # than the caller, rebuilt when the pool meets a new model.
+        self._replicas: _Replicas | None = None
         self._replica_source: Sequential | None = None
-        # Process-backend state: the pickled model skeleton (parameters
-        # travel separately through shared memory) and the pool token the
-        # worker-process caches key on.
-        self._model_blob: bytes | None = None
-        self._engine_blob: bytes | None = None
-        self._blob_source: Sequential | None = None
-        # Cache-invalidation token only: never feeds any computed result.
-        self._process_token = uuid.uuid4().hex  # repro-lint: disable=REP001 -- cache key only
-        #: what the last faulty round observed (``None`` after clean rounds)
+        #: what the last round's failures and retries looked like
+        #: (``None`` after a round with an inactive plan and no failure)
         self.last_fault_report: PoolFaultReport | None = None
 
     @property
@@ -354,402 +353,143 @@ class WorkerPool:
         self.state.slot_momentum[...] = 0.0
 
     # ------------------------------------------------------------------ #
-    # shard execution
+    # dispatch and commit
     # ------------------------------------------------------------------ #
-    def _compute_shard(
-        self,
-        model: Sequential,
-        workspace: _ShardWorkspace,
-        bounds: tuple[int, int],
-        uploads: np.ndarray,
-    ) -> None:
-        """Sample, run the engine and finalise one shard into ``uploads``.
+    def _replicas_for(self, model: Sequential) -> _Replicas | None:
+        """The replica recipe for ``model``, built once per model.
 
-        Touches only the shard's own worker streams, momentum rows and
-        upload rows, so concurrent calls on *distinct* workspaces never
-        share mutable state.
+        ``None`` on an in-process backend running one task at a time:
+        every task then uses the caller's model and the pool's engine.
         """
-        start, stop = bounds
-        batch = self.dp_config.batch_size
-        workspace.ensure_scratch(
-            batch, self.shard_size * batch, self.datasets[0].dim
-        )
-        features, labels = workspace.sample(
-            self.datasets, self.rngs, start, stop, batch
-        )
-        shard_state = BatchedDPState(
-            slot_momentum=self.state.slot_momentum[start:stop],
-            batch_size=batch,
-        )
-        uploads[start:stop] = workspace.engine.compute_uploads(
-            model,
-            features,
-            labels,
-            stop - start,
-            shard_state,
-            self.dp_config,
-            self.rngs[start:stop],
-        )
-
-    def _stream_shard(
-        self,
-        model: Sequential,
-        workspace: _ShardWorkspace,
-        bounds: tuple[int, int],
-    ) -> np.ndarray:
-        """Sample, run the engine and return one shard's uploads as a copy.
-
-        Identical arithmetic and state semantics to :meth:`_compute_shard`
-        (same worker streams, same momentum view), but the result is a
-        fresh ``(stop - start, d)`` array rather than rows of a
-        pre-allocated ``(n, d)`` matrix -- the engine's scratch is reused
-        by the next shard, so the copy is what makes the block safe to
-        hand to a streaming consumer.
-        """
-        start, stop = bounds
-        batch = self.dp_config.batch_size
-        workspace.ensure_scratch(
-            batch, self.shard_size * batch, self.datasets[0].dim
-        )
-        features, labels = workspace.sample(
-            self.datasets, self.rngs, start, stop, batch
-        )
-        shard_state = BatchedDPState(
-            slot_momentum=self.state.slot_momentum[start:stop],
-            batch_size=batch,
-        )
-        return np.array(
-            workspace.engine.compute_uploads(
-                model,
-                features,
-                labels,
-                stop - start,
-                shard_state,
-                self.dp_config,
-                self.rngs[start:stop],
+        backend = self.backend
+        if backend.in_process and backend.max_workers <= 1:
+            return None
+        if self._replicas is None or self._replica_source is not model:
+            if backend.in_process:
+                template, engine = model.clone(), self._engine_source
+            else:
+                # The binding caches views into engine scratch; drop them
+                # so the skeleton blob carries the model, not the buffers.
+                model.unbind_per_example_grad_buffers()
+                engine = (
+                    self._engine_source.clone()
+                    if isinstance(self._engine_source, ClientEngine)
+                    else self._engine_source
+                )
+                template, engine = pickle.dumps(model), pickle.dumps(engine)
+            self._replicas = _Replicas(
+                # Cache key only: never feeds any computed result.
+                token=uuid.uuid4().hex,  # repro-lint: disable=REP001 -- cache key only
+                model=template,
+                engine=engine,
             )
+            self._replica_source = model
+        return self._replicas
+
+    def _payloads(self, model: Sequential) -> Iterator[tuple[int, _ShardPayload]]:
+        """``(shard index, payload)`` pairs, built as the backend pulls them.
+
+        Each shard's mini-batches are drawn from scratch copies of its
+        workers' generators (same draws as ``Dataset.sample_batch``:
+        uniform with replacement, each worker's own stream, worker
+        order), so the pool's own generators only move when a result is
+        committed.
+        """
+        batch, n_features = self.dp_config.batch_size, self.datasets[0].dim
+        dimension = model.num_parameters
+        backend = self.backend
+        replicas = self._replicas_for(model)
+        caller = (
+            (threading.get_ident(), model, self.engine) if backend.in_process else None
         )
+        flat = model.get_flat_parameters()
+        share = getattr(backend, "share_array", None)
+        parameters = share(flat) if callable(share) else flat
+        for index, (start, stop) in enumerate(self._shard_bounds):
+            rngs = _positioned([rng.bit_generator.state for rng in self.rngs[start:stop]])
+            features = np.empty(((stop - start) * batch, n_features), dtype=np.float64)
+            labels = np.empty((stop - start) * batch, dtype=np.int64)
+            for position, (dataset, rng) in enumerate(
+                zip(self.datasets[start:stop], rngs)
+            ):
+                picks = rng.integers(0, len(dataset), size=batch)
+                rows = slice(position * batch, (position + 1) * batch)
+                np.take(dataset.features, picks, axis=0, out=features[rows])
+                np.take(dataset.labels, picks, out=labels[rows])
+            yield index, _ShardPayload(
+                replicas=replicas,
+                caller=caller,
+                parameters=parameters,
+                features=features,
+                labels=labels,
+                momentum=self.state.slot_momentum[start:stop],
+                rng_states=[rng.bit_generator.state for rng in rngs],
+                dp_config=self.dp_config,
+                out=(
+                    np.empty((stop - start, dimension)) if backend.in_process else None
+                ),
+            )
 
-    def iter_upload_blocks(self, model: Sequential):
-        """Yield the round's uploads shard-by-shard (fault-free path only).
+    def _committed_blocks(
+        self, model: Sequential, crash_plan: ShardFaultPlan | None
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Dispatch every shard task and commit the results in shard order.
 
-        The streaming sibling of :meth:`compute_uploads`: blocks arrive
-        in worker order and their concatenation is bitwise-identical to
-        the ``(n, d)`` matrix -- but on the serial in-process path that
-        matrix never exists, so peak memory is one shard's uploads plus
-        the engine scratch no matter how large the cohort.  In-process
-        parallel backends overlap shard computation behind the backend's
-        ordered lazy iterator (leased workspaces, copies per block);
-        out-of-process backends already materialise the round in the
-        parent and simply yield views of it.
+        Yields ``(start, stop, block)`` with each shard's ``(stop - start,
+        d)`` upload block as it is committed: upload rows, momentum rows
+        (Algorithm 1 line 11: the momentum *is* the upload) and post-noise
+        generator states.  A
+        shard ending as a :class:`TaskFailure` -- an exhausted crash
+        schedule or advisory timeout, or a remote transport loss --
+        yields zeros and commits nothing.  ``crash_plan=None`` is the
+        empty plan with a single attempt per shard.  Once the blocks are
+        exhausted, :attr:`last_fault_report` describes the round.
         """
         n, batch = self.n_workers, self.dp_config.batch_size
         dimension = model.num_parameters
         self.state.ensure_shape(n, batch, dimension)
         self.last_fault_report = None
-        backend = self.backend
-        if not backend.in_process:
-            uploads = np.empty((n, dimension), dtype=np.float64)
-            self._compute_uploads_process(model, uploads)
-            for start, stop in self._shard_bounds:
-                yield uploads[start:stop]
-            return
-        jobs = min(backend.max_workers, self.n_shards)
-        if jobs <= 1:
-            for bounds in self._shard_bounds:
-                yield self._stream_shard(model, self._primary, bounds)
-            return
-        free: queue.SimpleQueue = queue.SimpleQueue()
-        for workspace in self._parallel_workspaces(model, jobs):
-            free.put(workspace)
-
-        def run_shard(bounds: tuple[int, int]) -> np.ndarray:
-            workspace = free.get()
-            try:
-                shard_model = (
-                    workspace.model if workspace.model is not None else model
-                )
-                return self._stream_shard(shard_model, workspace, bounds)
-            finally:
-                free.put(workspace)
-
-        yield from backend.map_streamed(run_shard, self._shard_bounds)
-
-    def _new_engine(self) -> ClientEngine:
-        """A fresh engine for a parallel slot (spec rebuild, or clone)."""
-        if isinstance(self._engine_source, ClientEngine):
-            return self._engine_source.clone()
-        return build_engine(self._engine_source)
-
-    def _parallel_workspaces(self, model: Sequential, jobs: int) -> list[_ShardWorkspace]:
-        """The first ``jobs`` execution slots, replicas synced to ``model``.
-
-        Slot 0 uses the caller's model directly; every further slot owns a
-        model replica (a :class:`Sequential` caches per-call state on its
-        layers, so concurrent shards must not share one).  Replicas are
-        kept across rounds and refreshed from the true model's flat
-        parameters -- an exact copy, so replica rounds are bitwise
-        identical to true-model rounds.
-        """
-        if self._replica_source is not model:
-            self._workspaces = [self._primary]
-            self._replica_source = model
-        while len(self._workspaces) < jobs:
-            self._workspaces.append(
-                _ShardWorkspace(self._new_engine(), model.clone())
+        if crash_plan is None:
+            crash_plan = ShardFaultPlan(
+                failures=np.zeros(self.n_shards, dtype=np.int64),
+                policy=RetryPolicy(max_attempts=1),
             )
-        workspaces = self._workspaces[:jobs]
-        flat = model.get_flat_parameters()
-        for workspace in workspaces:
-            if workspace.model is not None:
-                workspace.model.set_flat_parameters(flat)
-        return workspaces
-
-    def _compute_uploads_parallel(
-        self, model: Sequential, uploads: np.ndarray, jobs: int
-    ) -> None:
-        """Dispatch the shards over the backend's in-process concurrency.
-
-        Workspaces are leased per task, so any shard can run on any
-        slot; results land in ``uploads`` by shard index (and noise and
-        momentum by worker index), which makes the outcome independent
-        of shard completion order.
-        """
-
-        def run_shard(workspace: _ShardWorkspace, bounds: tuple[int, int]) -> None:
-            shard_model = workspace.model if workspace.model is not None else model
-            self._compute_shard(shard_model, workspace, bounds, uploads)
-
-        self.backend.map_leased(
-            run_shard, self._shard_bounds, self._parallel_workspaces(model, jobs)
-        )
-
-    def _process_round_setup(self, model: Sequential):
-        """Refresh the pickled blobs, publish the parameters, size scratch.
-
-        The shared per-round setup of the out-of-process dispatch paths;
-        returns the parameter handle the shard payloads carry (a
-        :class:`SharedArray` when the backend shares memory, else the
-        flat vector itself).
-        """
-        batch = self.dp_config.batch_size
-        if self._model_blob is None or self._blob_source is not model:
-            # The binding caches views into engine scratch; drop them so
-            # the skeleton blob carries the model, not the buffers.
-            model.unbind_per_example_grad_buffers()
-            self._model_blob = pickle.dumps(model)
-            self._blob_source = model
-            # Fresh token invalidates the worker-process caches; cache key only.
-            self._process_token = uuid.uuid4().hex  # repro-lint: disable=REP001 -- cache key only
-            engine_ref = (
-                self._engine_source.clone()
-                if isinstance(self._engine_source, ClientEngine)
-                else self._engine_source
-            )
-            self._engine_blob = pickle.dumps(engine_ref)
-        share = getattr(self.backend, "share_array", None)
-        flat = model.get_flat_parameters()
-        parameters = share(flat) if callable(share) else flat
-        self._primary.ensure_scratch(
-            batch, self.shard_size * batch, self.datasets[0].dim
-        )
-        return parameters
-
-    def _shard_payload(
-        self, parameters, bounds: tuple[int, int]
-    ) -> tuple:
-        """Sample one shard in the parent and build its task payload."""
-        start, stop = bounds
-        batch = self.dp_config.batch_size
-        features, labels = self._primary.sample(
-            self.datasets, self.rngs, start, stop, batch
-        )
-        return (
-            self._process_token,
-            self._model_blob,
-            self._engine_blob,
-            parameters,
-            np.array(features),
-            np.array(labels),
-            stop - start,
-            np.array(self.state.slot_momentum[start:stop]),
-            self.dp_config,
-            self.rngs[start:stop],
-        )
-
-    def _compute_uploads_process(
-        self, model: Sequential, uploads: np.ndarray
-    ) -> None:
-        """Dispatch the shards over an out-of-process backend.
-
-        Mini-batches are sampled in the parent (each worker's own stream,
-        worker order -- identical draws to the serial path), the model
-        skeleton is pickled once per pool and the current flat parameters
-        travel through the backend's shared memory.  Workers return the
-        uploads plus their generators' post-noise states; restoring those
-        keeps the parent's streams bit-identical to a serial round, and
-        the momentum overwrite (Algorithm 1 line 11) equals the uploads,
-        so the parent's state needs no second payload.
-
-        A backend may degrade a lost task (a dead remote worker past its
-        transport retry budget) to an ordered :class:`TaskFailure` slot
-        instead of raising.  The affected shard's workers then drop out
-        of the round exactly like a permanently crashed shard: zero
-        upload rows, momentum untouched, post-noise generator states
-        never restored -- and :attr:`last_fault_report` carries the mask
-        so the pipeline aggregates the surviving partial cohort.
-        """
-        parameters = self._process_round_setup(model)
-        payloads = [
-            self._shard_payload(parameters, bounds) for bounds in self._shard_bounds
-        ]
-        results = self.backend.map_ordered(_process_shard_task, payloads)
-        failed_workers = np.zeros(self.n_workers, dtype=bool)
-        lost_shards = 0
-        for (start, stop), result in zip(self._shard_bounds, results):
-            if isinstance(result, TaskFailure):
-                failed_workers[start:stop] = True
-                lost_shards += 1
-                uploads[start:stop] = 0.0
-                continue
-            shard_uploads, rng_states = result
-            uploads[start:stop] = shard_uploads
-            for index, state in zip(range(start, stop), rng_states):
-                self.rngs[index].bit_generator.state = state
-            np.copyto(self.state.slot_momentum[start:stop], uploads[start:stop])
-        if lost_shards:
-            self.last_fault_report = PoolFaultReport(
-                failed_workers=failed_workers,
-                retried=0,
-                crashed_shards=lost_shards,
-            )
-
-    # ------------------------------------------------------------------ #
-    # fault-injected execution (the crash seam)
-    # ------------------------------------------------------------------ #
-    def _compute_uploads_resilient(
-        self, model: Sequential, uploads: np.ndarray, plan: ShardFaultPlan
-    ) -> None:
-        """Run the round under an injected crash plan, tolerating failures.
-
-        Every shard task ticks its :class:`~repro.federated.faults
-        .CrashCounter` *before* touching any state (sampling, noise,
-        momentum), so a shard retried within the plan's
-        :class:`~repro.federated.backends.RetryPolicy` budget replays
-        bitwise identically to a never-failing one.  Shards that exhaust
-        the policy lose their workers for the round: their upload rows
-        stay zero, their generators never advance and their momentum is
-        untouched -- identically under every backend.  The outcome is
-        published in :attr:`last_fault_report`.
-        """
-        failures = np.asarray(plan.failures, dtype=np.int64)
+        failures = np.asarray(crash_plan.failures, dtype=np.int64)
         if failures.shape != (self.n_shards,):
             raise ValueError(
                 f"crash plan covers {failures.shape} shards, pool has "
                 f"{self.n_shards}"
             )
-        failed_workers = np.zeros(self.n_workers, dtype=bool)
-        if not self.backend.in_process:
-            retried = self._resilient_process(
-                model, uploads, failures, plan.policy, failed_workers
-            )
-        else:
-            retried = self._resilient_in_process(
-                model, uploads, failures, plan.policy, failed_workers
-            )
-        self.last_fault_report = PoolFaultReport(
-            failed_workers=failed_workers,
-            retried=retried,
-            crashed_shards=int(np.count_nonzero(failures)),
+        task = self.backend.resilient(
+            _shard_task, crash_plan.policy, crashes=failures.tolist()
         )
-
-    def _resilient_in_process(
-        self,
-        model: Sequential,
-        uploads: np.ndarray,
-        failures: np.ndarray,
-        policy,
-        failed_workers: np.ndarray,
-    ) -> int:
-        """Crash-plan execution for the serial and threaded backends."""
-        counters = [CrashCounter(k) for k in failures]
-        jobs = max(1, min(self.backend.max_workers, self.n_shards))
-
-        def run_shard(workspace: _ShardWorkspace, shard_index: int) -> None:
-            # The injected crash fires before sampling touches any worker
-            # stream; a retry therefore re-enters a pristine shard.
-            counters[shard_index].tick()
-            shard_model = workspace.model if workspace.model is not None else model
-            self._compute_shard(
-                shard_model, workspace, self._shard_bounds[shard_index], uploads
-            )
-
-        results = self.backend.map_resilient(
-            run_shard,
-            range(self.n_shards),
-            policy,
-            resources=self._parallel_workspaces(model, jobs),
-        )
-        for shard_index, result in enumerate(results):
-            if isinstance(result, TaskFailure):
-                start, stop = self._shard_bounds[shard_index]
-                failed_workers[start:stop] = True
-        return sum(max(0, counter.calls - 1) for counter in counters)
-
-    def _resilient_process(
-        self,
-        model: Sequential,
-        uploads: np.ndarray,
-        failures: np.ndarray,
-        policy,
-        failed_workers: np.ndarray,
-    ) -> int:
-        """Crash-plan execution for out-of-process backends.
-
-        Permanently failing shards (``failures >= policy.max_attempts``)
-        are detected in the parent and never sampled or dispatched --
-        matching the in-process path, where the crash fires before
-        sampling, so the surviving workers' generator streams stay
-        bit-identical across backends.  Recoverable shards carry their
-        crash counter inside the task item; the retry loop runs in the
-        worker process on the same unpickled counter, and the attempt
-        count travels back with the result.
-        """
-        parameters = self._process_round_setup(model)
-        max_attempts = policy.max_attempts
+        results = self.backend.map_ordered(task, self._payloads(model))
+        failed = np.zeros(n, dtype=bool)
         retried = 0
-        live: list[tuple[int, int, int]] = []
-        items: list[tuple[CrashCounter, tuple]] = []
-        for shard_index, (start, stop) in enumerate(self._shard_bounds):
-            scheduled = int(failures[shard_index])
-            if scheduled >= max_attempts:
-                failed_workers[start:stop] = True
-                retried += max_attempts - 1
-                continue
-            items.append(
-                (CrashCounter(scheduled), self._shard_payload(parameters, (start, stop)))
-            )
-            live.append((shard_index, start, stop))
-        results = (
-            self.backend.map_resilient(_faulty_process_shard_task, items, policy)
-            if items
-            else []
-        )
-        for (shard_index, start, stop), result in zip(live, results):
+        for index, ((start, stop), result) in enumerate(
+            zip(self._shard_bounds, results)
+        ):
             if isinstance(result, TaskFailure):
-                # An advisory-timeout exhaustion, or a transport loss on a
-                # remote backend (the injected crash schedule of a
-                # dispatched shard is below max_attempts by construction).
-                failed_workers[start:stop] = True
+                failed[start:stop] = True
                 retried += result.attempts - 1
+                yield start, stop, np.zeros((stop - start, dimension))
                 continue
-            shard_uploads, rng_states, attempts = result
-            uploads[start:stop] = shard_uploads
-            for index, state in zip(range(start, stop), rng_states):
-                self.rngs[index].bit_generator.state = state
-            np.copyto(self.state.slot_momentum[start:stop], uploads[start:stop])
-            retried += attempts - 1
-        return retried
+            # A committed shard retried exactly its injected crashes:
+            # advisory-timeout retries are wall-clock facts (traced as
+            # retry events), not round counts.
+            uploads, rng_states = result
+            retried += int(failures[index])
+            for rng, state in zip(self.rngs[start:stop], rng_states):
+                rng.bit_generator.state = state
+            np.copyto(self.state.slot_momentum[start:stop], uploads)
+            yield start, stop, uploads
+        if crash_plan.is_active or retried or failed.any():
+            lost_shards = failed[[start for start, _ in self._shard_bounds]]
+            self.last_fault_report = PoolFaultReport(
+                failed_workers=failed,
+                retried=retried,
+                crashed_shards=int(np.count_nonzero((failures > 0) | lost_shards)),
+            )
 
     def compute_uploads(
         self, model: Sequential, crash_plan: ShardFaultPlan | None = None
@@ -758,39 +498,36 @@ class WorkerPool:
 
         The caller is responsible for having loaded the current global
         parameters into ``model`` (model broadcasting, Algorithm 1 line 3).
-        Each shard travels through the pool's engine with a momentum-state
-        view into the pool's full state, so per-worker momentum and noise
-        streams are independent of the sharding -- and, because shards are
-        independent between finalisations, of the execution backend and of
-        shard completion order.
+        Shard results are committed in shard order, so per-worker momentum
+        and noise streams are independent of the sharding, of the
+        execution backend and of shard completion order.
 
-        With an *active* ``crash_plan`` (see :class:`~repro.federated
-        .faults.ShardFaultPlan`) shards crash and retry as scheduled:
-        recovered shards are bitwise identical to never-failing ones,
-        permanently failed shards leave zero upload rows and untouched
-        worker state, and :attr:`last_fault_report` describes the round.
-        An inactive (or absent) plan takes the exact fault-free path.
+        With a ``crash_plan`` (see :class:`~repro.federated.faults
+        .ShardFaultPlan`) shards crash and retry as scheduled: recovered
+        shards are bitwise identical to never-failing ones, permanently
+        failed shards leave zero upload rows and untouched worker state,
+        and :attr:`last_fault_report` describes the round.
         """
-        n, batch = self.n_workers, self.dp_config.batch_size
-        dimension = model.num_parameters
-        self.state.ensure_shape(n, batch, dimension)
-        self.last_fault_report = None
-        if crash_plan is not None and crash_plan.is_active:
-            uploads = np.zeros((n, dimension), dtype=np.float64)
-            self._compute_uploads_resilient(model, uploads, crash_plan)
+        blocks = self._committed_blocks(model, crash_plan)
+        if self.n_shards == 1:
+            # Unpacking drains the loop; the one block is the matrix.
+            [(_, _, uploads)] = blocks
             return uploads
-        uploads = np.empty((n, dimension), dtype=np.float64)
-        backend = self.backend
-        if not backend.in_process:
-            self._compute_uploads_process(model, uploads)
-            return uploads
-        jobs = min(backend.max_workers, self.n_shards)
-        if jobs <= 1:
-            for bounds in self._shard_bounds:
-                self._compute_shard(model, self._primary, bounds, uploads)
-        else:
-            self._compute_uploads_parallel(model, uploads, jobs)
+        uploads = np.empty((self.n_workers, model.num_parameters))
+        for start, stop, block in blocks:
+            uploads[start:stop] = block
         return uploads
+
+    def iter_upload_blocks(self, model: Sequential) -> Iterator[np.ndarray]:
+        """Yield the round's uploads shard-by-shard, as they are committed.
+
+        The streaming view of :meth:`compute_uploads` (without a crash
+        plan): blocks arrive in worker order and their concatenation is
+        bitwise-identical to the ``(n, d)`` matrix, which never exists --
+        peak memory is the backend's in-flight shards, not the cohort.
+        """
+        for _, _, block in self._committed_blocks(model, None):
+            yield block
 
     def reset(self) -> None:
         """Clear every worker's momentum state (start of a fresh run)."""

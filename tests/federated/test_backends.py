@@ -3,7 +3,7 @@
 Covers the backend framework (registry, ordered reduction, lifecycle),
 the worker-pool routing (threaded/process == serial bitwise, including
 under adversarial shard completion orders), the auto-sharding of
-parallel pools and the backend-routed chunked evaluation.
+parallel pools and the commit model (a lost shard leaves no trace).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.federated.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
+    TaskFailure,
     ThreadedBackend,
     available_backends,
     build_backend,
@@ -85,7 +86,7 @@ class TestBackendFramework:
 
     def test_serial_map_ordered(self):
         backend = SerialBackend()
-        assert backend.map_ordered(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
+        assert list(backend.map_ordered(lambda x: x * 2, [3, 1, 2])) == [6, 2, 4]
         assert backend.max_workers == 1
         assert backend.in_process
 
@@ -102,7 +103,7 @@ class TestBackendFramework:
                 barrier.wait()  # all four run simultaneously
                 return item * item
 
-            assert backend.map_ordered(task, [1, 2, 3, 4]) == [1, 4, 9, 16]
+            assert list(backend.map_ordered(task, [1, 2, 3, 4])) == [1, 4, 9, 16]
         finally:
             backend.shutdown()
 
@@ -115,21 +116,47 @@ class TestBackendFramework:
                 return item
 
             with pytest.raises(RuntimeError, match="boom"):
-                backend.map_ordered(task, [1, 2, 3])
+                list(backend.map_ordered(task, [1, 2, 3]))
         finally:
             backend.shutdown()
 
     def test_backend_usable_after_shutdown(self):
         backend = ThreadedBackend(max_workers=2)
-        assert backend.map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert list(backend.map_ordered(lambda x: x + 1, [1, 2])) == [2, 3]
         backend.shutdown()
-        assert backend.map_ordered(lambda x: x + 1, [3]) == [4]
+        assert list(backend.map_ordered(lambda x: x + 1, [3])) == [4]
         backend.shutdown()
 
     def test_empty_items(self):
         backend = ThreadedBackend(max_workers=2)
-        assert backend.map_ordered(lambda x: x, []) == []
+        assert list(backend.map_ordered(lambda x: x, [])) == []
         backend.shutdown()
+
+    def test_serial_map_is_lazy(self):
+        """Tasks run only as the consumer advances (streaming callers)."""
+        calls = []
+        results = SerialBackend().map_ordered(calls.append, [1, 2, 3])
+        assert calls == []
+        next(iter(results))
+        assert calls == [1]
+
+    def test_threaded_map_bounds_tasks_in_flight(self):
+        """A pooled map pulls items as its window advances, not all at once."""
+        backend = ThreadedBackend(max_workers=2)
+        pulled = []
+
+        def items():
+            for item in range(10):
+                pulled.append(item)
+                yield item
+
+        try:
+            results = iter(backend.map_ordered(lambda x: x, items()))
+            assert next(results) == 0
+            assert len(pulled) <= backend.max_workers + 1
+            assert list(results) == list(range(1, 10))
+        finally:
+            backend.shutdown()
 
     def test_rejects_nonpositive_max_workers(self):
         with pytest.raises(ValueError):
@@ -333,29 +360,21 @@ class TestBackendSimulation:
         )
         assert serial.history.as_dict() == parallel.history.as_dict()
 
-    def test_parallel_evaluation_identical(self):
+    def test_chunked_evaluation_identical(self):
         from repro.federated.server import Server
         from repro.defenses.mean import MeanAggregator
 
         model, dataset = make_model_and_data(seed=8, n_samples=600)
-        backend = ThreadedBackend(max_workers=3)
-
-        def build_server(eval_backend):
-            return Server(
-                model=model,
-                aggregator=MeanAggregator(),
-                learning_rate=0.1,
-                dp_config=DPConfig(batch_size=4, sigma=1.0),
-                auxiliary=None,
-                gamma=0.5,
-                rng=np.random.default_rng(0),
-                backend=eval_backend,
-            )
-
-        serial_accuracy = build_server(None).evaluate(dataset, batch_size=64)
-        parallel_accuracy = build_server(backend).evaluate(dataset, batch_size=64)
-        backend.shutdown()
-        assert serial_accuracy == parallel_accuracy
+        server = Server(
+            model=model,
+            aggregator=MeanAggregator(),
+            learning_rate=0.1,
+            dp_config=DPConfig(batch_size=4, sigma=1.0),
+            auxiliary=None,
+            gamma=0.5,
+            rng=np.random.default_rng(0),
+        )
+        assert server.evaluate(dataset, batch_size=64) == server.evaluate(dataset)
 
     def test_simulation_close_is_idempotent(self):
         from repro.experiments.presets import benchmark_preset
@@ -369,3 +388,68 @@ class TestBackendSimulation:
         assert isinstance(setup.simulation.backend, ThreadedBackend)
         setup.simulation.close()
         setup.simulation.close()
+
+
+class LosingBackend(ExecutionBackend):  # repro-lint: disable=REP004 -- test double, constructed directly
+    """Test double: delegates to a real backend, then loses one task.
+
+    The task still runs on the inner backend; only its result is replaced
+    by a :class:`TaskFailure`, like a remote worker dying after the work
+    was done.  ``lost=None`` loses nothing.
+    """
+
+    def __init__(self, inner: ExecutionBackend, lost: int | None = None) -> None:
+        self.inner = inner
+        self.lost = lost
+        self.in_process = inner.in_process
+
+    @property
+    def max_workers(self) -> int:
+        return self.inner.max_workers
+
+    def map_ordered(self, fn, items):
+        for index, result in enumerate(self.inner.map_ordered(fn, items)):
+            if index == self.lost:
+                result = TaskFailure(index=index, attempts=1, error="lost")
+            yield result
+
+
+class TestUncommittedShard:
+    """A shard that ends as a TaskFailure leaves no trace on worker state."""
+
+    @pytest.mark.parametrize("inner", ["serial", "threaded", "process"])
+    def test_lost_shard_keeps_pre_round_state(self, inner):
+        model, _ = make_model_and_data(seed=6)
+        shards = make_shards(6, seed=8)
+        config = DPConfig(batch_size=4, sigma=0.7, momentum=0.3)
+        backend = LosingBackend(build_backend(inner, max_workers=2))
+        pool = make_pool(shards, config, shard_size=2, backend=backend)
+        reference = make_pool(shards, config, shard_size=2)
+        try:
+            np.testing.assert_array_equal(
+                pool.compute_uploads(model), reference.compute_uploads(model)
+            )
+            assert pool.last_fault_report is None
+            rng_states = [rng.bit_generator.state for rng in pool.rngs]
+            momentum = pool.state.slot_momentum.copy()
+
+            backend.lost = 1  # shard 1 holds workers 2 and 3
+            uploads = pool.compute_uploads(model)
+            expected = reference.compute_uploads(model)
+        finally:
+            backend.inner.shutdown()
+        lost = np.array([False, False, True, True, False, False])
+        np.testing.assert_array_equal(pool.last_fault_report.failed_workers, lost)
+        assert pool.last_fault_report.crashed_shards == 1
+        np.testing.assert_array_equal(uploads[lost], 0.0)
+        np.testing.assert_array_equal(uploads[~lost], expected[~lost])
+        for index in range(6):
+            state = pool.rngs[index].bit_generator.state
+            if lost[index]:
+                assert state == rng_states[index]
+            else:
+                assert state == reference.rngs[index].bit_generator.state
+        np.testing.assert_array_equal(pool.state.slot_momentum[lost], momentum[lost])
+        np.testing.assert_array_equal(
+            pool.state.slot_momentum[~lost], reference.state.slot_momentum[~lost]
+        )

@@ -230,23 +230,30 @@ class _FlakyCalls:
         return item * 10
 
 
-class TestMapResilient:
-    def test_all_succeed_matches_map_ordered(self):
-        backend = SerialBackend()
-        results = backend.map_resilient(lambda x: x * 2, [1, 2, 3])
+def resilient_map(backend, fn, items, policy=None, crashes=()):
+    """Map ``fn`` over ``items`` under the backend's retry loop."""
+    task = backend.resilient(fn, policy if policy is not None else RetryPolicy(), crashes)
+    return list(backend.map_ordered(task, enumerate(items)))
+
+
+class TestResilientTasks:
+    def test_all_succeed_in_submission_order(self):
+        results = resilient_map(SerialBackend(), lambda x: x * 2, [1, 2, 3])
         assert results == [2, 4, 6]
 
     def test_retries_then_succeeds(self):
-        backend = SerialBackend()
         fn = _FlakyCalls({1: 2})
-        results = backend.map_resilient(fn, [0, 1, 2], RetryPolicy(max_attempts=3))
+        results = resilient_map(
+            SerialBackend(), fn, [0, 1, 2], RetryPolicy(max_attempts=3)
+        )
         assert results == [0, 10, 20]
         assert fn.calls == 5  # 3 items + 2 retries
 
     def test_permanent_failure_fills_ordered_slot(self):
-        backend = SerialBackend()
         fn = _FlakyCalls({1: 99})
-        results = backend.map_resilient(fn, [0, 1, 2], RetryPolicy(max_attempts=2))
+        results = resilient_map(
+            SerialBackend(), fn, [0, 1, 2], RetryPolicy(max_attempts=2)
+        )
         assert results[0] == 0 and results[2] == 20
         failure = results[1]
         assert isinstance(failure, TaskFailure)
@@ -255,29 +262,31 @@ class TestMapResilient:
         assert "item 1" in failure.error
 
     def test_non_transient_error_propagates(self):
-        backend = SerialBackend()
-
         def boom(item):
             raise RuntimeError("not transient")
 
         with pytest.raises(RuntimeError, match="not transient"):
-            backend.map_resilient(boom, [1])
+            resilient_map(SerialBackend(), boom, [1])
 
-    def test_leased_resources_path(self):
+    def test_injected_crashes_fire_before_the_task(self):
+        fn = _FlakyCalls({})
+        results = resilient_map(
+            SerialBackend(), fn, [1, 2, 3], RetryPolicy(max_attempts=3),
+            crashes=(0, 2, 3),
+        )
+        assert results[:2] == [10, 20]
+        assert isinstance(results[2], TaskFailure)
+        assert results[2].attempts == 3
+        assert "injected shard crash" in results[2].error
+        assert fn.calls == 2  # crashed attempts never reach the task
+
+    def test_threaded_backend_retries_in_order(self):
         backend = build_backend("threaded", max_workers=2)
         try:
-            fn = _FlakyCalls({2: 1})
-            seen = []
-
-            def leased(resource, item):
-                seen.append(resource)
-                return fn(item)
-
-            results = backend.map_resilient(
-                leased, [1, 2, 3], RetryPolicy(max_attempts=3), resources=["a", "b"]
+            results = resilient_map(
+                backend, _FlakyCalls({2: 1}), [1, 2, 3], RetryPolicy(max_attempts=3)
             )
             assert results == [10, 20, 30]
-            assert set(seen) <= {"a", "b"}
         finally:
             backend.shutdown()
 

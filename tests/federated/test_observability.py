@@ -212,7 +212,7 @@ class TestBackendTracing:
         tracer = TraceRecorder(tmp_path / "t.jsonl")
         backend = SerialBackend()
         backend.set_tracer(tracer)
-        assert backend.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
+        assert list(backend.map_ordered(_square, [1, 2, 3])) == [1, 4, 9]
         tracer.close()
         records = [
             json.loads(line)
@@ -221,10 +221,10 @@ class TestBackendTracing:
         assert [r["kind"] for r in records] == ["task"] * 3
 
     def test_tracing_does_not_change_results(self):
-        plain = SerialBackend().map_ordered(_square, range(10))
+        plain = list(SerialBackend().map_ordered(_square, range(10)))
         traced_backend = SerialBackend()
         traced_backend.set_tracer(TraceRecorder("/dev/null"))
-        assert traced_backend.map_ordered(_square, range(10)) == plain
+        assert list(traced_backend.map_ordered(_square, range(10))) == plain
 
     def test_resilient_retries_emit_events(self, tmp_path):
         tracer = TraceRecorder(tmp_path / "t.jsonl")
@@ -240,10 +240,8 @@ class TestBackendTracing:
                 raise TransientTaskError("first try fails")
             return item
 
-        results = backend.map_resilient(
-            flaky, [7], policy=RetryPolicy(max_attempts=3)
-        )
-        assert results == [7]
+        task = backend.resilient(flaky, RetryPolicy(max_attempts=3))
+        assert list(backend.map_ordered(task, enumerate([7]))) == [7]
         tracer.close()
         kinds = [
             json.loads(line)["kind"]
@@ -279,7 +277,7 @@ class TestMetricsConcurrency:
             writer.on_round_end(RoundEndEvent(
                 round_index=round_index,
                 total_rounds=total,
-                diagnostics={"fault_lost": 0.0},
+                diagnostics={"fault_crashed": 0.0},
                 accuracy=0.5,
             ))
         writer.close()

@@ -8,6 +8,7 @@ script ``benchmarks/check_service.py``.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 import time
@@ -121,9 +122,12 @@ class TestRegistryAndConfig:
         with pytest.raises(ValueError):
             ServiceConfig(transport_attempts=0)
 
-    def test_backend_rejects_leased_resources(self, backend):
-        with pytest.raises(TypeError, match="leased resources"):
-            backend.map_resilient(_square, [1], resources=[object()])
+    def test_resilient_task_is_picklable_without_trace_hook(self, backend):
+        """The retry loop travels to the remote worker, so it must pickle."""
+        backend.set_tracer(object())
+        task = backend.resilient(_square, RetryPolicy(max_attempts=2), crashes=(1,))
+        assert task.on_retry is None
+        assert pickle.loads(pickle.dumps(task))((0, 3)) == 9
 
     def test_coordinator_parameter_validation(self):
         with pytest.raises(ValueError):

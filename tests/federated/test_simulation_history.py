@@ -130,16 +130,16 @@ class TestRounds:
 
     def test_label_flip_byzantine_uploads_shape(self):
         simulation = build_simulation(n_honest=4, n_byzantine=2, attack=LabelFlipAttack())
-        honest = simulation._honest_uploads()  # noqa: SLF001 - exercising internals
-        byzantine = simulation._byzantine_uploads(honest, round_index=0)  # noqa: SLF001
+        honest = simulation.honest_uploads()
+        byzantine = simulation.byzantine_uploads(honest, round_index=0)
         assert byzantine.shape == (2, honest.shape[1])
 
     def test_lmp_byzantine_uploads_oppose_honest_sum(self):
         simulation = build_simulation(
             n_honest=4, n_byzantine=7, attack=LocalModelPoisoningAttack()
         )
-        honest = simulation._honest_uploads()  # noqa: SLF001
-        byzantine = simulation._byzantine_uploads(honest, round_index=0)  # noqa: SLF001
+        honest = simulation.honest_uploads()
+        byzantine = simulation.byzantine_uploads(honest, round_index=0)
         total = honest.sum(axis=0) + byzantine.sum(axis=0)
         assert float(np.dot(total, honest.sum(axis=0))) < 0.0
 
@@ -148,16 +148,16 @@ class TestRounds:
         simulation = build_simulation(
             n_honest=4, n_byzantine=2, attack=attack, total_rounds=10
         )
-        honest = simulation._honest_uploads()  # noqa: SLF001
-        byzantine = simulation._byzantine_uploads(honest, round_index=0)  # noqa: SLF001
+        honest = simulation.honest_uploads()
+        byzantine = simulation.byzantine_uploads(honest, round_index=0)
         honest_rows = {tuple(np.round(row, 9)) for row in honest}
         for row in byzantine:
             assert tuple(np.round(row, 9)) in honest_rows
 
     def test_no_byzantine_returns_empty_array(self):
         simulation = build_simulation(n_honest=3)
-        honest = simulation._honest_uploads()  # noqa: SLF001
-        byzantine = simulation._byzantine_uploads(honest, round_index=0)  # noqa: SLF001
+        honest = simulation.honest_uploads()
+        byzantine = simulation.byzantine_uploads(honest, round_index=0)
         assert byzantine.shape == (0, honest.shape[1])
 
     def test_two_stage_aggregator_tracks_byzantine_selection(self):

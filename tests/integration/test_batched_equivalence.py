@@ -19,8 +19,9 @@ from repro.experiments.runner import run_experiment
 from repro.federated.worker import WorkerPool
 
 
-def scalar_compute_uploads(pool, model):
+def scalar_compute_uploads(pool, model, crash_plan=None):
     """Sequential reference: one scalar ``local_update`` per worker, in order."""
+    assert crash_plan is None or not crash_plan.is_active
     if not hasattr(pool, "_scalar_states"):
         pool._scalar_states = [LocalDPState() for _ in range(pool.n_workers)]
     return np.vstack(

@@ -4,10 +4,10 @@ The backend bitwise gate: for any worker count, shard size, engine
 (materialized or ghost-norm), momentum, bounding mode and round count,
 dispatching a pool's shards through the threaded backend (or a backend
 that completes shards in adversarial orders) produces uploads **bitwise
-equal** to the serial in-order loop.  Shards are independent between
-finalisations -- each touches only its own workers' streams, momentum
-rows and upload rows -- and the backend's ordered reduction pins every
-result to its index, so parallelism must not change a single bit.
+equal** to the serial in-order loop.  Shard tasks are pure and the pool
+commits their results in shard order, so parallelism must not change a
+single bit -- not even under a crash schedule, where failed shards are
+never committed and retried ones replay exactly.
 
 Batch sizes are the protocol-realistic multiples of 4 (see the sharding
 property test: degenerate 1-3-row stacked GEMMs hit different BLAS
@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import DPConfig
 from repro.data.synthetic import make_classification
-from repro.federated.backends import ExecutionBackend, ThreadedBackend
+from repro.federated.backends import ExecutionBackend, RetryPolicy, ThreadedBackend
+from repro.federated.faults import ShardFaultPlan
 from repro.federated.worker import WorkerPool
 from repro.nn.layers import ELU, Linear
 from repro.nn.network import Sequential
@@ -198,3 +199,77 @@ class TestBarrierInterleavingProperty:
                 )
         finally:
             backend.shutdown()
+
+
+class TestCrashScheduleProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**32 - 1),
+        n_workers=st.integers(2, 8),
+        shard_size=st.integers(1, 4),
+        engine=st.sampled_from(["materialized", "ghost_norm"]),
+        max_attempts=st.integers(1, 3),
+        rounds=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_crash_schedules_match_serial(
+        self, seed, order_seed, n_workers, shard_size, engine, max_attempts,
+        rounds, data,
+    ):
+        """Failed masks, retries, uploads and worker state match serial."""
+        config = DPConfig(batch_size=4, sigma=0.8, momentum=0.3)
+        model, shards = build_setup(seed, n_workers, 6, 3, None)
+        policy = RetryPolicy(max_attempts=max_attempts)
+        serial = build_pool(
+            shards, config, seed + 5, engine=engine, shard_size=shard_size
+        )
+        threaded_backend = ThreadedBackend(max_workers=3)
+        candidates = [
+            build_pool(
+                shards, config, seed + 5, engine=engine, shard_size=shard_size,
+                backend=backend,
+            )
+            for backend in (threaded_backend, ShuffledCompletionBackend(order_seed))
+        ]
+        try:
+            for round_index in range(rounds):
+                failures = np.array(data.draw(st.lists(
+                    st.integers(0, max_attempts),
+                    min_size=serial.n_shards,
+                    max_size=serial.n_shards,
+                )))
+                plan = ShardFaultPlan(failures=failures, policy=policy)
+                expected = serial.compute_uploads(model, crash_plan=plan)
+                report = serial.last_fault_report
+                lost = np.repeat(
+                    failures >= max_attempts,
+                    [stop - start for start, stop in serial.shard_bounds],
+                )
+                if report is None:
+                    assert not failures.any()
+                else:
+                    np.testing.assert_array_equal(report.failed_workers, lost)
+                    assert report.retried == int(
+                        np.minimum(failures, max_attempts - 1).sum()
+                    )
+                for pool in candidates:
+                    np.testing.assert_array_equal(
+                        pool.compute_uploads(model, crash_plan=plan), expected,
+                        err_msg=f"round {round_index}",
+                    )
+                    other = pool.last_fault_report
+                    assert (other is None) == (report is None)
+                    if report is not None:
+                        np.testing.assert_array_equal(
+                            other.failed_workers, report.failed_workers
+                        )
+                        assert other.retried == report.retried
+                    assert [rng.bit_generator.state for rng in pool.rngs] == [
+                        rng.bit_generator.state for rng in serial.rngs
+                    ]
+                    np.testing.assert_array_equal(
+                        pool.state.slot_momentum, serial.state.slot_momentum
+                    )
+        finally:
+            threaded_backend.shutdown()
