@@ -61,6 +61,7 @@ from pathlib import Path
 from repro.analysis.io import save_results
 from repro.analysis.tables import format_table
 from repro.byzantine.registry import ATTACKS, available_attacks
+from repro.core.config import ADMIN_VERBS, DEFAULT_STATUS_PORT
 from repro.data.registry import DATASETS, available_datasets
 from repro.defenses.registry import DEFENSES
 from repro.experiments.configs import ExperimentConfig
@@ -70,9 +71,9 @@ from repro.experiments.runner import run_experiment
 from repro.federated.backends import BACKENDS
 from repro.federated.engines import ENGINES
 from repro.federated.faults import FAULTS
-from repro.federated.observability import ADMIN_VERBS, DEFAULT_STATUS_PORT
 from repro.federated.sampling import SAMPLERS
 from repro.nn.models import MODELS, available_models
+from repro.tools.lint.cli import add_lint_arguments, run_lint_command
 
 __all__ = ["main", "build_parser"]
 
@@ -300,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
              "reproducibility invariants (REP001-REP007)",
     )
     # The flags live next to the linter so `python -m repro.tools.lint`
-    # and `repro lint` stay identical.
-    from repro.tools.lint.cli import add_lint_arguments
-
+    # and `repro lint` stay identical; mounting them loads no lint rules.
     add_lint_arguments(lint_parser)
     return parser
 
@@ -606,12 +605,6 @@ def _command_worker(arguments: argparse.Namespace) -> int:
     )
 
 
-def _command_lint(arguments: argparse.Namespace) -> int:
-    from repro.tools.lint.cli import run_lint_command
-
-    return run_lint_command(arguments)
-
-
 def _command_compare(arguments: argparse.Namespace) -> int:
     config = _config_from_arguments(arguments)
     reference = reference_accuracy(config)
@@ -653,7 +646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "status": _command_status,
         "admin": _command_admin,
         "compare": _command_compare,
-        "lint": _command_lint,
+        "lint": run_lint_command,
     }
     command = commands.get(arguments.command)
     if command is None:

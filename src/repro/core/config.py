@@ -6,6 +6,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = [
+    "ADMIN_VERBS",
+    "DEFAULT_STATUS_PORT",
     "BackendConfig",
     "DPConfig",
     "EngineConfig",
@@ -291,6 +293,13 @@ class ServiceConfig:
             raise ValueError("transport_attempts must be positive")
         if self.worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
+
+
+#: Default port of the status/admin endpoint (coordinator default + 1).
+DEFAULT_STATUS_PORT = 7734
+
+#: Verbs accepted by ``POST /admin/<verb>[/<worker>]``.
+ADMIN_VERBS = ("pause", "resume", "drain", "undrain")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ before building -- registries are per-process.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 
 from repro.analysis.results import RunResult
 from repro.experiments.configs import ExperimentConfig
@@ -115,7 +115,9 @@ def run_grid(
 
     # Fan the independent runs out over processes.  Slots are preallocated
     # so per-seed order inside each cell matches the serial sweep no matter
-    # which run finishes first.
+    # which run finishes first.  (Imported here: it loads multiprocessing.)
+    from concurrent.futures import ProcessPoolExecutor
+
     for key, config, seed in jobs:
         results[key].append(None)  # type: ignore[arg-type]
     slot_of = {}

@@ -48,8 +48,12 @@
   :class:`~repro.federated.observability.StatusBoard` of versioned
   immutable snapshots), admin verbs (pause/resume/drain/undrain) wired
   into the dispatch loop, and bitwise-neutral JSONL tracing
-  (:class:`~repro.federated.observability.TraceRecorder`).
+  (:class:`~repro.federated.observability.TraceRecorder`).  Its names
+  load on first access: the module brings in :mod:`http.server` and
+  :mod:`urllib.request`, which a plain ``repro run`` never uses.
 """
+
+import importlib
 
 from repro.federated.backends import (
     BACKENDS,
@@ -88,14 +92,6 @@ from repro.federated.engines import (
     build_engine,
 )
 from repro.federated.history import TrainingHistory
-from repro.federated.observability import (
-    DEFAULT_STATUS_PORT,
-    StatusBoard,
-    StatusReporter,
-    StatusServer,
-    StatusSnapshot,
-    TraceRecorder,
-)
 from repro.federated.pipeline import (
     Checkpoint,
     EarlyStopping,
@@ -128,6 +124,27 @@ from repro.federated.state import (
 )
 from repro.federated.wire import WireError
 from repro.federated.worker import HonestWorker, WorkerPool, WorkerSlot
+
+#: Names re-exported from :mod:`repro.federated.observability` on first
+#: access (PEP 562).
+_OBSERVABILITY = (
+    "DEFAULT_STATUS_PORT",
+    "StatusBoard",
+    "StatusReporter",
+    "StatusServer",
+    "StatusSnapshot",
+    "TraceRecorder",
+)
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.federated.observability` for its re-exported names."""
+    if name not in _OBSERVABILITY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("repro.federated.observability"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BACKENDS",

@@ -60,7 +60,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,7 +379,7 @@ class _PooledBackend(ExecutionBackend):
         self._max_workers = (
             max_workers if max_workers is not None else (os.cpu_count() or 1)
         )
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: Executor | None = None
         self._lock = threading.Lock()
 
     @property
@@ -507,7 +507,11 @@ class ProcessBackend(_PooledBackend):
         self._shared_dir: str | None = None
         self._shared_slots: dict[tuple, tuple[str, np.memmap]] = {}
 
-    def _create_executor(self) -> ProcessPoolExecutor:
+    def _create_executor(self) -> Executor:
+        # Imported here: it loads multiprocessing, which only a started
+        # process pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self._max_workers)
 
     def share_array(self, array: np.ndarray) -> SharedArray:

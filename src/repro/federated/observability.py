@@ -63,6 +63,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import MappingProxyType
 
+from repro.core.config import ADMIN_VERBS, DEFAULT_STATUS_PORT
 from repro.federated.faults import resolve_quorum
 from repro.federated.pipeline import (
     EvaluationEvent,
@@ -84,12 +85,6 @@ __all__ = [
     "post_admin",
     "render_prometheus",
 ]
-
-#: Default port of the status/admin endpoint (coordinator default + 1).
-DEFAULT_STATUS_PORT = 7734
-
-#: Verbs accepted by ``POST /admin/<verb>[/<worker>]``.
-ADMIN_VERBS = ("pause", "resume", "drain", "undrain")
 
 
 class AdminError(RuntimeError):

@@ -43,17 +43,21 @@ def calibrate_sigma(
 
     The returned σ always satisfies the target (the bisection keeps the
     conservative side); a tight tolerance keeps the utility loss negligible.
+    A tolerance below the float spacing at σ ends the search once the
+    midpoint stops moving.
 
     Raises
     ------
     ValueError
         If even ``sigma_max`` cannot reach the target (pathological settings),
-        or if the target is non-positive.
+        or if the target or the tolerance is non-positive.
     """
     if target_epsilon <= 0:
         raise ValueError(f"target_epsilon must be positive, got {target_epsilon}")
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     if epsilon_for_sigma(sigma_min, q, steps, delta, orders) <= target_epsilon:
         return sigma_min
@@ -66,6 +70,8 @@ def calibrate_sigma(
     low, high = sigma_min, sigma_max
     while high - low > tolerance:
         middle = 0.5 * (low + high)
+        if middle in (low, high):  # adjacent floats: nothing left to split
+            break
         if epsilon_for_sigma(middle, q, steps, delta, orders) <= target_epsilon:
             high = middle
         else:

@@ -28,27 +28,35 @@ and register additional rules on :data:`LINT_RULES` through the public
 :class:`repro.registry.Registry` API.
 """
 
-from repro.tools.lint.framework import (
-    LINT_RULES,
-    Finding,
-    LintReport,
-    LintRule,
-    ModuleSource,
-    lint_paths,
-    lint_text,
-)
-from repro.tools.lint import rules  # noqa: F401  (registers the built-in rules)
-from repro.tools.lint.baseline import load_baseline, partition, write_baseline
+import importlib
 
-__all__ = [
-    "LINT_RULES",
-    "Finding",
-    "LintReport",
-    "LintRule",
-    "ModuleSource",
-    "lint_paths",
-    "lint_text",
-    "load_baseline",
-    "partition",
-    "write_baseline",
-]
+#: The public names and the submodule defining each.  They load on first
+#: access (PEP 562), which also registers the built-in rules, so the
+#: ``repro`` CLI mounts the lint flags (:mod:`repro.tools.lint.cli`)
+#: without parsing a rule module.  Import them from here: importing
+#: :mod:`repro.tools.lint.framework` alone registers no rule.
+_EXPORTS = {
+    "LINT_RULES": "framework",
+    "Finding": "framework",
+    "LintReport": "framework",
+    "LintRule": "framework",
+    "ModuleSource": "framework",
+    "lint_paths": "framework",
+    "lint_text": "framework",
+    "load_baseline": "baseline",
+    "partition": "baseline",
+    "write_baseline": "baseline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Load a public name's submodule, registering the built-in rules first."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    importlib.import_module(f"{__name__}.rules")  # registers the built-in rules
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.tools.lint.framework import Finding
+if TYPE_CHECKING:
+    from repro.tools.lint.framework import Finding
 
 __all__ = ["BASELINE_VERSION", "load_baseline", "partition", "write_baseline"]
 

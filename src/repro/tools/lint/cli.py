@@ -3,7 +3,8 @@
 Exit codes: ``0`` clean (every finding baselined or suppressed), ``1``
 new findings, ``2`` usage or I/O error.  The main ``repro`` CLI mounts
 :func:`add_lint_arguments` on its own subparser, so flags behave
-identically through both entry points.
+identically through both entry points.  The linter itself loads only
+when a command runs: building either parser imports no rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.tools.lint.baseline import (
     partition,
     write_baseline,
 )
-from repro.tools.lint.framework import LINT_RULES, lint_paths
 from repro.tools.lint.output import FORMATS, render
 from repro.registry import UnknownComponentError
 
@@ -97,6 +97,8 @@ def _parse_codes(text: str | None) -> list[str] | None:
 
 
 def _list_rules() -> int:
+    from repro.tools.lint import LINT_RULES
+
     for row in LINT_RULES.describe():
         aliases = f" ({', '.join(row['aliases'])})" if row["aliases"] else ""
         print(f"{row['name']}{aliases}: {row['summary']}")
@@ -107,6 +109,8 @@ def run_lint_command(arguments: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
     if arguments.list_rules:
         return _list_rules()
+    from repro.tools.lint import lint_paths
+
     paths = arguments.paths or _default_paths()
     try:
         report = lint_paths(

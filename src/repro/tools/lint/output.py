@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.tools.lint.framework import Finding
+if TYPE_CHECKING:
+    from repro.tools.lint.framework import Finding
 
 __all__ = ["FORMATS", "render"]
 

@@ -2,10 +2,41 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.privacy import calibration
 from repro.privacy.accountant import RDPAccountant
 from repro.privacy.calibration import calibrate_sigma, epsilon_for_sigma
+
+#: ``calibrate_sigma`` arguments and results recorded with the scalar
+#: per-order RDP loop; the vectorised evaluation must return the same
+#: floats.  The first seven are the paper's ε grid at |D| = 300, b_c = 16,
+#: T = 150, then the seeded CI reference run and a population-10^4 run.
+SIGMA_PINS = [
+    *zip(
+        [(eps, 300**-1.1, 16 / 300, 150) for eps in (0.125, 0.25, 0.5, 1, 2, 4, 8)],
+        [18.77888782441616, 9.507394601106643, 4.901152259111405, 2.6266412889957427,
+         1.5293208760023118, 1.0089728474617008, 0.7562494063377381],
+    ),
+    ((2.0, 0.001884371901952303, 0.05333333333333334, 38), 1.0995718169212343),
+    ((2.0, 0.013524866756124824, 0.32, 157), 6.607035486698152),
+]
+
+
+@pytest.fixture
+def bounded_probes(monkeypatch):
+    """Fail a bisection that runs past 500 probes instead of hanging."""
+    calls = []
+
+    def bounded(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 500:
+            raise AssertionError("the bisection does not terminate")
+        return epsilon_for_sigma(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "epsilon_for_sigma", bounded)
 
 
 class TestAccountant:
@@ -124,6 +155,35 @@ class TestCalibrateSigma:
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
             calibrate_sigma(1.0, 1e-4, 0.01, 0)
+
+    @pytest.mark.parametrize("arguments,sigma", SIGMA_PINS)
+    def test_sigma_is_pinned(self, arguments, sigma):
+        assert calibrate_sigma(*arguments) == sigma
+
+    def test_reference_calibration_evaluates_rdp_26_times(self, monkeypatch):
+        """Two endpoint probes and 24 bisection steps, through the module global."""
+        calls = []
+        original = calibration.compute_rdp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "compute_rdp", counting)
+        calibrate_sigma(2.0, 0.001884371901952303, 0.05333333333333334, 38)
+        assert len(calls) == 26
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tolerance, bounded_probes):
+        with pytest.raises(ValueError, match="tolerance"):
+            calibrate_sigma(1.0, 1e-4, 0.02, 500, tolerance=tolerance)
+
+    def test_tolerance_below_float_spacing_terminates(self, bounded_probes):
+        """Once the midpoint equals an endpoint the bisection stops."""
+        sigma = calibrate_sigma(1.0, 1e-4, 0.02, 500, tolerance=1e-300)
+        assert epsilon_for_sigma(sigma, 0.02, 500, 1e-4) <= 1.0
+        below = math.nextafter(sigma, 0.0)
+        assert epsilon_for_sigma(below, 0.02, 500, 1e-4) > 1.0
 
     def test_unreachable_target_raises(self):
         with pytest.raises(ValueError):

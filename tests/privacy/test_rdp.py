@@ -5,8 +5,55 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.privacy.rdp import DEFAULT_ORDERS, compute_rdp, rdp_to_epsilon
+from tests.privacy import rdp_oracle
+
+
+class TestAgainstScalarOracle:
+    """The vectorised evaluation against the per-order ``log_add`` loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.floats(1e-6, 0.999),
+        sigma=st.floats(0.05, 100.0),
+        steps=st.integers(1, 1000),
+        orders=st.lists(st.sampled_from(DEFAULT_ORDERS), max_size=6, unique=True),
+    )
+    def test_matches_oracle_to_1e_12(self, q, sigma, steps, orders):
+        """Within 1e-12 of the oracle, relative to the terms the sum cancels.
+
+        For small ``q`` and large ``sigma`` an order's RDP is a small
+        difference of its largest log term (about ``alpha log(1 - q)``)
+        and the log of the rest, so both implementations round to ulps of
+        that term, not of the result; elsewhere the bound is relative.
+        """
+        orders = sorted({*orders, 512})
+        expected = rdp_oracle.compute_rdp(q, sigma, steps, orders)
+        actual = compute_rdp(q, sigma, steps, orders)
+        for value, reference, order in zip(actual, expected, orders):
+            cancelled = steps * order * -math.log1p(-q) / (order - 1)
+            assert abs(value - reference) <= 1e-12 * max(abs(reference), cancelled)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.5])
+    def test_edge_rates_equal_oracle(self, q, sigma):
+        orders = [2, 3, 64, 512]
+        assert compute_rdp(q, sigma, 40, orders) == rdp_oracle.compute_rdp(
+            q, sigma, 40, orders
+        )
+
+    def test_orders_as_list_or_tuple(self):
+        as_list = compute_rdp(0.05, 1.3, 38, list(DEFAULT_ORDERS))
+        assert as_list == compute_rdp(0.05, 1.3, 38, DEFAULT_ORDERS)
+
+    def test_repeat_after_other_sigma_is_identical(self):
+        """The cached term table is shared across calls and never written."""
+        first = compute_rdp(0.05, 1.3, 38)
+        compute_rdp(0.05, 0.2, 38)
+        assert compute_rdp(0.05, 1.3, 38) == first
 
 
 class TestComputeRdp:
@@ -123,6 +170,19 @@ class TestRdpToEpsilon:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             rdp_to_epsilon([0.1, 0.2], (2,), delta=1e-5)
+
+    @pytest.mark.parametrize("orders", [[0.5, 2], [1, 2], [2, 2.5], [0, 3], [-4, 8]])
+    def test_rejects_orders_compute_rdp_rejects(self, orders):
+        """Orders below 2 gave a negative ε, or divided by zero at order 1."""
+        with pytest.raises(ValueError, match="integers >= 2"):
+            rdp_to_epsilon([0.1, 0.2], orders, 1e-5)
+
+    def test_rejects_empty_orders(self):
+        with pytest.raises(ValueError):
+            rdp_to_epsilon([], [], 1e-5)
+
+    def test_integral_float_orders_are_accepted(self):
+        assert rdp_to_epsilon([0.5], [10.0], 1e-5) == rdp_to_epsilon([0.5], [10], 1e-5)
 
     def test_epsilon_positive(self):
         rdp = compute_rdp(q=0.05, sigma=2.0, steps=50)
