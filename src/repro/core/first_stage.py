@@ -13,11 +13,15 @@ Rejected uploads are replaced by the zero vector, exactly as in Algorithm 2
 (``g <- 0``), which removes their influence from the averaged update.
 
 The filter is **array-first**: :meth:`FirstStageFilter.apply_batch` consumes
-the round's stacked ``(n_workers, d)`` upload matrix and runs both tests on
-every row with a constant number of NumPy kernels (one ``einsum`` for all
-squared norms, one ``np.sort(axis=1)`` plus one vectorised CDF evaluation
-for all KS statistics).  The per-upload methods remain as the scalar
-reference implementation and for interactive inspection.
+the round's stacked ``(n_workers, d)`` upload matrix.  One ``einsum`` gives
+every squared norm.  The KS test uses Theorem 2: a filter precomputes, per
+rank, the order-statistic bounds just inside and just outside the critical
+statistic (:class:`repro.stats.ks.KSRankBounds`), so a round sorts the rows
+that passed the norm test and decides each with comparisons.  Only a row
+with an order statistic in the 1e-6 band between the two gets its exact
+statistic and p-value, and the mask always equals the one the p-values
+give.  The per-upload methods compute the p-value itself and remain the
+scalar reference implementation and the tool for interactive inspection.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.stats.ks import (
+    KSRankBounds,
     KSWorkspace,
     critical_statistic,
     ks_pvalues,
@@ -99,9 +104,11 @@ class FirstStageFilter:
         self.significance = float(significance)
         self.norm_k = float(norm_k)
         self._norm_bounds = squared_norm_interval(self.sigma, self.dimension, self.norm_k)
+        self._critical = critical_statistic(self.dimension, self.significance)
+        self._rank_bounds = KSRankBounds.build(self.dimension, self.sigma, self._critical)
         # Scratch buffers reused by every batched call (one filter instance
-        # serves a whole training run, so the per-round KS batch allocates
-        # no full-matrix temporaries after the first round).
+        # serves a whole training run, so the per-round sort allocates no
+        # full-matrix temporaries after the first round).
         self._ks_workspace = KSWorkspace()
 
     # ------------------------------------------------------------------ #
@@ -180,20 +187,26 @@ class FirstStageFilter:
     def accepts_batch(self, uploads: np.ndarray) -> np.ndarray:
         """Boolean acceptance mask for an ``(n, d)`` upload matrix.
 
-        The KS test is only evaluated on rows that already passed the norm
-        test (the conjunction is unchanged; the rejected rows' p-values are
-        simply never needed for the mask).
+        The KS test runs only on rows that passed the norm test.  Their
+        sorted coordinates are compared with the filter's rank bounds; a row
+        the bounds leave undecided gets its exact statistic and p-value.
+        The mask equals ``norm_ok & (p-value >= significance)`` on every row.
         """
         matrix = self._as_matrix(uploads)
         _, accepted = self._norm_test_batch(matrix)
         candidates = np.flatnonzero(accepted)
         if candidates.size:
             rows = None if candidates.size == matrix.shape[0] else candidates
-            statistics = ks_statistics(
-                matrix, self.sigma, workspace=self._ks_workspace, rows=rows
-            )
-            pvalues = ks_pvalues(statistics, self.dimension)
-            accepted[candidates] = pvalues >= self.significance
+            ordered, _ = self._ks_workspace.sort_rows(matrix, rows)
+            passed, undecided = self._rank_bounds.decide(ordered)
+            if undecided.any():
+                statistics = ks_statistics(
+                    matrix, self.sigma, workspace=self._ks_workspace,
+                    rows=candidates[undecided],
+                )
+                pvalues = ks_pvalues(statistics, self.dimension)
+                passed[undecided] = pvalues >= self.significance
+            accepted[candidates] = passed
         return accepted
 
     def inspect_batch(self, uploads: np.ndarray) -> FirstStageBatchReport:
@@ -245,10 +258,8 @@ class FirstStageFilter:
     # ------------------------------------------------------------------ #
     def critical_ks_statistic(self) -> float:
         """Largest KS statistic that still passes at the configured significance."""
-        return critical_statistic(self.dimension, self.significance)
+        return self._critical
 
     def coordinate_interval(self, k: int) -> tuple[float, float]:
         """Theorem 2: interval the k-th order statistic of an accepted upload must lie in."""
-        return theorem2_interval(
-            k, self.dimension, self.sigma, self.critical_ks_statistic()
-        )
+        return theorem2_interval(k, self.dimension, self.sigma, self._critical)

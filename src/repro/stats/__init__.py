@@ -1,8 +1,9 @@
 """Statistical tests used by the first-stage aggregation.
 
-- :mod:`repro.stats.distributions` -- Gaussian CDF helpers.
+- :mod:`repro.stats.distributions` -- Gaussian CDF and quantile helpers.
 - :mod:`repro.stats.ks` -- one-sample Kolmogorov-Smirnov test (statistic,
-  asymptotic p-value, CDF envelopes from Theorem 2).
+  asymptotic p-value, CDF envelopes from Theorem 2, and the per-rank
+  bounds that decide the test without the CDF).
 - :mod:`repro.stats.norm_test` -- the chi-square norm-interval test
   ("Norm test" in Section 4.3).
 """

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import first_stage as first_stage_module
 from repro.core.first_stage import FirstStageFilter
+from repro.stats.distributions import normal_quantiles
+from repro.stats.ks import RANK_BAND, ks_pvalues, ks_statistic, ks_statistics
 
 
 DIMENSION = 2000
@@ -100,3 +107,74 @@ class TestInspectBatch:
         batch = first_stage.inspect_batch(upload[np.newaxis, :])
         assert batch.accepted.shape == (1,)
         assert batch.accepted[0] == first_stage.accepts(upload)
+
+
+def exact_mask(first_stage: FirstStageFilter, uploads: np.ndarray) -> np.ndarray:
+    """The norm test and the KS p-value of every row, with no rank bounds."""
+    low, high = first_stage.norm_bounds()
+    squared = np.einsum("ij,ij->i", uploads, uploads)
+    statistics = ks_statistics(uploads, first_stage.sigma)
+    pvalues = ks_pvalues(statistics, first_stage.dimension)
+    return (squared >= low) & (squared <= high) & (pvalues >= first_stage.significance)
+
+
+def bump_row(
+    first_stage: FirstStageFilter, offset: float, center: float, width: float
+) -> np.ndarray:
+    """The ideal-quantile row plus a wide, shallow bump, lifted until the KS
+    statistic equals ``D*(1 + offset)``."""
+    d, sigma = first_stage.dimension, first_stage.sigma
+    ranks = np.arange(d)
+    ideal = normal_quantiles((ranks + 0.5) / d, sigma)
+    bump = sigma * np.exp(-0.5 * ((ranks - center) / width) ** 2)
+    target = first_stage.critical_ks_statistic() * (1.0 + offset)
+    low, high = 0.0, 1.0
+    while 0.5 * (low + high) not in (low, high):
+        middle = 0.5 * (low + high)
+        if ks_statistic(ideal + middle * bump, sigma) < target:
+            low = middle
+        else:
+            high = middle
+    row = ideal + high * bump
+    assert ks_statistic(row, sigma) == pytest.approx(target, rel=RANK_BAND / 100)
+    return row
+
+
+class TestRankBoundDecisions:
+    """accepts_batch decides from rank bounds; its mask must equal the p-values'."""
+
+    D = 1000
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.97, 1.03),
+        shift=st.floats(0.5, 1.5),
+        center=st.floats(200.0, 800.0),
+        width=st.floats(100.0, 250.0),
+    )
+    def test_mask_equals_the_exact_statistic(self, seed, scale, shift, center, width):
+        first_stage = FirstStageFilter(sigma=SIGMA, dimension=self.D)
+        rng = np.random.default_rng(seed)
+        random_rows = rng.normal(0.0, SIGMA * scale, size=(4, self.D))
+        # A mean shift of about D* * sigma * sqrt(2 pi) puts D near D*; the
+        # rows are rescaled so that they pass the norm test.
+        limit_rows = rng.normal(0.0, SIGMA, size=(4, self.D))
+        limit_rows += shift * first_stage.critical_ks_statistic() * SIGMA * np.sqrt(2 * np.pi)
+        limit_rows *= SIGMA * np.sqrt(self.D) / np.linalg.norm(limit_rows, axis=1, keepdims=True)
+        offsets = (-1.5 * RANK_BAND, -0.5 * RANK_BAND, 0.5 * RANK_BAND, 1.5 * RANK_BAND)
+        band_rows = np.vstack([bump_row(first_stage, o, center, width) for o in offsets])
+        uploads = np.vstack([random_rows, limit_rows, band_rows])
+
+        with mock.patch.object(
+            first_stage_module, "ks_statistics", wraps=ks_statistics
+        ) as exact_path:
+            accepted = first_stage.accepts_batch(uploads)
+
+        np.testing.assert_array_equal(accepted, exact_mask(first_stage, uploads))
+        # Within the band: below D* passes, above fails ...
+        np.testing.assert_array_equal(accepted[8:], [True, True, False, False])
+        # ... and only the rows inside the band took the exact branch.
+        exact_rows = {int(row) for call in exact_path.call_args_list for row in call.kwargs["rows"]}
+        assert {9, 10} <= exact_rows
+        assert not {8, 11} & exact_rows

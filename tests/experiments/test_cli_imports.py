@@ -1,10 +1,11 @@
-"""What a ``repro`` process imports before it runs a command.
+"""What a ``repro`` process imports before and while it runs a command.
 
 Every ``repro`` process imports :mod:`repro.cli` and builds the parser,
 so anything loaded there is paid by each ``repro run`` and by every
 ``repro worker`` process.  The linter, the observability endpoint's HTTP
-stack and :mod:`multiprocessing` load only in the commands that use them.
-A fresh interpreter is the only clean view of ``sys.modules``.
+stack and :mod:`multiprocessing` load only in the commands that use them,
+and no command loads SciPy: the runtime needs only NumPy.  A fresh
+interpreter is the only clean view of ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src"
+BASELINE = REPO / "benchmarks" / "baselines" / "run_seeded_reference.txt"
+REFERENCE_ARGV = [
+    "run", "--attack", "lmp", "--defense", "two_stage", "--seed", "1", "--epochs", "2",
+]
 
 #: Modules that building the parser must not load.
 DEFERRED = (
@@ -52,3 +58,29 @@ def test_building_the_parser_defers_unused_subsystems():
     # The lazy re-exports still resolve, and the built-in rules register.
     assert report["trace_recorder"] == "repro.federated.observability"
     assert {"REP001", "REP007"} <= set(report["rules"])
+
+
+def run_reference(prelude: str) -> subprocess.CompletedProcess:
+    """The seeded reference run in a fresh interpreter, after ``prelude``."""
+    probe = (
+        f"import sys\n{prelude}\nimport repro.cli\n"
+        f"code = repro.cli.main({REFERENCE_ARGV!r})\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def test_a_seeded_run_never_imports_scipy():
+    result = run_reference("")
+    assert result.stderr.strip().splitlines()[-1] == "False"
+
+
+def test_a_seeded_run_without_scipy_matches_the_reference():
+    """A NumPy-only host prints the committed reference byte for byte."""
+    result = run_reference("sys.modules['scipy'] = None  # any scipy import now fails")
+    assert result.stdout == BASELINE.read_text()

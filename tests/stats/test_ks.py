@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from repro.stats.ks import (
+    RANK_BAND,
+    KSRankBounds,
     critical_statistic,
     kolmogorov_survival,
     ks_envelopes,
+    ks_pvalues,
     ks_statistic,
+    ks_statistics,
     ks_test,
     theorem2_interval,
 )
@@ -71,9 +78,17 @@ class TestKolmogorovSurvival:
                 scipy_stats.kstwobign.sf(lam), abs=1e-9
             )
 
+    def test_matches_scipy_kolmogorov_at_small_arguments(self):
+        """Regression: the 100-term alternating series gave Q(0.001) = 0.02."""
+        lam = np.geomspace(1e-4, 0.6, 400)
+        np.testing.assert_allclose(
+            kolmogorov_survival(lam), scipy_special.kolmogorov(lam), rtol=0.0, atol=1e-15
+        )
+        assert kolmogorov_survival(0.001) == 1.0
+
     def test_monotone_decreasing(self):
-        values = [kolmogorov_survival(lam) for lam in np.linspace(0.3, 3.0, 30)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        values = kolmogorov_survival(np.linspace(1e-4, 3.0, 30_000))
+        assert np.all(np.diff(values) <= 0.0)
 
     def test_bounded_in_unit_interval(self):
         for lam in (0.1, 1.0, 5.0):
@@ -129,6 +144,15 @@ class TestCriticalStatistic:
 
     def test_stricter_significance_gives_larger_threshold(self):
         assert critical_statistic(1000, 0.01) > critical_statistic(1000, 0.10)
+
+    @pytest.mark.parametrize(
+        "d, expected",
+        [(1, "0x1.0000000000000p+0"), (650, "0x1.b243241914177p-5"),
+         (6570, "0x1.121b2e8709624p-6")],
+    )
+    def test_pinned_bit_for_bit(self, d, expected):
+        """The bisection stops at its fixed point without moving D*."""
+        assert critical_statistic(d).hex() == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -209,3 +233,40 @@ class TestTheorem2Interval:
         low2, high2 = theorem2_interval(500, 1000, sigma=2.0, d_ks=0.04)
         assert low2 == pytest.approx(2.0 * low1)
         assert high2 == pytest.approx(2.0 * high1)
+
+
+class TestRankBounds:
+    @pytest.mark.parametrize("d", [1, 2, 7, 650, 6570])
+    @pytest.mark.parametrize("sigma, significance", [(1e-3, 0.05), (1.0, 0.01), (40.0, 0.5)])
+    def test_build_is_warning_free_and_nested(self, d, sigma, significance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = KSRankBounds.build(d, sigma, critical_statistic(d, significance))
+        assert np.all(bounds.reject_low <= bounds.accept_low)
+        assert np.all(bounds.accept_low <= bounds.accept_high)
+        assert np.all(bounds.accept_high <= bounds.reject_high)
+        # Every accept bound survived its check, so a sample can be
+        # accepted without the exact statistic.
+        assert not np.any(bounds.accept_low == np.inf)
+        assert not np.any(bounds.accept_high == -np.inf)
+
+    @pytest.mark.parametrize("d", [1, 650, 6570])
+    def test_band_edges_straddle_the_significance(self, d):
+        """The margins the decisions rely on: p >= alpha below the band, < alpha above."""
+        critical = critical_statistic(d)
+        inside, outside = ks_pvalues(
+            np.array([critical * (1 - RANK_BAND / 2), critical * (1 + RANK_BAND / 2)]), d
+        )
+        assert inside >= 0.05
+        assert outside < 0.05 or critical == 1.0
+
+    def test_decisions_match_the_exact_statistic(self, rng):
+        d, sigma = 400, 0.7
+        critical = critical_statistic(d)
+        bounds = KSRankBounds.build(d, sigma, critical)
+        samples = rng.normal(0.0, sigma, size=(300, d)) * rng.uniform(0.9, 1.1, size=(300, 1))
+        passed, undecided = bounds.decide(np.sort(samples, axis=1))
+        exact = ks_pvalues(ks_statistics(samples, sigma), d) >= 0.05
+        assert not undecided.any()
+        assert 0 < passed.sum() < len(passed)
+        np.testing.assert_array_equal(passed, exact)
