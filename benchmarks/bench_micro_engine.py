@@ -14,11 +14,15 @@ model on 64 features / 10 classes, d = 650):
 - ``micro-engine-fused``: the ghost engine's fused terminal-layer capture
   (skips the backward input-gradient GEMM on 1-layer models) vs the full
   capture-mode backward, gated on bitwise equality.
+- ``micro-engine-paper``: the materialized engine at the model size the
+  ``paper_train`` benchmark trains (mlp_medium, d = 6570, n = 20, b_c =
+  16), where the engine works in blocks of 4 workers.  The first call's
+  ``tracemalloc`` peak lands in ``extra_info``.
 
 Every benchmark *asserts engine equivalence* on freshly seeded pools
 before timing (ghost vs materialized within the ``rtol 1e-9`` gate;
-sharded vs unsharded bitwise), so the CI bench job fails on an
-equivalence regression, not only on crashes.
+sharded vs unsharded and blocked vs one-block bitwise), so the CI bench
+job fails on an equivalence regression, not only on crashes.
 
 Run (the bench files use a non-default prefix, so the collection overrides
 are required)::
@@ -30,11 +34,15 @@ are required)::
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.config import DPConfig, EngineConfig
 from repro.data.synthetic import make_classification
+from repro.federated import engines
 from repro.federated.worker import WorkerPool
 from repro.nn.models import build_model
 from repro.nn.network import Sequential
@@ -45,6 +53,7 @@ N_CLASSES = 10
 BATCH_SIZES = (8, 16)  # the paper's two client batch sizes
 SIGMA = 1.0
 SHARD_SIZE = 8
+PAPER_WORKERS = 20  # the paper_train benchmark's honest pool
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +186,55 @@ def bench_micro_engine_sharded(benchmark, engine_setup, shard_size):
 
     uploads = benchmark(pool.compute_uploads, model)
     assert uploads.shape == (N_WORKERS, model.num_parameters)
+
+
+@pytest.fixture(scope="module")
+def paper_setup():
+    """mlp_medium on 64 features / 10 classes (d = 6570), 20 worker shards."""
+    rng = np.random.default_rng(0)
+    data = make_classification(
+        n_samples=50 * PAPER_WORKERS,
+        n_features=N_FEATURES,
+        n_classes=N_CLASSES,
+        nonlinear=False,
+        rng=rng,
+        name="micro-engine-paper",
+    )
+    shards = [
+        data.subset(np.arange(i * 50, (i + 1) * 50)) for i in range(PAPER_WORKERS)
+    ]
+    return build_model("mlp_medium", N_FEATURES, N_CLASSES, rng=1), shards
+
+
+@pytest.mark.benchmark(group="micro-engine-paper")
+def bench_micro_engine_paper(benchmark, paper_setup):
+    """One round of honest uploads at the paper shape (materialized, b=16).
+
+    Gated first: a one-worker-shard pool and the blocked pool must both be
+    bitwise equal to one block over the whole pool.
+    """
+    model, shards = paper_setup
+    config = DPConfig(batch_size=16, sigma=SIGMA)
+    one_block = make_pool(shards, config, "materialized")
+    blocked = make_pool(shards, config, "materialized")
+    single = make_pool(shards, config, "materialized", shard_size=1)
+    for round_index in range(3):
+        with mock.patch.object(engines, "_BLOCK_BYTES", 1 << 62):
+            expected = one_block.compute_uploads(model)
+        for pool, name in ((blocked, "blocked"), (single, "shard-size-1")):
+            np.testing.assert_array_equal(
+                pool.compute_uploads(model),
+                expected,
+                err_msg=f"{name} pool diverged at round {round_index}",
+            )
+
+    pool = make_pool(shards, config, "materialized")
+    tracemalloc.start()
+    try:
+        pool.compute_uploads(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["first_call_peak_mib"] = round(peak / 2**20, 2)
+    uploads = benchmark(pool.compute_uploads, model)
+    assert uploads.shape == (PAPER_WORKERS, model.num_parameters)

@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="client compute engine (ghost_norm never materialises "
                               "per-example gradients)")
         sub.add_argument("--shard-size", type=int, default=None, metavar="K",
-                         help="max workers per stacked engine call (bounds client "
-                              "memory; bitwise-identical to unsharded)")
+                         help="max workers per shard, the unit of dispatch, retries "
+                              "and crash faults (the engine bounds memory; "
+                              "bitwise-identical to unsharded)")
         # choices include aliases so every name build_backend accepts works here
         sub.add_argument("--backend", default="serial",
                          choices=BACKENDS.names(include_aliases=True),

@@ -76,11 +76,11 @@ class EngineConfig:
         Registered engine name (see
         :func:`repro.federated.engines.available_engines`).
     shard_size:
-        Upper bound on the number of workers a pool runs through one
-        stacked engine call; ``None`` keeps the whole pool in one shard.
-        Sharding caps the pool's peak scratch memory (sampling buffers and
-        the engine's gradient scratch are sized by the largest shard, not
-        the population) and is bitwise-identical to the unsharded pool.
+        Upper bound on the number of workers in one shard task, the
+        pool's unit of dispatch, retries and crash faults; ``None`` keeps
+        the whole pool in one shard.  The engine, not the shard, bounds
+        scratch memory (the materialized engine works in cache-sized
+        blocks of workers).  Bitwise-identical to the unsharded pool.
     options:
         Extra keyword arguments for the engine builder.
     """

@@ -23,9 +23,10 @@ Two implementations of the same protocol live here:
   momentum, normalise/clip, per-worker noise draws and the slot overwrite
   are vectorized across workers, in place in the (caller-reused) gradient
   buffer, with the momentum state stored rank-1 per worker
-  (:class:`BatchedDPState`).  The federated loop feeds it via
-  :class:`repro.federated.worker.WorkerPool`, which computes the stacked
-  gradients with a single forward/backward pass per round.
+  (:class:`BatchedDPState`).  The federated loop feeds it via the
+  materialized client engine (:mod:`repro.federated.engines`), which
+  computes the stacked gradients one cache-sized block of workers at a
+  time.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ class FirstStageFilter:
         candidates = np.flatnonzero(accepted)
         if candidates.size:
             rows = None if candidates.size == matrix.shape[0] else candidates
-            ordered, _ = self._ks_workspace.sort_rows(matrix, rows)
+            ordered = self._ks_workspace.sort_rows(matrix, rows)
             passed, undecided = self._rank_bounds.decide(ordered)
             if undecided.any():
                 statistics = ks_statistics(

@@ -76,10 +76,11 @@ class ExperimentConfig:
         the exact stacked-gradient reference, ``"ghost_norm"`` the
         Gram-matrix path for linear-layer stacks) and builder arguments.
     shard_size:
-        Maximum workers per stacked engine call (``None``: whole pool in
-        one shard under the serial backend; parallel backends split the
-        pool into near-equal shards per job).  Bitwise-identical to
-        unsharded; bounds peak client memory by the shard.
+        Maximum workers per shard task (``None``: whole pool in one
+        shard under the serial backend; parallel backends split the pool
+        into near-equal shards per job).  A shard is the unit of dispatch,
+        retries and crash faults; the engine bounds client memory.
+        Bitwise-identical to unsharded.
     backend, backend_kwargs:
         Parallel execution backend name (see
         :func:`repro.federated.available_backends`; ``"serial"`` is the

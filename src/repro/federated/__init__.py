@@ -1,8 +1,8 @@
 """Federated-learning simulation.
 
 - :class:`~repro.federated.worker.WorkerPool` -- runs the client-side DP
-  protocol of Algorithm 1 for a whole worker population with one stacked
-  forward/backward per round.
+  protocol of Algorithm 1 for a whole worker population with stacked
+  forward/backward passes over blocks of workers.
 - :class:`~repro.federated.worker.HonestWorker` -- single-worker wrapper
   over the same batched path.
 - :class:`~repro.federated.server.Server` -- owns the global model, the

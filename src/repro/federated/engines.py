@@ -12,10 +12,18 @@ third-party engines registered through the public
 Two engines ship built-in:
 
 - :class:`MaterializedEngine` -- the stacked per-example-gradient path:
-  one ``(n b_c, d)`` forward/backward whose flat gradients feed
+  forward/backward passes whose flat gradients feed
   :func:`repro.core.dp_protocol.local_update_batch`.  This is the exact
   batched reference implementation (bitwise identical to the scalar
-  protocol's summation order).
+  protocol's summation order).  It works in **blocks**: contiguous runs
+  of whole workers whose ``(rows, d)`` gradient scratch stays within
+  :data:`_BLOCK_BYTES`, about one L2 cache, so a shard's ``(n b_c, d)``
+  gradient tensor never exists.  Algorithm 1 bounds, sums and noises each
+  worker independently, so blocking changes no result; a call that fits
+  the budget is one block.  :func:`block_plan` keeps every block but the
+  last at a multiple of 4 rows and every block at 64 rows or more, which
+  keeps the stacked GEMMs on the row-count-independent kernels (see
+  :mod:`repro.federated.worker`).
 - :class:`GhostNormEngine` -- the "ghost norm" trick for stacks of
   :class:`~repro.nn.layers.Linear` layers.  The per-example gradient of a
   linear layer is the rank-1 outer product ``x_j (x) delta_j``, so the
@@ -37,6 +45,7 @@ Two engines ship built-in:
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -57,12 +66,62 @@ __all__ = [
     "GhostNormEngine",
     "MaterializedEngine",
     "available_engines",
+    "block_plan",
     "build_engine",
     "pairwise_gradient_gram",
 ]
 
 #: Global registry of client compute engines.
 ENGINES = Registry("engine")
+
+#: Gradient scratch budget of one materialized block, about one L2 cache.
+_BLOCK_BYTES = 4 << 20
+
+#: Fewest stacked rows in a block (unless the whole call holds fewer): far
+#: above the row counts where BLAS switches to its small-matrix kernels.
+_MIN_BLOCK_ROWS = 64
+
+
+def block_plan(n_workers: int, batch: int, dimension: int) -> list[tuple[int, int]]:
+    """Half-open worker ranges of the materialized engine's blocks, in order.
+
+    Blocks are contiguous runs of whole workers.  Every block holds at
+    least :data:`_MIN_BLOCK_ROWS` stacked rows unless the whole call holds
+    fewer, and every block but the last holds a multiple of 4 rows, so
+    each stacked GEMM row is computed by the same BLAS kernel as in one
+    call over all rows.  Within those rules the plan is the fewest blocks
+    whose ``(rows, d)`` float64 scratch fits :data:`_BLOCK_BYTES`, as
+    near-equal as the rules allow (the blocks before the last differ by at
+    most the fewest workers holding a multiple of 4 rows, larger ones
+    first), so the model's gradient-buffer binding rarely changes.  When
+    no plan fits, the blocks are the smallest the rules allow.
+    """
+    fit = _BLOCK_BYTES // (batch * dimension * 8)  # most workers within budget
+    if n_workers <= fit:
+        return [(0, n_workers)]
+    step = 4 // math.gcd(batch, 4)  # fewest workers holding a multiple of 4 rows
+    last_least = -(-_MIN_BLOCK_ROWS // batch)  # fewest workers in the last block
+    least = -(-last_least // step) * step  # ... and in every other block
+    count = max(1, n_workers // least)
+    rest = (count - 1) * least  # workers before the last block
+    for blocks in range(max(2, -(-n_workers // max(fit, 1))),
+                        (n_workers - last_least) // least + 2):
+        # `rest` must split into blocks - 1 blocks of least..fit workers
+        # (multiples of step) and leave last_least..fit for the last one.
+        low = max((blocks - 1) * least, n_workers - fit)
+        high = min((blocks - 1) * (fit // step * step), n_workers - last_least)
+        low, high = -(-low // step) * step, high // step * step
+        if low <= high:
+            even = round(n_workers * (blocks - 1) / blocks / step) * step
+            count, rest = blocks, min(max(even, low), high)
+            break
+    units, larger = divmod(rest // step, max(count - 1, 1))
+    bounds, start = [], 0
+    for index in range(count - 1):
+        stop = start + (units + (index < larger)) * step
+        bounds.append((start, stop))
+        start = stop
+    return bounds + [(start, n_workers)]
 
 
 class ClientEngine:
@@ -106,7 +165,8 @@ class ClientEngine:
         Returns
         -------
         Uploads of shape ``(n_workers, d)``.  The array may be engine-owned
-        scratch reused by the next call -- the caller copies it out.
+        scratch or ``state.slot_momentum`` itself, overwritten by the next
+        call -- the caller copies it out.
         """
         raise NotImplementedError
 
@@ -132,12 +192,18 @@ class ClientEngine:
     summary="stacked per-example gradients through local_update_batch (exact reference)",
 )
 class MaterializedEngine(ClientEngine):
-    """The stacked per-example-gradient path, extracted from ``WorkerPool``.
+    """The stacked per-example-gradient path, one block of workers at a time.
 
-    Allocates one ``(n_workers * b_c, d)`` flat gradient buffer (reused
-    across rounds; sized by the largest shard it has served) and feeds it
-    to :func:`~repro.core.dp_protocol.local_update_batch`.  Bitwise
-    identical to the scalar per-worker protocol.
+    For each block of :func:`block_plan`, runs
+    :meth:`~repro.nn.network.Sequential.per_example_gradients` into one
+    flat ``(rows, d)`` gradient buffer (reused across blocks and rounds;
+    sized by the largest block it has served, so it stays within
+    :data:`_BLOCK_BYTES` whenever the plan's row rules allow) and feeds
+    it to :func:`~repro.core.dp_protocol.local_update_batch` with the
+    block's momentum rows and generators.  The uploads land in the
+    shard's momentum rows (Algorithm 1 line 11: the momentum *is* the
+    upload), which the call returns.  Bitwise identical to the scalar
+    per-worker protocol.
     """
 
     def __init__(self) -> None:
@@ -145,7 +211,7 @@ class MaterializedEngine(ClientEngine):
         # Row-sliced views of the scratch, cached per row count so repeated
         # calls hand ``Sequential.per_example_gradients`` the *same* array
         # object -- its gradient-buffer binding is identity-cached, so a
-        # fresh slice every round would force a re-bind every round.
+        # fresh slice every block would force a re-bind every block.
         self._views: dict[int, np.ndarray] = {}
 
     def _scratch(self, rows: int, dimension: int) -> np.ndarray:
@@ -172,13 +238,27 @@ class MaterializedEngine(ClientEngine):
         config: DPConfig,
         rngs: list[np.random.Generator],
     ) -> np.ndarray:
-        """Stack per-example gradients, then finalise the DP uploads."""
+        """Per block: stack per-example gradients, then finalise the DP uploads.
+
+        Returns ``state.slot_momentum``, which holds the uploads.
+        """
         batch = config.batch_size
         dimension = model.num_parameters
-        scratch = self._scratch(n_workers * batch, dimension)
-        _, gradients = model.per_example_gradients(features, labels, out=scratch)
-        stacked = gradients.reshape(n_workers, batch, dimension)
-        return local_update_batch(stacked, state, config, rngs)
+        state.ensure_shape(n_workers, batch, dimension)
+        momentum = state.slot_momentum
+        for start, stop in block_plan(n_workers, batch, dimension):
+            rows = slice(start * batch, stop * batch)
+            _, gradients = model.per_example_gradients(
+                features[rows],
+                labels[rows],
+                out=self._scratch((stop - start) * batch, dimension),
+            )
+            block = BatchedDPState(slot_momentum=momentum[start:stop], batch_size=batch)
+            local_update_batch(
+                gradients.reshape(stop - start, batch, dimension),
+                block, config, rngs[start:stop],
+            )
+        return momentum
 
     def release(self) -> None:
         """Drop the gradient workspace (the next round reallocates)."""
@@ -216,8 +296,8 @@ class GhostNormEngine(ClientEngine):
 
     Total cost is ~2 batched GEMMs per layer (the same order as the
     forward pass) and the peak extra memory is one ``(n_workers, d)``
-    bounded-sum buffer -- the ``(n_workers * b_c, d)`` gradient tensor of
-    the materialized path never exists.
+    bounded-sum buffer -- no per-example gradient tensor exists, not even
+    the materialized path's block-sized one.
 
     Parameters
     ----------

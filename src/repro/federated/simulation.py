@@ -4,7 +4,7 @@ One round of :class:`FederatedSimulation` performs:
 
 1. model broadcasting (all workers see ``w_{t-1}``);
 2. the honest :class:`~repro.federated.worker.WorkerPool` computes every
-   honest DP upload in one stacked forward/backward (Algorithm 1, lines
+   honest DP upload in stacked forward/backward passes (Algorithm 1, lines
    4-12, batched across workers);
 3. the Byzantine attacker produces its uploads -- either by running the
    honest protocol on poisoned data through its own pool (label flipping)
@@ -131,7 +131,7 @@ class FederatedSimulation:
         shared by both pools), or ``None`` for the default materialized
         engine.  Each pool otherwise gets its own engine instance.
     shard_size:
-        Maximum workers per stacked engine call (see
+        Maximum workers per shard task (see
         :class:`~repro.federated.worker.WorkerPool`); overrides an
         ``EngineConfig``'s value when both are given.
     backend:

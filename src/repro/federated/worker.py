@@ -4,19 +4,26 @@ The hot path is :class:`WorkerPool`: it holds *all* protocol-following
 workers of one population (honest, or Byzantine-but-protocol-following,
 e.g. label flipping), samples each worker's mini-batch from that worker's
 own generator in worker order, and drives a pluggable
-:class:`~repro.federated.engines.ClientEngine` over bounded-size
-**shards** of the population.  The default (``shard_size=None``) runs the
-whole pool as one shard -- a single stacked forward/backward per round;
-with ``shard_size=k`` the engine sees at most ``k`` workers at a time, so
-peak scratch memory (the sampled batch and the engine's gradient
-buffers) is bounded by the shard, not the population.  Sharded and
+:class:`~repro.federated.engines.ClientEngine` over **shards** of the
+population.  A shard is the unit of dispatch, retries and crash faults:
+one task per shard on the execution backend.  The default
+(``shard_size=None``) runs the whole pool as one shard on the serial
+backend; with ``shard_size=k`` each task holds at most ``k`` workers.
+Memory is the engine's concern, not the shard's: the materialized engine
+works through a shard in cache-sized blocks of workers
+(:func:`~repro.federated.engines.block_plan`), so its gradient scratch
+stays within a fixed budget whatever the shard size.  Sharded and
 unsharded pools produce bitwise-identical uploads: every protocol step is
 per-worker row-wise, so splitting the worker axis never changes a single
-floating-point operation.  (The only shape-dependent step is the stacked
-forward/backward GEMM, where BLAS switches micro-kernels -- and
+floating-point operation.  (The only shape-dependent steps are the
+stacked forward/backward GEMMs, where BLAS switches micro-kernels -- and
 accumulation order -- for degenerate row counts of 1-3; the protocol's
 real batch sizes, multiples of 4, keep every shard on the same kernel,
-which the regression tests assert.)
+which the regression tests assert.  A transposed right operand used to
+widen that range: OpenBLAS computes ``G @ W.T`` below ~19 rows in another
+order, so until ``Linear`` multiplied by a contiguous copy of ``W^T`` a
+one-worker shard of an MLP at ``b_c = 16`` differed from the whole pool in
+the low bits.)
 
 Shards are **pure tasks committed in order**.  Algorithm 1 line 11
 overwrites every momentum slot with the upload itself, so a shard's whole
@@ -198,7 +205,9 @@ def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
     rngs = _positioned(payload.rng_states)
     # Every attempt starts from the pool's rows; the engine updates this
     # private copy, and by line 11 the momentum *is* the upload, so the
-    # copy doubles as the result (the engine's array may be its scratch).
+    # copy doubles as the result.  The materialized engine returns the
+    # copy itself (copying it onto itself is a no-op); other engines may
+    # return scratch.
     momentum = payload.out if payload.out is not None else np.empty_like(payload.momentum)
     np.copyto(momentum, payload.momentum)
     state = BatchedDPState(
@@ -236,11 +245,12 @@ class WorkerPool:
         dispatching one get their own engine (via the spec, or
         ``engine.clone()`` for a ready instance).
     shard_size:
-        Maximum number of workers per engine call; ``None`` keeps the pool
+        Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
         ``backend.max_workers`` near-equal shards under a parallel one.
-        Sharding bounds peak scratch memory by the largest shard and is
-        bitwise-identical to the unsharded pool.
+        A shard is the unit of dispatch, retries and crash faults; the
+        engine, not the shard, bounds scratch memory.  Every shard size
+        gives bitwise-identical uploads.
     backend:
         How shards are dispatched: a registered name (``"serial"``,
         ``"threaded"``, ``"process"``), a
@@ -287,7 +297,7 @@ class WorkerPool:
         if shard_size is None:
             # Parallel backends split the pool into near-equal shards so
             # the configured concurrency is actually exercised; the serial
-            # reference keeps the whole pool in one stacked call.
+            # reference keeps the whole pool in one shard task.
             jobs = min(self.backend.max_workers, n)
             size = n if jobs <= 1 else -(-n // jobs)
         else:

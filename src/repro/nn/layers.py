@@ -191,7 +191,7 @@ class Linear(Layer):
             # sums -- the (batch, in*out) gradient tensor is never built.
             self.grad_factors = (x, grad_output)
             self.per_example_grads = None
-            return grad_output @ self.weight.T
+            return self._input_gradient(grad_output)
         # Per-example gradients land in buffers reused across backward passes
         # -- caller-bound views into a flat gradient matrix when the owner
         # activated them for this call, layer-owned scratch otherwise (so an
@@ -217,7 +217,20 @@ class Linear(Layer):
         np.einsum("bi,bo->bio", x, grad_output, out=grad_weight)
         np.copyto(grad_bias, grad_output)
         self.per_example_grads = [grad_weight, grad_bias]
-        return grad_output @ self.weight.T
+        return self._input_gradient(grad_output)
+
+    def _input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
+        """``grad_output @ W^T`` with the same bits for any row count.
+
+        The product takes a C-contiguous copy of ``W^T``: handed the
+        transposed view, OpenBLAS (0.3.31) computes calls below ~19 rows
+        with a different accumulation order, so a small shard's gradients
+        would differ in the low bits from the same rows of a larger call.
+        At the registered MLP widths the plain product gives a row the
+        same bits for any row count that is a multiple of 4, and from ~19
+        rows up it equals the transposed product bit for bit.
+        """
+        return grad_output @ np.ascontiguousarray(self.weight.T)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Linear({self.in_features}, {self.out_features})"

@@ -79,41 +79,44 @@ class KSWorkspace:
     """Reusable ``(n, d)`` scratch buffers for row-sorting a sample matrix.
 
     A long-lived caller (the first-stage filter sorts a batch every round)
-    hands the same workspace to every call so the two full-matrix
-    temporaries are allocated once instead of per round.  The buffers grow
-    to the largest ``n`` seen and are re-created when ``d`` changes.
+    hands the same workspace to every call so the full-matrix temporaries
+    are allocated once instead of per round.  The sort buffer serves every
+    call; the difference buffer only :func:`ks_statistics` needs, so it is
+    allocated on first use.  Both grow to the largest ``n`` seen and are
+    re-created when ``d`` changes.
     """
 
     def __init__(self) -> None:
         self._ordered: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
-    def sort_rows(
-        self, matrix: np.ndarray, rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-sorted copy of ``matrix`` (or of ``matrix[rows]``) plus a scratch matrix.
+    @staticmethod
+    def _fitted(buffer: np.ndarray | None, n: int, d: int) -> np.ndarray:
+        if buffer is None or buffer.shape[0] < n or buffer.shape[1] != d:
+            return np.empty((n, d), dtype=np.float64)
+        return buffer
 
-        The selected rows are gathered straight into the first buffer, so no
-        intermediate ``matrix[rows]`` copy is materialised.  Both returned
-        arrays are views of the workspace and are overwritten by the next
-        call.
+    def sort_rows(self, matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Row-sorted copy of ``matrix`` (or of ``matrix[rows]``).
+
+        The selected rows are gathered straight into the buffer, so no
+        intermediate ``matrix[rows]`` copy is materialised.  The returned
+        array is a view of the workspace, overwritten by the next call.
         """
         n = matrix.shape[0] if rows is None else len(rows)
-        d = matrix.shape[1]
-        if (
-            self._ordered is None
-            or self._ordered.shape[0] < n
-            or self._ordered.shape[1] != d
-        ):
-            self._ordered = np.empty((n, d), dtype=np.float64)
-            self._scratch = np.empty((n, d), dtype=np.float64)
-        ordered, scratch = self._ordered[:n], self._scratch[:n]
+        self._ordered = self._fitted(self._ordered, n, matrix.shape[1])
+        ordered = self._ordered[:n]
         if rows is None:
             np.copyto(ordered, matrix)
         else:
             np.take(matrix, rows, axis=0, out=ordered)
         ordered.sort(axis=1)
-        return ordered, scratch
+        return ordered
+
+    def scratch(self, n: int, d: int) -> np.ndarray:
+        """An ``(n, d)`` view of the difference buffer, allocated on first use."""
+        self._scratch = self._fitted(self._scratch, n, d)
+        return self._scratch[:n]
 
 
 def ks_statistics(
@@ -143,7 +146,8 @@ def ks_statistics(
         matrix = matrix[rows]
     d = matrix.shape[1]
     if workspace is not None:
-        ordered, scratch = workspace.sort_rows(matrix, rows)
+        ordered = workspace.sort_rows(matrix, rows)
+        scratch = workspace.scratch(*ordered.shape)
         cdf_values = normal_cdf(ordered, sigma=sigma, out=ordered)
     else:
         scratch = None

@@ -178,3 +178,8 @@ class TestRankBoundDecisions:
         exact_rows = {int(row) for call in exact_path.call_args_list for row in call.kwargs["rows"]}
         assert {9, 10} <= exact_rows
         assert not {8, 11} & exact_rows
+
+    def test_decided_rows_leave_the_difference_buffer_unallocated(self, rng):
+        first_stage = FirstStageFilter(sigma=SIGMA, dimension=self.D)
+        first_stage.accepts_batch(rng.normal(0.0, SIGMA, size=(6, self.D)))
+        assert first_stage._ks_workspace._scratch is None

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.config import DPConfig, EngineConfig
 from repro.core.dp_protocol import bounding_factors
 from repro.data.synthetic import make_classification
+from repro.federated import engines
 from repro.federated.engines import (
     ENGINES,
     ClientEngine,
@@ -19,6 +22,7 @@ from repro.federated.engines import (
 )
 from repro.federated.worker import WorkerPool
 from repro.nn.layers import ELU, Linear
+from repro.nn.models import build_model
 from repro.nn.network import Sequential
 from repro.privacy.mechanisms import clip_gradients, normalize_gradients
 from tests.helpers import make_model_and_data
@@ -278,6 +282,66 @@ class TestShardedPool:
         pool = make_pool(shards, DPConfig(batch_size=4))
         assert not hasattr(pool, "_all_features")
         assert not hasattr(pool, "_all_labels")
+
+
+def paper_shape_pool(seed_base=100):
+    """``mlp_medium`` on 64 features and 10 classes (d = 6570), 20 workers, b_c = 16."""
+    model = build_model("mlp_medium", 64, 10, rng=1)
+    shards = make_shards(20, seed=4, n_features=64, n_classes=10, per_worker=50)
+    config = DPConfig(batch_size=16, sigma=1.0, momentum=0.1)
+    return model, make_pool(shards, config, seed_base=seed_base)
+
+
+class TestBlockedEngine:
+    def test_paper_shape_blocked_equals_one_block(self, monkeypatch):
+        """Uploads, momentum rows and post-noise generator states, 3 rounds."""
+        model, blocked = paper_shape_pool()
+        _, whole = paper_shape_pool()
+        assert engines.block_plan(20, 16, model.num_parameters) == [
+            (0, 4), (4, 8), (8, 12), (12, 16), (16, 20)
+        ]
+        for round_index in range(3):
+            uploads = blocked.compute_uploads(model).copy()
+            with monkeypatch.context() as patch:
+                patch.setattr(engines, "_BLOCK_BYTES", 1 << 62)
+                expected = whole.compute_uploads(model)
+            np.testing.assert_array_equal(uploads, expected, err_msg=f"round {round_index}")
+            np.testing.assert_array_equal(
+                blocked.state.slot_momentum, whole.state.slot_momentum
+            )
+            assert [rng.bit_generator.state for rng in blocked.rngs] == [
+                rng.bit_generator.state for rng in whole.rngs
+            ]
+        assert blocked.engine._gradients.shape == (64, model.num_parameters)
+        assert whole.engine._gradients.shape == (320, model.num_parameters)
+
+    def test_first_round_memory_bounded_by_block(self):
+        """The first paper-shape round peaks far below one (n b_c, d) tensor.
+
+        The stacked tensor alone is 16.0 MiB; a tracemalloc peak is the
+        same on every host, unlike RSS.
+        """
+        model, pool = paper_shape_pool()
+        tracemalloc.start()
+        try:
+            pool.compute_uploads(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert pool.engine._gradients.nbytes <= engines._BLOCK_BYTES
+
+    def test_uploads_are_the_momentum_rows(self):
+        """Line 11: the engine writes the uploads into the state and returns it."""
+        model, pool = paper_shape_pool()
+        features = np.zeros((20 * 16, 64))
+        labels = np.zeros(20 * 16, dtype=np.int64)
+        state = pool.state
+        uploads = pool.engine.compute_uploads(
+            model, features, labels, 20, state, pool.dp_config, list(pool.rngs)
+        )
+        assert uploads is state.slot_momentum
+        assert uploads.shape == (20, model.num_parameters)
 
 
 class TestCustomEngine:

@@ -11,8 +11,10 @@ never committed and retried ones replay exactly.
 
 Batch sizes are the protocol-realistic multiples of 4 (see the sharding
 property test: degenerate 1-3-row stacked GEMMs hit different BLAS
-micro-kernels, which is a sharding caveat, not a backend one -- serial
-and parallel pools here always share the same shard partition).
+micro-kernels, and so did a transposed ``G @ W.T`` below ~19 rows until
+``Linear`` multiplied by a contiguous copy of ``W^T``; both are sharding
+caveats, not backend ones -- serial and parallel pools here always share
+the same shard partition).
 
 The process backend is exercised by one deterministic pytest case in
 ``tests/federated/test_backends.py`` rather than a Hypothesis sweep:

@@ -1,6 +1,6 @@
 """Property tests: ghost-norm engine vs materialized engine, sharded pools.
 
-Two gates from the engine refactor:
+Three gates from the engine refactors:
 
 - **tolerance gate** -- for any model shape (linear or one-hidden-layer
   stacks of ``Linear``), batch size, worker count, momentum and bounding
@@ -9,26 +9,37 @@ Two gates from the engine refactor:
   .MaterializedEngine` over multiple rounds (the two paths differ only in
   floating-point summation order, observed ~1e-15);
 - **bitwise gate** -- a sharded pool (any shard size) is bitwise identical
-  to the unsharded pool for either engine: every protocol step is
+  to the unsharded pool for either engine, on the linear model and on the
+  registered ``mlp_medium`` / ``mlp_large`` widths: every protocol step is
   per-worker row-wise, so splitting the worker axis must not change a
   single operation.  The one shape-dependence left is the stacked
   forward/backward GEMM itself: BLAS picks different micro-kernels (and
   thus accumulation orders) for *degenerate* row counts (1-3 stacked
   rows), so the gate is stated for the protocol's real batch sizes
   (multiples of 4; the paper uses 8 and 16), where every shard shape maps
-  to the same kernel on the supported hosts.
+  to the same kernel on the supported hosts.  A transposed right operand
+  used to be a second dependence: OpenBLAS computes ``G @ W.T`` below ~19
+  rows in another order, so a one-worker shard of an MLP differed in the
+  low bits until ``Linear`` multiplied by a contiguous copy of ``W^T``;
+- **block gate** -- :func:`~repro.federated.engines.block_plan` obeys its
+  row rules, and a materialized engine working in many blocks under a
+  tiny budget is bitwise identical to one block.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DPConfig
 from repro.data.synthetic import make_classification
+from repro.federated import engines
 from repro.federated.worker import WorkerPool
 from repro.nn.layers import ELU, Linear
+from repro.nn.models import build_model
 from repro.nn.network import Sequential
 
 
@@ -45,7 +56,9 @@ def build_setup(seed, n_workers, n_features, n_classes, hidden):
     shards = [
         data.subset(np.arange(i * 12, (i + 1) * 12)) for i in range(n_workers)
     ]
-    if hidden is None:
+    if isinstance(hidden, str):
+        model = build_model(hidden, n_features, n_classes, rng)
+    elif hidden is None:
         model = Sequential([Linear(n_features, n_classes, rng)])
     else:
         model = Sequential(
@@ -93,6 +106,20 @@ class TestGhostVsMaterializedProperty:
             )
 
 
+#: Models and engines of the sharding gate.  The ghost-norm engine skips
+#: ``mlp_large``: its momentum-norm ``einsum`` reduces a lone row of
+#: d > 8192 in another order than the same row among several, so its
+#: one-worker shards differ in the low bits (rows are otherwise
+#: row-count independent, and the engine is tolerance-gated above).
+SHARDING_CASES = [
+    (None, "materialized"),
+    (None, "ghost_norm"),
+    ("mlp_medium", "materialized"),
+    ("mlp_medium", "ghost_norm"),
+    ("mlp_large", "materialized"),
+]
+
+
 class TestShardingBitwiseProperty:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -101,16 +128,24 @@ class TestShardingBitwiseProperty:
         shard_size=st.integers(1, 8),
         # protocol-realistic batch sizes: multiples of 4 keep every shard's
         # stacked GEMM on the same BLAS micro-kernel (see module docstring)
-        batch=st.sampled_from([4, 8]),
-        engine=st.sampled_from(["materialized", "ghost_norm"]),
+        batch=st.sampled_from([4, 8, 16]),
+        # (model, engine); ``None`` is the linear 6 -> 3 model
+        case=st.sampled_from(SHARDING_CASES),
         momentum=st.sampled_from([0.0, 0.3]),
         rounds=st.integers(1, 3),
     )
+    # One-worker shards of an MLP: the transposed-product case.
+    @example(seed=0, n_workers=4, shard_size=1, batch=16,
+             case=("mlp_medium", "materialized"), momentum=0.3, rounds=1)
+    @example(seed=0, n_workers=4, shard_size=1, batch=8,
+             case=("mlp_large", "materialized"), momentum=0.0, rounds=1)
     def test_sharded_pool_bitwise_identical(
-        self, seed, n_workers, shard_size, batch, engine, momentum, rounds
+        self, seed, n_workers, shard_size, batch, case, momentum, rounds
     ):
+        model, engine = case
         config = DPConfig(batch_size=batch, sigma=0.8, momentum=momentum)
-        model, shards = build_setup(seed, n_workers, 6, 3, None)
+        n_features = 6 if model is None else 16
+        model, shards = build_setup(seed, n_workers, n_features, 3, model)
         unsharded = build_pool(shards, config, seed + 5, engine=engine)
         sharded = build_pool(
             shards, config, seed + 5, engine=engine, shard_size=shard_size
@@ -121,3 +156,86 @@ class TestShardingBitwiseProperty:
                 unsharded.compute_uploads(model),
                 err_msg=f"round {round_index}",
             )
+
+
+def feasible(n_workers, batch, most):
+    """Whether some plan obeys the row rules with at most ``most`` workers a block."""
+    legal = [size for size in range(1, most + 1) if size * batch >= 64]
+    # reachable[i]: the first i workers split into legal non-last blocks.
+    reachable = [True] + [False] * n_workers
+    for end in range(1, n_workers + 1):
+        reachable[end] = any(
+            reachable[end - size] for size in legal if size <= end and size * batch % 4 == 0
+        )
+    return any(reachable[n_workers - size] for size in legal if size <= n_workers)
+
+
+class TestBlockPlanProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_workers=st.integers(1, 120),
+        batch=st.integers(1, 32),
+        dimension=st.integers(1, 5000),
+        budget_rows=st.integers(1, 600),
+    )
+    def test_plan_obeys_row_rules(self, n_workers, batch, dimension, budget_rows):
+        budget = budget_rows * dimension * 8
+        with mock.patch.object(engines, "_BLOCK_BYTES", budget):
+            plan = engines.block_plan(n_workers, batch, dimension)
+        # contiguous runs of whole workers, in order
+        assert plan[0][0] == 0 and plan[-1][1] == n_workers
+        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+        assert all(start < stop for start, stop in plan)
+        rows = [(stop - start) * batch for start, stop in plan]
+        if n_workers * batch < 64:
+            assert len(plan) == 1
+        assert all(count >= 64 for count in rows) or len(plan) == 1
+        assert all(count % 4 == 0 for count in rows[:-1])
+        # near-equal: the non-last blocks differ by at most one step
+        step = 4 // np.gcd(batch, 4)
+        sizes = [stop - start for start, stop in plan[:-1]]
+        assert not sizes or max(sizes) - min(sizes) <= step
+        # within the budget whenever the row rules allow it
+        if n_workers * batch * dimension * 8 <= budget:
+            assert len(plan) == 1
+        elif feasible(n_workers, batch, budget_rows // batch):
+            assert max(rows) * dimension * 8 <= budget
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 32),
+        workers=st.integers(1, 384),
+        model=st.sampled_from(["mlp_small", "mlp_medium", "mlp_large"]),
+        budget_rows=st.integers(1, 200),
+        momentum=st.sampled_from([0.0, 0.3]),
+        rounds=st.integers(1, 2),
+    )
+    # Six equal blocks; and an odd batch, where no plan fits the budget.
+    @example(seed=1, batch=16, workers=384, model="mlp_medium", budget_rows=64,
+             momentum=0.3, rounds=2)
+    @example(seed=2, batch=3, workers=384, model="mlp_large", budget_rows=70,
+             momentum=0.3, rounds=1)
+    def test_blocked_equals_one_block(
+        self, seed, batch, workers, model, budget_rows, momentum, rounds
+    ):
+        n_workers = max(1, workers // batch)  # at most 384 stacked rows
+        config = DPConfig(batch_size=batch, sigma=0.8, momentum=momentum)
+        model, shards = build_setup(seed, n_workers, 16, 3, model)
+        budget = budget_rows * model.num_parameters * 8
+        blocked = build_pool(shards, config, seed + 5)
+        whole = build_pool(shards, config, seed + 5)
+        for round_index in range(rounds):
+            with mock.patch.object(engines, "_BLOCK_BYTES", budget):
+                uploads = blocked.compute_uploads(model)
+            with mock.patch.object(engines, "_BLOCK_BYTES", 1 << 62):
+                expected = whole.compute_uploads(model)
+            np.testing.assert_array_equal(
+                uploads, expected, err_msg=f"round {round_index}"
+            )
+        np.testing.assert_array_equal(
+            blocked.state.slot_momentum, whole.state.slot_momentum
+        )
+        assert [rng.bit_generator.state for rng in blocked.rngs] == [
+            rng.bit_generator.state for rng in whole.rngs
+        ]

@@ -12,6 +12,7 @@ from scipy import stats as scipy_stats
 from repro.stats.ks import (
     RANK_BAND,
     KSRankBounds,
+    KSWorkspace,
     critical_statistic,
     kolmogorov_survival,
     ks_envelopes,
@@ -65,6 +66,27 @@ class TestKsStatistic:
 
     def test_constant_sample_has_large_statistic(self):
         assert ks_statistic(np.zeros(100), sigma=1.0) == pytest.approx(0.5)
+
+
+class TestKSWorkspace:
+    def test_statistics_match_without_workspace(self, rng):
+        samples = rng.normal(size=(6, 300))
+        workspace = KSWorkspace()
+        for rows in (None, np.array([4, 1])):
+            np.testing.assert_array_equal(
+                ks_statistics(samples, 1.0, workspace=workspace, rows=rows),
+                ks_statistics(samples, 1.0, rows=rows),
+            )
+
+    def test_difference_buffer_allocated_on_first_use(self, rng):
+        """Sorting alone, as FirstAGG does, never allocates the second buffer."""
+        samples = rng.normal(size=(5, 200))
+        workspace = KSWorkspace()
+        ordered = workspace.sort_rows(samples)
+        np.testing.assert_array_equal(ordered, np.sort(samples, axis=1))
+        assert workspace._scratch is None
+        ks_statistics(samples, 1.0, workspace=workspace)
+        assert workspace._scratch.shape == (5, 200)
 
 
 class TestKolmogorovSurvival:
