@@ -10,9 +10,6 @@ driver measures exactly that:
   (``ru_maxrss`` is a process-lifetime high-water mark, so in-process
   sequencing would conflate the cells) and reports wall time per round
   plus peak RSS;
-- before timing, the out-of-core streaming aggregation path is gated
-  *bitwise* against the in-memory reference on an n=120 cohort -- the
-  largest stacked round the pre-population benches ever ran;
 - after timing, peak RSS must stay **sublinear in population**: the
   largest population may cost at most ``--max-rss-growth`` (default
   1.5x) the smallest one's memory while the populations themselves span
@@ -35,8 +32,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-GATE_COHORT = 120  # the n=120 stacked-round reference size
 
 
 def build_config(population: int, cohort: int, epochs: int, seed: int):
@@ -91,30 +86,6 @@ def command_child(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def assert_streaming_bitwise(cohort: int, epochs: int, seed: int) -> None:
-    """The streaming path must equal the in-memory path bitwise at n=120."""
-    import numpy as np
-
-    from repro.federated.pipeline import RoundPipeline
-
-    config = build_config(
-        population=4 * cohort, cohort=cohort, epochs=epochs, seed=seed
-    )
-    _, streamed, _ = run_once(config)
-    eligible = RoundPipeline._streaming_eligible
-    RoundPipeline._streaming_eligible = lambda self, round_index: False
-    try:
-        _, in_memory, _ = run_once(config)
-    finally:
-        RoundPipeline._streaming_eligible = eligible
-    if not np.array_equal(streamed, in_memory):
-        raise SystemExit(
-            f"streaming aggregation diverged from the in-memory reference "
-            f"at cohort {cohort}"
-        )
-    print(f"OK    streaming bitwise == in-memory at cohort {cohort}")
-
-
 def export_json(path: Path, cells: list[dict]) -> None:
     """pytest-benchmark-shaped export so check_regression.py can gate it."""
     payload = {
@@ -147,7 +118,6 @@ def export_json(path: Path, cells: list[dict]) -> None:
 
 def command_drive(arguments: argparse.Namespace) -> int:
     populations = sorted(set(arguments.populations))
-    assert_streaming_bitwise(GATE_COHORT, arguments.epochs, arguments.seed)
 
     cells: list[dict] = []
     for population in populations:

@@ -3,8 +3,9 @@
 Attacks speak the same array-first protocol as the server: the omniscient
 view ``AttackContext.honest_uploads`` is the stacked ``(n_honest, d)``
 matrix of the round, and :meth:`Attack.craft` returns the Byzantine uploads
-as an ``(n_byzantine, d)`` matrix that the federated loop concatenates below
-the honest rows without ever exploding either side into per-worker lists.
+as an ``(n_byzantine, d)`` matrix that the federated loop writes below the
+honest rows of the round matrix without ever exploding either side into
+per-worker lists.
 """
 
 from __future__ import annotations

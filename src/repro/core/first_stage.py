@@ -12,12 +12,14 @@ vector dominated by the protocol's DP noise:
 Rejected uploads are replaced by the zero vector, exactly as in Algorithm 2
 (``g <- 0``), which removes their influence from the averaged update.
 
-The filter is **array-first**: :meth:`FirstStageFilter.apply_batch` consumes
-the round's stacked ``(n_workers, d)`` upload matrix.  One ``einsum`` gives
-every squared norm.  The KS test uses Theorem 2: a filter precomputes, per
-rank, the order-statistic bounds just inside and just outside the critical
-statistic (:class:`repro.stats.ks.KSRankBounds`), so a round sorts the rows
-that passed the norm test and decides each with comparisons.  Only a row
+The filter is **array-first**: :meth:`FirstStageFilter.accepts_batch`
+decides the round's whole ``(n_workers, d)`` upload matrix.  (The two-stage
+rule applies the mask without copying; :meth:`FirstStageFilter.apply_batch`
+returns Algorithm 2's zeroed matrix.)  One ``einsum`` gives every squared
+norm.  The KS test uses Theorem 2: a filter precomputes, per rank, the
+order-statistic bounds just inside and just outside the critical statistic
+(:class:`repro.stats.ks.KSRankBounds`), so a round sorts the rows that
+passed the norm test and decides each with comparisons.  Only a row
 with an order statistic in the 1e-6 band between the two gets its exact
 statistic and p-value, and the mask always equals the one the p-values
 give.  The per-upload methods compute the p-value itself and remain the

@@ -5,12 +5,21 @@
 selected uploads over the *total* number of workers ``n`` (Algorithm 1,
 line 14).  Both stages can be switched off individually for the ablation
 benchmarks.
+
+Algorithm 2 swaps a rejected upload for the zero vector.  The rule applies
+that as a **mask** over the round matrix instead of a zeroed copy: a
+rejected row scores ``0.0`` and is left out of the sum.  That is bitwise
+what the zeroed rows give, because a matvec entry depends only on its own
+row, the vector and the matrix shape (a zero row scores ``+0.0``), and the
+axis-0 sum adds rows in order, so dropping zero rows changes nothing but
+possibly the sign of an all-zero coordinate.  The one difference: with a
+non-finite server gradient a rejected row scores ``0.0`` where a zero row
+would score NaN.  The input matrix is never written.
 """
 
 from __future__ import annotations
 
 import math
-import tempfile
 
 import numpy as np
 
@@ -47,7 +56,6 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
     """
 
     requires_auxiliary = True
-    accepts_streaming = True
 
     def __init__(self, config: ProtocolConfig | None = None) -> None:
         self.config = config if config is not None else ProtocolConfig()
@@ -130,125 +138,40 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
     def aggregate(
         self, uploads: np.ndarray | list[np.ndarray], context: AggregationContext
     ) -> np.ndarray:
-        stacked = self._validate(uploads)
-        n_workers, dimension = stacked.shape
+        matrix = self._validate(uploads)
+        n_workers, dimension = matrix.shape
         # Under faults the matrix holds only the surviving rows; the
         # second stage stays keyed by the expected population so a
         # worker's accumulated score survives rounds it misses.
         worker_ids = context.worker_ids
         population = n_workers if context.population is None else context.population
 
-        # Stage 1: batched FirstAGG on the upload matrix (Algorithm 3,
-        # lines 1-3) -- its acceptance statistics are per-upload, so a
-        # partial cohort simply filters fewer rows.  The filter's mask is
-        # authoritative for acceptance: an accepted all-zero upload must
-        # not be misreported as rejected.
-        apply_first = self.config.use_first_stage and context.upload_noise_std > 0
-        if apply_first:
+        # Stage 1: batched FirstAGG (Algorithm 3, lines 1-3) as a mask --
+        # its acceptance statistics are per-upload, so a partial cohort
+        # simply filters fewer rows.  The filter's mask is authoritative
+        # for acceptance: an accepted all-zero upload must not be
+        # misreported as rejected.
+        if self.config.use_first_stage and context.upload_noise_std > 0:
             first_stage = self._first_stage_filter(dimension, context.upload_noise_std)
-            filtered, accepted = first_stage.apply_batch(stacked)
-            self.last_first_stage_accepted = accepted
+            accepted = first_stage.accepts_batch(matrix)
         else:
-            filtered = stacked
-            self.last_first_stage_accepted = np.ones(n_workers, dtype=bool)
+            accepted = np.ones(n_workers, dtype=bool)
+        self.last_first_stage_accepted = accepted
 
-        # Stage 2: inner-product selection (Algorithm 3, lines 4-14).
+        # Stage 2: inner-product selection (Algorithm 3, lines 4-14).  A
+        # rejected row scores 0.0, as its zero vector would.
         if self.config.use_second_stage:
             selector = self._second_stage_selector(population)
-            server_gradient = self._server_gradient(context)
-            report = selector.select(
-                filtered, server_gradient, worker_ids=worker_ids
-            )
-            self.last_selected = report.selected
-            total = filtered[report.selected].sum(axis=0)
+            scores = matrix @ self._server_gradient(context)
+            scores[~accepted] = 0.0
+            selected = selector.select_scored(scores, worker_ids=worker_ids).selected
+            summed = selected[accepted[selected]]
         else:
-            self.last_selected = np.arange(n_workers)
-            total = filtered.sum(axis=0)
+            selected = np.arange(n_workers)
+            summed = np.flatnonzero(accepted)
+        self.last_selected = selected
 
-        # Model update term (Algorithm 1, line 14): average over the
-        # round's realised cohort (all n workers on the fault-free path).
-        return total / n_workers
-
-    def aggregate_stream(
-        self, blocks, context: AggregationContext
-    ) -> np.ndarray:
-        """Out-of-core Algorithm 3: consume upload blocks, never the matrix.
-
-        FirstAGG's acceptance statistics are per-upload, so stage 1 runs
-        block-by-block as uploads arrive; filtered rows are spilled to an
-        anonymous temporary file.  Stage 2 needs every row's inner product
-        with the server gradient, which is **one matvec over the
-        disk-backed spill** -- computing it per-block and concatenating is
-        *not* bitwise-safe (BLAS blocks the rows of a matvec in groups of
-        8, so partial-matrix results differ in the last ulp), whereas the
-        memmap matvec visits the same bytes in the same order as the
-        in-memory path and is bitwise-identical by construction.  Peak
-        resident memory is one block plus the score vector; the
-        ``(n, d)`` matrix exists only on disk.
-        """
-        worker_ids = context.worker_ids
-        spill = tempfile.TemporaryFile()
-        try:
-            n_rows = 0
-            dimension: int | None = None
-            apply_first = False
-            first_stage: FirstStageFilter | None = None
-            masks: list[np.ndarray] = []
-            for block in blocks:
-                stacked = self._validate(block)
-                if dimension is None:
-                    dimension = stacked.shape[1]
-                    apply_first = (
-                        self.config.use_first_stage
-                        and context.upload_noise_std > 0
-                    )
-                    if apply_first:
-                        first_stage = self._first_stage_filter(
-                            dimension, context.upload_noise_std
-                        )
-                elif stacked.shape[1] != dimension:
-                    raise ValueError(
-                        f"inconsistent upload dimension in stream: "
-                        f"{stacked.shape[1]} != {dimension}"
-                    )
-                if apply_first:
-                    # Stage 1 is bitwise block-splittable: per-row einsum
-                    # norms and KS statistics see one upload at a time.
-                    filtered, accepted = first_stage.apply_batch(stacked)
-                else:
-                    filtered = stacked
-                    accepted = np.ones(stacked.shape[0], dtype=bool)
-                masks.append(accepted)
-                # Rejected rows are spilled as zeros (apply_batch already
-                # zeroed them), keeping row i of the spill aligned with
-                # upload i exactly like the in-memory filtered matrix.
-                spill.write(np.ascontiguousarray(filtered).tobytes())
-                n_rows += stacked.shape[0]
-            if n_rows == 0 or dimension is None:
-                raise ValueError("cannot aggregate an empty stream of uploads")
-            spill.flush()
-            population = n_rows if context.population is None else context.population
-            self.last_first_stage_accepted = np.concatenate(masks)
-
-            filtered_view = np.memmap(
-                spill, dtype=np.float64, mode="r", shape=(n_rows, dimension)
-            )
-            try:
-                if self.config.use_second_stage:
-                    selector = self._second_stage_selector(population)
-                    server_gradient = self._server_gradient(context)
-                    scores = filtered_view @ server_gradient
-                    report = selector.select_scored(scores, worker_ids=worker_ids)
-                    self.last_selected = report.selected
-                    selected_rows = np.asarray(
-                        filtered_view[report.selected], dtype=np.float64
-                    )
-                    total = selected_rows.sum(axis=0)
-                else:
-                    self.last_selected = np.arange(n_rows)
-                    total = np.add.reduce(filtered_view, axis=0)
-            finally:
-                del filtered_view
-            return total / n_rows
-        finally:
-            spill.close()
+        # Model update term (Algorithm 1, line 14): the accepted selected
+        # rows, averaged over the round's realised cohort (all n workers
+        # on the fault-free path).
+        return matrix[summed].sum(axis=0) / n_workers

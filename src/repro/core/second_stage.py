@@ -8,6 +8,12 @@ rounds, and finally selects the uploads of the ``ceil(gamma n)`` workers
 with the highest accumulated score.  Selected uploads enter the model update
 with weight 1; everything else is discarded (binary weights -- a deliberate
 difference from FLTrust-style real-valued weighting, Section 4.5).
+
+There is one selection implementation, :meth:`SecondStageSelector
+.select_scored`, which takes the round's scores.  The two-stage rule
+computes them over the unfiltered round matrix and sets a rejected row's
+score to ``0.0``; :meth:`SecondStageSelector.select` is the convenience
+form that scores an already-filtered matrix first.
 """
 
 from __future__ import annotations
@@ -112,16 +118,37 @@ class SecondStageSelector:
     ) -> SecondStageReport:
         """Run lines 5-14 of Algorithm 3 for one round.
 
+        Lines 5-8 score every upload in a single matvec; the rest is
+        :meth:`select_scored`.
+
         Parameters
         ----------
         uploads:
             The ``(m, d)`` matrix of uploads *after* first-stage filtering
             (rejected uploads are zero rows and therefore score 0).  A list
-            of 1-D uploads is stacked transparently.  Without
-            ``worker_ids``, a full cohort (``m == n_workers``) is required.
+            of 1-D uploads is stacked transparently.
         server_gradient:
             The server's gradient estimate ``g_s`` computed on its auxiliary
             data at the current model.
+        worker_ids:
+            As in :meth:`select_scored`.
+        """
+        matrix = np.asarray(uploads, dtype=np.float64)
+        server_gradient = np.asarray(server_gradient, dtype=np.float64)
+        return self.select_scored(matrix @ server_gradient, worker_ids=worker_ids)
+
+    def select_scored(
+        self,
+        scores: np.ndarray,
+        worker_ids: np.ndarray | None = None,
+    ) -> SecondStageReport:
+        """Run lines 9-14 of Algorithm 3 on the round's inner-product scores.
+
+        Parameters
+        ----------
+        scores:
+            One inner-product score per upload row, ``(m,)``.  Without
+            ``worker_ids``, a full cohort (``m == n_workers``) is required.
         worker_ids:
             ``None`` for the full-cohort reference path.  Under faults,
             the ``(m,)`` worker index of each surviving row: the round's
@@ -138,51 +165,6 @@ class SecondStageSelector:
         the *row* indices of the uploads that enter the model update
         (row ``i`` is worker ``i`` for the full cohort, and worker
         ``worker_ids[i]`` otherwise).
-        """
-        matrix = np.asarray(uploads, dtype=np.float64)
-        if worker_ids is None:
-            if matrix.ndim != 2 or matrix.shape[0] != self.n_workers:
-                raise ValueError(
-                    f"expected {self.n_workers} uploads, got "
-                    f"{matrix.shape[0] if matrix.ndim == 2 else matrix.shape}"
-                )
-            ids = None
-            keep = self.keep
-        else:
-            ids = np.asarray(worker_ids, dtype=np.int64)
-            if matrix.ndim != 2 or matrix.shape[0] != ids.shape[0]:
-                raise ValueError(
-                    f"expected one upload per worker id ({ids.shape[0]}), got "
-                    f"{matrix.shape[0] if matrix.ndim == 2 else matrix.shape}"
-                )
-            if ids.shape[0] == 0:
-                raise ValueError("cannot select from an empty cohort")
-            if ids.min() < 0 or ids.max() >= self.n_workers:
-                raise ValueError(
-                    f"worker ids must be in [0, {self.n_workers}), got "
-                    f"[{ids.min()}, {ids.max()}]"
-                )
-            # Realised-cohort keep count: gamma of the m survivors.
-            keep = max(1, math.ceil(self.gamma * matrix.shape[0]))
-        server_gradient = np.asarray(server_gradient, dtype=np.float64)
-
-        # Lines 5-8: all inner-product scores in a single matvec.
-        scores = matrix @ server_gradient
-        return self._finish(scores, ids, keep)
-
-    def select_scored(
-        self,
-        scores: np.ndarray,
-        worker_ids: np.ndarray | None = None,
-    ) -> SecondStageReport:
-        """Run lines 9-14 on pre-computed inner-product scores.
-
-        The out-of-core aggregation path computes the scores itself (one
-        matvec over a disk-backed upload spill) and delegates the
-        threshold / accumulation / selection arithmetic here, so the
-        streaming and in-memory results are bitwise-identical by
-        construction.  ``scores`` and ``worker_ids`` have the same
-        semantics as in :meth:`select`.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 1:
@@ -208,12 +190,9 @@ class SecondStageSelector:
                     f"worker ids must be in [0, {self.n_workers}), got "
                     f"[{ids.min()}, {ids.max()}]"
                 )
+            # Realised-cohort keep count: gamma of the m survivors.
             keep = max(1, math.ceil(self.gamma * scores.shape[0]))
-        return self._finish(scores, ids, keep)
 
-    def _finish(
-        self, scores: np.ndarray, ids: np.ndarray | None, keep: int
-    ) -> SecondStageReport:
         # Line 9: mean of the top ceil(gamma m) scores is the threshold.
         threshold = self._threshold(scores, keep)
 

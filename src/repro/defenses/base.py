@@ -8,12 +8,16 @@ update ``w <- w - eta * aggregate``.
 
 **Array-first contract.**  The canonical upload representation is a stacked
 ``(n_workers, d)`` ``float64`` matrix: the federated loop hands the honest
-and Byzantine uploads to the server as one matrix and every rule operates
-on it with whole-matrix NumPy kernels (no per-upload Python loops on the
-hot path).  For convenience -- interactive use, existing tests, external
-callers -- ``aggregate`` also accepts a sequence of 1-D vectors, which
-:meth:`Aggregator._validate` stacks once at the boundary; a 2-D ``float64``
-C-contiguous array passes through without copying.
+and Byzantine uploads to the server as one round matrix and every rule
+operates on it with whole-matrix NumPy kernels (no per-upload Python loops
+on the hot path).  For convenience -- interactive use, existing tests,
+external callers -- ``aggregate`` also accepts a sequence of 1-D vectors,
+which :meth:`Aggregator._validate` stacks once at the boundary; a 2-D
+``float64`` C-contiguous array passes through without copying.
+
+``aggregate`` never writes its input: a rule that discards uploads (the
+two-stage filter zeroes rejected ones, in the paper's terms) masks or
+copies instead, so the caller's matrix is byte-identical afterwards.
 """
 
 from __future__ import annotations
@@ -85,11 +89,6 @@ class Aggregator:
     #: whether the rule needs ``context.auxiliary`` to be populated
     requires_auxiliary: bool = False
 
-    #: whether :meth:`aggregate_stream` consumes upload blocks out-of-core
-    #: (never holding the full ``(n, d)`` matrix); rules that leave the
-    #: base fallback in place concatenate and must keep this ``False``
-    accepts_streaming: bool = False
-
     def aggregate(
         self, uploads: np.ndarray | list[np.ndarray], context: AggregationContext
     ) -> np.ndarray:
@@ -98,31 +97,9 @@ class Aggregator:
         ``uploads`` is the stacked ``(n_workers, d)`` float64 matrix of the
         round (rows ordered honest-then-Byzantine by the federated loop); a
         sequence of 1-D vectors is accepted and stacked at the boundary.
+        Implementations must not write ``uploads``.
         """
         raise NotImplementedError
-
-    def aggregate_stream(
-        self,
-        blocks,
-        context: AggregationContext,
-    ) -> np.ndarray:
-        """Aggregate an iterable of ``(m_i, d)`` upload blocks.
-
-        Blocks arrive in worker order (their concatenation is exactly the
-        matrix :meth:`aggregate` would receive) and may alias scratch
-        buffers that the producer reuses, so each block must be consumed
-        -- or copied -- before the next one is drawn.
-
-        The base implementation copies and concatenates, trading the
-        memory win for universality: every rule accepts a streamed round,
-        and the result is bitwise-identical to the in-memory path.  Rules
-        that set :attr:`accepts_streaming` override this with a true
-        out-of-core reduction.
-        """
-        copied = [np.array(block, dtype=np.float64) for block in blocks]
-        if not copied:
-            raise ValueError("cannot aggregate an empty stream of uploads")
-        return self.aggregate(np.concatenate(copied, axis=0), context)
 
     def reset(self) -> None:
         """Clear any cross-round state (default: stateless)."""

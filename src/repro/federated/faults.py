@@ -141,7 +141,7 @@ def resolve_quorum(min_quorum: int | float, expected: int) -> int:
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ReportFaultPlan:
-    """One round's report-level faults over the full stacked cohort.
+    """One round's report-level faults over the full round matrix.
 
     Attributes
     ----------
@@ -235,7 +235,7 @@ class FaultModel:
     """
 
     #: ``False`` only for :class:`NoFaults`: its rounds emit no
-    #: ``fault_*`` diagnostics and may stream their uploads.
+    #: ``fault_*`` diagnostics and hand the server the whole round matrix.
     is_active: bool = True
 
     def __init__(self, seed: int = 0) -> None:
@@ -253,10 +253,10 @@ class FaultModel:
         return np.random.default_rng(np.random.SeedSequence(key))
 
     def report_faults(self, round_index: int, n_workers: int) -> ReportFaultPlan:
-        """Report-level faults of ``round_index`` over the stacked cohort.
+        """Report-level faults of ``round_index`` over the round matrix.
 
         ``n_workers`` is the full population (honest rows first, then
-        Byzantine), matching the stacked upload matrix.
+        Byzantine), matching the rows of the round matrix.
         """
         none = np.zeros(n_workers, dtype=bool)
         return ReportFaultPlan(dropped=none, late=none.copy())

@@ -7,7 +7,10 @@
 
 and emits typed :class:`RoundEvent` objects to a list of
 :class:`RoundCallback` hooks, so callers observe or extend training
-without forking the loop:
+without forking the loop.  There is one round function: the upload
+stages fill one ``(n, d)`` round matrix, honest rows first, and the
+server aggregates it -- or, when faults cost rows, the gathered
+survivors -- without copying it again.  The hooks:
 
 - ``on_round_start(event)``  -- before any stage of the round runs;
 - ``on_evaluation(event)``   -- after the global model was evaluated on
@@ -621,21 +624,26 @@ class RoundPipeline:
         """
         return self.simulation.server.broadcast()
 
-    def honest_uploads(self, crash_plan: ShardFaultPlan | None = None) -> np.ndarray:
+    def honest_uploads(
+        self,
+        crash_plan: ShardFaultPlan | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Stage 2: the honest pool computes its DP uploads, ``(n_honest, d)``."""
         with self._span("stage", "honest_uploads"):
-            return self.simulation.honest_uploads(crash_plan=crash_plan)
+            return self.simulation.honest_uploads(crash_plan=crash_plan, out=out)
 
     def byzantine_uploads(
         self,
         honest_uploads: np.ndarray,
         round_index: int,
         crash_plan: ShardFaultPlan | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Stage 3: the attacker produces its uploads, ``(n_byzantine, d)``."""
         with self._span("stage", "byzantine_uploads"):
             return self.simulation.byzantine_uploads(
-                honest_uploads, round_index, crash_plan=crash_plan
+                honest_uploads, round_index, crash_plan=crash_plan, out=out
             )
 
     def aggregate_and_update(
@@ -644,7 +652,7 @@ class RoundPipeline:
         worker_ids: np.ndarray | None = None,
         fault_diagnostics: Mapping[str, float] | None = None,
     ) -> dict[str, float]:
-        """Stages 4+5: aggregate the stacked uploads and update the model.
+        """Stages 4+5: aggregate the round's uploads and update the model.
 
         With ``worker_ids`` (the fault path), ``uploads`` holds only the
         surviving sub-cohort's rows; the ids map each row back to its
@@ -731,23 +739,28 @@ class RoundPipeline:
         the hot path (:meth:`broadcast` stays available to callers that
         want to observe ``w_{t-1}``).
 
+        The round fills one ``(n, d)`` round matrix, honest rows first:
+        the pools commit their shards straight into its rows, and the
+        attacker's crafted, copied or zeroed rows are written below them.
+        A row is read only after the stage that fills it has returned.
+
         Every round runs through the fault seams; the default
         :class:`~repro.federated.faults.NoFaults` model plans nothing,
         which makes this the clean round.  Crash faults are injected into
         the worker pools (shards retry under the simulation's
         :class:`~repro.federated.backends.RetryPolicy`; exhausted shards
-        lose their workers).  Pools can also lose shards for real: a
-        remote backend turns an exhausted transport retry budget into
-        ordered :class:`~repro.federated.backends.TaskFailure` slots.
-        Report faults mask the stacked upload matrix *after* computation
-        -- worker streams never observe them, so the fault trace is a
-        pure function of the round counters and identical across
-        backends.
+        lose their workers and leave zero rows).  Pools can also lose
+        shards for real: a remote backend turns an exhausted transport
+        retry budget into ordered
+        :class:`~repro.federated.backends.TaskFailure` slots.  Report
+        faults mask the round matrix *after* computation -- worker
+        streams never observe them, so the fault trace is a pure function
+        of the round counters and identical across backends.
 
-        With faults inactive and every shard committed, the stacked
-        ``(n, d)`` matrix goes to the server as-is and the round emits no
-        ``fault_*`` diagnostic.  Otherwise the surviving ``(m, d)``
-        sub-cohort reaches the server together with its worker ids and
+        With faults inactive and every shard committed, the round matrix
+        goes to the server as-is and the round emits no ``fault_*``
+        diagnostic.  Otherwise the surviving ``(m, d)`` sub-cohort is
+        gathered and reaches the server together with its worker ids and
         six ``fault_*`` counts; quorum enforcement lives in
         :meth:`~repro.federated.server.Server.update`.
         """
@@ -755,15 +768,18 @@ class RoundPipeline:
         prepare = getattr(simulation, "prepare_round", None)
         if callable(prepare):
             prepare(round_index)
-        if self._streaming_eligible(round_index):
-            return self._run_streaming_round(round_index)
         faults = simulation.fault_model
         n_honest = simulation.n_honest
         n_byzantine = simulation.n_byzantine
         n_workers = simulation.n_workers
+        matrix = np.empty(
+            (n_workers, simulation.model.num_parameters), dtype=np.float64
+        )
+        honest, byzantine = matrix[:n_honest], matrix[n_honest:]
 
-        honest = self.honest_uploads(
-            self._crash_plan(round_index, HONEST_SCOPE, simulation.honest_pool)
+        self.honest_uploads(
+            self._crash_plan(round_index, HONEST_SCOPE, simulation.honest_pool),
+            out=honest,
         )
         crashed = np.zeros(n_workers, dtype=bool)
         retried = 0
@@ -776,16 +792,22 @@ class RoundPipeline:
         # (report faults happen at the server's deadline, not on the
         # devices); only the rows of lost shards are invisible to it.
         byzantine_pool = simulation.byzantine_pool
+        if byzantine_pool is not None:
+            # A pool's report describes the last round it ran; one that
+            # sits this round out (dormant attack, no honest rows to
+            # observe) must not replay it.
+            byzantine_pool.last_fault_report = None
         attacker_view = honest[~crashed[:n_honest]] if crashed.any() else honest
         if n_byzantine > 0 and attacker_view.shape[0] == 0:
             # Every honest shard was lost: the attacker has nothing to
             # observe or mimic, so its uploads degenerate to zeros.
-            byzantine = np.zeros((n_byzantine, honest.shape[1]))
+            byzantine[...] = 0.0
         else:
-            byzantine = self.byzantine_uploads(
+            self.byzantine_uploads(
                 attacker_view,
                 round_index,
                 self._crash_plan(round_index, BYZANTINE_SCOPE, byzantine_pool),
+                out=byzantine,
             )
         byzantine_report = (
             byzantine_pool.last_fault_report if byzantine_pool is not None else None
@@ -794,10 +816,9 @@ class RoundPipeline:
             crashed[n_honest:] = byzantine_report.failed_workers
             retried += byzantine_report.retried
 
-        # Report faults over the stacked cohort (honest rows first).
+        # Report faults over the round matrix (honest rows first).
         plan = faults.report_faults(round_index, n_workers)
         dropped, late = self._validated_report(plan, n_workers)
-        stacked = np.concatenate((honest, byzantine), axis=0)
         arrivals = self._pending
         self._pending = None
         if (
@@ -806,11 +827,11 @@ class RoundPipeline:
             and byzantine_report is None
             and arrivals is None
         ):
-            return self.aggregate_and_update(stacked)
+            return self.aggregate_and_update(matrix)
 
         lost = crashed | dropped | late
         survivor_ids = np.nonzero(~lost)[0]
-        rows = stacked[survivor_ids]
+        rows = matrix[survivor_ids]
         # From here on ids live in server-state space (identity in the
         # classic mode, global population ids under cohort subsampling),
         # so a buffered straggler row stays attributed to the *worker*
@@ -829,7 +850,7 @@ class RoundPipeline:
             if buffered:
                 self._pending = (
                     self._state_ids(np.nonzero(buffer_mask)[0]),
-                    stacked[buffer_mask].copy(),
+                    matrix[buffer_mask],
                 )
         if arrivals is not None:
             survivor_ids = np.concatenate((survivor_ids, arrivals[0]))
@@ -864,75 +885,6 @@ class RoundPipeline:
             ),
             policy=simulation.retry_policy,
         )
-
-    def _streaming_eligible(self, round_index: int) -> bool:
-        """Whether this round can stream upload blocks to the server.
-
-        Streaming feeds shard-sized blocks straight into the rule's
-        :meth:`~repro.defenses.base.Aggregator.aggregate_stream` (bitwise
-        identical to the in-memory path), so the stacked ``(n, d)``
-        matrix never materialises.  It requires an inactive fault model
-        (faulty rounds mask rows of the stacked matrix), a rule that
-        accepts streams, an in-process backend (a remote transport can
-        lose shards mid-stream, which needs the partial-cohort path), and
-        an attacker that never looks at the honest matrix this round: no
-        Byzantine workers at all, or a protocol-following attack in an
-        active round (inactive rounds copy honest uploads, and crafting
-        attacks read the omniscient view).
-        """
-        simulation = self.simulation
-        if simulation.fault_model.is_active:
-            return False
-        if not getattr(simulation.server.aggregator, "accepts_streaming", False):
-            return False
-        pool = getattr(simulation, "honest_pool", None)
-        if pool is None or not hasattr(pool, "iter_upload_blocks"):
-            return False
-        backend = getattr(simulation, "backend", None)
-        if backend is not None and not backend.in_process:
-            return False
-        if simulation.n_byzantine == 0:
-            return True
-        attack = getattr(simulation, "attack", None)
-        return (
-            attack is not None
-            and attack.follows_protocol
-            and attack.is_active(round_index, simulation.settings.total_rounds)
-            and simulation.byzantine_pool is not None
-        )
-
-    def _run_streaming_round(self, round_index: int) -> dict[str, float]:
-        """Stages 2-5 out-of-core: upload blocks flow straight to the rule.
-
-        Only taken when :meth:`_streaming_eligible` holds, so the round
-        is clean (no faults, no fault reports possible) and the full
-        cohort reports.  The blocks come from the same dispatch-and-commit
-        loop as :meth:`run_round`'s matrices.  The aggregated update is bitwise equal to the
-        in-memory path's.
-        """
-        simulation = self.simulation
-        model = simulation.model
-        n_rows = simulation.n_workers
-
-        def blocks():
-            yield from simulation.honest_pool.iter_upload_blocks(model)
-            if simulation.byzantine_pool is not None:
-                yield from simulation.byzantine_pool.iter_upload_blocks(model)
-
-        if getattr(simulation, "population_source", None) is not None:
-            worker_ids = simulation.global_worker_ids()
-            with self._span("stage", "streaming_update"):
-                simulation.server.update_stream(
-                    blocks(),
-                    n_rows,
-                    worker_ids=worker_ids,
-                    population=simulation.total_population,
-                    expected=n_rows,
-                )
-            return self._selection_diagnostics(worker_ids)
-        with self._span("stage", "streaming_update"):
-            simulation.server.update_stream(blocks(), n_rows)
-        return self._selection_diagnostics(None)
 
     @staticmethod
     def _validated_report(

@@ -100,10 +100,10 @@ class Server:
     ) -> np.ndarray:
         """Aggregate the round's uploads and apply the model update.
 
-        ``uploads`` is the round's stacked ``(n_workers, d)`` matrix (a list
-        of 1-D uploads is also accepted and stacked by the aggregation
-        rule).  Returns the aggregated vector actually applied (useful for
-        tests and diagnostics).
+        ``uploads`` is the round's ``(n_workers, d)`` matrix (a list of
+        1-D uploads is also accepted and stacked by the aggregation
+        rule); it is read, never written.  Returns the aggregated vector
+        actually applied (useful for tests and diagnostics).
 
         Under faults the round delivers a partial cohort: ``uploads``
         then holds only the surviving ``(m, d)`` rows, ``worker_ids``
@@ -140,45 +140,6 @@ class Server:
             context.worker_ids = np.asarray(worker_ids, dtype=np.int64)
             context.population = state_population
         aggregated = self.aggregator.aggregate(uploads, context)
-        parameters = self.model.get_flat_parameters()
-        self.model.set_flat_parameters(parameters - self.learning_rate * aggregated)
-        self.round_index += 1
-        return aggregated
-
-    def update_stream(
-        self,
-        blocks,
-        n_rows: int,
-        worker_ids: np.ndarray | None = None,
-        population: int | None = None,
-        expected: int | None = None,
-    ) -> np.ndarray:
-        """Streaming counterpart of :meth:`update`.
-
-        ``blocks`` is an iterable of ``(m_i, d)`` upload blocks whose
-        concatenation is the round matrix; ``n_rows`` is the total row
-        count (the producer knows it without materialising anything, and
-        the quorum check must run *before* the stream is consumed).  The
-        blocks are forwarded to the rule's
-        :meth:`~repro.defenses.base.Aggregator.aggregate_stream`, which
-        is bitwise-identical to the in-memory path.  ``population`` and
-        ``expected`` carry the same semantics as in :meth:`update`.
-        """
-        survivors = int(n_rows)
-        state_population = survivors if population is None else int(population)
-        quorum_base = state_population if expected is None else int(expected)
-        required = resolve_quorum(self.min_quorum, quorum_base)
-        if survivors < required:
-            raise QuorumError(
-                round_index=self.round_index,
-                survivors=survivors,
-                required=required,
-            )
-        context = self.aggregation_context()
-        if worker_ids is not None:
-            context.worker_ids = np.asarray(worker_ids, dtype=np.int64)
-            context.population = state_population
-        aggregated = self.aggregator.aggregate_stream(blocks, context)
         parameters = self.model.get_flat_parameters()
         self.model.set_flat_parameters(parameters - self.learning_rate * aggregated)
         self.round_index += 1

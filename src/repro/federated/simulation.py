@@ -418,9 +418,9 @@ class FederatedSimulation:
     def global_worker_ids(self, local_ids: np.ndarray | None = None) -> np.ndarray:
         """Map round-local row indices to population-global worker ids.
 
-        Row ``i`` of the round's stacked upload matrix belongs to the
-        ``i``-th sampled honest worker for ``i < n_honest`` and to
-        Byzantine worker ``i - n_honest`` otherwise.  In the classic mode
+        Row ``i`` of the round matrix belongs to the ``i``-th sampled
+        honest worker for ``i < n_honest`` and to Byzantine worker
+        ``i - n_honest`` otherwise.  In the classic mode
         the mapping is the identity.  ``local_ids=None`` maps the full
         round.
         """
@@ -449,31 +449,48 @@ class FederatedSimulation:
         return self.byzantine_pool.slots if self.byzantine_pool is not None else []
 
     def honest_uploads(
-        self, crash_plan: ShardFaultPlan | None = None
+        self,
+        crash_plan: ShardFaultPlan | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """This round's honest uploads, shape ``(n_honest, d)``.
 
         ``crash_plan`` injects seeded shard crashes (retried under the
-        plan's retry policy); ``None`` is the empty plan.
+        plan's retry policy); ``None`` is the empty plan.  ``out`` is the
+        array to fill and return (see
+        :meth:`~repro.federated.worker.WorkerPool.compute_uploads`).
         """
-        return self.honest_pool.compute_uploads(self.model, crash_plan=crash_plan)
+        return self.honest_pool.compute_uploads(
+            self.model, crash_plan=crash_plan, out=out
+        )
 
     def byzantine_uploads(
         self,
         honest_uploads: np.ndarray,
         round_index: int,
         crash_plan: ShardFaultPlan | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """This round's Byzantine uploads, shape ``(n_byzantine, d)``.
 
         ``crash_plan`` applies only to protocol-following attacks (the
-        only ones with real shard computations to crash).
+        only ones with real shard computations to crash).  ``out`` is
+        the float64 array to fill and return; ``None`` allocates one.
         """
+        if out is None:
+            out = np.empty(
+                (self.n_byzantine, honest_uploads.shape[1]), dtype=np.float64
+            )
         if self.n_byzantine == 0 or self.attack is None:
-            return np.zeros((0, honest_uploads.shape[1]))
+            return out
 
         attack = self.attack
         active = attack.is_active(round_index, self.settings.total_rounds)
+        if active and attack.follows_protocol:
+            assert self.byzantine_pool is not None
+            return self.byzantine_pool.compute_uploads(
+                self.model, crash_plan=crash_plan, out=out
+            )
 
         context = AttackContext(
             honest_uploads=honest_uploads,
@@ -483,29 +500,31 @@ class FederatedSimulation:
             total_rounds=self.settings.total_rounds,
             rng=self._attack_rng,
         )
-
-        if not active:
-            if isinstance(attack, AdaptiveAttack):
-                return attack.copy_honest(context)
+        if active:
+            rows = attack.craft(context)
+        elif isinstance(attack, AdaptiveAttack):
+            rows = attack.copy_honest(context)
+        else:
             indices = self._attack_rng.integers(
                 0, honest_uploads.shape[0], size=self.n_byzantine
             )
-            return honest_uploads[indices].copy()
-
-        if attack.follows_protocol:
-            assert self.byzantine_pool is not None
-            return self.byzantine_pool.compute_uploads(
-                self.model, crash_plan=crash_plan
+            return np.take(honest_uploads, indices, axis=0, out=out)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != out.shape:
+            raise ValueError(
+                f"{attack.name} produced uploads of shape {rows.shape}, "
+                f"expected {out.shape}"
             )
-        return np.asarray(attack.craft(context), dtype=np.float64)
+        out[...] = rows
+        return out
 
     def run_round(self, round_index: int) -> dict[str, float]:
         """Execute one aggregation round; returns per-round diagnostics.
 
-        The honest and Byzantine uploads travel to the server as one stacked
-        ``(n_workers, d)`` matrix (honest rows first) -- the aggregation
-        pipeline is array-first end-to-end, so no per-upload Python lists
-        are materialised on the hot path.
+        The honest and Byzantine uploads fill one ``(n_workers, d)`` round
+        matrix (honest rows first) that travels to the server -- the
+        aggregation pipeline is array-first end-to-end, so no per-upload
+        Python lists are materialised on the hot path.
         """
         return RoundPipeline(self).run_round(round_index)
 

@@ -35,12 +35,15 @@ picklable task, ``payload -> (uploads, post-noise generator states)``,
 over the shards on its :class:`~repro.federated.backends
 .ExecutionBackend` -- inline, on threads, in worker processes or on
 remote workers.  The parent then *commits* the results in shard order:
-upload rows, momentum rows and generator states.  A shard that ends as a
-:class:`~repro.federated.backends.TaskFailure` is not committed, so its
-workers' generators and momentum keep their pre-round state on every
-backend.  Injected crashes and retries wrap the same task in the
-backend's retry loop; since the task is pure, a retried attempt replays
-bitwise.  Commit order, not completion order, fixes every result, so
+upload rows, momentum rows and generator states.  The upload rows are
+the caller's ``out`` array -- in a training round, the pool's rows of
+the round matrix -- and in-process tasks compute straight into them, so
+no per-shard result block is allocated.  A shard that ends as a
+:class:`~repro.federated.backends.TaskFailure` is not committed: its
+upload rows are zeroed, and its workers' generators and momentum keep
+their pre-round state on every backend.  Injected crashes and retries
+wrap the same task in the backend's retry loop; since the task is pure,
+a retried attempt replays bitwise.  Commit order, not completion order, fixes every result, so
 every backend's uploads are bitwise identical to the serial loop.
 
 A task running on the dispatching thread uses the pool's own engine and
@@ -167,9 +170,10 @@ class _ShardPayload:
     tasks running there, or anywhere when the backend runs one task at a
     time (``replicas is None``), use the caller's pair.  ``momentum`` may
     be a view of the pool's rows: only the commit writes them, after the
-    task finished.  ``out`` is the result buffer of in-process payloads,
-    allocated by the dispatching thread so results never pile up in the
-    executing threads' malloc arenas; pickled payloads leave it ``None``.
+    task finished.  ``out`` is the shard's rows of the caller's output
+    array (the round matrix, in a round) on in-process backends, so
+    results never pile up in the executing threads' malloc arenas;
+    pickled payloads leave it ``None``.
     """
 
     replicas: _Replicas | None
@@ -207,7 +211,8 @@ def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
     # private copy, and by line 11 the momentum *is* the upload, so the
     # copy doubles as the result.  The materialized engine returns the
     # copy itself (copying it onto itself is a no-op); other engines may
-    # return scratch.
+    # return scratch.  What a discarded attempt wrote here is overwritten
+    # by the retry, or zeroed by the commit when the shard is lost.
     momentum = payload.out if payload.out is not None else np.empty_like(payload.momentum)
     np.copyto(momentum, payload.momentum)
     state = BatchedDPState(
@@ -310,8 +315,9 @@ class WorkerPool:
         # than the caller, rebuilt when the pool meets a new model.
         self._replicas: _Replicas | None = None
         self._replica_source: Sequential | None = None
-        #: what the last round's failures and retries looked like
-        #: (``None`` after a round with an inactive plan and no failure)
+        #: what the last :meth:`compute_uploads` call's failures and
+        #: retries looked like (``None`` after a call with an inactive
+        #: plan and no failure); stale in a round the pool sat out
         self.last_fault_report: PoolFaultReport | None = None
 
     @property
@@ -396,17 +402,19 @@ class WorkerPool:
             self._replica_source = model
         return self._replicas
 
-    def _payloads(self, model: Sequential) -> Iterator[tuple[int, _ShardPayload]]:
+    def _payloads(
+        self, model: Sequential, out: np.ndarray
+    ) -> Iterator[tuple[int, _ShardPayload]]:
         """``(shard index, payload)`` pairs, built as the backend pulls them.
 
         Each shard's mini-batches are drawn from scratch copies of its
         workers' generators (same draws as ``Dataset.sample_batch``:
         uniform with replacement, each worker's own stream, worker
         order), so the pool's own generators only move when a result is
-        committed.
+        committed.  In-process payloads compute into the shard's rows of
+        ``out``.
         """
         batch, n_features = self.dp_config.batch_size, self.datasets[0].dim
-        dimension = model.num_parameters
         backend = self.backend
         replicas = self._replicas_for(model)
         caller = (
@@ -435,28 +443,52 @@ class WorkerPool:
                 momentum=self.state.slot_momentum[start:stop],
                 rng_states=[rng.bit_generator.state for rng in rngs],
                 dp_config=self.dp_config,
-                out=(
-                    np.empty((stop - start, dimension)) if backend.in_process else None
-                ),
+                out=out[start:stop] if backend.in_process else None,
             )
 
-    def _committed_blocks(
-        self, model: Sequential, crash_plan: ShardFaultPlan | None
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Dispatch every shard task and commit the results in shard order.
+    def compute_uploads(
+        self,
+        model: Sequential,
+        crash_plan: ShardFaultPlan | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One protocol iteration for every worker; returns ``(n_workers, d)``.
 
-        Yields ``(start, stop, block)`` with each shard's ``(stop - start,
-        d)`` upload block as it is committed: upload rows, momentum rows
-        (Algorithm 1 line 11: the momentum *is* the upload) and post-noise
-        generator states.  A
-        shard ending as a :class:`TaskFailure` -- an exhausted crash
-        schedule or advisory timeout, or a remote transport loss --
-        yields zeros and commits nothing.  ``crash_plan=None`` is the
-        empty plan with a single attempt per shard.  Once the blocks are
-        exhausted, :attr:`last_fault_report` describes the round.
+        The caller is responsible for having loaded the current global
+        parameters into ``model`` (model broadcasting, Algorithm 1 line 3).
+        Shard results are committed in shard order -- upload rows,
+        momentum rows (Algorithm 1 line 11: the momentum *is* the upload)
+        and post-noise generator states -- so per-worker momentum and
+        noise streams are independent of the sharding, of the execution
+        backend and of shard completion order.
+
+        ``out`` is a C-contiguous float64 ``(n_workers, d)`` array to fill
+        and return, typically rows of the round matrix; ``None`` allocates
+        one.  In-process shard tasks compute straight into its rows, so
+        read it only once this call has returned.
+
+        With a ``crash_plan`` (see :class:`~repro.federated.faults
+        .ShardFaultPlan`) shards crash and retry as scheduled: recovered
+        shards are bitwise identical to never-failing ones.  A shard
+        ending as a :class:`TaskFailure` -- an exhausted crash schedule
+        or advisory timeout, or a remote transport loss -- leaves zero
+        upload rows and untouched worker state.  ``crash_plan=None`` is
+        the empty plan with a single attempt per shard.
+        :attr:`last_fault_report` describes the round.
         """
         n, batch = self.n_workers, self.dp_config.batch_size
         dimension = model.num_parameters
+        if out is None:
+            out = np.empty((n, dimension), dtype=np.float64)
+        elif (
+            out.shape != (n, dimension)
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{(n, dimension)}, got {out.dtype} {out.shape}"
+            )
         self.state.ensure_shape(n, batch, dimension)
         self.last_fault_report = None
         if crash_plan is None:
@@ -473,16 +505,17 @@ class WorkerPool:
         task = self.backend.resilient(
             _shard_task, crash_plan.policy, crashes=failures.tolist()
         )
-        results = self.backend.map_ordered(task, self._payloads(model))
+        results = self.backend.map_ordered(task, self._payloads(model, out))
         failed = np.zeros(n, dtype=bool)
         retried = 0
         for index, ((start, stop), result) in enumerate(
             zip(self._shard_bounds, results)
         ):
+            rows = out[start:stop]
             if isinstance(result, TaskFailure):
                 failed[start:stop] = True
                 retried += result.attempts - 1
-                yield start, stop, np.zeros((stop - start, dimension))
+                rows[...] = 0.0
                 continue
             # A committed shard retried exactly its injected crashes:
             # advisory-timeout retries are wall-clock facts (traced as
@@ -491,8 +524,10 @@ class WorkerPool:
             retried += int(failures[index])
             for rng, state in zip(self.rngs[start:stop], rng_states):
                 rng.bit_generator.state = state
-            np.copyto(self.state.slot_momentum[start:stop], uploads)
-            yield start, stop, uploads
+            # In-process tasks computed into these rows (copying them onto
+            # themselves is a no-op); other results arrive as arrays.
+            np.copyto(rows, uploads)
+            np.copyto(self.state.slot_momentum[start:stop], rows)
         if crash_plan.is_active or retried or failed.any():
             lost_shards = failed[[start for start, _ in self._shard_bounds]]
             self.last_fault_report = PoolFaultReport(
@@ -500,44 +535,7 @@ class WorkerPool:
                 retried=retried,
                 crashed_shards=int(np.count_nonzero((failures > 0) | lost_shards)),
             )
-
-    def compute_uploads(
-        self, model: Sequential, crash_plan: ShardFaultPlan | None = None
-    ) -> np.ndarray:
-        """One protocol iteration for every worker; returns ``(n_workers, d)``.
-
-        The caller is responsible for having loaded the current global
-        parameters into ``model`` (model broadcasting, Algorithm 1 line 3).
-        Shard results are committed in shard order, so per-worker momentum
-        and noise streams are independent of the sharding, of the
-        execution backend and of shard completion order.
-
-        With a ``crash_plan`` (see :class:`~repro.federated.faults
-        .ShardFaultPlan`) shards crash and retry as scheduled: recovered
-        shards are bitwise identical to never-failing ones, permanently
-        failed shards leave zero upload rows and untouched worker state,
-        and :attr:`last_fault_report` describes the round.
-        """
-        blocks = self._committed_blocks(model, crash_plan)
-        if self.n_shards == 1:
-            # Unpacking drains the loop; the one block is the matrix.
-            [(_, _, uploads)] = blocks
-            return uploads
-        uploads = np.empty((self.n_workers, model.num_parameters))
-        for start, stop, block in blocks:
-            uploads[start:stop] = block
-        return uploads
-
-    def iter_upload_blocks(self, model: Sequential) -> Iterator[np.ndarray]:
-        """Yield the round's uploads shard-by-shard, as they are committed.
-
-        The streaming view of :meth:`compute_uploads` (without a crash
-        plan): blocks arrive in worker order and their concatenation is
-        bitwise-identical to the ``(n, d)`` matrix, which never exists --
-        peak memory is the backend's in-flight shards, not the cohort.
-        """
-        for _, _, block in self._committed_blocks(model, None):
-            yield block
+        return out
 
     def reset(self) -> None:
         """Clear every worker's momentum state (start of a fresh run)."""

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.byzantine.label_flip import LabelFlipAttack
 from repro.byzantine.lmp import LocalModelPoisoningAttack
 from repro.core.config import DPConfig, FaultsConfig, ProtocolConfig
 from repro.core.protocol import TwoStageAggregator
@@ -103,6 +104,20 @@ class AllDrop(FaultModel):  # repro-lint: disable=REP004 -- test double, constru
             dropped=np.ones(n_workers, dtype=bool),
             late=np.zeros(n_workers, dtype=bool),
         )
+
+
+class ScriptedShardLosses(FaultModel):  # repro-lint: disable=REP004 -- test double, constructed directly
+    """Deterministic test model: loses the shards ``losses[(round, scope)]``
+    names (more crashes than any retry budget here allows), nothing else."""
+
+    def __init__(self, losses: dict[tuple[int, int], list[int]]) -> None:
+        super().__init__()
+        self.losses = losses
+
+    def crash_failures(self, round_index: int, scope: int, n_shards: int) -> np.ndarray:
+        failures = np.zeros(n_shards, dtype=np.int64)
+        failures[self.losses.get((round_index, scope), [])] = 10
+        return failures
 
 
 # --------------------------------------------------------------------- #
@@ -427,6 +442,31 @@ class TestFaultyTraining:
         assert reference.run().test_accuracy == ref_history.test_accuracy
         # and the crashes really happened: retries were recorded
         assert sum(entry["fault_retried"] for entry in crash_history.faults) > 0
+
+    def test_byzantine_pool_that_sat_out_reports_no_faults(self):
+        # Round 0 loses the Byzantine pool's first shard.  Round 1 loses
+        # every honest shard, so the attacker has nothing to observe, its
+        # pool does not run, and the pool's round-0 report must not be
+        # counted again: only the 4 honest workers crashed (2 retries per
+        # lost shard) and the 4 zeroed Byzantine rows survive.
+        simulation = build_simulation(
+            n_honest=4,
+            n_byzantine=4,
+            attack=LabelFlipAttack(),
+            faults=ScriptedShardLosses(
+                {(0, BYZANTINE_SCOPE): [0], (1, HONEST_SCOPE): [0, 1]}
+            ),
+            shard_size=2,
+            min_quorum=1,
+            total_rounds=2,
+        )
+        history = simulation.run()
+        first, second = history.faults
+        assert (first["fault_crashed"], first["fault_retried"]) == (2.0, 2.0)
+        assert first["fault_survivors"] == 6.0
+        assert second["fault_crashed"] == 4.0
+        assert second["fault_retried"] == 4.0
+        assert second["fault_survivors"] == 4.0
 
     def test_exhausted_retries_drop_the_shard_workers(self):
         simulation = build_simulation(

@@ -6,8 +6,8 @@ The guarantees under test:
   execution backends (serial / threaded / remote), because every stream
   -- sampler plans, worker data, per-round noise -- is keyed by stable
   identifiers, never execution order;
-- the out-of-core streaming aggregation path engages on clean protocol
-  rounds and is bitwise-identical to the in-memory path;
+- both pools of a protocol-following attack commit their shards into the
+  round matrix identically on a parallel backend;
 - a full-state snapshot restores the sampler mid-schedule, so a resumed
   run replays the identical participation trace;
 - faults compose: partial cohorts under fault injection stay
@@ -29,7 +29,7 @@ import pytest
 
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment, run_experiment
-from repro.federated.pipeline import Checkpoint, RoundPipeline
+from repro.federated.pipeline import Checkpoint
 from repro.federated.state import load_round_state
 
 BASE = dict(
@@ -100,43 +100,20 @@ class TestPopulationRuns:
             setup.simulation.close()
 
 
-class TestStreamingPath:
-    def test_streaming_engages_and_matches_in_memory(self, monkeypatch):
-        config = population_config()
-        _, streamed = run_params(config)
-
-        # Same config with the streaming path force-disabled: the classic
-        # stacked in-memory path must produce bitwise-identical parameters.
-        streaming_rounds = []
-        original = RoundPipeline._run_streaming_round
-
-        def counting(self, round_index):
-            streaming_rounds.append(round_index)
-            return original(self, round_index)
-
-        monkeypatch.setattr(RoundPipeline, "_run_streaming_round", counting)
-        _, streamed_again = run_params(config)
-        assert streaming_rounds, "streaming path never engaged"
-
-        monkeypatch.setattr(
-            RoundPipeline, "_streaming_eligible", lambda self, round_index: False
-        )
-        _, in_memory = run_params(config)
-        np.testing.assert_array_equal(streamed, streamed_again)
-        np.testing.assert_array_equal(streamed, in_memory)
-
-    def test_streaming_matches_in_memory_with_protocol_attack(self, monkeypatch):
-        # A protocol-following (data poisoning) attack keeps the streaming
-        # path eligible: the Byzantine pool streams its blocks too.
+class TestRoundMatrix:
+    def test_protocol_attack_serial_vs_threaded_bitwise(self):
+        # A protocol-following (data poisoning) attack runs its own pool,
+        # so the honest and the Byzantine pool both commit shards -- an
+        # uneven last one included (10 = 4 + 4 + 2) -- into the round
+        # matrix while threads compute the next ones.
         config = population_config(
             byzantine_fraction=0.25, attack="label_flip", cohort=10
         )
-        _, streamed = run_params(config)
-        monkeypatch.setattr(
-            RoundPipeline, "_streaming_eligible", lambda self, round_index: False
+        _, serial = run_params(config)
+        _, threaded = run_params(
+            config.replace(backend="threaded", backend_kwargs={"max_workers": 2})
         )
-        _, in_memory = run_params(config)
-        np.testing.assert_array_equal(streamed, in_memory)
+        np.testing.assert_array_equal(serial, threaded)
 
 
 class TestSamplerResume:

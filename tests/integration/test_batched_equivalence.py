@@ -19,19 +19,22 @@ from repro.experiments.runner import run_experiment
 from repro.federated.worker import WorkerPool
 
 
-def scalar_compute_uploads(pool, model, crash_plan=None):
-    """Sequential reference: one scalar ``local_update`` per worker, in order."""
+def scalar_compute_uploads(pool, model, crash_plan=None, out=None):
+    """Sequential reference: one scalar ``local_update`` per worker, in order.
+
+    Like ``WorkerPool.compute_uploads`` it fills and returns ``out`` (the
+    round matrix's rows, in a round) when one is given.
+    """
     assert crash_plan is None or not crash_plan.is_active
     if not hasattr(pool, "_scalar_states"):
         pool._scalar_states = [LocalDPState() for _ in range(pool.n_workers)]
-    return np.vstack(
-        [
-            local_update(model, dataset, state, pool.dp_config, rng)
-            for dataset, state, rng in zip(
-                pool.datasets, pool._scalar_states, pool.rngs
-            )
-        ]
-    )
+    if out is None:
+        out = np.empty((pool.n_workers, model.num_parameters), dtype=np.float64)
+    for row, (dataset, state, rng) in enumerate(
+        zip(pool.datasets, pool._scalar_states, pool.rngs)
+    ):
+        out[row] = local_update(model, dataset, state, pool.dp_config, rng)
+    return out
 
 
 BASE = ExperimentConfig(
