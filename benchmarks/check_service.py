@@ -23,6 +23,13 @@ real ``kill -9``:
   a worker (which stops receiving new tasks) and pauses/resumes the
   dispatch loop, and the drained run still prints output byte-identical
   to the serial reference.
+- ``hostile-peer``: while a seeded ``repro serve --workers 2`` run is
+  live, raw sockets send an oversized length, a non-JSON body, a
+  protocol-1 hello and a truncated frame, and a fake worker registers and
+  answers its tasks once with a wrong-shape result and once with an extra
+  buffer.  The coordinator must hang up on each of them, name both
+  protocol versions on stderr, exit 0, and print stdout and metrics
+  byte-identical to ``--backend serial``.
 
 Run::
 
@@ -30,6 +37,7 @@ Run::
     python benchmarks/check_service.py worker-kill
     python benchmarks/check_service.py coordinator-restart
     python benchmarks/check_service.py observability
+    python benchmarks/check_service.py hostile-peer
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import argparse
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -68,11 +77,11 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def spawn(*args: str) -> subprocess.Popen:
-    """Start ``python -m repro <args>`` with stdout captured."""
+def spawn(*args: str, stderr: int = subprocess.STDOUT) -> subprocess.Popen:
+    """Start ``python -m repro <args>`` with stdout (and stderr) captured."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        stdout=subprocess.PIPE, stderr=stderr,
         text=True, env=_env(), cwd=REPO,
     )
 
@@ -292,7 +301,11 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
         "--metrics-out", str(metrics), "--metrics-fsync",
     ]
     coordinator = spawn(*serve_args)
-    workers = start_workers(port, 2)
+    # Throttled workers keep the restarted run going for longer than a
+    # worker's reconnect back-off (at most 1 s): unthrottled, the resumed
+    # rounds can finish before a backing-off worker reconnects, and that
+    # worker then never receives the shutdown.
+    workers = start_workers(port, 2, **{"--throttle": "0.1"})
 
     # Let at least two rounds land durably, then kill -9 the coordinator.
     deadline = time.monotonic() + 120.0
@@ -496,11 +509,113 @@ def command_observability(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def wait_for_metrics(coordinator: subprocess.Popen, metrics: Path, rounds: int) -> None:
+    """Block until the run wrote ``rounds`` metrics lines (it is underway)."""
+    deadline = time.monotonic() + 120.0
+    while not (metrics.exists() and len(metrics.read_text().splitlines()) >= rounds):
+        if coordinator.poll() is not None or time.monotonic() > deadline:
+            coordinator.kill()
+            raise SystemExit("coordinator never got a round underway:\n"
+                             + coordinator.communicate()[0])
+        time.sleep(0.05)
+
+
+def hung_up(sock: socket.socket, timeout: float = 20.0) -> bool:
+    """Whether the peer closed ``sock`` (EOF or reset) within ``timeout``."""
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(1 << 16):
+            pass
+    except socket.timeout:
+        return False
+    except OSError:
+        pass
+    return True
+
+
+def command_hostile_peer(arguments: argparse.Namespace) -> int:
+    workdir = Path(arguments.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+
+    from repro.federated.wire import PROTOCOL_VERSION, recv_message, send_message
+
+    # Five shards a round, so a third worker link gets tasks too.
+    flags = [*ACCEPTANCE_FLAGS, "--shard-size", "2"]
+    serial_metrics = workdir / "hostile-serial.jsonl"
+    serial = finish(spawn("run", *flags, "--metrics-out", str(serial_metrics)))
+    port = free_port()
+    metrics = workdir / "hostile-serve.jsonl"
+    coordinator = spawn(
+        "serve", *flags, "--port", str(port), "--workers", "2",
+        "--metrics-out", str(metrics), stderr=subprocess.PIPE,
+    )
+    # Throttled workers keep the run alive while the hostile peers act.
+    workers = start_workers(port, 2, **{"--throttle": "0.1"})
+    wait_for_metrics(coordinator, metrics, 1)
+
+    def frame(body: bytes) -> bytes:
+        return struct.pack(">I", len(body)) + body
+
+    old_hello = json.dumps({"type": "hello", "worker": "stale", "protocol": 1})
+    attacks = {
+        "oversized length": struct.pack(">I", 0xFFFFFFFF),
+        "non-JSON body": frame(b"\x80\x04 not json"),
+        "protocol-1 hello": frame(old_hello.encode()),
+        "truncated frame": struct.pack(">I", 4096) + b'{"type": "hello", "wor',
+    }
+    for label, payload in attacks.items():
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            if not hung_up(sock):
+                raise SystemExit(f"hostile-peer: the coordinator kept the {label} link open")
+        print(f"hostile-peer: {label} refused")
+
+    for lie in ("wrong-shape result", "extra buffer"):
+        with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:
+            send_message(sock, {"type": "hello", "worker": "liar",
+                                "protocol": PROTOCOL_VERSION})
+            recv_message(sock)  # welcome
+            message, buffers = recv_message(sock)
+            if message["type"] != "task":
+                raise SystemExit(f"hostile-peer: the liar got {message['type']!r}, not a task")
+            task = message["task"]
+            rows, dimension = len(task["states"]), buffers[0].size
+            uploads = np.zeros((rows, dimension))
+            out = ([np.zeros((rows, dimension + 1))] if lie == "wrong-shape result"
+                   else [uploads, np.zeros(1)])
+            send_message(sock, {"type": "result", "task_id": message["task_id"],
+                                "states": task["states"]}, out)
+            if not hung_up(sock):
+                raise SystemExit(f"hostile-peer: a {lie} kept its link")
+        print(f"hostile-peer: {lie} dropped the liar's link")
+
+    try:
+        output, errors = coordinator.communicate(timeout=300.0)
+    except subprocess.TimeoutExpired:
+        coordinator.kill()
+        raise SystemExit("hostile-peer: the served run did not finish")
+    if coordinator.returncode != 0:
+        raise SystemExit(f"hostile-peer: serve exited {coordinator.returncode}:\n"
+                         f"{output}\n{errors}")
+    reap(workers)
+    if f"protocol 1, this coordinator speaks protocol {PROTOCOL_VERSION}" not in errors:
+        raise SystemExit(f"hostile-peer: no version rejection on stderr:\n{errors}")
+    print("hostile-peer: the protocol-1 hello was rejected naming both versions")
+    assert_identical("hostile-peer run", strip_volatile(serial), strip_volatile(output))
+    assert_identical(
+        "hostile-peer metrics", serial_metrics.read_text(), metrics.read_text()
+    )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("mode",
-                        choices=["identity", "worker-kill",
-                                 "coordinator-restart", "observability"])
+                        choices=["identity", "worker-kill", "coordinator-restart",
+                                 "observability", "hostile-peer"])
     parser.add_argument("--workdir", default="service-smoke",
                         help="scratch directory for configs, metrics, state")
     arguments = parser.parse_args(argv)
@@ -509,6 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         "worker-kill": command_worker_kill,
         "coordinator-restart": command_coordinator_restart,
         "observability": command_observability,
+        "hostile-peer": command_hostile_peer,
     }[arguments.mode]
     return command(arguments)
 

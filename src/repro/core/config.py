@@ -241,9 +241,9 @@ class ServiceConfig:
     """Service-mode coordinator settings (the ``remote`` backend).
 
     In service mode a long-running *coordinator* process owns the round
-    loop and dispatches shard tasks to *worker* processes over the
-    length-prefixed JSON/TCP wire protocol (see
-    :mod:`repro.federated.service`).  This config is pure data -- the
+    loop and dispatches shard tasks to *worker* processes as typed TCP
+    frames (see :mod:`repro.federated.service` and
+    :mod:`repro.federated.wire`).  This config is pure data -- the
     tunables of that deployment, independent of the experiment being
     trained -- so it serialises alongside the experiment config.
 

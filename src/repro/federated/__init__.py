@@ -35,7 +35,7 @@
 - :mod:`repro.federated.service` -- service mode: a crash-tolerant
   coordinator (:class:`~repro.federated.service.CoordinatorServer`)
   dispatching shard tasks to ``repro worker`` processes over the
-  length-prefixed JSON/TCP protocol of :mod:`repro.federated.wire`,
+  typed TCP frames of :mod:`repro.federated.wire` (no code on the wire),
   surfaced as the ``remote`` execution backend
   (:class:`~repro.federated.service.RemoteBackend`) with heartbeats,
   transport retries and partial-cohort degradation.

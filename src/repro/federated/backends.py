@@ -59,7 +59,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -187,7 +187,8 @@ class _ResilientRunner:
     ``crashes[index]`` injects that many :class:`TransientTaskError`
     failures *before* ``fn`` runs, so a task retried within the budget
     replays exactly like one that never failed (tasks are pure functions
-    of their items).
+    of their items).  ``crashes`` is a per-task sequence or a sparse
+    ``{index: count}`` mapping; :attr:`crashes` holds the mapping.
     """
 
     def __init__(
@@ -195,12 +196,13 @@ class _ResilientRunner:
         fn: Callable,
         policy: RetryPolicy,
         on_retry: Callable[[int, int, str], None] | None = None,
-        crashes: Sequence[int] = (),
+        crashes: Sequence[int] | Mapping[int, int] = (),
     ) -> None:
         self.fn = fn
         self.policy = policy
         self.on_retry = on_retry  # observation hook; must stay side-effect-free
-        self.crashes = tuple(int(count) for count in crashes)
+        pairs = crashes.items() if isinstance(crashes, Mapping) else enumerate(crashes)
+        self.crashes = {int(index): int(count) for index, count in pairs if count}
 
     def _note(self, index: int, attempt: int, error: str) -> None:
         if self.on_retry is not None:
@@ -208,7 +210,7 @@ class _ResilientRunner:
 
     def __call__(self, pair: tuple[int, object]):
         index, item = pair
-        crashes = self.crashes[index] if index < len(self.crashes) else 0
+        crashes = self.crashes.get(index, 0)
         policy = self.policy
         for attempt in range(1, policy.max_attempts + 1):
             started = time.monotonic()
@@ -255,8 +257,8 @@ class ExecutionBackend:
 
     #: Whether tasks run in the calling process.  In-process backends may
     #: be handed closures over live objects; out-of-process backends
-    #: (worker processes, remote workers) require picklable callables and
-    #: payloads.
+    #: require picklable callables and payloads (worker processes) or run
+    #: only the worker pools' shard task, sent as data (remote workers).
     in_process: bool = True
 
     #: Attached trace recorder (``None`` = tracing off, the default).
@@ -322,7 +324,7 @@ class ExecutionBackend:
         ``crashes[index]`` injects that many failures before task
         ``index`` runs.  On an in-process backend
         with a tracer attached every failed attempt is also recorded as a
-        ``retry`` event; out-of-process runners must stay picklable, so
+        ``retry`` event; out-of-process runners leave the process, so
         they carry no hook.
         """
         tracer = self._tracer

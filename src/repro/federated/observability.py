@@ -214,17 +214,10 @@ class StatusReporter(RoundCallback):
 
     def on_round_end(self, event: RoundEndEvent) -> None:
         """Publish round progress, quorum margin and fault totals."""
-        record: dict[str, object] = {
-            "round": event.round_index,
-            "total_rounds": event.total_rounds,
-            "accuracy": event.accuracy,
-        }
-        for key in sorted(event.diagnostics):
-            record[key] = float(event.diagnostics[key])
+        record = event.record()
+        for key, value in record.items():
             if key.startswith("fault_"):
-                self._fault_totals[key] = (
-                    self._fault_totals.get(key, 0.0) + record[key]
-                )
+                self._fault_totals[key] = self._fault_totals.get(key, 0.0) + value
         survivors = event.diagnostics.get("fault_survivors")
         if survivors is None and self._expected is not None:
             survivors = float(self._expected)  # clean round: full cohort

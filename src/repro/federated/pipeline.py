@@ -125,6 +125,21 @@ class RoundEndEvent(RoundEvent):
     diagnostics: Mapping[str, float] = field(default_factory=dict)
     accuracy: float | None = None
 
+    def record(self) -> dict[str, object]:
+        """The round's flat record, as ``--metrics-out`` writes it.
+
+        ``round``, ``total_rounds`` and ``accuracy`` first, then every
+        diagnostic as a float, sorted by name.
+        """
+        record: dict[str, object] = {
+            "round": self.round_index,
+            "total_rounds": self.total_rounds,
+            "accuracy": self.accuracy,
+        }
+        for key in sorted(self.diagnostics):
+            record[key] = float(self.diagnostics[key])
+        return record
+
 
 # ---------------------------------------------------------------------- #
 # callbacks
@@ -445,14 +460,7 @@ class MetricsWriter(RoundCallback):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             mode = "a" if self.append else "w"
             self._file = self.path.open(mode, encoding="utf-8")
-        record = {
-            "round": event.round_index,
-            "total_rounds": event.total_rounds,
-            "accuracy": event.accuracy,
-        }
-        for key in sorted(event.diagnostics):
-            record[key] = float(event.diagnostics[key])
-        self._file.write(json.dumps(record) + "\n")
+        self._file.write(json.dumps(event.record()) + "\n")
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())

@@ -9,10 +9,10 @@ system while keeping every numerical guarantee of the in-process path:
   order**, exactly like every other backend.
 - :class:`RemoteBackend` -- the ``"remote"`` entry of the
   :data:`~repro.federated.backends.BACKENDS` registry.  It is an
-  out-of-process :class:`~repro.federated.backends.ExecutionBackend`, so
-  the worker pools route through the same picklable shard payloads as the
-  process backend and a zero-fault remote run is byte-identical to
-  ``--backend serial``.
+  out-of-process :class:`~repro.federated.backends.ExecutionBackend`
+  that runs exactly one task, the worker pools' shard task, described
+  as data in typed frames (:func:`~repro.federated.wire.encode_task`),
+  so a zero-fault remote run is byte-identical to ``--backend serial``.
 - :func:`run_worker` -- the worker-process main loop behind ``python -m
   repro worker``: connect, register, execute tasks, heartbeat, and
   reconnect-with-backoff when the coordinator goes away mid-training.
@@ -38,12 +38,25 @@ propagates exactly like under the in-process backends).
 Tasks are pure functions of their payloads, so at-least-once dispatch is
 safe: a re-dispatched task whose original worker later answers anyway is
 resolved first-result-wins, and duplicate results are discarded.
+
+Trust model
+-----------
+Nothing a peer sends is executed: frames carry arrays and JSON, and every
+result is checked against the shard that was dispatched (exactly ``(n,
+d)`` float64 uploads and ``n`` generator states); a malformed one drops
+the link as a *bad result* and the task is retried like any other lost
+dispatch.  Both ends check the protocol version at the handshake.  Peers
+are not authenticated, though: anyone who can connect can register as a
+worker, and a registered worker answering a task with ``error`` aborts
+the run (task exceptions are deterministic).  Bind the coordinator to
+loopback or to a trusted network.
 """
 
 from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -58,8 +71,10 @@ from repro.federated.backends import (
 from repro.federated.wire import (
     PROTOCOL_VERSION,
     WireError,
-    decode_blob,
-    encode_blob,
+    decode_result,
+    decode_task,
+    encode_result,
+    encode_task,
     recv_message,
     send_message,
 )
@@ -97,21 +112,26 @@ class _Link:
         self.send_lock = threading.Lock()
         self.connected_at = time.monotonic()
         self.dispatched = 0  # tasks sent to this link (lifetime)
-        self.bytes_sent = 0  # task frame bytes (guarded by send_lock)
+        self.bytes_sent = 0  # whole task frames, buffers included (send_lock)
 
 
 class _Task:
-    """One dispatchable unit of an execution, pinned to its result slot."""
+    """One dispatchable unit of an execution, pinned to its result slot.
+
+    ``header`` is the ``task`` object of the frame and ``buffers`` the
+    payload's arrays (see :func:`~repro.federated.wire.encode_task`).
+    """
 
     __slots__ = (
-        "task_id", "index", "blob", "attempts", "not_before",
+        "task_id", "index", "header", "buffers", "attempts", "not_before",
         "dispatched_at", "done", "result", "failure", "fatal",
     )
 
-    def __init__(self, task_id: int, index: int, blob: str) -> None:
+    def __init__(self, task_id: int, index: int, header: dict, buffers: list) -> None:
         self.task_id = task_id
         self.index = index
-        self.blob = blob
+        self.header = header
+        self.buffers = buffers
         self.attempts = 0
         self.not_before = 0.0
         self.dispatched_at: float | None = None
@@ -156,6 +176,9 @@ class CoordinatorServer:
         :meth:`execute` raises :class:`ConnectionError` after this many
         seconds with *zero* connected workers (before the first connect
         or after losing them all).
+
+    A rejected handshake is reported on stderr, so a run's stdout stays
+    byte-comparable.
     """
 
     _HANDSHAKE_TIMEOUT = 10.0
@@ -222,14 +245,28 @@ class CoordinatorServer:
     def _serve_connection(self, sock: socket.socket, address) -> None:
         try:
             sock.settimeout(self._HANDSHAKE_TIMEOUT)
-            hello = recv_message(sock)
-            if hello.get("type") != "hello":
-                raise WireError(f"expected hello, got {hello.get('type')!r}")
+            # A frame is several sends; without this, Nagle holds back the
+            # tail of each one until the previous segment is acknowledged.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            hello, _ = recv_message(sock)
+            if hello["type"] != "hello":
+                raise WireError(f"expected hello, got {hello['type']!r}")
+            # The welcome names our version, so a worker of another
+            # version can tell why it is turned away.
             send_message(sock, {
                 "type": "welcome",
                 "protocol": PROTOCOL_VERSION,
                 "heartbeat_interval": self.heartbeat_interval,
             })
+            if hello.get("protocol") != PROTOCOL_VERSION:
+                print(
+                    f"repro-coordinator: rejected worker {hello.get('worker')!r} at "
+                    f"{address[0]}:{address[1]}: it speaks protocol "
+                    f"{hello.get('protocol')!r}, this coordinator speaks "
+                    f"protocol {PROTOCOL_VERSION}",
+                    file=sys.stderr, flush=True,
+                )
+                raise WireError("protocol version mismatch")
             sock.settimeout(None)
         except (ConnectionError, OSError):
             sock.close()
@@ -247,34 +284,38 @@ class CoordinatorServer:
     def _recv_loop(self, link: _Link) -> None:
         while True:
             try:
-                message = recv_message(link.sock)
+                message, buffers = recv_message(link.sock)
             except (ConnectionError, OSError):
                 self._drop_link(link, f"worker {link.name!r}: connection lost")
                 return
-            kind = message.get("type")
-            if kind == "heartbeat":
-                with self._cond:
-                    link.last_seen = time.monotonic()
-            elif kind == "result":
-                try:
-                    self._handle_result(link, message)
-                except Exception as error:  # undecodable result blob
-                    self._drop_link(
-                        link, f"worker {link.name!r}: bad result ({error})"
-                    )
-                    return
-            elif kind == "error":
-                self._handle_error(link, message)
-            # Unknown message types are ignored for forward compatibility.
+            kind = message["type"]
+            try:
+                if kind == "heartbeat":
+                    with self._cond:
+                        link.last_seen = time.monotonic()
+                elif kind == "result":
+                    self._handle_result(link, message, buffers)
+                elif kind == "error":
+                    self._handle_error(link, message)
+                else:
+                    raise WireError(f"a worker does not send {kind!r} messages")
+            except WireError as error:
+                # Dropping the link re-dispatches its in-flight task under
+                # the transport policy, like any other lost dispatch.
+                self._drop_link(link, f"worker {link.name!r}: bad {kind} ({error})")
+                return
 
-    def _handle_result(self, link: _Link, message: dict) -> None:
-        result = decode_blob(message["blob"])  # heavy; outside the lock
+    def _handle_result(self, link: _Link, message: dict, buffers: list) -> None:
+        with self._cond:
+            task = self._lookup(message.get("task_id"))
+        # Checked against the dispatched shard outside the lock (``header``
+        # never changes); a stale answer to a finished execution is dropped.
+        result = None if task is None else decode_result(message, buffers, task.header)
         trace_fields = None
         with self._cond:
             now = time.monotonic()
             link.last_seen = now
             link.task = None
-            task = self._lookup(message.get("task_id"))
             tracer = self._tracer
             if task is not None and not task.finished:
                 task.result = result
@@ -285,7 +326,7 @@ class CoordinatorServer:
                         "task_id": task.task_id,
                         "index": task.index,
                         "attempts": task.attempts + 1,
-                        "result_bytes": len(message["blob"]),
+                        "result_bytes": sum(buffer.nbytes for buffer in buffers),
                     }
                     if task.dispatched_at is not None:
                         trace_fields["duration"] = now - task.dispatched_at
@@ -294,6 +335,9 @@ class CoordinatorServer:
             tracer.trace_event("wire", "round_trip", **trace_fields)
 
     def _handle_error(self, link: _Link, message: dict) -> None:
+        reason = message.get("error")
+        if not isinstance(reason, str):
+            raise WireError("an error message carries its text in 'error'")
         with self._cond:
             link.last_seen = time.monotonic()
             link.task = None
@@ -301,12 +345,12 @@ class CoordinatorServer:
             if task is not None and not task.finished:
                 # A deterministic task-function exception: mirror the
                 # in-process backends and propagate to the caller.
-                task.fatal = str(message.get("error") or "remote task failed")
+                task.fatal = reason or "remote task failed"
                 task.done = True
             self._cond.notify_all()
 
     def _lookup(self, task_id) -> _Task | None:
-        if self._execution is None or task_id is None:
+        if self._execution is None or type(task_id) is not int:
             return None
         return self._execution.by_id.get(task_id)
 
@@ -493,22 +537,26 @@ class CoordinatorServer:
     def execute(self, fn: Callable, items: list, policy: RetryPolicy) -> list:
         """Run ``fn`` over ``items`` on the connected workers, in order.
 
-        Transport failures (dead links, advisory-timeout stragglers) are
-        retried under ``policy``; exhausted slots come back as
-        :class:`TaskFailure`.  Worker-side task exceptions raise
-        :class:`RemoteTaskError`; ``ConnectionError`` is raised only when
-        no worker is connected for :attr:`worker_timeout` seconds.
+        ``fn`` must be a worker pool's resilient shard task and ``items``
+        its ``(index, payload)`` pairs (:func:`~repro.federated.wire
+        .encode_task`); anything else raises :class:`TypeError` before a
+        frame is sent.  Transport failures (dead links, bad results,
+        advisory-timeout stragglers) are retried under ``policy``;
+        exhausted slots come back as :class:`TaskFailure`.  Worker-side
+        task exceptions raise :class:`RemoteTaskError`;
+        ``ConnectionError`` is raised only when no worker is connected
+        for :attr:`worker_timeout` seconds.
         """
+        encoded = [encode_task(fn, item) for item in items]
         tasks = []
         with self._cond:
             if self._closed:
                 raise ConnectionError("coordinator server is shut down")
             if self._execution is not None:
                 raise RuntimeError("CoordinatorServer.execute is not reentrant")
-            for index, item in enumerate(items):
-                task = _Task(self._next_task_id, index, encode_blob((fn, item)))
+            for index, (header, buffers) in enumerate(encoded):
+                tasks.append(_Task(self._next_task_id, index, header, buffers))
                 self._next_task_id += 1
-                tasks.append(task)
             self._execution = _Execution(tasks, policy)
         try:
             self._drive(tasks, policy)
@@ -599,11 +647,11 @@ class CoordinatorServer:
             for link, task in assignments:
                 try:
                     with link.send_lock:
-                        link.bytes_sent += send_message(link.sock, {
-                            "type": "task",
-                            "task_id": task.task_id,
-                            "blob": task.blob,
-                        })
+                        link.bytes_sent += send_message(
+                            link.sock,
+                            {"type": "task", "task_id": task.task_id, "task": task.header},
+                            task.buffers,
+                        )
                 except (ConnectionError, OSError):
                     self._drop_link(
                         link, f"worker {link.name!r}: send failed"
@@ -684,14 +732,14 @@ class CoordinatorServer:
 @BACKENDS.register(
     "remote",
     aliases=("service",),
-    summary="tasks run on repro worker processes over the JSON/TCP service protocol",
+    summary="shard tasks run on repro worker processes over typed TCP frames",
 )
 class RemoteBackend(ExecutionBackend):
-    """Dispatch tasks to ``repro worker`` processes over TCP.
+    """Dispatch shard tasks to ``repro worker`` processes over TCP.
 
-    An out-of-process backend: the worker pools send the same picklable
-    shard payloads as to :class:`~repro.federated.backends.ProcessBackend`,
-    with mini-batches sampled in the coordinator and the results committed
+    An out-of-process backend that runs one task, the worker pools' shard
+    task, sent as typed frames (:mod:`repro.federated.wire`), with
+    mini-batches sampled in the coordinator and the results committed
     there -- so a zero-fault remote run is byte-identical to ``--backend
     serial``.  A task's own retry loop (injected crashes, advisory
     deadlines) runs inside the remote worker; losing the worker itself is
@@ -799,7 +847,12 @@ class RemoteBackend(ExecutionBackend):
             return self._server
 
     def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Dispatch tasks to workers; ordered results."""
+        """Dispatch shard tasks to workers; ordered results.
+
+        ``fn`` must be the pools' resilient shard task: the wire carries
+        no code, so any other function raises :class:`TypeError` before
+        anything is sent.
+        """
         items = list(items)
         if not items:
             return []
@@ -825,6 +878,25 @@ def _default_log(line: str) -> None:
     print(f"repro-worker: {line}", flush=True)
 
 
+def _answer_task(task_id: int, message: dict, buffers: list) -> tuple[dict, list]:
+    """The reply frame (header, buffers) to one ``task`` message.
+
+    A task that fails a check is answered like one that raised: with an
+    ``error`` frame, never by running it.
+    """
+    try:
+        fn, item = decode_task(message, buffers)
+        fields, out = encode_result(fn(item))
+    except Exception as error:  # reported upstream; the run decides
+        return {
+            "type": "error",
+            "task_id": task_id,
+            "error": f"{type(error).__name__}: {error}",
+            "transient": False,
+        }, []
+    return {"type": "result", "task_id": task_id, **fields}, out
+
+
 def _serve_session(
     sock: socket.socket,
     name: str,
@@ -832,19 +904,33 @@ def _serve_session(
     emit: Callable[[str], None],
     task_emit: Callable[[str], None],
 ) -> int | None:
-    """One connected session; ``0`` on clean shutdown, ``None`` on loss."""
+    """One connected session.
+
+    Returns ``0`` on clean shutdown, ``1`` when the coordinator speaks
+    another protocol version and ``None`` when the connection is lost.
+    """
     send_lock = threading.Lock()
     sock.settimeout(10.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_message(sock, {
         "type": "hello",
         "worker": name,
         "pid": os.getpid(),
         "protocol": PROTOCOL_VERSION,
     })
-    welcome = recv_message(sock)
-    if welcome.get("type") != "welcome":
-        raise WireError(f"expected welcome, got {welcome.get('type')!r}")
-    interval = float(welcome.get("heartbeat_interval") or 0.5)
+    welcome, _ = recv_message(sock)
+    if welcome["type"] != "welcome":
+        raise WireError(f"expected welcome, got {welcome['type']!r}")
+    if welcome.get("protocol") != PROTOCOL_VERSION:
+        emit(
+            f"coordinator speaks protocol {welcome.get('protocol')!r}, this "
+            f"worker speaks protocol {PROTOCOL_VERSION}; exiting"
+        )
+        sock.close()
+        return 1
+    interval = welcome.get("heartbeat_interval")
+    if type(interval) not in (int, float) or interval <= 0:
+        raise WireError(f"welcome announces heartbeat_interval {interval!r}")
     sock.settimeout(None)
     emit(f"registered with coordinator (heartbeat every {interval}s)")
 
@@ -863,35 +949,23 @@ def _serve_session(
     beater.start()
     try:
         while True:
-            message = recv_message(sock)
-            kind = message.get("type")
+            message, buffers = recv_message(sock)
+            kind = message["type"]
             if kind == "shutdown":
                 emit("coordinator sent shutdown; exiting")
                 return 0
             if kind != "task":
                 continue
             task_id = message.get("task_id")
+            if type(task_id) is not int:
+                raise WireError(f"task id {task_id!r} is not an integer")
             task_emit(f"task {task_id} started")
             if throttle > 0:
                 time.sleep(throttle)
-            try:
-                fn, item = decode_blob(message["blob"])
-                result = fn(item)
-            except BaseException as error:  # noqa: BLE001 - reported upstream
-                reply = {
-                    "type": "error",
-                    "task_id": task_id,
-                    "error": f"{type(error).__name__}: {error}",
-                    "transient": False,
-                }
-            else:
-                reply = {
-                    "type": "result",
-                    "task_id": task_id,
-                    "blob": encode_blob(result),
-                }
+            reply, out = _answer_task(task_id, message, buffers)
+            message = buffers = None  # free the task's arrays before the next frame
             with send_lock:
-                send_message(sock, reply)
+                send_message(sock, reply, out)
             task_emit(f"task {task_id} done")
     except (ConnectionError, OSError):
         emit("lost the coordinator; will try to reconnect")

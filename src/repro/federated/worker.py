@@ -31,14 +31,15 @@ effect on worker state is its uploads plus its workers' post-noise
 generator states.  The pool samples each shard's mini-batches from
 *copies* of the workers' generators, packs them with the shard's
 momentum rows and generator states into a payload, and maps one
-picklable task, ``payload -> (uploads, post-noise generator states)``,
-over the shards on its :class:`~repro.federated.backends
-.ExecutionBackend` -- inline, on threads, in worker processes or on
-remote workers.  The parent then *commits* the results in shard order:
-upload rows, momentum rows and generator states.  The upload rows are
-the caller's ``out`` array -- in a training round, the pool's rows of
-the round matrix -- and in-process tasks compute straight into them, so
-no per-shard result block is allocated.  A shard that ends as a
+task, ``payload -> (uploads, post-noise generator states)``, over the
+shards on its :class:`~repro.federated.backends.ExecutionBackend` --
+inline, on threads, in worker processes (pickled) or on remote workers
+(described as data, see :mod:`repro.federated.wire`).  The parent then
+*commits* the results in shard order: upload rows, momentum rows and
+generator states.  The upload rows are the caller's ``out`` array -- in
+a training round, the pool's rows of the round matrix -- and in-process
+tasks compute straight into them, so no per-shard result block is
+allocated.  A shard that ends as a
 :class:`~repro.federated.backends.TaskFailure` is not committed: its
 upload rows are zeroed, and its workers' generators and momentum keep
 their pre-round state on every backend.  Injected crashes and retries
@@ -49,10 +50,14 @@ every backend's uploads are bitwise identical to the serial loop.
 A task running on the dispatching thread uses the pool's own engine and
 the caller's model.  Any other thread builds a private model replica and
 engine once -- cloned from a template the pool makes once per model, or,
-in another process, unpickled from the pool's model skeleton (a
+in another process, built from the model's layer spec
+(:meth:`~repro.nn.network.Sequential.spec`) and the engine's
+:class:`~repro.core.config.EngineConfig` (a
 :class:`~repro.nn.network.Sequential` caches per-call state on its
 layers, so concurrent shards must not share one) -- and keeps them for
-later rounds: one engine scratch per pool per executing thread.  When no
+later rounds: one engine scratch per pool per executing thread.  Both
+recipes are plain data, which is what lets :mod:`repro.federated.wire`
+describe a shard task to a remote worker without shipping code.  When no
 ``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
 
@@ -64,7 +69,7 @@ all its fake workers at once).
 
 from __future__ import annotations
 
-import pickle
+import json
 import threading
 import uuid
 from collections.abc import Iterator
@@ -129,16 +134,23 @@ class _Replicas:
     """Recipe for a pool's (model, engine) pair on a thread or process
     other than the dispatching one.
 
-    Out of process, ``model`` is the pickled model skeleton (parameters
-    travel in every payload) and ``engine`` the pickled engine
-    specification.  In process, ``model`` is a template clone nobody
+    Out of process, ``model`` is the model's layer spec (parameters travel
+    in every payload) and ``engine`` an :class:`EngineConfig`; the token
+    is their JSON text, so equal recipes share one replica (see
+    :meth:`of_spec`).  In process, ``model`` is a template clone nobody
     computes on, so any thread may clone it, and ``engine`` the pool's
     engine specification.
     """
 
     token: str
-    model: Sequential | bytes
+    model: Sequential | list[dict]
     engine: object
+
+    @classmethod
+    def of_spec(cls, spec: list[dict], engine: EngineConfig) -> "_Replicas":
+        """The out-of-process recipe for a layer spec and engine config."""
+        token = json.dumps([spec, engine.name, engine.options], sort_keys=True)
+        return cls(token=token, model=spec, engine=engine)
 
     def resolve(self) -> tuple[Sequential, ClientEngine]:
         """This thread's replica pair, built on first use."""
@@ -147,12 +159,12 @@ class _Replicas:
             cache = _REPLICAS.entries = {}
         pair = cache.get(self.token)
         if pair is None:
-            if isinstance(self.model, bytes):
-                model, engine = pickle.loads(self.model), pickle.loads(self.engine)
-            else:
+            if isinstance(self.model, Sequential):
                 model, engine = self.model.clone(), self.engine
                 if isinstance(engine, ClientEngine):
                     engine = engine.clone()
+            else:
+                model, engine = Sequential.from_spec(self.model), self.engine
             if not isinstance(engine, ClientEngine):
                 engine = build_engine(engine)
             if len(cache) >= _REPLICA_LIMIT:
@@ -166,14 +178,14 @@ class _ShardPayload:
     """Everything one shard task reads; it writes only to ``out``.
 
     ``caller`` is ``(thread ident, model, engine)`` of the dispatching
-    thread on in-process backends (``None`` when the payload is pickled):
-    tasks running there, or anywhere when the backend runs one task at a
-    time (``replicas is None``), use the caller's pair.  ``momentum`` may
-    be a view of the pool's rows: only the commit writes them, after the
-    task finished.  ``out`` is the shard's rows of the caller's output
-    array (the round matrix, in a round) on in-process backends, so
-    results never pile up in the executing threads' malloc arenas;
-    pickled payloads leave it ``None``.
+    thread on in-process backends (``None`` when the payload leaves the
+    process): tasks running there, or anywhere when the backend runs one
+    task at a time (``replicas is None``), use the caller's pair.
+    ``momentum`` may be a view of the pool's rows: only the commit writes
+    them, after the task finished.  ``out`` is the shard's rows of the
+    caller's output array (the round matrix, in a round) on in-process
+    backends, so results never pile up in the executing threads' malloc
+    arenas; payloads that leave the process leave it ``None``.
     """
 
     replicas: _Replicas | None
@@ -248,7 +260,9 @@ class WorkerPool:
         ``EngineConfig``'s ``shard_size`` is used when the ``shard_size``
         argument is not given.  Threads and processes other than the
         dispatching one get their own engine (via the spec, or
-        ``engine.clone()`` for a ready instance).
+        ``engine.clone()`` for a ready instance).  Out-of-process backends
+        build engines from a name or an ``EngineConfig`` only; a ready
+        instance raises :class:`TypeError`.
     shard_size:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -295,6 +309,12 @@ class WorkerPool:
         self.dp_config = dp_config
         self.rngs = list(rngs)
         self.backend = build_backend(backend)
+        if not self.backend.in_process and isinstance(engine, ClientEngine):
+            raise TypeError(
+                "an out-of-process backend builds its engines from a name or "
+                "an EngineConfig; a ready ClientEngine instance cannot leave "
+                "this process"
+            )
         self._engine_source = engine
         self.engine = build_engine(engine)
         self.state = BatchedDPState()
@@ -382,23 +402,17 @@ class WorkerPool:
             return None
         if self._replicas is None or self._replica_source is not model:
             if backend.in_process:
-                template, engine = model.clone(), self._engine_source
-            else:
-                # The binding caches views into engine scratch; drop them
-                # so the skeleton blob carries the model, not the buffers.
-                model.unbind_per_example_grad_buffers()
-                engine = (
-                    self._engine_source.clone()
-                    if isinstance(self._engine_source, ClientEngine)
-                    else self._engine_source
+                self._replicas = _Replicas(
+                    # Cache key only: never feeds any computed result.
+                    token=uuid.uuid4().hex,  # repro-lint: disable=REP001 -- cache key only
+                    model=model.clone(),
+                    engine=self._engine_source,
                 )
-                template, engine = pickle.dumps(model), pickle.dumps(engine)
-            self._replicas = _Replicas(
-                # Cache key only: never feeds any computed result.
-                token=uuid.uuid4().hex,  # repro-lint: disable=REP001 -- cache key only
-                model=template,
-                engine=engine,
-            )
+            else:
+                source = self._engine_source
+                if not isinstance(source, EngineConfig):
+                    source = EngineConfig() if source is None else EngineConfig(name=source)
+                self._replicas = _Replicas.of_spec(model.spec(), source)
             self._replica_source = model
         return self._replicas
 

@@ -116,16 +116,23 @@ class Linear(Layer):
     in_features, out_features:
         Input and output dimensionality.
     rng:
-        Generator used for Glorot initialisation of the weight matrix.
+        Generator used for Glorot initialisation of the weight matrix;
+        ``None`` leaves the weights zero (a skeleton whose parameters are
+        loaded afterwards, see :meth:`~repro.nn.network.Sequential.from_spec`).
     """
 
     supports_grad_factors = True
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
+    def __init__(
+        self, in_features: int, out_features: int, rng: np.random.Generator | None
+    ) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = glorot_uniform(rng, in_features, out_features)
+        if rng is None:
+            self.weight = zeros((in_features, out_features))
+        else:
+            self.weight = glorot_uniform(rng, in_features, out_features)
         self.bias = zeros((out_features,))
         self.parameters = [self.weight, self.bias]
         self._input: np.ndarray | None = None

@@ -9,6 +9,11 @@ The federated-learning code treats a model as
 
 Keeping everything as flat ``float64`` vectors makes the aggregation rules,
 attacks and statistical tests straightforward array code.
+
+A network's architecture is also plain data: :meth:`Sequential.spec` lists
+its layers as JSON-ready objects and :meth:`Sequential.from_spec` rebuilds
+the skeleton, which is how a model travels to another process without its
+code.
 """
 
 from __future__ import annotations
@@ -17,10 +22,65 @@ import copy
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
 from repro.nn.losses import softmax, softmax_cross_entropy
 
-__all__ = ["Sequential"]
+__all__ = ["Sequential", "spec_dimensions"]
+
+#: The layer types a network spec may name, with the constructor arguments
+#: of each (read back from the layer's attributes) and their types.
+_SPEC_LAYERS: dict[str, tuple[type[Layer], dict[str, type]]] = {
+    "Linear": (Linear, {"in_features": int, "out_features": int}),
+    "ELU": (ELU, {"alpha": float}),
+    "ReLU": (ReLU, {}),
+    "Tanh": (Tanh, {}),
+    "Flatten": (Flatten, {}),
+}
+
+
+def spec_dimensions(spec: object) -> tuple[int, int, int]:
+    """``(inputs, outputs, parameters)`` of the network ``spec`` describes.
+
+    Checks the spec without building a layer: a non-empty list of
+    ``{"layer": name, **arguments}`` objects, each naming a layer type of
+    :meth:`Sequential.spec` with exactly its arguments, at least one
+    ``Linear``, positive integer widths, each ``Linear`` taking the width
+    the previous one produced, and a positive ``alpha`` for ``ELU``.
+    Raises :class:`ValueError` otherwise.
+    """
+    if not isinstance(spec, list) or not spec:
+        raise ValueError("a network spec is a non-empty list of layer objects")
+    inputs = width = None
+    parameters = 0
+    for position, entry in enumerate(spec):
+        name = entry.get("layer") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name not in _SPEC_LAYERS:
+            raise ValueError(f"spec layer {position}: unknown layer {name!r}")
+        arguments = _SPEC_LAYERS[name][1]
+        if entry.keys() != {"layer", *arguments}:
+            raise ValueError(
+                f"spec layer {position}: {name} takes {sorted(arguments)}, "
+                f"got {sorted(key for key in entry if key != 'layer')}"
+            )
+        if name == "Linear":
+            fan_in, fan_out = entry["in_features"], entry["out_features"]
+            if not all(type(value) is int and value > 0 for value in (fan_in, fan_out)):
+                raise ValueError(f"spec layer {position}: Linear widths must be positive ints")
+            if width is not None and fan_in != width:
+                raise ValueError(
+                    f"spec layer {position}: Linear takes {fan_in} inputs, "
+                    f"the previous one produces {width}"
+                )
+            inputs = fan_in if inputs is None else inputs
+            width = fan_out
+            parameters += (fan_in + 1) * fan_out
+        elif name == "ELU":
+            alpha = entry["alpha"]
+            if type(alpha) not in (int, float) or not alpha > 0:
+                raise ValueError(f"spec layer {position}: ELU alpha must be positive")
+    if width is None:
+        raise ValueError("a network spec needs at least one Linear layer")
+    return inputs, width, parameters
 
 
 class Sequential:
@@ -90,6 +150,43 @@ class Sequential:
                 size = parameter.size
                 parameter[...] = flat[offset : offset + size].reshape(parameter.shape)
                 offset += size
+
+    def spec(self) -> list[dict]:
+        """The architecture as JSON-ready data, without the parameters.
+
+        One ``{"layer": name, **arguments}`` object per layer, e.g.
+        ``{"layer": "Linear", "in_features": 256, "out_features": 10}``.
+        Raises :class:`TypeError` for a layer type a spec cannot name.
+        """
+        spec = []
+        for layer in self.layers:
+            name = type(layer).__name__
+            layer_type, arguments = _SPEC_LAYERS.get(name, (None, {}))
+            if type(layer) is not layer_type:
+                raise TypeError(f"{name} is not a layer type a network spec can name")
+            spec.append({
+                "layer": name,
+                **{key: cast(getattr(layer, key)) for key, cast in arguments.items()},
+            })
+        return spec
+
+    @classmethod
+    def from_spec(cls, spec: list[dict]) -> "Sequential":
+        """The network ``spec`` describes (see :meth:`spec`), parameters zero.
+
+        Load the parameters with :meth:`set_flat_parameters`.  The spec is
+        checked by :func:`spec_dimensions` first, so an invalid one raises
+        :class:`ValueError` before any layer is built.
+        """
+        spec_dimensions(spec)
+        layers = []
+        for entry in spec:
+            layer_type, arguments = _SPEC_LAYERS[entry["layer"]]
+            values = {key: cast(entry[key]) for key, cast in arguments.items()}
+            if layer_type is Linear:
+                values["rng"] = None
+            layers.append(layer_type(**values))
+        return cls(layers)
 
     def clone(self) -> "Sequential":
         """Deep copy of the network (structure and parameters).

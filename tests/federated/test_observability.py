@@ -22,6 +22,7 @@ from repro.federated.backends import RetryPolicy, SerialBackend, TaskFailure
 from repro.federated.observability import (
     AdminError,
     StatusBoard,
+    StatusReporter,
     StatusServer,
     StatusSnapshot,
     TraceRecorder,
@@ -31,7 +32,7 @@ from repro.federated.observability import (
 )
 from repro.federated.pipeline import MetricsWriter, RoundEndEvent, read_metrics
 from repro.federated.service import CoordinatorServer
-from tests.federated.test_service import start_worker_thread
+from tests.federated.test_service import assert_results, shard_job, start_worker_thread
 
 
 def _square(item):
@@ -299,6 +300,25 @@ class TestMetricsConcurrency:
         assert len(records) == 1
         assert records[0]["round"] == 0
 
+    def test_metrics_line_and_status_record_are_one_record(self, tmp_path):
+        event = RoundEndEvent(
+            round_index=3, total_rounds=9, accuracy=None,
+            diagnostics={"fault_survivors": 7, "byzantine_selected_fraction": 0.25},
+        )
+        expected = {
+            "round": 3, "total_rounds": 9, "accuracy": None,
+            "byzantine_selected_fraction": 0.25, "fault_survivors": 7.0,
+        }
+        assert list(event.record().items()) == list(expected.items())
+        path = tmp_path / "metrics.jsonl"
+        with MetricsWriter(path) as writer:
+            writer.on_round_end(event)
+        assert path.read_text() == json.dumps(expected) + "\n"
+        board = StatusBoard()
+        StatusReporter(board).on_round_end(event)
+        assert board.snapshot().payload["metrics"] == expected
+        assert board.snapshot().payload["fault_totals"] == {"fault_survivors": 7.0}
+
 
 # ---------------------------------------------------------------------- #
 # coordinator admin surface
@@ -334,21 +354,26 @@ class TestCoordinatorAdmin:
         assert coordinator.worker_status() == []
 
     def test_drained_worker_gets_no_new_tasks(self, coordinator):
+        fn, items, expected = shard_job(12)
         thread_a, _ = start_worker_thread(coordinator.port, name="a")
         thread_b, _ = start_worker_thread(coordinator.port, name="b")
         assert coordinator.wait_for_workers(2, timeout=10.0) == 2
         coordinator.drain("b")
         assert coordinator.draining == {"b"}
-        results = coordinator.execute(_square, list(range(12)), RetryPolicy())
-        assert results == [i * i for i in range(12)]
+        results = coordinator.execute(fn, items, RetryPolicy())
+        assert_results(results, expected)
         rows = {row["name"]: row for row in coordinator.worker_status()}
         assert rows["b"]["dispatched"] == 0
         assert rows["b"]["draining"]
         assert rows["a"]["dispatched"] == 12
-        assert rows["a"]["bytes_sent"] > 0
+        # Whole frames: every task's buffers, not just its headers.
+        buffer_bytes = sum(array.nbytes for item in items for array in (
+            item[1].parameters, item[1].features, item[1].labels, item[1].momentum
+        ))
+        assert rows["a"]["bytes_sent"] > buffer_bytes
         coordinator.undrain("b")
         assert coordinator.draining == set()
-        coordinator.execute(_square, [1], RetryPolicy())
+        coordinator.execute(fn, items[:1], RetryPolicy())
         coordinator.close()
         thread_a.join(timeout=10.0)
         thread_b.join(timeout=10.0)
@@ -363,6 +388,7 @@ class TestCoordinatorAdmin:
         thread.join(timeout=10.0)
 
     def test_pause_stops_dispatch_until_resume(self, coordinator):
+        fn, items, expected = shard_job(3)
         thread, _ = start_worker_thread(coordinator.port, name="a")
         assert coordinator.wait_for_workers(1, timeout=10.0) == 1
         coordinator.pause()
@@ -370,7 +396,7 @@ class TestCoordinatorAdmin:
         outcome: list = []
         runner = threading.Thread(
             target=lambda: outcome.append(
-                coordinator.execute(_square, [1, 2, 3], RetryPolicy())
+                coordinator.execute(fn, items, RetryPolicy())
             ),
             daemon=True,
         )
@@ -383,18 +409,20 @@ class TestCoordinatorAdmin:
         coordinator.resume()
         assert not coordinator.paused
         runner.join(timeout=10.0)
-        assert outcome == [[1, 4, 9]]
+        assert len(outcome) == 1
+        assert_results(outcome[0], expected)
         coordinator.close()
         thread.join(timeout=10.0)
 
     def test_all_drained_trips_a_distinguishing_starvation_error(self):
+        fn, items, _ = shard_job(2)
         server = CoordinatorServer(worker_timeout=0.5)
         try:
             thread, _ = start_worker_thread(server.port, name="a")
             assert server.wait_for_workers(1, timeout=10.0) == 1
             server.drain("a")
             with pytest.raises(ConnectionError, match="draining"):
-                server.execute(_square, [1, 2], RetryPolicy())
+                server.execute(fn, items, RetryPolicy())
         finally:
             server.close()
             thread.join(timeout=10.0)
@@ -559,14 +587,15 @@ class TestTraceNeutrality:
 class TestRemoteExecutionTracing:
     def test_wire_and_status_seams_on_a_live_execution(self, tmp_path):
         """Low-level check that execute() emits wire round-trip events."""
+        fn, items, expected = shard_job(2)
         tracer = TraceRecorder(tmp_path / "t.jsonl")
         server = CoordinatorServer(worker_timeout=20.0)
         try:
             server.set_tracer(tracer)
             thread, _ = start_worker_thread(server.port, name="w0")
             assert server.wait_for_workers(1, timeout=10.0) == 1
-            results = server.execute(_square, [2, 3], RetryPolicy())
-            assert results == [4, 9]
+            results = server.execute(fn, items, RetryPolicy())
+            assert_results(results, expected)
             assert not any(
                 isinstance(result, TaskFailure) for result in results
             )
@@ -581,4 +610,5 @@ class TestRemoteExecutionTracing:
         trips = [r for r in records if r["kind"] == "wire"]
         assert len(trips) == 2
         assert all(r["worker"] == "w0" for r in trips)
-        assert all(r["result_bytes"] > 0 for r in trips)
+        uploads = expected[0][0]
+        assert all(r["result_bytes"] == uploads.nbytes for r in trips)

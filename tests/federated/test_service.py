@@ -3,15 +3,17 @@
 Workers run as threads inside the test process (the wire protocol does
 not care), which keeps the tests fast and lets them assert on exit codes
 directly; the true multi-process path is exercised by the CLI smoke
-script ``benchmarks/check_service.py``.
+script ``benchmarks/check_service.py``.  The wire carries one task, a
+worker pool's shard task, so every execution here dispatches small shard
+tasks taken from a real pool (:func:`shard_job`).
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.core.config import DPConfig, ServiceConfig
 from repro.federated.backends import (
     BACKENDS,
+    ExecutionBackend,
     RetryPolicy,
     TaskFailure,
     available_backends,
@@ -32,29 +35,67 @@ from repro.federated.service import (
 )
 from repro.federated.wire import (
     PROTOCOL_VERSION,
+    encode_task,
     recv_message,
     send_message,
 )
+from repro.federated.worker import _shard_task
 from tests.federated.test_backends import make_pool, make_shards
 from tests.helpers import make_model_and_data
 
-
-def _square(item):
-    return item * item
+CONFIG = DPConfig(batch_size=4, sigma=0.5, momentum=0.2)
 
 
-def _boom(item):
-    raise ValueError(f"boom {item}")
+class _Recorder(ExecutionBackend):  # repro-lint: disable=REP004 -- test double, constructed directly
+    """Runs a pool's shard tasks in process, as an out-of-process backend gets them."""
+
+    in_process = False
+
+    def map_ordered(self, fn, items):
+        # The payloads' momentum rows are views the pool's commit overwrites.
+        self.items = [
+            (index, replace(payload, momentum=payload.momentum.copy()))
+            for index, payload in items
+        ]
+        self.fn = fn
+        self.results = [fn(item) for item in self.items]
+        return self.results
 
 
-#: Gate for _wait_for_release; tasks are pickled by reference, so a
-#: module-level function + event pair is shared with the worker threads.
-_RELEASE = threading.Event()
+def shard_job(count, seed=0, policy=None, crashes=(), hidden=None):
+    """``(fn, items, expected)``: ``count`` one-worker shard tasks of a pool.
+
+    ``fn`` and ``items`` are what the pool hands an out-of-process
+    backend's ``map_ordered``; ``expected`` their results, computed in
+    process.  ``policy`` and ``crashes`` rebuild ``fn`` with that retry
+    loop (the expected results are unchanged: retries replay bitwise).
+    ``hidden`` gives the model a hidden layer of that width.
+    """
+    model, _ = make_model_and_data(seed=seed, hidden=hidden)
+    recorder = _Recorder()
+    pool = make_pool(make_shards(count, seed=seed + 1), CONFIG, shard_size=1,
+                     backend=recorder)
+    pool.compute_uploads(model)
+    fn = recorder.fn
+    if policy is not None or crashes:
+        fn = recorder.resilient(_shard_task, policy or RetryPolicy(), crashes=crashes)
+    return fn, recorder.items, recorder.results
 
 
-def _wait_for_release(item):
-    _RELEASE.wait(10.0)
-    return item
+def assert_results(results, expected):
+    """Shard results equal: uploads bitwise, generator states exactly."""
+    assert len(results) == len(expected)
+    for result, reference in zip(results, expected):
+        assert not isinstance(result, TaskFailure), result
+        uploads, states = result
+        np.testing.assert_array_equal(uploads, reference[0])
+        assert states == reference[1]
+
+
+def inconsistent(item):
+    """``item`` with one feature row too few: the worker must refuse it."""
+    index, payload = item
+    return index, replace(payload, features=payload.features[:-1])
 
 
 def _silence(line):
@@ -75,15 +116,26 @@ def start_worker_thread(port, name="w", **kwargs):
     return thread, codes
 
 
-def fake_handshake(port, name="fake"):
+def fake_handshake(port, name="fake", protocol=PROTOCOL_VERSION):
     """Connect and register like a worker, but stay hand-driven."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-    send_message(sock, {
-        "type": "hello", "worker": name, "protocol": PROTOCOL_VERSION,
-    })
-    welcome = recv_message(sock)
+    send_message(sock, {"type": "hello", "worker": name, "protocol": protocol})
+    welcome, _ = recv_message(sock)
     assert welcome["type"] == "welcome"
     return sock
+
+
+def wait_for_eof(sock, timeout=5.0):
+    """Whether the peer closed ``sock`` within ``timeout`` seconds."""
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(1 << 16):
+            pass
+    except socket.timeout:
+        return False
+    except OSError:
+        pass
+    return True
 
 
 @pytest.fixture()
@@ -122,12 +174,15 @@ class TestRegistryAndConfig:
         with pytest.raises(ValueError):
             ServiceConfig(transport_attempts=0)
 
-    def test_resilient_task_is_picklable_without_trace_hook(self, backend):
-        """The retry loop travels to the remote worker, so it must pickle."""
+    def test_resilient_task_travels_as_data_without_trace_hook(self, backend):
+        """The retry loop reaches the remote worker as header fields."""
         backend.set_tracer(object())
-        task = backend.resilient(_square, RetryPolicy(max_attempts=2), crashes=(1,))
+        task = backend.resilient(_shard_task, RetryPolicy(max_attempts=2), crashes=(1,))
         assert task.on_retry is None
-        assert pickle.loads(pickle.dumps(task))((0, 3)) == 9
+        _, items, _ = shard_job(1)
+        header, _ = encode_task(task, items[0])
+        assert header["crashes"] == 1
+        assert header["retry"]["max_attempts"] == 2
 
     def test_coordinator_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -138,24 +193,25 @@ class TestRegistryAndConfig:
 
 class TestOrderedExecution:
     def test_map_ordered_single_worker(self, backend):
+        fn, items, expected = shard_job(3)
         thread, codes = start_worker_thread(backend.port)
         try:
             assert backend.server.wait_for_workers(1, timeout=10.0) == 1
-            assert backend.map_ordered(_square, [3, 1, 2]) == [9, 1, 4]
+            assert_results(backend.map_ordered(fn, items), expected)
         finally:
             backend.shutdown()
         thread.join(timeout=10.0)
         assert codes == [0]  # clean shutdown notification
 
     def test_map_ordered_many_items_few_workers(self, backend):
+        fn, items, expected = shard_job(20)
         threads = [start_worker_thread(backend.port, name=f"w{i}")
                    for i in range(3)]
         try:
             backend.server.wait_for_workers(3, timeout=10.0)
-            items = list(range(20))
-            assert backend.map_ordered(_square, items) == [i * i for i in items]
+            assert_results(backend.map_ordered(fn, items), expected)
             # The backend is reusable round after round.
-            assert backend.map_ordered(_square, [5]) == [25]
+            assert_results(backend.map_ordered(fn, items[5:6]), expected[5:6])
         finally:
             backend.shutdown()
         for thread, codes in threads:
@@ -164,31 +220,47 @@ class TestOrderedExecution:
 
     def test_map_ordered_empty_items(self, backend):
         # Must not touch the network at all (no workers connected).
-        assert backend.map_ordered(_square, []) == []
+        fn, _, _ = shard_job(1)
+        assert backend.map_ordered(fn, []) == []
+
+    def test_map_ordered_rejects_any_other_function(self, backend):
+        """The wire carries no code: TypeError before a frame is sent."""
+        _, items, _ = shard_job(1)
+        sock = fake_handshake(backend.port)
+        try:
+            backend.server.wait_for_workers(1, timeout=10.0)
+            for fn in (repr, backend.resilient(repr, RetryPolicy())):
+                with pytest.raises(TypeError, match="shard task"):
+                    backend.map_ordered(fn, items)
+            sock.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                recv_message(sock)
+        finally:
+            sock.close()
 
     def test_worker_exception_raises_remote_task_error(self, backend):
+        fn, items, expected = shard_job(1)
         thread, _ = start_worker_thread(backend.port)
         try:
             backend.server.wait_for_workers(1, timeout=10.0)
-            with pytest.raises(RemoteTaskError, match="boom 2"):
-                backend.map_ordered(_boom, [2])
+            with pytest.raises(RemoteTaskError, match="features must be"):
+                backend.map_ordered(fn, [inconsistent(items[0])])
             # A failed round must not wedge the next one.
-            assert backend.map_ordered(_square, [4]) == [16]
+            assert_results(backend.map_ordered(fn, items), expected)
         finally:
             backend.shutdown()
         thread.join(timeout=10.0)
 
     def test_execute_is_not_reentrant(self, backend):
+        fn, items, expected = shard_job(1)
         server = backend.server
         results = []
-        _RELEASE.clear()
-        thread, _ = start_worker_thread(backend.port)
+        # The throttle holds the task in flight while the second call runs.
+        thread, _ = start_worker_thread(backend.port, throttle=0.5)
         try:
             server.wait_for_workers(1, timeout=10.0)
             inner = threading.Thread(
-                target=lambda: results.append(
-                    backend.map_ordered(_wait_for_release, [1])
-                ),
+                target=lambda: results.append(backend.map_ordered(fn, items)),
                 daemon=True,
             )
             inner.start()
@@ -196,12 +268,11 @@ class TestOrderedExecution:
             while server._execution is None and time.monotonic() < deadline:
                 time.sleep(0.01)
             with pytest.raises(RuntimeError, match="not reentrant"):
-                server.execute(_square, [1], RetryPolicy())
-            _RELEASE.set()
+                server.execute(fn, items, RetryPolicy())
             inner.join(timeout=10.0)
-            assert results == [[1]]
+            assert len(results) == 1
+            assert_results(results[0], expected)
         finally:
-            _RELEASE.set()
             backend.shutdown()
         thread.join(timeout=10.0)
 
@@ -209,6 +280,7 @@ class TestOrderedExecution:
 class TestFailureSemantics:
     def test_dead_worker_degrades_to_ordered_task_failure(self):
         """A worker dying mid-task exhausts the budget -> TaskFailure slot."""
+        fn, items, _ = shard_job(1)
         backend = RemoteBackend(transport_attempts=1, worker_timeout=20.0)
         try:
             port = backend.port
@@ -223,7 +295,7 @@ class TestFailureSemantics:
             killer.start()
             # No surviving worker needed: with a budget of one attempt
             # the slot degrades immediately and the round completes.
-            results = backend.map_ordered(_square, [7])
+            results = backend.map_ordered(fn, items)
             killer.join(timeout=10.0)
             assert len(results) == 1
             assert isinstance(results[0], TaskFailure)
@@ -235,6 +307,7 @@ class TestFailureSemantics:
 
     def test_redispatch_recovers_with_retry_budget(self):
         """With attempts left, the lost task reruns on a surviving worker."""
+        fn, items, expected = shard_job(2)
         backend = RemoteBackend(
             transport_attempts=3, transport_backoff=0.01, worker_timeout=20.0
         )
@@ -250,12 +323,51 @@ class TestFailureSemantics:
 
             killer = threading.Thread(target=die_on_task, daemon=True)
             killer.start()
-            results = backend.map_ordered(_square, [3, 4])
+            results = backend.map_ordered(fn, items)
             killer.join(timeout=10.0)
-            assert results == [9, 16]  # no TaskFailure: the retry recovered
+            assert_results(results, expected)  # no TaskFailure: the retry recovered
         finally:
             backend.shutdown()
         thread.join(timeout=10.0)
+
+    @pytest.mark.parametrize("answer", ["wrong shape", "extra buffer", "wrong states"])
+    def test_bad_result_drops_the_link_and_retries(self, answer):
+        """A malformed result is never committed: the task reruns elsewhere."""
+        fn, items, expected = shard_job(1)
+        backend = RemoteBackend(
+            transport_attempts=3, transport_backoff=0.01, worker_timeout=20.0
+        )
+        try:
+            sock = fake_handshake(backend.port, name="liar")
+            backend.server.wait_for_workers(1, timeout=10.0)
+            outcome = []
+
+            def lie_on_task():
+                message, _ = recv_message(sock)
+                uploads, states = expected[0]
+                header, buffers = {"states": states}, [uploads]
+                if answer == "wrong shape":
+                    buffers = [uploads[:, :-1]]
+                elif answer == "extra buffer":
+                    buffers = [uploads, uploads]
+                else:
+                    header = {"states": states * 2}
+                send_message(sock, {"type": "result", "task_id": message["task_id"],
+                                    **header}, buffers)
+                outcome.append(wait_for_eof(sock))
+                # Only now does an honest worker join to take the retry.
+                outcome.append(start_worker_thread(backend.port, name="honest"))
+
+            liar = threading.Thread(target=lie_on_task, daemon=True)
+            liar.start()
+            results = backend.map_ordered(fn, items)
+            liar.join(timeout=10.0)
+            assert outcome[0] is True  # the coordinator hung up on the liar
+            assert_results(results, expected)
+        finally:
+            backend.shutdown()
+            sock.close()
+        outcome[1][0].join(timeout=10.0)
 
     def test_heartbeat_silence_drops_the_link(self):
         server = CoordinatorServer(
@@ -273,10 +385,11 @@ class TestFailureSemantics:
             server.close()
 
     def test_no_workers_raises_connection_error(self):
+        fn, items, _ = shard_job(2)
         backend = RemoteBackend(worker_timeout=0.3)
         try:
             with pytest.raises(ConnectionError, match="no workers connected"):
-                backend.map_ordered(_square, [1, 2])
+                backend.map_ordered(fn, items)
         finally:
             backend.shutdown()
 
@@ -291,6 +404,7 @@ class TestFailureSemantics:
 
     def test_worker_reconnects_to_restarted_coordinator(self):
         """A coordinator crash + rebind: the worker re-registers and serves."""
+        fn, items, expected = shard_job(1)
         first = CoordinatorServer(port=0, worker_timeout=20.0)
         port = first.port
         thread, codes = start_worker_thread(port, reconnect_timeout=30.0)
@@ -300,8 +414,7 @@ class TestFailureSemantics:
             second = CoordinatorServer(port=port, worker_timeout=20.0)
             try:
                 assert second.wait_for_workers(1, timeout=15.0) == 1
-                results = second.execute(_square, [6], RetryPolicy())
-                assert results == [36]
+                assert_results(second.execute(fn, items, RetryPolicy()), expected)
             finally:
                 second.close()
         finally:
@@ -312,6 +425,7 @@ class TestFailureSemantics:
 
     def test_backend_restarts_after_shutdown(self):
         """shutdown() must leave the backend reusable on its fixed port."""
+        fn, items, expected = shard_job(2)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -319,16 +433,67 @@ class TestFailureSemantics:
         try:
             thread, codes = start_worker_thread(port)
             backend.server.wait_for_workers(1, timeout=10.0)
-            assert backend.map_ordered(_square, [2]) == [4]
+            assert_results(backend.map_ordered(fn, items[:1]), expected[:1])
             backend.shutdown()
             thread.join(timeout=10.0)
             assert codes == [0]
             thread, codes = start_worker_thread(port)
             backend.server.wait_for_workers(1, timeout=10.0)
-            assert backend.map_ordered(_square, [3]) == [9]
+            assert_results(backend.map_ordered(fn, items[1:]), expected[1:])
         finally:
             backend.shutdown()
         thread.join(timeout=10.0)
+
+
+class TestProtocolVersion:
+    """Both ends refuse a peer of another protocol version at the handshake."""
+
+    def test_coordinator_turns_away_another_version(self, capsys):
+        server = CoordinatorServer(worker_timeout=5.0)
+        try:
+            sock = fake_handshake(server.port, name="stale", protocol=1)
+            assert wait_for_eof(sock)  # closed before it became a link
+            sock.close()
+            assert server.n_workers == 0
+            assert server.worker_status() == []
+        finally:
+            server.close()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rejected worker 'stale'" in captured.err
+        assert f"protocol 1, this coordinator speaks protocol {PROTOCOL_VERSION}" in captured.err
+
+    def test_worker_exits_on_another_version(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            listener.settimeout(10.0)
+            port = listener.getsockname()[1]
+            lines: list[str] = []
+            codes: list[int] = []
+            worker = threading.Thread(
+                target=lambda: codes.append(run_worker(
+                    "127.0.0.1", port, reconnect_timeout=2.0, log=lines.append
+                )),
+                daemon=True,
+            )
+            worker.start()
+            peer, _ = listener.accept()
+            with peer:
+                peer.settimeout(10.0)
+                hello, _ = recv_message(peer)
+                assert hello["protocol"] == PROTOCOL_VERSION
+                send_message(peer, {
+                    "type": "welcome", "protocol": PROTOCOL_VERSION + 1,
+                    "heartbeat_interval": 0.5,
+                })
+                worker.join(timeout=10.0)
+        assert codes == [1]
+        assert any(
+            f"protocol {PROTOCOL_VERSION + 1}" in line
+            and f"protocol {PROTOCOL_VERSION}" in line
+            for line in lines
+        ), lines
 
 
 class TestRemotePools:
@@ -424,3 +589,10 @@ class TestRemotePools:
         finally:
             backend.shutdown()
         thread.join(timeout=10.0)
+
+    def test_engine_instance_cannot_leave_the_process(self):
+        from repro.federated.engines import GhostNormEngine
+
+        with pytest.raises(TypeError, match="EngineConfig"):
+            make_pool(make_shards(2), CONFIG, engine=GhostNormEngine(),
+                      backend=RemoteBackend())

@@ -1,12 +1,15 @@
-"""Unit tests for the Sequential container: flat parameters and gradients."""
+"""Unit tests for the Sequential container: flat parameters, gradients, specs."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import ELU, Linear, ReLU
-from repro.nn.network import Sequential
+from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
+from repro.nn.models import build_model
+from repro.nn.network import Sequential, spec_dimensions
 from tests.conftest import numerical_gradient
 
 
@@ -273,3 +276,69 @@ class TestParameterLayout:
                 )
         stops = [stop for _, slices in layout for _, stop, _ in slices]
         assert stops[-1] == model.num_parameters
+
+
+class TestSpec:
+    """The architecture as data: what a model is when it leaves the process."""
+
+    def test_spec_is_json_and_rebuilds_the_same_network(self, model, batch):
+        x, y = batch
+        spec = json.loads(json.dumps(model.spec()))
+        assert spec == [
+            {"layer": "Linear", "in_features": 6, "out_features": 5},
+            {"layer": "ELU", "alpha": 1.0},
+            {"layer": "Linear", "in_features": 5, "out_features": 3},
+        ]
+        rebuilt = Sequential.from_spec(spec)
+        np.testing.assert_array_equal(rebuilt.get_flat_parameters(), 0.0)
+        rebuilt.set_flat_parameters(model.get_flat_parameters())
+        np.testing.assert_array_equal(rebuilt.forward(x), model.forward(x))
+        np.testing.assert_array_equal(
+            rebuilt.per_example_gradients(x, y)[1], model.per_example_gradients(x, y)[1]
+        )
+
+    @pytest.mark.parametrize("name", ["mlp_small", "mlp_medium", "mlp_large", "linear"])
+    def test_registered_models_round_trip(self, name):
+        model = build_model(name, 12, 4, rng=3)
+        spec = model.spec()
+        assert spec_dimensions(spec) == (12, 4, model.num_parameters)
+        assert Sequential.from_spec(spec).spec() == spec
+
+    def test_every_spec_layer_type_round_trips(self, rng):
+        model = Sequential([Flatten(), Linear(4, 3, rng), Tanh(), ReLU(),
+                            ELU(alpha=0.5), Linear(3, 2, rng)])
+        assert Sequential.from_spec(model.spec()).spec() == model.spec()
+
+    def test_unnameable_layer_raises_type_error(self, rng):
+        class Custom(Layer):
+            pass
+
+        with pytest.raises(TypeError, match="Custom"):
+            Sequential([Linear(2, 2, rng), Custom()]).spec()
+
+    @pytest.mark.parametrize("spec, match", [
+        ([], "non-empty"),
+        ({"layer": "Linear"}, "non-empty"),
+        ([{"layer": "Conv2d"}], "unknown layer"),
+        ([{"layer": ["Linear"]}], "unknown layer"),
+        (["Linear"], "unknown layer"),
+        ([{"layer": "Linear", "in_features": 2}], "takes"),
+        ([{"layer": "Linear", "in_features": 2, "out_features": 3, "rng": 0}], "takes"),
+        ([{"layer": "Linear", "in_features": 0, "out_features": 3}], "positive"),
+        ([{"layer": "Linear", "in_features": 2.0, "out_features": 3}], "positive"),
+        ([{"layer": "Linear", "in_features": True, "out_features": 3}], "positive"),
+        ([{"layer": "Linear", "in_features": 2, "out_features": 3},
+          {"layer": "Linear", "in_features": 4, "out_features": 3}], "previous"),
+        ([{"layer": "Linear", "in_features": 2, "out_features": 3},
+          {"layer": "ELU", "alpha": 0}], "alpha"),
+        ([{"layer": "ReLU"}], "at least one Linear"),
+    ])
+    def test_invalid_specs_raise_before_building(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            spec_dimensions(spec)
+        with pytest.raises(ValueError, match=match):
+            Sequential.from_spec(spec)
+
+    def test_dimensions_need_no_allocation(self):
+        huge = [{"layer": "Linear", "in_features": 10**9, "out_features": 10**9}]
+        assert spec_dimensions(huge) == (10**9, 10**9, (10**9 + 1) * 10**9)
