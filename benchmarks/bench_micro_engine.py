@@ -1,27 +1,25 @@
 """Micro-benchmarks of the client compute engines (per-round upload cost).
 
-Three groups at the repo's real client population (n = 30 workers, linear
-model on 64 features / 10 classes, d = 650):
+Four groups, the first three at the repo's real client population (n = 30
+workers, linear model on 64 features / 10 classes, d = 650):
 
 - ``micro-engine``: one full round of honest uploads through the
-  materialized stacked-gradient engine vs the ghost-norm Gram-matrix
-  engine, at the paper's two client batch sizes.
+  materialized engine vs the ghost-norm Gram-matrix engine, at the
+  paper's two client batch sizes.
 - ``micro-engine-mlp``: the same comparison on the mlp_small architecture
   (ghost generalises to any stack of Linear layers).
 - ``micro-engine-shard``: the unsharded pool vs a sharded pool
-  (``shard_size=8``) through the materialized engine -- sharding bounds
-  peak scratch memory and should cost nearly nothing.
-- ``micro-engine-fused``: the ghost engine's fused terminal-layer capture
-  (skips the backward input-gradient GEMM on 1-layer models) vs the full
-  capture-mode backward, gated on bitwise equality.
+  (``shard_size=8``) through the materialized engine -- sharding is the
+  unit of dispatch and retries, and should cost nearly nothing.
 - ``micro-engine-paper``: the materialized engine at the model size the
   ``paper_train`` benchmark trains (mlp_medium, d = 6570, n = 20, b_c =
-  16), where the engine works in blocks of 4 workers.  The first call's
-  ``tracemalloc`` peak lands in ``extra_info``.
+  16), where it expands gradients one worker at a time.  The first
+  call's ``tracemalloc`` peak and the engine's scratch bytes land in
+  ``extra_info``.
 
 Every benchmark *asserts engine equivalence* on freshly seeded pools
 before timing (ghost vs materialized within the ``rtol 1e-9`` gate;
-sharded vs unsharded and blocked vs one-block bitwise), so the CI bench
+sharded vs unsharded and grouped vs one group bitwise), so the CI bench
 job fails on an equivalence regression, not only on crashes.
 
 Run (the bench files use a non-default prefix, so the collection overrides
@@ -40,7 +38,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.data.synthetic import make_classification
 from repro.federated import engines
 from repro.federated.worker import WorkerPool
@@ -142,38 +140,6 @@ def bench_micro_engine_mlp(benchmark, engine_setup, engine):
     assert uploads.shape == (N_WORKERS, model.num_parameters)
 
 
-@pytest.mark.benchmark(group="micro-engine-fused")
-@pytest.mark.parametrize("fused", [False, True])
-def bench_micro_engine_fused(benchmark, engine_setup, fused):
-    """Ghost engine with/without fused terminal-layer capture (linear, b=16).
-
-    The fused path must be *bitwise* identical -- it records the same factor
-    arrays and merely skips the discarded ``Delta @ W^T`` GEMM -- so the
-    gate here is exact equality, stricter than the cross-engine rtol gate.
-    """
-    models, shards = engine_setup
-    model = models["linear"]
-    config = DPConfig(batch_size=16, sigma=SIGMA)
-    fused_pool = make_pool(
-        shards, config, EngineConfig("ghost_norm", options={"fused": True})
-    )
-    plain_pool = make_pool(
-        shards, config, EngineConfig("ghost_norm", options={"fused": False})
-    )
-    for round_index in range(3):
-        np.testing.assert_array_equal(
-            fused_pool.compute_uploads(model),
-            plain_pool.compute_uploads(model),
-            err_msg=f"fused ghost path diverged at round {round_index}",
-        )
-
-    pool = make_pool(
-        shards, config, EngineConfig("ghost_norm", options={"fused": fused})
-    )
-    uploads = benchmark(pool.compute_uploads, model)
-    assert uploads.shape == (N_WORKERS, model.num_parameters)
-
-
 @pytest.mark.benchmark(group="micro-engine-shard")
 @pytest.mark.parametrize("shard_size", [None, SHARD_SIZE])
 def bench_micro_engine_sharded(benchmark, engine_setup, shard_size):
@@ -210,18 +176,19 @@ def paper_setup():
 def bench_micro_engine_paper(benchmark, paper_setup):
     """One round of honest uploads at the paper shape (materialized, b=16).
 
-    Gated first: a one-worker-shard pool and the blocked pool must both be
-    bitwise equal to one block over the whole pool.
+    Gated first: the grouped pool (one worker a group) and a
+    one-worker-shard pool must both be bitwise equal to one group over
+    the whole pool.
     """
     model, shards = paper_setup
     config = DPConfig(batch_size=16, sigma=SIGMA)
-    one_block = make_pool(shards, config, "materialized")
-    blocked = make_pool(shards, config, "materialized")
+    one_group = make_pool(shards, config, "materialized")
+    grouped = make_pool(shards, config, "materialized")
     single = make_pool(shards, config, "materialized", shard_size=1)
     for round_index in range(3):
-        with mock.patch.object(engines, "_BLOCK_BYTES", 1 << 62):
-            expected = one_block.compute_uploads(model)
-        for pool, name in ((blocked, "blocked"), (single, "shard-size-1")):
+        with mock.patch.object(engines, "_GROUP_BYTES", 1 << 62):
+            expected = one_group.compute_uploads(model)
+        for pool, name in ((grouped, "grouped"), (single, "shard-size-1")):
             np.testing.assert_array_equal(
                 pool.compute_uploads(model),
                 expected,
@@ -236,5 +203,6 @@ def bench_micro_engine_paper(benchmark, paper_setup):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["first_call_peak_mib"] = round(peak / 2**20, 2)
+    benchmark.extra_info["scratch_bytes"] = pool.engine._gradients.nbytes
     uploads = benchmark(pool.compute_uploads, model)
     assert uploads.shape == (PAPER_WORKERS, model.num_parameters)

@@ -14,16 +14,24 @@ runs there:
 - ``sweep``: run a small ``run_grid`` twice -- serially and with
   ``max_workers=4`` -- and fail unless every (cell, seed) result is
   identical, which pins the process-parallel sweep path end to end.
+- ``shards``: run a paper-scale 1-epoch config (``alittle`` at Byzantine
+  fraction 0.6: 20 honest workers, d = 6570) with ``shard_size`` None, 1
+  and 3 on the serial and threaded backends, and fail unless all six
+  final-parameter sha256 values match.  Stdout alone misses low-bit
+  drift; this pins capture passes of 320, 16 and 48 rows (and the
+  threaded split) to the same bits end to end.
 
 Run::
 
     python benchmarks/check_parallel.py speedup BENCH_micro_parallel.json
     PYTHONPATH=src python benchmarks/check_parallel.py sweep
+    PYTHONPATH=src python benchmarks/check_parallel.py shards
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -98,6 +106,34 @@ def command_sweep(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def command_shards(arguments: argparse.Namespace) -> int:
+    from repro.experiments.presets import paper_preset
+    from repro.experiments.runner import prepare_experiment
+
+    digests = {}
+    for backend in ("serial", "threaded"):
+        jobs = {} if backend == "serial" else {"max_workers": arguments.jobs}
+        for shard_size in (None, 1, 3):
+            config = paper_preset(
+                attack="alittle", byzantine_fraction=0.6, epochs=1,
+                shard_size=shard_size, backend=backend, backend_kwargs=jobs,
+            )
+            simulation = prepare_experiment(config).simulation
+            try:
+                simulation.run()
+            finally:
+                simulation.close()
+            parameters = simulation.model.get_flat_parameters()
+            digest = hashlib.sha256(parameters.astype("<f8", copy=False).tobytes()).hexdigest()
+            digests[backend, shard_size] = digest
+            print(f"{backend} shard_size={shard_size}: {digest}")
+    if len(set(digests.values())) != 1:
+        print("MISMATCH: the final parameters depend on the backend or shard size")
+        return 1
+    print(f"final parameters identical across {len(digests)} (backend, shard_size) runs")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Assert the parallel paths' speedup and determinism in CI."
@@ -120,6 +156,13 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--jobs", type=int, default=4,
                        help="worker processes for the parallel sweep (default: 4)")
     sweep.set_defaults(run=command_sweep)
+
+    shards = commands.add_parser(
+        "shards", help="hash a paper-scale run's parameters across shard sizes and backends"
+    )
+    shards.add_argument("--jobs", type=int, default=4,
+                        help="threads for the threaded runs (default: 4)")
+    shards.set_defaults(run=command_shards)
 
     arguments = parser.parse_args(argv)
     return arguments.run(arguments)

@@ -78,9 +78,11 @@ class EngineConfig:
     shard_size:
         Upper bound on the number of workers in one shard task, the
         pool's unit of dispatch, retries and crash faults; ``None`` keeps
-        the whole pool in one shard.  The engine, not the shard, bounds
-        scratch memory (the materialized engine works in cache-sized
-        blocks of workers).  Bitwise-identical to the unsharded pool.
+        the whole pool in one shard.  A shard's capture pass keeps its
+        activations, O(rows x layer widths), so the shard bounds them; the
+        materialized engine's gradient scratch is one cache-sized group of
+        workers whatever the shard.  Bitwise-identical to the unsharded
+        pool.
     options:
         Extra keyword arguments for the engine builder.
     """

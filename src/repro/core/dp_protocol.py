@@ -25,7 +25,7 @@ Two implementations of the same protocol live here:
   buffer, with the momentum state stored rank-1 per worker
   (:class:`BatchedDPState`).  The federated loop feeds it via the
   materialized client engine (:mod:`repro.federated.engines`), which
-  computes the stacked gradients one cache-sized block of workers at a
+  expands the stacked gradients one cache-sized group of workers at a
   time.
 """
 

@@ -1,8 +1,8 @@
 """Federated-learning simulation.
 
 - :class:`~repro.federated.worker.WorkerPool` -- runs the client-side DP
-  protocol of Algorithm 1 for a whole worker population with stacked
-  forward/backward passes over blocks of workers.
+  protocol of Algorithm 1 for a whole worker population with one stacked
+  forward/backward capture pass per shard.
 - :class:`~repro.federated.worker.HonestWorker` -- single-worker wrapper
   over the same batched path.
 - :class:`~repro.federated.server.Server` -- owns the global model, the
@@ -20,8 +20,9 @@
   :class:`~repro.federated.pipeline.HistoryRecorder` event consumer.
 - :mod:`repro.federated.engines` -- pluggable client compute engines
   (:data:`~repro.federated.engines.ENGINES` registry): the materialized
-  stacked-gradient path and the ghost-norm Gram-matrix path, driven over
-  bounded-size pool shards.
+  path, which expands exact per-example gradients one cache-sized group
+  of workers at a time, and the ghost-norm Gram-matrix path, both driven
+  over bounded-size pool shards.
 - :mod:`repro.federated.backends` -- pluggable execution backends
   (:data:`~repro.federated.backends.BACKENDS` registry): serial,
   threaded and process dispatch of the round's independent pool shard

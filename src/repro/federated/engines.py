@@ -9,43 +9,43 @@ attacks, defenses, datasets and models: ``ExperimentConfig(engine=...)``,
 third-party engines registered through the public
 :class:`repro.registry.Registry` API.
 
-Two engines ship built-in:
+Both built-in engines start from one capture pass over the shard,
+:meth:`~repro.nn.network.Sequential.per_example_grad_factors`: a
+forward/backward that records each linear layer's input ``X`` and output
+gradient ``Delta`` (the per-example gradient is the rank-1 ``x_j (x)
+delta_j``) and never forms the gradient with respect to the network input.
+Its activations grow with the shard's rows times the layer widths, so
+``shard_size`` is what bounds them.
 
-- :class:`MaterializedEngine` -- the stacked per-example-gradient path:
-  forward/backward passes whose flat gradients feed
-  :func:`repro.core.dp_protocol.local_update_batch`.  This is the exact
-  batched reference implementation (bitwise identical to the scalar
-  protocol's summation order).  It works in **blocks**: contiguous runs
-  of whole workers whose ``(rows, d)`` gradient scratch stays within
-  :data:`_BLOCK_BYTES`, about one L2 cache, so a shard's ``(n b_c, d)``
-  gradient tensor never exists.  Algorithm 1 bounds, sums and noises each
-  worker independently, so blocking changes no result; a call that fits
-  the budget is one block.  :func:`block_plan` keeps every block but the
-  last at a multiple of 4 rows and every block at 64 rows or more, which
-  keeps the stacked GEMMs on the row-count-independent kernels (see
-  :mod:`repro.federated.worker`).
+- :class:`MaterializedEngine` -- the exact reference: it expands the
+  factors into per-example gradients and feeds them to
+  :func:`repro.core.dp_protocol.local_update_batch`, bitwise identical to
+  the scalar protocol's summation order.  Algorithm 1 bounds, sums and
+  noises each worker on its own, so the engine works through the shard in
+  **groups** of whole workers whose ``(rows, d)`` expansion fits
+  :data:`_GROUP_BYTES` (one worker at the paper shape), reusing one
+  scratch for every group.  Every expanded value is a single rounded
+  product and every later step is per row, so grouping changes no bit.
 - :class:`GhostNormEngine` -- the "ghost norm" trick for stacks of
-  :class:`~repro.nn.layers.Linear` layers.  The per-example gradient of a
-  linear layer is the rank-1 outer product ``x_j (x) delta_j``, so the
-  slot Gram matrix factorises as ``(X X^T) (.) (Delta Delta^T)`` and
+  :class:`~repro.nn.layers.Linear` layers.  The slot Gram matrix
+  factorises as ``(X X^T) (.) (Delta Delta^T)``, so
 
   * slot norms come from the Gram *diagonals* plus three small momentum
     cross terms, and
   * the normalised (or clipped) slot sum comes from one weighted batched
     GEMM per layer,
 
-  without ever allocating the ``(n b_c, d)`` per-example gradient tensor.
-  Uploads agree with the materialized path to ~1e-15 relative (different
-  floating-point summation order); the equivalence gate is therefore
-  tolerance-based (``rtol 1e-9``), not bitwise.  Noise and sampling use
-  the same per-worker generator draws, so the DP noise is bit-identical
-  across engines.
+  without ever allocating a per-example gradient.  Uploads agree with the
+  materialized path to ~1e-15 relative (different floating-point
+  summation order); the equivalence gate is therefore tolerance-based
+  (``rtol 1e-9``), not bitwise.  Noise and sampling use the same
+  per-worker generator draws, so the DP noise is bit-identical across
+  engines.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from repro.core.dp_protocol import (
     finalize_uploads,
     local_update_batch,
 )
-from repro.nn.losses import softmax_cross_entropy
-from repro.nn.network import Sequential
+from repro.nn.network import Sequential, expand_grad_factors
 from repro.registry import Registry
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "GhostNormEngine",
     "MaterializedEngine",
     "available_engines",
-    "block_plan",
     "build_engine",
     "pairwise_gradient_gram",
 ]
@@ -74,54 +72,26 @@ __all__ = [
 #: Global registry of client compute engines.
 ENGINES = Registry("engine")
 
-#: Gradient scratch budget of one materialized block, about one L2 cache.
-_BLOCK_BYTES = 4 << 20
-
-#: Fewest stacked rows in a block (unless the whole call holds fewer): far
-#: above the row counts where BLAS switches to its small-matrix kernels.
-_MIN_BLOCK_ROWS = 64
+#: Expansion budget of one materialized worker group: a ``(rows, d)``
+#: float64 scratch that stays in cache while the group is bounded.
+_GROUP_BYTES = 1 << 20
 
 
-def block_plan(n_workers: int, batch: int, dimension: int) -> list[tuple[int, int]]:
-    """Half-open worker ranges of the materialized engine's blocks, in order.
+def _worker_groups(n_workers: int, batch: int, dimension: int) -> list[tuple[int, int]]:
+    """Half-open worker ranges of the materialized engine's groups, in order.
 
-    Blocks are contiguous runs of whole workers.  Every block holds at
-    least :data:`_MIN_BLOCK_ROWS` stacked rows unless the whole call holds
-    fewer, and every block but the last holds a multiple of 4 rows, so
-    each stacked GEMM row is computed by the same BLAS kernel as in one
-    call over all rows.  Within those rules the plan is the fewest blocks
-    whose ``(rows, d)`` float64 scratch fits :data:`_BLOCK_BYTES`, as
-    near-equal as the rules allow (the blocks before the last differ by at
-    most the fewest workers holding a multiple of 4 rows, larger ones
-    first), so the model's gradient-buffer binding rarely changes.  When
-    no plan fits, the blocks are the smallest the rules allow.
+    Each group holds as many whole workers as fit :data:`_GROUP_BYTES`, and
+    at least one.  No group holds exactly one stacked row unless the whole
+    shard does: the row norms' ``einsum`` reduces a lone row of d > 8192 in
+    another order than the same row among others.  So at ``b_c = 1`` a
+    group takes at least two workers, and a lone last worker joins the
+    group before it.
     """
-    fit = _BLOCK_BYTES // (batch * dimension * 8)  # most workers within budget
-    if n_workers <= fit:
-        return [(0, n_workers)]
-    step = 4 // math.gcd(batch, 4)  # fewest workers holding a multiple of 4 rows
-    last_least = -(-_MIN_BLOCK_ROWS // batch)  # fewest workers in the last block
-    least = -(-last_least // step) * step  # ... and in every other block
-    count = max(1, n_workers // least)
-    rest = (count - 1) * least  # workers before the last block
-    for blocks in range(max(2, -(-n_workers // max(fit, 1))),
-                        (n_workers - last_least) // least + 2):
-        # `rest` must split into blocks - 1 blocks of least..fit workers
-        # (multiples of step) and leave last_least..fit for the last one.
-        low = max((blocks - 1) * least, n_workers - fit)
-        high = min((blocks - 1) * (fit // step * step), n_workers - last_least)
-        low, high = -(-low // step) * step, high // step * step
-        if low <= high:
-            even = round(n_workers * (blocks - 1) / blocks / step) * step
-            count, rest = blocks, min(max(even, low), high)
-            break
-    units, larger = divmod(rest // step, max(count - 1, 1))
-    bounds, start = [], 0
-    for index in range(count - 1):
-        stop = start + (units + (index < larger)) * step
-        bounds.append((start, stop))
-        start = stop
-    return bounds + [(start, n_workers)]
+    size = max(_GROUP_BYTES // (batch * dimension * 8), 1 if batch > 1 else 2)
+    starts = list(range(0, n_workers, size))
+    if batch == 1 and len(starts) > 1 and n_workers - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_workers]))
 
 
 class ClientEngine:
@@ -192,41 +162,21 @@ class ClientEngine:
     summary="stacked per-example gradients through local_update_batch (exact reference)",
 )
 class MaterializedEngine(ClientEngine):
-    """The stacked per-example-gradient path, one block of workers at a time.
+    """The stacked per-example-gradient path, one group of workers at a time.
 
-    For each block of :func:`block_plan`, runs
-    :meth:`~repro.nn.network.Sequential.per_example_gradients` into one
-    flat ``(rows, d)`` gradient buffer (reused across blocks and rounds;
-    sized by the largest block it has served, so it stays within
-    :data:`_BLOCK_BYTES` whenever the plan's row rules allow) and feeds
-    it to :func:`~repro.core.dp_protocol.local_update_batch` with the
-    block's momentum rows and generators.  The uploads land in the
-    shard's momentum rows (Algorithm 1 line 11: the momentum *is* the
-    upload), which the call returns.  Bitwise identical to the scalar
-    per-worker protocol.
+    Captures the shard's gradient factors once, then for each group of
+    :func:`_worker_groups` expands the group's exact per-example gradients
+    into one flat ``(rows, d)`` scratch (reused across groups and rounds,
+    sized by the largest group it has served) and feeds it to
+    :func:`~repro.core.dp_protocol.local_update_batch` with the group's
+    momentum rows and generators.  The uploads land in the shard's
+    momentum rows (Algorithm 1 line 11: the momentum *is* the upload),
+    which the call returns.  Bitwise identical to the scalar per-worker
+    protocol.
     """
 
     def __init__(self) -> None:
         self._gradients: np.ndarray | None = None
-        # Row-sliced views of the scratch, cached per row count so repeated
-        # calls hand ``Sequential.per_example_gradients`` the *same* array
-        # object -- its gradient-buffer binding is identity-cached, so a
-        # fresh slice every block would force a re-bind every block.
-        self._views: dict[int, np.ndarray] = {}
-
-    def _scratch(self, rows: int, dimension: int) -> np.ndarray:
-        if (
-            self._gradients is None
-            or self._gradients.shape[0] < rows
-            or self._gradients.shape[1] != dimension
-        ):
-            self._gradients = np.empty((rows, dimension), dtype=np.float64)
-            self._views = {rows: self._gradients}
-        view = self._views.get(rows)
-        if view is None:
-            view = self._gradients[:rows]
-            self._views[rows] = view
-        return view
 
     def compute_uploads(
         self,
@@ -238,7 +188,7 @@ class MaterializedEngine(ClientEngine):
         config: DPConfig,
         rngs: list[np.random.Generator],
     ) -> np.ndarray:
-        """Per block: stack per-example gradients, then finalise the DP uploads.
+        """Per group: expand per-example gradients, then finalise the DP uploads.
 
         Returns ``state.slot_momentum``, which holds the uploads.
         """
@@ -246,24 +196,26 @@ class MaterializedEngine(ClientEngine):
         dimension = model.num_parameters
         state.ensure_shape(n_workers, batch, dimension)
         momentum = state.slot_momentum
-        for start, stop in block_plan(n_workers, batch, dimension):
-            rows = slice(start * batch, stop * batch)
-            _, gradients = model.per_example_gradients(
-                features[rows],
-                labels[rows],
-                out=self._scratch((stop - start) * batch, dimension),
+        _, factors = model.per_example_grad_factors(features, labels)
+        groups = _worker_groups(n_workers, batch, dimension)
+        rows = max(stop - start for start, stop in groups) * batch
+        scratch = self._gradients
+        if scratch is None or scratch.shape[0] < rows or scratch.shape[1] != dimension:
+            scratch = self._gradients = np.empty((rows, dimension), dtype=np.float64)
+        for start, stop in groups:
+            gradients = expand_grad_factors(
+                factors, scratch[: (stop - start) * batch], start * batch
             )
-            block = BatchedDPState(slot_momentum=momentum[start:stop], batch_size=batch)
+            group = BatchedDPState(slot_momentum=momentum[start:stop], batch_size=batch)
             local_update_batch(
                 gradients.reshape(stop - start, batch, dimension),
-                block, config, rngs[start:stop],
+                group, config, rngs[start:stop],
             )
         return momentum
 
     def release(self) -> None:
         """Drop the gradient workspace (the next round reallocates)."""
         self._gradients = None
-        self._views = {}
 
 
 @ENGINES.register(
@@ -296,73 +248,12 @@ class GhostNormEngine(ClientEngine):
 
     Total cost is ~2 batched GEMMs per layer (the same order as the
     forward pass) and the peak extra memory is one ``(n_workers, d)``
-    bounded-sum buffer -- no per-example gradient tensor exists, not even
-    the materialized path's block-sized one.
-
-    Parameters
-    ----------
-    fused:
-        When the network's only parametrised layer is its *last* layer (the
-        paper's linear models), the capture-mode backward pass computes an
-        input gradient ``Delta @ W^T`` that nothing below ever consumes.
-        With ``fused=True`` (the default) the engine captures the ghost
-        factors directly after the forward pass via
-        :meth:`~repro.nn.layers.Linear.capture_terminal_grad_factors`,
-        skipping that GEMM entirely.  The captured factors are bitwise the
-        same arrays, so fused and unfused uploads are bit-identical; models
-        with hidden parametrised layers silently fall back to the full
-        capture-mode backward.
+    bounded-sum buffer -- no per-example gradient exists, not even the
+    materialized path's one-group scratch.
     """
 
-    def __init__(self, fused: bool = True) -> None:
-        self.fused = bool(fused)
-        # Capacity buffer plus row-sliced views, so uneven shard sizes
-        # (e.g. 8,8,8,6) reuse one allocation instead of thrashing.
+    def __init__(self) -> None:
         self._bounded: np.ndarray | None = None
-        self._bounded_views: dict[int, np.ndarray] = {}
-
-    @staticmethod
-    def _fused_eligible(model: Sequential) -> bool:
-        """Terminal-layer capture applies iff the last layer holds all
-        parameters, supports factor capture, and implements the
-        terminal-capture hook.  Layers opting out of factor capture
-        (``supports_grad_factors = False``) must keep flowing through
-        ``per_example_grad_factors`` so its unsupported-layer error fires.
-        """
-        last = model.layers[-1]
-        if (
-            not last.parameters
-            or not getattr(last, "supports_grad_factors", False)
-            or not hasattr(last, "capture_terminal_grad_factors")
-        ):
-            return False
-        return not any(layer.parameters for layer in model.layers[:-1])
-
-    def _capture_factors(
-        self, model: Sequential, features: np.ndarray, labels: np.ndarray
-    ) -> list[tuple]:
-        if self.fused and self._fused_eligible(model):
-            last = model.layers[-1]
-            logits = model.forward(features)
-            _, grad_logits = softmax_cross_entropy(logits, labels)
-            last.capture_terminal_grad_factors(grad_logits)
-            return [(last, *last.grad_factors)]
-        _, factors = model.per_example_grad_factors(features, labels)
-        return factors
-
-    def _bounded_scratch(self, n_workers: int, dimension: int) -> np.ndarray:
-        if (
-            self._bounded is None
-            or self._bounded.shape[0] < n_workers
-            or self._bounded.shape[1] != dimension
-        ):
-            self._bounded = np.empty((n_workers, dimension), dtype=np.float64)
-            self._bounded_views = {n_workers: self._bounded}
-        view = self._bounded_views.get(n_workers)
-        if view is None:
-            view = self._bounded[:n_workers]
-            self._bounded_views[n_workers] = view
-        return view
 
     def compute_uploads(
         self,
@@ -383,27 +274,14 @@ class GhostNormEngine(ClientEngine):
         state.ensure_shape(n_workers, batch, dimension)
         momentum = state.slot_momentum  # (n, d), rank-1 across slots
 
-        factors = self._capture_factors(model, features, labels)
+        _, factors = model.per_example_grad_factors(features, labels)
         layout = model.parameter_layout()
 
         # Per-layer factors reshaped worker-major: X_l (n, b, in), D_l (n, b, out).
-        shaped: list[tuple[np.ndarray, np.ndarray]] = []
-        for (layer, _), (_, inputs, deltas) in zip(layout, factors):
-            if len(layer.parameters) != 2 or layer.parameters[0].shape != (
-                inputs.shape[1],
-                deltas.shape[1],
-            ):
-                raise RuntimeError(
-                    f"{type(layer).__name__} does not follow the linear "
-                    "(weight, bias) factor convention the ghost-norm engine "
-                    "requires; use the materialized engine for this model"
-                )
-            shaped.append(
-                (
-                    inputs.reshape(n_workers, batch, -1),
-                    deltas.reshape(n_workers, batch, -1),
-                )
-            )
+        shaped = [
+            (inputs.reshape(n_workers, batch, -1), deltas.reshape(n_workers, batch, -1))
+            for _, inputs, deltas in factors
+        ]
 
         # Slot gradient norms from the Gram diagonals:
         # ||g_ij||^2 = sum_l (||x||^2 + 1) ||delta||^2.
@@ -419,7 +297,9 @@ class GhostNormEngine(ClientEngine):
         # where phi = (1 - beta) g exactly).
         np.multiply(slot_sq, (1.0 - beta) ** 2, out=slot_sq)
         if beta > 0.0:
-            momentum_sq = np.einsum("nd,nd->n", momentum, momentum)
+            # vecdot, unlike einsum, reduces a row in the same order
+            # whatever the row count, so shard size cannot move a bit.
+            momentum_sq = np.vecdot(momentum, momentum)
             cross = np.zeros((n_workers, batch), dtype=np.float64)
             for ((_, slices), (inputs, deltas)) in zip(layout, shaped):
                 (w_start, w_stop, w_shape), (b_start, b_stop, _) = slices
@@ -440,7 +320,10 @@ class GhostNormEngine(ClientEngine):
 
         # Bounded slot sum without materialising the slots:
         # (1-beta) sum_l X_l^T (w (.) Delta_l)  [+ beta (sum_j w_ij) m_i].
-        bounded = self._bounded_scratch(n_workers, dimension)
+        bounded = self._bounded
+        if bounded is None or bounded.shape[0] < n_workers or bounded.shape[1] != dimension:
+            bounded = self._bounded = np.empty((n_workers, dimension), dtype=np.float64)
+        bounded = bounded[:n_workers]
         for ((_, slices), (inputs, deltas)) in zip(layout, shaped):
             (w_start, w_stop, _), (b_start, b_stop, _) = slices
             weighted_deltas = weights[:, :, np.newaxis] * deltas  # (n, b, out)
@@ -458,7 +341,6 @@ class GhostNormEngine(ClientEngine):
     def release(self) -> None:
         """Drop the bounded-gradient workspace (the next round reallocates)."""
         self._bounded = None
-        self._bounded_views = {}
 
 
 def pairwise_gradient_gram(

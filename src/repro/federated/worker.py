@@ -9,11 +9,12 @@ population.  A shard is the unit of dispatch, retries and crash faults:
 one task per shard on the execution backend.  The default
 (``shard_size=None``) runs the whole pool as one shard on the serial
 backend; with ``shard_size=k`` each task holds at most ``k`` workers.
-Memory is the engine's concern, not the shard's: the materialized engine
-works through a shard in cache-sized blocks of workers
-(:func:`~repro.federated.engines.block_plan`), so its gradient scratch
-stays within a fixed budget whatever the shard size.  Sharded and
-unsharded pools produce bitwise-identical uploads: every protocol step is
+Each engine starts with one capture pass over the shard, whose
+activations grow with the shard's rows times the layer widths, so the
+shard size bounds them.  The materialized engine then expands gradients
+one cache-sized group of workers at a time, so its gradient scratch stays
+within a fixed budget whatever the shard size.  Sharded and unsharded
+pools produce bitwise-identical uploads: every protocol step is
 per-worker row-wise, so splitting the worker axis never changes a single
 floating-point operation.  (The only shape-dependent steps are the
 stacked forward/backward GEMMs, where BLAS switches micro-kernels -- and
@@ -267,9 +268,11 @@ class WorkerPool:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
         ``backend.max_workers`` near-equal shards under a parallel one.
-        A shard is the unit of dispatch, retries and crash faults; the
-        engine, not the shard, bounds scratch memory.  Every shard size
-        gives bitwise-identical uploads.
+        A shard is the unit of dispatch, retries and crash faults, and
+        its row count bounds the capture pass's activations; the
+        materialized engine's gradient scratch is one cache-sized worker
+        group whatever the shard.  Every shard size gives
+        bitwise-identical uploads.
     backend:
         How shards are dispatched: a registered name (``"serial"``,
         ``"threaded"``, ``"process"``), a

@@ -5,7 +5,8 @@ vectors: each sample's gradient is normalised to unit length before being
 averaged, perturbed with Gaussian noise, and uploaded.  Mainstream autodiff
 frameworks (PyTorch + Opacus in the paper) expose this through hooks; here we
 provide a small, fully self-contained NumPy implementation whose backward
-pass returns the gradient of every example in the batch.
+pass records every example's gradient as rank-1 layer factors, which
+``Sequential`` expands into flat per-example gradients on demand.
 
 Public API
 ----------

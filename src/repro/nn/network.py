@@ -25,7 +25,7 @@ import numpy as np
 from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
 from repro.nn.losses import softmax, softmax_cross_entropy
 
-__all__ = ["Sequential", "spec_dimensions"]
+__all__ = ["Sequential", "expand_grad_factors", "spec_dimensions"]
 
 #: The layer types a network spec may name, with the constructor arguments
 #: of each (read back from the layer's attributes) and their types.
@@ -83,6 +83,33 @@ def spec_dimensions(spec: object) -> tuple[int, int, int]:
     return inputs, width, parameters
 
 
+def expand_grad_factors(
+    factors: list[tuple[Layer, np.ndarray, np.ndarray]],
+    out: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """Expand captured factors into per-example flat gradients.
+
+    ``factors`` is what :meth:`Sequential.per_example_grad_factors`
+    returns.  Row ``r`` of ``out`` (C-contiguous ``float64``, one column
+    per parameter) becomes the flat gradient of example ``start + r``:
+    per layer, ``vec(x (x) delta)`` written by one ``einsum`` into the
+    weight columns, then a copy of ``delta`` into the bias columns.  Every
+    value is a single rounded product, so a row's bits do not depend on
+    how many rows one call expands.  Returns ``out``.
+    """
+    rows = slice(start, start + out.shape[0])
+    offset = 0
+    for _, inputs, deltas in factors:
+        fan_in, fan_out = inputs.shape[1], deltas.shape[1]
+        stop = offset + fan_in * fan_out
+        weights = out[:, offset:stop].reshape(-1, fan_in, fan_out)
+        np.einsum("bi,bo->bio", inputs[rows], deltas[rows], out=weights)
+        out[:, stop:stop + fan_out] = deltas[rows]
+        offset = stop + fan_out
+    return out
+
+
 class Sequential:
     """A feed-forward stack of :class:`~repro.nn.layers.Layer` objects."""
 
@@ -90,12 +117,6 @@ class Sequential:
         if not layers:
             raise ValueError("Sequential requires at least one layer")
         self.layers = list(layers)
-        # (out array, batch, bound-layer ids) of the current gradient-buffer
-        # binding; lets repeated calls with the same preallocated buffer
-        # (the batched client path) skip re-binding every round.  The array
-        # object itself is held (identity-compared), so a recycled object id
-        # can never produce a false cache hit.
-        self._grad_binding: tuple[np.ndarray, int, frozenset[int]] | None = None
 
     # ------------------------------------------------------------------ #
     # forward / prediction
@@ -189,13 +210,7 @@ class Sequential:
         return cls(layers)
 
     def clone(self) -> "Sequential":
-        """Deep copy of the network (structure and parameters).
-
-        Any gradient-buffer binding is dropped first (deep-copying would
-        otherwise duplicate the caller's flat buffer and sever the view
-        relationship); the next bound call simply re-binds.
-        """
-        self.unbind_per_example_grad_buffers()
+        """Deep copy of the network (structure and parameters)."""
         return copy.deepcopy(self)
 
     # ------------------------------------------------------------------ #
@@ -206,24 +221,22 @@ class Sequential:
         losses, _ = softmax_cross_entropy(self.forward(x), y)
         return float(np.mean(losses))
 
-    def _backward(self, grad_logits: np.ndarray) -> None:
-        grad = grad_logits
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-
     def per_example_gradients(
         self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-example flat gradients of the loss.
+
+        :meth:`per_example_grad_factors` followed by
+        :func:`expand_grad_factors`, so the rows are bitwise what the
+        materialized client engine expands.
 
         Parameters
         ----------
         x, y:
             Input batch and integer labels.
         out:
-            Optional preallocated ``(batch, d)`` ``float64`` array receiving
-            the flat gradients (the batched client path reuses one such
-            buffer across rounds instead of re-allocating per call).
+            Optional preallocated C-contiguous ``(batch, d)`` ``float64``
+            array receiving the flat gradients.
 
         Returns
         -------
@@ -234,119 +247,33 @@ class Sequential:
             of example ``i``'s loss with respect to the flat parameters
             (``out`` itself when provided).
         """
-        batch = x.shape[0]
+        shape = (x.shape[0], self.num_parameters)
         if out is None:
-            gradients = np.empty((batch, self.num_parameters), dtype=np.float64)
-            # An existing binding is left in place but deactivated for this
-            # call (bound layers use their own scratch; everything is copied
-            # below), so interleaved out=None calls neither evict the
-            # training path's binding nor clobber its buffer.
-            bound = frozenset()
-            if self._grad_binding is not None:
-                for layer in self.layers:
-                    layer.use_bound_grad_buffers = False
-        else:
-            if out.shape != (batch, self.num_parameters) or out.dtype != np.float64:
-                raise ValueError(
-                    f"out must be a float64 array of shape "
-                    f"({batch}, {self.num_parameters}), got {out.dtype} {out.shape}"
-                )
-            gradients = out
-            bound = self._bind_grad_buffers(gradients, batch)
-
-        logits = self.forward(x)
-        losses, grad_logits = softmax_cross_entropy(logits, y)
-        self._backward(grad_logits)
-
-        offset = 0
-        for layer in self.layers:
-            if not layer.parameters:
-                continue
-            if layer.per_example_grads is None:
-                raise RuntimeError("layer backward did not populate per-example grads")
-            for grad in layer.per_example_grads:
-                size = int(np.prod(grad.shape[1:], dtype=np.int64))
-                if id(layer) not in bound:
-                    gradients[:, offset : offset + size] = grad.reshape(batch, -1)
-                offset += size
-        return losses, gradients
-
-    def _bind_grad_buffers(self, gradients: np.ndarray, batch: int) -> frozenset[int]:
-        """Hand every layer views into the flat gradient matrix.
-
-        Backward then writes per-example grads directly in place (no copy
-        afterwards); a layer that declines keeps its own buffers and is
-        copied by the caller.  Returns the ids of the layers that accepted.
-        The binding is cached on ``(id(out), batch)``: a worker pool reuses
-        one buffer every round, so re-binding (and its view construction)
-        happens only when the target buffer changes -- e.g. when honest and
-        Byzantine pools alternate on the same model.  ``out=None`` calls in
-        between (the server's auxiliary gradient) do not evict the binding.
-        """
-        if (
-            self._grad_binding is not None
-            and self._grad_binding[0] is gradients
-            and self._grad_binding[1] == batch
-        ):
-            bound = self._grad_binding[2]
-            for layer in self.layers:
-                layer.use_bound_grad_buffers = id(layer) in bound
-            return bound
-        bound: set[int] = set()
-        offset = 0
-        for layer in self.layers:
-            if not layer.parameters:
-                continue
-            views = []
-            view_offset = offset
-            for parameter in layer.parameters:
-                size = parameter.size
-                view = gradients[:, view_offset : view_offset + size].reshape(
-                    (batch,) + parameter.shape
-                )
-                views.append(view)
-                view_offset += size
-            viewable = all(np.shares_memory(view, gradients) for view in views)
-            if viewable and layer.bind_per_example_grad_buffers(views):
-                bound.add(id(layer))
-            else:
-                layer.bind_per_example_grad_buffers(None)
-            offset = view_offset
-        self._grad_binding = (gradients, batch, frozenset(bound))
-        for layer in self.layers:
-            layer.use_bound_grad_buffers = id(layer) in bound
-        return self._grad_binding[2]
-
-    def unbind_per_example_grad_buffers(self) -> None:
-        """Release the gradient-buffer binding (no-op if unbound).
-
-        The binding (and the per-layer views backing it) holds a strong
-        reference to the last ``out`` buffer passed to
-        :meth:`per_example_gradients`.  Call this to let a discarded worker
-        pool's scratch matrix be garbage-collected when the model outlives
-        the pool; the next ``out=`` call simply re-binds.
-        """
-        if self._grad_binding is not None:
-            for layer in self.layers:
-                layer.bind_per_example_grad_buffers(None)
-                layer.use_bound_grad_buffers = False
-            self._grad_binding = None
+            out = np.empty(shape, dtype=np.float64)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        losses, factors = self.per_example_grad_factors(x, y)
+        return losses, expand_grad_factors(factors, out)
 
     def per_example_grad_factors(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, list[tuple[Layer, np.ndarray, np.ndarray]]]:
         """Rank-1 factors of the per-example gradients, layer by layer.
 
-        Runs one forward/backward with every parametrised layer in
-        *capture* mode: instead of materialising its ``(batch, ...)``
-        per-example parameter gradients, each layer records the pair of
-        small factors they are built from (for :class:`~repro.nn.layers
-        .Linear`: the layer input ``X`` and the output gradient ``Delta``;
-        the flat gradient of example ``j`` is ``[vec(x_j (x) delta_j);
-        delta_j]``).  This is what the ghost-norm client engine consumes --
-        slot norms come from the ``b x b`` Gram matrices ``(X X^T) (.)
-        (Delta Delta^T)`` and weighted gradient sums from two batched
-        GEMMs, so the ``(batch, d)`` gradient tensor never exists.
+        Runs one forward/backward pass in which every parametrised layer
+        records the pair of small factors its per-example gradients are
+        built from: the layer input ``X`` and the output gradient
+        ``Delta`` (the flat gradient of example ``j`` is ``[vec(x_j (x)
+        delta_j); delta_j]``).  The pass stops at the lowest parametrised
+        layer, which forms no input gradient: nothing consumes the
+        gradient with respect to the network input.  Both client engines
+        start here -- the ghost-norm engine contracts the factors into
+        Gram-matrix norms and weighted sums, the materialized engine
+        expands them one group of workers at a time
+        (:func:`expand_grad_factors`).
 
         Returns
         -------
@@ -361,33 +288,33 @@ class Sequential:
         Raises
         ------
         RuntimeError
-            If any parametrised layer does not support factor capture
-            (``supports_grad_factors`` is ``False``).
+            If a parametrised layer records no factors, or factors that do
+            not match a ``(weight (in, out), bias (out,))`` parameter pair.
         """
-        for layer in self.layers:
-            if layer.parameters and not layer.supports_grad_factors:
-                raise RuntimeError(
-                    f"{type(layer).__name__} does not support per-example "
-                    "gradient factor capture; use the materialized engine "
-                    "for this model"
-                )
-        try:
-            for layer in self.layers:
-                if layer.parameters:
-                    layer.capture_grad_factors = True
-            logits = self.forward(x)
-            losses, grad_logits = softmax_cross_entropy(logits, y)
-            self._backward(grad_logits)
-        finally:
-            for layer in self.layers:
-                layer.capture_grad_factors = False
+        parametrised = [index for index, layer in enumerate(self.layers) if layer.parameters]
+        for index in parametrised:
+            self.layers[index].grad_factors = None
+        losses, grad = softmax_cross_entropy(self.forward(x), y)
+        if parametrised:
+            for layer in reversed(self.layers[parametrised[0] + 1:]):
+                grad = layer.backward(grad)
+            self.layers[parametrised[0]].backward(grad, input_gradient=False)
         factors = []
-        for layer in self.layers:
-            if not layer.parameters:
-                continue
-            if layer.grad_factors is None:
-                raise RuntimeError("capture-mode backward did not record factors")
-            factors.append((layer, *layer.grad_factors))
+        for index in parametrised:
+            layer = self.layers[index]
+            recorded, layer.grad_factors = layer.grad_factors, None
+            name = type(layer).__name__
+            if recorded is None:
+                raise RuntimeError(f"{name} recorded no per-example gradient factors")
+            inputs, deltas = recorded
+            if [parameter.shape for parameter in layer.parameters] != [
+                (inputs.shape[1], deltas.shape[1]), (deltas.shape[1],)
+            ]:
+                raise RuntimeError(
+                    f"{name} does not follow the linear (weight, bias) "
+                    "gradient factor convention"
+                )
+            factors.append((layer, inputs, deltas))
         return losses, factors
 
     def parameter_layout(self) -> list[tuple[Layer, list[tuple[int, int, tuple[int, ...]]]]]:

@@ -21,7 +21,7 @@ from repro.federated.engines import (
     pairwise_gradient_gram,
 )
 from repro.federated.worker import WorkerPool
-from repro.nn.layers import ELU, Linear
+from repro.nn.layers import Linear
 from repro.nn.models import build_model
 from repro.nn.network import Sequential
 from repro.privacy.mechanisms import clip_gradients, normalize_gradients
@@ -114,7 +114,7 @@ class TestGhostNormEquivalence:
                 err_msg=f"round {round_index}",
             )
 
-    def test_never_materializes_per_example_gradients(self):
+    def test_never_materializes_per_example_gradients(self, monkeypatch):
         """The ghost path must not fall back to the (n*b, d) gradient path."""
         model, _ = make_model_and_data(seed=1)
         shards = make_shards(4, seed=4)
@@ -124,20 +124,22 @@ class TestGhostNormEquivalence:
             raise AssertionError("ghost engine materialised per-example gradients")
 
         model.per_example_gradients = forbidden
+        monkeypatch.setattr(engines, "expand_grad_factors", forbidden)
         uploads = pool.compute_uploads(model)
         assert uploads.shape == (4, model.num_parameters)
-        for layer in model.layers:
-            assert layer.per_example_grads is None
+        assert pool.engine._bounded.shape == (4, model.num_parameters)
 
-    def test_rejects_unsupported_layers(self):
-        """A parametrised layer without factor capture fails loudly."""
+    @pytest.mark.parametrize("engine", ["ghost_norm", "materialized"])
+    def test_rejects_layers_recording_no_factors(self, engine):
+        """A parametrised layer that records no factors fails loudly in both engines."""
 
         class OpaqueLinear(Linear):
-            supports_grad_factors = False
+            def backward(self, grad_output, input_gradient=True):
+                return grad_output @ self.weight.T  # records no factors
 
         model = Sequential([OpaqueLinear(8, 3, np.random.default_rng(0))])
         shards = make_shards(2, seed=5)
-        pool = make_pool(shards, DPConfig(batch_size=4, sigma=1.0), engine="ghost")
+        pool = make_pool(shards, DPConfig(batch_size=4, sigma=1.0), engine=engine)
         with pytest.raises(RuntimeError, match="OpaqueLinear"):
             pool.compute_uploads(model)
 
@@ -292,34 +294,36 @@ def paper_shape_pool(seed_base=100):
     return model, make_pool(shards, config, seed_base=seed_base)
 
 
-class TestBlockedEngine:
-    def test_paper_shape_blocked_equals_one_block(self, monkeypatch):
+class TestGroupedEngine:
+    def test_paper_shape_grouped_equals_one_group(self, monkeypatch):
         """Uploads, momentum rows and post-noise generator states, 3 rounds."""
-        model, blocked = paper_shape_pool()
+        model, grouped = paper_shape_pool()
         _, whole = paper_shape_pool()
-        assert engines.block_plan(20, 16, model.num_parameters) == [
-            (0, 4), (4, 8), (8, 12), (12, 16), (16, 20)
+        # One worker's (16, 6570) expansion is 0.8 MiB: a group apiece.
+        assert engines._worker_groups(20, 16, model.num_parameters) == [
+            (worker, worker + 1) for worker in range(20)
         ]
         for round_index in range(3):
-            uploads = blocked.compute_uploads(model).copy()
+            uploads = grouped.compute_uploads(model).copy()
             with monkeypatch.context() as patch:
-                patch.setattr(engines, "_BLOCK_BYTES", 1 << 62)
+                patch.setattr(engines, "_GROUP_BYTES", 1 << 62)
                 expected = whole.compute_uploads(model)
             np.testing.assert_array_equal(uploads, expected, err_msg=f"round {round_index}")
             np.testing.assert_array_equal(
-                blocked.state.slot_momentum, whole.state.slot_momentum
+                grouped.state.slot_momentum, whole.state.slot_momentum
             )
-            assert [rng.bit_generator.state for rng in blocked.rngs] == [
+            assert [rng.bit_generator.state for rng in grouped.rngs] == [
                 rng.bit_generator.state for rng in whole.rngs
             ]
-        assert blocked.engine._gradients.shape == (64, model.num_parameters)
+        # the scratch kept between rounds is one worker's expansion
+        assert grouped.engine._gradients.shape == (16, model.num_parameters)
         assert whole.engine._gradients.shape == (320, model.num_parameters)
 
-    def test_first_round_memory_bounded_by_block(self):
+    def test_first_round_memory_bounded_by_group(self):
         """The first paper-shape round peaks far below one (n b_c, d) tensor.
 
-        The stacked tensor alone is 16.0 MiB; a tracemalloc peak is the
-        same on every host, unlike RSS.
+        The stacked tensor alone is 16.0 MiB, and 64-row blocks peaked at
+        6.0 MiB; a tracemalloc peak is the same on every host, unlike RSS.
         """
         model, pool = paper_shape_pool()
         tracemalloc.start()
@@ -328,8 +332,8 @@ class TestBlockedEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
-        assert pool.engine._gradients.nbytes <= engines._BLOCK_BYTES
+        assert peak < 5 << 20
+        assert pool.engine._gradients.nbytes <= engines._GROUP_BYTES
 
     def test_uploads_are_the_momentum_rows(self):
         """Line 11: the engine writes the uploads into the state and returns it."""

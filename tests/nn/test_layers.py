@@ -51,25 +51,23 @@ class TestLinear:
         grad_input = layer.backward(rng.normal(size=(3, 2)))
         assert grad_input.shape == (3, 4)
 
-    def test_backward_populates_per_example_grads(self, rng):
+    def test_backward_records_grad_factors(self, rng):
         layer = Linear(4, 2, rng)
         x = rng.normal(size=(3, 4))
         layer.forward(x)
-        layer.backward(rng.normal(size=(3, 2)))
-        assert layer.per_example_grads is not None
-        grad_weight, grad_bias = layer.per_example_grads
-        assert grad_weight.shape == (3, 4, 2)
-        assert grad_bias.shape == (3, 2)
+        grad_out = rng.normal(size=(3, 2))
+        layer.backward(grad_out)
+        inputs, deltas = layer.grad_factors
+        assert inputs is x and deltas is grad_out
 
-    def test_per_example_weight_gradient_is_outer_product(self, rng):
+    def test_backward_without_input_gradient_still_records(self, rng):
         layer = Linear(3, 2, rng)
         x = rng.normal(size=(2, 3))
         layer.forward(x)
         grad_out = rng.normal(size=(2, 2))
-        layer.backward(grad_out)
-        grad_weight, _ = layer.per_example_grads
-        for i in range(2):
-            np.testing.assert_allclose(grad_weight[i], np.outer(x[i], grad_out[i]))
+        assert layer.backward(grad_out, input_gradient=False) is None
+        inputs, deltas = layer.grad_factors
+        assert inputs is x and deltas is grad_out
 
     def test_input_gradient_value(self, rng):
         layer = Linear(3, 2, rng)

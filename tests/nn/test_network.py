@@ -9,7 +9,7 @@ import pytest
 
 from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
 from repro.nn.models import build_model
-from repro.nn.network import Sequential, spec_dimensions
+from repro.nn.network import Sequential, expand_grad_factors, spec_dimensions
 from tests.conftest import numerical_gradient
 
 
@@ -148,30 +148,31 @@ class TestGradients:
         np.testing.assert_array_equal(gradients_out, gradients)
         np.testing.assert_array_equal(losses_out, losses)
 
-    def test_out_buffer_not_clobbered_by_later_out_none_call(self, model, batch):
-        """A retained binding must only be written by calls passing that
-        buffer; a same-batch out=None call in between uses its own scratch."""
+    @pytest.mark.parametrize("preallocated", [False, True])
+    def test_gradients_are_the_expanded_factors_bitwise(self, model, batch, preallocated):
+        """per_example_gradients is the capture pass plus expand_grad_factors."""
         x, y = batch
-        buffer = np.empty((10, model.num_parameters), dtype=np.float64)
-        model.per_example_gradients(x, y, out=buffer)
-        snapshot = buffer.copy()
-        x2 = x + 1.0  # same batch size, different data
-        _, other = model.per_example_gradients(x2, y)
-        np.testing.assert_array_equal(buffer, snapshot)
-        assert not np.array_equal(other, snapshot)
-        # and the binding still works afterwards (cache hit path)
-        _, again = model.per_example_gradients(x, y, out=buffer)
-        np.testing.assert_array_equal(again, snapshot)
+        out = np.empty((10, model.num_parameters)) if preallocated else None
+        losses, gradients = model.per_example_gradients(x, y, out=out)
+        factor_losses, factors = model.per_example_grad_factors(x, y)
+        expected = expand_grad_factors(factors, np.empty((10, model.num_parameters)))
+        np.testing.assert_array_equal(gradients, expected)
+        np.testing.assert_array_equal(losses, factor_losses)
+        # a row range expands to the same bits as the whole batch
+        np.testing.assert_array_equal(
+            expand_grad_factors(factors, np.empty((3, model.num_parameters)), start=4),
+            expected[4:7],
+        )
 
-    def test_unbind_releases_buffer_and_rebinding_works(self, model, batch):
+    def test_no_per_example_buffer_left_on_layers(self, model, batch):
+        """Nothing batch-shaped outlives a call except the forward caches."""
         x, y = batch
-        buffer = np.empty((10, model.num_parameters), dtype=np.float64)
-        _, expected = model.per_example_gradients(x, y, out=buffer)
-        expected = expected.copy()
-        model.unbind_per_example_grad_buffers()
-        assert model._grad_binding is None
-        _, rebound = model.per_example_gradients(x, y, out=buffer)
-        np.testing.assert_array_equal(rebound, expected)
+        model.per_example_gradients(x, y, out=np.empty((10, model.num_parameters)))
+        model.per_example_gradients(x, y)
+        for layer in model.layers:
+            assert layer.grad_factors is None
+            for value in vars(layer).values():
+                assert not (isinstance(value, np.ndarray) and value.ndim == 3)
 
     def test_per_example_gradients_rejects_bad_out(self, model, batch):
         x, y = batch
@@ -182,6 +183,10 @@ class TestGradients:
         with pytest.raises(ValueError):
             model.per_example_gradients(
                 x, y, out=np.empty((10, model.num_parameters), dtype=np.float32)
+            )
+        with pytest.raises(ValueError, match="C-contiguous"):
+            model.per_example_gradients(
+                x, y, out=np.empty((model.num_parameters, 10), dtype=np.float64).T
             )
 
     def test_relu_network_gradient_check(self, rng):
@@ -229,13 +234,22 @@ class TestGradFactorCapture:
             np.concatenate(rebuilt, axis=1), per_example, rtol=1e-12, atol=1e-15
         )
 
-    def test_capture_skips_materialisation(self, rng):
-        model = Sequential([Linear(5, 3, rng)])
+    def test_capture_forms_no_network_input_gradient(self, rng):
+        """The lowest parametrised layer records factors but skips Delta @ W^T."""
+        model = Sequential([Flatten(), Linear(5, 4, rng), ELU(), Linear(4, 3, rng)])
         x = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, size=4)
-        model.per_example_grad_factors(x, y)
-        assert model.layers[0].per_example_grads is None
-        assert not model.layers[0].capture_grad_factors  # flag restored
+        calls = []
+        for layer in model.layers:
+            def spy(grad, *args, _backward=layer.backward, _layer=layer, **kwargs):
+                calls.append((type(_layer).__name__, kwargs))
+                return _backward(grad, *args, **kwargs)
+            layer.backward = spy
+        _, factors = model.per_example_grad_factors(x, y)
+        assert calls == [("Linear", {}), ("ELU", {}), ("Linear", {"input_gradient": False})]
+        assert [layer for layer, _, _ in factors] == [model.layers[1], model.layers[3]]
+        # the factors belong to the caller; the layers keep none
+        assert all(layer.grad_factors is None for layer in model.layers)
 
     def test_capture_does_not_break_materialized_path(self, rng):
         """Interleaved capture and materialized passes stay independent."""
@@ -248,17 +262,32 @@ class TestGradFactorCapture:
         _, after = model.per_example_gradients(x, y)
         np.testing.assert_array_equal(before, after)
 
-    def test_unsupported_layer_raises(self, rng):
+    def test_layer_recording_no_factors_raises(self, rng):
         class OpaqueLinear(Linear):
-            supports_grad_factors = False
+            def backward(self, grad_output, input_gradient=True):
+                return grad_output @ self.weight.T  # records no factors
 
         model = Sequential([OpaqueLinear(4, 2, rng)])
         x = rng.normal(size=(3, 4))
         y = rng.integers(0, 2, size=3)
-        with pytest.raises(RuntimeError, match="OpaqueLinear"):
+        with pytest.raises(RuntimeError, match="OpaqueLinear recorded no"):
             model.per_example_grad_factors(x, y)
-        # the capture flags must be rolled back even on failure
-        assert not any(layer.capture_grad_factors for layer in model.layers)
+        with pytest.raises(RuntimeError, match="OpaqueLinear recorded no"):
+            model.per_example_gradients(x, y)
+
+    def test_factors_off_the_linear_convention_raise(self, rng):
+        class ScaledLinear(Linear):
+            """A third parameter the (weight, bias) expansion cannot place."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.parameters = [*self.parameters, np.ones(1)]
+
+        model = Sequential([ScaledLinear(4, 2, rng)])
+        x = rng.normal(size=(3, 4))
+        y = rng.integers(0, 2, size=3)
+        with pytest.raises(RuntimeError, match="ScaledLinear does not follow"):
+            model.per_example_grad_factors(x, y)
 
 
 class TestParameterLayout:

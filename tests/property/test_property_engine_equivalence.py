@@ -21,9 +21,12 @@ Three gates from the engine refactors:
   used to be a second dependence: OpenBLAS computes ``G @ W.T`` below ~19
   rows in another order, so a one-worker shard of an MLP differed in the
   low bits until ``Linear`` multiplied by a contiguous copy of ``W^T``;
-- **block gate** -- :func:`~repro.federated.engines.block_plan` obeys its
-  row rules, and a materialized engine working in many blocks under a
-  tiny budget is bitwise identical to one block.
+  and the ghost engine's momentum norm was a third until it moved from
+  ``einsum`` (which reduces a lone row of d > 8192 in another order) to
+  ``vecdot``;
+- **group gate** -- the materialized engine's worker groups obey their
+  rules, and an engine expanding in many groups under a tiny budget is
+  bitwise identical to one group.
 """
 
 from __future__ import annotations
@@ -106,17 +109,14 @@ class TestGhostVsMaterializedProperty:
             )
 
 
-#: Models and engines of the sharding gate.  The ghost-norm engine skips
-#: ``mlp_large``: its momentum-norm ``einsum`` reduces a lone row of
-#: d > 8192 in another order than the same row among several, so its
-#: one-worker shards differ in the low bits (rows are otherwise
-#: row-count independent, and the engine is tolerance-gated above).
+#: Models and engines of the sharding gate (``mlp_large`` is d = 10627 here).
 SHARDING_CASES = [
     (None, "materialized"),
     (None, "ghost_norm"),
     ("mlp_medium", "materialized"),
     ("mlp_medium", "ghost_norm"),
     ("mlp_large", "materialized"),
+    ("mlp_large", "ghost_norm"),
 ]
 
 
@@ -139,6 +139,10 @@ class TestShardingBitwiseProperty:
              case=("mlp_medium", "materialized"), momentum=0.3, rounds=1)
     @example(seed=0, n_workers=4, shard_size=1, batch=8,
              case=("mlp_large", "materialized"), momentum=0.0, rounds=1)
+    # One-worker shards of the ghost engine at d > 8192: the second round's
+    # momentum norm is a lone row.
+    @example(seed=0, n_workers=3, shard_size=1, batch=4,
+             case=("mlp_large", "ghost_norm"), momentum=0.3, rounds=2)
     def test_sharded_pool_bitwise_identical(
         self, seed, n_workers, shard_size, batch, case, momentum, rounds
     ):
@@ -158,48 +162,31 @@ class TestShardingBitwiseProperty:
             )
 
 
-def feasible(n_workers, batch, most):
-    """Whether some plan obeys the row rules with at most ``most`` workers a block."""
-    legal = [size for size in range(1, most + 1) if size * batch >= 64]
-    # reachable[i]: the first i workers split into legal non-last blocks.
-    reachable = [True] + [False] * n_workers
-    for end in range(1, n_workers + 1):
-        reachable[end] = any(
-            reachable[end - size] for size in legal if size <= end and size * batch % 4 == 0
-        )
-    return any(reachable[n_workers - size] for size in legal if size <= n_workers)
-
-
-class TestBlockPlanProperty:
+class TestWorkerGroupsProperty:
     @settings(max_examples=300, deadline=None)
     @given(
         n_workers=st.integers(1, 120),
         batch=st.integers(1, 32),
-        dimension=st.integers(1, 5000),
+        dimension=st.integers(1, 20000),
         budget_rows=st.integers(1, 600),
     )
-    def test_plan_obeys_row_rules(self, n_workers, batch, dimension, budget_rows):
+    def test_groups_obey_their_rules(self, n_workers, batch, dimension, budget_rows):
         budget = budget_rows * dimension * 8
-        with mock.patch.object(engines, "_BLOCK_BYTES", budget):
-            plan = engines.block_plan(n_workers, batch, dimension)
+        with mock.patch.object(engines, "_GROUP_BYTES", budget):
+            groups = engines._worker_groups(n_workers, batch, dimension)
         # contiguous runs of whole workers, in order
-        assert plan[0][0] == 0 and plan[-1][1] == n_workers
-        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
-        assert all(start < stop for start, stop in plan)
-        rows = [(stop - start) * batch for start, stop in plan]
-        if n_workers * batch < 64:
-            assert len(plan) == 1
-        assert all(count >= 64 for count in rows) or len(plan) == 1
-        assert all(count % 4 == 0 for count in rows[:-1])
-        # near-equal: the non-last blocks differ by at most one step
-        step = 4 // np.gcd(batch, 4)
-        sizes = [stop - start for start, stop in plan[:-1]]
-        assert not sizes or max(sizes) - min(sizes) <= step
-        # within the budget whenever the row rules allow it
-        if n_workers * batch * dimension * 8 <= budget:
-            assert len(plan) == 1
-        elif feasible(n_workers, batch, budget_rows // batch):
-            assert max(rows) * dimension * 8 <= budget
+        assert groups[0][0] == 0 and groups[-1][1] == n_workers
+        assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        sizes = [stop - start for start, stop in groups]
+        assert min(sizes) >= 1
+        # no lone stacked row unless the whole shard is one
+        if n_workers * batch > 1:
+            assert min(sizes) * batch >= 2
+        # the most workers within budget (at least one, or two at b_c = 1);
+        # only a lone last worker merged into the group before it goes past
+        most = max(budget_rows // batch, 1 if batch > 1 else 2)
+        assert all(size == most for size in sizes[:-1])
+        assert sizes[-1] <= most + (batch == 1)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -207,35 +194,41 @@ class TestBlockPlanProperty:
         batch=st.integers(1, 32),
         workers=st.integers(1, 384),
         model=st.sampled_from(["mlp_small", "mlp_medium", "mlp_large"]),
-        budget_rows=st.integers(1, 200),
+        budget_fraction=st.floats(0.0, 1.0),
         momentum=st.sampled_from([0.0, 0.3]),
         rounds=st.integers(1, 2),
     )
-    # Six equal blocks; and an odd batch, where no plan fits the budget.
-    @example(seed=1, batch=16, workers=384, model="mlp_medium", budget_rows=64,
+    # Six equal groups of 64 rows; and an odd batch, where groups hold 69 rows.
+    @example(seed=1, batch=16, workers=384, model="mlp_medium", budget_fraction=64 / 384,
              momentum=0.3, rounds=2)
-    @example(seed=2, batch=3, workers=384, model="mlp_large", budget_rows=70,
+    @example(seed=2, batch=3, workers=384, model="mlp_large", budget_fraction=70 / 384,
              momentum=0.3, rounds=1)
-    def test_blocked_equals_one_block(
-        self, seed, batch, workers, model, budget_rows, momentum, rounds
+    # b_c = 1 with an odd worker count under a one-row budget: groups of
+    # two, and the lone last worker joins the group before it.
+    @example(seed=3, batch=1, workers=7, model="mlp_large", budget_fraction=0.0,
+             momentum=0.3, rounds=2)
+    def test_grouped_equals_one_group(
+        self, seed, batch, workers, model, budget_fraction, momentum, rounds
     ):
         n_workers = max(1, workers // batch)  # at most 384 stacked rows
         config = DPConfig(batch_size=batch, sigma=0.8, momentum=momentum)
         model, shards = build_setup(seed, n_workers, 16, 3, model)
-        budget = budget_rows * model.num_parameters * 8
-        blocked = build_pool(shards, config, seed + 5)
+        # any budget from one row to the whole shard
+        row_bytes = model.num_parameters * 8
+        budget_rows = 1 + round(budget_fraction * (n_workers * batch - 1))
+        grouped = build_pool(shards, config, seed + 5)
         whole = build_pool(shards, config, seed + 5)
         for round_index in range(rounds):
-            with mock.patch.object(engines, "_BLOCK_BYTES", budget):
-                uploads = blocked.compute_uploads(model)
-            with mock.patch.object(engines, "_BLOCK_BYTES", 1 << 62):
+            with mock.patch.object(engines, "_GROUP_BYTES", budget_rows * row_bytes):
+                uploads = grouped.compute_uploads(model)
+            with mock.patch.object(engines, "_GROUP_BYTES", 1 << 62):
                 expected = whole.compute_uploads(model)
             np.testing.assert_array_equal(
                 uploads, expected, err_msg=f"round {round_index}"
             )
         np.testing.assert_array_equal(
-            blocked.state.slot_momentum, whole.state.slot_momentum
+            grouped.state.slot_momentum, whole.state.slot_momentum
         )
-        assert [rng.bit_generator.state for rng in blocked.rngs] == [
+        assert [rng.bit_generator.state for rng in grouped.rngs] == [
             rng.bit_generator.state for rng in whole.rngs
         ]
