@@ -16,7 +16,10 @@ real ``kill -9``:
 - ``coordinator-restart``: SIGKILL the coordinator mid-training; a
   restarted coordinator auto-resumes from its ``--state-dir`` snapshot,
   the surviving workers re-register, and the final model is **bitwise
-  identical** to an uninterrupted in-process run.
+  identical** to an uninterrupted in-process run.  ``repro run
+  --resume-from`` then resumes the served state dir, from its round-1
+  snapshot and from the directory itself, and must print the
+  uninterrupted run's stdout byte for byte.
 - ``observability``: enabling ``--trace-out`` leaves the CLI output and
   metrics byte-identical; a ``--status-port`` endpoint serves live
   ``/healthz``/``/status``/``/metrics`` mid-run, ``repro admin`` drains
@@ -137,8 +140,8 @@ def strip_volatile(output: str) -> str:
 def assert_identical(label: str, reference: str, candidate: str) -> None:
     if reference != candidate:
         raise SystemExit(
-            f"{label}: outputs differ\n--- serial ---\n{reference}\n"
-            f"--- remote ---\n{candidate}"
+            f"{label}: outputs differ\n--- reference ---\n{reference}\n"
+            f"--- candidate ---\n{candidate}"
         )
     print(f"{label}: byte-identical")
 
@@ -358,6 +361,16 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
     ]
     if deduplicated != list(range(total_rounds)):
         raise SystemExit(f"metrics rounds are not contiguous: {rounds}")
+
+    # The served run's full-state snapshots resume through `repro run`.
+    uninterrupted = finish(spawn("run", "--config", str(config_path)))
+    for target in (state_dir / f"round_1{STATE_SUFFIX}", state_dir):
+        resumed = finish(spawn(
+            "run", "--config", str(config_path), "--resume-from", str(target)
+        ))
+        assert_identical(
+            f"run --resume-from {target.relative_to(workdir)}", uninterrupted, resumed
+        )
     print(
         f"coordinator-restart: resumed run bitwise-identical over "
         f"{total_rounds} rounds ({len(rounds)} metrics lines)"

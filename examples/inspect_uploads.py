@@ -31,7 +31,7 @@ from repro.core.second_stage import SecondStageSelector
 from repro.data.auxiliary import sample_auxiliary
 from repro.data.partition import partition_iid
 from repro.data.registry import DATASET_SPECS, load_dataset
-from repro.federated.worker import HonestWorker
+from repro.federated.worker import WorkerPool
 from repro.nn.models import build_model
 
 N_HONEST = 6
@@ -50,11 +50,10 @@ def main() -> None:
 
     # 1. Honest uploads via Algorithm 1.
     shards = partition_iid(train, N_HONEST, rng=rng)
-    workers = [
-        HonestWorker(shard, dp_config, np.random.default_rng(100 + i))
-        for i, shard in enumerate(shards)
-    ]
-    honest_uploads = np.vstack([worker.compute_upload(model) for worker in workers])
+    pool = WorkerPool(
+        shards, dp_config, [np.random.default_rng(100 + i) for i in range(N_HONEST)]
+    )
+    honest_uploads = pool.compute_uploads(model)
 
     # 2. Byzantine uploads from two crafted attacks plus an obviously broken one.
     context = AttackContext(

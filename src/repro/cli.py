@@ -389,7 +389,8 @@ def _command_list(arguments: argparse.Namespace) -> int:
 
 
 def _resolve_resume(arguments: argparse.Namespace):
-    """Resolve --resume-from to a (round, vector) pair, exiting cleanly."""
+    """Resolve --resume-from to a (round, vector or RoundState) pair,
+    exiting cleanly; the run takes the pair as it is."""
     if arguments.resume_from is None:
         return None
     from repro.experiments.runner import resolve_checkpoint

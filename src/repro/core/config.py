@@ -12,10 +12,7 @@ __all__ = [
     "DPConfig",
     "EngineConfig",
     "FaultsConfig",
-    "ObservabilityConfig",
     "ProtocolConfig",
-    "SamplingConfig",
-    "ServiceConfig",
 ]
 
 
@@ -189,162 +186,11 @@ class FaultsConfig:
         object.__setattr__(self, "retry", dict(self.retry))
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Cohort-subsampling selection (who participates each round).
-
-    The *sampler* decides which registered honest workers compute uploads
-    in a given round of a cross-device run -- each round's participation
-    plan derives deterministically from the sampler seed and the round
-    index, so a trace replays bit-identically on every execution backend
-    and across restarts.  Samplers are registered in
-    :data:`repro.federated.sampling.SAMPLERS`; this config is pure data
-    so it serialises with the experiment config.  ``population=None``
-    keeps the classic fixed-cohort simulation, where every worker
-    participates every round.
-
-    Attributes
-    ----------
-    name:
-        Registered sampler name (see
-        :func:`repro.federated.sampling.SAMPLERS`); ``"uniform"`` draws
-        without replacement in O(cohort) memory.
-    population:
-        Size of the registered honest population, or ``None`` for the
-        classic mode.
-    cohort:
-        Honest workers drawn per round; ``None`` draws the whole
-        population (making subsampling a no-op that still exercises the
-        population machinery).
-    options:
-        Extra keyword arguments for the sampler builder.
-    """
-
-    name: str = "uniform"
-    population: int | None = None
-    cohort: int | None = None
-    options: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("sampler name must be a non-empty string")
-        if self.population is not None and self.population <= 0:
-            raise ValueError("population must be positive when set")
-        if self.cohort is not None:
-            if self.cohort <= 0:
-                raise ValueError("cohort must be positive when set")
-            if self.population is not None and self.cohort > self.population:
-                raise ValueError("cohort must not exceed the population")
-        object.__setattr__(self, "options", dict(self.options))
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Service-mode coordinator settings (the ``remote`` backend).
-
-    In service mode a long-running *coordinator* process owns the round
-    loop and dispatches shard tasks to *worker* processes as typed TCP
-    frames (see :mod:`repro.federated.service` and
-    :mod:`repro.federated.wire`).  This config is pure data -- the
-    tunables of that deployment, independent of the experiment being
-    trained -- so it serialises alongside the experiment config.
-
-    Attributes
-    ----------
-    host, port:
-        Listen address of the coordinator; port ``0`` lets the OS pick a
-        free port (useful in tests, not for workers that must find it).
-    expected_workers:
-        Worker processes the coordinator waits for before training and
-        uses to size the pools' shard splits.
-    heartbeat_interval:
-        Seconds between the heartbeats each side emits while idle.
-    heartbeat_timeout:
-        Silence (seconds) after which a connection is declared dead and
-        its in-flight task is re-dispatched.
-    transport_attempts:
-        Dispatch attempts per task across worker losses before the task
-        degrades to a :class:`~repro.federated.backends.TaskFailure`.
-    worker_timeout:
-        Seconds the coordinator tolerates an *empty* worker pool
-        mid-round before giving up with a ``ConnectionError``.
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 7733
-    expected_workers: int = 1
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 10.0
-    transport_attempts: int = 3
-    worker_timeout: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not self.host:
-            raise ValueError("host must be a non-empty string")
-        if not 0 <= self.port <= 65535:
-            raise ValueError("port must be in [0, 65535]")
-        if self.expected_workers <= 0:
-            raise ValueError("expected_workers must be positive")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval"
-            )
-        if self.transport_attempts <= 0:
-            raise ValueError("transport_attempts must be positive")
-        if self.worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive")
-
-
 #: Default port of the status/admin endpoint (coordinator default + 1).
 DEFAULT_STATUS_PORT = 7734
 
 #: Verbs accepted by ``POST /admin/<verb>[/<worker>]``.
 ADMIN_VERBS = ("pause", "resume", "drain", "undrain")
-
-
-@dataclass(frozen=True)
-class ObservabilityConfig:
-    """Coordinator observability settings (status endpoint + tracing).
-
-    Observability is strictly read-only with respect to the training
-    numerics: enabling any of it never changes a seeded run's output (the
-    bitwise-neutrality gate asserted by the observability tests and the
-    ``service-smoke`` CI job).  Like :class:`ServiceConfig` this is pure
-    data -- ``repro serve`` maps its flags onto it, and
-    :class:`repro.federated.observability.StatusServer` /
-    :class:`repro.federated.observability.TraceRecorder` consume it.
-
-    Attributes
-    ----------
-    status_host:
-        Address the HTTP status/admin endpoint binds to.
-    status_port:
-        Port of the endpoint; ``None`` disables it entirely (the
-        default), ``0`` binds an ephemeral port (tests).
-    trace_path:
-        JSONL file for :class:`~repro.federated.observability
-        .TraceRecorder` span records; ``None`` disables tracing (the
-        default).
-    """
-
-    status_host: str = "127.0.0.1"
-    status_port: int | None = None
-    trace_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.status_host:
-            raise ValueError("status_host must be a non-empty string")
-        if self.status_port is not None and not 0 <= self.status_port <= 65535:
-            raise ValueError("status_port must be in [0, 65535] when set")
-        if self.trace_path is not None and not str(self.trace_path):
-            raise ValueError("trace_path must be a non-empty path when set")
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any observability feature is switched on."""
-        return self.status_port is not None or self.trace_path is not None
 
 
 @dataclass(frozen=True)

@@ -120,19 +120,9 @@ class FirstStageFilter:
         """Acceptance interval for the squared norm of an upload."""
         return self._norm_bounds
 
-    def passes_norm_test(self, upload: np.ndarray) -> bool:
-        """True if the upload's squared norm is inside the chi-square interval."""
-        squared = float(np.dot(upload, upload))
-        low, high = self._norm_bounds
-        return low <= squared <= high
-
     def ks_pvalue(self, upload: np.ndarray) -> float:
         """KS-test p-value of the upload's coordinates against ``N(0, sigma^2)``."""
         return ks_test(upload, self.sigma).pvalue
-
-    def passes_ks_test(self, upload: np.ndarray) -> bool:
-        """True if the KS test does not reject at the configured significance."""
-        return self.ks_pvalue(upload) >= self.significance
 
     # ------------------------------------------------------------------ #
     # FirstAGG

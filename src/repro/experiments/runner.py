@@ -59,23 +59,27 @@ _STATE_PATTERN = re.compile(r"round_(\d+)\.state\.npz$")
 
 
 def resolve_checkpoint(
-    resume_from: str | Path | tuple[int, np.ndarray],
+    resume_from: str | Path | tuple[int, np.ndarray | RoundState],
 ) -> tuple[int, np.ndarray | RoundState]:
     """Resolve a resume specification to ``(round_index, payload)``.
 
-    ``resume_from`` may be a ``(round_index, vector)`` pair, the path of
-    a snapshot written by the :class:`~repro.federated.pipeline
-    .Checkpoint` callback -- a parameter-only ``round_<index>.npy`` or a
-    full-state ``round_<index>.state.npz`` -- or a directory of such
-    snapshots.  In a directory the latest round wins; on a round that has
-    both flavours the full-state snapshot is preferred (it restores
-    strictly more).  The payload is the flat parameter vector for ``.npy``
-    snapshots and a :class:`~repro.federated.state.RoundState` for
-    full-state snapshots.
+    ``resume_from`` may be a ``(round_index, payload)`` pair, as this
+    function returns it, the path of a snapshot written by the
+    :class:`~repro.federated.pipeline.Checkpoint` callback -- a
+    parameter-only ``round_<index>.npy`` or a full-state
+    ``round_<index>.state.npz`` -- or a directory of such snapshots.  In
+    a directory the latest round wins; on a round that has both flavours
+    the full-state snapshot is preferred (it restores strictly more).
+    The payload is the flat parameter vector for ``.npy`` snapshots and a
+    :class:`~repro.federated.state.RoundState` for full-state snapshots.
+    A pair comes back as given (a vector as float64), so a snapshot
+    resolved once is not read again.
     """
     if isinstance(resume_from, tuple):
-        round_index, parameters = resume_from
-        return int(round_index), np.asarray(parameters, dtype=np.float64)
+        round_index, payload = resume_from
+        if not isinstance(payload, RoundState):
+            payload = np.asarray(payload, dtype=np.float64)
+        return int(round_index), payload
     path = Path(resume_from)
     if path.is_dir():
         # Full-state candidates sort after parameter-only ones on the
@@ -171,7 +175,7 @@ class ExperimentSetup:
 def prepare_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
-    resume_from: str | Path | tuple[int, np.ndarray] | None = None,
+    resume_from: str | Path | tuple[int, np.ndarray | RoundState] | None = None,
 ) -> ExperimentSetup:
     """Build the simulation for a config without running it.
 
@@ -332,7 +336,7 @@ def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
     callbacks: Iterable[RoundCallback] = (),
-    resume_from: str | Path | tuple[int, np.ndarray] | None = None,
+    resume_from: str | Path | tuple[int, np.ndarray | RoundState] | None = None,
     on_prepared: Callable[[ExperimentSetup], None] | None = None,
 ) -> RunResult:
     """Run one federated training experiment.

@@ -3,8 +3,6 @@
 - :class:`~repro.federated.worker.WorkerPool` -- runs the client-side DP
   protocol of Algorithm 1 for a whole worker population with one stacked
   forward/backward capture pass per shard.
-- :class:`~repro.federated.worker.HonestWorker` -- single-worker wrapper
-  over the same batched path.
 - :class:`~repro.federated.server.Server` -- owns the global model, the
   aggregation rule and the server auxiliary data.
 - :class:`~repro.federated.simulation.FederatedSimulation` -- the training
@@ -105,7 +103,6 @@ from repro.federated.pipeline import (
     RoundLogger,
     RoundPipeline,
     RoundStartEvent,
-    StreamingEvaluation,
 )
 from repro.federated.server import Server
 
@@ -124,7 +121,7 @@ from repro.federated.state import (
     save_round_state,
 )
 from repro.federated.wire import WireError
-from repro.federated.worker import HonestWorker, WorkerPool, WorkerSlot
+from repro.federated.worker import WorkerPool
 
 #: Names re-exported from :mod:`repro.federated.observability` on first
 #: access (PEP 562).
@@ -178,9 +175,7 @@ __all__ = [
     "GhostNormEngine",
     "available_engines",
     "build_engine",
-    "HonestWorker",
     "WorkerPool",
-    "WorkerSlot",
     "Server",
     "FederatedSimulation",
     "SimulationSettings",
@@ -196,7 +191,6 @@ __all__ = [
     "RoundLogger",
     "MetricsWriter",
     "Checkpoint",
-    "StreamingEvaluation",
     "CoordinatorServer",
     "RemoteBackend",
     "RemoteTaskError",

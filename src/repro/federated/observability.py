@@ -184,7 +184,7 @@ class StatusReporter(RoundCallback):
         """Publish the static facts of the run the pipeline is about to do."""
         simulation = pipeline.simulation
         expected = int(simulation.n_workers)
-        min_quorum = getattr(simulation, "min_quorum", 1)
+        min_quorum = simulation.min_quorum
         required = resolve_quorum(min_quorum, expected)
         self._expected = expected
         self._required_quorum = required
@@ -199,9 +199,8 @@ class StatusReporter(RoundCallback):
             "accuracy": None,
             "rounds_completed": 0,
         }
-        cohort = getattr(simulation, "cohort", None)
-        if getattr(simulation, "population_source", None) is not None:
-            static["cohort"] = int(cohort) if cohort is not None else None
+        if simulation.population_source is not None:
+            static["cohort"] = int(simulation.cohort)
         self.board.publish(**static)
 
     def on_round_start(self, event: RoundStartEvent) -> None:

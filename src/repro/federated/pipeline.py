@@ -2,15 +2,17 @@
 
 :class:`RoundPipeline` makes the stages of one aggregation round explicit
 
-    broadcast -> honest uploads -> byzantine uploads -> aggregate +
-    server update -> evaluate
+    honest uploads -> byzantine uploads -> aggregate + server update ->
+    evaluate
 
-and emits typed :class:`RoundEvent` objects to a list of
-:class:`RoundCallback` hooks, so callers observe or extend training
-without forking the loop.  There is one round function: the upload
+(the model broadcast before them is implicit: every pool reads the
+server's model object) and emits typed :class:`RoundEvent` objects to a
+list of :class:`RoundCallback` hooks, so callers observe or extend
+training without forking the loop.  There is one round function: the upload
 stages fill one ``(n, d)`` round matrix, honest rows first, and the
 server aggregates it -- or, when faults cost rows, the gathered
-survivors -- without copying it again.  The hooks:
+survivors -- without copying it again, in one call keyed by the rows'
+worker ids.  The hooks:
 
 - ``on_round_start(event)``  -- before any stage of the round runs;
 - ``on_evaluation(event)``   -- after the global model was evaluated on
@@ -64,7 +66,6 @@ __all__ = [
     "RoundLogger",
     "Checkpoint",
     "MetricsWriter",
-    "StreamingEvaluation",
     "RoundPipeline",
     "read_metrics",
 ]
@@ -145,13 +146,7 @@ class RoundEndEvent(RoundEvent):
 # callbacks
 # ---------------------------------------------------------------------- #
 class RoundCallback:
-    """Base class for pipeline hooks; every method is an optional no-op.
-
-    Besides the event hooks, a callback may define an ``evaluate_model(
-    simulation) -> float`` method to *replace* the pipeline's evaluate
-    stage (the full-test-set accuracy pass); the last callback providing
-    one wins.  :class:`StreamingEvaluation` is the built-in replacement.
-    """
+    """Base class for pipeline hooks; every method is an optional no-op."""
 
     def on_round_start(self, event: RoundStartEvent) -> None:
         """Called before any stage of the round runs."""
@@ -334,10 +329,6 @@ class Checkpoint(RoundCallback):
         Write full-state snapshots instead of parameter-only ones
         (requires ``directory``).  ``snapshots`` still records the
         parameter vectors for in-memory consumers.
-    keep_last:
-        If set, prune on-disk snapshots beyond the newest ``keep_last``
-        rounds after each write, bounding a long-running service's state
-        directory.
     """
 
     def __init__(
@@ -345,18 +336,14 @@ class Checkpoint(RoundCallback):
         every: int = 10,
         directory: str | Path | None = None,
         full_state: bool = False,
-        keep_last: int | None = None,
     ) -> None:
         if every <= 0:
             raise ValueError("every must be positive")
         if full_state and directory is None:
             raise ValueError("full_state snapshots require a directory")
-        if keep_last is not None and keep_last <= 0:
-            raise ValueError("keep_last must be positive when set")
         self.every = every
         self.directory = None if directory is None else Path(directory)
         self.full_state = full_state
-        self.keep_last = keep_last
         self.snapshots: dict[int, np.ndarray] = {}
         self._pipeline: RoundPipeline | None = None
 
@@ -395,28 +382,6 @@ class Checkpoint(RoundCallback):
             finally:
                 if tmp.exists():
                     tmp.unlink()
-        if self.keep_last is not None:
-            self._prune()
-
-    def _prune(self) -> None:
-        """Drop on-disk snapshots older than the newest ``keep_last`` rounds."""
-        assert self.directory is not None and self.keep_last is not None
-        found: list[tuple[int, Path]] = []
-        for entry in self.directory.glob("round_*"):
-            name = entry.name
-            for suffix in (STATE_SUFFIX, ".npy"):
-                if name.endswith(suffix):
-                    stem = name[len("round_"):-len(suffix)]
-                    if stem.isdigit():
-                        found.append((int(stem), entry))
-                    break
-        keep = {
-            round_index
-            for round_index in sorted({r for r, _ in found})[-self.keep_last:]
-        }
-        for round_index, entry in found:
-            if round_index not in keep:
-                entry.unlink(missing_ok=True)
 
 
 class MetricsWriter(RoundCallback):
@@ -514,54 +479,6 @@ def read_metrics(path: str | Path) -> list[dict]:
     return records
 
 
-class StreamingEvaluation(RoundCallback):
-    """Replace the full-test-set evaluate stage with a bounded-memory one.
-
-    Two independent knobs:
-
-    - ``batch_size``: the forward pass streams the test set in chunks of
-      this size (exact -- chunking never changes a prediction; this only
-      bounds peak activation memory for large test sets).
-    - ``subsample``: if set, accuracy is computed on a fixed random subset
-      of this many test examples (drawn once per dataset from ``seed``),
-      trading exactness for per-evaluation cost on very large test sets.
-
-    With ``subsample=None`` the reported accuracies are identical to
-    :meth:`repro.federated.server.Server.evaluate` on the full test set.
-    """
-
-    def __init__(
-        self,
-        batch_size: int = 1024,
-        subsample: int | None = None,
-        seed: int = 0,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if subsample is not None and subsample <= 0:
-            raise ValueError("subsample must be positive when set")
-        self.batch_size = batch_size
-        self.subsample = subsample
-        self.seed = seed
-        # (source dataset, its subset); the source is held and compared by
-        # identity, so a recycled object id can never serve a stale subset
-        self._subset_cache: tuple[object, object] | None = None
-
-    def _evaluation_dataset(self, dataset):
-        if self.subsample is None or self.subsample >= len(dataset):
-            return dataset
-        if self._subset_cache is None or self._subset_cache[0] is not dataset:
-            rng = np.random.default_rng(self.seed)
-            indices = rng.choice(len(dataset), size=self.subsample, replace=False)
-            self._subset_cache = (dataset, dataset.subset(np.sort(indices)))
-        return self._subset_cache[1]
-
-    def evaluate_model(self, simulation: "FederatedSimulation") -> float:
-        """Evaluate the (subsampled) test set in streaming chunks."""
-        dataset = self._evaluation_dataset(simulation.test_dataset)
-        return simulation.server.evaluate(dataset, batch_size=self.batch_size)
-
-
 # ---------------------------------------------------------------------- #
 # the pipeline
 # ---------------------------------------------------------------------- #
@@ -592,7 +509,7 @@ class RoundPipeline:
         # one-shot run_round calls start with an empty buffer).  A
         # simulation restored from a full-state snapshot carries the
         # buffer across the restart; consume it exactly once.
-        self._pending = getattr(simulation, "_restored_pending", None)
+        self._pending = simulation._restored_pending
         if self._pending is not None:
             simulation._restored_pending = None
         # Tracing seam: a callback exposing a callable ``trace_span``
@@ -607,8 +524,8 @@ class RoundPipeline:
             if callable(getattr(callback, "trace_span", None)):
                 self._tracer = callback
         if self._tracer is not None:
-            backend = getattr(simulation, "backend", None)
-            if backend is not None and callable(getattr(backend, "set_tracer", None)):
+            backend = simulation.backend
+            if callable(getattr(backend, "set_tracer", None)):
                 backend.set_tracer(self._tracer)
         for callback in self.callbacks:
             bind = getattr(callback, "bind", None)
@@ -624,14 +541,6 @@ class RoundPipeline:
     # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #
-    def broadcast(self) -> np.ndarray:
-        """Stage 1: the server broadcasts the current global parameters.
-
-        All workers share the server's model object, so the broadcast is
-        a logical stage; it returns ``w_{t-1}`` for observability.
-        """
-        return self.simulation.server.broadcast()
-
     def honest_uploads(
         self,
         crash_plan: ShardFaultPlan | None = None,
@@ -657,56 +566,34 @@ class RoundPipeline:
     def aggregate_and_update(
         self,
         uploads: np.ndarray,
-        worker_ids: np.ndarray | None = None,
+        worker_ids: np.ndarray,
         fault_diagnostics: Mapping[str, float] | None = None,
     ) -> dict[str, float]:
         """Stages 4+5: aggregate the round's uploads and update the model.
 
-        With ``worker_ids`` (the fault path), ``uploads`` holds only the
-        surviving sub-cohort's rows; the ids map each row back to its
-        worker so the server can aggregate the partial cohort against the
-        expected population, and the selection diagnostic translates row
-        indices back to worker identities.  In population mode (a
-        simulation with a ``population_source``) the ids are *global*
-        population ids -- callers translate local row indices through
-        :meth:`_state_ids` before handing them in -- and the server keys
-        its per-worker state by the full registered population.
+        ``worker_ids`` are the rows' server-state ids (see
+        :meth:`~repro.federated.simulation.FederatedSimulation
+        .global_worker_ids`): the row index in the classic mode, the
+        global population id under cohort subsampling.  The server keys
+        its per-worker state by the registered population and checks the
+        quorum against the round's expected cohort, so the whole round
+        matrix of a clean round and the surviving rows of a faulty one
+        take the same call; the selection diagnostic translates row
+        indices back to worker identities through the same ids.
         """
         simulation = self.simulation
-        population_mode = getattr(simulation, "population_source", None) is not None
-        if population_mode and worker_ids is None:
-            worker_ids = simulation.global_worker_ids()
         with self._span("stage", "aggregate_and_update"):
-            if worker_ids is None:
-                simulation.server.update(uploads)
-            elif population_mode:
-                simulation.server.update(
-                    uploads,
-                    worker_ids=worker_ids,
-                    population=simulation.total_population,
-                    expected=simulation.n_workers,
-                )
-            else:
-                simulation.server.update(
-                    uploads, worker_ids=worker_ids, population=simulation.n_workers
-                )
+            simulation.server.update(
+                uploads,
+                worker_ids=worker_ids,
+                population=simulation.total_population,
+                expected=simulation.n_workers,
+            )
         return self._selection_diagnostics(worker_ids, fault_diagnostics)
-
-    def _state_ids(self, local_ids: np.ndarray) -> np.ndarray:
-        """Translate the round's local row indices to server-state ids.
-
-        Classic simulations key server state by the local row index, so
-        this is the identity; population-mode simulations map row ``i``
-        through the round's sampling plan to its global population id.
-        """
-        mapper = getattr(self.simulation, "global_worker_ids", None)
-        if callable(mapper):
-            return mapper(local_ids)
-        return np.asarray(local_ids, dtype=np.int64)
 
     def _selection_diagnostics(
         self,
-        row_ids: np.ndarray | None,
+        row_ids: np.ndarray,
         fault_diagnostics: Mapping[str, float] | None = None,
     ) -> dict[str, float]:
         """The round diagnostics dict, given the rows' server-state ids."""
@@ -714,38 +601,23 @@ class RoundPipeline:
         byz_selected = 0.0
         selected = getattr(simulation.server.aggregator, "last_selected", None)
         if selected is not None and simulation.n_byzantine > 0:
-            selected = np.asarray(selected)
-            if row_ids is not None:
-                selected = np.asarray(row_ids)[selected]
-            floor = getattr(simulation, "byzantine_id_floor", simulation.n_honest)
-            byz_selected = float(np.mean(selected >= floor))
+            selected = np.asarray(row_ids)[np.asarray(selected)]
+            byz_selected = float(np.mean(selected >= simulation.byzantine_id_floor))
         diagnostics = {"byzantine_selected_fraction": byz_selected}
         if fault_diagnostics:
             diagnostics.update(fault_diagnostics)
         return diagnostics
 
     def evaluate(self) -> float:
-        """Stage 6: test accuracy of the current global model.
-
-        A callback may replace this stage by defining ``evaluate_model(
-        simulation) -> float`` (e.g. :class:`StreamingEvaluation`); the
-        last such callback wins, and the default is the server's exact
-        full-test-set pass.
-        """
+        """Stage 6: test accuracy of the current global model."""
         with self._span("stage", "evaluate"):
-            for callback in reversed(self.callbacks):
-                evaluate_model = getattr(callback, "evaluate_model", None)
-                if callable(evaluate_model):
-                    return float(evaluate_model(self.simulation))
             return self.simulation.server.evaluate(self.simulation.test_dataset)
 
     def run_round(self, round_index: int) -> dict[str, float]:
         """Run stages 1-5 of one round; returns the round diagnostics.
 
-        The broadcast stage is implicit here: all workers share the
-        server's model object, so no parameter copy is materialised on
-        the hot path (:meth:`broadcast` stays available to callers that
-        want to observe ``w_{t-1}``).
+        The broadcast stage is implicit: all workers share the server's
+        model object, so no parameter copy is materialised.
 
         The round fills one ``(n, d)`` round matrix, honest rows first:
         the pools commit their shards straight into its rows, and the
@@ -766,16 +638,14 @@ class RoundPipeline:
         of the round counters and identical across backends.
 
         With faults inactive and every shard committed, the round matrix
-        goes to the server as-is and the round emits no ``fault_*``
-        diagnostic.  Otherwise the surviving ``(m, d)`` sub-cohort is
-        gathered and reaches the server together with its worker ids and
-        six ``fault_*`` counts; quorum enforcement lives in
+        itself goes to the server with every worker's id, and the round
+        emits no ``fault_*`` diagnostic.  Otherwise the surviving
+        ``(m, d)`` sub-cohort is gathered and goes with its worker ids and
+        six ``fault_*`` counts.  Quorum enforcement lives in
         :meth:`~repro.federated.server.Server.update`.
         """
         simulation = self.simulation
-        prepare = getattr(simulation, "prepare_round", None)
-        if callable(prepare):
-            prepare(round_index)
+        simulation.prepare_round(round_index)
         faults = simulation.fault_model
         n_honest = simulation.n_honest
         n_byzantine = simulation.n_byzantine
@@ -835,7 +705,7 @@ class RoundPipeline:
             and byzantine_report is None
             and arrivals is None
         ):
-            return self.aggregate_and_update(matrix)
+            return self.aggregate_and_update(matrix, simulation.global_worker_ids())
 
         lost = crashed | dropped | late
         survivor_ids = np.nonzero(~lost)[0]
@@ -845,7 +715,7 @@ class RoundPipeline:
         # so a buffered straggler row stays attributed to the *worker*
         # that computed it even when the next round samples a different
         # cohort.
-        survivor_ids = self._state_ids(survivor_ids)
+        survivor_ids = simulation.global_worker_ids(survivor_ids)
 
         # Buffered stragglers: deliver last round's late reports now,
         # stash this round's for the next (a worker may then contribute
@@ -857,7 +727,7 @@ class RoundPipeline:
             buffered = int(np.count_nonzero(buffer_mask))
             if buffered:
                 self._pending = (
-                    self._state_ids(np.nonzero(buffer_mask)[0]),
+                    simulation.global_worker_ids(np.nonzero(buffer_mask)[0]),
                     matrix[buffer_mask],
                 )
         if arrivals is not None:
@@ -946,7 +816,7 @@ class RoundPipeline:
         """
         settings = self.simulation.settings
         total_rounds = settings.total_rounds
-        start_round = getattr(self.simulation, "start_round", 0)
+        start_round = self.simulation.start_round
         if start_round >= total_rounds:
             # Resumed from the final snapshot: nothing left to train, but
             # evaluate once so the recorded history has its final point.

@@ -76,10 +76,6 @@ class Server:
         self.rng = rng
         self.round_index = 0
 
-    def broadcast(self) -> np.ndarray:
-        """The current global parameters ``w_{t-1}`` (model broadcasting)."""
-        return self.model.get_flat_parameters()
-
     def aggregation_context(self) -> AggregationContext:
         """Context object handed to the aggregation rule for this round."""
         return AggregationContext(

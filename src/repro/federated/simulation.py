@@ -53,7 +53,7 @@ from repro.federated.state import RoundState
 from repro.federated.history import TrainingHistory
 from repro.federated.pipeline import HistoryRecorder, RoundCallback, RoundPipeline
 from repro.federated.server import Server
-from repro.federated.worker import WorkerPool, WorkerSlot
+from repro.federated.worker import WorkerPool
 from repro.nn.network import Sequential
 
 __all__ = ["SimulationSettings", "FederatedSimulation"]
@@ -437,16 +437,6 @@ class FederatedSimulation:
         if local_ids is None:
             return full
         return full[np.asarray(local_ids, dtype=np.int64)]
-
-    @property
-    def honest_workers(self) -> list[WorkerSlot]:
-        """Per-worker views into the honest pool (diagnostics and tests)."""
-        return self.honest_pool.slots
-
-    @property
-    def byzantine_workers(self) -> list[WorkerSlot]:
-        """Per-worker views into the Byzantine pool (empty for crafting attacks)."""
-        return self.byzantine_pool.slots if self.byzantine_pool is not None else []
 
     def honest_uploads(
         self,

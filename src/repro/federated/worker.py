@@ -62,10 +62,8 @@ describe a shard task to a remote worker without shipping code.  When no
 ``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
 
-:class:`HonestWorker` is kept as a thin wrapper around a single-slot pool
-for code (and tests) that talk to one worker at a time; upload-crafting
-attacks are handled collectively by the simulation (the attacker controls
-all its fake workers at once).
+Upload-crafting attacks are handled collectively by the simulation (the
+attacker controls all its fake workers at once).
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import BackendConfig, DPConfig, EngineConfig
-from repro.core.dp_protocol import BatchedDPState, LocalDPState
+from repro.core.dp_protocol import BatchedDPState
 from repro.data.dataset import Dataset
 from repro.federated.backends import (
     ExecutionBackend,
@@ -92,7 +90,7 @@ from repro.federated.engines import ClientEngine, build_engine
 from repro.federated.faults import PoolFaultReport, ShardFaultPlan
 from repro.nn.network import Sequential
 
-__all__ = ["HonestWorker", "WorkerPool", "WorkerSlot"]
+__all__ = ["WorkerPool"]
 
 
 #: Per-thread cache of (model, engine) replicas built by shard tasks,
@@ -358,11 +356,6 @@ class WorkerPool:
         """Half-open worker-index ranges of the shards, in order."""
         return list(self._shard_bounds)
 
-    @property
-    def slots(self) -> list["WorkerSlot"]:
-        """Per-worker views (dataset, generator, momentum) into the pool."""
-        return [WorkerSlot(self, index) for index in range(self.n_workers)]
-
     def assign(
         self, datasets: list[Dataset], rngs: list[np.random.Generator]
     ) -> None:
@@ -557,116 +550,3 @@ class WorkerPool:
     def reset(self) -> None:
         """Clear every worker's momentum state (start of a fresh run)."""
         self.state = BatchedDPState()
-
-
-class WorkerSlot:
-    """Read-only view of one worker inside a :class:`WorkerPool`."""
-
-    def __init__(self, pool: WorkerPool, index: int) -> None:
-        self.pool = pool
-        self.index = index
-
-    @property
-    def dataset(self) -> Dataset:
-        """The worker's private local dataset."""
-        return self.pool.datasets[self.index]
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The worker's private random generator."""
-        return self.pool.rngs[self.index]
-
-    @property
-    def state(self) -> LocalDPState:
-        """The worker's momentum list as a scalar-protocol state view.
-
-        **Diagnostic view only.**  The returned ``(b_c, d)`` momentum is a
-        fresh, read-only broadcast of the pool's rank-1 per-worker state
-        (all slots of a worker are identical between rounds, Algorithm 1
-        line 11).  Mutations to the returned object do not feed back into
-        the pool -- drive the protocol via the pool (or
-        :meth:`HonestWorker.compute_upload`), not via scalar
-        :func:`~repro.core.dp_protocol.local_update` on this view.
-        """
-        if self.pool.state.slot_momentum.shape[0] <= self.index:
-            return LocalDPState()
-        return LocalDPState(momentum=self.pool.state.momentum_of(self.index))
-
-    @state.setter
-    def state(self, value: LocalDPState) -> None:
-        """Reject assignment: worker state lives in the pool."""
-        raise AttributeError(
-            "worker state lives in the WorkerPool; use pool.reset() (or "
-            "HonestWorker.reset()) instead of assigning a LocalDPState"
-        )
-
-
-class HonestWorker:
-    """A single protocol-following worker: a thin wrapper over a 1-slot pool.
-
-    Parameters
-    ----------
-    dataset:
-        The worker's private local dataset.
-    dp_config:
-        Client-side DP settings (batch size, noise multiplier, momentum,
-        sensitivity bounding mode).
-    rng:
-        The worker's private random generator (mini-batch sampling and DP
-        noise).
-    engine:
-        Optional client compute engine specification (see
-        :class:`WorkerPool`).
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        dp_config: DPConfig,
-        rng: np.random.Generator,
-        engine: str | ClientEngine | EngineConfig | None = None,
-    ) -> None:
-        self._pool = WorkerPool([dataset], dp_config, [rng], engine=engine)
-
-    @property
-    def dataset(self) -> Dataset:
-        """The worker's private local dataset (read-only; the pool samples
-        from it, so reassignment would be silently ignored -- build a new
-        worker instead)."""
-        return self._pool.datasets[0]
-
-    @property
-    def dp_config(self) -> DPConfig:
-        """The worker's client-side DP settings (read-only)."""
-        return self._pool.dp_config
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The worker's private random generator (read-only attribute; the
-        generator object itself advances as the worker runs)."""
-        return self._pool.rngs[0]
-
-    def compute_upload(self, model: Sequential) -> np.ndarray:
-        """One local iteration of Algorithm 1 at the current global model."""
-        return self._pool.compute_uploads(model)[0]
-
-    @property
-    def state(self) -> LocalDPState:
-        """The worker's momentum state (read-only diagnostic view).
-
-        See :attr:`WorkerSlot.state`: mutations do not feed back; use
-        :meth:`compute_upload` and :meth:`reset` to drive the protocol.
-        """
-        return self._pool.slots[0].state
-
-    @state.setter
-    def state(self, value: LocalDPState) -> None:
-        """Reject assignment: the state is a read-only pool view."""
-        raise AttributeError(
-            "HonestWorker.state is a read-only view into its WorkerPool; "
-            "call reset() instead of assigning a LocalDPState"
-        )
-
-    def reset(self) -> None:
-        """Clear the momentum state (start of a fresh training run)."""
-        self._pool.reset()

@@ -165,3 +165,22 @@ class TestSelection:
         selector = SecondStageSelector(6, 0.5)
         report = selector.select(honest + zeroed, server_gradient)
         assert set(report.selected) == {0, 1, 2}
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+    def test_full_cohort_ids_match_the_reference_path(self, rng, gamma):
+        """Passing every worker's id (``arange(n)``) selects bitwise as the
+        id-free full-cohort path: the keep count ``ceil(gamma n)`` is the
+        same, and ``np.add.at`` over unique ids adds each score once."""
+        n_workers, dimension = 10, 20
+        reference = SecondStageSelector(n_workers, gamma)
+        keyed = SecondStageSelector(n_workers, gamma)
+        ids = np.arange(n_workers)
+        for _ in range(4):
+            server_gradient = rng.normal(size=dimension)
+            uploads = np.array(make_uploads(rng, server_gradient, 6, 4))
+            scores = uploads @ server_gradient
+            want = reference.select_scored(scores)
+            got = keyed.select_scored(scores, worker_ids=ids)
+            np.testing.assert_array_equal(got.selected, want.selected)
+            assert got.threshold == want.threshold
+            np.testing.assert_array_equal(got.accumulated, want.accumulated)

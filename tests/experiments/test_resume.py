@@ -32,6 +32,12 @@ class TestResolveCheckpoint:
         assert round_index == 7
         np.testing.assert_array_equal(parameters, vector)
 
+    def test_vector_pair_comes_back_as_float64(self):
+        round_index, parameters = resolve_checkpoint((np.int64(2), [1, 2, 3]))
+        assert type(round_index) is int and round_index == 2
+        assert parameters.dtype == np.float64
+        np.testing.assert_array_equal(parameters, [1.0, 2.0, 3.0])
+
     def test_file_round_parsed_from_name(self, tmp_path):
         vector = np.arange(4.0)
         path = tmp_path / "round_12.npy"
@@ -114,6 +120,32 @@ class TestResumeRoundTrip:
         run_experiment(config, callbacks=[checkpoint])
         assert main([*arguments, "--resume-from", str(tmp_path)]) == 0
         assert "final test accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["round_1.state.npz", "."])
+    def test_cli_resumes_full_state_snapshot(self, tmp_path, capsys, target):
+        """A full-state snapshot, named or as its directory's latest one,
+        resumes through the CLI with the uninterrupted run's stdout."""
+        from repro.cli import main
+        from repro.experiments.presets import benchmark_preset
+
+        arguments = [
+            "run", "--dataset", "usps_like", "--byzantine", "0.4",
+            "--attack", "label_flip", "--epochs", "1", "--seed", "1",
+        ]
+        config = benchmark_preset(
+            dataset="usps_like", byzantine_fraction=0.4, attack="label_flip",
+            epochs=1, seed=1,
+        )
+        run_experiment(config, callbacks=[
+            Checkpoint(every=1, directory=tmp_path, full_state=True)
+        ])
+        for snapshot in tmp_path.iterdir():
+            if snapshot.name not in ("round_0.state.npz", "round_1.state.npz"):
+                snapshot.unlink()
+        assert main(arguments) == 0
+        uninterrupted = capsys.readouterr().out
+        assert main([*arguments, "--resume-from", str(tmp_path / target)]) == 0
+        assert capsys.readouterr().out == uninterrupted
 
     def test_cli_resume_bad_path_exits_cleanly(self, tmp_path):
         from repro.cli import main

@@ -133,6 +133,14 @@ class TestResolveStateCheckpoints:
         assert round_index == 5
         assert isinstance(payload, RoundState)
 
+    def test_state_pair_is_returned_unread(self):
+        """A resolved full-state pair passes through as the same object,
+        so a snapshot the caller already read is not read again."""
+        state = TestSnapshotFile().make_state(round_index=4)
+        round_index, payload = resolve_checkpoint((4, state))
+        assert round_index == 4
+        assert payload is state
+
     def test_directory_prefers_state_over_npy_on_same_round(self, tmp_path):
         np.save(tmp_path / "round_3.npy", np.zeros(4))
         save_round_state(
@@ -192,6 +200,14 @@ class TestBitwiseResume:
         # The latest snapshot is the final round: nothing left to train,
         # but the restored model must already hold the final bits.
         np.testing.assert_array_equal(resumed_parameters, reference_parameters)
+
+    def test_resume_from_resolved_pair_is_bitwise_identical(self, tmp_path):
+        """The pair resolve_checkpoint returns resumes like its path."""
+        _, reference_parameters = run_to_completion(CONFIG, tmp_path=tmp_path)
+        resolved = resolve_checkpoint(tmp_path / f"round_1{STATE_SUFFIX}")
+        assert isinstance(resolved[1], RoundState)
+        _, from_pair = run_to_completion(CONFIG, resume_from=resolved)
+        np.testing.assert_array_equal(from_pair, reference_parameters)
 
     def test_chaos_resume_replays_identical_fault_trace(self, tmp_path):
         """Under --faults chaos the replayed rounds repeat the same faults

@@ -25,6 +25,7 @@ from repro.federated.backends import (
     available_backends,
     build_backend,
 )
+from repro.federated.engines import GhostNormEngine, MaterializedEngine
 from repro.federated.worker import WorkerPool
 from tests.helpers import make_model_and_data
 
@@ -221,6 +222,47 @@ class TestPoolBackends:
     def test_threaded_pool_bitwise_identical_ghost_engine(self):
         self.assert_pool_matches_serial(
             ThreadedBackend(max_workers=3), engine="ghost_norm"
+        )
+
+    @pytest.mark.parametrize("engine_class", [MaterializedEngine, GhostNormEngine])
+    def test_threaded_pool_clones_ready_engine_instance(self, engine_class):
+        """Executor threads compute on clones of a ready engine instance,
+        one per thread; the caller's instance never leaves its thread."""
+        calls = []
+
+        class Recording(engine_class):
+            def compute_uploads(self, *args, **kwargs):
+                calls.append((id(self), threading.get_ident()))
+                return super().compute_uploads(*args, **kwargs)
+
+        engine = Recording()
+        model, _ = make_model_and_data(seed=2)
+        shards = make_shards(6, seed=3)
+        config = DPConfig(batch_size=4, sigma=0.9, momentum=0.2)
+        serial = make_pool(shards, config, engine=engine_class(), shard_size=2)
+        threaded = make_pool(
+            shards, config, engine=engine, shard_size=2,
+            backend=ThreadedBackend(max_workers=2),
+        )
+        try:
+            for round_index in range(3):
+                np.testing.assert_array_equal(
+                    threaded.compute_uploads(model),
+                    serial.compute_uploads(model),
+                    err_msg=f"round {round_index}",
+                )
+        finally:
+            threaded.backend.shutdown()
+        caller = threading.get_ident()
+        assert {thread for owner, thread in calls if owner == id(engine)} <= {caller}
+        clones_by_thread: dict[int, set[int]] = {}
+        for owner, thread in calls:
+            if thread != caller:
+                clones_by_thread.setdefault(thread, set()).add(owner)
+        assert clones_by_thread
+        assert all(
+            len(owners) == 1 and id(engine) not in owners
+            for owners in clones_by_thread.values()
         )
 
     def test_process_pool_bitwise_identical(self):

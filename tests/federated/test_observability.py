@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core.config import ObservabilityConfig
 from repro.federated.backends import RetryPolicy, SerialBackend, TaskFailure
 from repro.federated.observability import (
     AdminError,
@@ -42,29 +41,6 @@ def _square(item):
 FAST_ARGUMENTS = [
     "--dataset", "usps_like", "--byzantine", "0.5", "--epochs", "1", "--seed", "1",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# config surface
-# ---------------------------------------------------------------------- #
-class TestObservabilityConfig:
-    def test_defaults_are_off(self):
-        config = ObservabilityConfig()
-        assert config.status_port is None
-        assert config.trace_path is None
-        assert not config.enabled
-
-    def test_enabled_with_either_feature(self):
-        assert ObservabilityConfig(status_port=0).enabled
-        assert ObservabilityConfig(trace_path="t.jsonl").enabled
-
-    def test_rejects_bad_port(self):
-        with pytest.raises(ValueError, match="status_port"):
-            ObservabilityConfig(status_port=70000)
-
-    def test_rejects_empty_host(self):
-        with pytest.raises(ValueError, match="status_host"):
-            ObservabilityConfig(status_host="")
 
 
 # ---------------------------------------------------------------------- #

@@ -125,18 +125,49 @@ class TestStages:
         diagnostics = RoundPipeline(simulation).run_round(0)
         assert "byzantine_selected_fraction" in diagnostics
 
-    def test_broadcast_returns_current_parameters(self):
-        simulation = build_simulation()
-        pipeline = RoundPipeline(simulation)
-        np.testing.assert_array_equal(
-            pipeline.broadcast(), simulation.model.get_flat_parameters()
-        )
-
     def test_pipeline_run_is_identical_to_simulation_run(self):
         history_direct = build_simulation(seed=7).run()
         recorder = HistoryRecorder()
         RoundPipeline(build_simulation(seed=7), [recorder]).run()
         assert history_direct.as_dict() == recorder.history.as_dict()
+
+    def test_clean_round_hands_the_server_its_round_matrix(self):
+        """One server call per round: a clean round passes the matrix the
+        pool committed into -- no gathered copy -- with every worker's id,
+        the registered population and the expected cohort."""
+        simulation = build_simulation()
+        update = simulation.server.update
+        committed, calls = [], []
+
+        class CommitSpy(RoundPipeline):
+            def honest_uploads(self, crash_plan=None, out=None):
+                committed.append(out)
+                return super().honest_uploads(crash_plan, out=out)
+
+        def recording_update(uploads, **kwargs):
+            calls.append((uploads, kwargs))
+            return update(uploads, **kwargs)
+
+        simulation.server.update = recording_update
+        diagnostics = CommitSpy(simulation).run_round(0)
+        assert len(calls) == 1
+        uploads, kwargs = calls[0]
+        assert uploads.shape == (3, simulation.model.num_parameters)
+        assert committed[0].base is uploads
+        np.testing.assert_array_equal(kwargs["worker_ids"], np.arange(3))
+        assert kwargs["population"] == kwargs["expected"] == 3
+        assert not any(key.startswith("fault_") for key in diagnostics)
+
+    def test_evaluation_event_reports_the_test_accuracy(self):
+        spy = EventSpy()
+        simulation = build_simulation(total_rounds=3, eval_every=3)
+        RoundPipeline(simulation, [spy]).run()
+        (evaluation,) = [e for kind, e in spy.events if kind == "evaluation"]
+        server = simulation.server
+        assert evaluation.accuracy == server.evaluate(simulation.test_dataset)
+        assert evaluation.accuracy == server.evaluate(
+            simulation.test_dataset, batch_size=7
+        )
 
 
 class TestShouldStop:
@@ -300,6 +331,18 @@ class TestCheckpoint:
         loaded = np.load(tmp_path / "round_3.npy")
         np.testing.assert_array_equal(loaded, checkpoint.snapshots[3])
 
+    def test_directory_keeps_every_snapshot(self, tmp_path):
+        checkpoint = Checkpoint(every=1, directory=tmp_path)
+        simulation = build_simulation(total_rounds=5, eval_every=2)
+        RoundPipeline(simulation, [checkpoint]).run()
+        files = sorted(p.name for p in tmp_path.glob("*.npy"))
+        assert files == [f"round_{index}.npy" for index in range(5)]
+        for index in range(5):
+            np.testing.assert_array_equal(
+                np.load(tmp_path / f"round_{index}.npy"),
+                checkpoint.snapshots[index],
+            )
+
     def test_snapshot_is_a_copy(self):
         checkpoint = Checkpoint(every=1)
         simulation = build_simulation(total_rounds=2, eval_every=2)
@@ -317,81 +360,6 @@ class TestCheckpoint:
     def test_invalid_every(self):
         with pytest.raises(ValueError):
             Checkpoint(every=0)
-
-
-class TestStreamingEvaluation:
-    """The built-in evaluate-stage replacement callback."""
-
-    def test_chunked_mode_is_exact(self):
-        """Chunked evaluation equals Server.evaluate on the full test set."""
-        from repro.federated.pipeline import StreamingEvaluation
-
-        simulation = build_simulation(total_rounds=4, eval_every=2)
-        streaming = StreamingEvaluation(batch_size=7)
-        recorder = HistoryRecorder()
-        RoundPipeline(simulation, [recorder, streaming]).run()
-
-        reference = build_simulation(total_rounds=4, eval_every=2)
-        reference_recorder = HistoryRecorder()
-        RoundPipeline(reference, [reference_recorder]).run()
-        assert recorder.history.test_accuracy == reference_recorder.history.test_accuracy
-        assert recorder.history.rounds == reference_recorder.history.rounds
-
-    def test_replaces_the_evaluate_stage(self):
-        from repro.federated.pipeline import StreamingEvaluation
-
-        simulation = build_simulation()
-        calls = []
-
-        class SpyingStreaming(StreamingEvaluation):
-            def evaluate_model(self, sim):
-                calls.append(True)
-                return super().evaluate_model(sim)
-
-        pipeline = RoundPipeline(simulation, [SpyingStreaming()])
-        accuracy = pipeline.evaluate()
-        assert calls == [True]
-        assert 0.0 <= accuracy <= 1.0
-
-    def test_last_override_wins(self):
-        simulation = build_simulation()
-
-        class Fixed(RoundCallback):
-            def __init__(self, value):
-                self.value = value
-
-            def evaluate_model(self, sim):
-                return self.value
-
-        pipeline = RoundPipeline(simulation, [Fixed(0.25), Fixed(0.75)])
-        assert pipeline.evaluate() == 0.75
-
-    def test_subsampled_mode_uses_fixed_subset(self):
-        from repro.federated.pipeline import StreamingEvaluation
-
-        simulation = build_simulation()
-        streaming = StreamingEvaluation(subsample=20, seed=5)
-        first = streaming.evaluate_model(simulation)
-        second = streaming.evaluate_model(simulation)
-        assert first == second  # the subset is drawn once and cached
-        subset = streaming._subset_cache[1]
-        assert len(subset) == 20
-
-    def test_subsample_larger_than_test_set_is_exact(self):
-        from repro.federated.pipeline import StreamingEvaluation
-
-        simulation = build_simulation()
-        streaming = StreamingEvaluation(subsample=10**6)
-        exact = simulation.server.evaluate(simulation.test_dataset)
-        assert streaming.evaluate_model(simulation) == exact
-
-    def test_validation(self):
-        from repro.federated.pipeline import StreamingEvaluation
-
-        with pytest.raises(ValueError):
-            StreamingEvaluation(batch_size=0)
-        with pytest.raises(ValueError):
-            StreamingEvaluation(subsample=0)
 
 
 class TestStartRound:

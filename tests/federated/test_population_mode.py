@@ -29,7 +29,7 @@ import pytest
 
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment, run_experiment
-from repro.federated.pipeline import Checkpoint
+from repro.federated.pipeline import Checkpoint, RoundPipeline
 from repro.federated.state import load_round_state
 
 BASE = dict(
@@ -114,6 +114,38 @@ class TestRoundMatrix:
             config.replace(backend="threaded", backend_kwargs={"max_workers": 2})
         )
         np.testing.assert_array_equal(serial, threaded)
+
+
+    def test_clean_round_hands_the_server_global_ids(self):
+        """A clean population round passes its whole round matrix with the
+        sampled cohort's global ids (Byzantine ids above the population),
+        the registered population and the cohort as the expected count."""
+        setup = prepare_experiment(
+            population_config(byzantine_fraction=0.25, attack="label_flip")
+        )
+        simulation = setup.simulation
+        update = simulation.server.update
+        calls = []
+
+        def recording_update(uploads, **kwargs):
+            calls.append((uploads.shape, kwargs))
+            return update(uploads, **kwargs)
+
+        simulation.server.update = recording_update
+        try:
+            RoundPipeline(simulation).run_round(0)
+            (shape, kwargs), = calls
+            assert shape == (simulation.n_workers, simulation.model.num_parameters)
+            ids = kwargs["worker_ids"]
+            np.testing.assert_array_equal(ids, simulation.global_worker_ids())
+            np.testing.assert_array_equal(
+                ids[: simulation.n_honest], simulation.current_plan
+            )
+            assert (ids[simulation.n_honest:] >= simulation.byzantine_id_floor).all()
+            assert kwargs["population"] == simulation.total_population
+            assert kwargs["expected"] == simulation.n_workers
+        finally:
+            simulation.close()
 
 
 class TestSamplerResume:

@@ -122,7 +122,9 @@ def assert_matches_one_shard(name: str, shard_size: int, faulty: bool):
             np.testing.assert_array_equal(worker_ids, SURVIVOR_IDS[index])
             np.testing.assert_array_equal(want[1], SURVIVOR_IDS[index])
         else:
-            assert worker_ids is None and want[1] is None
+            every_worker = np.arange(N_HONEST + N_BYZANTINE)
+            np.testing.assert_array_equal(worker_ids, every_worker)
+            np.testing.assert_array_equal(want[1], every_worker)
             assert uploads.shape[0] == N_HONEST + N_BYZANTINE
     assert diagnostics == reference_diagnostics
     np.testing.assert_array_equal(parameters, reference_parameters)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.config import DPConfig, ServiceConfig
+from repro.core.config import DPConfig
 from repro.federated.backends import (
     BACKENDS,
     ExecutionBackend,
@@ -162,18 +162,6 @@ class TestRegistryAndConfig:
         assert backend.transport_policy.max_attempts == 2
         backend.shutdown()
 
-    def test_service_config_validation(self):
-        config = ServiceConfig()
-        assert config.port == 7733
-        with pytest.raises(ValueError):
-            ServiceConfig(port=70000)
-        with pytest.raises(ValueError):
-            ServiceConfig(expected_workers=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(heartbeat_timeout=0.1, heartbeat_interval=0.5)
-        with pytest.raises(ValueError):
-            ServiceConfig(transport_attempts=0)
-
     def test_resilient_task_travels_as_data_without_trace_hook(self, backend):
         """The retry loop reaches the remote worker as header fields."""
         backend.set_tracer(object())
@@ -189,6 +177,21 @@ class TestRegistryAndConfig:
             CoordinatorServer(heartbeat_interval=0.0)
         with pytest.raises(ValueError):
             CoordinatorServer(heartbeat_interval=1.0, heartbeat_timeout=0.5)
+
+    def test_coordinator_rejects_nonpositive_worker_timeout(self):
+        with pytest.raises(ValueError, match="worker_timeout"):
+            CoordinatorServer(worker_timeout=0.0)
+
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [("max_workers", 0), ("transport_attempts", 0), ("transport_backoff", -0.1)],
+    )
+    def test_remote_backend_rejects_bad_settings(self, option, value):
+        """``repro serve`` hands --workers and --transport-retries to these
+        keywords as given; the backend refuses bad values before it
+        listens."""
+        with pytest.raises(ValueError):
+            RemoteBackend(**{option: value})
 
 
 class TestOrderedExecution:

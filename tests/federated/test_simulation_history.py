@@ -94,13 +94,19 @@ class TestConstruction:
         assert simulation.n_byzantine == 3
         assert simulation.n_workers == 7
 
+    def test_honest_pool_runs_every_honest_shard(self):
+        simulation = build_simulation(n_honest=4)
+        pool = simulation.honest_pool
+        assert pool.n_workers == simulation.n_honest == 4
+        assert sum(len(dataset) for dataset in pool.datasets) == 240
+
     def test_protocol_following_attack_creates_byzantine_workers(self):
         simulation = build_simulation(n_honest=4, n_byzantine=3, attack=LabelFlipAttack())
-        assert len(simulation.byzantine_workers) == 3
+        assert simulation.byzantine_pool.n_workers == 3
 
     def test_crafting_attack_creates_no_byzantine_workers(self):
         simulation = build_simulation(n_honest=4, n_byzantine=3, attack=GaussianAttack())
-        assert len(simulation.byzantine_workers) == 0
+        assert simulation.byzantine_pool is None
 
 
 class TestRounds:

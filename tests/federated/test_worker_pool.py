@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import DPConfig
 from repro.core.dp_protocol import LocalDPState, local_update
 from repro.data.synthetic import make_classification
-from repro.federated.worker import HonestWorker, WorkerPool
+from repro.federated.worker import WorkerPool
 from tests.helpers import make_model_and_data
 
 
@@ -78,12 +78,15 @@ class TestWorkerPool:
                 rtol=1e-9, atol=1e-12,
             )
 
-    def test_single_worker_pool_matches_scalar(self):
+    @pytest.mark.parametrize(
+        ("sigma", "momentum", "seed"), [(1.0, 0.1, 11), (0.7, 0.2, 21)]
+    )
+    def test_single_worker_pool_matches_scalar(self, sigma, momentum, seed):
         model, dataset = make_model_and_data(seed=6)
-        config = DPConfig(batch_size=8, sigma=1.0)
-        pool = WorkerPool([dataset], config, [np.random.default_rng(11)])
+        config = DPConfig(batch_size=8, sigma=sigma, momentum=momentum)
+        pool = WorkerPool([dataset], config, [np.random.default_rng(seed)])
         state = LocalDPState()
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         for _ in range(3):
             expected = local_update(model, dataset, state, config, rng)
             np.testing.assert_allclose(
@@ -122,20 +125,20 @@ class TestWorkerPool:
         pool.reset()
         assert pool.state.slot_momentum.shape == (0, 0)
 
-    def test_slots_expose_per_worker_views(self):
+    def test_state_exposes_per_worker_views(self):
         model, _ = make_model_and_data(seed=1)
         shards = make_shards(3)
         rngs = [np.random.default_rng(i) for i in range(3)]
         pool = WorkerPool(shards, DPConfig(batch_size=4, sigma=0.5), rngs)
-        slots = pool.slots
-        assert len(slots) == 3
-        assert slots[1].dataset is shards[1]
-        assert slots[1].rng is rngs[1]
-        assert slots[1].state.momentum.shape == (0, 0)  # before the first round
+        assert pool.datasets[1] is shards[1]
+        assert pool.rngs[1] is rngs[1]
+        assert pool.state.slot_momentum.shape == (0, 0)  # before the first round
         uploads = pool.compute_uploads(model)
-        for index, slot in enumerate(pool.slots):
-            assert slot.state.momentum.shape == (4, model.num_parameters)
-            np.testing.assert_array_equal(slot.state.momentum[0], uploads[index])
+        for index in range(3):
+            momentum = pool.state.momentum_of(index)
+            assert momentum.shape == (4, model.num_parameters)
+            assert not momentum.flags.writeable
+            np.testing.assert_array_equal(momentum[0], uploads[index])
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
@@ -157,52 +160,3 @@ class TestWorkerPool:
         b = make_shards(1, n_features=9)[0]
         with pytest.raises(ValueError):
             WorkerPool([a, b], DPConfig(), [np.random.default_rng(0)] * 2)
-
-
-class TestHonestWorkerWrapper:
-    """HonestWorker is a thin wrapper over a single-slot pool."""
-
-    def test_matches_scalar_local_update(self):
-        model, dataset = make_model_and_data(seed=6)
-        config = DPConfig(batch_size=8, sigma=0.7, momentum=0.2)
-        worker = HonestWorker(dataset, config, np.random.default_rng(21))
-        state = LocalDPState()
-        rng = np.random.default_rng(21)
-        for _ in range(3):
-            expected = local_update(model, dataset, state, config, rng)
-            np.testing.assert_allclose(
-                worker.compute_upload(model), expected, rtol=1e-9, atol=1e-12
-            )
-
-    def test_exposes_dataset_and_config(self):
-        model, dataset = make_model_and_data(seed=6)
-        config = DPConfig(batch_size=4, sigma=1.0)
-        rng = np.random.default_rng(0)
-        worker = HonestWorker(dataset, config, rng)
-        assert worker.dataset is dataset
-        assert worker.dp_config is config
-        assert worker.rng is rng
-
-    def test_state_is_read_only_view(self):
-        """The pre-PR mutable-state idiom fails loudly instead of silently."""
-        from repro.core.dp_protocol import LocalDPState
-
-        _, dataset = make_model_and_data(seed=6)
-        worker = HonestWorker(dataset, DPConfig(batch_size=4), np.random.default_rng(0))
-        with pytest.raises(AttributeError):
-            worker.state = LocalDPState()
-        pool = WorkerPool([dataset], DPConfig(batch_size=4), [np.random.default_rng(0)])
-        with pytest.raises(AttributeError):
-            pool.slots[0].state = LocalDPState()
-
-    def test_attributes_are_read_only(self):
-        """Reassigning dataset/rng/dp_config fails loudly -- the pool, not
-        the attribute, is what compute_upload consults."""
-        _, dataset = make_model_and_data(seed=6)
-        worker = HonestWorker(dataset, DPConfig(batch_size=4), np.random.default_rng(0))
-        with pytest.raises(AttributeError):
-            worker.dataset = dataset
-        with pytest.raises(AttributeError):
-            worker.rng = np.random.default_rng(1)
-        with pytest.raises(AttributeError):
-            worker.dp_config = DPConfig(batch_size=8)

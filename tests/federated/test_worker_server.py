@@ -1,4 +1,4 @@
-"""Tests for HonestWorker and Server."""
+"""Tests for an honest worker (a one-worker WorkerPool) and Server."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.core.dp_protocol import upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.mean import MeanAggregator
 from repro.federated.server import Server
-from repro.federated.worker import HonestWorker
+from repro.federated.worker import WorkerPool
 from tests.helpers import make_model_and_data
 
 
@@ -21,6 +21,12 @@ def setup():
 
 
 class TestHonestWorker:
+    """One protocol-following worker of Algorithm 1: a one-worker pool."""
+
+    @staticmethod
+    def make_worker(dataset, config, seed=0):
+        return WorkerPool([dataset], config, [np.random.default_rng(seed)])
+
     def test_rejects_empty_dataset(self, setup):
         _, dataset = setup
         empty = Dataset(
@@ -29,33 +35,41 @@ class TestHonestWorker:
             num_classes=dataset.num_classes,
         )
         with pytest.raises(ValueError):
-            HonestWorker(empty, DPConfig(), np.random.default_rng(0))
+            self.make_worker(empty, DPConfig())
 
     def test_upload_shape(self, setup):
         model, dataset = setup
-        worker = HonestWorker(dataset, DPConfig(batch_size=4, sigma=1.0), np.random.default_rng(0))
-        upload = worker.compute_upload(model)
-        assert upload.shape == (model.num_parameters,)
+        worker = self.make_worker(dataset, DPConfig(batch_size=4, sigma=1.0))
+        uploads = worker.compute_uploads(model)
+        assert uploads.shape == (1, model.num_parameters)
 
     def test_momentum_state_persists_between_uploads(self, setup):
         model, dataset = setup
-        worker = HonestWorker(dataset, DPConfig(batch_size=4, sigma=0.5), np.random.default_rng(0))
-        worker.compute_upload(model)
-        assert worker.state.momentum.shape == (4, model.num_parameters)
+        worker = self.make_worker(dataset, DPConfig(batch_size=4, sigma=0.5))
+        for _ in range(2):
+            upload = worker.compute_uploads(model)[0]
+            momentum = worker.state.momentum_of(0)
+            assert momentum.shape == (4, model.num_parameters)
+            # Algorithm 1 line 11: every slot now holds the upload.
+            np.testing.assert_array_equal(
+                momentum, np.broadcast_to(upload, momentum.shape)
+            )
 
     def test_reset_clears_momentum(self, setup):
         model, dataset = setup
-        worker = HonestWorker(dataset, DPConfig(batch_size=4, sigma=0.5), np.random.default_rng(0))
-        worker.compute_upload(model)
+        worker = self.make_worker(dataset, DPConfig(batch_size=4, sigma=0.5))
+        worker.compute_uploads(model)
         worker.reset()
-        assert worker.state.momentum.shape == (0, 0)
+        assert worker.state.slot_momentum.shape == (0, 0)
 
     def test_two_workers_with_same_seed_agree(self, setup):
         model, dataset = setup
         config = DPConfig(batch_size=4, sigma=1.0)
-        a = HonestWorker(dataset, config, np.random.default_rng(5))
-        b = HonestWorker(dataset, config, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.compute_upload(model), b.compute_upload(model))
+        a = self.make_worker(dataset, config, seed=5)
+        b = self.make_worker(dataset, config, seed=5)
+        np.testing.assert_array_equal(
+            a.compute_uploads(model), b.compute_uploads(model)
+        )
 
 
 class TestServer:
@@ -69,11 +83,6 @@ class TestServer:
             gamma=0.5,
             rng=np.random.default_rng(9),
         )
-
-    def test_broadcast_returns_current_parameters(self, setup):
-        model, dataset = setup
-        server = self.make_server(model, dataset)
-        np.testing.assert_array_equal(server.broadcast(), model.get_flat_parameters())
 
     def test_rejects_nonpositive_learning_rate(self, setup):
         model, dataset = setup

@@ -60,3 +60,13 @@ class TestExamples:
         assert "First-stage aggregation" in output
         assert "Second-stage aggregation" in output
         assert "ZEROED" in output
+
+    def test_inspect_uploads_reports_every_worker_deterministically(self, capsys):
+        inspect = load_example(EXAMPLES_DIR / "inspect_uploads.py")
+        inspect.main()
+        first = capsys.readouterr().out
+        inspect.main()
+        assert capsys.readouterr().out == first
+        # One pool computes all six honest uploads; each appears in both tables.
+        for index in range(inspect.N_HONEST):
+            assert first.count(f"honest {index} ") == 2
