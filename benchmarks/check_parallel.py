@@ -19,7 +19,12 @@ runs there:
   and 3 on the serial and threaded backends, and fail unless all six
   final-parameter sha256 values match.  Stdout alone misses low-bit
   drift; this pins capture passes of 320, 16 and 48 rows (and the
-  threaded split) to the same bits end to end.
+  threaded split) to the same bits end to end.  A population run
+  (``usps_like``, population 2000, cohort 16, ``label_flip`` at
+  Byzantine fraction 0.2, 2 epochs) must likewise hash to one digest on
+  the serial, threaded and process backends at the same three shard
+  sizes: it re-points the honest pool at a sampled cohort every round
+  and runs the label-flipping attack's own pool.
 
 Run::
 
@@ -106,32 +111,59 @@ def command_sweep(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def command_shards(arguments: argparse.Namespace) -> int:
+def _paper_config(**execution):
     from repro.experiments.presets import paper_preset
+
+    return paper_preset(attack="alittle", byzantine_fraction=0.6, epochs=1, **execution)
+
+
+def _population_config(**execution):
+    from repro.experiments.presets import benchmark_preset
+
+    return benchmark_preset(
+        dataset="usps_like", population=2000, cohort=16, byzantine_fraction=0.2,
+        attack="label_flip", epochs=2, seed=1, **execution,
+    )
+
+
+#: ``name -> (config factory, backends)``; every shard size runs on each.
+SHARD_CASES = {
+    "paper": (_paper_config, ("serial", "threaded")),
+    "population": (_population_config, ("serial", "threaded", "process")),
+}
+
+
+def command_shards(arguments: argparse.Namespace) -> int:
     from repro.experiments.runner import prepare_experiment
 
-    digests = {}
-    for backend in ("serial", "threaded"):
-        jobs = {} if backend == "serial" else {"max_workers": arguments.jobs}
-        for shard_size in (None, 1, 3):
-            config = paper_preset(
-                attack="alittle", byzantine_fraction=0.6, epochs=1,
-                shard_size=shard_size, backend=backend, backend_kwargs=jobs,
-            )
-            simulation = prepare_experiment(config).simulation
-            try:
-                simulation.run()
-            finally:
-                simulation.close()
-            parameters = simulation.model.get_flat_parameters()
-            digest = hashlib.sha256(parameters.astype("<f8", copy=False).tobytes()).hexdigest()
-            digests[backend, shard_size] = digest
-            print(f"{backend} shard_size={shard_size}: {digest}")
-    if len(set(digests.values())) != 1:
-        print("MISMATCH: the final parameters depend on the backend or shard size")
-        return 1
-    print(f"final parameters identical across {len(digests)} (backend, shard_size) runs")
-    return 0
+    mismatched = []
+    for case, (build_config, backends) in SHARD_CASES.items():
+        digests = {}
+        for backend in backends:
+            jobs = {} if backend == "serial" else {"max_workers": arguments.jobs}
+            for shard_size in (None, 1, 3):
+                config = build_config(
+                    shard_size=shard_size, backend=backend, backend_kwargs=jobs
+                )
+                simulation = prepare_experiment(config).simulation
+                try:
+                    simulation.run()
+                finally:
+                    simulation.close()
+                parameters = simulation.model.get_flat_parameters()
+                digest = hashlib.sha256(
+                    parameters.astype("<f8", copy=False).tobytes()
+                ).hexdigest()
+                digests[backend, shard_size] = digest
+                print(f"{case} {backend} shard_size={shard_size}: {digest}")
+        if len(set(digests.values())) != 1:
+            print(f"MISMATCH: the {case} run's final parameters depend on the "
+                  "backend or shard size")
+            mismatched.append(case)
+        else:
+            print(f"{case}: final parameters identical across {len(digests)} "
+                  "(backend, shard_size) runs")
+    return 1 if mismatched else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,10 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep.set_defaults(run=command_sweep)
 
     shards = commands.add_parser(
-        "shards", help="hash a paper-scale run's parameters across shard sizes and backends"
+        "shards", help="hash a paper-scale and a population run's parameters "
+        "across shard sizes and backends"
     )
     shards.add_argument("--jobs", type=int, default=4,
-                        help="threads for the threaded runs (default: 4)")
+                        help="threads or processes for the parallel runs (default: 4)")
     shards.set_defaults(run=command_shards)
 
     arguments = parser.parse_args(argv)

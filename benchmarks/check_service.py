@@ -9,7 +9,10 @@ real ``kill -9``:
 - ``identity``: the seeded acceptance run over ``--backend remote``
   (a coordinator plus 4 worker processes) must print byte-identical
   output to ``--backend serial``, and a seeded chaos run must replay the
-  identical per-round fault trace over the wire.
+  identical per-round fault trace over the wire.  A population run
+  (cohort sampling plus the label-flipping attack's own pool, served to
+  2 workers) must print byte-identical output to ``--backend serial``
+  too.
 - ``worker-kill``: SIGKILL one of 4 workers mid-task; the round must
   degrade to a partial cohort (``fault_crashed`` in the metrics) and the
   run still completes under the fractional quorum.
@@ -65,6 +68,10 @@ ACCEPTANCE_FLAGS = [
 CHAOS_FLAGS = [
     *ACCEPTANCE_FLAGS, "--faults", "chaos", "--min-quorum", "0.25",
     "--shard-size", "4",
+]
+POPULATION_FLAGS = [
+    "--dataset", "usps_like", "--population", "2000", "--cohort", "16",
+    "--byzantine", "0.2", "--attack", "label_flip", "--epochs", "2", "--seed", "1",
 ]
 
 
@@ -146,13 +153,22 @@ def assert_identical(label: str, reference: str, candidate: str) -> None:
     print(f"{label}: byte-identical")
 
 
-def remote_config(path: Path, port: int, workers: int, chaos: bool) -> Path:
-    """The acceptance config rebuilt with the remote backend."""
+def remote_config(
+    path: Path, port: int, workers: int, chaos: bool, population: bool = False
+) -> Path:
+    """The acceptance config (or ``POPULATION_FLAGS``' run) with the remote backend."""
     sys.path.insert(0, str(SRC))
     from repro.experiments.presets import benchmark_preset
 
+    if population:
+        scenario = dict(
+            dataset="usps_like", byzantine_fraction=0.2, attack="label_flip",
+            population=2000, cohort=16,
+        )
+    else:
+        scenario = dict(dataset="mnist_like", byzantine_fraction=0.6, attack="lmp")
     config = benchmark_preset(
-        dataset="mnist_like", byzantine_fraction=0.6, attack="lmp",
+        **scenario,
         defense="two_stage", epsilon=2.0, seed=1, epochs=2,
         shard_size=4 if chaos else None,
         faults="chaos" if chaos else "none",
@@ -199,6 +215,18 @@ def command_identity(arguments: argparse.Namespace) -> int:
         "chaos fault trace",
         serial_metrics.read_text(), remote_metrics.read_text(),
     )
+
+    # Population run: a sampled cohort and a Byzantine pool over the wire.
+    serial = finish(spawn("run", *POPULATION_FLAGS, "--backend", "serial"))
+    port = free_port()
+    config = remote_config(
+        workdir / "remote-population.json", port, 2, chaos=False, population=True
+    )
+    coordinator = spawn("run", "--config", str(config))
+    workers = start_workers(port, 2)
+    remote = finish(coordinator)
+    reap(workers)
+    assert_identical("population run", serial, remote)
     return 0
 
 

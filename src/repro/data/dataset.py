@@ -65,6 +65,17 @@ class Dataset:
             name=self.name,
         )
 
+    def gather(self, picks: np.ndarray, features: np.ndarray, labels: np.ndarray) -> None:
+        """Copy rows ``picks`` into ``features`` and ``labels``.
+
+        ``picks`` must lie in ``[0, len(self))``.  ``mode="wrap"`` lets
+        ``np.take`` write straight into the buffers: its default mode
+        builds the whole result in a temporary first, so that an
+        out-of-range index leaves the buffer untouched.
+        """
+        np.take(self.features, picks, axis=0, out=features, mode="wrap")
+        np.take(self.labels, picks, out=labels, mode="wrap")
+
     def sample_batch(self, batch_size: int, rng: np.random.Generator) -> "Dataset":
         """Uniformly sample a mini-batch with replacement.
 

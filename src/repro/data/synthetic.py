@@ -63,19 +63,29 @@ def make_classification(
 
     labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
-    features = means[labels] + rng.normal(
-        0.0, within_class_std, size=(n_samples, n_features)
-    )
+    # The features are updated in place wherever an operation allows it, so
+    # at most one other (n, d) array is alive at a time.  Each step applies
+    # the same IEEE operation to the same operands as the plain expression
+    # would (tests/data keeps those expressions as the oracle): same bits.
+    features = rng.normal(0.0, within_class_std, size=(n_samples, n_features))
+    features += means[labels]
 
     if nonlinear:
         # A fixed random rotation followed by a soft nonlinearity mixes the
         # coordinates so a purely linear decision boundary is suboptimal.
         rotation = rng.normal(size=(n_features, n_features)) / np.sqrt(n_features)
-        features = np.tanh(features @ rotation) + 0.1 * features
+        warped = features @ rotation
+        np.tanh(warped, out=warped)
+        features *= 0.1
+        warped += features
+        features = warped
 
     # Standardise features (zero mean, unit variance per coordinate), as one
     # would after normalising image pixel intensities.
-    features = (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-12)
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    features -= mean
+    features /= std + 1e-12
     return Dataset(features=features, labels=labels, num_classes=n_classes, name=name)
 
 

@@ -20,7 +20,9 @@ free variable:
   actually sampled.  A worker's local dataset and per-round generator are
   derived on demand from ``(seed, "worker_data", worker_id)`` and
   ``(seed, "worker", worker_id, round_index)`` respectively, so clients
-  are stateless between participations.
+  are stateless between participations.  A sampled worker's dataset is
+  an :class:`IndexView`: its sorted row indices into the base dataset,
+  so a round copies only the mini-batch rows its workers draw.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "SAMPLERS",
     "CohortSampler",
     "FixedSampler",
+    "IndexView",
     "UniformSampler",
     "WeightedSampler",
     "WorkerSource",
@@ -235,6 +238,57 @@ def build_sampler(
     return SAMPLERS.build(spec, **merged)
 
 
+class IndexView:
+    """A worker's local dataset as sorted row indices into a base dataset.
+
+    Making a view copies no rows.  :meth:`gather` copies a mini-batch
+    straight from the base into the caller's buffers -- the same bits
+    ``base.subset(indices).gather`` copies -- and ``features`` and
+    ``labels`` gather the view's rows on access, as read-only arrays, for
+    readers that want them.
+    """
+
+    __slots__ = ("base", "indices")
+
+    def __init__(self, base: Dataset, indices: np.ndarray) -> None:
+        self.base = base
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return int(self.indices.shape[0])
+
+    @property
+    def dim(self) -> int:
+        """Feature dimensionality, delegated to the base dataset."""
+        return self.base.dim
+
+    @property
+    def features(self) -> np.ndarray:
+        """The view's feature rows, gathered now (read-only)."""
+        return _read_only(self.base.features[self.indices])
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The view's labels, gathered now (read-only)."""
+        return _read_only(self.base.labels[self.indices])
+
+    def gather(self, picks: np.ndarray, features: np.ndarray, labels: np.ndarray) -> None:
+        """Copy the view's rows ``picks`` into ``features`` and ``labels``.
+
+        ``picks`` must lie in ``[0, len(self))`` (see :meth:`Dataset.gather`).
+        """
+        self.base.gather(self.indices[picks], features, labels)
+
+    def materialize(self) -> Dataset:
+        """A :class:`Dataset` holding a copy of the view's rows."""
+        return self.base.subset(self.indices)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class WorkerSource:
     """Lazy registered population backed by one base dataset.
 
@@ -244,7 +298,9 @@ class WorkerSource:
     ``(seed, "worker", worker_id, round_index)``.  Both are pure
     functions of stable identifiers, so the same worker id yields the
     same data and the same round yields the same batch stream on every
-    backend and after any restart.
+    backend and after any restart.  The dataset is an :class:`IndexView`
+    into the base: deriving it draws ``local_size`` row indices and
+    copies no rows.
     """
 
     def __init__(
@@ -278,21 +334,22 @@ class WorkerSource:
             )
         return worker_id
 
-    def dataset(self, worker_id: int) -> Dataset:
-        """The worker's local dataset, materialised on demand."""
+    def dataset(self, worker_id: int) -> IndexView:
+        """The worker's local dataset, as an index view into the base."""
         worker_id = self._check_id(worker_id)
         rng = derive_rng(self.seed, "worker_data", worker_id)
         replace = self.local_size > len(self.base)
         indices = rng.choice(len(self.base), size=self.local_size, replace=replace)
-        return self.base.subset(np.sort(indices))
+        indices.sort()
+        return IndexView(self.base, indices)
 
     def round_rng(self, worker_id: int, round_index: int) -> np.random.Generator:
         """The worker's generator for one round's participation."""
         worker_id = self._check_id(worker_id)
         return derive_rng(self.seed, "worker", worker_id, int(round_index))
 
-    def datasets(self, worker_ids: np.ndarray) -> list[Dataset]:
-        """Local datasets for a sampled cohort (materialised now)."""
+    def datasets(self, worker_ids: np.ndarray) -> list[IndexView]:
+        """Local datasets (index views) for a sampled cohort."""
         return [self.dataset(worker_id) for worker_id in worker_ids]
 
     def round_rngs(

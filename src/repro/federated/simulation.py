@@ -42,6 +42,7 @@ from repro.core.dp_protocol import BatchedDPState, upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.base import Aggregator
 from repro.federated.backends import ExecutionBackend, RetryPolicy, build_backend
+from repro.federated.engines import build_engine
 from repro.federated.faults import FaultModel, ShardFaultPlan, build_faults
 from repro.federated.sampling import (
     CohortSampler,
@@ -129,7 +130,11 @@ class FederatedSimulation:
         also shards the pools), a ready
         :class:`~repro.federated.engines.ClientEngine` instance (then
         shared by both pools), or ``None`` for the default materialized
-        engine.  Each pool otherwise gets its own engine instance.
+        engine.  On an in-process backend the specification is resolved
+        once, so both pools compute on one instance and one gradient
+        scratch (they run one after the other); out-of-process backends
+        build their engines from the specification.  Threads other than
+        the dispatching one keep their own replicas per pool.
     shard_size:
         Maximum workers per shard task (see
         :class:`~repro.federated.worker.WorkerPool`); overrides an
@@ -169,7 +174,7 @@ class FederatedSimulation:
         in for the full registered honest population (cross-device
         mode).  ``honest_datasets`` must then be empty: each round a
         cohort of ``cohort`` workers is drawn by ``sampler`` and only
-        those workers' data and generators are materialised.  Server-side
+        those workers' index views and generators are derived.  Server-side
         per-worker state (the two-stage accumulated scores, quorum
         fractions) is keyed by the *global* worker ids over
         ``len(population) + n_byzantine``.
@@ -253,6 +258,8 @@ class FederatedSimulation:
             shard_size = engine.shard_size
         self.shard_size = shard_size
         self.backend = build_backend(backend)
+        if self.backend.in_process:
+            engine = build_engine(engine)
         #: first round index :meth:`run` executes (set by checkpoint resume)
         self.start_round = 0
         # Straggler buffer restored from a full-state snapshot, consumed by
@@ -288,11 +295,11 @@ class FederatedSimulation:
             # The pool's slot count (cohort) is fixed; _prepare_round
             # re-points the slots at each round's sampled workers, so the
             # bootstrap contents below never feed a computation.
-            bootstrap = list(range(cohort))
+            bootstrap = np.arange(cohort)
             self.honest_pool = WorkerPool(
-                [population.dataset(i) for i in bootstrap],
+                population.datasets(bootstrap),
                 dp_config,
-                [population.round_rng(i, 0) for i in bootstrap],
+                population.round_rngs(bootstrap, 0),
                 engine=engine,
                 shard_size=shard_size,
                 backend=self.backend,
@@ -303,7 +310,7 @@ class FederatedSimulation:
                     if byzantine_datasets is not None:
                         local = byzantine_datasets[i % len(byzantine_datasets)]
                     else:
-                        local = population.dataset(i % len(population))
+                        local = population.dataset(i % len(population)).materialize()
                     poisoned_datasets.append(attack.poison_dataset(local))
                 self.byzantine_pool = WorkerPool(
                     poisoned_datasets,
@@ -402,7 +409,7 @@ class FederatedSimulation:
         A no-op in the classic mode.  In population mode the sampler's
         plan -- keyed ``(seed, "sampler", round_index)``, independent of
         backend and restart point -- selects the honest workers, whose
-        data and generators are materialised only now.
+        index views and generators are derived only now.
         """
         if self.population_source is None or self.sampler is None:
             return
@@ -498,7 +505,8 @@ class FederatedSimulation:
             indices = self._attack_rng.integers(
                 0, honest_uploads.shape[0], size=self.n_byzantine
             )
-            return np.take(honest_uploads, indices, axis=0, out=out)
+            # In range by construction; "wrap" writes ``out`` directly.
+            return np.take(honest_uploads, indices, axis=0, out=out, mode="wrap")
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != out.shape:
             raise ValueError(

@@ -49,14 +49,16 @@ a retried attempt replays bitwise.  Commit order, not completion order, fixes ev
 every backend's uploads are bitwise identical to the serial loop.
 
 A task running on the dispatching thread uses the pool's own engine and
-the caller's model.  Any other thread builds a private model replica and
-engine once -- cloned from a template the pool makes once per model, or,
-in another process, built from the model's layer spec
+the caller's model.  Pools run one after another, so they may share that
+engine and its scratch (a simulation's honest and Byzantine pools do on
+in-process backends).  Any other thread builds a private model replica
+and engine once -- cloned from a template the pool makes once per model,
+or, in another process, built from the model's layer spec
 (:meth:`~repro.nn.network.Sequential.spec`) and the engine's
 :class:`~repro.core.config.EngineConfig` (a
 :class:`~repro.nn.network.Sequential` caches per-call state on its
 layers, so concurrent shards must not share one) -- and keeps them for
-later rounds: one engine scratch per pool per executing thread.  Both
+later rounds: one engine scratch per pool per worker thread.  Both
 recipes are plain data, which is what lets :mod:`repro.federated.wire`
 describe a shard task to a remote worker without shipping code.  When no
 ``shard_size`` is given, parallel backends split the pool into
@@ -88,6 +90,7 @@ from repro.federated.backends import (
 )
 from repro.federated.engines import ClientEngine, build_engine
 from repro.federated.faults import PoolFaultReport, ShardFaultPlan
+from repro.federated.sampling import IndexView
 from repro.nn.network import Sequential
 
 __all__ = ["WorkerPool"]
@@ -243,7 +246,11 @@ class WorkerPool:
     Parameters
     ----------
     datasets:
-        One private local dataset per worker.
+        One private local dataset per worker: a :class:`Dataset` or, for a
+        sampled population worker, an
+        :class:`~repro.federated.sampling.IndexView` into a shared base.
+        The pool copies each mini-batch through their ``gather``, straight
+        into the shard's buffer.
     dp_config:
         Client-side DP settings shared by every worker in the pool.
     rngs:
@@ -283,7 +290,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        datasets: list[Dataset],
+        datasets: list[Dataset | IndexView],
         dp_config: DPConfig,
         rngs: list[np.random.Generator],
         engine: str | ClientEngine | EngineConfig | None = None,
@@ -357,7 +364,7 @@ class WorkerPool:
         return list(self._shard_bounds)
 
     def assign(
-        self, datasets: list[Dataset], rngs: list[np.random.Generator]
+        self, datasets: list[Dataset | IndexView], rngs: list[np.random.Generator]
     ) -> None:
         """Re-point every slot at a freshly sampled cohort.
 
@@ -442,8 +449,7 @@ class WorkerPool:
             ):
                 picks = rng.integers(0, len(dataset), size=batch)
                 rows = slice(position * batch, (position + 1) * batch)
-                np.take(dataset.features, picks, axis=0, out=features[rows])
-                np.take(dataset.labels, picks, out=labels[rows])
+                dataset.gather(picks, features[rows], labels[rows])
             yield index, _ShardPayload(
                 replicas=replicas,
                 caller=caller,

@@ -100,7 +100,9 @@ class KSWorkspace:
         """Row-sorted copy of ``matrix`` (or of ``matrix[rows]``).
 
         The selected rows are gathered straight into the buffer, so no
-        intermediate ``matrix[rows]`` copy is materialised.  The returned
+        intermediate ``matrix[rows]`` copy is materialised.  Rows index
+        like ``matrix[rows]``: negative ones count from the end, and one
+        outside ``[-n, n)`` raises :class:`IndexError`.  The returned
         array is a view of the workspace, overwritten by the next call.
         """
         n = matrix.shape[0] if rows is None else len(rows)
@@ -109,7 +111,13 @@ class KSWorkspace:
         if rows is None:
             np.copyto(ordered, matrix)
         else:
-            np.take(matrix, rows, axis=0, out=ordered)
+            rows = np.asarray(rows, dtype=np.intp)
+            size = matrix.shape[0]
+            if rows.size and not -size <= rows.min() <= rows.max() < size:
+                raise IndexError(f"rows out of range for a matrix of {size} rows")
+            # np.take's default mode="raise" builds the whole result in a
+            # temporary before it writes ``out``; "wrap" writes it directly.
+            np.take(matrix, rows, axis=0, out=ordered, mode="wrap")
         ordered.sort(axis=1)
         return ordered
 

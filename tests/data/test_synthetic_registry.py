@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.data import registry
+from repro.data.dataset import Dataset
 from repro.data.registry import DATASET_SPECS, available_datasets, load_dataset
 from repro.data.synthetic import make_classification, make_mismatched_space
 from repro.nn.layers import Linear
@@ -80,6 +84,55 @@ class TestMakeClassification:
 
     def test_name_recorded(self, rng):
         assert make_classification(20, 4, 2, rng=rng, name="abc").name == "abc"
+
+
+def make_classification_out_of_place(
+    n_samples, n_features, n_classes, class_separation=3.0, within_class_std=1.0,
+    nonlinear=True, rng=None, name="synthetic",
+):
+    """The generator as plain expressions, each step a fresh array: the oracle."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    raw_means = rng.normal(size=(n_classes, n_features))
+    raw_means /= np.linalg.norm(raw_means, axis=1, keepdims=True)
+    means = raw_means * class_separation
+    labels = np.arange(n_samples) % n_classes
+    rng.shuffle(labels)
+    features = means[labels] + rng.normal(
+        0.0, within_class_std, size=(n_samples, n_features)
+    )
+    if nonlinear:
+        rotation = rng.normal(size=(n_features, n_features)) / np.sqrt(n_features)
+        features = np.tanh(features @ rotation) + 0.1 * features
+    features = (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-12)
+    return Dataset(features=features, labels=labels, num_classes=n_classes, name=name)
+
+
+class TestInPlaceGeneration:
+    """The generator updates its buffers in place with the oracle's operations."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    def test_splits_byte_identical_to_oracle(self, monkeypatch, name, scale, seed):
+        splits = load_dataset(name, scale=scale, seed=seed)
+        monkeypatch.setattr(registry, "make_classification", make_classification_out_of_place)
+        expected = load_dataset(name, scale=scale, seed=seed)
+        for split, oracle in zip(splits, expected):
+            assert split.features.tobytes() == oracle.features.tobytes()
+            assert split.labels.tobytes() == oracle.labels.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    def test_load_peak_near_twice_the_output(self, name):
+        """The out-of-place expressions peaked at 3.0-3.14x the splits."""
+        tracemalloc.start()
+        try:
+            splits = load_dataset(name, scale=1.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = sum(split.features.nbytes + split.labels.nbytes for split in splits)
+        assert peak <= 2.25 * output
 
 
 class TestMismatchedSpace:

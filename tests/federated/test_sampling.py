@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DPConfig
 from repro.data.synthetic import make_classification
 from repro.federated.sampling import (
     SAMPLERS,
@@ -23,6 +24,9 @@ from repro.federated.sampling import (
     build_sampler,
     derive_rng,
 )
+from repro.federated.worker import WorkerPool
+from repro.nn.layers import Linear
+from repro.nn.network import Sequential
 
 
 class TestDeriveRng:
@@ -228,3 +232,48 @@ class TestWorkerSource:
     def test_oversampling_small_base_replaces(self, base_dataset):
         source = WorkerSource(base_dataset, population=10, local_size=100, seed=0)
         assert len(source.dataset(0)) == 100
+
+
+class TestIndexView:
+    """A sampled worker's dataset is row indices into the base, not a copy."""
+
+    def test_gather_copies_the_materialized_rows(self, base_dataset):
+        source = WorkerSource(base_dataset, population=100, local_size=20, seed=4)
+        view = source.dataset(42)
+        materialized = view.materialize()
+        assert len(view) == len(materialized) == 20
+        assert view.dim == materialized.dim
+        picks = np.random.default_rng(0).integers(0, len(view), size=16)
+        features, labels = np.empty((16, view.dim)), np.empty(16, dtype=np.int64)
+        expected_features, expected_labels = np.empty_like(features), np.empty_like(labels)
+        view.gather(picks, features, labels)
+        materialized.gather(picks, expected_features, expected_labels)
+        np.testing.assert_array_equal(features, expected_features)
+        np.testing.assert_array_equal(labels, expected_labels)
+        np.testing.assert_array_equal(features, materialized.features[picks])
+
+    def test_rows_gathered_on_access_are_read_only(self, base_dataset):
+        view = WorkerSource(base_dataset, population=10, local_size=5, seed=0).dataset(3)
+        np.testing.assert_array_equal(
+            view.features, base_dataset.features[view.indices]
+        )
+        np.testing.assert_array_equal(view.labels, base_dataset.labels[view.indices])
+        with pytest.raises(ValueError):
+            view.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            view.labels[0] = 0
+
+    def test_pool_on_views_matches_pool_on_copies(self, base_dataset):
+        source = WorkerSource(base_dataset, population=30, local_size=12, seed=5)
+        ids = np.array([2, 9, 17, 25])
+        config = DPConfig(batch_size=4, sigma=0.7, momentum=0.3)
+        model = Sequential([Linear(base_dataset.dim, 3, np.random.default_rng(1))])
+        views = WorkerPool(source.datasets(ids), config, source.round_rngs(ids, 0))
+        copies = WorkerPool(
+            [view.materialize() for view in source.datasets(ids)],
+            config, source.round_rngs(ids, 0),
+        )
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                views.compute_uploads(model), copies.compute_uploads(model)
+            )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,7 +73,7 @@ class TestKSWorkspace:
     def test_statistics_match_without_workspace(self, rng):
         samples = rng.normal(size=(6, 300))
         workspace = KSWorkspace()
-        for rows in (None, np.array([4, 1])):
+        for rows in (None, np.array([4, 1]), np.array([-1, -6, 2])):
             np.testing.assert_array_equal(
                 ks_statistics(samples, 1.0, workspace=workspace, rows=rows),
                 ks_statistics(samples, 1.0, rows=rows),
@@ -87,6 +88,30 @@ class TestKSWorkspace:
         assert workspace._scratch is None
         ks_statistics(samples, 1.0, workspace=workspace)
         assert workspace._scratch.shape == (5, 200)
+
+    def test_sort_rows_gathers_without_a_temporary(self, rng):
+        """``np.take``'s default mode would buffer the whole gather first."""
+        matrix = rng.normal(size=(40, 4096))
+        rows = np.arange(0, 40, 2)
+        workspace = KSWorkspace()
+        workspace.sort_rows(matrix, rows)  # sizes the buffer
+        tracemalloc.start()
+        try:
+            ordered = workspace.sort_rows(matrix, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ordered, np.sort(matrix[rows], axis=1))
+        assert peak < ordered.nbytes / 2
+
+    def test_out_of_range_rows_raise(self, rng):
+        samples = rng.normal(size=(6, 50))
+        workspace = KSWorkspace()
+        for bad in (np.array([0, 6]), np.array([-7])):
+            with pytest.raises(IndexError):
+                ks_statistics(samples, 1.0, workspace=workspace, rows=bad)
+            with pytest.raises(IndexError):
+                ks_statistics(samples, 1.0, rows=bad)
 
 
 class TestKolmogorovSurvival:
