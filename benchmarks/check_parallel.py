@@ -24,7 +24,12 @@ runs there:
   Byzantine fraction 0.2, 2 epochs) must likewise hash to one digest on
   the serial, threaded and process backends at the same three shard
   sizes: it re-points the honest pool at a sampled cohort every round
-  and runs the label-flipping attack's own pool.
+  and runs the label-flipping attack's own pool.  A buffered-straggler
+  run (the paper-scale config under ``chaos`` faults with
+  ``straggler=0.2, mode="buffer"`` and ``min_quorum=0.25``) is hashed
+  the same way on all three backends: stragglers are buffered in every
+  round, so each round merges last round's late reports with its
+  survivors by worker id.
 
 Run::
 
@@ -126,10 +131,18 @@ def _population_config(**execution):
     )
 
 
+def _straggler_config(**execution):
+    return _paper_config(
+        faults="chaos", faults_kwargs={"straggler": 0.2, "mode": "buffer"},
+        min_quorum=0.25, **execution,
+    )
+
+
 #: ``name -> (config factory, backends)``; every shard size runs on each.
 SHARD_CASES = {
     "paper": (_paper_config, ("serial", "threaded")),
     "population": (_population_config, ("serial", "threaded", "process")),
+    "stragglers": (_straggler_config, ("serial", "threaded", "process")),
 }
 
 
@@ -190,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep.set_defaults(run=command_sweep)
 
     shards = commands.add_parser(
-        "shards", help="hash a paper-scale and a population run's parameters "
-        "across shard sizes and backends"
+        "shards", help="hash a paper-scale, a population and a buffered-"
+        "straggler run's parameters across shard sizes and backends"
     )
     shards.add_argument("--jobs", type=int, default=4,
                         help="threads or processes for the parallel runs (default: 4)")

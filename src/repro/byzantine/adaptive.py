@@ -57,7 +57,7 @@ class AdaptiveAttack(Attack):  # repro-lint: disable=REP004 -- built via the ada
         if context.n_honest == 0:
             return np.zeros((context.n_byzantine, context.dimension))
         indices = context.rng.integers(0, context.n_honest, size=context.n_byzantine)
-        return context.honest_uploads[indices].copy()
+        return context.honest_uploads[indices]
 
     @property
     def name(self) -> str:

@@ -54,4 +54,4 @@ class ALittleAttack(Attack):
         n_total = context.n_honest + context.n_byzantine
         z = self.z if self.z is not None else self._default_z(n_total, context.n_byzantine)
         single = mean - z * std
-        return np.tile(single, (context.n_byzantine, 1))
+        return np.broadcast_to(single, (context.n_byzantine, context.dimension))

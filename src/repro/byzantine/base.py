@@ -80,7 +80,12 @@ class Attack:
         return dataset
 
     def craft(self, context: AttackContext) -> np.ndarray:
-        """Fabricate the Byzantine uploads, shape ``(n_byzantine, d)``."""
+        """Fabricate the Byzantine uploads, shape ``(n_byzantine, d)``.
+
+        The result may be a read-only view, such as one crafted row
+        broadcast over the Byzantine rows; the simulation copies it into
+        the round matrix once.
+        """
         raise NotImplementedError(
             f"{type(self).__name__} does not craft uploads directly"
         )

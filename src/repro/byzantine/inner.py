@@ -38,4 +38,4 @@ class InnerProductAttack(Attack):
             return np.zeros((context.n_byzantine, context.dimension))
         mean = context.honest_uploads.mean(axis=0)
         single = -self.epsilon_scale * mean
-        return np.tile(single, (context.n_byzantine, 1))
+        return np.broadcast_to(single, (context.n_byzantine, context.dimension))

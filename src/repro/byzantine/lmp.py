@@ -60,4 +60,4 @@ class LocalModelPoisoningAttack(Attack):
         benign_sum = context.honest_uploads.sum(axis=0)
         lam = self.effective_lambda(context.n_byzantine, context.n_honest)
         single = -(1.0 + lam) / context.n_byzantine * benign_sum
-        return np.tile(single, (context.n_byzantine, 1))
+        return np.broadcast_to(single, (context.n_byzantine, context.dimension))

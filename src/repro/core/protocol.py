@@ -173,5 +173,11 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
 
         # Model update term (Algorithm 1, line 14): the accepted selected
         # rows, averaged over the round's realised cohort (all n workers
-        # on the fault-free path).
-        return matrix[summed].sum(axis=0) / n_workers
+        # on the fault-free path).  They are summed where they lie, in
+        # ``summed`` order from zero: the bits of ``matrix[summed].sum(
+        # axis=0)``, whose axis-0 reduction adds rows in order.
+        total = np.zeros(dimension, dtype=np.float64)
+        for row in summed.tolist():
+            total += matrix[row]
+        total /= n_workers
+        return total

@@ -10,9 +10,9 @@ server's model object) and emits typed :class:`RoundEvent` objects to a
 list of :class:`RoundCallback` hooks, so callers observe or extend
 training without forking the loop.  There is one round function: the upload
 stages fill one ``(n, d)`` round matrix, honest rows first, and the
-server aggregates it -- or, when faults cost rows, the gathered
-survivors -- without copying it again, in one call keyed by the rows'
-worker ids.  The hooks:
+server aggregates it -- or, when faults cost rows, its leading rows,
+where the survivors were moved -- without copying it again, in one call
+keyed by the rows' worker ids.  The hooks:
 
 - ``on_round_start(event)``  -- before any stage of the round runs;
 - ``on_evaluation(event)``   -- after the global model was evaluated on
@@ -480,6 +480,44 @@ def read_metrics(path: str | Path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------- #
+# a faulty round's rows
+# ---------------------------------------------------------------------- #
+def _compact_rows(matrix: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    """Move the ``survivors`` rows, in order, to the top of ``matrix``.
+
+    Returns the leading ``(m, d)`` rows: the bits, order and contiguity
+    of ``matrix[survivors]`` without a second matrix.  ``survivors`` is
+    increasing, so row ``i`` takes row ``survivors[i] >= i`` and a
+    forward pass reads every row before it is overwritten.
+    """
+    for row, source in enumerate(survivors.tolist()):
+        if row != source:
+            matrix[row] = matrix[source]
+    return matrix[: survivors.shape[0]]
+
+
+def _merge_arrivals(
+    matrix: np.ndarray,
+    survivors: np.ndarray,
+    survivor_ids: np.ndarray,
+    arrivals: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The survivors and last round's buffered ``(ids, rows)`` as one
+    ``(m + k, d)`` matrix in stable id order (a worker's fresh row before
+    its stale one); each row is written once, straight to its place.
+    Returns ``(worker ids, rows)``.
+    """
+    arrival_ids, arrival_rows = arrivals
+    ids = np.concatenate((survivor_ids, arrival_ids))
+    order = np.argsort(ids, kind="stable")
+    sources = [matrix[row] for row in survivors.tolist()] + list(arrival_rows)
+    rows = np.empty((ids.shape[0], matrix.shape[1]), dtype=np.float64)
+    for place, source in enumerate(order.tolist()):
+        rows[place] = sources[source]
+    return ids[order], rows
+
+
+# ---------------------------------------------------------------------- #
 # the pipeline
 # ---------------------------------------------------------------------- #
 class RoundPipeline:
@@ -639,9 +677,13 @@ class RoundPipeline:
 
         With faults inactive and every shard committed, the round matrix
         itself goes to the server with every worker's id, and the round
-        emits no ``fault_*`` diagnostic.  Otherwise the surviving
-        ``(m, d)`` sub-cohort is gathered and goes with its worker ids and
-        six ``fault_*`` counts.  Quorum enforcement lives in
+        emits no ``fault_*`` diagnostic.  Otherwise the late reports to
+        buffer are copied out, the ``m`` surviving rows move up, in
+        order, to the matrix's leading rows, and ``matrix[:m]`` goes with
+        its worker ids and six ``fault_*`` counts.  When last round's
+        buffered reports arrive, survivors and arrivals are written once
+        each into one new ``(m + k, d)`` matrix in worker-id order.
+        Quorum enforcement lives in
         :meth:`~repro.federated.server.Server.update`.
         """
         simulation = self.simulation
@@ -707,20 +749,10 @@ class RoundPipeline:
         ):
             return self.aggregate_and_update(matrix, simulation.global_worker_ids())
 
-        lost = crashed | dropped | late
-        survivor_ids = np.nonzero(~lost)[0]
-        rows = matrix[survivor_ids]
-        # From here on ids live in server-state space (identity in the
-        # classic mode, global population ids under cohort subsampling),
-        # so a buffered straggler row stays attributed to the *worker*
-        # that computed it even when the next round samples a different
-        # cohort.
-        survivor_ids = simulation.global_worker_ids(survivor_ids)
-
-        # Buffered stragglers: deliver last round's late reports now,
-        # stash this round's for the next (a worker may then contribute
-        # a stale and a fresh row -- the id-keyed aggregation handles
-        # duplicates).
+        # Buffered stragglers: stash this round's late reports for the
+        # next round -- copied before the survivors move -- and deliver
+        # last round's now (a worker may then contribute a stale and a
+        # fresh row; the id-keyed aggregation handles duplicates).
         buffered = 0
         if plan.buffer_late:
             buffer_mask = late & ~dropped & ~crashed
@@ -730,13 +762,19 @@ class RoundPipeline:
                     simulation.global_worker_ids(np.nonzero(buffer_mask)[0]),
                     matrix[buffer_mask],
                 )
-        if arrivals is not None:
-            survivor_ids = np.concatenate((survivor_ids, arrivals[0]))
-            rows = np.concatenate((rows, arrivals[1]), axis=0)
-            order = np.argsort(survivor_ids, kind="stable")
-            survivor_ids = survivor_ids[order]
-            rows = rows[order]
-
+        survivors = np.flatnonzero(~(crashed | dropped | late))
+        # From here on ids live in server-state space (identity in the
+        # classic mode, global population ids under cohort subsampling),
+        # so a buffered straggler row stays attributed to the *worker*
+        # that computed it even when the next round samples a different
+        # cohort.
+        worker_ids = simulation.global_worker_ids(survivors)
+        if arrivals is None:
+            rows = _compact_rows(matrix, survivors)
+        else:
+            worker_ids, rows = _merge_arrivals(
+                matrix, survivors, worker_ids, arrivals
+            )
         diagnostics = {
             "fault_dropped": float(np.count_nonzero(dropped)),
             "fault_timed_out": float(np.count_nonzero(late)),
@@ -746,7 +784,7 @@ class RoundPipeline:
             "fault_survivors": float(rows.shape[0]),
         }
         return self.aggregate_and_update(
-            rows, worker_ids=survivor_ids, fault_diagnostics=diagnostics
+            rows, worker_ids=worker_ids, fault_diagnostics=diagnostics
         )
 
     def _crash_plan(

@@ -102,7 +102,9 @@ class Server:
         actually applied (useful for tests and diagnostics).
 
         Under faults the round delivers a partial cohort: ``uploads``
-        then holds only the surviving ``(m, d)`` rows, ``worker_ids``
+        then holds only the surviving ``(m, d)`` rows -- the round
+        matrix's leading rows, where the survivors were moved, or a
+        merged matrix when buffered late reports arrive -- ``worker_ids``
         maps each row to its worker index in the full population and
         ``population`` is the expected cohort size (quorum fractions and
         the second stage's accumulated scores are parameterised by it).

@@ -4,9 +4,20 @@ A round fills one ``(n, d)`` round matrix: the pools commit their shards
 into its rows, and the two-stage rule masks it rather than copying it.
 At the paper shape (``alittle``, Byzantine fraction 0.6: 20 + 30 workers,
 d = 6570) that matrix is 2.5 MiB, and the rest of a round's peak is the
-ALIE craft's temporaries and the capture pass's activations (~4.8 MiB in
-all).  Stacking the pools' result blocks and zeroing a filtered copy took
-the peak to ~8.8 MiB.
+ALIE craft's temporaries and the capture pass's activations (~4.3 MiB in
+all).  The ALIE craft returns one row broadcast over the Byzantine rows,
+so its temporaries are ``np.std``'s ``(n_honest, d)`` deviations and a
+few ``(d,)`` vectors (1.15 MiB); tiling a ``(n_byzantine, d)`` block
+(1.5 MiB) before copying it into the matrix took the round to ~4.8 MiB.
+Stacking the pools' result blocks and zeroing a filtered copy took the
+peak to ~8.8 MiB.
+
+A faulty round moves its survivors to the top of the round matrix and
+hands the server those leading rows: a dropout round (rate 0.2) reads
+~5.0 MiB and a ``chaos`` round at shard size 4 ~4.5 MiB, where
+gathering the survivors into a second matrix read 6.9 and 6.8 MiB.
+Delivering buffered stragglers builds the merged matrix in one
+allocation (~6.8 MiB; concatenating and then reordering read 7.9 MiB).
 
 What a warm round allocates cannot show scratch that round 0 builds and
 keeps, so round 0's resident heap has its own bounds.  The materialized
@@ -27,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.experiments.presets import benchmark_preset, paper_preset
@@ -36,14 +48,18 @@ from repro.federated.pipeline import RoundPipeline
 #: most a warm round may allocate above its pre-round heap
 ROUND_BUDGET_MIB = 6.0
 
+#: most a warm round that delivers buffered stragglers may allocate;
+#: measured 6.8 MiB
+STRAGGLER_BUDGET_MIB = 7.25
+
 #: most round 0 may leave on the heap, serially and on two threads
 #: (shards of 4 workers); measured 3.2 and 4.3 MiB
 RESIDENT_BUDGET_MIB = {"serial": 4.0, "threaded": 5.5}
 
 
-def paper_pipeline(**overrides):
+def paper_pipeline(attack="alittle", **overrides):
     setup = prepare_experiment(
-        paper_preset(attack="alittle", byzantine_fraction=0.6, seed=1, **overrides)
+        paper_preset(attack=attack, byzantine_fraction=0.6, seed=1, **overrides)
     )
     return setup.simulation, RoundPipeline(setup.simulation)
 
@@ -61,8 +77,21 @@ def traced():
             tracemalloc.stop()
 
 
-def test_paper_round_allocates_within_budget():
-    simulation, pipeline = paper_pipeline()
+@pytest.mark.parametrize(
+    "overrides, budget_mib",
+    [
+        ({}, ROUND_BUDGET_MIB),
+        ({"faults": "dropout", "faults_kwargs": {"rate": 0.2}, "min_quorum": 0.25},
+         ROUND_BUDGET_MIB),
+        ({"faults": "chaos", "shard_size": 4}, ROUND_BUDGET_MIB),
+        # round 1 delivers round 0's buffered reports next to its survivors
+        ({"faults": "chaos", "faults_kwargs": {"straggler": 0.2, "mode": "buffer"},
+          "min_quorum": 0.25}, STRAGGLER_BUDGET_MIB),
+    ],
+    ids=["clean", "dropout", "chaos", "stragglers"],
+)
+def test_paper_round_allocates_within_budget(overrides, budget_mib):
+    simulation, pipeline = paper_pipeline(**overrides)
     try:
         # Round 0 builds what later rounds reuse: engine scratch, the
         # FirstAGG filter and its KS workspace, the selector's scores.
@@ -74,7 +103,43 @@ def test_paper_round_allocates_within_budget():
             _, peak = tracemalloc.get_traced_memory()
     finally:
         simulation.close()
-    assert (peak - before) / 2**20 <= ROUND_BUDGET_MIB
+    assert (peak - before) / 2**20 <= budget_mib
+
+
+def byzantine_stage_peak(attack: str, **overrides) -> tuple[int, int]:
+    """``(traced peak, crafted block bytes)`` of one warm Byzantine stage."""
+    simulation, pipeline = paper_pipeline(attack=attack, **overrides)
+    try:
+        pipeline.run_round(0)
+        simulation.prepare_round(1)
+        matrix = np.empty((simulation.n_workers, simulation.model.num_parameters))
+        honest, byzantine = matrix[: simulation.n_honest], matrix[simulation.n_honest :]
+        simulation.honest_uploads(out=honest)
+        with traced():
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            simulation.byzantine_uploads(honest, 1, out=byzantine)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        simulation.close()
+    return peak - before, byzantine.nbytes
+
+
+@pytest.mark.parametrize("attack", ["alittle", "lmp", "inner"])
+def test_crafted_rows_are_written_once(attack):
+    """A crafting attack broadcasts one row: no ``(n_byzantine, d)`` block
+    exists besides the round matrix's rows (measured 1.15 MiB for
+    ``alittle``, whose ``np.std`` keeps an ``(n_honest, d)`` temporary,
+    and 0.10 MiB for ``lmp`` and ``inner``; one block is 1.5 MiB)."""
+    peak, block = byzantine_stage_peak(attack)
+    assert peak < block
+
+
+def test_dormant_attacker_copies_its_rows_once():
+    """A dormant adaptive attacker's honest-row copies are one block
+    (1.51 MiB; copying the fancy-indexed rows again read 3.01 MiB)."""
+    peak, block = byzantine_stage_peak("adaptive_alittle", ttbb=1.0)
+    assert peak <= 1.1 * block
 
 
 @pytest.mark.parametrize(
