@@ -32,10 +32,13 @@ real ``kill -9``:
 - ``hostile-peer``: while a seeded ``repro serve --workers 2`` run is
   live, raw sockets send an oversized length, a non-JSON body, a
   protocol-1 hello and a truncated frame, and a fake worker registers and
-  answers its tasks once with a wrong-shape result and once with an extra
-  buffer.  The coordinator must hang up on each of them, name both
-  protocol versions on stderr, exit 0, and print stdout and metrics
-  byte-identical to ``--backend serial``.
+  answers its tasks once with a wrong-shape result, once with an extra
+  buffer and once with a truncated upload: it declares exactly the
+  ``(n, d)`` float64 upload its shard expects, sends half of its bytes
+  and hangs up, so the coordinator's receive into the round matrix dies
+  mid-buffer.  The coordinator must hang up on each of them, retry their
+  tasks, name both protocol versions on stderr, exit 0, and print stdout
+  and metrics byte-identical to ``--backend serial``.
 
 Run::
 
@@ -614,7 +617,7 @@ def command_hostile_peer(arguments: argparse.Namespace) -> int:
                 raise SystemExit(f"hostile-peer: the coordinator kept the {label} link open")
         print(f"hostile-peer: {label} refused")
 
-    for lie in ("wrong-shape result", "extra buffer"):
+    for lie in ("wrong-shape result", "extra buffer", "truncated upload"):
         with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:
             send_message(sock, {"type": "hello", "worker": "liar",
                                 "protocol": PROTOCOL_VERSION})
@@ -624,11 +627,21 @@ def command_hostile_peer(arguments: argparse.Namespace) -> int:
                 raise SystemExit(f"hostile-peer: the liar got {message['type']!r}, not a task")
             task = message["task"]
             rows, dimension = len(task["states"]), buffers[0].size
-            uploads = np.zeros((rows, dimension))
-            out = ([np.zeros((rows, dimension + 1))] if lie == "wrong-shape result"
-                   else [uploads, np.zeros(1)])
-            send_message(sock, {"type": "result", "task_id": message["task_id"],
-                                "states": task["states"]}, out)
+            header = {"type": "result", "task_id": message["task_id"],
+                      "states": task["states"]}
+            if lie == "truncated upload":
+                # The declaration the shard expects, then half the bytes:
+                # what a worker dying mid-send looks like.
+                uploads = np.full((rows, dimension), 1e300)
+                body = json.dumps({**header, "buffers": [{
+                    "dtype": "<f8", "shape": [rows, dimension], "nbytes": uploads.nbytes,
+                }]}).encode()
+                sock.sendall(frame(body) + uploads.tobytes()[: uploads.nbytes // 2])
+                sock.shutdown(socket.SHUT_WR)
+            else:
+                out = ([np.zeros((rows, dimension + 1))] if lie == "wrong-shape result"
+                       else [np.zeros((rows, dimension)), np.zeros(1)])
+                send_message(sock, header, out)
             if not hung_up(sock):
                 raise SystemExit(f"hostile-peer: a {lie} kept its link")
         print(f"hostile-peer: {lie} dropped the liar's link")

@@ -52,13 +52,6 @@ class AdaptiveAttack(Attack):  # repro-lint: disable=REP004 -- built via the ada
             return True
         return round_index >= self.ttbb * total_rounds
 
-    def copy_honest(self, context: AttackContext) -> np.ndarray:
-        """Uploads used while dormant: copies of random honest uploads."""
-        if context.n_honest == 0:
-            return np.zeros((context.n_byzantine, context.dimension))
-        indices = context.rng.integers(0, context.n_honest, size=context.n_byzantine)
-        return context.honest_uploads[indices]
-
     @property
     def name(self) -> str:
         return f"Adaptive({self.inner.name}, ttbb={self.ttbb})"

@@ -50,8 +50,27 @@ class ALittleAttack(Attack):
         if context.n_honest == 0:
             return np.zeros((context.n_byzantine, context.dimension))
         mean = context.honest_uploads.mean(axis=0)
-        std = context.honest_uploads.std(axis=0)
+        std = _column_std(context.honest_uploads, mean)
         n_total = context.n_honest + context.n_byzantine
         z = self.z if self.z is not None else self._default_z(n_total, context.n_byzantine)
         single = mean - z * std
         return np.broadcast_to(single, (context.n_byzantine, context.dimension))
+
+
+def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``rows.std(axis=0)`` given ``mean = rows.mean(axis=0)``, in ``(d,)`` memory.
+
+    The squared deviations are added into one ``(d,)`` vector row by row,
+    in order, where ``np.std`` builds them as an ``(n, d)`` temporary.
+    NumPy's axis-0 sum of a C-contiguous matrix adds its rows the same
+    way, so for ``d >= 2`` the result equals ``np.std``'s bit for bit
+    (NumPy sums a single column pairwise).
+    """
+    total = np.zeros_like(mean)
+    deviation = np.empty_like(mean)
+    for row in rows:
+        np.subtract(row, mean, out=deviation)
+        np.multiply(deviation, deviation, out=deviation)
+        total += deviation
+    total /= len(rows)
+    return np.sqrt(total, out=total)

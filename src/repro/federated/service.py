@@ -39,6 +39,13 @@ Tasks are pure functions of their payloads, so at-least-once dispatch is
 safe: a re-dispatched task whose original worker later answers anyway is
 resolved first-result-wins, and duplicate results are discarded.
 
+The round matrix is the only full-size buffer of a round's uploads: the
+link a task is in flight on reads its result straight into the shard's
+rows (:meth:`CoordinatorServer._claim_rows` names the rules), and every
+other answer goes to fresh arrays that die once handled.
+:meth:`~CoordinatorServer.execute` returns only when no receive is
+writing the rows.
+
 Trust model
 -----------
 Nothing a peer sends is executed: frames carry arrays and JSON, and every
@@ -54,6 +61,7 @@ loopback or to a trusted network.
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import sys
@@ -95,11 +103,27 @@ class RemoteTaskError(RuntimeError):
     """
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.
+
+    On Linux ``close`` alone does not wake a ``recv`` blocked on the
+    socket in another thread; ``shutdown`` does.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already disconnected
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close is best-effort
+        pass
+
+
 class _Link:
     """One connected worker, as the coordinator sees it."""
 
     __slots__ = (
-        "sock", "name", "alive", "last_seen", "task", "send_lock",
+        "sock", "name", "alive", "last_seen", "task", "claim", "send_lock",
         "connected_at", "dispatched", "bytes_sent",
     )
 
@@ -109,6 +133,8 @@ class _Link:
         self.alive = True
         self.last_seen = time.monotonic()
         self.task: _Task | None = None
+        # The task whose rows this link's frame in flight is read into.
+        self.claim: _Task | None = None
         self.send_lock = threading.Lock()
         self.connected_at = time.monotonic()
         self.dispatched = 0  # tasks sent to this link (lifetime)
@@ -120,18 +146,25 @@ class _Task:
 
     ``header`` is the ``task`` object of the frame and ``buffers`` the
     payload's arrays (see :func:`~repro.federated.wire.encode_task`).
+    ``rows`` is the shard's rows of the caller's round matrix (the
+    payload's ``out``), or ``None``; ``claimed`` says that a receive is
+    writing them.
     """
 
     __slots__ = (
-        "task_id", "index", "header", "buffers", "attempts", "not_before",
-        "dispatched_at", "done", "result", "failure", "fatal",
+        "task_id", "index", "header", "buffers", "rows", "claimed", "attempts",
+        "not_before", "dispatched_at", "done", "result", "failure", "fatal",
     )
 
-    def __init__(self, task_id: int, index: int, header: dict, buffers: list) -> None:
+    def __init__(
+        self, task_id: int, index: int, header: dict, buffers: list, rows
+    ) -> None:
         self.task_id = task_id
         self.index = index
         self.header = header
         self.buffers = buffers
+        self.rows = rows
+        self.claimed = False
         self.attempts = 0
         self.not_before = 0.0
         self.dispatched_at: float | None = None
@@ -282,28 +315,85 @@ class CoordinatorServer:
         self._recv_loop(link)
 
     def _recv_loop(self, link: _Link) -> None:
+        """Read and handle the link's frames until it drops.
+
+        A result may be read straight into its shard's rows of the round
+        matrix (:meth:`_claim_rows`); the claim ends once the frame is
+        handled or lost.  Each frame lives only inside :meth:`_receive`,
+        so no link keeps its last result referenced until its next frame.
+        """
+        into = functools.partial(self._claim_rows, link)
         while True:
             try:
-                message, buffers = recv_message(link.sock)
-            except (ConnectionError, OSError):
-                self._drop_link(link, f"worker {link.name!r}: connection lost")
-                return
-            kind = message["type"]
-            try:
-                if kind == "heartbeat":
-                    with self._cond:
-                        link.last_seen = time.monotonic()
-                elif kind == "result":
-                    self._handle_result(link, message, buffers)
-                elif kind == "error":
-                    self._handle_error(link, message)
-                else:
-                    raise WireError(f"a worker does not send {kind!r} messages")
-            except WireError as error:
+                reason = self._receive(link, into)
+            finally:
+                self._release_rows(link)
+            if reason is not None:
                 # Dropping the link re-dispatches its in-flight task under
                 # the transport policy, like any other lost dispatch.
-                self._drop_link(link, f"worker {link.name!r}: bad {kind} ({error})")
+                self._drop_link(link, f"worker {link.name!r}: {reason}")
                 return
+
+    def _receive(self, link: _Link, into: Callable) -> str | None:
+        """Read and handle one frame; returns why to drop the link, if so."""
+        try:
+            message, buffers = recv_message(link.sock, into)
+        except (ConnectionError, OSError):
+            return "connection lost"
+        kind = message["type"]
+        try:
+            if kind == "heartbeat":
+                with self._cond:
+                    link.last_seen = time.monotonic()
+            elif kind == "result":
+                self._handle_result(link, message, buffers)
+            elif kind == "error":
+                self._handle_error(link, message)
+            else:
+                raise WireError(f"a worker does not send {kind!r} messages")
+        except WireError as error:
+            return f"bad {kind} ({error})"
+        return None
+
+    def _claim_rows(self, link: _Link, message: dict, declared: list) -> list | None:
+        """The round-matrix rows to read a frame's buffers into, or ``None``.
+
+        A frame is read into its shard's rows only when it is a
+        ``result`` for an unfinished task of this execution, that task is
+        in flight on this very link, no other receive holds the rows, and
+        the frame declares exactly their one ``(n, d)`` float64 buffer.
+        Anything else -- a stale answer, a straggler racing its
+        re-dispatch, a wrong shape, an extra buffer -- is read into fresh
+        arrays and handled like any result: the first result wins.  A
+        receive that fails mid-frame leaves the rows partly written; its
+        task is lost, and its retry rewrites them in full or the commit
+        zeroes them.
+        """
+        if message["type"] != "result":
+            return None
+        with self._cond:
+            task = self._lookup(message.get("task_id"))
+            if (
+                task is None
+                or task.finished
+                or link.task is not task
+                or task.rows is None
+                or task.claimed
+                or declared != [(task.rows.dtype, task.rows.shape)]
+            ):
+                return None
+            task.claimed = True
+            link.claim = task
+        return [task.rows]
+
+    def _release_rows(self, link: _Link) -> None:
+        """End the link's claim on a shard's rows, if it holds one."""
+        if link.claim is None:  # only this link's receive thread sets it
+            return
+        with self._cond:
+            link.claim.claimed = False
+            link.claim = None
+            self._cond.notify_all()
 
     def _handle_result(self, link: _Link, message: dict, buffers: list) -> None:
         with self._cond:
@@ -355,6 +445,14 @@ class CoordinatorServer:
         return self._execution.by_id.get(task_id)
 
     def _drop_link(self, link: _Link, reason: str) -> None:
+        """Forget ``link``, lose its in-flight task and hang up (idempotent).
+
+        The task is re-dispatched or failed under the transport policy
+        (:meth:`_task_lost`).  The socket is shut down before it is
+        closed, so a receive blocked on it in the link's own thread wakes
+        and ends its claim on a shard's rows; ``close`` alone would leave
+        that thread, and so :meth:`execute`, waiting.
+        """
         with self._cond:
             if not link.alive:
                 return
@@ -365,10 +463,7 @@ class CoordinatorServer:
             if task is not None:
                 self._task_lost(task, reason)
             self._cond.notify_all()
-        try:
-            link.sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        _hang_up(link.sock)
 
     def _task_lost(self, task: _Task, reason: str) -> None:
         """Re-dispatch or fail a task whose worker went away (lock held)."""
@@ -546,6 +641,12 @@ class CoordinatorServer:
         task exceptions raise :class:`RemoteTaskError`;
         ``ConnectionError`` is raised only when no worker is connected
         for :attr:`worker_timeout` seconds.
+
+        A payload's ``out`` rows (the shard's rows of the round matrix)
+        receive its uploads straight off the wire when
+        :meth:`_claim_rows` allows, and that result's uploads are those
+        rows; other results arrive as fresh arrays.  Nothing writes the
+        rows once this returns.
         """
         encoded = [encode_task(fn, item) for item in items]
         tasks = []
@@ -554,8 +655,12 @@ class CoordinatorServer:
                 raise ConnectionError("coordinator server is shut down")
             if self._execution is not None:
                 raise RuntimeError("CoordinatorServer.execute is not reentrant")
-            for index, (header, buffers) in enumerate(encoded):
-                tasks.append(_Task(self._next_task_id, index, header, buffers))
+            for index, ((header, buffers), (_, payload)) in enumerate(
+                zip(encoded, items)
+            ):
+                tasks.append(_Task(
+                    self._next_task_id, index, header, buffers, payload.out
+                ))
                 self._next_task_id += 1
             self._execution = _Execution(tasks, policy)
         try:
@@ -570,6 +675,11 @@ class CoordinatorServer:
                 # and that stale answer is ignored).
                 for link in self._links:
                     link.task = None
+                # The round matrix is the caller's again once this
+                # returns: wait out every receive still writing its rows
+                # (a stalled one ends when its link is dropped).
+                while any(task.claimed for task in tasks):
+                    self._cond.wait()
         for task in tasks:
             if task.fatal is not None:
                 raise RemoteTaskError(task.fatal)
@@ -720,10 +830,7 @@ class CoordinatorServer:
                         break
                     self._cond.wait(timeout=min(remaining, 0.1))
         for link in links:
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+            _hang_up(link.sock)
         self._listener.close()
         self._accept_thread.join(timeout=2.0)
         self._monitor_thread.join(timeout=2.0)

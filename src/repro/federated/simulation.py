@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.byzantine.adaptive import AdaptiveAttack
 from repro.byzantine.base import Attack, AttackContext
 from repro.core.config import BackendConfig, DPConfig, EngineConfig, FaultsConfig
 from repro.core.dp_protocol import BatchedDPState, upload_noise_std
@@ -489,6 +488,17 @@ class FederatedSimulation:
                 self.model, crash_plan=crash_plan, out=out
             )
 
+        if not active:
+            # Dormant: copies of random honest rows, or zeros when no
+            # honest row survived the round.
+            if honest_uploads.shape[0] == 0:
+                out[...] = 0.0
+                return out
+            indices = self._attack_rng.integers(
+                0, honest_uploads.shape[0], size=self.n_byzantine
+            )
+            # In range by construction; "wrap" writes ``out`` directly.
+            return np.take(honest_uploads, indices, axis=0, out=out, mode="wrap")
         context = AttackContext(
             honest_uploads=honest_uploads,
             n_byzantine=self.n_byzantine,
@@ -497,17 +507,7 @@ class FederatedSimulation:
             total_rounds=self.settings.total_rounds,
             rng=self._attack_rng,
         )
-        if active:
-            rows = attack.craft(context)
-        elif isinstance(attack, AdaptiveAttack):
-            rows = attack.copy_honest(context)
-        else:
-            indices = self._attack_rng.integers(
-                0, honest_uploads.shape[0], size=self.n_byzantine
-            )
-            # In range by construction; "wrap" writes ``out`` directly.
-            return np.take(honest_uploads, indices, axis=0, out=out, mode="wrap")
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(attack.craft(context), dtype=np.float64)
         if rows.shape != out.shape:
             raise ValueError(
                 f"{attack.name} produced uploads of shape {rows.shape}, "

@@ -13,7 +13,8 @@ list declares the arrays that follow, in order, as ``{"dtype", "shape",
 "nbytes"}`` objects.  Arrays travel as raw little-endian bytes (``<f8`` or
 ``<i8`` only): :func:`send_message` writes each one with ``sendall`` on a
 memoryview of its own memory, and :func:`recv_message` reads each one with
-``recv_into`` into a preallocated array, so no frame is ever assembled.
+``recv_into`` into a preallocated array (or one its caller names), so no
+frame is ever assembled.
 
 Message vocabulary (coordinator <-> worker):
 
@@ -228,13 +229,25 @@ def _declared(specs: object) -> list[tuple[np.dtype, tuple[int, ...]]]:
     return declared
 
 
-def recv_message(sock: socket.socket) -> tuple[dict, list[np.ndarray]]:
+def recv_message(
+    sock: socket.socket,
+    into: Callable[[dict, list[tuple[np.dtype, tuple[int, ...]]]],
+                   list[np.ndarray] | None] | None = None,
+) -> tuple[dict, list[np.ndarray]]:
     """Read one frame from ``sock``: ``(header, arrays)``; blocks until complete.
 
     The header comes back without its ``"buffers"`` declarations, the
-    arrays in declaration order.  Raises :class:`ConnectionError` when the
-    peer hangs up and :class:`WireError` when the frame is not valid
-    protocol.
+    arrays in declaration order.  Once the header and its declarations
+    passed every check, and before any buffer byte is read,
+    ``into(header, [(dtype, shape), ...])`` (if given) may name one
+    writable C-contiguous array per declaration to read the buffers
+    into -- the coordinator reads a shard's uploads straight into its
+    rows of the round matrix this way.  Without ``into``, or when it
+    returns ``None``, each buffer gets a fresh array.  A frame that fails
+    mid-buffer leaves the named arrays partly written.  Raises
+    :class:`ConnectionError` when the peer hangs up, :class:`WireError`
+    when the frame is not valid protocol and :class:`ValueError` when
+    the named arrays do not match the declarations.
     """
     prefix = bytearray(_LENGTH.size)
     _recv_into(sock, memoryview(prefix), started=False)
@@ -247,10 +260,14 @@ def recv_message(sock: socket.socket) -> tuple[dict, list[np.ndarray]]:
     body = bytearray(length)
     _recv_into(sock, memoryview(body))
     message = _parse_header(body)
-    arrays = [
-        np.empty(shape, dtype=dtype)
-        for dtype, shape in _declared(message.pop("buffers", []))
-    ]
+    declared = _declared(message.pop("buffers", []))
+    arrays = None if into is None else into(message, declared)
+    if arrays is None:
+        arrays = [np.empty(shape, dtype=dtype) for dtype, shape in declared]
+    elif [(array.dtype, array.shape) for array in arrays] != declared or not all(
+        array.flags.c_contiguous and array.flags.writeable for array in arrays
+    ):
+        raise ValueError("the destination arrays do not match the frame's declarations")
     for array in arrays:
         if array.nbytes:
             _recv_into(sock, memoryview(array).cast("B"))
@@ -449,9 +466,9 @@ def decode_result(
     """A ``result`` message, checked against the ``task`` that was dispatched.
 
     Returns ``(uploads, states)`` -- exactly ``(n, d)`` float64 uploads
-    and ``n`` PCG64 states for the shard's ``n`` workers and ``d``
-    parameters -- or the shard's :class:`TaskFailure`.  Anything else
-    raises :class:`WireError`.
+    (the received buffer itself) and ``n`` PCG64 states for the shard's
+    ``n`` workers and ``d`` parameters -- or the shard's
+    :class:`TaskFailure`.  Anything else raises :class:`WireError`.
     """
     if "failure" in message:
         failure = _fields(message["failure"], "failure", _FAILURE_FIELDS)

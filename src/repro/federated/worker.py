@@ -40,7 +40,8 @@ inline, on threads, in worker processes (pickled) or on remote workers
 generator states.  The upload rows are the caller's ``out`` array -- in
 a training round, the pool's rows of the round matrix -- and in-process
 tasks compute straight into them, so no per-shard result block is
-allocated.  A shard that ends as a
+allocated; the remote backend reads its workers' uploads off the wire
+into them too.  A shard that ends as a
 :class:`~repro.federated.backends.TaskFailure` is not committed: its
 upload rows are zeroed, and its workers' generators and momentum keep
 their pre-round state on every backend.  Injected crashes and retries
@@ -185,9 +186,12 @@ class _ShardPayload:
     task at a time (``replicas is None``), use the caller's pair.
     ``momentum`` may be a view of the pool's rows: only the commit writes
     them, after the task finished.  ``out`` is the shard's rows of the
-    caller's output array (the round matrix, in a round) on in-process
-    backends, so results never pile up in the executing threads' malloc
-    arenas; payloads that leave the process leave it ``None``.
+    caller's output array (the round matrix, in a round): in-process
+    tasks compute into them, so results never pile up in the executing
+    threads' malloc arenas, and the remote backend receives its workers'
+    uploads into them.  Neither a task frame
+    (:func:`~repro.federated.wire.encode_task`) nor a pickled payload
+    carries them.
     """
 
     replicas: _Replicas | None
@@ -199,6 +203,11 @@ class _ShardPayload:
     rng_states: list[dict]
     dp_config: DPConfig
     out: np.ndarray | None
+
+    def __getstate__(self) -> dict:
+        # Another process cannot write this one's rows: it returns its
+        # uploads as an array, which the commit copies in.
+        return {**self.__dict__, "out": None}
 
 
 def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
@@ -428,8 +437,7 @@ class WorkerPool:
         workers' generators (same draws as ``Dataset.sample_batch``:
         uniform with replacement, each worker's own stream, worker
         order), so the pool's own generators only move when a result is
-        committed.  In-process payloads compute into the shard's rows of
-        ``out``.
+        committed.  Each payload carries the shard's rows of ``out``.
         """
         batch, n_features = self.dp_config.batch_size, self.datasets[0].dim
         backend = self.backend
@@ -459,7 +467,7 @@ class WorkerPool:
                 momentum=self.state.slot_momentum[start:stop],
                 rng_states=[rng.bit_generator.state for rng in rngs],
                 dp_config=self.dp_config,
-                out=out[start:stop] if backend.in_process else None,
+                out=out[start:stop],
             )
 
     def compute_uploads(
@@ -540,7 +548,8 @@ class WorkerPool:
             retried += int(failures[index])
             for rng, state in zip(self.rngs[start:stop], rng_states):
                 rng.bit_generator.state = state
-            # In-process tasks computed into these rows (copying them onto
+            # In-process tasks computed into these rows and the remote
+            # backend received most results into them (copying them onto
             # themselves is a no-op); other results arrive as arrays.
             np.copyto(rows, uploads)
             np.copyto(self.state.slot_momentum[start:stop], rows)

@@ -2,8 +2,12 @@
 
 Every layer implements the protocol
 
-- ``forward(x)``: compute the layer output for a batch ``x`` of shape
-  ``(batch, ...)`` and cache whatever the backward pass needs.
+- ``forward(x, cache=True)``: compute the layer output for a batch ``x``
+  of shape ``(batch, ...)`` and cache whatever the backward pass needs.
+  Only the capture pass
+  (:meth:`~repro.nn.network.Sequential.per_example_grad_factors`) caches;
+  inference passes ``cache=False`` and leaves nothing on the layer, with
+  the same operations and so the same bits.
 - ``backward(grad_output)``: given the loss gradient with respect to the
   layer output, return the loss gradient with respect to the layer input.
   A layer with parameters also records :attr:`Layer.grad_factors`, the
@@ -51,7 +55,7 @@ class Layer:
         self.parameters = []
         self.grad_factors = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -104,12 +108,13 @@ class Linear(Layer):
         self.parameters = [self.weight, self.bias]
         self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Linear expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        if cache:
+            self._input = x
         return x @ self.weight + self.bias
 
     def backward(
@@ -145,9 +150,11 @@ class ReLU(Layer):
         super().__init__()
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        mask = x > 0
+        if cache:
+            self._mask = mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -165,8 +172,9 @@ class ELU(Layer):
         self.alpha = alpha
         self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = x
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._input = x
         return np.where(x > 0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -184,9 +192,11 @@ class Tanh(Layer):
         super().__init__()
         self._output: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        output = np.tanh(x)
+        if cache:
+            self._output = output
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -201,8 +211,9 @@ class Flatten(Layer):
         super().__init__()
         self._input_shape: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -27,6 +27,10 @@ from repro.nn.losses import softmax, softmax_cross_entropy
 
 __all__ = ["Sequential", "expand_grad_factors", "spec_dimensions"]
 
+#: Most bytes of per-example gradient rows :meth:`Sequential.mean_gradient`
+#: expands at once: 4 rows at the paper's d = 6570.
+_MEAN_BLOCK_BYTES = 1 << 18
+
 #: The layer types a network spec may name, with the constructor arguments
 #: of each (read back from the layer's attributes) and their types.
 _SPEC_LAYERS: dict[str, tuple[type[Layer], dict[str, type]]] = {
@@ -121,20 +125,27 @@ class Sequential:
     # ------------------------------------------------------------------ #
     # forward / prediction
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network forward and return the logits."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Run the network forward and return the logits.
+
+        With ``cache`` every layer keeps what its backward pass needs,
+        which only the capture pass (:meth:`per_example_grad_factors`)
+        reads; inference (:meth:`predict`, :meth:`predict_proba`,
+        :meth:`loss`) leaves nothing on the layers.  Either way the
+        logits are the same bits.
+        """
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out)
+            out = layer.forward(out, cache=cache)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Return the predicted class index for each example."""
-        return np.argmax(self.forward(x), axis=-1)
+        return np.argmax(self.forward(x, cache=False), axis=-1)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Return softmax class probabilities for each example."""
-        return softmax(self.forward(x))
+        return softmax(self.forward(x, cache=False))
 
     # ------------------------------------------------------------------ #
     # parameter handling
@@ -218,7 +229,7 @@ class Sequential:
     # ------------------------------------------------------------------ #
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy loss on a batch."""
-        losses, _ = softmax_cross_entropy(self.forward(x), y)
+        losses, _ = softmax_cross_entropy(self.forward(x, cache=False), y)
         return float(np.mean(losses))
 
     def per_example_gradients(
@@ -337,9 +348,28 @@ class Sequential:
         return layout
 
     def mean_gradient(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean loss and mean flat gradient over the batch."""
-        losses, gradients = self.per_example_gradients(x, y)
-        return float(np.mean(losses)), gradients.mean(axis=0)
+        """Mean loss and mean flat gradient over the batch.
+
+        One capture pass, then the per-example gradients are expanded a
+        block of at most ``_MEAN_BLOCK_BYTES`` at a time
+        (:func:`expand_grad_factors`) and added to a zero vector row by
+        row, in order.  NumPy's axis-0 sum of a C-contiguous matrix adds
+        its rows the same way, so for ``d >= 2`` the mean equals
+        ``per_example_gradients(x, y)[1].mean(axis=0)`` bit for bit,
+        without the ``(batch, d)`` matrix.  (NumPy sums a single column
+        pairwise, so a one-parameter model may differ in the last bits.)
+        """
+        losses, factors = self.per_example_grad_factors(x, y)
+        rows, dimension = len(losses), self.num_parameters
+        size = max(1, min(rows, _MEAN_BLOCK_BYTES // (8 * dimension)))
+        block = np.empty((size, dimension), dtype=np.float64)
+        total = np.zeros(dimension, dtype=np.float64)
+        for start in range(0, rows, size):
+            for gradient in expand_grad_factors(
+                factors, block[: min(size, rows - start)], start
+            ):
+                total += gradient
+        return float(np.mean(losses)), np.divide(total, rows, out=total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(type(layer).__name__ for layer in self.layers)

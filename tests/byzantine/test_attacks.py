@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.byzantine.inner import InnerProductAttack
 from repro.byzantine.label_flip import LabelFlipAttack
 from repro.byzantine.lmp import LocalModelPoisoningAttack
 from repro.data.synthetic import make_classification
+from tests.federated.test_simulation_history import build_simulation
 from tests.helpers import make_attack_context
 
 
@@ -178,6 +181,21 @@ class TestALittleAttack:
         context = make_attack_context(np.zeros((0, 10)), 2)
         np.testing.assert_array_equal(ALittleAttack().craft(context), 0.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_std_is_numpy_std_bitwise(self, seed):
+        """The crafted row uses ``np.std(axis=0)``'s bits: squared deviations
+        added row by row sum like numpy's axis-0 reduction (for d >= 2;
+        numpy sums a single column pairwise)."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 40)), int(rng.integers(2, 3000))
+        rows = rng.normal(size=(n, d)) * rng.exponential(size=(n, 1))
+        rows[:, : d // 10] = -0.0
+        rows += rng.normal(size=d) * rng.integers(0, 2)
+        crafted = ALittleAttack(z=0.7).craft(make_attack_context(rows, 3))
+        np.testing.assert_array_equal(crafted, np.broadcast_to(
+            rows.mean(axis=0) - 0.7 * rows.std(axis=0), (3, d)
+        ))
+
 
 class TestInnerProductAttack:
     def test_negatively_scales_benign_mean(self, honest_uploads):
@@ -237,12 +255,26 @@ class TestAdaptiveAttack:
         np.testing.assert_allclose(adaptive, direct)
 
     def test_copy_honest_copies_real_uploads(self, honest_uploads):
-        context = make_attack_context(honest_uploads, 5, seed=2)
-        copies = AdaptiveAttack(GaussianAttack(), 0.5).copy_honest(context)
-        assert copies.shape == (5, 200)
-        honest_rows = {tuple(np.round(row, 9)) for row in honest_uploads}
-        for row in copies:
-            assert tuple(np.round(row, 9)) in honest_rows
+        """A dormant attacker uploads the honest rows its generator picks."""
+        simulation = build_simulation(
+            n_honest=4, n_byzantine=5, attack=AdaptiveAttack(GaussianAttack(), 0.5),
+            total_rounds=10,
+        )
+        picker = copy.deepcopy(simulation._attack_rng)
+        copies = simulation.byzantine_uploads(honest_uploads, round_index=0)
+        picks = picker.integers(0, len(honest_uploads), size=5)
+        np.testing.assert_array_equal(copies, honest_uploads[picks])
+        assert simulation._attack_rng.bit_generator.state == picker.bit_generator.state
+
+    def test_dormant_attacker_without_honest_rows_uploads_zeros(self):
+        simulation = build_simulation(
+            n_honest=4, n_byzantine=3, attack=AdaptiveAttack(GaussianAttack(), 0.5),
+            total_rounds=10,
+        )
+        state = simulation._attack_rng.bit_generator.state
+        copies = simulation.byzantine_uploads(np.zeros((0, 7)), round_index=0)
+        np.testing.assert_array_equal(copies, np.zeros((3, 7)))
+        assert simulation._attack_rng.bit_generator.state == state
 
     def test_name_mentions_inner_attack(self):
         name = AdaptiveAttack(GaussianAttack(), 0.4).name

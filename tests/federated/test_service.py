@@ -10,15 +10,20 @@ tasks taken from a real pool (:func:`shard_job`).
 
 from __future__ import annotations
 
+import json
+import pickle
 import socket
+import struct
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import DPConfig
+from repro.federated import service
 from repro.federated.backends import (
     BACKENDS,
     ExecutionBackend,
@@ -52,9 +57,11 @@ class _Recorder(ExecutionBackend):  # repro-lint: disable=REP004 -- test double,
     in_process = False
 
     def map_ordered(self, fn, items):
-        # The payloads' momentum rows are views the pool's commit overwrites.
+        # The payloads' momentum rows are views the pool's commit
+        # overwrites.  Without ``out`` rows the expected results are fresh
+        # arrays, and a coordinator fills only rows a test hands it.
         self.items = [
-            (index, replace(payload, momentum=payload.momentum.copy()))
+            (index, replace(payload, momentum=payload.momentum.copy(), out=None))
             for index, payload in items
         ]
         self.fn = fn
@@ -123,6 +130,42 @@ def fake_handshake(port, name="fake", protocol=PROTOCOL_VERSION):
     welcome, _ = recv_message(sock)
     assert welcome["type"] == "welcome"
     return sock
+
+
+def result_frame(task_id, uploads, states):
+    """The bytes of a ``result`` frame, built by hand so a test can cut it."""
+    body = json.dumps({
+        "type": "result", "task_id": task_id, "states": states,
+        "buffers": [{"dtype": "<f8", "shape": list(uploads.shape),
+                     "nbytes": uploads.nbytes}],
+    }).encode()
+    return struct.pack(">I", len(body)) + body + uploads.astype("<f8").tobytes()
+
+
+def record_execute(monkeypatch, matrix):
+    """Record, per result of every ``execute``, whether its uploads are
+    rows of ``matrix`` (``None`` for a :class:`TaskFailure`)."""
+    shared: list[bool | None] = []
+    original = CoordinatorServer.execute
+
+    def execute(server, fn, items, policy):
+        results = original(server, fn, items, policy)
+        shared.extend(
+            None if isinstance(result, TaskFailure)
+            else np.shares_memory(result[0], matrix)
+            for result in results
+        )
+        return results
+
+    monkeypatch.setattr(CoordinatorServer, "execute", execute)
+    return shared
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
 
 
 def wait_for_eof(sock, timeout=5.0):
@@ -599,3 +642,193 @@ class TestRemotePools:
         with pytest.raises(TypeError, match="EngineConfig"):
             make_pool(make_shards(2), CONFIG, engine=GhostNormEngine(),
                       backend=RemoteBackend())
+
+
+class TestRoundMatrixReceive:
+    """The coordinator reads results into the shard's rows of the round
+    matrix, under the claim rules of ``CoordinatorServer._claim_rows``."""
+
+    def test_served_round_commits_rows_it_received_and_keeps_no_frame(
+        self, monkeypatch
+    ):
+        model, _ = make_model_and_data(seed=2)
+        shards = make_shards(6, seed=3)
+        config = DPConfig(batch_size=4, sigma=0.9, momentum=0.2)
+        serial = make_pool(shards, config, shard_size=2)
+        backend = RemoteBackend(max_workers=2, worker_timeout=20.0)
+        remote = make_pool(shards, config, shard_size=2, backend=backend)
+        matrix = np.empty((6, model.num_parameters))
+        shared = record_execute(monkeypatch, matrix)
+        received = []
+        original = service.recv_message
+
+        def recv_message(sock, into=None):
+            message, arrays = original(sock, into)
+            if threading.current_thread().name == "repro-coordinator-link":
+                received.extend(weakref.ref(array) for array in arrays)
+            return message, arrays
+
+        monkeypatch.setattr(service, "recv_message", recv_message)
+        threads = [start_worker_thread(backend.port, name=f"w{i}") for i in range(2)]
+        try:
+            backend.server.wait_for_workers(2, timeout=10.0)
+            for round_index in range(2):
+                matrix[...] = np.nan
+                shared.clear()
+                received.clear()
+                assert remote.compute_uploads(model, out=matrix) is matrix
+                assert shared == [True, True, True], f"round {round_index}"
+                assert len(received) == 3
+                assert all(ref() is None for ref in received), f"round {round_index}"
+                np.testing.assert_array_equal(
+                    matrix, serial.compute_uploads(model), err_msg=f"round {round_index}"
+                )
+        finally:
+            backend.shutdown()
+        for thread, codes in threads:
+            thread.join(timeout=10.0)
+            assert codes == [0]
+
+    def test_rows_never_leave_the_process(self):
+        """A payload keeps its rows for the coordinator; neither its task
+        frame nor a pickled copy (the process backend's) carries them."""
+        fn, items, expected = shard_job(1)
+        index, payload = items[0]
+        payload = replace(payload, out=np.zeros_like(expected[0][0]))
+        _, buffers = encode_task(fn, (index, payload))
+        assert not any(np.shares_memory(buffer, payload.out) for buffer in buffers)
+        copy = pickle.loads(pickle.dumps(payload))
+        assert copy.out is None and payload.out is not None
+        np.testing.assert_array_equal(copy.features, payload.features)
+        assert copy.rng_states == payload.rng_states
+
+    @pytest.mark.parametrize("answerer", ["holder", "other link"])
+    def test_only_the_link_holding_the_task_writes_its_rows(self, answerer):
+        fn, items, expected = shard_job(1)
+        uploads, states = expected[0]
+        rows = np.zeros_like(uploads)
+        item = (items[0][0], replace(items[0][1], out=rows))
+        server = CoordinatorServer(worker_timeout=20.0)
+        holder = fake_handshake(server.port, name="holder")
+        other = None
+        try:
+            assert server.wait_for_workers(1, timeout=10.0) == 1
+            results = []
+            runner = threading.Thread(
+                target=lambda: results.append(server.execute(fn, [item], RetryPolicy())),
+                daemon=True,
+            )
+            runner.start()
+            task, _ = recv_message(holder)
+            other = fake_handshake(server.port, name="other")
+            assert server.wait_for_workers(2, timeout=10.0) == 2
+            send_message(other if answerer == "other link" else holder,
+                         {"type": "result", "task_id": task["task_id"], "states": states},
+                         [uploads])
+            runner.join(timeout=10.0)
+            [[(received, received_states)]] = results
+            np.testing.assert_array_equal(received, uploads)
+            assert received_states == states
+            if answerer == "holder":
+                assert np.shares_memory(received, rows)
+            else:  # first result wins, but the rows stay untouched
+                assert not np.shares_memory(received, rows)
+                np.testing.assert_array_equal(rows, 0.0)
+        finally:
+            for sock in (holder, other):
+                if sock is not None:
+                    sock.close()
+            server.close()
+
+    @pytest.mark.parametrize("attempts", [3, 1])
+    def test_receive_dying_mid_buffer_is_retried_or_zeroed(self, monkeypatch, attempts):
+        """A liar declares exactly its shard's upload, sends half of it and
+        hangs up: the retry rewrites the rows in full, or the commit zeroes
+        them when the task has no attempt left."""
+        model, _ = make_model_and_data(seed=4)
+        shards = make_shards(4, seed=5)
+        config = DPConfig(batch_size=4, sigma=0.5)
+        serial = make_pool(shards, config, shard_size=2)
+        backend = RemoteBackend(transport_attempts=attempts, transport_backoff=0.01,
+                                worker_timeout=20.0)
+        remote = make_pool(shards, config, shard_size=2, backend=backend)
+        matrix = np.empty((4, model.num_parameters))
+        shared = record_execute(monkeypatch, matrix)
+        liar = fake_handshake(backend.port, name="liar")
+        honest = []
+
+        def cut_short():
+            message, buffers = recv_message(liar)
+            task = message["task"]
+            garbage = np.full((len(task["states"]), buffers[0].size), 1e300)
+            frame = result_frame(message["task_id"], garbage, task["states"])
+            liar.sendall(frame[: len(frame) - garbage.nbytes // 2])
+            liar.close()
+            honest.append(start_worker_thread(backend.port, name="honest"))
+
+        try:
+            backend.server.wait_for_workers(1, timeout=10.0)
+            cutter = threading.Thread(target=cut_short, daemon=True)
+            cutter.start()
+            remote.compute_uploads(model, out=matrix)
+            cutter.join(timeout=10.0)
+            reference = serial.compute_uploads(model)
+            if attempts == 1:
+                assert shared == [None, True]
+                assert remote.last_fault_report.failed_workers.tolist() == [
+                    True, True, False, False
+                ]
+                np.testing.assert_array_equal(matrix[:2], 0.0)
+                np.testing.assert_array_equal(matrix[2:], reference[2:])
+            else:
+                assert shared == [True, True]
+                np.testing.assert_array_equal(matrix, reference)
+        finally:
+            backend.shutdown()
+        for thread, _ in honest:
+            thread.join(timeout=10.0)
+
+    def test_straggler_racing_its_redispatch_resolves_first_result_wins(self):
+        """The straggler's late answer wins while the re-dispatch is still
+        writing the rows, and execute returns only once that receive ends."""
+        fn, items, expected = shard_job(1)
+        uploads, states = expected[0]
+        rows = np.zeros_like(uploads)
+        item = (items[0][0], replace(items[0][1], out=rows))
+        server = CoordinatorServer(worker_timeout=20.0)
+        straggler = fake_handshake(server.port, name="straggler")
+        redispatch = None
+        try:
+            server.wait_for_workers(1, timeout=10.0)
+            results = []
+            policy = RetryPolicy(max_attempts=3, backoff_base=0.01, timeout=0.2)
+            runner = threading.Thread(
+                target=lambda: results.append(server.execute(fn, [item], policy)),
+                daemon=True,
+            )
+            runner.start()
+            first, _ = recv_message(straggler)
+            server.drain("straggler")  # so the re-dispatch goes elsewhere
+            redispatch = fake_handshake(server.port, name="redispatch")
+            second, _ = recv_message(redispatch)  # past the 0.2 s deadline
+            assert second["task_id"] == first["task_id"]
+            frame = result_frame(second["task_id"], uploads, states)
+            cut = len(frame) - uploads.nbytes // 2
+            redispatch.sendall(frame[:cut])
+            wait_until(rows.any)  # the re-dispatch's receive is writing the rows
+            send_message(straggler, {"type": "result", "task_id": first["task_id"],
+                                     "states": states}, [uploads])
+            time.sleep(0.3)
+            assert runner.is_alive(), "execute returned while its rows were written"
+            redispatch.sendall(frame[cut:])
+            runner.join(timeout=10.0)
+            [[(received, received_states)]] = results
+            assert not np.shares_memory(received, rows)  # the straggler won
+            np.testing.assert_array_equal(received, uploads)
+            assert received_states == states
+            np.testing.assert_array_equal(rows, uploads)
+        finally:
+            for sock in (straggler, redispatch):
+                if sock is not None:
+                    sock.close()
+            server.close()

@@ -114,6 +114,61 @@ class TestMessageRoundTrip:
             send_message(left, {"type": "result"}, [np.zeros(3, dtype=dtype)])
 
 
+class TestDestinations:
+    """``recv_message(sock, into)`` reads buffers into arrays its caller names."""
+
+    def test_buffers_land_in_the_named_arrays(self, pair):
+        left, right = pair
+        matrix = np.zeros((6, 4))
+        sent = [np.arange(12.0).reshape(3, 4), np.arange(3)]
+        asked = []
+
+        def into(message, declared):
+            asked.append((message, declared))
+            return [matrix[2:5], np.empty(3, dtype=np.int64)]
+
+        send_message(left, {"type": "result", "task_id": 4}, sent)
+        message, (rows, labels) = recv_message(right, into)
+        assert message == {"type": "result", "task_id": 4}
+        assert asked == [(message, [(np.dtype("<f8"), (3, 4)), (np.dtype("<i8"), (3,))])]
+        assert np.shares_memory(rows, matrix)
+        np.testing.assert_array_equal(matrix[2:5], sent[0])
+        np.testing.assert_array_equal(labels, sent[1])
+        assert not matrix[[0, 1, 5]].any()
+
+    def test_none_means_fresh_arrays(self, pair):
+        left, right = pair
+        send_message(left, {"type": "result"}, [np.ones((2, 3))])
+        _, (received,) = recv_message(right, lambda message, declared: None)
+        np.testing.assert_array_equal(received, np.ones((2, 3)))
+
+    def test_declarations_are_checked_before_the_caller_is_asked(self, pair):
+        left, right = pair
+        header = json.dumps({"type": "result", "buffers": [
+            {"dtype": "<f8", "shape": [2, 3], "nbytes": 47},
+        ]}).encode()
+        send_raw(left, header)
+
+        def into(message, declared):  # pragma: no cover - must not run
+            raise AssertionError("asked before the declarations were checked")
+
+        with pytest.raises(WireError, match="declares 47 bytes"):
+            recv_message(right, into)
+
+    @pytest.mark.parametrize("named", [
+        [np.zeros((3, 2))],  # wrong shape
+        [np.zeros((2, 3), dtype=np.int64)],  # wrong dtype
+        [np.zeros((3, 2)).T],  # not C-contiguous
+        [np.zeros((2, 3)), np.zeros(1)],  # one array too many
+    ])
+    def test_mismatched_arrays_are_refused_before_any_byte(self, pair, named):
+        left, right = pair
+        send_message(left, {"type": "result"}, [np.ones((2, 3))])
+        with pytest.raises(ValueError, match="declarations"):
+            recv_message(right, lambda message, declared: named)
+        assert not any(array.any() for array in named)
+
+
 class TestFraming:
     def test_eof_mid_frame_raises_connection_error(self, pair):
         left, right = pair

@@ -202,3 +202,30 @@ class TestLayerBase:
 
     def test_base_layer_has_no_parameters(self):
         assert Layer().num_parameters == 0
+
+
+class TestInference:
+    """``forward(x, cache=False)`` computes the same bits and keeps nothing."""
+
+    @staticmethod
+    def layers(rng):
+        return [Linear(6, 6, rng), ReLU(), ELU(alpha=0.5), Tanh(), Flatten()]
+
+    def test_uncached_forward_matches_and_stores_nothing(self, rng):
+        x = rng.normal(size=(5, 6))
+        for layer, twin in zip(self.layers(np.random.default_rng(3)),
+                               self.layers(np.random.default_rng(3))):
+            np.testing.assert_array_equal(layer.forward(x, cache=False), twin.forward(x))
+            assert all(value is None for name, value in vars(layer).items()
+                       if name.startswith("_")), layer
+
+    def test_uncached_forward_keeps_the_capture_cache(self, rng):
+        """Inference between a capture forward and its backward changes nothing."""
+        layer, twin = (Linear(6, 4, np.random.default_rng(3)) for _ in range(2))
+        x, grad = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
+        layer.forward(x)
+        twin.forward(x)
+        layer.forward(rng.normal(size=(9, 6)), cache=False)
+        np.testing.assert_array_equal(layer.backward(grad), twin.backward(grad))
+        for ours, theirs in zip(layer.grad_factors, twin.grad_factors):
+            np.testing.assert_array_equal(ours, theirs)

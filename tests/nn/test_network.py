@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
+from repro.nn.losses import softmax
+from repro.nn import network
 from repro.nn.models import build_model
 from repro.nn.network import Sequential, expand_grad_factors, spec_dimensions
 from tests.conftest import numerical_gradient
@@ -115,6 +117,25 @@ class TestGradients:
         _, per_example = model.per_example_gradients(x, y)
         _, mean_grad = model.mean_gradient(x, y)
         np.testing.assert_allclose(mean_grad, per_example.mean(axis=0))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4, None])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_gradient_is_the_axis0_mean_bitwise(self, monkeypatch, seed, block_rows):
+        """Blocks of expanded rows added in order give ``mean(axis=0)``'s bits."""
+        rng = np.random.default_rng(seed)
+        hidden = int(rng.integers(2, 40))
+        model = Sequential([Linear(12, hidden, rng), ReLU(), Linear(hidden, 3, rng)])
+        rows = int(rng.integers(1, 30))
+        x, y = rng.normal(size=(rows, 12)), rng.integers(0, 3, size=rows)
+        if block_rows is not None:
+            monkeypatch.setattr(
+                network, "_MEAN_BLOCK_BYTES", 8 * model.num_parameters * block_rows,
+                raising=False,
+            )
+        losses, per_example = model.per_example_gradients(x, y)
+        mean_loss, mean_grad = model.mean_gradient(x, y)
+        np.testing.assert_array_equal(mean_grad, per_example.mean(axis=0))
+        assert mean_loss == float(np.mean(losses))
 
     def test_mean_loss_is_average_of_per_example(self, model, batch):
         x, y = batch
@@ -371,3 +392,25 @@ class TestSpec:
     def test_dimensions_need_no_allocation(self):
         huge = [{"layer": "Linear", "in_features": 10**9, "out_features": 10**9}]
         assert spec_dimensions(huge) == (10**9, 10**9, (10**9 + 1) * 10**9)
+
+
+
+class TestInferenceCachesNothing:
+    @staticmethod
+    def build():
+        rng = np.random.default_rng(5)
+        return Sequential([Linear(8, 6, rng), ELU(), Linear(6, 4, rng), ReLU(),
+                           Linear(4, 3, rng), Tanh()])
+
+    def test_inference_stores_nothing_and_computes_the_same_bits(self):
+        model, reference = self.build(), self.build()
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(7, 8)), rng.integers(0, 3, size=7)
+        logits = reference.forward(x)  # caches, as the capture pass does
+        np.testing.assert_array_equal(model.forward(x, cache=False), logits)
+        np.testing.assert_array_equal(model.predict(x), np.argmax(logits, axis=-1))
+        np.testing.assert_array_equal(model.predict_proba(x), softmax(logits))
+        assert model.loss(x, y) == reference.loss(x, y)
+        for layer in model.layers:
+            assert all(value is None for name, value in vars(layer).items()
+                       if name.startswith("_")), layer
