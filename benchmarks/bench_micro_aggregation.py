@@ -49,8 +49,6 @@ def context():
         model=model,
         auxiliary=dataset.subset(np.arange(12)),
         upload_noise_std=NOISE_STD,
-        honest_fraction=0.5,
-        round_index=0,
         rng=np.random.default_rng(1),
     )
 
@@ -94,8 +92,6 @@ def two_stage_context():
         model=model,
         auxiliary=dataset.subset(np.arange(12)),
         upload_noise_std=NOISE_STD,
-        honest_fraction=0.5,
-        round_index=0,
         rng=np.random.default_rng(3),
     )
 

@@ -89,7 +89,7 @@ def evaluate(aggregator: Aggregator, config) -> float:
         auxiliary=auxiliary,
         test_dataset=test,
         settings=SimulationSettings(
-            total_rounds=total_rounds, learning_rate=learning_rate, gamma=config.gamma,
+            total_rounds=total_rounds, learning_rate=learning_rate,
             eval_every=max(1, total_rounds // 4),
         ),
         seed=config.seed,

@@ -60,8 +60,6 @@ def main() -> None:
         honest_uploads=honest_uploads,
         n_byzantine=N_BYZANTINE,
         upload_noise_std=upload_noise_std(dp_config),
-        round_index=0,
-        total_rounds=10,
         rng=np.random.default_rng(7),
     )
     gaussian = GaussianAttack().craft(context)[:2]

@@ -23,6 +23,8 @@ __all__ = ["AttackContext", "Attack"]
 class AttackContext:
     """Everything the (omniscient) Byzantine attacker can see in one round.
 
+    Training progress reaches :meth:`Attack.is_active` as its arguments.
+
     Attributes
     ----------
     honest_uploads:
@@ -33,8 +35,6 @@ class AttackContext:
     upload_noise_std:
         Per-coordinate standard deviation of the DP noise in an honest
         upload; the attacker knows the public protocol parameters.
-    round_index, total_rounds:
-        Progress of training (used by the adaptive attack).
     rng:
         Generator for the attacker's own randomness.
     """
@@ -42,8 +42,6 @@ class AttackContext:
     honest_uploads: np.ndarray
     n_byzantine: int
     upload_noise_std: float
-    round_index: int
-    total_rounds: int
     rng: np.random.Generator
 
     @property

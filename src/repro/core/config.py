@@ -8,10 +8,8 @@ from dataclasses import dataclass, field
 __all__ = [
     "ADMIN_VERBS",
     "DEFAULT_STATUS_PORT",
-    "BackendConfig",
     "DPConfig",
     "EngineConfig",
-    "FaultsConfig",
     "ProtocolConfig",
 ]
 
@@ -65,125 +63,25 @@ class EngineConfig:
     materialized stacked per-example-gradient path, or the ghost-norm
     Gram-matrix path that never builds the ``(n b_c, d)`` gradient tensor.
     Engines are registered in :data:`repro.federated.engines.ENGINES`;
-    this config is pure data so it serialises with the experiment config.
+    this config is pure data, so a task frame carries it to a remote
+    worker.
 
     Attributes
     ----------
     name:
         Registered engine name (see
         :func:`repro.federated.engines.available_engines`).
-    shard_size:
-        Upper bound on the number of workers in one shard task, the
-        pool's unit of dispatch, retries and crash faults; ``None`` keeps
-        the whole pool in one shard.  A shard's capture pass keeps its
-        activations, O(rows x layer widths), so the shard bounds them; the
-        materialized engine's gradient scratch is one cache-sized group of
-        workers whatever the shard.  Bitwise-identical to the unsharded
-        pool.
     options:
         Extra keyword arguments for the engine builder.
     """
 
     name: str = "materialized"
-    shard_size: int | None = None
     options: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("engine name must be a non-empty string")
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ValueError("shard_size must be positive when set")
         object.__setattr__(self, "options", dict(self.options))
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """Parallel execution backend selection (how round tasks are dispatched).
-
-    The *backend* decides how the independent tasks of a round -- the
-    worker pools' shard tasks -- are executed: in order on the calling
-    thread (``"serial"``),
-    concurrently on a thread pool (``"threaded"``) or over worker
-    processes (``"process"``).  Backends are registered in
-    :data:`repro.federated.backends.BACKENDS`; this config is pure data
-    so it serialises with the experiment config.  Every backend produces
-    bitwise-identical results -- the choice only moves wall-clock time.
-
-    Attributes
-    ----------
-    name:
-        Registered backend name (see
-        :func:`repro.federated.backends.available_backends`).
-    max_workers:
-        Concurrency bound (the CLI's ``--jobs``); ``None`` lets parallel
-        backends use every CPU the host reports.  The serial backend
-        accepts and ignores it, so sweeps can toggle only ``name``.
-    options:
-        Extra keyword arguments for the backend builder.
-    """
-
-    name: str = "serial"
-    max_workers: int | None = None
-    options: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("backend name must be a non-empty string")
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive when set")
-        object.__setattr__(self, "options", dict(self.options))
-
-
-@dataclass(frozen=True)
-class FaultsConfig:
-    """Fault-injection scenario selection (what goes wrong during a round).
-
-    The *fault model* decides which workers drop out, straggle, crash or
-    churn each round -- all draws derive deterministically from the fault
-    seed, so a fault trace replays bit-identically on every execution
-    backend.  Fault models are registered in
-    :data:`repro.federated.faults.FAULTS`; this config is pure data so it
-    serialises with the experiment config.  The default ``"none"`` model
-    keeps the training loop on the exact fault-free reference path.
-
-    Attributes
-    ----------
-    name:
-        Registered fault-model name (see
-        :func:`repro.federated.faults.available_faults`).
-    min_quorum:
-        Minimum surviving cohort per round: an ``int >= 1`` is an
-        absolute upload count, a ``float`` in ``(0, 1]`` a fraction of
-        the expected population.  Violations raise
-        :class:`~repro.federated.faults.QuorumError`.
-    options:
-        Extra keyword arguments for the fault-model builder.
-    retry:
-        Keyword arguments for the execution backends'
-        :class:`~repro.federated.backends.RetryPolicy` (``max_attempts``,
-        ``backoff_base``, ``timeout``, ...).
-    """
-
-    name: str = "none"
-    min_quorum: int | float = 1
-    options: Mapping = field(default_factory=dict)
-    retry: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("fault model name must be a non-empty string")
-        # core must stay import-independent of repro.federated, so the
-        # quorum validation mirrors federated.faults.validate_quorum.
-        quorum = self.min_quorum
-        if isinstance(quorum, bool) or not isinstance(quorum, (int, float)):
-            raise TypeError("min_quorum must be an int or a float")
-        if isinstance(quorum, int):
-            if quorum < 1:
-                raise ValueError("an integer min_quorum must be >= 1")
-        elif not 0.0 < quorum <= 1.0:
-            raise ValueError("a fractional min_quorum must be in (0, 1]")
-        object.__setattr__(self, "options", dict(self.options))
-        object.__setattr__(self, "retry", dict(self.retry))
 
 
 #: Default port of the status/admin endpoint (coordinator default + 1).

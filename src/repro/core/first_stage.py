@@ -210,10 +210,14 @@ class FirstStageFilter:
         return accepted
 
     def inspect_batch(self, uploads: np.ndarray) -> FirstStageBatchReport:
-        """Run both tests on every row and return the per-row diagnostics."""
+        """Run both tests on every row and return the per-row diagnostics.
+
+        The whole matrix sorts in this call's own temporaries, so the
+        shared workspace stays one :meth:`accepts_batch` block.
+        """
         matrix = self._as_matrix(uploads)
         squared, norm_ok = self._norm_test_batch(matrix)
-        statistics = ks_statistics(matrix, self.sigma, workspace=self._ks_workspace)
+        statistics = ks_statistics(matrix, self.sigma)
         pvalues = ks_pvalues(statistics, self.dimension)
         ks_ok = pvalues >= self.significance
         return FirstStageBatchReport(

@@ -2,9 +2,11 @@
 
 An aggregator consumes the ``n`` uploads of one round plus an
 :class:`AggregationContext` describing what the server legitimately knows
-(its own model copy, its auxiliary data, the protocol's noise level, its
-belief about the honest fraction) and returns the vector used in the model
-update ``w <- w - eta * aggregate``.
+each round (its own model copy, its auxiliary data, the protocol's noise
+level, which workers reported) and returns the vector used in the model
+update ``w <- w - eta * aggregate``.  A rule's own settings -- the
+two-stage rule's belief ``gamma`` about the honest fraction among them --
+are constructor arguments, not context.
 
 **Array-first contract.**  The canonical upload representation is a stacked
 ``(n_workers, d)`` ``float64`` matrix: the federated loop hands the honest
@@ -46,10 +48,6 @@ class AggregationContext:
     upload_noise_std:
         Per-coordinate standard deviation of the DP noise carried by an
         honest upload (``sigma / b_c``); 0 for non-private runs.
-    honest_fraction:
-        The server's belief ``gamma`` about the fraction of honest workers.
-    round_index:
-        0-based index of the current aggregation round.
     rng:
         Generator for any randomness the aggregator needs.
     worker_ids:
@@ -67,8 +65,6 @@ class AggregationContext:
     model: Sequential
     auxiliary: Dataset | None
     upload_noise_std: float
-    honest_fraction: float
-    round_index: int
     rng: np.random.Generator
     worker_ids: np.ndarray | None = None
     population: int | None = None

@@ -21,6 +21,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.federated.faults import validate_quorum
+
 __all__ = ["ExperimentConfig"]
 
 
@@ -55,7 +57,9 @@ class ExperimentConfig:
     delta:
         Privacy parameter delta; ``None`` uses ``1 / |D_i|^1.1``.
     gamma:
-        Server's belief about the honest fraction.
+        Server's belief about the honest fraction; the defense registry's
+        ``config_defaults`` hand it to the two-stage rules'
+        :class:`~repro.core.config.ProtocolConfig`.
     iid:
         i.i.d. (True) or Algorithm-4 non-i.i.d. (False) partitioning.
     epochs:
@@ -171,14 +175,7 @@ class ExperimentConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.shard_size is not None and self.shard_size <= 0:
             raise ValueError("shard_size must be positive or None")
-        quorum = self.min_quorum
-        if isinstance(quorum, bool) or not isinstance(quorum, (int, float)):
-            raise TypeError("min_quorum must be an int or a float")
-        if isinstance(quorum, int):
-            if quorum < 1:
-                raise ValueError("an integer min_quorum must be >= 1")
-        elif not 0.0 < quorum <= 1.0:
-            raise ValueError("a fractional min_quorum must be in (0, 1]")
+        validate_quorum(self.min_quorum)
         if self.population is not None and self.population <= 0:
             raise ValueError("population must be positive or None")
         if self.cohort is not None:

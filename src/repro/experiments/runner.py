@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.results import RunResult, SeedSummary, summarize_runs
 from repro.byzantine.registry import build_attack
-from repro.core.config import BackendConfig, DPConfig, EngineConfig, FaultsConfig
+from repro.core.config import DPConfig, EngineConfig
 from repro.core.hyperparams import protocol_sigma, transfer_learning_rate
 from repro.data.auxiliary import sample_auxiliary, sample_mismatched_auxiliary
 from repro.data.partition import partition_iid, partition_noniid
@@ -33,6 +33,8 @@ from repro.data.registry import load_dataset
 from repro.defenses.base import Aggregator
 from repro.defenses.registry import DEFENSES, build_defense, defense_config_defaults
 from repro.experiments.configs import ExperimentConfig
+from repro.federated.backends import build_backend
+from repro.federated.faults import build_faults
 from repro.federated.pipeline import RoundCallback
 from repro.federated.sampling import WorkerSource, build_sampler
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
@@ -260,25 +262,9 @@ def prepare_experiment(
     settings = SimulationSettings(
         total_rounds=total_rounds,
         learning_rate=learning_rate,
-        gamma=config.gamma,
         eval_every=eval_every,
     )
 
-    engine_config = EngineConfig(
-        name=config.engine,
-        shard_size=config.shard_size,
-        options=config.engine_kwargs,
-    )
-    backend_config = BackendConfig(
-        name=config.backend,
-        options=config.backend_kwargs,
-    )
-    faults_config = FaultsConfig(
-        name=config.faults,
-        min_quorum=config.min_quorum,
-        options=config.faults_kwargs,
-        retry=config.retry_kwargs,
-    )
     simulation = FederatedSimulation(
         model=model,
         honest_datasets=shards,
@@ -290,9 +276,14 @@ def prepare_experiment(
         test_dataset=test,
         settings=settings,
         seed=seed,
-        engine=engine_config,
-        backend=backend_config,
-        faults=faults_config,
+        engine=EngineConfig(name=config.engine, options=config.engine_kwargs),
+        shard_size=config.shard_size,
+        backend=build_backend(config.backend, **config.backend_kwargs),
+        faults=build_faults(
+            config.faults, default_seed=seed, **config.faults_kwargs
+        ),
+        min_quorum=config.min_quorum,
+        retry=config.retry_kwargs,
         population=population_source,
         cohort=config.cohort,
         sampler=sampler,

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import BackendConfig
 from repro.registry import Registry
 
 __all__ = [
@@ -561,22 +560,17 @@ def available_backends() -> list[str]:
 
 
 def build_backend(
-    backend: str | ExecutionBackend | BackendConfig | None, **kwargs
+    backend: str | ExecutionBackend | None, **kwargs
 ) -> ExecutionBackend:
     """Resolve a backend specification to an :class:`ExecutionBackend`.
 
-    ``backend`` may be a registered name, a :class:`~repro.core.config
-    .BackendConfig` (its ``max_workers`` and ``options`` merge under
-    ``kwargs``), an existing instance (returned as-is; ``kwargs`` must
-    then be empty) or ``None`` for the default serial backend.
+    ``backend`` may be a registered name, built with ``kwargs`` (the
+    experiment's ``backend_kwargs``, e.g. ``max_workers``), an existing
+    instance (returned as-is; ``kwargs`` must then be empty) or ``None``
+    for the default serial backend.
     """
     if backend is None:
         backend = "serial"
-    if isinstance(backend, BackendConfig):
-        merged = {**backend.options, **kwargs}
-        if backend.max_workers is not None:
-            merged.setdefault("max_workers", backend.max_workers)
-        return BACKENDS.build(backend.name, **merged)
     if isinstance(backend, ExecutionBackend):
         if kwargs:
             raise TypeError(

@@ -675,15 +675,15 @@ class RoundPipeline:
         streams never observe them, so the fault trace is a pure function
         of the round counters and identical across backends.
 
-        With faults inactive and every shard committed, the round matrix
-        itself goes to the server with every worker's id, and the round
-        emits no ``fault_*`` diagnostic.  Otherwise the late reports to
-        buffer are copied out, the ``m`` surviving rows move up, in
-        order, to the matrix's leading rows, and ``matrix[:m]`` goes with
-        its worker ids and six ``fault_*`` counts.  When last round's
-        buffered reports arrive, survivors and arrivals are written once
-        each into one new ``(m + k, d)`` matrix in worker-id order.
-        Quorum enforcement lives in
+        The late reports to buffer are copied out, the ``m`` surviving
+        rows move up, in order, to the matrix's leading rows, and
+        ``matrix[:m]`` goes to the server with its worker ids -- in a
+        clean round no row moves and that is the whole matrix.  When
+        last round's buffered reports arrive, survivors and arrivals are
+        written once each into one new ``(m + k, d)`` matrix in
+        worker-id order.  Six ``fault_*`` counts join the diagnostics
+        unless the round is clean: faults inactive, no pool report and
+        no arrivals.  Quorum enforcement lives in
         :meth:`~repro.federated.server.Server.update`.
         """
         simulation = self.simulation
@@ -741,13 +741,12 @@ class RoundPipeline:
         dropped, late = self._validated_report(plan, n_workers)
         arrivals = self._pending
         self._pending = None
-        if (
-            not faults.is_active
-            and honest_report is None
-            and byzantine_report is None
-            and arrivals is None
-        ):
-            return self.aggregate_and_update(matrix, simulation.global_worker_ids())
+        faulty = (
+            faults.is_active
+            or honest_report is not None
+            or byzantine_report is not None
+            or arrivals is not None
+        )
 
         # Buffered stragglers: stash this round's late reports for the
         # next round -- copied before the survivors move -- and deliver
@@ -784,7 +783,8 @@ class RoundPipeline:
             "fault_survivors": float(rows.shape[0]),
         }
         return self.aggregate_and_update(
-            rows, worker_ids=worker_ids, fault_diagnostics=diagnostics
+            rows, worker_ids=worker_ids,
+            fault_diagnostics=diagnostics if faulty else None,
         )
 
     def _crash_plan(

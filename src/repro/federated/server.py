@@ -25,6 +25,9 @@ class Server:
     aggregator:
         Any :class:`~repro.defenses.base.Aggregator` (the paper's
         :class:`~repro.core.protocol.TwoStageAggregator` or a baseline).
+        The rule holds all of its settings; the two-stage rule's belief
+        ``gamma`` about the honest fraction is its
+        :class:`~repro.core.config.ProtocolConfig`'s.
     learning_rate:
         Server learning rate ``eta``.
     dp_config:
@@ -33,9 +36,6 @@ class Server:
     auxiliary:
         The server's tiny labelled dataset (or ``None`` for defenses that do
         not use one).
-    gamma:
-        Server's belief about the honest fraction, surfaced to the
-        aggregation context.
     rng:
         Generator for any server-side randomness.
     min_quorum:
@@ -55,7 +55,6 @@ class Server:
         learning_rate: float,
         dp_config: DPConfig,
         auxiliary: Dataset | None,
-        gamma: float,
         rng: np.random.Generator,
         min_quorum: int | float = 1,
     ) -> None:
@@ -72,7 +71,6 @@ class Server:
         self.learning_rate = learning_rate
         self.dp_config = dp_config
         self.auxiliary = auxiliary
-        self.gamma = gamma
         self.rng = rng
         self.round_index = 0
 
@@ -82,8 +80,6 @@ class Server:
             model=self.model,
             auxiliary=self.auxiliary,
             upload_noise_std=upload_noise_std(self.dp_config),
-            honest_fraction=self.gamma,
-            round_index=self.round_index,
             rng=self.rng,
         )
 

@@ -1073,6 +1073,7 @@ def _serve_session(
             message = buffers = None  # free the task's arrays before the next frame
             with send_lock:
                 send_message(sock, reply, out)
+            reply = out = None  # hold no upload while waiting for the next task
             task_emit(f"task {task_id} done")
     except (ConnectionError, OSError):
         emit("lost the coordinator; will try to reconnect")

@@ -30,13 +30,13 @@ logging, checkpoints) and records history through the default
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.byzantine.base import Attack, AttackContext
-from repro.core.config import BackendConfig, DPConfig, EngineConfig, FaultsConfig
+from repro.core.config import DPConfig, EngineConfig
 from repro.core.dp_protocol import BatchedDPState, upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.base import Aggregator
@@ -69,8 +69,6 @@ class SimulationSettings:
         Number of aggregation rounds ``T``.
     learning_rate:
         Server learning rate ``eta``.
-    gamma:
-        Server's belief about the honest worker fraction.
     eval_every:
         Evaluate the global model on the test set every this many rounds
         (the final round is always evaluated).
@@ -78,7 +76,6 @@ class SimulationSettings:
 
     total_rounds: int
     learning_rate: float
-    gamma: float = 0.5
     eval_every: int = 10
 
     def __post_init__(self) -> None:
@@ -86,8 +83,6 @@ class SimulationSettings:
             raise ValueError("total_rounds must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
 
@@ -115,7 +110,7 @@ class FederatedSimulation:
     test_dataset:
         Held-out dataset for evaluation.
     settings:
-        Loop settings (rounds, learning rate, gamma, evaluation cadence).
+        Loop settings (rounds, learning rate, evaluation cadence).
     seed:
         Base seed; every worker and the server get independent generators
         derived from it.
@@ -125,8 +120,7 @@ class FederatedSimulation:
         (the omniscient attacker knows the honest data anyway).
     engine:
         Client compute engine for the worker pools: a registered name, an
-        :class:`~repro.core.config.EngineConfig` (whose ``shard_size``
-        also shards the pools), a ready
+        :class:`~repro.core.config.EngineConfig`, a ready
         :class:`~repro.federated.engines.ClientEngine` instance (then
         shared by both pools), or ``None`` for the default materialized
         engine.  On an in-process backend the specification is resolved
@@ -135,39 +129,36 @@ class FederatedSimulation:
         build their engines from the specification.  Threads other than
         the dispatching one keep their own replicas per pool.
     shard_size:
-        Maximum workers per shard task (see
-        :class:`~repro.federated.worker.WorkerPool`); overrides an
-        ``EngineConfig``'s value when both are given.
+        Maximum workers per shard task of both pools (see
+        :class:`~repro.federated.worker.WorkerPool`); ``None`` lets each
+        pool choose from the backend's concurrency.
     backend:
         Parallel execution backend for the round's independent shard
         tasks (honest and Byzantine pools): a registered name
-        (``"serial"``, ``"threaded"``, ``"process"``), a
-        :class:`~repro.core.config.BackendConfig`, a ready
-        :class:`~repro.federated.backends.ExecutionBackend` instance, or
-        ``None`` for the serial reference.  One backend instance (one
-        thread/process pool) is shared by both worker pools; every
-        backend produces bitwise-identical runs.  Call
-        :meth:`close` when done to release pooled threads/processes.
+        (``"serial"``, ``"threaded"``, ``"process"``), a ready
+        :class:`~repro.federated.backends.ExecutionBackend` instance (see
+        :func:`~repro.federated.backends.build_backend`), or ``None`` for
+        the serial reference.  One backend instance (one thread/process
+        pool) is shared by both worker pools; every backend produces
+        bitwise-identical runs.  Call :meth:`close` when done to release
+        pooled threads/processes.
     faults:
         Fault-injection scenario: a registered name (``"none"``,
         ``"dropout"``, ``"straggler"``, ``"crash"``, ``"churn"``,
-        ``"chaos"``), a :class:`~repro.core.config.FaultsConfig` (whose
-        ``min_quorum``/``retry`` also configure the quorum and retry
-        policy), a ready :class:`~repro.federated.faults.FaultModel`
-        instance, or ``None`` for the fault-free reference.  Fault draws
-        derive from the model's own seed (defaulting to ``seed``), so a
+        ``"chaos"``), a ready :class:`~repro.federated.faults.FaultModel`
+        instance (see :func:`~repro.federated.faults.build_faults`), or
+        ``None`` for the fault-free reference.  Fault draws derive from
+        the model's own seed (a name defaults it to ``seed``), so a
         fault trace replays bit-identically on every backend.
     min_quorum:
         Minimum surviving cohort per round (``int`` count or fractional
         ``float``); violations raise
-        :class:`~repro.federated.faults.QuorumError`.  Overrides a
-        :class:`~repro.core.config.FaultsConfig`'s value when both are
-        given.
+        :class:`~repro.federated.faults.QuorumError`.
     retry:
         Shard retry policy for crash faults: a
         :class:`~repro.federated.backends.RetryPolicy`, a mapping of its
         keyword arguments, or ``None`` for the default (3 attempts, no
-        backoff).  Overrides a ``FaultsConfig``'s ``retry`` mapping.
+        backoff).
     population:
         A lazy :class:`~repro.federated.sampling.WorkerSource` standing
         in for the full registered honest population (cross-device
@@ -203,10 +194,10 @@ class FederatedSimulation:
         byzantine_datasets: list[Dataset] | None = None,
         engine: str | EngineConfig | object | None = None,
         shard_size: int | None = None,
-        backend: str | BackendConfig | ExecutionBackend | None = None,
-        faults: str | FaultsConfig | FaultModel | None = None,
-        min_quorum: int | float | None = None,
-        retry: RetryPolicy | dict | None = None,
+        backend: str | ExecutionBackend | None = None,
+        faults: str | FaultModel | None = None,
+        min_quorum: int | float = 1,
+        retry: RetryPolicy | Mapping | None = None,
         population: WorkerSource | None = None,
         cohort: int | None = None,
         sampler: CohortSampler | None = None,
@@ -222,29 +213,16 @@ class FederatedSimulation:
         if n_byzantine > 0 and attack is None:
             raise ValueError("an attack must be provided when n_byzantine > 0")
 
-        faults_spec: str | FaultModel | None
-        faults_kwargs: dict = {}
-        if isinstance(faults, FaultsConfig):
-            faults_spec = faults.name
-            faults_kwargs = dict(faults.options)
-            if min_quorum is None:
-                min_quorum = faults.min_quorum
-            if retry is None and faults.retry:
-                retry = dict(faults.retry)
-        else:
-            faults_spec = faults
         #: the round's fault model (``NoFaults`` on the reference path)
-        self.fault_model: FaultModel = build_faults(
-            faults_spec, default_seed=seed, **faults_kwargs
-        )
+        self.fault_model: FaultModel = build_faults(faults, default_seed=seed)
         #: shard retry policy applied when crash faults are active
         if retry is None:
             self.retry_policy = RetryPolicy()
         elif isinstance(retry, RetryPolicy):
             self.retry_policy = retry
         else:
-            self.retry_policy = RetryPolicy(**dict(retry))
-        self.min_quorum: int | float = 1 if min_quorum is None else min_quorum
+            self.retry_policy = RetryPolicy(**retry)
+        self.min_quorum = min_quorum
 
         self.model = model
         self.attack = attack
@@ -252,10 +230,6 @@ class FederatedSimulation:
         self.settings = settings
         self.test_dataset = test_dataset
         self.dp_config = dp_config
-        self.engine_spec = engine
-        if shard_size is None and isinstance(engine, EngineConfig):
-            shard_size = engine.shard_size
-        self.shard_size = shard_size
         self.backend = build_backend(backend)
         if self.backend.in_process:
             engine = build_engine(engine)
@@ -364,7 +338,6 @@ class FederatedSimulation:
             learning_rate=settings.learning_rate,
             dp_config=dp_config,
             auxiliary=auxiliary,
-            gamma=settings.gamma,
             rng=self._server_rng,
             min_quorum=self.min_quorum,
         )
@@ -503,8 +476,6 @@ class FederatedSimulation:
             honest_uploads=honest_uploads,
             n_byzantine=self.n_byzantine,
             upload_noise_std=upload_noise_std(self.dp_config),
-            round_index=round_index,
-            total_rounds=self.settings.total_rounds,
             rng=self._attack_rng,
         )
         rows = np.asarray(attack.craft(context), dtype=np.float64)

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import BackendConfig, DPConfig, EngineConfig
+from repro.core.config import DPConfig, EngineConfig
 from repro.core.dp_protocol import BatchedDPState
 from repro.data.dataset import Dataset
 from repro.federated.backends import (
@@ -271,13 +271,12 @@ class WorkerPool:
         The client compute engine: a registered name (``"materialized"``,
         ``"ghost_norm"``), a :class:`~repro.core.config.EngineConfig`, a
         ready :class:`~repro.federated.engines.ClientEngine` instance, or
-        ``None`` for the default materialized engine.  An
-        ``EngineConfig``'s ``shard_size`` is used when the ``shard_size``
-        argument is not given.  Threads and processes other than the
-        dispatching one get their own engine (via the spec, or
-        ``engine.clone()`` for a ready instance).  Out-of-process backends
-        build engines from a name or an ``EngineConfig`` only; a ready
-        instance raises :class:`TypeError`.
+        ``None`` for the default materialized engine.  Threads and
+        processes other than the dispatching one get their own engine
+        (via the spec, or ``engine.clone()`` for a ready instance).
+        Out-of-process backends build engines from a name or an
+        ``EngineConfig`` only; a ready instance raises
+        :class:`TypeError`.
     shard_size:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -289,8 +288,7 @@ class WorkerPool:
         bitwise-identical uploads.
     backend:
         How shards are dispatched: a registered name (``"serial"``,
-        ``"threaded"``, ``"process"``), a
-        :class:`~repro.core.config.BackendConfig`, a ready
+        ``"threaded"``, ``"process"``), a ready
         :class:`~repro.federated.backends.ExecutionBackend` instance
         (shared backends reuse one thread/process pool across worker
         pools), or ``None`` for the serial reference.  Every backend
@@ -304,7 +302,7 @@ class WorkerPool:
         rngs: list[np.random.Generator],
         engine: str | ClientEngine | EngineConfig | None = None,
         shard_size: int | None = None,
-        backend: str | ExecutionBackend | BackendConfig | None = None,
+        backend: str | ExecutionBackend | None = None,
     ) -> None:
         if not datasets:
             raise ValueError("WorkerPool requires at least one worker")
@@ -318,8 +316,6 @@ class WorkerPool:
         for dataset in datasets:
             if len(dataset) == 0:
                 raise ValueError("worker dataset must not be empty")
-        if shard_size is None and isinstance(engine, EngineConfig):
-            shard_size = engine.shard_size
         if shard_size is not None and shard_size <= 0:
             raise ValueError("shard_size must be positive when set")
         self.datasets = list(datasets)

@@ -246,3 +246,26 @@ class TestBlockedDecisions:
         np.testing.assert_array_equal(accepted, exact_mask(first_stage, uploads))
         assert (peak - before) / 2**20 < 0.5
         assert (after - before) / 2**20 < 0.25
+
+    def test_inspection_leaves_the_workspace_one_block(self):
+        """``inspect_batch`` sorts the whole matrix in its own temporaries:
+        on a warm filter, inspecting 50 rows at d = 6570 and deciding them
+        again leaves ~0 MiB resident, where sorting them in the shared
+        workspace left 5.0 MiB."""
+        import tracemalloc
+
+        d, sigma = 6570, 0.1
+        uploads = np.random.default_rng(0).normal(0.0, sigma, size=(50, d))
+        first_stage = FirstStageFilter(sigma=sigma, dimension=d)
+        first_stage.accepts_batch(uploads)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report = first_stage.inspect_batch(uploads)
+            accepted = first_stage.accepts_batch(uploads)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(report.accepted, accepted)
+        np.testing.assert_array_equal(accepted, exact_mask(first_stage, uploads))
+        assert (after - before) / 2**20 < 0.1

@@ -32,8 +32,6 @@ def context() -> AggregationContext:
         model=model,
         auxiliary=dataset.subset(np.arange(12)),
         upload_noise_std=DIMENSION_NOISE_STD,
-        honest_fraction=0.5,
-        round_index=0,
         rng=np.random.default_rng(3),
     )
 
@@ -106,8 +104,6 @@ class TestTwoStage:
             model=model,
             auxiliary=dataset.subset(np.arange(12)),
             upload_noise_std=0.0,
-            honest_fraction=0.5,
-            round_index=0,
             rng=np.random.default_rng(0),
         )
         aggregator = TwoStageAggregator(ProtocolConfig(gamma=0.5))
@@ -139,8 +135,6 @@ class TestTwoStage:
             model=model,
             auxiliary=None,
             upload_noise_std=DIMENSION_NOISE_STD,
-            honest_fraction=0.5,
-            round_index=0,
             rng=np.random.default_rng(0),
         )
         aggregator = TwoStageAggregator()

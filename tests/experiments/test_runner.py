@@ -8,7 +8,10 @@ import pytest
 from repro.analysis.results import RunResult
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.reference import reference_accuracy, reference_config
-from repro.experiments.runner import run_experiment, run_seeds
+from repro.experiments.runner import prepare_experiment, run_experiment, run_seeds
+from repro.federated.backends import ThreadedBackend
+from repro.federated.engines import GhostNormEngine
+from repro.federated.faults import ChaosFaults
 
 
 TINY = ExperimentConfig(
@@ -20,6 +23,48 @@ TINY = ExperimentConfig(
     epsilon=1.0,
     seed=1,
 )
+
+
+class TestPrepareExperiment:
+    def test_each_setting_lands_on_its_one_consumer(self):
+        faults_kwargs = {"dropout": 0.2, "crash": 0.3}
+        config = TINY.replace(
+            byzantine_fraction=0.5, attack="label_flip", defense="two_stage",
+            engine="ghost_norm", shard_size=2,
+            backend="threaded", backend_kwargs={"max_workers": 2},
+            faults="chaos", faults_kwargs=faults_kwargs,
+            min_quorum=0.5, retry_kwargs={"max_attempts": 4}, gamma=0.7,
+        )
+        setup = prepare_experiment(config, seed=5)
+        simulation = setup.simulation
+        try:
+            pools = [simulation.honest_pool, simulation.byzantine_pool]
+            assert [pool.n_workers for pool in pools] == [4, 4]
+            for pool in pools:
+                assert pool.shard_size == 2
+                assert isinstance(pool.engine, GhostNormEngine)
+                assert pool.backend is simulation.backend
+            assert isinstance(simulation.backend, ThreadedBackend)
+            assert simulation.backend.max_workers == 2
+
+            faults = simulation.fault_model
+            assert type(faults) is ChaosFaults
+            assert faults.seed == 5
+            expected = ChaosFaults(**faults_kwargs, seed=5)
+            for round_index in range(4):
+                plan = faults.report_faults(round_index, 8)
+                reference = expected.report_faults(round_index, 8)
+                np.testing.assert_array_equal(plan.dropped, reference.dropped)
+                np.testing.assert_array_equal(
+                    faults.crash_failures(round_index, 0, 2),
+                    expected.crash_failures(round_index, 0, 2),
+                )
+
+            assert simulation.server.min_quorum == 0.5
+            assert simulation.retry_policy.max_attempts == 4
+            assert simulation.server.aggregator.config.gamma == 0.7
+        finally:
+            simulation.close()
 
 
 class TestRunExperiment:

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.config import BackendConfig, DPConfig
+from repro.core.config import DPConfig
 from repro.data.synthetic import make_classification
 from repro.federated.backends import (
     BACKENDS,
@@ -169,16 +169,10 @@ class TestBackendFramework:
         assert isinstance(build_backend(None), SerialBackend)
         assert isinstance(build_backend("serial"), SerialBackend)
 
-    def test_build_backend_from_config(self):
-        backend = build_backend(BackendConfig(name="threaded", max_workers=3))
+    def test_build_backend_from_name_and_options(self):
+        backend = build_backend("threaded", max_workers=3)
         assert isinstance(backend, ThreadedBackend)
         assert backend.max_workers == 3
-
-    def test_build_backend_config_options_win_over_max_workers(self):
-        config = BackendConfig(
-            name="threaded", max_workers=3, options={"max_workers": 2}
-        )
-        assert build_backend(config).max_workers == 2
 
     def test_build_backend_instance_passthrough(self):
         backend = ThreadedBackend(max_workers=2)
@@ -186,12 +180,6 @@ class TestBackendFramework:
         with pytest.raises(TypeError):
             build_backend(backend, max_workers=4)
         backend.shutdown()
-
-    def test_backend_config_validation(self):
-        with pytest.raises(ValueError):
-            BackendConfig(name="")
-        with pytest.raises(ValueError):
-            BackendConfig(name="serial", max_workers=0)
 
 
 class TestPoolBackends:
@@ -413,7 +401,6 @@ class TestBackendSimulation:
             learning_rate=0.1,
             dp_config=DPConfig(batch_size=4, sigma=1.0),
             auxiliary=None,
-            gamma=0.5,
             rng=np.random.default_rng(0),
         )
         assert server.evaluate(dataset, batch_size=64) == server.evaluate(dataset)

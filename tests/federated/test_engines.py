@@ -79,8 +79,6 @@ class TestEngineRegistry:
 
     def test_engine_config_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(shard_size=0)
-        with pytest.raises(ValueError):
             EngineConfig(name="")
 
     def test_registered_in_public_registry(self):
@@ -269,12 +267,13 @@ class TestShardedPool:
             model.num_parameters,
         )
 
-    def test_engine_config_shard_size_used(self):
+    def test_shard_size_argument_used(self):
         shards = make_shards(6)
         pool = make_pool(
             shards,
             DPConfig(batch_size=4),
-            engine=EngineConfig(name="materialized", shard_size=2),
+            engine=EngineConfig(name="materialized"),
+            shard_size=2,
         )
         assert pool.n_shards == 3
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.byzantine.label_flip import LabelFlipAttack
 from repro.byzantine.lmp import LocalModelPoisoningAttack
-from repro.core.config import DPConfig, FaultsConfig, ProtocolConfig
+from repro.core.config import DPConfig, ProtocolConfig
 from repro.core.protocol import TwoStageAggregator
 from repro.data.auxiliary import sample_auxiliary
 from repro.data.partition import partition_iid
@@ -53,7 +53,6 @@ def build_simulation(
     aggregator=None,
     sigma: float = 0.5,
     total_rounds: int = 4,
-    gamma: float = 0.5,
     seed: int = 0,
     **kwargs,
 ) -> FederatedSimulation:
@@ -66,7 +65,7 @@ def build_simulation(
     auxiliary = sample_auxiliary(test, per_class=2, rng=rng)
     model = Sequential([Linear(8, 3, rng)])
     settings = SimulationSettings(
-        total_rounds=total_rounds, learning_rate=0.5, gamma=gamma, eval_every=2
+        total_rounds=total_rounds, learning_rate=0.5, eval_every=2
     )
     return FederatedSimulation(
         model=model,
@@ -510,14 +509,12 @@ class TestFaultyTraining:
         faulty = build_simulation(faults=DropoutFaults(rate=0.5, seed=8)).run()
         assert "faults" in faulty.as_dict()
 
-    def test_faults_config_carries_quorum_and_retry(self):
-        config = FaultsConfig(
-            name="crash",
+    def test_simulation_takes_faults_quorum_and_retry(self):
+        simulation = build_simulation(
+            faults=CrashFaults(rate=0.5, max_failures=1),
             min_quorum=2,
-            options={"rate": 0.5, "max_failures": 1},
             retry={"max_attempts": 4},
         )
-        simulation = build_simulation(faults=config)
         assert isinstance(simulation.fault_model, CrashFaults)
         assert simulation.min_quorum == 2
         assert simulation.retry_policy.max_attempts == 4

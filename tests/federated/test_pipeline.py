@@ -153,7 +153,7 @@ class TestStages:
         assert len(calls) == 1
         uploads, kwargs = calls[0]
         assert uploads.shape == (3, simulation.model.num_parameters)
-        assert committed[0].base is uploads
+        assert uploads.base is committed[0].base
         np.testing.assert_array_equal(kwargs["worker_ids"], np.arange(3))
         assert kwargs["population"] == kwargs["expected"] == 3
         assert not any(key.startswith("fault_") for key in diagnostics)

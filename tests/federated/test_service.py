@@ -194,12 +194,7 @@ class TestRegistryAndConfig:
         assert "service" in BACKENDS.names(include_aliases=True)
 
     def test_build_through_registry(self):
-        from repro.core.config import BackendConfig
-
-        backend = build_backend(BackendConfig(
-            name="remote",
-            options={"worker_timeout": 5.0, "transport_attempts": 2},
-        ))
+        backend = build_backend("remote", worker_timeout=5.0, transport_attempts=2)
         assert isinstance(backend, RemoteBackend)
         assert not backend.in_process
         assert backend.transport_policy.max_attempts == 2
@@ -263,6 +258,30 @@ class TestOrderedExecution:
         for thread, codes in threads:
             thread.join(timeout=10.0)
             assert codes == [0]
+
+    def test_idle_worker_holds_no_upload_it_sent(self, backend, monkeypatch):
+        """Once a result is sent, the worker drops its upload arrays
+        instead of keeping them until the next task frame arrives."""
+        fn, items, expected = shard_job(2)
+        sent = []
+        answer = service._answer_task
+
+        def recording_answer(task_id, message, buffers):
+            reply, out = answer(task_id, message, buffers)
+            sent.extend(weakref.ref(array) for array in out)
+            return reply, out
+
+        monkeypatch.setattr(service, "_answer_task", recording_answer)
+        thread, codes = start_worker_thread(backend.port)
+        try:
+            assert backend.server.wait_for_workers(1, timeout=10.0) == 1
+            assert_results(backend.map_ordered(fn, items), expected)
+            assert len(sent) == 2
+            wait_until(lambda: all(ref() is None for ref in sent), timeout=1.0)
+        finally:
+            backend.shutdown()
+        thread.join(timeout=10.0)
+        assert codes == [0]
 
     def test_map_ordered_empty_items(self, backend):
         # Must not touch the network at all (no workers connected).

@@ -28,7 +28,6 @@ def build_simulation(
     aggregator=None,
     sigma: float = 0.5,
     total_rounds: int = 5,
-    gamma: float = 0.5,
     seed: int = 0,
 ) -> FederatedSimulation:
     rng = np.random.default_rng(seed)
@@ -40,7 +39,7 @@ def build_simulation(
     auxiliary = sample_auxiliary(test, per_class=2, rng=rng)
     model = Sequential([Linear(8, 32, rng), ELU(), Linear(32, 3, rng)])
     settings = SimulationSettings(
-        total_rounds=total_rounds, learning_rate=0.5, gamma=gamma, eval_every=2
+        total_rounds=total_rounds, learning_rate=0.5, eval_every=2
     )
     return FederatedSimulation(
         model=model,
@@ -59,14 +58,15 @@ def build_simulation(
 class TestSimulationSettings:
     def test_valid_settings(self):
         settings = SimulationSettings(total_rounds=10, learning_rate=0.1)
-        assert settings.gamma == 0.5
+        assert settings.total_rounds == 10
+        assert settings.learning_rate == 0.1
+        assert settings.eval_every == 10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"total_rounds": 0, "learning_rate": 0.1},
             {"total_rounds": 10, "learning_rate": 0.0},
-            {"total_rounds": 10, "learning_rate": 0.1, "gamma": 0.0},
             {"total_rounds": 10, "learning_rate": 0.1, "eval_every": 0},
         ],
     )
@@ -173,7 +173,6 @@ class TestRounds:
             n_byzantine=4,
             attack=LocalModelPoisoningAttack(),
             aggregator=aggregator,
-            gamma=0.5,
             total_rounds=3,
         )
         diagnostics = simulation.run_round(0)

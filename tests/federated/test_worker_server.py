@@ -80,7 +80,6 @@ class TestServer:
             learning_rate=learning_rate,
             dp_config=DPConfig(batch_size=8, sigma=sigma),
             auxiliary=dataset.subset(np.arange(6)),
-            gamma=0.5,
             rng=np.random.default_rng(9),
         )
 
@@ -93,7 +92,6 @@ class TestServer:
                 learning_rate=0.0,
                 dp_config=DPConfig(),
                 auxiliary=None,
-                gamma=0.5,
                 rng=np.random.default_rng(0),
             )
 
@@ -108,7 +106,6 @@ class TestServer:
                 learning_rate=0.1,
                 dp_config=DPConfig(),
                 auxiliary=None,
-                gamma=0.5,
                 rng=np.random.default_rng(0),
             )
 
@@ -135,7 +132,6 @@ class TestServer:
         assert context.upload_noise_std == pytest.approx(
             upload_noise_std(DPConfig(batch_size=8, sigma=3.2))
         )
-        assert context.honest_fraction == 0.5
         assert context.model is model
 
     def test_evaluate_returns_accuracy_in_unit_interval(self, setup):

@@ -50,8 +50,6 @@ def make_model_and_data(
 def make_aggregation_context(
     seed: int = 0,
     upload_noise_std: float = 0.0,
-    honest_fraction: float = 0.5,
-    round_index: int = 0,
     with_auxiliary: bool = True,
 ) -> AggregationContext:
     """An AggregationContext backed by a small linear model and dataset."""
@@ -61,8 +59,6 @@ def make_aggregation_context(
         model=model,
         auxiliary=auxiliary,
         upload_noise_std=upload_noise_std,
-        honest_fraction=honest_fraction,
-        round_index=round_index,
         rng=np.random.default_rng(seed + 1),
     )
 
@@ -71,8 +67,6 @@ def make_attack_context(
     honest_uploads: np.ndarray,
     n_byzantine: int,
     upload_noise_std: float = 0.0,
-    round_index: int = 0,
-    total_rounds: int = 10,
     seed: int = 0,
 ) -> AttackContext:
     """An AttackContext around the given honest uploads."""
@@ -80,7 +74,5 @@ def make_attack_context(
         honest_uploads=np.asarray(honest_uploads, dtype=np.float64),
         n_byzantine=n_byzantine,
         upload_noise_std=upload_noise_std,
-        round_index=round_index,
-        total_rounds=total_rounds,
         rng=np.random.default_rng(seed),
     )

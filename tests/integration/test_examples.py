@@ -53,6 +53,17 @@ class TestExamples:
         assert "Reference Accuracy" in output
         assert "Two-stage protocol" in output
 
+    def test_custom_defense_main_prints_every_rule(self, capsys):
+        custom_defense = load_example(EXAMPLES_DIR / "custom_defense.py")
+        custom_defense.main()
+        output = capsys.readouterr().out
+        for row in (
+            "plain mean",
+            "norm-capped mean (custom)",
+            "two-stage protocol (paper)",
+        ):
+            assert row in output
+
     def test_inspect_uploads_main_runs(self, capsys):
         inspect = load_example(EXAMPLES_DIR / "inspect_uploads.py")
         inspect.main()

@@ -81,8 +81,6 @@ def make_context(model, auxiliary, noise_std, worker_ids=None, population=None):
         model=model,
         auxiliary=auxiliary,
         upload_noise_std=noise_std,
-        honest_fraction=0.5,
-        round_index=0,
         rng=np.random.default_rng(0),
         worker_ids=worker_ids,
         population=population,
