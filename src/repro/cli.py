@@ -66,7 +66,6 @@ from repro.data.registry import DATASETS, available_datasets
 from repro.defenses.registry import DEFENSES
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.presets import benchmark_preset, paper_preset
-from repro.experiments.reference import reference_accuracy
 from repro.experiments.runner import run_experiment
 from repro.federated.backends import BACKENDS
 from repro.federated.engines import ENGINES
@@ -608,6 +607,8 @@ def _command_worker(arguments: argparse.Namespace) -> int:
 
 
 def _command_compare(arguments: argparse.Namespace) -> int:
+    from repro.experiments.reference import reference_accuracy
+
     config = _config_from_arguments(arguments)
     reference = reference_accuracy(config)
     undefended = run_experiment(config.replace(defense="mean"))

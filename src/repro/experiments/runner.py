@@ -199,6 +199,10 @@ def prepare_experiment(
     """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
+    # The backend first: building one reads no generator, and a backend
+    # that imports a large module (the remote one loads the service
+    # stack) compiles it before the data fills the heap.
+    backend = build_backend(config.backend, **config.backend_kwargs)
 
     # Data: load, partition across honest workers, sample auxiliary data.
     train, test = load_dataset(config.dataset, scale=config.scale, seed=seed)
@@ -278,7 +282,7 @@ def prepare_experiment(
         seed=seed,
         engine=EngineConfig(name=config.engine, options=config.engine_kwargs),
         shard_size=config.shard_size,
-        backend=build_backend(config.backend, **config.backend_kwargs),
+        backend=backend,
         faults=build_faults(
             config.faults, default_seed=seed, **config.faults_kwargs
         ),

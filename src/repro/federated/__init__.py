@@ -23,8 +23,8 @@
   over bounded-size pool shards.
 - :mod:`repro.federated.backends` -- pluggable execution backends
   (:data:`~repro.federated.backends.BACKENDS` registry): serial,
-  threaded and process dispatch of the round's independent pool shard
-  tasks, all bitwise identical to the serial reference.
+  threaded, process and remote dispatch of the round's independent pool
+  shard tasks, all bitwise identical to the serial reference.
 - :mod:`repro.federated.faults` -- seeded fault injection
   (:data:`~repro.federated.faults.FAULTS` registry): dropout, straggler,
   crash and churn models whose per-round draws replay bit-identically on
@@ -36,7 +36,7 @@
   dispatching shard tasks to ``repro worker`` processes over the
   typed TCP frames of :mod:`repro.federated.wire` (no code on the wire),
   surfaced as the ``remote`` execution backend
-  (:class:`~repro.federated.service.RemoteBackend`) with heartbeats,
+  (:class:`~repro.federated.backends.RemoteBackend`) with heartbeats,
   transport retries and partial-cohort degradation.
 - :mod:`repro.federated.state` -- atomic full-round-state snapshots
   (:class:`~repro.federated.state.RoundState`) enabling bitwise-exact
@@ -47,9 +47,11 @@
   :class:`~repro.federated.observability.StatusBoard` of versioned
   immutable snapshots), admin verbs (pause/resume/drain/undrain) wired
   into the dispatch loop, and bitwise-neutral JSONL tracing
-  (:class:`~repro.federated.observability.TraceRecorder`).  Its names
-  load on first access: the module brings in :mod:`http.server` and
-  :mod:`urllib.request`, which a plain ``repro run`` never uses.
+  (:class:`~repro.federated.observability.TraceRecorder`).
+
+The names of the service, wire and observability modules load on first
+access: those modules bring in sockets, :mod:`http.server` and
+:mod:`urllib.request`, which a plain ``repro run`` never uses.
 """
 
 import importlib
@@ -58,6 +60,7 @@ from repro.federated.backends import (
     BACKENDS,
     ExecutionBackend,
     ProcessBackend,
+    RemoteBackend,
     RetryPolicy,
     SerialBackend,
     SharedArray,
@@ -105,14 +108,6 @@ from repro.federated.pipeline import (
     RoundStartEvent,
 )
 from repro.federated.server import Server
-
-# Importing the service module registers the "remote" backend.
-from repro.federated.service import (
-    CoordinatorServer,
-    RemoteBackend,
-    RemoteTaskError,
-    run_worker,
-)
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
 from repro.federated.state import (
     STATE_SUFFIX,
@@ -120,26 +115,30 @@ from repro.federated.state import (
     load_round_state,
     save_round_state,
 )
-from repro.federated.wire import WireError
 from repro.federated.worker import WorkerPool
 
-#: Names re-exported from :mod:`repro.federated.observability` on first
-#: access (PEP 562).
-_OBSERVABILITY = (
-    "DEFAULT_STATUS_PORT",
-    "StatusBoard",
-    "StatusReporter",
-    "StatusServer",
-    "StatusSnapshot",
-    "TraceRecorder",
-)
+#: Names re-exported on first access (PEP 562), and the submodule
+#: defining each.
+_LAZY = {
+    "CoordinatorServer": "service",
+    "RemoteTaskError": "service",
+    "run_worker": "service",
+    "WireError": "wire",
+    "DEFAULT_STATUS_PORT": "observability",
+    "StatusBoard": "observability",
+    "StatusReporter": "observability",
+    "StatusServer": "observability",
+    "StatusSnapshot": "observability",
+    "TraceRecorder": "observability",
+}
 
 
 def __getattr__(name: str):
-    """Import :mod:`repro.federated.observability` for its re-exported names."""
-    if name not in _OBSERVABILITY:
+    """Import the submodule that defines a lazily re-exported name."""
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module("repro.federated.observability"), name)
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 

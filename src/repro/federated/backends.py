@@ -12,7 +12,7 @@ run --backend ... --jobs ...`` and ``python -m repro list`` all see
 third-party backends registered through the public
 :class:`repro.registry.Registry` API.
 
-Three backends ship built-in:
+Four backends ship built-in:
 
 - :class:`SerialBackend` -- the reference: tasks run in submission order
   on the calling thread.  Zero dispatch overhead; the default.
@@ -24,6 +24,9 @@ Three backends ship built-in:
   read-only arrays (the flat model parameters) published once per round
   through shared memory (:meth:`ProcessBackend.share_array`).  For
   workloads dominated by Python overhead rather than BLAS time.
+- :class:`RemoteBackend` -- tasks run on ``repro worker`` processes,
+  sent as typed TCP frames by a
+  :class:`~repro.federated.service.CoordinatorServer` (service mode).
 
 A backend has one map method, :meth:`ExecutionBackend.map_ordered`, and
 one contract, the **ordered reduction**: results come back in *submission*
@@ -43,6 +46,11 @@ exhausts the policy yields a :class:`TaskFailure` marker in its ordered
 slot instead of raising -- the caller degrades gracefully over the
 surviving slots.
 
+Each backend imports what it runs on only when it needs it: the thread
+and process pools when they start, the service stack (sockets and the
+wire codec) when a remote backend is constructed.  A serial run loads
+none of them.
+
 Shared memory uses file-backed :func:`numpy.memmap` views rather than
 :mod:`multiprocessing.shared_memory`: attaching a ``SharedMemory`` block
 in a worker registers it with that process's resource tracker on Python
@@ -60,17 +68,23 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.registry import Registry
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
+    from repro.federated.service import CoordinatorServer
+
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "ProcessBackend",
+    "RemoteBackend",
     "RetryPolicy",
     "SerialBackend",
     "SharedArray",
@@ -454,7 +468,11 @@ class ThreadedBackend(_PooledBackend):
         Thread count; ``None`` uses every CPU the host reports.
     """
 
-    def _create_executor(self) -> ThreadPoolExecutor:
+    def _create_executor(self) -> Executor:
+        # Imported here: concurrent.futures (and the logging it loads)
+        # is needed only once a thread pool starts.
+        from concurrent.futures import ThreadPoolExecutor
+
         return ThreadPoolExecutor(
             max_workers=self._max_workers, thread_name_prefix="repro-backend"
         )
@@ -552,6 +570,159 @@ class ProcessBackend(_PooledBackend):
             if self._shared_dir is not None:
                 shutil.rmtree(self._shared_dir, ignore_errors=True)
                 self._shared_dir = None
+
+
+@BACKENDS.register(
+    "remote",
+    aliases=("service",),
+    summary="shard tasks run on repro worker processes over typed TCP frames",
+)
+class RemoteBackend(ExecutionBackend):
+    """Dispatch shard tasks to ``repro worker`` processes over TCP.
+
+    An out-of-process backend that runs one task, the worker pools' shard
+    task, sent as typed frames (:mod:`repro.federated.wire`), with
+    mini-batches sampled in the coordinator and the results committed
+    there -- so a zero-fault remote run is byte-identical to ``--backend
+    serial``.  A task's own retry loop (injected crashes, advisory
+    deadlines) runs inside the remote worker; losing the worker itself is
+    handled by the :class:`~repro.federated.service.CoordinatorServer`
+    this backend starts on first use.  Unlike the process backend, a lost
+    worker does not kill the run: its tasks are retried on surviving
+    workers and, past the transport budget, surface as ordered
+    :class:`TaskFailure` slots that the pool leaves uncommitted and
+    reports as lost workers for the round (partial-cohort aggregation +
+    ``min_quorum`` decide the outcome).
+
+    Constructing the backend imports :mod:`repro.federated.service`; no
+    other backend needs it.  The runner builds the backend before it
+    loads the data, so the service stack compiles while the heap is
+    still small.
+
+    Parameters
+    ----------
+    host, port:
+        Listening address (``port=0``: ephemeral; read :attr:`port`).
+    max_workers:
+        *Expected* worker-process count: it sizes the pools' automatic
+        shard split (``--jobs N``), not a hard connection limit.
+    heartbeat_interval, heartbeat_timeout:
+        Liveness cadence and deadline (see
+        :class:`~repro.federated.service.CoordinatorServer`).
+    transport_attempts, transport_backoff:
+        The transport :class:`RetryPolicy`: dispatch attempts per task
+        before its slot degrades to a :class:`TaskFailure`, and the
+        exponential backoff base between re-dispatches.
+    worker_timeout:
+        Seconds to tolerate *zero* connected workers before a round
+        aborts with :class:`ConnectionError`.
+    """
+
+    in_process = False
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_workers: int | None = None,
+        heartbeat_interval: float = 0.5,
+        heartbeat_timeout: float = 10.0,
+        transport_attempts: int = 3,
+        transport_backoff: float = 0.05,
+        worker_timeout: float = 60.0,
+    ) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be positive when set")
+        # Loaded here, not at module level: no other backend needs it.
+        import repro.federated.service  # noqa: F401
+
+        self._host = host
+        self._port = port
+        self._max_workers = 1 if max_workers is None else max_workers
+        self._heartbeat_interval = heartbeat_interval
+        self._heartbeat_timeout = heartbeat_timeout
+        self._worker_timeout = worker_timeout
+        self._policy = RetryPolicy(
+            max_attempts=transport_attempts, backoff_base=transport_backoff
+        )
+        self._server: CoordinatorServer | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def max_workers(self) -> int:
+        """The expected worker count ``execute`` shards against."""
+        return self._max_workers
+
+    @property
+    def transport_policy(self) -> RetryPolicy:
+        """The transport retry policy applied to lost dispatches."""
+        return self._policy
+
+    @property
+    def host(self) -> str:
+        """The coordinator's listening host."""
+        return self._host
+
+    @property
+    def port(self) -> int:
+        """The resolved listening port (starts the server if needed)."""
+        return self._ensure_server().port
+
+    @property
+    def server(self) -> CoordinatorServer:
+        """The live coordinator server (started on first use)."""
+        return self._ensure_server()
+
+    def set_tracer(self, tracer) -> None:
+        """Attach a trace recorder, forwarding it to the live server.
+
+        A server started later (lazily, or after :meth:`shutdown`)
+        inherits the recorder too.
+        """
+        with self._lock:
+            self._tracer = tracer
+            if self._server is not None:
+                self._server.set_tracer(tracer)
+
+    def _ensure_server(self) -> CoordinatorServer:
+        from repro.federated.service import CoordinatorServer
+
+        with self._lock:
+            if self._server is None:
+                self._server = CoordinatorServer(
+                    host=self._host,
+                    port=self._port,
+                    heartbeat_interval=self._heartbeat_interval,
+                    heartbeat_timeout=self._heartbeat_timeout,
+                    worker_timeout=self._worker_timeout,
+                )
+                if self._tracer is not None:
+                    self._server.set_tracer(self._tracer)
+            return self._server
+
+    def map_ordered(self, fn: Callable, items: Iterable) -> list:
+        """Dispatch shard tasks to workers; ordered results.
+
+        ``fn`` must be the pools' resilient shard task: the wire carries
+        no code, so any other function raises :class:`TypeError` before
+        anything is sent.
+        """
+        items = list(items)
+        if not items:
+            return []
+        return self._ensure_server().execute(fn, items, self._policy)
+
+    def shutdown(self) -> None:
+        """Send ``shutdown`` to the workers and release the port.
+
+        The backend stays usable: the next map starts a fresh server on
+        the configured address (an explicit ``port`` is re-bound;
+        ``port=0`` binds a new ephemeral one).
+        """
+        with self._lock:
+            server, self._server = self._server, None
+        if server is not None:
+            server.close()
 
 
 def available_backends() -> list[str]:

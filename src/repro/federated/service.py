@@ -6,13 +6,10 @@ system while keeping every numerical guarantee of the in-process path:
 - :class:`CoordinatorServer` -- owns a listening socket and a set of
   connected worker links; dispatches round tasks over the wire protocol
   of :mod:`repro.federated.wire` and reduces results **in submission
-  order**, exactly like every other backend.
-- :class:`RemoteBackend` -- the ``"remote"`` entry of the
-  :data:`~repro.federated.backends.BACKENDS` registry.  It is an
-  out-of-process :class:`~repro.federated.backends.ExecutionBackend`
-  that runs exactly one task, the worker pools' shard task, described
-  as data in typed frames (:func:`~repro.federated.wire.encode_task`),
-  so a zero-fault remote run is byte-identical to ``--backend serial``.
+  order**, exactly like every other backend.  The ``"remote"`` execution
+  backend (:class:`~repro.federated.backends.RemoteBackend`) starts one
+  and imports this module when it is constructed, so only service-mode
+  processes load the socket and wire stack.
 - :func:`run_worker` -- the worker-process main loop behind ``python -m
   repro worker``: connect, register, execute tasks, heartbeat, and
   reconnect-with-backoff when the coordinator goes away mid-training.
@@ -68,14 +65,9 @@ import sys
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
-from repro.federated.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    RetryPolicy,
-    TaskFailure,
-)
+from repro.federated.backends import RetryPolicy, TaskFailure
 from repro.federated.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -89,7 +81,6 @@ from repro.federated.wire import (
 
 __all__ = [
     "CoordinatorServer",
-    "RemoteBackend",
     "RemoteTaskError",
     "run_worker",
 ]
@@ -834,148 +825,6 @@ class CoordinatorServer:
         self._listener.close()
         self._accept_thread.join(timeout=2.0)
         self._monitor_thread.join(timeout=2.0)
-
-
-@BACKENDS.register(
-    "remote",
-    aliases=("service",),
-    summary="shard tasks run on repro worker processes over typed TCP frames",
-)
-class RemoteBackend(ExecutionBackend):
-    """Dispatch shard tasks to ``repro worker`` processes over TCP.
-
-    An out-of-process backend that runs one task, the worker pools' shard
-    task, sent as typed frames (:mod:`repro.federated.wire`), with
-    mini-batches sampled in the coordinator and the results committed
-    there -- so a zero-fault remote run is byte-identical to ``--backend
-    serial``.  A task's own retry loop (injected crashes, advisory
-    deadlines) runs inside the remote worker; losing the worker itself is
-    handled here.  Unlike the process backend, a lost worker does not kill
-    the run: its tasks are retried on surviving workers and, past the
-    transport budget, surface as ordered
-    :class:`~repro.federated.backends.TaskFailure` slots that the pool
-    leaves uncommitted and reports as lost workers for the round
-    (partial-cohort aggregation + ``min_quorum`` decide the outcome).
-
-    Parameters
-    ----------
-    host, port:
-        Listening address (``port=0``: ephemeral; read :attr:`port`).
-    max_workers:
-        *Expected* worker-process count: it sizes the pools' automatic
-        shard split (``--jobs N``), not a hard connection limit.
-    heartbeat_interval, heartbeat_timeout:
-        Liveness cadence and deadline (see :class:`CoordinatorServer`).
-    transport_attempts, transport_backoff:
-        The transport :class:`~repro.federated.backends.RetryPolicy`:
-        dispatch attempts per task before its slot degrades to a
-        :class:`TaskFailure`, and the exponential backoff base between
-        re-dispatches.
-    worker_timeout:
-        Seconds to tolerate *zero* connected workers before a round
-        aborts with :class:`ConnectionError`.
-    """
-
-    in_process = False
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_workers: int | None = None,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float = 10.0,
-        transport_attempts: int = 3,
-        transport_backoff: float = 0.05,
-        worker_timeout: float = 60.0,
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive when set")
-        self._host = host
-        self._port = port
-        self._max_workers = 1 if max_workers is None else max_workers
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
-        self._worker_timeout = worker_timeout
-        self._policy = RetryPolicy(
-            max_attempts=transport_attempts, backoff_base=transport_backoff
-        )
-        self._server: CoordinatorServer | None = None
-        self._lock = threading.Lock()
-
-    @property
-    def max_workers(self) -> int:
-        """The expected worker count ``execute`` shards against."""
-        return self._max_workers
-
-    @property
-    def transport_policy(self) -> RetryPolicy:
-        """The transport retry policy applied to lost dispatches."""
-        return self._policy
-
-    @property
-    def host(self) -> str:
-        """The coordinator's listening host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The resolved listening port (starts the server if needed)."""
-        return self._ensure_server().port
-
-    @property
-    def server(self) -> CoordinatorServer:
-        """The live coordinator server (started on first use)."""
-        return self._ensure_server()
-
-    def set_tracer(self, tracer) -> None:
-        """Attach a trace recorder, forwarding it to the live server.
-
-        A server started later (lazily, or after :meth:`shutdown`)
-        inherits the recorder too.
-        """
-        with self._lock:
-            self._tracer = tracer
-            if self._server is not None:
-                self._server.set_tracer(tracer)
-
-    def _ensure_server(self) -> CoordinatorServer:
-        with self._lock:
-            if self._server is None:
-                self._server = CoordinatorServer(
-                    host=self._host,
-                    port=self._port,
-                    heartbeat_interval=self._heartbeat_interval,
-                    heartbeat_timeout=self._heartbeat_timeout,
-                    worker_timeout=self._worker_timeout,
-                )
-                if self._tracer is not None:
-                    self._server.set_tracer(self._tracer)
-            return self._server
-
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Dispatch shard tasks to workers; ordered results.
-
-        ``fn`` must be the pools' resilient shard task: the wire carries
-        no code, so any other function raises :class:`TypeError` before
-        anything is sent.
-        """
-        items = list(items)
-        if not items:
-            return []
-        return self._ensure_server().execute(fn, items, self._policy)
-
-    def shutdown(self) -> None:
-        """Send ``shutdown`` to the workers and release the port.
-
-        The backend stays usable: the next map starts a fresh server on
-        the configured address (an explicit ``port`` is re-bound;
-        ``port=0`` binds a new ephemeral one).
-        """
-        with self._lock:
-            server, self._server = self._server, None
-        if server is not None:
-            server.close()
 
 
 # ---------------------------------------------------------------------- #

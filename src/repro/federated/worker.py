@@ -71,9 +71,9 @@ attacker controls all its fake workers at once).
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
-import uuid
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -106,6 +106,11 @@ __all__ = ["WorkerPool"]
 #: activations.
 _REPLICAS = threading.local()
 _REPLICA_LIMIT = 8
+
+#: Tokens of in-process recipes.  They never leave the process, so a
+#: counter keeps them unique; out-of-process recipes are keyed by their
+#: JSON text instead (see :meth:`_Replicas.of_spec`).
+_LOCAL_TOKENS = itertools.count()
 
 #: Per-thread scratch generators, re-positioned before every use:
 #: setting a state is ~10x cheaper than building a ``Generator``.
@@ -141,8 +146,8 @@ class _Replicas:
     in every payload) and ``engine`` an :class:`EngineConfig`; the token
     is their JSON text, so equal recipes share one replica (see
     :meth:`of_spec`).  In process, ``model`` is a template clone nobody
-    computes on, so any thread may clone it, and ``engine`` the pool's
-    engine specification.
+    computes on, so any thread may clone it, ``engine`` the pool's
+    engine specification, and the token a process-local counter value.
     """
 
     token: str
@@ -411,8 +416,7 @@ class WorkerPool:
         if self._replicas is None or self._replica_source is not model:
             if backend.in_process:
                 self._replicas = _Replicas(
-                    # Cache key only: never feeds any computed result.
-                    token=uuid.uuid4().hex,  # repro-lint: disable=REP001 -- cache key only
+                    token=f"local-{next(_LOCAL_TOKENS)}",
                     model=model.clone(),
                     engine=self._engine_source,
                 )

@@ -7,7 +7,7 @@ same functionality without external dependencies:
 - :mod:`repro.privacy.rdp` -- Rényi-DP bounds for the (Poisson) subsampled
   Gaussian mechanism and the RDP → (ε, δ) conversion.
 - :class:`repro.privacy.accountant.RDPAccountant` -- composition over
-  training steps.
+  training steps (loaded on first access: a run calibrates σ without it).
 - :func:`repro.privacy.calibration.calibrate_sigma` -- binary-search the
   smallest noise multiplier meeting an (ε, δ) target (the paper's
   "search for noise multiplier given ε and δ").
@@ -16,7 +16,8 @@ same functionality without external dependencies:
   DP-SGD) and normalisation (this paper).
 """
 
-from repro.privacy.accountant import RDPAccountant
+import importlib
+
 from repro.privacy.calibration import calibrate_sigma, epsilon_for_sigma
 from repro.privacy.mechanisms import (
     clip_gradients,
@@ -36,3 +37,12 @@ __all__ = [
     "rdp_to_epsilon",
     "DEFAULT_ORDERS",
 ]
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.privacy.accountant` for ``RDPAccountant`` (PEP 562)."""
+    if name != "RDPAccountant":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.accountant").RDPAccountant
+    globals()[name] = value
+    return value

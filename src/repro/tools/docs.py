@@ -63,12 +63,11 @@ _SECTIONS = (
 def _registries():
     """The eight scenario-axis registries, fully populated.
 
-    Importing :mod:`repro.federated` (rather than the individual modules)
-    also triggers the side-effect registrations -- e.g. the ``remote``
-    backend registers when :mod:`repro.federated.service` is imported.
+    Every built-in component registers in the module that defines it,
+    and importing a registry loads those modules (the ``remote`` backend
+    is defined beside its registry in :mod:`repro.federated.backends`),
+    so importing the registries is enough.
     """
-    import repro.federated  # noqa: F401  - registers service-mode components
-
     from repro.byzantine.registry import ATTACKS
     from repro.data.registry import DATASETS
     from repro.defenses.registry import DEFENSES

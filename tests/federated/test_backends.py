@@ -253,6 +253,33 @@ class TestPoolBackends:
             for owners in clones_by_thread.values()
         )
 
+    def test_pools_sharing_threads_keep_their_own_replicas(self):
+        """Worker threads cache one replica per pool recipe; recipes of two
+        pools never share a token, so a thread serving both never hands
+        one pool the other's model (here of another size)."""
+        linear, _ = make_model_and_data(seed=2)
+        hidden, _ = make_model_and_data(seed=2, hidden=5)
+        shards = make_shards(6, seed=3)
+        config = DPConfig(batch_size=4, sigma=0.9, momentum=0.2)
+        backend = ThreadedBackend(max_workers=2)
+        pairs = [
+            (model, make_pool(shards, config, shard_size=2, seed=seed),
+             make_pool(shards, config, shard_size=2, backend=backend, seed=seed))
+            for model, seed in ((linear, 100), (hidden, 200))
+        ]
+        try:
+            for round_index in range(2):
+                for model, serial, threaded in pairs:
+                    np.testing.assert_array_equal(
+                        threaded.compute_uploads(model),
+                        serial.compute_uploads(model),
+                        err_msg=f"round {round_index}",
+                    )
+        finally:
+            backend.shutdown()
+        tokens = [threaded._replicas.token for _, _, threaded in pairs]
+        assert len(set(tokens)) == 2
+
     def test_process_pool_bitwise_identical(self):
         self.assert_pool_matches_serial(ProcessBackend(max_workers=2), rounds=2)
 

@@ -27,6 +27,7 @@ from repro.federated import service
 from repro.federated.backends import (
     BACKENDS,
     ExecutionBackend,
+    RemoteBackend,
     RetryPolicy,
     TaskFailure,
     available_backends,
@@ -34,7 +35,6 @@ from repro.federated.backends import (
 )
 from repro.federated.service import (
     CoordinatorServer,
-    RemoteBackend,
     RemoteTaskError,
     run_worker,
 )
