@@ -64,16 +64,17 @@ def bench_micro_baseline_aggregators(benchmark, defense, uploads, context):
 @pytest.mark.benchmark(group="micro-first-stage")
 def bench_micro_first_stage_filter(benchmark, uploads):
     first_stage = FirstStageFilter(sigma=NOISE_STD, dimension=DIMENSION)
-    filtered = benchmark(first_stage.filter_all, uploads)
-    assert len(filtered) == N_WORKERS
+    accepted = benchmark(first_stage.accepts_batch, uploads)
+    assert accepted.shape == (N_WORKERS,)
 
 
 @pytest.mark.benchmark(group="micro-second-stage")
 def bench_micro_second_stage_selection(benchmark, uploads):
+    """One round's matvec scores plus the selection."""
     rng = np.random.default_rng(1)
     selector = SecondStageSelector(n_workers=N_WORKERS, gamma=0.5)
     server_gradient = rng.normal(size=DIMENSION)
-    report = benchmark(selector.select, uploads, server_gradient)
+    report = benchmark(lambda: selector.select_scored(uploads @ server_gradient))
     assert len(report.selected) == selector.keep
 
 

@@ -4,9 +4,13 @@ This example drives the low-level API directly (no experiment runner):
 
 1. builds a model and a handful of honest workers running Algorithm 1;
 2. crafts Byzantine uploads with three different attacks;
-3. runs FirstAGG (norm test + KS test) on every upload and prints the
-   per-upload report;
+3. runs FirstAGG (norm test + KS test) on the round's upload matrix and
+   prints the per-upload report;
 4. runs the second-stage inner-product selection and prints the scores.
+
+Both stages take the whole ``(n_workers, d)`` round matrix, as the server
+does every round; to look at a single upload, hand it over as a one-row
+matrix.
 
 It is the programmatic version of the paper's Section 4.3-4.5 narrative and
 doubles as a tutorial for anyone building a new attack or defense.
@@ -66,7 +70,7 @@ def main() -> None:
     lmp = LocalModelPoisoningAttack().craft(context)[:1]
     naive = np.ones((1, model.num_parameters)) * 5.0  # ignores the protocol entirely
 
-    uploads = list(honest_uploads) + list(gaussian) + list(lmp) + list(naive)
+    uploads = np.vstack([honest_uploads, gaussian, lmp, naive])
     labels = (
         [f"honest {i}" for i in range(N_HONEST)]
         + ["gaussian attack"] * 2
@@ -74,39 +78,44 @@ def main() -> None:
         + ["naive large upload"]
     )
 
-    # 3. First-stage aggregation.
+    # 3. First-stage aggregation: one report over the whole round matrix.
     first_stage = FirstStageFilter(
         sigma=upload_noise_std(dp_config), dimension=model.num_parameters
     )
-    rows = []
-    for label, upload in zip(labels, uploads):
-        report = first_stage.inspect(np.asarray(upload))
-        rows.append(
-            [
-                label,
-                float(np.linalg.norm(upload)),
-                "pass" if report.norm_ok else "reject",
-                report.ks_pvalue,
-                "pass" if report.ks_ok else "reject",
-                "KEPT" if report.accepted else "ZEROED",
-            ]
+    first = first_stage.inspect_batch(uploads)
+    rows = [
+        [
+            label,
+            float(np.linalg.norm(upload)),
+            "pass" if norm_ok else "reject",
+            pvalue,
+            "pass" if ks_ok else "reject",
+            "KEPT" if accepted else "ZEROED",
+        ]
+        for label, upload, norm_ok, pvalue, ks_ok, accepted in zip(
+            labels, uploads, first.norm_ok, first.ks_pvalues, first.ks_ok, first.accepted
         )
+    ]
     print(format_table(
         ["upload", "l2 norm", "norm test", "KS p-value", "KS test", "FirstAGG"],
         rows,
         title="First-stage aggregation (Algorithm 2) on one round of uploads",
     ))
 
-    # 4. Second-stage aggregation on the filtered uploads.
-    filtered = first_stage.filter_all([np.asarray(u) for u in uploads])
+    # 4. Second-stage aggregation: one matvec scores every upload; a row
+    #    FirstAGG rejected scores 0.0, as its zero vector would.
     auxiliary = sample_auxiliary(test, per_class=2, rng=rng)
     _, server_gradient = model.mean_gradient(auxiliary.features, auxiliary.labels)
-    selector = SecondStageSelector(n_workers=len(filtered), gamma=N_HONEST / len(filtered))
-    report = selector.select(filtered, server_gradient)
+    scores = uploads @ server_gradient
+    scores[~first.accepted] = 0.0
+    selector = SecondStageSelector(n_workers=len(uploads), gamma=N_HONEST / len(uploads))
+    second = selector.select_scored(scores)
 
+    selected = np.zeros(len(uploads), dtype=bool)
+    selected[second.selected] = True
     rows = [
-        [labels[i], report.scores[i], "selected" if i in report.selected else "dropped"]
-        for i in range(len(labels))
+        [label, score, "selected" if kept else "dropped"]
+        for label, score, kept in zip(labels, second.scores, selected)
     ]
     print()
     print(format_table(
@@ -114,10 +123,18 @@ def main() -> None:
         rows,
         title="Second-stage aggregation (Algorithm 3, lines 4-14)",
     ))
+
+    # The reading guide counts what the two tables show.
+    byzantine = np.arange(len(uploads)) >= N_HONEST
+    zeroed = ~first.accepted
     print(
-        "\nReading guide: the naive upload is zeroed by FirstAGG; the crafted attacks "
-        "pass the statistical tests but receive low (negative) scores against the "
-        "server's auxiliary-data gradient and are dropped by the selection."
+        f"\nReading guide: FirstAGG zeroed {zeroed[byzantine].sum()} of "
+        f"{byzantine.sum()} Byzantine and {zeroed[~byzantine].sum()} of "
+        f"{N_HONEST} honest uploads. The selection kept {selector.keep}: "
+        f"{selected[byzantine].sum()} Byzantine and {selected[~byzantine].sum()} "
+        f"honest. Scores below the threshold {second.threshold:.3f} (the mean "
+        f"of the top {selector.keep}) count as zero, so those uploads tie and "
+        "the lowest-indexed of them fill the remaining places."
     )
 
 

@@ -370,11 +370,19 @@ _REGISTRIES = (
 )
 
 
+def _json_default(value: object) -> str:
+    """JSON text of a metadata value JSON cannot hold (dataset specs,
+    callables).  A callable renders by name: its ``repr`` holds a memory
+    address, which would make two listings of one tree differ."""
+    if callable(value):
+        return getattr(value, "__name__", type(value).__name__)
+    return str(value)
+
+
 def _command_list(arguments: argparse.Namespace) -> int:
     rows = [row for registry in _REGISTRIES for row in registry.describe()]
     if getattr(arguments, "json", False):
-        # Metadata may hold non-JSON values (dataset specs, callables).
-        print(json.dumps(rows, indent=2, default=str))
+        print(json.dumps(rows, indent=2, default=_json_default))
         return 0
     table = [
         [row["kind"], row["name"], ", ".join(row["aliases"]), row["summary"]]

@@ -9,21 +9,24 @@ vector dominated by the protocol's DP noise:
    Kolmogorov-Smirnov test against ``N(0, sigma^2)`` must not reject at the
    configured significance level (0.05).
 
-Rejected uploads are replaced by the zero vector, exactly as in Algorithm 2
-(``g <- 0``), which removes their influence from the averaged update.
+Algorithm 2 replaces a rejected upload by the zero vector, which removes
+its influence from the averaged update.  Here that is a mask over the
+round's ``(n_workers, d)`` upload matrix: :meth:`FirstStageFilter
+.accepts_batch` is the one entry point, and a single upload is the
+one-row matrix (a 1-D upload is lifted to one).  The two-stage rule
+applies the mask without copying; a caller that wants Algorithm 2's
+zeroed matrix writes ``np.where(accepted[:, None], uploads, 0.0)``.
 
-The filter is **array-first**: :meth:`FirstStageFilter.accepts_batch`
-decides the round's whole ``(n_workers, d)`` upload matrix.  (The two-stage
-rule applies the mask without copying; :meth:`FirstStageFilter.apply_batch`
-returns Algorithm 2's zeroed matrix.)  One ``einsum`` gives every squared
-norm.  The KS test uses Theorem 2: a filter precomputes, per rank, the
-order-statistic bounds just inside and just outside the critical statistic
+One ``einsum`` gives every squared norm.  The KS test uses Theorem 2: a
+filter precomputes, per rank, the order-statistic bounds just inside and
+just outside the critical statistic
 (:class:`repro.stats.ks.KSRankBounds`), so a round sorts the rows that
 passed the norm test, a bounded block at a time, and decides each with
 comparisons.  Only a row with an order statistic in the 1e-6 band between
 the two gets its exact statistic and p-value, and the mask always equals
-the one the p-values give.  The per-upload methods compute the p-value
-itself and remain the scalar reference implementation and the tool for
+the one the p-values give.  :meth:`FirstStageFilter.inspect_batch`
+computes every row's statistics and p-values itself: it is the exact
+reference the rank-bound decisions are tested against, and the tool for
 interactive inspection.
 """
 
@@ -39,27 +42,15 @@ from repro.stats.ks import (
     critical_statistic,
     ks_pvalues,
     ks_statistics,
-    ks_test,
     theorem2_interval,
 )
 from repro.stats.norm_test import squared_norm_interval
 
-__all__ = ["FirstStageFilter", "FirstStageReport", "FirstStageBatchReport"]
+__all__ = ["FirstStageFilter", "FirstStageBatchReport"]
 
 #: Most bytes of sorted rows :meth:`FirstStageFilter.accepts_batch` decides
 #: at once: 4 rows at the paper's d = 6570.
 _KS_BLOCK_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class FirstStageReport:
-    """Outcome of running FirstAGG on one upload."""
-
-    accepted: bool
-    norm_ok: bool
-    ks_ok: bool
-    squared_norm: float
-    ks_pvalue: float
 
 
 @dataclass(frozen=True)
@@ -119,52 +110,12 @@ class FirstStageFilter:
         self._ks_workspace = KSWorkspace()
         self._ks_block = max(1, _KS_BLOCK_BYTES // (8 * self.dimension))
 
-    # ------------------------------------------------------------------ #
-    # individual tests
-    # ------------------------------------------------------------------ #
     def norm_bounds(self) -> tuple[float, float]:
         """Acceptance interval for the squared norm of an upload."""
         return self._norm_bounds
 
-    def ks_pvalue(self, upload: np.ndarray) -> float:
-        """KS-test p-value of the upload's coordinates against ``N(0, sigma^2)``."""
-        return ks_test(upload, self.sigma).pvalue
-
     # ------------------------------------------------------------------ #
-    # FirstAGG
-    # ------------------------------------------------------------------ #
-    def inspect(self, upload: np.ndarray) -> FirstStageReport:
-        """Run both tests and return a detailed report."""
-        upload = np.asarray(upload, dtype=np.float64)
-        if upload.shape != (self.dimension,):
-            raise ValueError(
-                f"upload must have shape ({self.dimension},), got {upload.shape}"
-            )
-        squared = float(np.dot(upload, upload))
-        low, high = self._norm_bounds
-        norm_ok = low <= squared <= high
-        pvalue = self.ks_pvalue(upload)
-        ks_ok = pvalue >= self.significance
-        return FirstStageReport(
-            accepted=norm_ok and ks_ok,
-            norm_ok=norm_ok,
-            ks_ok=ks_ok,
-            squared_norm=squared,
-            ks_pvalue=pvalue,
-        )
-
-    def accepts(self, upload: np.ndarray) -> bool:
-        """True if the upload passes FirstAGG."""
-        return self.inspect(upload).accepted
-
-    def apply(self, upload: np.ndarray) -> np.ndarray:
-        """Algorithm 2: return the upload unchanged if accepted, else the zero vector."""
-        if self.accepts(upload):
-            return np.asarray(upload, dtype=np.float64)
-        return np.zeros(self.dimension, dtype=np.float64)
-
-    # ------------------------------------------------------------------ #
-    # batched FirstAGG (the server's per-round hot path)
+    # FirstAGG over the round matrix (one upload is a one-row matrix)
     # ------------------------------------------------------------------ #
     def _as_matrix(self, uploads: np.ndarray) -> np.ndarray:
         matrix = np.asarray(uploads, dtype=np.float64)
@@ -185,6 +136,7 @@ class FirstStageFilter:
     def accepts_batch(self, uploads: np.ndarray) -> np.ndarray:
         """Boolean acceptance mask for an ``(n, d)`` upload matrix.
 
+        A 1-D upload is the one-row matrix, so its mask has one entry.
         The KS test runs only on rows that passed the norm test, a block of
         at most ``_KS_BLOCK_BYTES`` at a time.  A block's sorted
         coordinates are compared with the filter's rank bounds; a row the
@@ -212,8 +164,10 @@ class FirstStageFilter:
     def inspect_batch(self, uploads: np.ndarray) -> FirstStageBatchReport:
         """Run both tests on every row and return the per-row diagnostics.
 
-        The whole matrix sorts in this call's own temporaries, so the
-        shared workspace stays one :meth:`accepts_batch` block.
+        Every row gets its exact KS statistic and p-value, so this is the
+        reference :meth:`accepts_batch` must agree with.  The whole matrix
+        sorts in this call's own temporaries, so the shared workspace stays
+        one :meth:`accepts_batch` block.
         """
         matrix = self._as_matrix(uploads)
         squared, norm_ok = self._norm_test_batch(matrix)
@@ -227,35 +181,6 @@ class FirstStageFilter:
             squared_norms=squared,
             ks_pvalues=pvalues,
         )
-
-    def apply_batch(self, uploads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Algorithm 3, lines 1-3 on the whole round at once.
-
-        Returns ``(filtered, accepted)`` where ``filtered`` is the ``(n, d)``
-        matrix with rejected rows zeroed and ``accepted`` is the boolean
-        acceptance mask.  The mask is authoritative: a legitimately accepted
-        all-zero upload is reported as accepted, which a ``bool(np.any(row))``
-        reconstruction from ``filtered`` would miss.
-
-        When every row is accepted (the common benign round) the input
-        matrix itself is returned without copying -- treat ``filtered`` as
-        read-only.
-        """
-        matrix = self._as_matrix(uploads)
-        accepted = self.accepts_batch(matrix)
-        if accepted.all():
-            return matrix, accepted
-        filtered = np.where(accepted[:, np.newaxis], matrix, 0.0)
-        return filtered, accepted
-
-    def filter_all(self, uploads: np.ndarray | list[np.ndarray]) -> np.ndarray:
-        """Apply FirstAGG to every upload (Algorithm 3, lines 1-3).
-
-        Accepts a stacked ``(n, d)`` matrix (preferred) or a list of 1-D
-        uploads and returns the filtered ``(n, d)`` matrix.
-        """
-        filtered, _ = self.apply_batch(np.asarray(uploads, dtype=np.float64))
-        return filtered
 
     # ------------------------------------------------------------------ #
     # Theorem 2 helpers

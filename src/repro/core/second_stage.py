@@ -9,11 +9,11 @@ with the highest accumulated score.  Selected uploads enter the model update
 with weight 1; everything else is discarded (binary weights -- a deliberate
 difference from FLTrust-style real-valued weighting, Section 4.5).
 
-There is one selection implementation, :meth:`SecondStageSelector
-.select_scored`, which takes the round's scores.  The two-stage rule
-computes them over the unfiltered round matrix and sets a rejected row's
-score to ``0.0``; :meth:`SecondStageSelector.select` is the convenience
-form that scores an already-filtered matrix first.
+The one entry point is :meth:`SecondStageSelector.select_scored`, which
+takes the round's scores: ``uploads @ server_gradient``, one matvec over
+the round matrix (a single upload is the one-row matrix).  The two-stage
+rule computes them over the unfiltered matrix and sets a rejected row's
+score to ``0.0``, which is what Algorithm 2's zero vector would score.
 """
 
 from __future__ import annotations
@@ -110,39 +110,14 @@ class SecondStageSelector:
         # (pairwise, same visit order) without the wrapper overhead.
         return float(np.add.reduce(top[::-1]) / keep)
 
-    def select(
-        self,
-        uploads: np.ndarray,
-        server_gradient: np.ndarray,
-        worker_ids: np.ndarray | None = None,
-    ) -> SecondStageReport:
-        """Run lines 5-14 of Algorithm 3 for one round.
-
-        Lines 5-8 score every upload in a single matvec; the rest is
-        :meth:`select_scored`.
-
-        Parameters
-        ----------
-        uploads:
-            The ``(m, d)`` matrix of uploads *after* first-stage filtering
-            (rejected uploads are zero rows and therefore score 0).  A list
-            of 1-D uploads is stacked transparently.
-        server_gradient:
-            The server's gradient estimate ``g_s`` computed on its auxiliary
-            data at the current model.
-        worker_ids:
-            As in :meth:`select_scored`.
-        """
-        matrix = np.asarray(uploads, dtype=np.float64)
-        server_gradient = np.asarray(server_gradient, dtype=np.float64)
-        return self.select_scored(matrix @ server_gradient, worker_ids=worker_ids)
-
     def select_scored(
         self,
         scores: np.ndarray,
         worker_ids: np.ndarray | None = None,
     ) -> SecondStageReport:
         """Run lines 9-14 of Algorithm 3 on the round's inner-product scores.
+
+        Lines 5-8 are the caller's one matvec, ``uploads @ server_gradient``.
 
         Parameters
         ----------

@@ -4,16 +4,15 @@ Section 4.3 of the paper treats every coordinate of an upload as a sample
 and tests the null hypothesis that the coordinates are drawn from
 ``N(0, sigma^2)``.  The test rejects when the p-value falls below 0.05.
 
-This module provides:
+Every test here is batched over the rows of an ``(n, d)`` sample matrix;
+a single sample is the one-row matrix.  This module provides:
 
-- :func:`ks_statistic` -- the two-sided D statistic
-  ``sup_x |C_d(x) - Phi_sigma(x)|``,
-- :func:`ks_statistics` -- the batched variant: one D statistic per row of
-  an ``(n, d)`` sample matrix from a single ``np.sort(axis=1)``,
+- :func:`ks_statistics` -- one two-sided D statistic
+  ``sup_x |C_d(x) - Phi_sigma(x)|`` per row, from a single
+  ``np.sort(axis=1)``,
 - :func:`kolmogorov_survival` -- the asymptotic Kolmogorov distribution used
   to convert D into a p-value (scalar or element-wise over an array),
-- :func:`ks_test` / :func:`ks_pvalues` -- statistic + p-value for one sample
-  or p-values for a whole batch of statistics in one call,
+- :func:`ks_pvalues` -- the p-values of a batch of statistics in one call,
 - :func:`critical_statistic` -- the largest D that still passes,
 - :func:`ks_envelopes` / :func:`theorem2_interval` -- the CDF band
   ``[E_l, E_u]`` and the per-order-statistic acceptance interval of
@@ -26,9 +25,8 @@ This module provides:
 FirstAGG decides its per-round KS tests with :class:`KSRankBounds`, so the
 CDF (:func:`repro.stats.distributions.normal_cdf`) is evaluated per round
 only for a sample whose statistic lies within a relative 1e-6 of the
-critical value.  The statistic and p-value functions serve that exact
-fallback and diagnostics; the batched ones share every numerical kernel
-with the scalar ones, so batch and scalar results are identical.
+critical value.  :func:`ks_statistics` and :func:`ks_pvalues` serve that
+exact fallback and the diagnostics.
 """
 
 from __future__ import annotations
@@ -42,27 +40,15 @@ import numpy as np
 from repro.stats.distributions import normal_cdf, normal_quantiles
 
 __all__ = [
-    "KSResult",
     "KSWorkspace",
-    "ks_statistic",
     "ks_statistics",
     "kolmogorov_survival",
-    "ks_test",
     "ks_pvalues",
     "ks_envelopes",
     "theorem2_interval",
     "critical_statistic",
     "KSRankBounds",
 ]
-
-
-@dataclass(frozen=True)
-class KSResult:
-    """Outcome of a one-sample KS test."""
-
-    statistic: float
-    pvalue: float
-    sample_size: int
 
 
 @lru_cache(maxsize=8)
@@ -170,14 +156,6 @@ def ks_statistics(
     return np.maximum(d_plus, d_minus)
 
 
-def ks_statistic(samples: np.ndarray, sigma: float) -> float:
-    """Two-sided KS statistic of ``samples`` against ``N(0, sigma^2)``."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size == 0:
-        raise ValueError("cannot compute a KS statistic on an empty sample")
-    return float(ks_statistics(samples[np.newaxis, :], sigma)[0])
-
-
 #: Below this argument :func:`kolmogorov_survival` switches to the theta
 #: series: the alternating series needs ~1/lam terms there, so its 100 terms
 #: fall short below lam ~ 0.05, while at 0.3 both agree to the last bit of
@@ -233,29 +211,17 @@ def _stephens_scale(sample_size: int) -> float:
 def ks_pvalues(statistics: np.ndarray, sample_size: int) -> np.ndarray:
     """P-values of a batch of KS ``D`` statistics at a common sample size.
 
-    Vectorised counterpart of the p-value computation in :func:`ks_test`:
-    all statistics of one aggregation round (every row shares the model
-    dimension ``d``) are converted with a single call.
+    All statistics of one aggregation round (every row shares the model
+    dimension ``d``) are converted with a single call.  The p-value uses
+    the asymptotic distribution with the standard finite-sample correction
+    ``lam = (sqrt(d) + 0.12 + 0.11 / sqrt(d)) * D`` (Stephens 1970),
+    accurate for the dimensionalities (d >= 1000) used here.
     """
     if sample_size <= 0:
         raise ValueError("sample_size must be positive")
     statistics = np.asarray(statistics, dtype=np.float64)
     lam = _stephens_scale(sample_size) * statistics
     return np.asarray(kolmogorov_survival(lam), dtype=np.float64)
-
-
-def ks_test(samples: np.ndarray, sigma: float) -> KSResult:
-    """One-sample KS test of ``samples`` against ``N(0, sigma^2)``.
-
-    The p-value uses the asymptotic distribution with the standard
-    finite-sample correction ``lam = (sqrt(d) + 0.12 + 0.11 / sqrt(d)) * D``
-    (Stephens 1970), accurate for the dimensionalities (d >= 1000) used here.
-    """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    statistic = ks_statistic(samples, sigma)
-    d = samples.size
-    pvalue = float(ks_pvalues(np.asarray([statistic], dtype=np.float64), d)[0])
-    return KSResult(statistic=statistic, pvalue=pvalue, sample_size=d)
 
 
 def critical_statistic(sample_size: int, significance: float = 0.05) -> float:

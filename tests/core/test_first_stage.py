@@ -1,4 +1,9 @@
-"""Tests for FirstAGG (Algorithm 2): norm test + KS test."""
+"""Tests for FirstAGG (Algorithm 2): norm test + KS test.
+
+FirstAGG takes the round's upload matrix; a single upload is the one-row
+matrix, so ``accepts_batch(upload)[0]`` is its decision and
+``inspect_batch(upload)`` its report.
+"""
 
 from __future__ import annotations
 
@@ -45,25 +50,24 @@ class TestConstruction:
 
 class TestAcceptance:
     def test_accepts_pure_dp_noise(self, rng, first_stage):
-        accepted = sum(
-            first_stage.accepts(rng.normal(0.0, SIGMA, size=DIMENSION)) for _ in range(30)
-        )
-        assert accepted >= 27  # a benign upload is rejected only rarely
+        uploads = np.vstack([rng.normal(0.0, SIGMA, size=DIMENSION) for _ in range(30)])
+        # a benign upload is rejected only rarely
+        assert first_stage.accepts_batch(uploads).sum() >= 27
 
     def test_accepts_noise_dominated_honest_upload(self, rng, first_stage):
-        accepted = sum(first_stage.accepts(benign_upload(rng)) for _ in range(30))
-        assert accepted >= 27
+        uploads = np.vstack([benign_upload(rng) for _ in range(30)])
+        assert first_stage.accepts_batch(uploads).sum() >= 27
 
     def test_rejects_zero_vector(self, first_stage):
-        assert not first_stage.accepts(np.zeros(DIMENSION))
+        assert not first_stage.accepts_batch(np.zeros(DIMENSION))[0]
 
     def test_rejects_large_norm_upload(self, rng, first_stage):
         upload = rng.normal(0.0, SIGMA * 1.5, size=DIMENSION)
-        assert not first_stage.accepts(upload)
+        assert not first_stage.accepts_batch(upload)[0]
 
     def test_rejects_small_norm_upload(self, rng, first_stage):
         upload = rng.normal(0.0, SIGMA * 0.5, size=DIMENSION)
-        assert not first_stage.accepts(upload)
+        assert not first_stage.accepts_batch(upload)[0]
 
     def test_rejects_shifted_noise(self, rng, first_stage):
         """Correct norm but wrong shape: a mean shift is caught by the KS test."""
@@ -71,60 +75,73 @@ class TestAcceptance:
         # Rescale so the norm test alone would pass.
         target_norm = SIGMA * np.sqrt(DIMENSION)
         upload = upload / np.linalg.norm(upload) * target_norm
-        report = first_stage.inspect(upload)
-        assert report.norm_ok
-        assert not report.ks_ok
-        assert not report.accepted
+        report = first_stage.inspect_batch(upload)
+        assert report.norm_ok[0]
+        assert not report.ks_ok[0]
+        assert not report.accepted[0]
 
     def test_rejects_sparse_spike_upload(self, rng, first_stage):
         """All mass on a few coordinates: right norm, wrong distribution."""
         upload = np.zeros(DIMENSION)
         spikes = rng.choice(DIMENSION, size=10, replace=False)
         upload[spikes] = SIGMA * np.sqrt(DIMENSION / 10)
-        report = first_stage.inspect(upload)
-        assert report.norm_ok
-        assert not report.accepted
+        report = first_stage.inspect_batch(upload)
+        assert report.norm_ok[0]
+        assert not report.accepted[0]
 
     def test_rejects_uniform_coordinates(self, rng, first_stage):
         """Uniformly distributed coordinates with the right norm are rejected."""
         upload = rng.uniform(-1.0, 1.0, size=DIMENSION)
         upload *= SIGMA * np.sqrt(DIMENSION) / np.linalg.norm(upload)
-        assert not first_stage.accepts(upload)
+        assert not first_stage.accepts_batch(upload)[0]
 
     def test_rejects_large_honest_gradient_without_noise(self, rng, first_stage):
         """A raw (un-noised) normalised gradient does not look like DP noise."""
         gradient = rng.normal(size=DIMENSION)
         gradient /= np.linalg.norm(gradient)
-        assert not first_stage.accepts(gradient)
+        assert not first_stage.accepts_batch(gradient)[0]
 
 
-class TestApplyAndFilterAll:
-    def test_apply_keeps_accepted(self, rng, first_stage):
-        upload = rng.normal(0.0, SIGMA, size=DIMENSION)
-        if first_stage.accepts(upload):
-            np.testing.assert_array_equal(first_stage.apply(upload), upload)
+class TestMaskAndReport:
+    """Algorithm 2's zeroed matrix is the mask applied at the caller."""
 
-    def test_apply_zeroes_rejected(self, first_stage):
-        rejected = np.ones(DIMENSION) * 10.0
-        np.testing.assert_array_equal(first_stage.apply(rejected), 0.0)
+    def test_accepted_upload_is_kept(self, rng, first_stage):
+        upload = rng.normal(0.0, SIGMA, size=(1, DIMENSION))
+        accepted = first_stage.accepts_batch(upload)
+        if accepted[0]:
+            zeroed = np.where(accepted[:, np.newaxis], upload, 0.0)
+            np.testing.assert_array_equal(zeroed, upload)
 
-    def test_filter_all_preserves_count_and_order(self, rng, first_stage):
-        uploads = [rng.normal(0.0, SIGMA, size=DIMENSION) for _ in range(3)]
-        uploads.append(np.ones(DIMENSION) * 5.0)  # clearly malicious
-        filtered = first_stage.filter_all(uploads)
-        assert len(filtered) == 4
-        np.testing.assert_array_equal(filtered[3], 0.0)
+    def test_rejected_upload_is_zeroed(self, first_stage):
+        rejected = np.ones((1, DIMENSION)) * 10.0
+        accepted = first_stage.accepts_batch(rejected)
+        assert not accepted[0]
+        np.testing.assert_array_equal(np.where(accepted[:, np.newaxis], rejected, 0.0), 0.0)
 
-    def test_inspect_rejects_wrong_shape(self, first_stage):
-        with pytest.raises(ValueError):
-            first_stage.inspect(np.zeros(DIMENSION + 1))
+    def test_mask_preserves_count_and_order(self, rng, first_stage):
+        uploads = np.vstack([
+            rng.normal(0.0, SIGMA, size=(3, DIMENSION)),
+            np.ones((1, DIMENSION)) * 5.0,  # clearly malicious
+        ])
+        accepted = first_stage.accepts_batch(uploads)
+        assert accepted.shape == (4,)
+        assert not accepted[3]
+        zeroed = np.where(accepted[:, np.newaxis], uploads, 0.0)
+        np.testing.assert_array_equal(zeroed[3], 0.0)
+
+    def test_rejects_wrong_shape(self, first_stage):
+        for call in (first_stage.inspect_batch, first_stage.accepts_batch):
+            with pytest.raises(ValueError):
+                call(np.zeros(DIMENSION + 1))
+            with pytest.raises(ValueError):
+                call(np.zeros((2, 1, DIMENSION)))
 
     def test_report_fields_consistent(self, rng, first_stage):
         upload = rng.normal(0.0, SIGMA, size=DIMENSION)
-        report = first_stage.inspect(upload)
-        assert report.accepted == (report.norm_ok and report.ks_ok)
-        assert report.squared_norm == pytest.approx(float(upload @ upload))
-        assert 0.0 <= report.ks_pvalue <= 1.0
+        report = first_stage.inspect_batch(upload)
+        assert report.accepted[0] == (report.norm_ok[0] and report.ks_ok[0])
+        assert report.squared_norms[0] == pytest.approx(float(upload @ upload))
+        assert 0.0 <= report.ks_pvalues[0] <= 1.0
 
 
 class TestTheorem2Helpers:
@@ -135,7 +152,7 @@ class TestTheorem2Helpers:
     def test_coordinate_interval_contains_gaussian_quantile(self, rng, first_stage):
         """Order statistics of accepted noise satisfy the Theorem 2 envelope."""
         upload = rng.normal(0.0, SIGMA, size=DIMENSION)
-        assert first_stage.accepts(upload)
+        assert first_stage.accepts_batch(upload)[0]
         ordered = np.sort(upload)
         for k in (1, DIMENSION // 4, DIMENSION // 2, 3 * DIMENSION // 4, DIMENSION):
             low, high = first_stage.coordinate_interval(k)
@@ -148,11 +165,13 @@ class TestTheorem2Helpers:
         stage: the attacker can only play vectors inside a Gaussian-shaped
         subspace, so its norm (and hence its damage) is bounded.
         """
-        trials = 200
-        for _ in range(trials):
-            candidate = rng.normal(0.0, SIGMA, size=DIMENSION) * rng.uniform(0.9, 1.1)
-            if not first_stage.accepts(candidate):
-                continue
+        candidates = np.vstack([
+            rng.normal(0.0, SIGMA, size=DIMENSION) * rng.uniform(0.9, 1.1)
+            for _ in range(200)
+        ])
+        accepted = first_stage.accepts_batch(candidates)
+        assert accepted.any()
+        for candidate in candidates[accepted]:
             ordered = np.sort(candidate)
             for k in (1, DIMENSION // 2, DIMENSION):
                 low, high = first_stage.coordinate_interval(k)

@@ -1,4 +1,9 @@
-"""Unit tests for the batched FirstAGG path (apply_batch / inspect_batch)."""
+"""Unit tests for FirstAGG over the round matrix (accepts_batch / inspect_batch).
+
+A single upload is the one-row matrix: both calls lift a 1-D upload to
+one, so there is no per-upload API to compare against, only the same
+calls on fewer rows.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import first_stage as first_stage_module
 from repro.core.first_stage import FirstStageFilter
 from repro.stats.distributions import normal_quantiles
-from repro.stats.ks import RANK_BAND, ks_pvalues, ks_statistic, ks_statistics
+from repro.stats.ks import RANK_BAND, ks_pvalues, ks_statistics
 
 
 DIMENSION = 2000
@@ -39,74 +44,118 @@ def mixed_uploads(rng: np.random.Generator) -> np.ndarray:
     return np.vstack([benign, too_large, too_small, shifted])
 
 
-class TestApplyBatch:
-    def test_mask_matches_scalar_accepts(self, rng, first_stage):
-        uploads = mixed_uploads(rng)
-        _, accepted = first_stage.apply_batch(uploads)
-        expected = np.array([first_stage.accepts(row) for row in uploads])
-        np.testing.assert_array_equal(accepted, expected)
+def zeroed(accepted: np.ndarray, uploads: np.ndarray) -> np.ndarray:
+    """Algorithm 2's matrix: rejected rows replaced by the zero vector."""
+    return np.where(accepted[:, np.newaxis], uploads, 0.0)
 
-    def test_filtered_matches_scalar_apply(self, rng, first_stage):
+
+class TestAcceptsBatch:
+    def test_mask_matches_one_row_calls(self, rng, first_stage):
         uploads = mixed_uploads(rng)
-        filtered, _ = first_stage.apply_batch(uploads)
-        expected = np.vstack([first_stage.apply(row) for row in uploads])
-        np.testing.assert_array_equal(filtered, expected)
+        accepted = first_stage.accepts_batch(uploads)
+        expected = np.array([first_stage.accepts_batch(row)[0] for row in uploads])
+        np.testing.assert_array_equal(accepted, expected)
+        np.testing.assert_array_equal(accepted, first_stage.inspect_batch(uploads).accepted)
+
+    def test_zeroed_matrix_matches_one_row_calls(self, rng, first_stage):
+        uploads = mixed_uploads(rng)
+        expected = np.vstack([
+            zeroed(first_stage.accepts_batch(row), row[np.newaxis, :]) for row in uploads
+        ])
+        np.testing.assert_array_equal(
+            zeroed(first_stage.accepts_batch(uploads), uploads), expected
+        )
 
     def test_rejected_rows_are_zero(self, rng, first_stage):
         uploads = mixed_uploads(rng)
-        filtered, accepted = first_stage.apply_batch(uploads)
+        accepted = first_stage.accepts_batch(uploads)
         assert not accepted[4:].any()  # the three malicious rows
-        np.testing.assert_array_equal(filtered[~accepted], 0.0)
+        np.testing.assert_array_equal(zeroed(accepted, uploads)[~accepted], 0.0)
 
-    def test_accepted_rows_pass_through_unchanged(self, rng, first_stage):
+    def test_input_matrix_is_not_written(self, rng, first_stage):
+        """The two-stage rule masks the round matrix in place of a copy."""
         uploads = mixed_uploads(rng)
-        filtered, accepted = first_stage.apply_batch(uploads)
-        np.testing.assert_array_equal(filtered[accepted], uploads[accepted])
+        before = uploads.copy()
+        accepted = first_stage.accepts_batch(uploads)
+        assert accepted.any() and not accepted.all()
+        np.testing.assert_array_equal(uploads, before)
 
     def test_list_input_is_stacked(self, rng, first_stage):
         uploads = mixed_uploads(rng)
-        filtered_list, mask_list = first_stage.apply_batch(list(uploads))
-        filtered_mat, mask_mat = first_stage.apply_batch(uploads)
-        np.testing.assert_array_equal(filtered_list, filtered_mat)
-        np.testing.assert_array_equal(mask_list, mask_mat)
+        np.testing.assert_array_equal(
+            first_stage.accepts_batch(list(uploads)), first_stage.accepts_batch(uploads)
+        )
 
     def test_wrong_dimension_rejected(self, first_stage):
         with pytest.raises(ValueError):
-            first_stage.apply_batch(np.zeros((3, DIMENSION + 1)))
+            first_stage.accepts_batch(np.zeros((3, DIMENSION + 1)))
 
     def test_accepted_zero_upload_is_reported_accepted(self):
         """Regression: the mask, not ``np.any(row)``, decides acceptance.
 
         At ``d = 1`` the chi-square interval includes 0 and the KS test does
         not reject a single zero coordinate, so the all-zero upload is
-        legitimately accepted -- yet its filtered row is all zeros.  Deriving
-        acceptance from the filtered matrix would misreport it.
+        legitimately accepted -- yet its zeroed row is all zeros.  Deriving
+        acceptance from the zeroed matrix would misreport it.
         """
         first_stage = FirstStageFilter(sigma=1.0, dimension=1)
         uploads = np.zeros((2, 1))
-        assert first_stage.accepts(uploads[0])  # scalar path agrees
-        filtered, accepted = first_stage.apply_batch(uploads)
+        assert first_stage.inspect_batch(uploads[0]).accepted[0]  # exact p-value agrees
+        accepted = first_stage.accepts_batch(uploads)
         assert accepted.all()
-        np.testing.assert_array_equal(filtered, 0.0)
+        np.testing.assert_array_equal(zeroed(accepted, uploads), 0.0)
+
+
+class TestOneUploadIsAOneRowMatrix:
+    """The degenerate case that replaces a per-upload API: ``accepts_batch``
+    on a 1-D upload decides what ``inspect_batch`` reports for it, for
+    each way FirstAGG can decide."""
+
+    def upload(self, kind: str, rng: np.random.Generator) -> np.ndarray:
+        if kind == "accepted":
+            return rng.normal(0.0, SIGMA, size=DIMENSION)
+        if kind == "norm_rejected":
+            return rng.normal(0.0, 3.0 * SIGMA, size=DIMENSION)
+        shifted = rng.normal(0.0, SIGMA, size=DIMENSION) + 0.4 * SIGMA
+        return shifted * SIGMA * np.sqrt(DIMENSION) / np.linalg.norm(shifted)
+
+    @pytest.mark.parametrize(
+        "kind, norm_ok, ks_ok",
+        [("accepted", True, True), ("norm_rejected", False, False),
+         ("ks_rejected", True, False)],
+    )
+    def test_decision_equals_the_report(self, rng, first_stage, kind, norm_ok, ks_ok):
+        upload = self.upload(kind, rng)
+        accepted = first_stage.accepts_batch(upload)
+        report = first_stage.inspect_batch(upload)
+        assert accepted.shape == report.accepted.shape == (1,)
+        assert accepted[0] == report.accepted[0] == (norm_ok and ks_ok)
+        assert (report.norm_ok[0], report.ks_ok[0]) == (norm_ok, ks_ok)
+        # the 1-D upload and its one-row matrix are the same call
+        np.testing.assert_array_equal(
+            first_stage.accepts_batch(upload[np.newaxis, :]), accepted
+        )
 
 
 class TestInspectBatch:
-    def test_matches_scalar_inspect(self, rng, first_stage):
+    def test_matches_one_row_inspection(self, rng, first_stage):
         uploads = mixed_uploads(rng)
         batch = first_stage.inspect_batch(uploads)
         for i, row in enumerate(uploads):
-            report = first_stage.inspect(row)
-            assert batch.accepted[i] == report.accepted
-            assert batch.norm_ok[i] == report.norm_ok
-            assert batch.ks_ok[i] == report.ks_ok
-            assert batch.squared_norms[i] == pytest.approx(report.squared_norm, rel=1e-12)
-            assert batch.ks_pvalues[i] == pytest.approx(report.ks_pvalue, rel=1e-12, abs=1e-300)
+            report = first_stage.inspect_batch(row)
+            assert batch.accepted[i] == report.accepted[0]
+            assert batch.norm_ok[i] == report.norm_ok[0]
+            assert batch.ks_ok[i] == report.ks_ok[0]
+            assert batch.squared_norms[i] == pytest.approx(report.squared_norms[0], rel=1e-12)
+            assert batch.ks_pvalues[i] == pytest.approx(
+                report.ks_pvalues[0], rel=1e-12, abs=1e-300
+            )
 
     def test_single_row_matrix(self, rng, first_stage):
         upload = rng.normal(0.0, SIGMA, size=DIMENSION)
         batch = first_stage.inspect_batch(upload[np.newaxis, :])
         assert batch.accepted.shape == (1,)
-        assert batch.accepted[0] == first_stage.accepts(upload)
+        assert batch.accepted[0] == first_stage.accepts_batch(upload)[0]
 
 
 def exact_mask(first_stage: FirstStageFilter, uploads: np.ndarray) -> np.ndarray:
@@ -116,6 +165,11 @@ def exact_mask(first_stage: FirstStageFilter, uploads: np.ndarray) -> np.ndarray
     statistics = ks_statistics(uploads, first_stage.sigma)
     pvalues = ks_pvalues(statistics, first_stage.dimension)
     return (squared >= low) & (squared <= high) & (pvalues >= first_stage.significance)
+
+
+def statistic(row: np.ndarray, sigma: float) -> float:
+    """The KS statistic of one sample: the one-row case of ``ks_statistics``."""
+    return float(ks_statistics(row[np.newaxis, :], sigma)[0])
 
 
 def bump_row(
@@ -131,12 +185,12 @@ def bump_row(
     low, high = 0.0, 1.0
     while 0.5 * (low + high) not in (low, high):
         middle = 0.5 * (low + high)
-        if ks_statistic(ideal + middle * bump, sigma) < target:
+        if statistic(ideal + middle * bump, sigma) < target:
             low = middle
         else:
             high = middle
     row = ideal + high * bump
-    assert ks_statistic(row, sigma) == pytest.approx(target, rel=RANK_BAND / 100)
+    assert statistic(row, sigma) == pytest.approx(target, rel=RANK_BAND / 100)
     return row
 
 

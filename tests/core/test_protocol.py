@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.first_stage import FirstStageFilter
 from repro.core.protocol import TwoStageAggregator
+from repro.core.second_stage import SecondStageSelector
 from repro.defenses.base import AggregationContext
 from tests.helpers import make_model_and_data
 
@@ -179,3 +181,25 @@ class TestTwoStage:
         aggregator = TwoStageAggregator()
         with pytest.raises(ValueError):
             aggregator.aggregate([], context)
+
+    def test_selection_is_select_scored_over_masked_scores(self, context, rng):
+        """The selection the rule makes is ``select_scored(m @ g)`` with the
+        rows FirstAGG rejects scored 0.0, round after round."""
+        config = ProtocolConfig(gamma=0.5)
+        aggregator = TwoStageAggregator(config)
+        dimension = context.model.num_parameters
+        first_stage = FirstStageFilter(DIMENSION_NOISE_STD, dimension)
+        selector = SecondStageSelector(n_workers=8, gamma=config.gamma)
+        for _ in range(3):
+            matrix = np.vstack(simulated_uploads(context, rng, 5, 2))
+            matrix = np.vstack([matrix, np.full((1, dimension), 0.5)])  # norm-rejected
+            aggregator.aggregate(matrix, context)
+
+            accepted = first_stage.inspect_batch(matrix).accepted
+            scores = matrix @ context.server_gradient()
+            scores[~accepted] = 0.0
+            report = selector.select_scored(scores)
+
+            assert not accepted[-1]
+            np.testing.assert_array_equal(aggregator.last_first_stage_accepted, accepted)
+            np.testing.assert_array_equal(aggregator.last_selected, report.selected)

@@ -1,4 +1,8 @@
-"""Tests for the second-stage aggregation (Algorithm 3, lines 4-14)."""
+"""Tests for the second-stage aggregation (Algorithm 3, lines 4-14).
+
+The selection's one entry point takes the round's scores: the caller's
+matvec ``uploads @ server_gradient`` over the round matrix.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ def make_uploads(
     n_honest: int,
     n_byzantine: int,
     noise: float = 0.5,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Honest uploads roughly aligned with the server gradient, Byzantine ones inverted."""
     dimension = server_gradient.size
     uploads = []
@@ -27,7 +31,7 @@ def make_uploads(
         uploads.append(server_gradient + noise * rng.normal(size=dimension))
     for _ in range(n_byzantine):
         uploads.append(-2.0 * server_gradient + noise * rng.normal(size=dimension))
-    return uploads
+    return np.vstack(uploads)
 
 
 class TestConstruction:
@@ -58,7 +62,7 @@ class TestSelection:
         server_gradient = rng.normal(size=dimension)
         uploads = make_uploads(rng, server_gradient, n_honest=6, n_byzantine=4)
         selector = SecondStageSelector(n_workers=10, gamma=0.6)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         assert set(report.selected) == set(range(6))
 
     def test_selects_honest_even_when_byzantine_majority(self, rng):
@@ -67,24 +71,24 @@ class TestSelection:
         server_gradient = rng.normal(size=dimension)
         uploads = make_uploads(rng, server_gradient, n_honest=4, n_byzantine=16)
         selector = SecondStageSelector(n_workers=20, gamma=0.2)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         assert set(report.selected) == set(range(4))
 
     def test_scores_are_inner_products(self, rng):
         dimension = 20
         server_gradient = rng.normal(size=dimension)
-        uploads = [rng.normal(size=dimension) for _ in range(5)]
+        uploads = rng.normal(size=(5, dimension))
         selector = SecondStageSelector(5, 0.6)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         expected = [float(np.dot(upload, server_gradient)) for upload in uploads]
         np.testing.assert_allclose(report.scores, expected)
 
     def test_threshold_is_mean_of_top_scores(self, rng):
         dimension = 20
         server_gradient = rng.normal(size=dimension)
-        uploads = [rng.normal(size=dimension) for _ in range(8)]
+        uploads = rng.normal(size=(8, dimension))
         selector = SecondStageSelector(8, 0.5)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         top = np.sort(report.scores)[::-1][:4]
         assert report.threshold == pytest.approx(float(top.mean()))
 
@@ -93,7 +97,7 @@ class TestSelection:
         server_gradient = rng.normal(size=dimension)
         uploads = make_uploads(rng, server_gradient, n_honest=3, n_byzantine=3, noise=0.1)
         selector = SecondStageSelector(6, 0.5)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         assert np.all(report.accumulated[3:] <= 0.0 + 1e-12)
         assert np.all(report.accumulated[3:] >= 0.0)  # suppressed to exactly zero
 
@@ -102,8 +106,8 @@ class TestSelection:
         server_gradient = rng.normal(size=dimension)
         selector = SecondStageSelector(6, 0.5)
         uploads = make_uploads(rng, server_gradient, n_honest=3, n_byzantine=3, noise=0.1)
-        first = selector.select(uploads, server_gradient)
-        second = selector.select(uploads, server_gradient)
+        first = selector.select_scored(uploads @ server_gradient)
+        second = selector.select_scored(uploads @ server_gradient)
         assert np.all(second.accumulated >= first.accumulated - 1e-12)
         assert second.accumulated[0] > first.accumulated[0]
 
@@ -116,44 +120,44 @@ class TestSelection:
         bad = [-server_gradient for _ in range(2)]
         # several good rounds build up score for workers 0 and 1
         for _ in range(5):
-            selector.select(good + bad, server_gradient)
+            selector.select_scored(np.vstack(good + bad) @ server_gradient)
         # one adversarial round where worker 0 looks slightly worse than worker 2
-        confusing = [
+        confusing = np.vstack([
             -0.1 * server_gradient,
             server_gradient,
             0.2 * server_gradient,
             -server_gradient,
-        ]
-        report = selector.select(confusing, server_gradient)
+        ])
+        report = selector.select_scored(confusing @ server_gradient)
         assert 0 in report.selected and 1 in report.selected
 
     def test_reset_clears_accumulated_scores(self, rng):
         dimension = 10
         server_gradient = rng.normal(size=dimension)
         selector = SecondStageSelector(3, 0.5)
-        selector.select([server_gradient] * 3, server_gradient)
+        selector.select_scored(np.vstack([server_gradient] * 3) @ server_gradient)
         selector.reset()
         np.testing.assert_array_equal(selector.accumulated_scores, 0.0)
 
     def test_rejects_wrong_upload_count(self, rng):
         selector = SecondStageSelector(4, 0.5)
         with pytest.raises(ValueError):
-            selector.select([np.zeros(5)] * 3, np.zeros(5))
+            selector.select_scored(np.zeros((3, 5)) @ np.zeros(5))
 
     def test_selected_count_is_keep(self, rng):
         dimension = 25
         server_gradient = rng.normal(size=dimension)
-        uploads = [rng.normal(size=dimension) for _ in range(10)]
+        uploads = rng.normal(size=(10, dimension))
         selector = SecondStageSelector(10, 0.3)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         assert len(report.selected) == selector.keep == 3
 
     def test_selected_indices_sorted_and_unique(self, rng):
         dimension = 25
         server_gradient = rng.normal(size=dimension)
-        uploads = [rng.normal(size=dimension) for _ in range(10)]
+        uploads = rng.normal(size=(10, dimension))
         selector = SecondStageSelector(10, 0.5)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         assert list(report.selected) == sorted(set(report.selected.tolist()))
 
     def test_zero_uploads_from_first_stage_score_zero(self, rng):
@@ -163,7 +167,7 @@ class TestSelection:
         honest = [server_gradient + 0.1 * rng.normal(size=dimension) for _ in range(3)]
         zeroed = [np.zeros(dimension) for _ in range(3)]
         selector = SecondStageSelector(6, 0.5)
-        report = selector.select(honest + zeroed, server_gradient)
+        report = selector.select_scored(np.vstack(honest + zeroed) @ server_gradient)
         assert set(report.selected) == {0, 1, 2}
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
@@ -177,7 +181,7 @@ class TestSelection:
         ids = np.arange(n_workers)
         for _ in range(4):
             server_gradient = rng.normal(size=dimension)
-            uploads = np.array(make_uploads(rng, server_gradient, 6, 4))
+            uploads = make_uploads(rng, server_gradient, 6, 4)
             scores = uploads @ server_gradient
             want = reference.select_scored(scores)
             got = keyed.select_scored(scores, worker_ids=ids)

@@ -200,6 +200,16 @@ class TestCommands:
         by_name = {row["name"]: row for row in rows}
         assert by_name["two_stage"]["summary"]
 
+    def test_list_json_renders_callables_by_name(self, capsys):
+        """A callable's ``repr`` holds a memory address, which made two
+        listings of one tree differ."""
+        assert main(["list", "--json"]) == 0
+        output = capsys.readouterr().out
+        assert " at 0x" not in output
+        by_name = {row["name"]: row for row in json.loads(output)}
+        defaults = by_name["trimmed_mean"]["metadata"]["config_defaults"]
+        assert defaults["trim_fraction"] == "_default_trim_fraction"
+
     def test_run_with_faults_and_metrics_out(self, tmp_path, capsys):
         metrics = tmp_path / "rounds.jsonl"
         assert main([

@@ -96,9 +96,9 @@ def test_geometric_median_inside_bounding_box(points):
 def test_second_stage_selects_exactly_keep_workers(n_workers, gamma, dimension, seed):
     rng = np.random.default_rng(seed)
     selector = SecondStageSelector(n_workers, gamma)
-    uploads = [rng.normal(size=dimension) for _ in range(n_workers)]
+    uploads = np.vstack([rng.normal(size=dimension) for _ in range(n_workers)])
     server_gradient = rng.normal(size=dimension)
-    report = selector.select(uploads, server_gradient)
+    report = selector.select_scored(uploads @ server_gradient)
     assert len(report.selected) == selector.keep
     assert 1 <= selector.keep <= n_workers
     assert np.all(report.selected >= 0) and np.all(report.selected < n_workers)
@@ -121,9 +121,9 @@ def test_second_stage_accumulation_follows_algorithm3(
     selector = SecondStageSelector(n_workers, gamma)
     previous = selector.accumulated_scores.copy()
     for _ in range(rounds):
-        uploads = [rng.normal(size=dimension) for _ in range(n_workers)]
+        uploads = np.vstack([rng.normal(size=dimension) for _ in range(n_workers)])
         server_gradient = rng.normal(size=dimension)
-        report = selector.select(uploads, server_gradient)
+        report = selector.select_scored(uploads @ server_gradient)
         delta = report.accumulated - previous
         for i in range(n_workers):
             if report.scores[i] < report.threshold:

@@ -1,10 +1,13 @@
-"""Property tests: the batched/vectorized hot paths match the scalar references.
+"""Property tests: the batched/vectorized hot paths match their references.
 
-The array-first pipeline (``FirstStageFilter.apply_batch``, the matvec-based
-``SecondStageSelector.select``) must make exactly the same accept/select
-decisions as a per-upload scalar implementation.  Inputs are generated from
-Hypothesis-drawn seeds/shapes through a continuous RNG, so score ties across
-*distinct* rows have probability zero and decision equality is exact.
+FirstAGG's rank-bound mask (``FirstStageFilter.accepts_batch``) must equal
+the exact p-value mask of ``inspect_batch``, on the whole matrix and on
+each row alone (a single upload is a one-row matrix).  The second stage's
+one matvec plus ``SecondStageSelector.select_scored`` must make the same
+selections as a per-upload scalar implementation.  Inputs are generated
+from Hypothesis-drawn seeds/shapes through a continuous RNG, so score ties
+across *distinct* rows have probability zero and decision equality is
+exact.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.first_stage import FirstStageFilter
 from repro.core.second_stage import SecondStageSelector
-from repro.stats.ks import kolmogorov_survival, ks_pvalues, ks_statistic, ks_statistics
+from repro.stats.ks import kolmogorov_survival, ks_pvalues, ks_statistics
 
 SIGMA = 0.3
 
@@ -52,43 +55,48 @@ class TestFirstStageEquivalence:
         seed=st.integers(0, 2**32 - 1),
         scales=st.lists(row_scales, min_size=1, max_size=10),
     )
-    def test_batch_mask_and_filter_match_scalar(self, n, d, seed, scales):
+    def test_batch_mask_and_filter_match_exact_reference(self, n, d, seed, scales):
         rng = np.random.default_rng(seed)
         multipliers = np.array((scales * n)[:n], dtype=np.float64)
         uploads = rng.normal(0.0, SIGMA, size=(n, d)) * multipliers[:, None]
         first_stage = FirstStageFilter(sigma=SIGMA, dimension=d)
 
-        filtered, accepted = first_stage.apply_batch(uploads)
-        expected_mask = np.array([first_stage.accepts(row) for row in uploads])
-        expected_filtered = np.vstack([first_stage.apply(row) for row in uploads])
+        accepted = first_stage.accepts_batch(uploads)
+        expected_mask = first_stage.inspect_batch(uploads).accepted
+        one_row_masks = np.array([first_stage.inspect_batch(row).accepted[0] for row in uploads])
+        expected_filtered = np.vstack([
+            row if keep else np.zeros(d) for row, keep in zip(uploads, one_row_masks)
+        ])
 
         np.testing.assert_array_equal(accepted, expected_mask)
-        np.testing.assert_array_equal(filtered, expected_filtered)
+        np.testing.assert_array_equal(accepted, one_row_masks)
+        zeroed = np.where(accepted[:, np.newaxis], uploads, 0.0)  # Algorithm 2
+        np.testing.assert_array_equal(zeroed, expected_filtered)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 8), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-    def test_batched_ks_statistics_match_scalar(self, n, d, seed):
+    def test_batched_ks_statistics_match_one_row_calls(self, n, d, seed):
         rng = np.random.default_rng(seed)
         samples = rng.normal(0.0, 1.0, size=(n, d))
         batched = ks_statistics(samples, sigma=1.0)
         for i in range(n):
-            assert batched[i] == ks_statistic(samples[i], sigma=1.0)
+            assert batched[i] == ks_statistics(samples[i:i + 1], sigma=1.0)[0]
 
     def test_all_rejected_round(self):
         first_stage = FirstStageFilter(sigma=SIGMA, dimension=500)
         uploads = np.full((5, 500), 10.0)
-        filtered, accepted = first_stage.apply_batch(uploads)
+        accepted = first_stage.accepts_batch(uploads)
         assert not accepted.any()
-        np.testing.assert_array_equal(filtered, 0.0)
+        np.testing.assert_array_equal(np.where(accepted[:, np.newaxis], uploads, 0.0), 0.0)
 
     def test_single_upload_round(self):
         rng = np.random.default_rng(3)
         first_stage = FirstStageFilter(sigma=SIGMA, dimension=800)
         upload = rng.normal(0.0, SIGMA, size=(1, 800))
-        filtered, accepted = first_stage.apply_batch(upload)
+        accepted = first_stage.accepts_batch(upload)
         assert accepted.shape == (1,)
-        assert accepted[0] == first_stage.accepts(upload[0])
-        np.testing.assert_array_equal(filtered[0], first_stage.apply(upload[0]))
+        assert accepted[0] == first_stage.inspect_batch(upload[0]).accepted[0]
+        np.testing.assert_array_equal(accepted, first_stage.accepts_batch(upload[0]))
 
 
 class TestKolmogorovSurvivalVectorized:
@@ -145,7 +153,7 @@ class TestSecondStageEquivalence:
         for _ in range(rounds):
             uploads = rng.normal(size=(n, d))
             server_gradient = rng.normal(size=d)
-            report = selector.select(uploads, server_gradient)
+            report = selector.select_scored(uploads @ server_gradient)
             scores, threshold, selected, reference_accumulated = reference_select(
                 reference_accumulated, uploads, server_gradient, selector.keep
             )
@@ -159,7 +167,7 @@ class TestSecondStageEquivalence:
     def test_zero_server_gradient(self):
         rng = np.random.default_rng(11)
         selector = SecondStageSelector(n_workers=6, gamma=0.5)
-        report = selector.select(rng.normal(size=(6, 20)), np.zeros(20))
+        report = selector.select_scored(rng.normal(size=(6, 20)) @ np.zeros(20))
         np.testing.assert_array_equal(report.scores, 0.0)
         assert report.threshold == 0.0
         # All scores tie at zero: the stable rule keeps the lowest indices.
@@ -167,7 +175,7 @@ class TestSecondStageEquivalence:
 
     def test_all_uploads_zeroed_by_first_stage(self):
         selector = SecondStageSelector(n_workers=4, gamma=0.5)
-        report = selector.select(np.zeros((4, 10)), np.ones(10))
+        report = selector.select_scored(np.zeros((4, 10)) @ np.ones(10))
         np.testing.assert_array_equal(report.scores, 0.0)
         np.testing.assert_array_equal(report.selected, [0, 1])
 
@@ -176,7 +184,7 @@ class TestSecondStageEquivalence:
         selector = SecondStageSelector(n_workers=1, gamma=1.0)
         uploads = rng.normal(size=(1, 15))
         gradient = rng.normal(size=15)
-        report = selector.select(uploads, gradient)
+        report = selector.select_scored(uploads @ gradient)
         np.testing.assert_array_equal(report.selected, [0])
         assert report.threshold == pytest.approx(float(uploads[0] @ gradient))
 
@@ -190,7 +198,7 @@ class TestSecondStageEquivalence:
         uploads[4, 3] = np.nan
         gradient = rng.normal(size=8)
         selector = SecondStageSelector(n_workers=5, gamma=0.6)
-        report = selector.select(uploads, gradient)
+        report = selector.select_scored(uploads @ gradient)
         _, _, expected, _ = reference_select(
             np.zeros(5), uploads, gradient, selector.keep
         )
@@ -200,5 +208,5 @@ class TestSecondStageEquivalence:
     def test_gamma_one_keeps_everyone(self):
         rng = np.random.default_rng(9)
         selector = SecondStageSelector(n_workers=5, gamma=1.0)
-        report = selector.select(rng.normal(size=(5, 8)), rng.normal(size=8))
+        report = selector.select_scored(rng.normal(size=(5, 8)) @ rng.normal(size=8))
         np.testing.assert_array_equal(report.selected, np.arange(5))

@@ -2,9 +2,10 @@
 
 ``TwoStageAggregator.aggregate`` does not build Algorithm 2's zeroed copy
 of the round matrix: a rejected row scores ``0.0`` and is left out of the
-sum.  :func:`zeroed_row_aggregate` keeps the zeroed-row form -- FirstAGG's
-``apply_batch``, ``SecondStageSelector.select`` over the filtered matrix
-and ``filtered[selected].sum`` -- as the oracle.
+sum.  :func:`zeroed_row_aggregate` keeps the zeroed-row form as the
+oracle: the exact p-value mask of ``inspect_batch``, the zeroed matrix
+``np.where(accepted[:, None], uploads, 0.0)``, its matvec scores through
+``SecondStageSelector.select_scored`` and ``filtered[selected].sum``.
 
 The two must agree on the update vector, the acceptance mask, the
 selection and the accumulated scores, round after round.  Vectors are
@@ -47,14 +48,15 @@ def zeroed_row_aggregate(
     config = aggregator.config
     if config.use_first_stage and context.upload_noise_std > 0:
         first_stage = aggregator._first_stage_filter(dimension, context.upload_noise_std)
-        filtered, accepted = first_stage.apply_batch(stacked)
+        accepted = first_stage.inspect_batch(stacked).accepted
+        filtered = np.where(accepted[:, np.newaxis], stacked, 0.0)
     else:
         filtered, accepted = stacked, np.ones(n_workers, dtype=bool)
     aggregator.last_first_stage_accepted = accepted
     if config.use_second_stage:
         selector = aggregator._second_stage_selector(population)
-        report = selector.select(
-            filtered, aggregator._server_gradient(context),
+        report = selector.select_scored(
+            filtered @ aggregator._server_gradient(context),
             worker_ids=context.worker_ids,
         )
         aggregator.last_selected = report.selected

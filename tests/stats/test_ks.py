@@ -1,4 +1,8 @@
-"""Tests for the one-sample Kolmogorov-Smirnov machinery (Section 4.3, Theorem 2)."""
+"""Tests for the one-sample Kolmogorov-Smirnov machinery (Section 4.3, Theorem 2).
+
+The statistics and p-values are batched over the rows of a sample matrix;
+one sample is the one-row matrix.
+"""
 
 from __future__ import annotations
 
@@ -18,9 +22,7 @@ from repro.stats.ks import (
     kolmogorov_survival,
     ks_envelopes,
     ks_pvalues,
-    ks_statistic,
     ks_statistics,
-    ks_test,
     theorem2_interval,
 )
 
@@ -30,43 +32,59 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(99)
 
 
+def one_row(samples: np.ndarray) -> np.ndarray:
+    return np.asarray(samples, dtype=np.float64)[np.newaxis, :]
+
+
 class TestKsStatistic:
     def test_matches_scipy_standard(self, rng):
         samples = rng.normal(size=500)
-        ours = ks_statistic(samples, sigma=1.0)
+        ours = ks_statistics(one_row(samples), sigma=1.0)[0]
         theirs = scipy_stats.kstest(samples, "norm").statistic
         assert ours == pytest.approx(theirs, abs=1e-12)
 
     def test_matches_scipy_scaled(self, rng):
         samples = rng.normal(scale=2.3, size=800)
-        ours = ks_statistic(samples, sigma=2.3)
+        ours = ks_statistics(one_row(samples), sigma=2.3)[0]
         theirs = scipy_stats.kstest(samples, "norm", args=(0.0, 2.3)).statistic
         assert ours == pytest.approx(theirs, abs=1e-12)
 
+    def test_rows_match_scipy(self, rng):
+        samples = rng.normal(scale=0.8, size=(5, 300))
+        ours = ks_statistics(samples, sigma=0.8)
+        theirs = [scipy_stats.kstest(row, "norm", args=(0.0, 0.8)).statistic for row in samples]
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-12)
+
     def test_statistic_in_unit_interval(self, rng):
-        samples = rng.normal(size=100)
-        assert 0.0 <= ks_statistic(samples, sigma=1.0) <= 1.0
+        statistics = ks_statistics(rng.normal(size=(4, 100)), sigma=1.0)
+        assert np.all((0.0 <= statistics) & (statistics <= 1.0))
 
     def test_large_for_wrong_scale(self, rng):
         samples = rng.normal(scale=5.0, size=1000)
-        assert ks_statistic(samples, sigma=1.0) > 0.3
+        assert ks_statistics(one_row(samples), sigma=1.0)[0] > 0.3
 
     def test_large_for_shifted_samples(self, rng):
         samples = rng.normal(loc=3.0, size=1000)
-        assert ks_statistic(samples, sigma=1.0) > 0.5
+        assert ks_statistics(one_row(samples), sigma=1.0)[0] > 0.5
 
     def test_order_invariant(self, rng):
         samples = rng.normal(size=200)
         shuffled = samples.copy()
         rng.shuffle(shuffled)
-        assert ks_statistic(samples, 1.0) == pytest.approx(ks_statistic(shuffled, 1.0))
+        both = ks_statistics(np.vstack([samples, shuffled]), 1.0)
+        assert both[0] == pytest.approx(both[1])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ks_statistic(np.array([]), sigma=1.0)
+            ks_statistics(np.empty((1, 0)), sigma=1.0)
+
+    def test_vector_raises(self, rng):
+        """A 1-D sample is not lifted: the caller names the one-row matrix."""
+        with pytest.raises(ValueError):
+            ks_statistics(rng.normal(size=50), sigma=1.0)
 
     def test_constant_sample_has_large_statistic(self):
-        assert ks_statistic(np.zeros(100), sigma=1.0) == pytest.approx(0.5)
+        assert ks_statistics(np.zeros((1, 100)), sigma=1.0)[0] == pytest.approx(0.5)
 
 
 class TestKSWorkspace:
@@ -146,36 +164,46 @@ class TestKolmogorovSurvival:
         assert kolmogorov_survival(1.358) == pytest.approx(0.05, abs=5e-4)
 
 
-class TestKsTest:
+def pvalues(samples: np.ndarray, sigma: float) -> np.ndarray:
+    """KS p-values of every row of ``samples``: statistics, then p-values."""
+    return ks_pvalues(ks_statistics(samples, sigma), samples.shape[1])
+
+
+class TestKsPvalues:
     def test_gaussian_sample_usually_passes(self, rng):
         """Noise drawn from the null distribution should rarely be rejected."""
-        rejections = 0
-        for _ in range(40):
-            samples = rng.normal(scale=1.5, size=2000)
-            if ks_test(samples, sigma=1.5).pvalue < 0.05:
-                rejections += 1
+        samples = np.vstack([rng.normal(scale=1.5, size=2000) for _ in range(40)])
+        rejections = int((pvalues(samples, sigma=1.5) < 0.05).sum())
         assert rejections <= 6  # ~5% expected, allow slack
 
     def test_pvalue_matches_scipy_asymptotic(self, rng):
         samples = rng.normal(size=3000)
-        ours = ks_test(samples, sigma=1.0)
+        ours = pvalues(one_row(samples), sigma=1.0)[0]
         theirs = scipy_stats.kstest(samples, "norm", mode="asymp")
-        assert ours.pvalue == pytest.approx(theirs.pvalue, abs=2e-2)
+        assert ours == pytest.approx(theirs.pvalue, abs=2e-2)
 
     def test_wrong_sigma_is_rejected(self, rng):
         samples = rng.normal(scale=2.0, size=2000)
-        assert ks_test(samples, sigma=1.0).pvalue < 1e-6
+        assert pvalues(one_row(samples), sigma=1.0)[0] < 1e-6
 
     def test_uniform_sample_is_rejected(self, rng):
         samples = rng.uniform(-1, 1, size=2000)
-        assert ks_test(samples, sigma=1.0).pvalue < 0.01
+        assert pvalues(one_row(samples), sigma=1.0)[0] < 0.01
 
     def test_result_fields(self, rng):
-        samples = rng.normal(size=64)
-        result = ks_test(samples, sigma=1.0)
-        assert result.sample_size == 64
-        assert 0.0 <= result.pvalue <= 1.0
-        assert 0.0 <= result.statistic <= 1.0
+        samples = rng.normal(size=(3, 64))
+        statistics = ks_statistics(samples, sigma=1.0)
+        result = ks_pvalues(statistics, 64)
+        assert result.shape == statistics.shape == (3,)
+        assert np.all((0.0 <= result) & (result <= 1.0))
+        assert np.all((0.0 <= statistics) & (statistics <= 1.0))
+
+    def test_rows_are_independent(self, rng):
+        """A row's p-value does not depend on the rows beside it."""
+        samples = rng.normal(size=(6, 500))
+        together = pvalues(samples, sigma=1.0)
+        alone = [pvalues(row[np.newaxis, :], sigma=1.0)[0] for row in samples]
+        np.testing.assert_array_equal(together, alone)
 
 
 class TestCriticalStatistic:
