@@ -16,12 +16,13 @@ real ``kill -9``:
 - ``worker-kill``: SIGKILL one of 4 workers mid-task; the round must
   degrade to a partial cohort (``fault_crashed`` in the metrics) and the
   run still completes under the fractional quorum.
-- ``coordinator-restart``: SIGKILL the coordinator mid-training; a
-  restarted coordinator auto-resumes from its ``--state-dir`` snapshot,
-  the surviving workers re-register, and the final model is **bitwise
-  identical** to an uninterrupted in-process run.  ``repro run
-  --resume-from`` then resumes the served state dir, from its round-1
-  snapshot and from the directory itself, and must print the
+- ``coordinator-restart``: SIGKILL the coordinator mid-training of a
+  ``chaos`` run with buffered stragglers; a restarted coordinator
+  auto-resumes from its ``--state-dir`` snapshot (late reports still
+  pending included), the surviving workers re-register, and the final
+  model is **bitwise identical** to an uninterrupted in-process run.
+  ``repro run --resume-from`` then resumes the served state dir, from
+  its round-1 snapshot and from the directory itself, and must print the
   uninterrupted run's stdout byte for byte.
 - ``observability``: enabling ``--trace-out`` leaves the CLI output and
   metrics byte-identical; a ``--status-port`` endpoint serves live
@@ -313,9 +314,12 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
     from repro.federated.pipeline import read_metrics
     from repro.federated.state import STATE_SUFFIX, load_round_state
 
+    # Buffered stragglers put late reports in every snapshot, so the
+    # restart crosses a pending straggler buffer.
     config = benchmark_preset(
         dataset="usps_like", byzantine_fraction=0.4, attack="label_flip",
         defense="two_stage", epochs=2, scale=0.2, n_honest=4, seed=1,
+        faults="chaos", faults_kwargs={"straggler": 0.3, "mode": "buffer"},
     )
     config_path = workdir / "restart.json"
     config_path.write_text(config.to_json())
@@ -371,6 +375,12 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
         state_dir.glob(f"round_*{STATE_SUFFIX}"),
         key=lambda path: int(path.name[len("round_"):-len(STATE_SUFFIX)]),
     )
+    buffered = [
+        path.name for path in snapshots
+        if load_round_state(path).pending is not None
+    ]
+    if not buffered:
+        raise SystemExit("no snapshot holds a pending straggler buffer")
     final = load_round_state(snapshots[-1])
     if final.round_index != total_rounds - 1:
         raise SystemExit(
@@ -404,7 +414,8 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
         )
     print(
         f"coordinator-restart: resumed run bitwise-identical over "
-        f"{total_rounds} rounds ({len(rounds)} metrics lines)"
+        f"{total_rounds} rounds ({len(rounds)} metrics lines, "
+        f"{len(buffered)} of {len(snapshots)} snapshots with buffered reports)"
     )
     return 0
 

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro ...``.
 
-Five subcommands cover the common workflows:
+Eight subcommands cover the common workflows:
 
 - ``run``     -- run a single experiment and print the outcome;
 - ``compare`` -- run the protocol, the undefended mean and the Reference
@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_arguments(run_parser)
     # run-only: resuming a three-way compare from one snapshot is ill-defined
     run_parser.add_argument("--resume-from", default=None, metavar="SNAPSHOT",
-                            help="restore a Checkpoint round_<i>.npy or "
-                                 "round_<i>.state.npz snapshot (or the latest "
-                                 "one in a directory) and continue the schedule")
+                            help="restore a round_<i>.state.npz snapshot (or "
+                                 "the latest one in a --state-dir directory) "
+                                 "and replay the rest of the run bitwise")
     run_parser.add_argument("--metrics-out", default=None, metavar="FILE.jsonl",
                             help="stream per-round metrics (accuracy, fault "
                                  "counters) to this JSONL file (appended to "
@@ -318,11 +318,12 @@ def _load_config_file(path: str) -> ExperimentConfig:
         raise SystemExit(f"repro: invalid --config {path!r}: {error}")
 
 
-def _worker_rows(config: ExperimentConfig) -> list[list]:
+def _worker_rows(config: ExperimentConfig, cohort: int | None) -> list[list]:
     """Result-table rows describing the per-round worker composition.
 
     In population mode the honest cohort is drawn per round, so the
-    relevant honest count is ``cohort`` (``n_honest`` is unused there).
+    relevant honest count is the run's resolved ``cohort`` (``n_honest``
+    is unused there).
     """
     if config.population is None:
         return [
@@ -331,8 +332,7 @@ def _worker_rows(config: ExperimentConfig) -> list[list]:
         ]
     return [
         ["population (sampling)", f"{config.population} ({config.sampling})"],
-        ["cohort (honest + byzantine)",
-         f"{config.cohort} + {config.n_byzantine}"],
+        ["cohort (honest + byzantine)", f"{cohort} + {config.n_byzantine}"],
     ]
 
 
@@ -395,75 +395,91 @@ def _command_list(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_resume(arguments: argparse.Namespace):
-    """Resolve --resume-from to a (round, vector or RoundState) pair,
-    exiting cleanly; the run takes the pair as it is."""
-    if arguments.resume_from is None:
+def _resolve_resume(path: str | None):
+    """Load the snapshot ``path`` names (``None``: a fresh run), exiting
+    cleanly when it cannot be read; the run takes the state as it is."""
+    if path is None:
         return None
     from repro.experiments.runner import resolve_checkpoint
 
     try:
-        return resolve_checkpoint(arguments.resume_from)
+        return resolve_checkpoint(path)
     except (OSError, ValueError) as error:
-        raise SystemExit(
-            f"repro: cannot resume from {arguments.resume_from!r}: {error}"
-        )
+        raise SystemExit(f"repro: cannot resume from {path!r}: {error}")
 
 
-def _command_run(arguments: argparse.Namespace) -> int:
+def _run_and_report(
+    arguments: argparse.Namespace,
+    config: ExperimentConfig,
+    resume_path: str | None,
+    callbacks: Sequence = (),
+    on_prepared=None,
+) -> int:
+    """The body ``run`` and ``serve`` share.
+
+    Resumes from ``resume_path`` (``None``: a fresh run), runs ``config``
+    with the ``--metrics-out`` and ``--trace-out`` recorders followed by
+    ``callbacks``, closes the recorders, then prints the result table and
+    the metrics and ``--save`` lines.  A round's metrics line is written
+    before a ``Checkpoint`` in ``callbacks`` snapshots it, so a restart
+    replays a round rather than leaving a gap in the metrics file.
+    """
     from repro.experiments.runner import CheckpointMismatchError
 
-    config = _config_from_arguments(arguments)
-    callbacks = []
-    metrics_out = getattr(arguments, "metrics_out", None)
-    if metrics_out is not None:
+    resume_from = _resolve_resume(resume_path)
+    recorders = []
+    if arguments.metrics_out is not None:
         from repro.federated.pipeline import MetricsWriter
 
-        callbacks.append(MetricsWriter(
-            metrics_out,
-            append=arguments.resume_from is not None,
-            fsync=getattr(arguments, "metrics_fsync", False),
+        recorders.append(MetricsWriter(
+            arguments.metrics_out,
+            append=resume_from is not None,
+            fsync=arguments.metrics_fsync,
         ))
-    if getattr(arguments, "trace_out", None) is not None:
+    if arguments.trace_out is not None:
         from repro.federated.observability import TraceRecorder
 
         # No stdout line for the trace file: enabling tracing must keep
         # the CLI output byte-identical (the asserted neutrality gate).
-        callbacks.append(TraceRecorder(arguments.trace_out))
+        recorders.append(TraceRecorder(arguments.trace_out))
     try:
         result = run_experiment(
             config,
-            callbacks=callbacks,
-            resume_from=_resolve_resume(arguments),
+            callbacks=[*recorders, *callbacks],
+            resume_from=resume_from,
+            on_prepared=on_prepared,
         )
     except CheckpointMismatchError as error:
-        raise SystemExit(
-            f"repro: cannot resume from {arguments.resume_from!r}: {error}"
-        )
+        raise SystemExit(f"repro: cannot resume from {resume_path!r}: {error}")
     finally:
-        for callback in callbacks:
-            callback.close()
+        for recorder in recorders:
+            recorder.close()
     print(format_table(["field", "value"], [
         ["dataset", config.dataset],
         ["attack / defense", f"{config.attack} / {config.defense}"],
-        *_worker_rows(config),
+        *_worker_rows(config, result.metadata.get("cohort")),
         ["epsilon", "non-private" if config.epsilon is None else config.epsilon],
         ["noise multiplier sigma", result.sigma],
         ["learning rate", result.learning_rate],
         ["rounds", result.metadata["total_rounds"]],
         ["final test accuracy", result.final_accuracy],
     ], title="Experiment result"))
-    if metrics_out is not None:
-        print(f"\nper-round metrics written to {metrics_out}")
+    if arguments.metrics_out is not None:
+        print(f"\nper-round metrics written to {arguments.metrics_out}")
     if arguments.save:
         save_results({"run": result}, arguments.save)
         print(f"\nresults written to {arguments.save}")
     return 0
 
 
+def _command_run(arguments: argparse.Namespace) -> int:
+    return _run_and_report(
+        arguments, _config_from_arguments(arguments), arguments.resume_from
+    )
+
+
 def _command_serve(arguments: argparse.Namespace) -> int:
-    from repro.experiments.runner import CheckpointMismatchError
-    from repro.federated.pipeline import Checkpoint, MetricsWriter
+    from repro.federated.pipeline import Checkpoint
     from repro.federated.state import STATE_SUFFIX
 
     config = _config_from_arguments(arguments).replace(
@@ -478,29 +494,14 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             "worker_timeout": arguments.worker_timeout,
         },
     )
-    state_dir = None if arguments.state_dir is None else Path(arguments.state_dir)
-    resume_from = None
-    if state_dir is not None and state_dir.is_dir():
-        has_snapshot = any(state_dir.glob(f"round_*{STATE_SUFFIX}")) or any(
-            state_dir.glob("round_*.npy")
-        )
-        if has_snapshot:
-            resume_from = state_dir
-            print(f"resuming from the latest snapshot in {state_dir}")
+    state_dir = arguments.state_dir
+    resume_path = None
     callbacks = []
-    if arguments.metrics_out is not None:
-        callbacks.append(MetricsWriter(
-            arguments.metrics_out,
-            append=resume_from is not None,
-            fsync=arguments.metrics_fsync,
-        ))
     if state_dir is not None:
-        callbacks.append(Checkpoint(every=1, directory=state_dir, full_state=True))
-    if arguments.trace_out is not None:
-        from repro.federated.observability import TraceRecorder
-
-        callbacks.append(TraceRecorder(arguments.trace_out))
-    board = None
+        if any(Path(state_dir).glob(f"round_*{STATE_SUFFIX}")):
+            resume_path = state_dir
+            print(f"resuming from the latest snapshot in {state_dir}")
+        callbacks.append(Checkpoint(state_dir))
     status_servers = []
     on_prepared = None
     if arguments.status_port is not None:
@@ -531,37 +532,12 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     print(f"coordinator listening on {arguments.host}:{arguments.port}, "
           f"expecting {arguments.workers} worker(s)")
     try:
-        result = run_experiment(
-            config,
-            callbacks=callbacks,
-            resume_from=resume_from,
-            on_prepared=on_prepared,
+        return _run_and_report(
+            arguments, config, resume_path, callbacks, on_prepared
         )
-    except CheckpointMismatchError as error:
-        raise SystemExit(f"repro: cannot resume from {state_dir}: {error}")
     finally:
         for server in status_servers:
             server.close()
-        for callback in callbacks:
-            close = getattr(callback, "close", None)
-            if callable(close):
-                close()
-    print(format_table(["field", "value"], [
-        ["dataset", config.dataset],
-        ["attack / defense", f"{config.attack} / {config.defense}"],
-        *_worker_rows(config),
-        ["epsilon", "non-private" if config.epsilon is None else config.epsilon],
-        ["noise multiplier sigma", result.sigma],
-        ["learning rate", result.learning_rate],
-        ["rounds", result.metadata["total_rounds"]],
-        ["final test accuracy", result.final_accuracy],
-    ], title="Experiment result"))
-    if arguments.metrics_out is not None:
-        print(f"\nper-round metrics written to {arguments.metrics_out}")
-    if arguments.save:
-        save_results({"run": result}, arguments.save)
-        print(f"\nresults written to {arguments.save}")
-    return 0
 
 
 def _command_status(arguments: argparse.Namespace) -> int:

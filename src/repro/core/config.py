@@ -107,10 +107,9 @@ class ProtocolConfig:
         interval (3 in the paper).
     use_first_stage, use_second_stage:
         Ablation switches; both are on for the full protocol.
-    auxiliary_batch:
-        If set, the server estimates its gradient on a random batch of this
-        size from the auxiliary data each round; ``None`` uses the whole
-        (tiny) auxiliary set, as in the paper.
+
+    The server gradient is always taken over the whole (tiny) auxiliary
+    set, as in the paper.
     """
 
     gamma: float = 0.5
@@ -118,7 +117,6 @@ class ProtocolConfig:
     norm_k: float = 3.0
     use_first_stage: bool = True
     use_second_stage: bool = True
-    auxiliary_batch: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -127,5 +125,3 @@ class ProtocolConfig:
             raise ValueError("ks_significance must be in (0, 1)")
         if self.norm_k <= 0:
             raise ValueError("norm_k must be positive")
-        if self.auxiliary_batch is not None and self.auxiliary_batch <= 0:
-            raise ValueError("auxiliary_batch must be positive when set")

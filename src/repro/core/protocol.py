@@ -120,18 +120,6 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
             )
         return self._second_stage
 
-    def _server_gradient(self, context: AggregationContext) -> np.ndarray:
-        if context.auxiliary is None:
-            raise ValueError("TwoStageAggregator requires server auxiliary data")
-        auxiliary = context.auxiliary
-        if (
-            self.config.auxiliary_batch is not None
-            and len(auxiliary) > self.config.auxiliary_batch
-        ):
-            auxiliary = auxiliary.sample_batch(self.config.auxiliary_batch, context.rng)
-        _, gradient = context.model.mean_gradient(auxiliary.features, auxiliary.labels)
-        return gradient
-
     # ------------------------------------------------------------------ #
     # Aggregator interface
     # ------------------------------------------------------------------ #
@@ -162,7 +150,7 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
         # rejected row scores 0.0, as its zero vector would.
         if self.config.use_second_stage:
             selector = self._second_stage_selector(population)
-            scores = matrix @ self._server_gradient(context)
+            scores = matrix @ context.server_gradient()
             scores[~accepted] = 0.0
             selected = selector.select_scored(scores, worker_ids=worker_ids).selected
             summed = selected[accepted[selected]]

@@ -53,66 +53,38 @@ __all__ = [
 
 class CheckpointMismatchError(ValueError):
     """A resolved checkpoint does not fit the experiment it should resume
-    (round outside the schedule, or parameter vector of the wrong size)."""
+    (round outside the schedule, different worker counts, or a parameter
+    vector of the wrong size)."""
 
-#: File-name patterns of the snapshots the ``Checkpoint`` callback writes.
-_CHECKPOINT_PATTERN = re.compile(r"round_(\d+)\.npy$")
+#: File-name pattern of the snapshots the ``Checkpoint`` callback writes.
 _STATE_PATTERN = re.compile(r"round_(\d+)\.state\.npz$")
 
 
-def resolve_checkpoint(
-    resume_from: str | Path | tuple[int, np.ndarray | RoundState],
-) -> tuple[int, np.ndarray | RoundState]:
-    """Resolve a resume specification to ``(round_index, payload)``.
+def resolve_checkpoint(resume_from: str | Path | RoundState) -> RoundState:
+    """Resolve a resume specification to the :class:`RoundState` it names.
 
-    ``resume_from`` may be a ``(round_index, payload)`` pair, as this
-    function returns it, the path of a snapshot written by the
-    :class:`~repro.federated.pipeline.Checkpoint` callback -- a
-    parameter-only ``round_<index>.npy`` or a full-state
-    ``round_<index>.state.npz`` -- or a directory of such snapshots.  In
-    a directory the latest round wins; on a round that has both flavours
-    the full-state snapshot is preferred (it restores strictly more).
-    The payload is the flat parameter vector for ``.npy`` snapshots and a
-    :class:`~repro.federated.state.RoundState` for full-state snapshots.
-    A pair comes back as given (a vector as float64), so a snapshot
-    resolved once is not read again.
+    ``resume_from`` may be a :class:`~repro.federated.state.RoundState`,
+    which comes back unread, the path of a ``round_<index>.state.npz``
+    snapshot written by the :class:`~repro.federated.pipeline.Checkpoint`
+    callback, or a directory of such snapshots, of which the latest round
+    wins.  A file that is not a snapshot raises ``ValueError`` (see
+    :func:`~repro.federated.state.load_round_state`).
     """
-    if isinstance(resume_from, tuple):
-        round_index, payload = resume_from
-        if not isinstance(payload, RoundState):
-            payload = np.asarray(payload, dtype=np.float64)
-        return int(round_index), payload
+    if isinstance(resume_from, RoundState):
+        return resume_from
     path = Path(resume_from)
     if path.is_dir():
-        # Full-state candidates sort after parameter-only ones on the
-        # same round, so max() prefers them on a tie.
         candidates = [
-            (int(match.group(1)), 0, entry)
-            for entry in path.glob("round_*.npy")
-            if (match := _CHECKPOINT_PATTERN.search(entry.name))
-        ]
-        candidates += [
-            (int(match.group(1)), 1, entry)
+            (int(match.group(1)), entry)
             for entry in path.glob(f"round_*{STATE_SUFFIX}")
             if (match := _STATE_PATTERN.search(entry.name))
         ]
         if not candidates:
             raise FileNotFoundError(
-                f"no round_<index>.npy or round_<index>{STATE_SUFFIX} "
-                f"checkpoint snapshots in {path}"
+                f"no round_<index>{STATE_SUFFIX} snapshots in {path}"
             )
-        _, _, path = max(candidates)
-    match = _STATE_PATTERN.search(path.name)
-    if match is not None:
-        return int(match.group(1)), load_round_state(path)
-    match = _CHECKPOINT_PATTERN.search(path.name)
-    if match is None:
-        raise ValueError(
-            f"cannot infer the round index from {path.name!r}; expected a "
-            f"round_<index>.npy or round_<index>{STATE_SUFFIX} snapshot "
-            "(or pass a (round, vector) tuple)"
-        )
-    return int(match.group(1)), np.load(path)
+        _, path = max(candidates)
+    return load_round_state(path)
 
 
 def _build_defense_for(config: ExperimentConfig) -> Aggregator:
@@ -177,7 +149,7 @@ class ExperimentSetup:
 def prepare_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
-    resume_from: str | Path | tuple[int, np.ndarray | RoundState] | None = None,
+    resume_from: str | Path | RoundState | None = None,
 ) -> ExperimentSetup:
     """Build the simulation for a config without running it.
 
@@ -187,15 +159,12 @@ def prepare_experiment(
     built-ins.
 
     ``resume_from`` restores a :class:`~repro.federated.pipeline
-    .Checkpoint` snapshot (see :func:`resolve_checkpoint`): the round
-    counter advances past the snapshot round, so
-    :meth:`FederatedSimulation.run` continues with the remaining rounds.
-    A parameter-only ``.npy`` snapshot loads the flat vector into the
-    global model (worker generator streams restart from their seeds --
-    a faithful continuation of the *model*); a full-state
-    ``round_<i>.state.npz`` snapshot restores momentum and every
-    generator stream as well, so the resumed run replays the remaining
-    rounds bitwise identically to the uninterrupted one.
+    .Checkpoint` snapshot (see :func:`resolve_checkpoint`): parameters,
+    momentum, every generator stream, the defense's score list and the
+    straggler buffer, with the round counter past the snapshot round, so
+    :meth:`FederatedSimulation.run` replays the remaining rounds bitwise
+    identically to the uninterrupted run.  A snapshot that does not fit
+    the experiment raises :class:`CheckpointMismatchError`.
     """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -293,28 +262,13 @@ def prepare_experiment(
         sampler=sampler,
     )
     if resume_from is not None:
-        restored_round, payload = resolve_checkpoint(resume_from)
-        if not 0 <= restored_round < total_rounds:
+        state = resolve_checkpoint(resume_from)
+        try:
+            simulation.restore_round_state(state)
+        except ValueError as error:
             raise CheckpointMismatchError(
-                f"checkpoint round {restored_round} outside the schedule "
-                f"of {total_rounds} rounds"
-            )
-        if isinstance(payload, RoundState):
-            try:
-                simulation.restore_round_state(payload)
-            except ValueError as error:
-                raise CheckpointMismatchError(
-                    f"full-state checkpoint does not fit the experiment: {error}"
-                ) from error
-        else:
-            try:
-                simulation.model.set_flat_parameters(payload)
-            except ValueError as error:
-                raise CheckpointMismatchError(
-                    f"checkpoint parameters do not fit the model: {error}"
-                ) from error
-            simulation.server.round_index = restored_round + 1
-            simulation.start_round = restored_round + 1
+                f"checkpoint does not fit the experiment: {error}"
+            ) from error
     return ExperimentSetup(
         config=config,
         seed=seed,
@@ -331,7 +285,7 @@ def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
     callbacks: Iterable[RoundCallback] = (),
-    resume_from: str | Path | tuple[int, np.ndarray | RoundState] | None = None,
+    resume_from: str | Path | RoundState | None = None,
     on_prepared: Callable[[ExperimentSetup], None] | None = None,
 ) -> RunResult:
     """Run one federated training experiment.

@@ -320,10 +320,9 @@ class StragglerFaults(FaultModel):
     ``mode="buffer"`` delivers them to the *next* round's aggregation
     with one round of staleness -- a worker may then contribute two rows
     to a round (its stale buffered report plus its fresh one), which the
-    partial-cohort aggregation handles by worker id.  Buffered delivery
-    spans consecutive rounds, so it requires a persistent round loop
-    (:meth:`FederatedSimulation.run`); one-shot ``run_round`` calls build
-    a fresh pipeline and start with an empty buffer.
+    partial-cohort aggregation handles by worker id.  The buffer is round
+    state of the simulation: consecutive rounds deliver it, and a
+    full-state snapshot carries it across a restart.
     """
 
     def __init__(

@@ -253,7 +253,7 @@ class EarlyStopping(RoundCallback):
             self._stop = True
 
     def should_stop(self, event: RoundEndEvent) -> bool:
-        """True once patience is exhausted past ``min_rounds``."""
+        """True once the target accuracy was reached or patience ran out."""
         if self._stop and self.stopped_round is None:
             self.stopped_round = event.round_index
         return self._stop
@@ -295,93 +295,40 @@ class RoundLogger(RoundCallback):
 
 
 class Checkpoint(RoundCallback):
-    """Snapshot the run's state periodically, with atomic on-disk writes.
+    """Snapshot the whole round state after every round, atomically.
 
-    Two snapshot flavours:
-
-    - Parameter snapshots (the default): the global model's flat vector,
-      written to ``<directory>/round_<index>.npy``.  Resuming restores
-      the *model* but restarts the worker generator streams.
-    - Full-state snapshots (``full_state=True``): everything that evolves
-      across rounds (parameters, pool momentum, every generator stream,
-      the straggler buffer) in one atomically written
-      ``round_<index>.state.npz``, via :meth:`~repro.federated.simulation
-      .FederatedSimulation.capture_round_state`.  A run resumed from it
-      replays the remaining rounds **bitwise** -- the coordinator
-      crash-recovery path of service mode.
-
-    All on-disk writes are atomic (temp file + ``os.replace``), so a
-    process killed mid-checkpoint never leaves a torn snapshot: resume
-    always sees the last *complete* round.
+    Each finished round writes ``<directory>/round_<index>.state.npz``:
+    everything that evolves across rounds (parameters, pool momentum,
+    every generator stream, the defense's score list, the straggler
+    buffer), via :meth:`~repro.federated.simulation.FederatedSimulation
+    .capture_round_state`.  A run resumed from it replays the remaining
+    rounds **bitwise** -- the coordinator crash-recovery path of service
+    mode.  Writes are atomic (temp file + ``os.replace``), so a process
+    killed mid-checkpoint never leaves a torn snapshot: resume always
+    sees the last *complete* round.
 
     Parameters
     ----------
-    every:
-        Snapshot cadence in rounds.  The final scheduled round is always
-        captured regardless of cadence; a run terminated early by
-        ``should_stop`` keeps the cadence snapshots taken before the stop
-        (use ``every=1`` to capture every round).
     directory:
-        If given, each snapshot is also written to disk; otherwise
-        snapshots are kept in memory only (``snapshots`` maps round
-        index to the parameter vector).
-    full_state:
-        Write full-state snapshots instead of parameter-only ones
-        (requires ``directory``).  ``snapshots`` still records the
-        parameter vectors for in-memory consumers.
+        Where the snapshots are written (created on the first round).
     """
 
-    def __init__(
-        self,
-        every: int = 10,
-        directory: str | Path | None = None,
-        full_state: bool = False,
-    ) -> None:
-        if every <= 0:
-            raise ValueError("every must be positive")
-        if full_state and directory is None:
-            raise ValueError("full_state snapshots require a directory")
-        self.every = every
-        self.directory = None if directory is None else Path(directory)
-        self.full_state = full_state
-        self.snapshots: dict[int, np.ndarray] = {}
+    def __init__(self, directory: str | Path) -> None:
+        self.directory = Path(directory)
         self._pipeline: RoundPipeline | None = None
 
     def bind(self, pipeline: RoundPipeline) -> None:
-        """Remember the pipeline so snapshots can capture state."""
+        """Remember the pipeline so snapshots can capture its simulation."""
         self._pipeline = pipeline
 
     def on_round_end(self, event: RoundEndEvent) -> None:
-        """Write a snapshot on the cadence and the final round."""
-        due = (event.round_index + 1) % self.every == 0
-        is_last = event.round_index == event.total_rounds - 1
-        if not due and not is_last:
-            return
+        """Write the finished round's snapshot."""
         if self._pipeline is None:
             raise RuntimeError("Checkpoint must be run by a RoundPipeline")
-        simulation = self._pipeline.simulation
-        parameters = simulation.model.get_flat_parameters().copy()
-        self.snapshots[event.round_index] = parameters
-        if self.directory is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if self.full_state:
-            state = simulation.capture_round_state(
-                event.round_index, pending=self._pipeline._pending
-            )
-            save_round_state(
-                state,
-                self.directory / f"round_{event.round_index}{STATE_SUFFIX}",
-            )
-        else:
-            target = self.directory / f"round_{event.round_index}.npy"
-            tmp = target.with_name(f"{target.stem}.tmp-{os.getpid()}.npy")
-            try:
-                np.save(tmp, parameters)
-                os.replace(tmp, target)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
+        state = self._pipeline.simulation.capture_round_state(event.round_index)
+        save_round_state(
+            state, self.directory / f"round_{event.round_index}{STATE_SUFFIX}"
+        )
 
 
 class MetricsWriter(RoundCallback):
@@ -531,7 +478,7 @@ class RoundPipeline:
     callbacks:
         Hooks receiving the pipeline's events, in order.  Callbacks with
         a ``bind`` method are handed the pipeline before the run (used by
-        :class:`Checkpoint` to reach the model).
+        :class:`Checkpoint` to reach the simulation).
     """
 
     def __init__(
@@ -541,15 +488,6 @@ class RoundPipeline:
     ) -> None:
         self.simulation = simulation
         self.callbacks = list(callbacks)
-        # Buffered straggler reports awaiting next-round delivery:
-        # (worker_ids, upload rows) or None.  Lives on the pipeline, so
-        # buffered delivery needs a persistent pipeline (run() uses one;
-        # one-shot run_round calls start with an empty buffer).  A
-        # simulation restored from a full-state snapshot carries the
-        # buffer across the restart; consume it exactly once.
-        self._pending = simulation._restored_pending
-        if self._pending is not None:
-            simulation._restored_pending = None
         # Tracing seam: a callback exposing a callable ``trace_span``
         # (e.g. :class:`repro.federated.observability.TraceRecorder`) is
         # discovered here -- the last one wins -- and forwarded to the
@@ -739,8 +677,8 @@ class RoundPipeline:
         # Report faults over the round matrix (honest rows first).
         plan = faults.report_faults(round_index, n_workers)
         dropped, late = self._validated_report(plan, n_workers)
-        arrivals = self._pending
-        self._pending = None
+        arrivals = simulation.pending
+        simulation.pending = None
         faulty = (
             faults.is_active
             or honest_report is not None
@@ -757,7 +695,7 @@ class RoundPipeline:
             buffer_mask = late & ~dropped & ~crashed
             buffered = int(np.count_nonzero(buffer_mask))
             if buffered:
-                self._pending = (
+                simulation.pending = (
                     simulation.global_worker_ids(np.nonzero(buffer_mask)[0]),
                     matrix[buffer_mask],
                 )

@@ -235,9 +235,10 @@ class FederatedSimulation:
             engine = build_engine(engine)
         #: first round index :meth:`run` executes (set by checkpoint resume)
         self.start_round = 0
-        # Straggler buffer restored from a full-state snapshot, consumed by
-        # the next RoundPipeline built over this simulation.
-        self._restored_pending: tuple[np.ndarray, np.ndarray] | None = None
+        #: buffered straggler reports awaiting next-round delivery --
+        #: ``(worker_ids, upload_rows)`` -- or ``None``; round state, like
+        #: the pools' momentum and the generator streams
+        self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
         #: lazy registered population (cross-device mode); ``None`` runs
         #: the classic fixed-cohort simulation
@@ -493,7 +494,8 @@ class FederatedSimulation:
         The honest and Byzantine uploads fill one ``(n_workers, d)`` round
         matrix (honest rows first) that travels to the server -- the
         aggregation pipeline is array-first end-to-end, so no per-upload
-        Python lists are materialised on the hot path.
+        Python lists are materialised on the hot path.  Reports buffered
+        by the previous call are delivered in this one.
         """
         return RoundPipeline(self).run_round(round_index)
 
@@ -515,20 +517,16 @@ class FederatedSimulation:
     # ------------------------------------------------------------------ #
     # full-state snapshots (crash-tolerant restart)
     # ------------------------------------------------------------------ #
-    def capture_round_state(
-        self,
-        round_index: int,
-        pending: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> RoundState:
+    def capture_round_state(self, round_index: int) -> RoundState:
         """Snapshot everything that evolves across rounds.
 
         Captures the flat parameters, both pools' momentum, every
-        generator's bit-generator state and (optionally) the pipeline's
-        straggler buffer, so :meth:`restore_round_state` on a freshly
-        built simulation continues **bitwise identically** to a process
-        that never stopped.  Meant to be called after round
+        generator's bit-generator state, the defense's cross-round state
+        and the straggler buffer, so :meth:`restore_round_state` on a
+        freshly built simulation continues **bitwise identically** to a
+        process that never stopped.  Meant to be called after round
         ``round_index`` finished (the :class:`~repro.federated.pipeline
-        .Checkpoint` callback with ``full_state=True`` does).
+        .Checkpoint` callback does).
         """
         byzantine = self.byzantine_pool
         return RoundState(
@@ -555,8 +553,8 @@ class FederatedSimulation:
                 else [rng.bit_generator.state for rng in byzantine.rngs]
             ),
             pending=(
-                None if pending is None
-                else (np.array(pending[0]), np.array(pending[1]))
+                None if self.pending is None
+                else (np.array(self.pending[0]), np.array(self.pending[1]))
             ),
             aggregator_state=self.server.aggregator.state_dict() or None,
             sampler_state=(
@@ -618,7 +616,7 @@ class FederatedSimulation:
             # is bookkeeping -- but it lets resumes assert the schedule
             # picks up exactly where the snapshot left off.
             self.sampler.load_state_dict(state.sampler_state)
-        self._restored_pending = (
+        self.pending = (
             None if state.pending is None
             else (np.array(state.pending[0]), np.array(state.pending[1]))
         )

@@ -1,14 +1,14 @@
 """Atomic full-round-state snapshots for crash-tolerant restarts.
 
-A parameter-only ``round_<i>.npy`` snapshot restores the *model* but
-restarts the worker generator streams, so a resumed run is a faithful
-continuation rather than a bitwise replay.  :class:`RoundState` captures
-everything that evolves across rounds -- the flat parameters, both
-pools' momentum matrices, every generator's bit-generator state (worker
-streams, server stream, attack stream), the defense rule's cross-round
-state and the straggler buffer -- so a
-coordinator killed between rounds restores the exact process state and
-finishes with a final model **bitwise equal** to an uninterrupted run.
+Algorithm 1 carries each worker's momentum and Algorithm 3 its score
+list from round to round, so only the whole round state resumes the
+protocol.  :class:`RoundState` captures everything that evolves across
+rounds -- the flat parameters, both pools' momentum matrices, every
+generator's bit-generator state (worker streams, server stream, attack
+stream), the defense rule's cross-round state and the straggler buffer
+-- so a coordinator killed between rounds restores the exact process
+state and finishes with a final model **bitwise equal** to an
+uninterrupted run.
 
 Snapshots are written atomically (temp file + ``os.replace`` after an
 ``fsync``), so a crash mid-write can never leave a torn
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,40 +153,57 @@ def save_round_state(state: RoundState, path: str | Path) -> Path:
 
 
 def load_round_state(path: str | Path) -> RoundState:
-    """Read a snapshot written by :func:`save_round_state`."""
+    """Read a snapshot written by :func:`save_round_state`.
+
+    A file that is not one -- truncated, not an ``.npz`` archive, an
+    archive without the snapshot's entries, or another format version --
+    raises ``ValueError`` naming the file; a missing file raises
+    ``OSError``.
+    """
     path = Path(path)
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        if meta.get("version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported round-state format version "
-                f"{meta.get('version')!r} in {path}"
-            )
-        pending = None
-        if meta["has_pending"]:
-            pending = (
-                np.array(archive["pending_ids"]),
-                np.array(archive["pending_rows"]),
-            )
-        aggregator_state = {
-            key: np.array(archive[f"agg__{key}"])
-            for key in meta.get("aggregator_keys", [])
-        } or None
-        return RoundState(
-            round_index=int(meta["round_index"]),
-            parameters=np.array(archive["parameters"]),
-            server_rng=meta["server_rng"],
-            attack_rng=meta["attack_rng"],
-            honest_momentum=np.array(archive["honest_momentum"]),
-            honest_batch_size=int(meta["honest_batch_size"]),
-            honest_rngs=meta["honest_rngs"],
-            byzantine_momentum=(
-                np.array(archive["byzantine_momentum"])
-                if meta["has_byzantine"] else None
-            ),
-            byzantine_batch_size=meta["byzantine_batch_size"],
-            byzantine_rngs=meta["byzantine_rngs"],
-            pending=pending,
-            aggregator_state=aggregator_state,
-            sampler_state=meta.get("sampler_state"),
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            return _read_state(archive)
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as error:
+        raise ValueError(
+            f"{path} is not a round-state snapshot: {error}"
+        ) from error
+
+
+def _read_state(archive: np.lib.npyio.NpzFile) -> RoundState:
+    """The :class:`RoundState` stored in an open snapshot archive."""
+    meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported round-state format version {version!r}")
+    pending = None
+    if meta["has_pending"]:
+        pending = (
+            np.array(archive["pending_ids"]),
+            np.array(archive["pending_rows"]),
         )
+    aggregator_state = {
+        key: np.array(archive[f"agg__{key}"])
+        for key in meta.get("aggregator_keys", [])
+    } or None
+    return RoundState(
+        round_index=int(meta["round_index"]),
+        parameters=np.array(archive["parameters"]),
+        server_rng=meta["server_rng"],
+        attack_rng=meta["attack_rng"],
+        honest_momentum=np.array(archive["honest_momentum"]),
+        honest_batch_size=int(meta["honest_batch_size"]),
+        honest_rngs=meta["honest_rngs"],
+        byzantine_momentum=(
+            np.array(archive["byzantine_momentum"])
+            if meta["has_byzantine"] else None
+        ),
+        byzantine_batch_size=meta["byzantine_batch_size"],
+        byzantine_rngs=meta["byzantine_rngs"],
+        pending=pending,
+        aggregator_state=aggregator_state,
+        sampler_state=meta.get("sampler_state"),
+    )

@@ -58,10 +58,6 @@ class TestProtocolConfig:
     def test_gamma_one_allowed(self):
         assert ProtocolConfig(gamma=1.0).gamma == 1.0
 
-    def test_auxiliary_batch_optional(self):
-        assert ProtocolConfig().auxiliary_batch is None
-        assert ProtocolConfig(auxiliary_batch=8).auxiliary_batch == 8
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -70,7 +66,7 @@ class TestProtocolConfig:
             {"ks_significance": 0.0},
             {"ks_significance": 1.0},
             {"norm_k": 0.0},
-            {"auxiliary_batch": 0},
+            {"gamma": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -171,11 +171,14 @@ class TestTwoStage:
         gradient = context.server_gradient()
         assert float(np.dot(result, gradient)) > 0.0
 
-    def test_auxiliary_batch_subsampling(self, context, rng):
-        aggregator = TwoStageAggregator(ProtocolConfig(gamma=0.5, auxiliary_batch=4))
-        uploads = simulated_uploads(context, rng, 4, 2)
-        result = aggregator.aggregate(uploads, context)
-        assert np.all(np.isfinite(result))
+    def test_aggregation_draws_nothing_from_the_server_stream(self, context, rng):
+        """The server gradient is taken over the whole auxiliary set, so an
+        aggregation leaves the server generator where it was (a snapshot
+        carries that stream, and a draw would shift every later round)."""
+        aggregator = TwoStageAggregator(ProtocolConfig(gamma=0.5))
+        before = context.rng.bit_generator.state
+        aggregator.aggregate(simulated_uploads(context, rng, 4, 2), context)
+        assert context.rng.bit_generator.state == before
 
     def test_empty_uploads_rejected(self, context):
         aggregator = TwoStageAggregator()

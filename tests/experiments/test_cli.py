@@ -272,6 +272,17 @@ class TestCommands:
         ) == 0
         assert capsys.readouterr().out == serial_output
 
+    def test_population_run_without_cohort_prints_the_resolved_cohort(self, capsys):
+        """Without --cohort the cohort is the whole population."""
+        code = main([
+            "run", "--dataset", "usps_like", "--population", "40",
+            "--byzantine", "0.2", "--attack", "label_flip", "--epochs", "1",
+            "--seed", "1",
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "cohort (honest + byzantine)  40 + 10" in output
+
     def test_run_no_dp(self, capsys):
         code = main(["run", *FAST_ARGUMENTS, "--attack", "gaussian", "--no-dp"])
         assert code == 0

@@ -1,13 +1,13 @@
 """Full-state snapshots: bitwise-exact resume after a coordinator crash.
 
-Parameter-only ``round_<i>.npy`` resume (a faithful *continuation*) is
-covered by ``test_resume.py``; here the full-state ``round_<i>.state.npz``
-flavour must *replay*: a run restored mid-schedule finishes with the
-final model bitwise equal to the uninterrupted process, fault trace
-included.
+A ``round_<i>.state.npz`` snapshot must *replay*: a run restored
+mid-schedule finishes with the final model bitwise equal to the
+uninterrupted process, fault trace and straggler buffer included.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from repro.experiments.runner import (
     prepare_experiment,
     resolve_checkpoint,
 )
-from repro.federated.pipeline import Checkpoint, RoundPipeline
+from repro.federated.pipeline import Checkpoint
 from repro.federated.state import (
     STATE_SUFFIX,
     RoundState,
@@ -44,12 +44,17 @@ CHAOS_CONFIG = CONFIG.replace(
     min_quorum=1,
 )
 
+#: chaos with late reports buffered for the next round
+BUFFERED_CHAOS_CONFIG = CHAOS_CONFIG.replace(
+    faults_kwargs={"straggler": 0.3, "mode": "buffer", "seed": 11},
+)
+
 
 def run_to_completion(config, tmp_path=None, resume_from=None):
     """Run (or finish) an experiment; returns (history, final_parameters)."""
     callbacks = []
     if tmp_path is not None:
-        callbacks.append(Checkpoint(every=1, directory=tmp_path, full_state=True))
+        callbacks.append(Checkpoint(tmp_path))
     setup = prepare_experiment(config, resume_from=resume_from)
     try:
         history = setup.simulation.run(callbacks)
@@ -125,42 +130,63 @@ class TestSnapshotFile:
         )
 
 
+    @pytest.mark.parametrize(
+        "malformed",
+        ["empty", "truncated", "text", "array", "foreign", "other_version"],
+    )
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path, malformed):
+        """Whatever is wrong with the file, the reader raises one
+        ``ValueError`` that names it, never the archive's own error."""
+        path = tmp_path / f"round_2{STATE_SUFFIX}"
+        if malformed == "empty":
+            path.write_bytes(b"")
+        elif malformed == "truncated":
+            save_round_state(self.make_state(), path)
+            path.write_bytes(path.read_bytes()[:100])
+        elif malformed == "text":
+            path.write_text("round 2\n")
+        elif malformed == "other_version":
+            # A complete snapshot whose only fault is its format version.
+            save_round_state(self.make_state(), path)
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta["version"] += 1
+            arrays["meta"] = np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8
+            )
+            with open(path, "wb") as handle:
+                np.savez(handle, **arrays)
+        else:
+            with open(path, "wb") as handle:
+                if malformed == "array":
+                    np.save(handle, np.zeros(3))
+                else:
+                    np.savez(handle, weights=np.zeros(3))
+        with pytest.raises(ValueError, match="is not a round-state snapshot") as raised:
+            load_round_state(path)
+        assert str(path) in str(raised.value)
+        if malformed == "other_version":
+            assert "format version" in str(raised.value)
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_round_state(tmp_path / f"round_2{STATE_SUFFIX}")
+
+
 class TestResolveStateCheckpoints:
     def test_state_file_resolves_to_round_state(self, tmp_path):
         state = TestSnapshotFile().make_state(round_index=5)
         path = save_round_state(state, tmp_path / f"round_5{STATE_SUFFIX}")
-        round_index, payload = resolve_checkpoint(path)
-        assert round_index == 5
-        assert isinstance(payload, RoundState)
+        loaded = resolve_checkpoint(path)
+        assert isinstance(loaded, RoundState)
+        assert loaded.round_index == 5
 
-    def test_state_pair_is_returned_unread(self):
-        """A resolved full-state pair passes through as the same object,
-        so a snapshot the caller already read is not read again."""
+    def test_round_state_is_returned_unread(self):
+        """A resolved state passes through as the same object, so a
+        snapshot the caller already read is not read again."""
         state = TestSnapshotFile().make_state(round_index=4)
-        round_index, payload = resolve_checkpoint((4, state))
-        assert round_index == 4
-        assert payload is state
-
-    def test_directory_prefers_state_over_npy_on_same_round(self, tmp_path):
-        np.save(tmp_path / "round_3.npy", np.zeros(4))
-        save_round_state(
-            TestSnapshotFile().make_state(round_index=3),
-            tmp_path / f"round_3{STATE_SUFFIX}",
-        )
-        np.save(tmp_path / "round_1.npy", np.zeros(4))
-        round_index, payload = resolve_checkpoint(tmp_path)
-        assert round_index == 3
-        assert isinstance(payload, RoundState)
-
-    def test_directory_latest_round_wins_across_flavours(self, tmp_path):
-        save_round_state(
-            TestSnapshotFile().make_state(round_index=2),
-            tmp_path / f"round_2{STATE_SUFFIX}",
-        )
-        np.save(tmp_path / "round_7.npy", np.full(4, 7.0))
-        round_index, payload = resolve_checkpoint(tmp_path)
-        assert round_index == 7
-        assert isinstance(payload, np.ndarray)
+        assert resolve_checkpoint(state) is state
 
 
 class TestBitwiseResume:
@@ -201,19 +227,26 @@ class TestBitwiseResume:
         # but the restored model must already hold the final bits.
         np.testing.assert_array_equal(resumed_parameters, reference_parameters)
 
-    def test_resume_from_resolved_pair_is_bitwise_identical(self, tmp_path):
-        """The pair resolve_checkpoint returns resumes like its path."""
+    def test_resume_from_resolved_state_is_bitwise_identical(self, tmp_path):
+        """The state resolve_checkpoint returns resumes like its path."""
         _, reference_parameters = run_to_completion(CONFIG, tmp_path=tmp_path)
         resolved = resolve_checkpoint(tmp_path / f"round_1{STATE_SUFFIX}")
-        assert isinstance(resolved[1], RoundState)
-        _, from_pair = run_to_completion(CONFIG, resume_from=resolved)
-        np.testing.assert_array_equal(from_pair, reference_parameters)
+        _, from_state = run_to_completion(CONFIG, resume_from=resolved)
+        np.testing.assert_array_equal(from_state, reference_parameters)
 
-    def test_chaos_resume_replays_identical_fault_trace(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config, buffered",
+        [(CHAOS_CONFIG, False), (BUFFERED_CHAOS_CONFIG, True)],
+        ids=["discard", "buffer"],
+    )
+    def test_chaos_resume_replays_identical_fault_trace(
+        self, tmp_path, config, buffered
+    ):
         """Under --faults chaos the replayed rounds repeat the same faults
-        and land on the same final accuracy (the satellite criterion)."""
+        and land on the same final model; with buffered stragglers the
+        snapshot round holds late reports that the resumed run delivers."""
         reference_history, reference_parameters = run_to_completion(
-            CHAOS_CONFIG, tmp_path=tmp_path
+            config, tmp_path=tmp_path
         )
         assert reference_history.faults  # chaos actually injected faults
         snapshots = sorted(
@@ -221,9 +254,14 @@ class TestBitwiseResume:
             for p in tmp_path.glob(f"round_*{STATE_SUFFIX}")
         )
         middle = snapshots[len(snapshots) // 2 - 1]
+        snapshot = tmp_path / f"round_{middle}{STATE_SUFFIX}"
+        pending = load_round_state(snapshot).pending
+        if buffered:
+            assert pending is not None and pending[0].size > 0
+        else:
+            assert pending is None
         resumed_history, resumed_parameters = run_to_completion(
-            CHAOS_CONFIG,
-            resume_from=tmp_path / f"round_{middle}{STATE_SUFFIX}",
+            config, resume_from=snapshot
         )
         np.testing.assert_array_equal(resumed_parameters, reference_parameters)
         assert resumed_history.final_accuracy == reference_history.final_accuracy
@@ -238,21 +276,35 @@ class TestBitwiseResume:
         try:
             d = setup.simulation.model.num_parameters
             pending = (np.array([0, 2]), np.ones((2, d)))
-            state = setup.simulation.capture_round_state(1, pending=pending)
+            setup.simulation.pending = pending
+            state = setup.simulation.capture_round_state(1)
             path = save_round_state(state, tmp_path / f"round_1{STATE_SUFFIX}")
         finally:
             setup.simulation.close()
 
         resumed = prepare_experiment(CONFIG, resume_from=path)
+        simulation = resumed.simulation
+        update = simulation.server.update
+        delivered = []
+
+        def recording_update(uploads, worker_ids=None, **kwargs):
+            delivered.append(np.array(worker_ids))
+            return update(uploads, worker_ids=worker_ids, **kwargs)
+
+        simulation.server.update = recording_update
         try:
-            pipeline = RoundPipeline(resumed.simulation)
-            assert pipeline._pending is not None
-            np.testing.assert_array_equal(pipeline._pending[0], pending[0])
-            np.testing.assert_array_equal(pipeline._pending[1], pending[1])
-            # Consumed exactly once: a second pipeline starts empty.
-            assert RoundPipeline(resumed.simulation)._pending is None
+            np.testing.assert_array_equal(simulation.pending[0], pending[0])
+            np.testing.assert_array_equal(simulation.pending[1], pending[1])
+            # The next round delivers the buffer next to its fresh rows,
+            # and the buffer is then empty.
+            simulation.run_round(2)
+            every_worker = np.arange(simulation.n_workers)
+            np.testing.assert_array_equal(
+                delivered[0], np.sort(np.concatenate((every_worker, pending[0])))
+            )
+            assert simulation.pending is None
         finally:
-            resumed.simulation.close()
+            simulation.close()
 
 
 class TestMismatchedSnapshots:

@@ -22,6 +22,7 @@ from repro.federated.pipeline import (
     RoundStartEvent,
 )
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
+from repro.federated.state import load_round_state
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
 
@@ -304,62 +305,64 @@ class TestRoundLogger:
 
 
 class TestCheckpoint:
-    def test_snapshots_in_memory(self):
-        checkpoint = Checkpoint(every=2)
+    def test_directory_keeps_every_snapshot(self, tmp_path):
         simulation = build_simulation(total_rounds=5, eval_every=2)
-        RoundPipeline(simulation, [checkpoint]).run()
-        # Cadence rounds 1 and 3 plus the final round, which is always kept.
-        assert sorted(checkpoint.snapshots) == [1, 3, 4]
-        for parameters in checkpoint.snapshots.values():
-            assert parameters.shape == simulation.model.get_flat_parameters().shape
-
-    def test_final_round_captured_regardless_of_cadence(self):
-        checkpoint = Checkpoint(every=100)
-        simulation = build_simulation(total_rounds=3, eval_every=2)
-        RoundPipeline(simulation, [checkpoint]).run()
-        assert sorted(checkpoint.snapshots) == [2]
+        RoundPipeline(simulation, [Checkpoint(tmp_path)]).run()
+        files = sorted(p.name for p in tmp_path.iterdir())
+        assert files == [f"round_{index}.state.npz" for index in range(5)]
+        for index, name in enumerate(files):
+            assert load_round_state(tmp_path / name).round_index == index
         np.testing.assert_array_equal(
-            checkpoint.snapshots[2], simulation.model.get_flat_parameters()
+            load_round_state(tmp_path / "round_4.state.npz").parameters,
+            simulation.model.get_flat_parameters(),
         )
 
     def test_snapshots_written_to_directory(self, tmp_path):
-        checkpoint = Checkpoint(every=2, directory=tmp_path)
-        simulation = build_simulation(total_rounds=4, eval_every=2)
-        RoundPipeline(simulation, [checkpoint]).run()
-        files = sorted(p.name for p in tmp_path.glob("*.npy"))
-        assert files == ["round_1.npy", "round_3.npy"]
-        loaded = np.load(tmp_path / "round_3.npy")
-        np.testing.assert_array_equal(loaded, checkpoint.snapshots[3])
+        """The directory is created on the first round, and each file holds
+        the state the simulation had when its round ended."""
+        simulation = build_simulation(total_rounds=3, eval_every=2)
+        seen = []
 
-    def test_directory_keeps_every_snapshot(self, tmp_path):
-        checkpoint = Checkpoint(every=1, directory=tmp_path)
-        simulation = build_simulation(total_rounds=5, eval_every=2)
-        RoundPipeline(simulation, [checkpoint]).run()
-        files = sorted(p.name for p in tmp_path.glob("*.npy"))
-        assert files == [f"round_{index}.npy" for index in range(5)]
-        for index in range(5):
-            np.testing.assert_array_equal(
-                np.load(tmp_path / f"round_{index}.npy"),
-                checkpoint.snapshots[index],
-            )
+        class StateSpy(RoundCallback):
+            def on_round_end(self, event: RoundEndEvent) -> None:
+                seen.append((
+                    simulation.model.get_flat_parameters().copy(),
+                    simulation.honest_pool.state.slot_momentum.copy(),
+                ))
+
+        directory = tmp_path / "state" / "run"
+        RoundPipeline(simulation, [Checkpoint(directory), StateSpy()]).run()
+        assert len(seen) == 3
+        for index, (parameters, momentum) in enumerate(seen):
+            state = load_round_state(directory / f"round_{index}.state.npz")
+            np.testing.assert_array_equal(state.parameters, parameters)
+            np.testing.assert_array_equal(state.honest_momentum, momentum)
 
     def test_snapshot_is_a_copy(self):
-        checkpoint = Checkpoint(every=1)
-        simulation = build_simulation(total_rounds=2, eval_every=2)
-        RoundPipeline(simulation, [checkpoint]).run()
-        # The model moved after round 0; the stored snapshot must not.
-        assert not np.array_equal(
-            checkpoint.snapshots[0], simulation.model.get_flat_parameters()
-        )
+        """A captured state shares no buffer with the live simulation: the
+        rounds after it move the model and the momentum, not the state."""
+        simulation = build_simulation(total_rounds=3, eval_every=2)
+        try:
+            simulation.run_round(0)
+            state = simulation.capture_round_state(0)
+            parameters = state.parameters.copy()
+            momentum = state.honest_momentum.copy()
+            simulation.run_round(1)
+            assert not np.array_equal(
+                parameters, simulation.model.get_flat_parameters()
+            )
+            assert not np.array_equal(
+                momentum, simulation.honest_pool.state.slot_momentum
+            )
+            np.testing.assert_array_equal(state.parameters, parameters)
+            np.testing.assert_array_equal(state.honest_momentum, momentum)
+        finally:
+            simulation.close()
 
-    def test_requires_pipeline_binding(self):
-        checkpoint = Checkpoint(every=1)
+    def test_requires_pipeline_binding(self, tmp_path):
+        checkpoint = Checkpoint(tmp_path)
         with pytest.raises(RuntimeError):
             checkpoint.on_round_end(RoundEndEvent(round_index=0, total_rounds=1))
-
-    def test_invalid_every(self):
-        with pytest.raises(ValueError):
-            Checkpoint(every=0)
 
 
 class TestStartRound:

@@ -52,7 +52,7 @@ def run_params(config, tmp_path=None, resume_from=None):
     """History dict plus final flat parameters of one run."""
     callbacks = []
     if tmp_path is not None:
-        callbacks.append(Checkpoint(every=1, directory=tmp_path, full_state=True))
+        callbacks.append(Checkpoint(tmp_path))
     setup = prepare_experiment(config, resume_from=resume_from)
     try:
         history = setup.simulation.run(callbacks)

@@ -9,7 +9,8 @@ exactly the uploads of a one-shard round, its ``update`` leaves them
 byte-identical, and the diagnostics and parameters agree bitwise.  A
 faulty round keeps the guarantee on its gathered survivors: dropped
 workers are left out, and a buffered late report joins the next round
-next to its worker's fresh one (a duplicate worker id).
+next to its worker's fresh one (a duplicate worker id), also when each
+round is a separate ``simulation.run_round`` call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.data.partition import partition_iid
 from repro.data.synthetic import make_classification
 from repro.defenses.registry import DEFENSES, build_defense
 from repro.federated.faults import FaultModel, ReportFaultPlan
-from repro.federated.pipeline import RoundPipeline
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
@@ -96,8 +96,8 @@ def record_run(name: str, shard_size: int | None, faulty: bool):
         return aggregated
 
     server.update = recording_update
-    pipeline = RoundPipeline(simulation)  # keeps buffered reports across rounds
-    diagnostics = [pipeline.run_round(index) for index in range(ROUNDS)]
+    # The straggler buffer is simulation state: one-round calls deliver it.
+    diagnostics = [simulation.run_round(index) for index in range(ROUNDS)]
     parameters = simulation.model.get_flat_parameters()
     simulation.close()
     return received, diagnostics, parameters
@@ -140,3 +140,30 @@ class TestShardSplitInvariance:
     @pytest.mark.parametrize("name", DEFENSES.names())
     def test_partial_cohort_bitwise(self, name, shard_size):
         assert_matches_one_shard(name, shard_size, faulty=True)
+
+
+class TestBufferedDelivery:
+    def test_whole_run_delivers_like_one_round_calls(self):
+        """``simulation.run`` hands the server the same survivors, buffered
+        report included, and reaches the same parameters as consecutive
+        ``run_round`` calls."""
+        reference, _, reference_parameters = one_shard_run("two_stage", True)
+        simulation = build_simulation("two_stage", None, True)
+        update = simulation.server.update
+        received = []
+
+        def recording_update(uploads, worker_ids=None, **kwargs):
+            received.append((uploads.copy(), np.array(worker_ids)))
+            return update(uploads, worker_ids=worker_ids, **kwargs)
+
+        simulation.server.update = recording_update
+        try:
+            simulation.run()
+            parameters = simulation.model.get_flat_parameters()
+        finally:
+            simulation.close()
+        assert len(received) == ROUNDS
+        for index, ((uploads, worker_ids), want) in enumerate(zip(received, reference)):
+            np.testing.assert_array_equal(worker_ids, SURVIVOR_IDS[index])
+            np.testing.assert_array_equal(uploads, want[0])
+        np.testing.assert_array_equal(parameters, reference_parameters)

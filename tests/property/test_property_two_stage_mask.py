@@ -56,7 +56,7 @@ def zeroed_row_aggregate(
     if config.use_second_stage:
         selector = aggregator._second_stage_selector(population)
         report = selector.select_scored(
-            filtered @ aggregator._server_gradient(context),
+            filtered @ context.server_gradient(),
             worker_ids=context.worker_ids,
         )
         aggregator.last_selected = report.selected
@@ -202,7 +202,7 @@ class TestMaskCases:
 
     def test_rejected_but_selected_row(self):
         first = draw_rows(self.rng, ["noise"] * 6, 27)
-        gradient = TwoStageAggregator()._server_gradient(self.context())
+        gradient = self.context().server_gradient()
         leader = int(np.argmax(first @ gradient))
         second = draw_rows(self.rng, ["noise"] * 6, 27)
         second[leader] *= 3.0  # fails the norm test
