@@ -31,13 +31,13 @@ real ``kill -9``:
   dispatch loop, and the drained run still prints output byte-identical
   to the serial reference.
 - ``hostile-peer``: while a seeded ``repro serve --workers 2`` run is
-  live, raw sockets send an oversized length, a non-JSON body, a
-  protocol-1 hello and a truncated frame, and a fake worker registers and
-  answers its tasks once with a wrong-shape result, once with an extra
-  buffer and once with a truncated upload: it declares exactly the
-  ``(n, d)`` float64 upload its shard expects, sends half of its bytes
-  and hangs up, so the coordinator's receive into the round matrix dies
-  mid-buffer.  The coordinator must hang up on each of them, retry their
+  live, raw sockets send an oversized length, a non-JSON body, a hello
+  of the previous protocol version and a truncated frame, and a fake
+  worker registers and answers its tasks once with a wrong-shape
+  result, once with an extra buffer and once with a truncated upload:
+  it declares exactly the ``(n, d)`` float64 upload its shard expects,
+  sends half of its bytes and hangs up, so the coordinator's receive
+  into the round matrix dies mid-buffer.  The coordinator must hang up on each of them, retry their
   tasks, name both protocol versions on stderr, exit 0, and print stdout
   and metrics byte-identical to ``--backend serial``.
 
@@ -613,11 +613,12 @@ def command_hostile_peer(arguments: argparse.Namespace) -> int:
     def frame(body: bytes) -> bytes:
         return struct.pack(">I", len(body)) + body
 
-    old_hello = json.dumps({"type": "hello", "worker": "stale", "protocol": 1})
+    stale = PROTOCOL_VERSION - 1
+    old_hello = json.dumps({"type": "hello", "worker": "stale", "protocol": stale})
     attacks = {
         "oversized length": struct.pack(">I", 0xFFFFFFFF),
         "non-JSON body": frame(b"\x80\x04 not json"),
-        "protocol-1 hello": frame(old_hello.encode()),
+        f"protocol-{stale} hello": frame(old_hello.encode()),
         "truncated frame": struct.pack(">I", 4096) + b'{"type": "hello", "wor',
     }
     for label, payload in attacks.items():
@@ -666,9 +667,9 @@ def command_hostile_peer(arguments: argparse.Namespace) -> int:
         raise SystemExit(f"hostile-peer: serve exited {coordinator.returncode}:\n"
                          f"{output}\n{errors}")
     reap(workers)
-    if f"protocol 1, this coordinator speaks protocol {PROTOCOL_VERSION}" not in errors:
+    if f"protocol {stale}, this coordinator speaks protocol {PROTOCOL_VERSION}" not in errors:
         raise SystemExit(f"hostile-peer: no version rejection on stderr:\n{errors}")
-    print("hostile-peer: the protocol-1 hello was rejected naming both versions")
+    print(f"hostile-peer: the protocol-{stale} hello was rejected naming both versions")
     assert_identical("hostile-peer run", strip_volatile(serial), strip_volatile(output))
     assert_identical(
         "hostile-peer metrics", serial_metrics.read_text(), metrics.read_text()

@@ -195,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="port the coordinator listens on (0 lets "
                                    "the OS pick one)")
     serve_parser.add_argument("--workers", type=int, default=1, metavar="N",
-                              help="worker processes to expect (sizes the "
-                                   "pools' shard split)")
+                              help="worker processes to expect: sizes the "
+                                   "pools' shard split, and the first round "
+                                   "waits up to --worker-timeout for them")
     serve_parser.add_argument("--heartbeat-interval", type=float, default=0.5,
                               metavar="SECONDS",
                               help="seconds between liveness heartbeats")

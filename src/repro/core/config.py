@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ADMIN_VERBS",
     "DEFAULT_STATUS_PORT",
     "DPConfig",
-    "EngineConfig",
     "ProtocolConfig",
 ]
 
@@ -52,36 +50,6 @@ class DPConfig:
             raise ValueError("bounding must be 'normalize' or 'clip'")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Client-side compute engine selection (how uploads are computed).
-
-    The *engine* decides how a :class:`~repro.federated.worker.WorkerPool`
-    turns sampled mini-batches into protocol uploads -- e.g. the
-    materialized stacked per-example-gradient path, or the ghost-norm
-    Gram-matrix path that never builds the ``(n b_c, d)`` gradient tensor.
-    Engines are registered in :data:`repro.federated.engines.ENGINES`;
-    this config is pure data, so a task frame carries it to a remote
-    worker.
-
-    Attributes
-    ----------
-    name:
-        Registered engine name (see
-        :func:`repro.federated.engines.available_engines`).
-    options:
-        Extra keyword arguments for the engine builder.
-    """
-
-    name: str = "materialized"
-    options: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("engine name must be a non-empty string")
-        object.__setattr__(self, "options", dict(self.options))
 
 
 #: Default port of the status/admin endpoint (coordinator default + 1).

@@ -91,11 +91,16 @@ class Dataset:
         return self.subset(indices)
 
     def with_flipped_labels(self) -> "Dataset":
-        """Label-flipped copy: label ``I`` becomes ``H - 1 - I`` (Section 2.3)."""
-        flipped = (self.num_classes - 1) - self.labels
+        """Label ``I`` becomes ``H - 1 - I`` (Section 2.3).
+
+        The flipped dataset shares this one's features through a
+        read-only view: only the labels are new.
+        """
+        features = self.features.view()
+        features.flags.writeable = False
         return Dataset(
-            features=self.features.copy(),
-            labels=flipped,
+            features=features,
+            labels=(self.num_classes - 1) - self.labels,
             num_classes=self.num_classes,
             name=f"{self.name}_flipped" if self.name else "flipped",
         )

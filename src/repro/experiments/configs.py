@@ -74,11 +74,11 @@ class ExperimentConfig:
         Server auxiliary data settings (Table 17 uses ``aux_mismatched``).
     model:
         Model registry name, or ``None`` for the dataset default.
-    engine, engine_kwargs:
+    engine:
         Client compute engine name (see
         :func:`repro.federated.available_engines`; ``"materialized"`` is
         the exact stacked-gradient reference, ``"ghost_norm"`` the
-        Gram-matrix path for linear-layer stacks) and builder arguments.
+        Gram-matrix path for linear-layer stacks).
     shard_size:
         Maximum workers per shard task (``None``: whole pool in one
         shard under the serial backend; parallel backends split the pool
@@ -105,7 +105,7 @@ class ExperimentConfig:
     retry_kwargs:
         Keyword arguments for the crash-retry
         :class:`~repro.federated.backends.RetryPolicy`
-        (``max_attempts``, ``backoff_base``, ``timeout``, ...).
+        (``max_attempts``, ``backoff_base``, ``timeout``).
     population, cohort, sampling, sampling_kwargs:
         Cross-device mode: ``population`` registers that many lazy honest
         workers (``n_honest`` is then ignored) of which a seeded
@@ -147,7 +147,6 @@ class ExperimentConfig:
     aux_mismatched: bool = False
     model: str | None = None
     engine: str = "materialized"
-    engine_kwargs: dict = field(default_factory=dict)
     shard_size: int | None = None
     backend: str = "serial"
     backend_kwargs: dict = field(default_factory=dict)

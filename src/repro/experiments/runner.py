@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.results import RunResult, SeedSummary, summarize_runs
 from repro.byzantine.registry import build_attack
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.core.hyperparams import protocol_sigma, transfer_learning_rate
 from repro.data.auxiliary import sample_auxiliary, sample_mismatched_auxiliary
 from repro.data.partition import partition_iid, partition_noniid
@@ -53,8 +53,8 @@ __all__ = [
 
 class CheckpointMismatchError(ValueError):
     """A resolved checkpoint does not fit the experiment it should resume
-    (round outside the schedule, different worker counts, or a parameter
-    vector of the wrong size)."""
+    (round outside the schedule, different worker counts, a parameter
+    vector of the wrong size, or other DP settings or learning rate)."""
 
 #: File-name pattern of the snapshots the ``Checkpoint`` callback writes.
 _STATE_PATTERN = re.compile(r"round_(\d+)\.state\.npz$")
@@ -249,7 +249,7 @@ def prepare_experiment(
         test_dataset=test,
         settings=settings,
         seed=seed,
-        engine=EngineConfig(name=config.engine, options=config.engine_kwargs),
+        engine=config.engine,
         shard_size=config.shard_size,
         backend=backend,
         faults=build_faults(

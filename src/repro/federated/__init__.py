@@ -63,7 +63,6 @@ from repro.federated.backends import (
     RemoteBackend,
     RetryPolicy,
     SerialBackend,
-    SharedArray,
     TaskFailure,
     ThreadedBackend,
     TransientTaskError,
@@ -149,7 +148,6 @@ __all__ = [
     "SerialBackend",
     "ThreadedBackend",
     "ProcessBackend",
-    "SharedArray",
     "RetryPolicy",
     "TaskFailure",
     "TransientTaskError",

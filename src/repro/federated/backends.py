@@ -17,16 +17,13 @@ Four backends ship built-in:
 - :class:`SerialBackend` -- the reference: tasks run in submission order
   on the calling thread.  Zero dispatch overhead; the default.
 - :class:`ThreadedBackend` -- tasks run concurrently on a lazily created
-  thread pool.  NumPy's BLAS releases the GIL inside the stacked GEMMs
-  that dominate shard finalisation, so independent shards genuinely
-  overlap on multi-core hosts.
-- :class:`ProcessBackend` -- tasks run in worker processes, with large
-  read-only arrays (the flat model parameters) published once per round
-  through shared memory (:meth:`ProcessBackend.share_array`).  For
-  workloads dominated by Python overhead rather than BLAS time.
+  thread pool.
+- :class:`ProcessBackend` -- tasks run in worker processes, each shard's
+  payload pickled whole (flat parameters included).  For workloads
+  dominated by Python overhead rather than BLAS time.
 - :class:`RemoteBackend` -- tasks run on ``repro worker`` processes,
-  sent as typed TCP frames by a
-  :class:`~repro.federated.service.CoordinatorServer` (service mode).
+  sent as typed TCP frames (:mod:`repro.federated.wire`, protocol 3) by
+  a :class:`~repro.federated.service.CoordinatorServer` (service mode).
 
 A backend has one map method, :meth:`ExecutionBackend.map_ordered`, and
 one contract, the **ordered reduction**: results come back in *submission*
@@ -39,8 +36,8 @@ nothing else.
 
 Fault tolerance wraps the task, not the map:
 :meth:`ExecutionBackend.resilient` returns the task under a bounded,
-deterministic :class:`RetryPolicy` (exponential backoff with a seeded
-jitter stream, optional advisory timeout, optional injected crashes).
+deterministic :class:`RetryPolicy` (exponential backoff, optional
+advisory timeout, optional injected crashes).
 Tasks raising :class:`TransientTaskError` are retried, and a task that
 exhausts the policy yields a :class:`TaskFailure` marker in its ordered
 slot instead of raising -- the caller degrades gracefully over the
@@ -50,28 +47,18 @@ Each backend imports what it runs on only when it needs it: the thread
 and process pools when they start, the service stack (sockets and the
 wire codec) when a remote backend is constructed.  A serial run loads
 none of them.
-
-Shared memory uses file-backed :func:`numpy.memmap` views rather than
-:mod:`multiprocessing.shared_memory`: attaching a ``SharedMemory`` block
-in a worker registers it with that process's resource tracker on Python
-3.11/3.12, which unlinks the segment when the worker exits.  A mapped
-temp file has identical sharing semantics without that failure mode.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import shutil
-import tempfile
 import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.registry import Registry
 
@@ -87,7 +74,6 @@ __all__ = [
     "RemoteBackend",
     "RetryPolicy",
     "SerialBackend",
-    "SharedArray",
     "TaskFailure",
     "ThreadedBackend",
     "TransientTaskError",
@@ -122,52 +108,30 @@ class RetryPolicy:
         Base delay in seconds before retry ``k`` (exponential:
         ``backoff_base * 2**(k-1)``); 0 retries immediately, which keeps
         seeded simulations fast and deterministic in wall-clock terms.
-    backoff_jitter:
-        Relative jitter on the backoff delay, drawn from a *deterministic*
-        per-``(seed, task, attempt)`` stream -- retrying never consumes
-        entropy from any simulation generator.
     timeout:
         Advisory per-attempt wall-clock deadline in seconds: an attempt
         finishing after it is treated as a transient failure (its result
         is discarded) and retried.  Sound because round tasks are pure
         functions of their payloads; ``None`` disables the deadline.
-    seed:
-        Seed of the jitter stream.
     """
 
     max_attempts: int = 3
     backoff_base: float = 0.0
-    backoff_jitter: float = 0.0
     timeout: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be non-negative")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be non-negative")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive when set")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
-    def delay(self, index: int, attempt: int) -> float:
-        """Backoff delay in seconds before retry ``attempt`` of task ``index``.
-
-        Deterministic: the jitter stream is keyed by ``(seed, index,
-        attempt)``, so the same retry schedule replays identically.
-        """
+    def delay(self, attempt: int) -> float:
+        """Backoff delay in seconds before retry ``attempt`` of a task."""
         if self.backoff_base <= 0:
             return 0.0
-        delay = self.backoff_base * 2.0 ** (attempt - 1)
-        if self.backoff_jitter > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, int(index), int(attempt)))
-            )
-            delay *= 1.0 + self.backoff_jitter * float(rng.random())
-        return delay
+        return self.backoff_base * 2.0 ** (attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -191,9 +155,9 @@ class _ResilientRunner:
     """Retry loop wrapped around one task function (picklable if ``fn`` is).
 
     The mapped callable built by :meth:`ExecutionBackend.resilient`: each
-    item travels as an ``(index, item)`` pair so the retry RNG, the
-    injected crash schedule and the failure marker know the task's
-    submission slot even inside an out-of-process worker.  A successful
+    item travels as an ``(index, item)`` pair so the injected crash
+    schedule and the failure marker know the task's submission slot even
+    inside an out-of-process worker.  A successful
     task returns its result unchanged; one that exhausts the policy
     returns a :class:`TaskFailure`.
 
@@ -238,7 +202,7 @@ class _ResilientRunner:
                 self._note(index, attempt, str(error))
                 if attempt == policy.max_attempts:
                     return TaskFailure(index=index, attempts=attempt, error=str(error))
-                delay = policy.delay(index, attempt)
+                delay = policy.delay(attempt)
                 if delay > 0:
                     time.sleep(delay)
                 continue
@@ -263,7 +227,7 @@ class ExecutionBackend:
     A backend executes *independent* tasks and reduces their results in
     submission order.  Subclasses override :meth:`map_ordered` (and
     usually :attr:`max_workers`); holders of expensive resources
-    (thread/process pools, shared-memory slots) create them lazily and
+    (thread/process pools, a coordinator server) create them lazily and
     release them in :meth:`shutdown` -- a backend must remain usable
     after ``shutdown()``, recreating its resources on the next call.
     """
@@ -457,7 +421,7 @@ class _PooledBackend(ExecutionBackend):
 @BACKENDS.register(
     "threaded",
     aliases=("threads",),
-    summary="tasks overlap on a thread pool (BLAS releases the GIL in the stacked GEMMs)",
+    summary="tasks overlap on a thread pool",
 )
 class ThreadedBackend(_PooledBackend):
     """Dispatch tasks over a lazily created :class:`ThreadPoolExecutor`.
@@ -478,40 +442,18 @@ class ThreadedBackend(_PooledBackend):
         )
 
 
-@dataclass(frozen=True)
-class SharedArray:
-    """Picklable handle to a read-only array published in shared memory.
-
-    Produced by :meth:`ProcessBackend.share_array`; worker processes call
-    :meth:`open` to map the array without copying it through the task
-    payload.  The backing store is a file-backed memory map, so every
-    process sees the publisher's most recent :meth:`ProcessBackend
-    .share_array` write for this slot.
-    """
-
-    path: str
-    shape: tuple[int, ...]
-    dtype: str
-
-    def open(self) -> np.ndarray:
-        """Map the shared array read-only in the calling process."""
-        return np.memmap(self.path, dtype=np.dtype(self.dtype), mode="r",
-                         shape=self.shape)
-
-
 @BACKENDS.register(
     "process",
     aliases=("processes",),
-    summary="tasks run in worker processes; flat parameters travel via shared memory",
+    summary="tasks run in worker processes; each shard's payload is pickled",
 )
 class ProcessBackend(_PooledBackend):
     """Dispatch picklable tasks over a lazily created process pool.
 
     Meant for client engines dominated by Python overhead rather than
-    BLAS time: each shard pays pickling for its payload, so the
-    per-shard compute must dwarf that cost to win.  Large round-constant
-    arrays (the flat model parameters) are published once per round via
-    :meth:`share_array` and mapped -- not copied -- by the workers.
+    BLAS time: each shard pays pickling for its payload (the flat model
+    parameters included, d x 8 bytes), so the per-shard compute must
+    dwarf that cost to win.
 
     Parameters
     ----------
@@ -521,55 +463,12 @@ class ProcessBackend(_PooledBackend):
 
     in_process = False
 
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        self._shared_dir: str | None = None
-        self._shared_slots: dict[tuple, tuple[str, np.memmap]] = {}
-
     def _create_executor(self) -> Executor:
         # Imported here: it loads multiprocessing, which only a started
         # process pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(max_workers=self._max_workers)
-
-    def share_array(self, array: np.ndarray) -> SharedArray:
-        """Publish ``array`` to the worker processes; returns its handle.
-
-        One shared slot exists per ``(shape, dtype)``: re-sharing a
-        same-shaped array overwrites the slot in place, which is exactly
-        the per-round parameter refresh the worker pool needs.  Callers
-        must therefore consume every task result built on a handle
-        before sharing the next array of that shape.
-        """
-        array = np.ascontiguousarray(array)
-        key = (array.shape, array.dtype.str)
-        with self._lock:
-            slot = self._shared_slots.get(key)
-            if slot is None:
-                if self._shared_dir is None:
-                    self._shared_dir = tempfile.mkdtemp(prefix="repro-backend-")
-                path = os.path.join(
-                    self._shared_dir, f"shared-{len(self._shared_slots)}.bin"
-                )
-                mapped = np.memmap(
-                    path, dtype=array.dtype, mode="w+", shape=array.shape
-                )
-                slot = (path, mapped)
-                self._shared_slots[key] = slot
-        path, mapped = slot
-        mapped[...] = array
-        mapped.flush()
-        return SharedArray(path=path, shape=array.shape, dtype=array.dtype.str)
-
-    def shutdown(self) -> None:
-        """Shut down the pool and release the shared-memory slots."""
-        super().shutdown()
-        with self._lock:
-            self._shared_slots = {}
-            if self._shared_dir is not None:
-                shutil.rmtree(self._shared_dir, ignore_errors=True)
-                self._shared_dir = None
 
 
 @BACKENDS.register(
@@ -605,7 +504,9 @@ class RemoteBackend(ExecutionBackend):
         Listening address (``port=0``: ephemeral; read :attr:`port`).
     max_workers:
         *Expected* worker-process count: it sizes the pools' automatic
-        shard split (``--jobs N``), not a hard connection limit.
+        shard split (``--jobs N``), and a fresh server's first dispatch
+        waits up to ``worker_timeout`` for that many registrations, then
+        dispatches to whoever is connected.  Not a connection limit.
     heartbeat_interval, heartbeat_timeout:
         Liveness cadence and deadline (see
         :class:`~repro.federated.service.CoordinatorServer`).
@@ -646,6 +547,8 @@ class RemoteBackend(ExecutionBackend):
             max_attempts=transport_attempts, backoff_base=transport_backoff
         )
         self._server: CoordinatorServer | None = None
+        # Set when a server starts; its first map waits for the workers.
+        self._fresh = False
         self._lock = threading.Lock()
 
     @property
@@ -698,6 +601,7 @@ class RemoteBackend(ExecutionBackend):
                 )
                 if self._tracer is not None:
                     self._server.set_tracer(self._tracer)
+                self._fresh = True
             return self._server
 
     def map_ordered(self, fn: Callable, items: Iterable) -> list:
@@ -705,12 +609,23 @@ class RemoteBackend(ExecutionBackend):
 
         ``fn`` must be the pools' resilient shard task: the wire carries
         no code, so any other function raises :class:`TypeError` before
-        anything is sent.
+        anything is sent.  A fresh server's first map waits up to
+        ``worker_timeout`` for :attr:`max_workers` registrations, so a
+        short run cannot finish on the first worker and strand the rest;
+        with none at all it raises :class:`ConnectionError`.
         """
         items = list(items)
         if not items:
             return []
-        return self._ensure_server().execute(fn, items, self._policy)
+        server = self._ensure_server()
+        with self._lock:
+            fresh, self._fresh = self._fresh, False
+        if fresh and not server.wait_for_workers(self._max_workers, self._worker_timeout):
+            raise ConnectionError(
+                f"no workers connected for {self._worker_timeout}s "
+                f"({len(items)} tasks pending)"
+            )
+        return server.execute(fn, items, self._policy)
 
     def shutdown(self) -> None:
         """Send ``shutdown`` to the workers and release the port.

@@ -49,7 +49,7 @@ import copy
 
 import numpy as np
 
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.core.dp_protocol import (
     BatchedDPState,
     bounding_factors,
@@ -376,25 +376,12 @@ def available_engines() -> list[str]:
     return ENGINES.names()
 
 
-def build_engine(
-    engine: str | ClientEngine | EngineConfig | None, **kwargs
-) -> ClientEngine:
+def build_engine(engine: str | ClientEngine | None) -> ClientEngine:
     """Resolve an engine specification to a :class:`ClientEngine` instance.
 
-    ``engine`` may be a registered name, an :class:`~repro.core.config
-    .EngineConfig` (its ``options`` merge under ``kwargs``), an existing
-    instance (returned as-is; ``kwargs`` must then be empty) or ``None``
-    for the default materialized engine.
+    ``engine`` may be a registered name, an existing instance (returned
+    as-is) or ``None`` for the default materialized engine.
     """
-    if engine is None:
-        engine = "materialized"
-    if isinstance(engine, EngineConfig):
-        merged = {**engine.options, **kwargs}
-        return ENGINES.build(engine.name, **merged)
     if isinstance(engine, ClientEngine):
-        if kwargs:
-            raise TypeError(
-                "cannot pass engine kwargs together with an engine instance"
-            )
         return engine
-    return ENGINES.build(engine, **kwargs)
+    return ENGINES.build("materialized" if engine is None else engine)

@@ -56,7 +56,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -360,8 +360,7 @@ class _StatusHandler(BaseHTTPRequestHandler):
     timeout = 10.0  # a stalled peer must never pin a handler thread
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Route per-request lines to the app's logger (quiet by default)."""
-        self.server.app._log(f"{self.address_string()} {format % args}")
+        """Log nothing (the default writes every request to stderr)."""
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/healthz``, ``/status`` and ``/metrics``."""
@@ -442,8 +441,6 @@ class StatusServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read the
         resolved one from :attr:`port`).
-    logger:
-        Optional sink for per-request log lines (default: silent).
     """
 
     def __init__(
@@ -452,11 +449,9 @@ class StatusServer:
         coordinator: object | None = None,
         host: str = "127.0.0.1",
         port: int = DEFAULT_STATUS_PORT,
-        logger: Callable[[str], None] | None = None,
     ) -> None:
         self.board = board
         self.coordinator = coordinator
-        self._logger = logger
         self._http = ThreadingHTTPServer((host, port), _StatusHandler)
         self._http.daemon_threads = True
         self._http.app = self
@@ -466,10 +461,6 @@ class StatusServer:
             target=self._http.serve_forever, name="repro-status", daemon=True
         )
         self._thread.start()
-
-    def _log(self, line: str) -> None:
-        if self._logger is not None:
-            self._logger(line)
 
     # -- payloads ------------------------------------------------------ #
     def status_payload(self) -> dict:

@@ -468,9 +468,7 @@ class CoordinatorServer:
                 index=task.index, attempts=task.attempts, error=reason
             )
         else:
-            task.not_before = time.monotonic() + policy.delay(
-                task.index, task.attempts
-            )
+            task.not_before = time.monotonic() + policy.delay(task.attempts)
             self._execution.queue.append(task)
         if self._tracer is not None:
             # The tracer's own lock never waits on ``_cond``, so emitting

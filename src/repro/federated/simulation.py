@@ -31,17 +31,17 @@ logging, checkpoints) and records history through the default
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.byzantine.base import Attack, AttackContext
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.core.dp_protocol import BatchedDPState, upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.base import Aggregator
 from repro.federated.backends import ExecutionBackend, RetryPolicy, build_backend
-from repro.federated.engines import build_engine
+from repro.federated.engines import ClientEngine, build_engine
 from repro.federated.faults import FaultModel, ShardFaultPlan, build_faults
 from repro.federated.sampling import (
     CohortSampler,
@@ -99,7 +99,10 @@ class FederatedSimulation:
     n_byzantine:
         Number of Byzantine workers controlled by the attacker.
     attack:
-        The attack instance, or ``None`` for no Byzantine workers.
+        The attack instance, or ``None`` for no Byzantine workers.  A
+        protocol-following attack (label flipping) poisons the data of
+        honest workers for its own pool: the omniscient attacker knows
+        the honest data anyway.
     aggregator:
         Server-side aggregation rule.
     dp_config:
@@ -114,19 +117,14 @@ class FederatedSimulation:
     seed:
         Base seed; every worker and the server get independent generators
         derived from it.
-    byzantine_datasets:
-        Local datasets for protocol-following Byzantine workers.  If
-        omitted, bootstrap copies of randomly chosen honest shards are used
-        (the omniscient attacker knows the honest data anyway).
     engine:
-        Client compute engine for the worker pools: a registered name, an
-        :class:`~repro.core.config.EngineConfig`, a ready
-        :class:`~repro.federated.engines.ClientEngine` instance (then
-        shared by both pools), or ``None`` for the default materialized
-        engine.  On an in-process backend the specification is resolved
-        once, so both pools compute on one instance and one gradient
-        scratch (they run one after the other); out-of-process backends
-        build their engines from the specification.  Threads other than
+        Client compute engine for the worker pools: a registered name, a
+        ready :class:`~repro.federated.engines.ClientEngine` instance
+        (then shared by both pools), or ``None`` for the default
+        materialized engine.  On an in-process backend the specification
+        is resolved once, so both pools compute on one instance and one
+        gradient scratch (they run one after the other); out-of-process
+        backends build their engines from the name.  Threads other than
         the dispatching one keep their own replicas per pool.
     shard_size:
         Maximum workers per shard task of both pools (see
@@ -191,8 +189,7 @@ class FederatedSimulation:
         test_dataset: Dataset,
         settings: SimulationSettings,
         seed: int = 0,
-        byzantine_datasets: list[Dataset] | None = None,
-        engine: str | EngineConfig | object | None = None,
+        engine: str | ClientEngine | None = None,
         shard_size: int | None = None,
         backend: str | ExecutionBackend | None = None,
         faults: str | FaultModel | None = None,
@@ -279,13 +276,12 @@ class FederatedSimulation:
                 backend=self.backend,
             )
             if n_byzantine > 0 and attack is not None and attack.follows_protocol:
-                poisoned_datasets: list[Dataset] = []
-                for i in range(n_byzantine):
-                    if byzantine_datasets is not None:
-                        local = byzantine_datasets[i % len(byzantine_datasets)]
-                    else:
-                        local = population.dataset(i % len(population)).materialize()
-                    poisoned_datasets.append(attack.poison_dataset(local))
+                poisoned_datasets = [
+                    attack.poison_dataset(
+                        population.dataset(i % len(population)).materialize()
+                    )
+                    for i in range(n_byzantine)
+                ]
                 self.byzantine_pool = WorkerPool(
                     poisoned_datasets,
                     dp_config,
@@ -314,13 +310,10 @@ class FederatedSimulation:
 
             if n_byzantine > 0 and attack is not None and attack.follows_protocol:
                 offset = 2 + len(honest_datasets)
-                poisoned_datasets = []
-                for i in range(n_byzantine):
-                    if byzantine_datasets is not None:
-                        local = byzantine_datasets[i % len(byzantine_datasets)]
-                    else:
-                        local = honest_datasets[i % len(honest_datasets)]
-                    poisoned_datasets.append(attack.poison_dataset(local))
+                poisoned_datasets = [
+                    attack.poison_dataset(honest_datasets[i % len(honest_datasets)])
+                    for i in range(n_byzantine)
+                ]
                 self.byzantine_pool = WorkerPool(
                     poisoned_datasets,
                     dp_config,
@@ -541,6 +534,8 @@ class FederatedSimulation:
             honest_rngs=[
                 rng.bit_generator.state for rng in self.honest_pool.rngs
             ],
+            dp_config=self.dp_config,
+            learning_rate=self.settings.learning_rate,
             byzantine_momentum=(
                 None if byzantine is None
                 else np.array(byzantine.state.slot_momentum, dtype=np.float64)
@@ -570,7 +565,7 @@ class FederatedSimulation:
         straggler buffer of the captured process -- the remaining rounds
         replay bitwise.  Raises :class:`ValueError` when the snapshot
         does not fit this simulation (different worker counts, model
-        size, or Byzantine configuration).
+        size, Byzantine configuration, DP settings or learning rate).
         """
         if not 0 <= state.round_index < self.settings.total_rounds:
             raise ValueError(
@@ -586,6 +581,17 @@ class FederatedSimulation:
             raise ValueError(
                 "snapshot and simulation disagree on whether the attack "
                 "runs a protocol-following Byzantine pool"
+            )
+        recorded = {**asdict(state.dp_config), "learning_rate": state.learning_rate}
+        current = {**asdict(self.dp_config), "learning_rate": self.settings.learning_rate}
+        differing = [
+            f"{key} {recorded[key]!r} (this run: {current[key]!r})"
+            for key in current
+            if recorded[key] != current[key]
+        ]
+        if differing:
+            raise ValueError(
+                f"snapshot was written with other settings: {', '.join(differing)}"
             )
         self.model.set_flat_parameters(state.parameters)
         self._restore_pool(
@@ -635,6 +641,12 @@ class FederatedSimulation:
             raise ValueError(
                 f"snapshot momentum covers {momentum.shape[0]} workers, "
                 f"pool has {pool.n_workers}"
+            )
+        if momentum.size and batch_size != pool.dp_config.batch_size:
+            # ensure_shape would zero the momentum for another batch size.
+            raise ValueError(
+                f"snapshot momentum was computed at batch size {batch_size}, "
+                f"pool runs batch size {pool.dp_config.batch_size}"
             )
         # ensure_shape keeps a matching-shape state, so the restored
         # momentum survives into the next round untouched.

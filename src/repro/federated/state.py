@@ -17,7 +17,10 @@ snapshot or the new complete one.  The file is a standard ``.npz``
 archive: the large numeric payloads are arrays, the structured metadata
 (round index, generator states, shapes) rides as one UTF-8 JSON blob.
 
-Capture/restore lives on :class:`~repro.federated.simulation
+A snapshot also records the client DP settings and the server learning
+rate of the run that wrote it: the momentum and generator streams it
+holds replay only under those, so a restore refuses a run with other
+ones.  Capture/restore lives on :class:`~repro.federated.simulation
 .FederatedSimulation` (:meth:`capture_round_state` /
 :meth:`restore_round_state`); this module owns the container and the
 file format.
@@ -28,10 +31,12 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from repro.core.config import DPConfig
 
 __all__ = [
     "STATE_SUFFIX",
@@ -43,7 +48,7 @@ __all__ = [
 #: File-name suffix of full-state snapshots (``round_<i>.state.npz``).
 STATE_SUFFIX = ".state.npz"
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -62,6 +67,9 @@ class RoundState:
     honest_momentum, honest_batch_size, honest_rngs:
         The honest pool's ``(n_honest, d)`` slot momentum, its protocol
         batch size and its per-worker generator states.
+    dp_config, learning_rate:
+        The client DP settings and the server learning rate of the run
+        that wrote the snapshot.
     byzantine_momentum, byzantine_batch_size, byzantine_rngs:
         Same for the protocol-following Byzantine pool; ``None`` when the
         attack crafts uploads instead of running the protocol.
@@ -86,6 +94,8 @@ class RoundState:
     honest_momentum: np.ndarray
     honest_batch_size: int
     honest_rngs: list[dict]
+    dp_config: DPConfig
+    learning_rate: float
     byzantine_momentum: np.ndarray | None = None
     byzantine_batch_size: int | None = None
     byzantine_rngs: list[dict] | None = None
@@ -111,6 +121,8 @@ def save_round_state(state: RoundState, path: str | Path) -> Path:
         "attack_rng": state.attack_rng,
         "honest_batch_size": int(state.honest_batch_size),
         "honest_rngs": state.honest_rngs,
+        "dp_config": asdict(state.dp_config),
+        "learning_rate": float(state.learning_rate),
         "byzantine_batch_size": (
             None if state.byzantine_batch_size is None
             else int(state.byzantine_batch_size)
@@ -197,6 +209,8 @@ def _read_state(archive: np.lib.npyio.NpzFile) -> RoundState:
         honest_momentum=np.array(archive["honest_momentum"]),
         honest_batch_size=int(meta["honest_batch_size"]),
         honest_rngs=meta["honest_rngs"],
+        dp_config=DPConfig(**meta["dp_config"]),
+        learning_rate=float(meta["learning_rate"]),
         byzantine_momentum=(
             np.array(archive["byzantine_momentum"])
             if meta["has_byzantine"] else None

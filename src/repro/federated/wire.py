@@ -1,4 +1,4 @@
-"""Typed binary frames of the federation service (protocol version 2).
+"""Typed binary frames of the federation service (protocol version 3).
 
 A frame carries one message: a JSON header, then the raw arrays the header
 declares::
@@ -35,10 +35,11 @@ type           direction  header fields
 Nothing on the wire is code.  The one task the service runs, a worker
 pool's shard task, travels as data (:func:`encode_task`).  The ``task``
 object holds ``kind`` (``"shard"``), the shard ``index`` and its injected
-``crashes``, the ``retry`` policy, the ``model`` layer spec
-(:meth:`~repro.nn.network.Sequential.spec`), the ``engine`` name and
-options, the ``dp`` config and one PCG64 ``bit_generator.state`` per
-worker in ``states``.  With ``n`` states, ``d`` parameters in the spec,
+``crashes``, the ``retry`` policy (``max_attempts``, ``backoff_base``,
+``timeout``), the ``model`` layer spec
+(:meth:`~repro.nn.network.Sequential.spec`), the registered ``engine``
+name, the ``dp`` config and one PCG64 ``bit_generator.state`` per worker
+in ``states``.  With ``n`` states, ``d`` parameters in the spec,
 batch size ``b`` and ``k`` spec inputs, its buffers are the parameters
 ``(d,)``, features ``(n*b, k)``, labels ``(n*b,)`` (``<i8``) and momentum
 ``(n, d)``.  A result carries the ``(n, d)`` uploads and the ``n``
@@ -70,7 +71,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.federated.backends import RetryPolicy, TaskFailure, _ResilientRunner
 from repro.federated.engines import ENGINES
 from repro.federated.worker import _Replicas, _shard_task, _ShardPayload
@@ -90,8 +91,9 @@ __all__ = [
 ]
 
 #: Version stamped into ``hello``/``welcome``; bumped on breaking changes.
-#: Version 1 sent base64-pickled ``blob`` fields.
-PROTOCOL_VERSION = 2
+#: Version 1 sent base64-pickled ``blob`` fields; version 2 sent the
+#: engine as ``{name, options}`` and a retry jitter and seed.
+PROTOCOL_VERSION = 3
 
 #: Every message type a frame may carry.
 _MESSAGE_TYPES = frozenset(
@@ -283,17 +285,15 @@ _NUMBER = (int, float)
 #: The fields of each JSON object in a task or result, with their types.
 _TASK_FIELDS = {
     "kind": (str,), "index": _INT, "crashes": _INT, "retry": (dict,),
-    "model": (list,), "engine": (dict,), "dp": (dict,), "states": (list,),
+    "model": (list,), "engine": (str,), "dp": (dict,), "states": (list,),
 }
 _RETRY_FIELDS = {
-    "max_attempts": _INT, "backoff_base": _NUMBER, "backoff_jitter": _NUMBER,
-    "timeout": (*_NUMBER, type(None)), "seed": _INT,
+    "max_attempts": _INT, "backoff_base": _NUMBER, "timeout": (*_NUMBER, type(None)),
 }
 _DP_FIELDS = {
     "batch_size": _INT, "sigma": _NUMBER, "momentum": _NUMBER,
     "bounding": (str,), "clip_norm": _NUMBER,
 }
-_ENGINE_FIELDS = {"name": (str,), "options": (dict,)}
 _STATE_FIELDS = {
     "bit_generator": (str,), "state": (dict,), "has_uint32": _INT, "uinteger": _INT,
 }
@@ -376,12 +376,10 @@ def encode_task(fn: Callable, item: tuple[int, object]) -> tuple[dict, list[np.n
         "retry": {
             "max_attempts": policy.max_attempts,
             "backoff_base": float(policy.backoff_base),
-            "backoff_jitter": float(policy.backoff_jitter),
             "timeout": None if policy.timeout is None else float(policy.timeout),
-            "seed": policy.seed,
         },
         "model": replicas.model,
-        "engine": {"name": replicas.engine.name, "options": dict(replicas.engine.options)},
+        "engine": replicas.engine,
         "dp": {
             "batch_size": int(dp.batch_size),
             "sigma": float(dp.sigma),
@@ -416,9 +414,8 @@ def decode_task(
         raise WireError("task index and crash count must be non-negative")
     policy = _config(RetryPolicy, "task.retry", task["retry"], _RETRY_FIELDS)
     dp = _config(DPConfig, "task.dp", task["dp"], _DP_FIELDS)
-    engine = _fields(task["engine"], "task.engine", _ENGINE_FIELDS)
-    if engine["name"] not in ENGINES:
-        raise WireError(f"unknown engine {engine['name']!r}")
+    if task["engine"] not in ENGINES:
+        raise WireError(f"unknown engine {task['engine']!r}")
     try:
         inputs, classes, dimension = spec_dimensions(task["model"])
     except ValueError as error:
@@ -436,9 +433,8 @@ def decode_task(
     _expect(momentum, "momentum", np.float64, (len(states), dimension))
     if labels.min() < 0 or labels.max() >= classes:
         raise WireError(f"labels must lie in [0, {classes})")
-    engine_config = EngineConfig(name=engine["name"], options=engine["options"])
     payload = _ShardPayload(
-        replicas=_Replicas.of_spec(task["model"], engine_config),
+        replicas=_Replicas.of_spec(task["model"], task["engine"]),
         caller=None,
         parameters=parameters,
         features=features,

@@ -55,13 +55,13 @@ engine and its scratch (a simulation's honest and Byzantine pools do on
 in-process backends).  Any other thread builds a private model replica
 and engine once -- cloned from a template the pool makes once per model,
 or, in another process, built from the model's layer spec
-(:meth:`~repro.nn.network.Sequential.spec`) and the engine's
-:class:`~repro.core.config.EngineConfig` (a
-:class:`~repro.nn.network.Sequential` caches per-call state on its
-layers, so concurrent shards must not share one) -- and keeps them for
-later rounds: one engine scratch per pool per worker thread.  Both
-recipes are plain data, which is what lets :mod:`repro.federated.wire`
-describe a shard task to a remote worker without shipping code.  When no
+(:meth:`~repro.nn.network.Sequential.spec`) and the engine's registered
+name (a :class:`~repro.nn.network.Sequential` caches per-call state on
+its layers, so concurrent shards must not share one) -- and keeps them
+for later rounds: one engine scratch per pool per worker thread.  The
+out-of-process recipe is plain data, which is what lets
+:mod:`repro.federated.wire` (protocol 3) describe a shard task to a
+remote worker without shipping code.  When no
 ``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
 
@@ -79,13 +79,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.core.dp_protocol import BatchedDPState
 from repro.data.dataset import Dataset
 from repro.federated.backends import (
     ExecutionBackend,
     RetryPolicy,
-    SharedArray,
     TaskFailure,
     build_backend,
 )
@@ -143,7 +142,7 @@ class _Replicas:
     other than the dispatching one.
 
     Out of process, ``model`` is the model's layer spec (parameters travel
-    in every payload) and ``engine`` an :class:`EngineConfig`; the token
+    in every payload) and ``engine`` a registered engine name; the token
     is their JSON text, so equal recipes share one replica (see
     :meth:`of_spec`).  In process, ``model`` is a template clone nobody
     computes on, so any thread may clone it, ``engine`` the pool's
@@ -152,12 +151,12 @@ class _Replicas:
 
     token: str
     model: Sequential | list[dict]
-    engine: object
+    engine: str | ClientEngine | None
 
     @classmethod
-    def of_spec(cls, spec: list[dict], engine: EngineConfig) -> "_Replicas":
-        """The out-of-process recipe for a layer spec and engine config."""
-        token = json.dumps([spec, engine.name, engine.options], sort_keys=True)
+    def of_spec(cls, spec: list[dict], engine: str) -> "_Replicas":
+        """The out-of-process recipe for a layer spec and engine name."""
+        token = json.dumps([spec, engine], sort_keys=True)
         return cls(token=token, model=spec, engine=engine)
 
     def resolve(self) -> tuple[Sequential, ClientEngine]:
@@ -173,8 +172,7 @@ class _Replicas:
                     engine = engine.clone()
             else:
                 model, engine = Sequential.from_spec(self.model), self.engine
-            if not isinstance(engine, ClientEngine):
-                engine = build_engine(engine)
+            engine = build_engine(engine)
             if len(cache) >= _REPLICA_LIMIT:
                 cache.clear()
             pair = cache[self.token] = (model, engine)
@@ -201,7 +199,7 @@ class _ShardPayload:
 
     replicas: _Replicas | None
     caller: tuple[int, Sequential, ClientEngine] | None
-    parameters: np.ndarray | SharedArray
+    parameters: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     momentum: np.ndarray
@@ -230,10 +228,7 @@ def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
         _, model, engine = caller
     else:
         model, engine = payload.replicas.resolve()
-    parameters = payload.parameters
-    model.set_flat_parameters(
-        parameters.open() if isinstance(parameters, SharedArray) else parameters
-    )
+    model.set_flat_parameters(payload.parameters)
     rngs = _positioned(payload.rng_states)
     # Every attempt starts from the pool's rows; the engine updates this
     # private copy, and by line 11 the momentum *is* the upload, so the
@@ -274,14 +269,13 @@ class WorkerPool:
         would have drawn sequentially.
     engine:
         The client compute engine: a registered name (``"materialized"``,
-        ``"ghost_norm"``), a :class:`~repro.core.config.EngineConfig`, a
-        ready :class:`~repro.federated.engines.ClientEngine` instance, or
+        ``"ghost_norm"``), a ready
+        :class:`~repro.federated.engines.ClientEngine` instance, or
         ``None`` for the default materialized engine.  Threads and
         processes other than the dispatching one get their own engine
-        (via the spec, or ``engine.clone()`` for a ready instance).
-        Out-of-process backends build engines from a name or an
-        ``EngineConfig`` only; a ready instance raises
-        :class:`TypeError`.
+        (built from the name, or ``engine.clone()`` for a ready
+        instance).  Out-of-process backends build engines from a name
+        only; a ready instance raises :class:`TypeError`.
     shard_size:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -305,7 +299,7 @@ class WorkerPool:
         datasets: list[Dataset | IndexView],
         dp_config: DPConfig,
         rngs: list[np.random.Generator],
-        engine: str | ClientEngine | EngineConfig | None = None,
+        engine: str | ClientEngine | None = None,
         shard_size: int | None = None,
         backend: str | ExecutionBackend | None = None,
     ) -> None:
@@ -329,9 +323,8 @@ class WorkerPool:
         self.backend = build_backend(backend)
         if not self.backend.in_process and isinstance(engine, ClientEngine):
             raise TypeError(
-                "an out-of-process backend builds its engines from a name or "
-                "an EngineConfig; a ready ClientEngine instance cannot leave "
-                "this process"
+                "an out-of-process backend builds its engines from a registered "
+                "name; a ready ClientEngine instance cannot leave this process"
             )
         self._engine_source = engine
         self.engine = build_engine(engine)
@@ -421,10 +414,9 @@ class WorkerPool:
                     engine=self._engine_source,
                 )
             else:
-                source = self._engine_source
-                if not isinstance(source, EngineConfig):
-                    source = EngineConfig() if source is None else EngineConfig(name=source)
-                self._replicas = _Replicas.of_spec(model.spec(), source)
+                self._replicas = _Replicas.of_spec(
+                    model.spec(), self._engine_source or "materialized"
+                )
             self._replica_source = model
         return self._replicas
 
@@ -440,14 +432,12 @@ class WorkerPool:
         committed.  Each payload carries the shard's rows of ``out``.
         """
         batch, n_features = self.dp_config.batch_size, self.datasets[0].dim
-        backend = self.backend
         replicas = self._replicas_for(model)
         caller = (
-            (threading.get_ident(), model, self.engine) if backend.in_process else None
+            (threading.get_ident(), model, self.engine)
+            if self.backend.in_process else None
         )
-        flat = model.get_flat_parameters()
-        share = getattr(backend, "share_array", None)
-        parameters = share(flat) if callable(share) else flat
+        parameters = model.get_flat_parameters()
         for index, (start, stop) in enumerate(self._shard_bounds):
             rngs = _positioned([rng.bit_generator.state for rng in self.rngs[start:stop]])
             features = np.empty(((stop - start) * batch, n_features), dtype=np.float64)

@@ -116,10 +116,12 @@ class TestLabelFlipping:
         flipped = dataset.with_flipped_labels()
         np.testing.assert_array_equal(flipped.features, dataset.features)
 
-    def test_flip_does_not_alias_features(self, dataset):
+    def test_flip_shares_features_read_only(self, dataset):
         flipped = dataset.with_flipped_labels()
-        flipped.features[0, 0] = 123.0
-        assert dataset.features[0, 0] != 123.0
+        assert np.shares_memory(flipped.features, dataset.features)
+        with pytest.raises(ValueError, match="read-only"):
+            flipped.features[0, 0] = 123.0
+        assert dataset.features.flags.writeable
 
     def test_middle_class_is_fixed_point_for_odd_classes(self):
         data = Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]), num_classes=3)

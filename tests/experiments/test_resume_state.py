@@ -7,11 +7,13 @@ uninterrupted process, fault trace and straggler buffer included.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.config import DPConfig
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import (
     CheckpointMismatchError,
@@ -78,6 +80,8 @@ class TestSnapshotFile:
                 np.random.default_rng(10 + i).bit_generator.state
                 for i in range(n)
             ],
+            dp_config=DPConfig(batch_size=4, sigma=1.5),
+            learning_rate=0.25,
             byzantine_momentum=rng.standard_normal((2, d)) if with_optionals else None,
             byzantine_batch_size=4 if with_optionals else None,
             byzantine_rngs=(
@@ -102,6 +106,8 @@ class TestSnapshotFile:
         assert loaded.server_rng == state.server_rng
         assert loaded.attack_rng == state.attack_rng
         assert loaded.honest_rngs == state.honest_rngs
+        assert loaded.dp_config == state.dp_config
+        assert loaded.learning_rate == state.learning_rate
         if with_optionals:
             np.testing.assert_array_equal(
                 loaded.byzantine_momentum, state.byzantine_momentum
@@ -317,6 +323,36 @@ class TestMismatchedSnapshots:
             setup.simulation.close()
         with pytest.raises(CheckpointMismatchError, match="honest workers"):
             prepare_experiment(CONFIG.replace(n_honest=6), resume_from=path)
+
+    def test_other_dp_settings_raise_checkpoint_mismatch(self, tmp_path):
+        """A resume under another batch size and epsilon would run on with
+        another sigma and zeroed momentum; it names what differs instead."""
+        run_to_completion(CONFIG, tmp_path=tmp_path)
+        with pytest.raises(CheckpointMismatchError) as raised:
+            prepare_experiment(
+                CONFIG.replace(batch_size=8, epsilon=4.0),
+                resume_from=tmp_path / f"round_1{STATE_SUFFIX}",
+            )
+        message = str(raised.value)
+        assert "batch_size 16 (this run: 8)" in message
+        assert "sigma" in message
+        assert "momentum" not in message
+
+    def test_momentum_of_another_batch_size_is_refused(self, tmp_path):
+        setup = prepare_experiment(CONFIG)
+        try:
+            setup.simulation.run_round(0)
+            state = setup.simulation.capture_round_state(0)
+        finally:
+            setup.simulation.close()
+        resumed = prepare_experiment(CONFIG)
+        try:
+            with pytest.raises(ValueError, match="batch size 8"):
+                resumed.simulation.restore_round_state(
+                    dataclasses.replace(state, honest_batch_size=8)
+                )
+        finally:
+            resumed.simulation.close()
 
     def test_round_outside_schedule_raises(self, tmp_path):
         state = TestSnapshotFile().make_state(round_index=999)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.config import DPConfig, EngineConfig
+from repro.core.config import DPConfig
 from repro.core.dp_protocol import bounding_factors
 from repro.data.synthetic import make_classification
 from repro.federated import engines
@@ -72,14 +72,6 @@ class TestEngineRegistry:
     def test_instance_with_kwargs_rejected(self):
         with pytest.raises(TypeError):
             build_engine(MaterializedEngine(), foo=1)
-
-    def test_engine_config_resolves(self):
-        engine = build_engine(EngineConfig(name="ghost_norm"))
-        assert isinstance(engine, GhostNormEngine)
-
-    def test_engine_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(name="")
 
     def test_registered_in_public_registry(self):
         assert ENGINES.names() == sorted(available_engines())
@@ -272,7 +264,7 @@ class TestShardedPool:
         pool = make_pool(
             shards,
             DPConfig(batch_size=4),
-            engine=EngineConfig(name="materialized"),
+            engine="materialized",
             shard_size=2,
         )
         assert pool.n_shards == 3

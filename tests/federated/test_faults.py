@@ -204,7 +204,6 @@ class TestRetryPolicy:
         [
             {"max_attempts": 0},
             {"backoff_base": -1.0},
-            {"backoff_jitter": -0.1},
             {"timeout": 0.0},
         ],
     )
@@ -212,21 +211,20 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("key", ["backoff_jitter", "seed"])
+    def test_jitter_settings_are_unknown(self, key):
+        with pytest.raises(TypeError, match=key):
+            RetryPolicy(backoff_base=0.5, **{key: 1})
+
     def test_no_backoff_means_zero_delay(self):
         policy = RetryPolicy(max_attempts=5)
-        assert policy.delay(index=0, attempt=3) == 0.0
+        assert policy.delay(attempt=3) == 0.0
 
     def test_exponential_backoff_doubles(self):
         policy = RetryPolicy(backoff_base=0.5)
-        assert policy.delay(0, 1) == pytest.approx(0.5)
-        assert policy.delay(0, 2) == pytest.approx(1.0)
-        assert policy.delay(0, 3) == pytest.approx(2.0)
-
-    def test_jitter_is_deterministic(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_jitter=0.3, seed=11)
-        again = RetryPolicy(backoff_base=0.5, backoff_jitter=0.3, seed=11)
-        assert policy.delay(2, 1) == again.delay(2, 1)
-        assert policy.delay(2, 1) != policy.delay(3, 1)
+        assert policy.delay(1) == pytest.approx(0.5)
+        assert policy.delay(2) == pytest.approx(1.0)
+        assert policy.delay(3) == pytest.approx(2.0)
 
 
 class _FlakyCalls:

@@ -451,10 +451,13 @@ class TestFailureSemantics:
 
     def test_no_workers_raises_connection_error(self):
         fn, items, _ = shard_job(2)
-        backend = RemoteBackend(worker_timeout=0.3)
+        backend = RemoteBackend(worker_timeout=0.5)
         try:
+            started = time.monotonic()
             with pytest.raises(ConnectionError, match="no workers connected"):
                 backend.map_ordered(fn, items)
+            # One timeout, not the first dispatch's wait plus another.
+            assert time.monotonic() - started < 1.0
         finally:
             backend.shutdown()
 
@@ -514,9 +517,10 @@ class TestProtocolVersion:
     """Both ends refuse a peer of another protocol version at the handshake."""
 
     def test_coordinator_turns_away_another_version(self, capsys):
+        stale = PROTOCOL_VERSION - 1
         server = CoordinatorServer(worker_timeout=5.0)
         try:
-            sock = fake_handshake(server.port, name="stale", protocol=1)
+            sock = fake_handshake(server.port, name="stale", protocol=stale)
             assert wait_for_eof(sock)  # closed before it became a link
             sock.close()
             assert server.n_workers == 0
@@ -526,7 +530,10 @@ class TestProtocolVersion:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "rejected worker 'stale'" in captured.err
-        assert f"protocol 1, this coordinator speaks protocol {PROTOCOL_VERSION}" in captured.err
+        assert (
+            f"protocol {stale}, this coordinator speaks protocol {PROTOCOL_VERSION}"
+            in captured.err
+        )
 
     def test_worker_exits_on_another_version(self):
         with socket.socket() as listener:
@@ -549,13 +556,13 @@ class TestProtocolVersion:
                 hello, _ = recv_message(peer)
                 assert hello["protocol"] == PROTOCOL_VERSION
                 send_message(peer, {
-                    "type": "welcome", "protocol": PROTOCOL_VERSION + 1,
+                    "type": "welcome", "protocol": PROTOCOL_VERSION - 1,
                     "heartbeat_interval": 0.5,
                 })
                 worker.join(timeout=10.0)
         assert codes == [1]
         assert any(
-            f"protocol {PROTOCOL_VERSION + 1}" in line
+            f"protocol {PROTOCOL_VERSION - 1}" in line
             and f"protocol {PROTOCOL_VERSION}" in line
             for line in lines
         ), lines
@@ -614,6 +621,54 @@ class TestRemotePools:
             assert codes == [0]
         assert serial.history.as_dict() == remote.history.as_dict()
 
+    def test_first_round_waits_for_a_late_worker(self):
+        """A fresh coordinator's first dispatch waits for ``max_workers``
+        registrations: a worker joining after round 0 began still gets
+        round-0 tasks, and the run closes both workers cleanly."""
+        from repro.experiments.presets import benchmark_preset
+        from repro.experiments.runner import run_experiment
+        from repro.federated.pipeline import RoundCallback
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = benchmark_preset(
+            dataset="usps_like", epochs=1, scale=0.2, n_honest=4,
+            backend="remote",
+            backend_kwargs={"port": port, "max_workers": 2, "worker_timeout": 20.0},
+        )
+        workers = [start_worker_thread(port, name="early", reconnect_timeout=10.0)]
+        servers = []
+        dispatched = {}
+
+        def on_prepared(setup):
+            # Start listening, and let the early worker register first.
+            servers.append(setup.simulation.backend.server)
+            assert servers[0].wait_for_workers(1, timeout=10.0) == 1
+
+        class LateWorker(RoundCallback):
+            def on_round_start(self, event):
+                if event.round_index == 0:
+                    timer = threading.Timer(0.3, lambda: workers.append(
+                        start_worker_thread(port, name="late", reconnect_timeout=10.0)
+                    ))
+                    timer.daemon = True
+                    timer.start()
+
+            def on_round_end(self, event):
+                if event.round_index == 0:
+                    dispatched.update(
+                        (row["name"], row["dispatched"])
+                        for row in servers[0].worker_status()
+                    )
+
+        run_experiment(config, callbacks=[LateWorker()], on_prepared=on_prepared)
+        assert dispatched.get("early", 0) > 0, dispatched
+        assert dispatched.get("late", 0) > 0, dispatched
+        for thread, codes in workers:
+            thread.join(timeout=15.0)
+            assert codes == [0]
+
     def test_lost_worker_mid_training_degrades_not_crashes(self):
         """Transport exhaustion surfaces as lost workers, not an exception."""
         from repro.federated.worker import WorkerPool
@@ -658,7 +713,7 @@ class TestRemotePools:
     def test_engine_instance_cannot_leave_the_process(self):
         from repro.federated.engines import GhostNormEngine
 
-        with pytest.raises(TypeError, match="EngineConfig"):
+        with pytest.raises(TypeError, match="registered name"):
             make_pool(make_shards(2), CONFIG, engine=GhostNormEngine(),
                       backend=RemoteBackend())
 

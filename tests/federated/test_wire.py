@@ -263,7 +263,7 @@ class TestTypedFrames:
         assert decoded.rng_states == payload.rng_states
         assert decoded.dp_config == payload.dp_config
         assert decoded.replicas.model == payload.replicas.model
-        assert decoded.replicas.engine.name == payload.replicas.engine.name
+        assert decoded.replicas.engine == payload.replicas.engine
         assert decoded_fn.policy == fn.policy
         assert_results([decoded_fn((decoded_index, decoded))], expected[1:])
 

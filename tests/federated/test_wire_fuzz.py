@@ -323,10 +323,23 @@ class TestTaskDecoder:
         _, _, header, buffers, _ = job
         assert_refused(task_message(header), (list(buffers) * 2)[:count], match="buffers")
 
+    def test_a_protocol_2_task_is_refused(self, job):
+        """Protocol 2 sent the engine with options and a retry jitter and seed."""
+        _, _, header, buffers, _ = job
+        stale = {
+            **header,
+            "engine": {"name": "materialized", "options": {}},
+            "retry": {"max_attempts": 1, "backoff_base": 0.0, "backoff_jitter": 0.0,
+                      "timeout": None, "seed": 0},
+        }
+        assert_refused(task_message(stale), buffers, match="task.engine")
+        assert_refused(task_message({**stale, "engine": "materialized"}), buffers,
+                       match="task.retry")
+
     @pytest.mark.parametrize("path, value, match", [
         (["kind"], "exec", "unknown task kind"),
         (["kind"], "pickle", "unknown task kind"),
-        (["engine", "name"], "os.system", "unknown engine"),
+        (["engine"], "os.system", "unknown engine"),
         (["model", 0, "layer"], "Lambda", "unknown layer"),
         (["model", 1, "layer"], "__import__", "unknown layer"),
         (["states", 0, "bit_generator"], "MT19937", "unknown bit generator"),
@@ -340,11 +353,11 @@ class TestTaskDecoder:
         (["index"], -1), (["crashes"], -2), (["index"], 1.5), (["crashes"], True),
         (["dp", "batch_size"], 0), (["dp", "batch_size"], 4.0), (["dp", "sigma"], -1.0),
         (["dp", "momentum"], 1.0), (["dp", "bounding"], "none"), (["dp", "sigma"], 10**400),
-        (["retry", "max_attempts"], 0), (["retry", "timeout"], -1.0), (["retry", "seed"], -1),
+        (["retry", "max_attempts"], 0), (["retry", "timeout"], -1.0),
         (["states"], []), (["states", 0, "state", "inc"], -1),
         (["states", 0, "state", "state"], 1 << 128), (["states", 0, "has_uint32"], 2),
         (["states", 0, "uinteger"], 1 << 32), (["states", 0, "state"], "0"),
-        (["engine", "options"], []), (["model"], {}), (["model", 0, "in_features"], 0),
+        (["engine"], {}), (["model"], {}), (["model", 0, "in_features"], 0),
     ])
     def test_malformed_fields(self, job, path, value):
         _, _, header, buffers, _ = job
@@ -367,7 +380,7 @@ class TestTaskDecoder:
         paths = [
             [key] for key in header
         ] + [
-            [key, sub] for key in ("retry", "dp", "engine") for sub in header[key]
+            [key, sub] for key in ("retry", "dp") for sub in header[key]
         ] + [
             ["model", index, key] for index, layer in enumerate(header["model"])
             for key in layer
