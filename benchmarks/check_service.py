@@ -312,7 +312,12 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
     from repro.experiments.presets import benchmark_preset
     from repro.experiments.runner import prepare_experiment
     from repro.federated.pipeline import read_metrics
-    from repro.federated.state import STATE_SUFFIX, load_round_state
+    from repro.federated.state import (
+        STATE_SUFFIX,
+        latest_snapshot,
+        load_round_state,
+        snapshot_name,
+    )
 
     # Buffered stragglers put late reports in every snapshot, so the
     # restart crosses a pending straggler buffer.
@@ -371,17 +376,14 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
     if "resuming from the latest snapshot" not in output:
         raise SystemExit("restarted coordinator did not resume from state")
 
-    snapshots = sorted(
-        state_dir.glob(f"round_*{STATE_SUFFIX}"),
-        key=lambda path: int(path.name[len("round_"):-len(STATE_SUFFIX)]),
-    )
+    snapshots = list(state_dir.glob(f"round_*{STATE_SUFFIX}"))
     buffered = [
         path.name for path in snapshots
         if load_round_state(path).pending is not None
     ]
     if not buffered:
         raise SystemExit("no snapshot holds a pending straggler buffer")
-    final = load_round_state(snapshots[-1])
+    final = load_round_state(latest_snapshot(state_dir))
     if final.round_index != total_rounds - 1:
         raise SystemExit(
             f"final snapshot is round {final.round_index}, "
@@ -405,7 +407,7 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
 
     # The served run's full-state snapshots resume through `repro run`.
     uninterrupted = finish(spawn("run", "--config", str(config_path)))
-    for target in (state_dir / f"round_1{STATE_SUFFIX}", state_dir):
+    for target in (state_dir / snapshot_name(1), state_dir):
         resumed = finish(spawn(
             "run", "--config", str(config_path), "--resume-from", str(target)
         ))

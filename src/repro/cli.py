@@ -481,7 +481,7 @@ def _command_run(arguments: argparse.Namespace) -> int:
 
 def _command_serve(arguments: argparse.Namespace) -> int:
     from repro.federated.pipeline import Checkpoint
-    from repro.federated.state import STATE_SUFFIX
+    from repro.federated.state import latest_snapshot
 
     config = _config_from_arguments(arguments).replace(
         backend="remote",
@@ -499,7 +499,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     resume_path = None
     callbacks = []
     if state_dir is not None:
-        if any(Path(state_dir).glob(f"round_*{STATE_SUFFIX}")):
+        if latest_snapshot(state_dir) is not None:
             resume_path = state_dir
             print(f"resuming from the latest snapshot in {state_dir}")
         callbacks.append(Checkpoint(state_dir))

@@ -8,15 +8,14 @@ up by name, so third-party components registered through the public
 :class:`repro.registry.Registry` API run here without any repro changes.
 :func:`run_experiment` (used by the CLI, the sweeps and the benchmarks)
 is a thin wrapper that prepares, runs and summarises; it forwards
-:class:`~repro.federated.pipeline.RoundCallback` hooks to the round
-pipeline, so early stopping, logging and checkpointing work from any
-entry point.
+:class:`~repro.federated.pipeline.RoundCallback` hooks to
+:meth:`FederatedSimulation.run`, so early stopping, logging and
+checkpointing work from any entry point.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,12 @@ from repro.federated.faults import build_faults
 from repro.federated.pipeline import RoundCallback
 from repro.federated.sampling import WorkerSource, build_sampler
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
-from repro.federated.state import STATE_SUFFIX, RoundState, load_round_state
+from repro.federated.state import (
+    STATE_SUFFIX,
+    RoundState,
+    latest_snapshot,
+    load_round_state,
+)
 from repro.nn.models import build_model, model_for_dataset
 
 __all__ = [
@@ -56,9 +60,6 @@ class CheckpointMismatchError(ValueError):
     (round outside the schedule, different worker counts, a parameter
     vector of the wrong size, or other DP settings or learning rate)."""
 
-#: File-name pattern of the snapshots the ``Checkpoint`` callback writes.
-_STATE_PATTERN = re.compile(r"round_(\d+)\.state\.npz$")
-
 
 def resolve_checkpoint(resume_from: str | Path | RoundState) -> RoundState:
     """Resolve a resume specification to the :class:`RoundState` it names.
@@ -67,23 +68,20 @@ def resolve_checkpoint(resume_from: str | Path | RoundState) -> RoundState:
     which comes back unread, the path of a ``round_<index>.state.npz``
     snapshot written by the :class:`~repro.federated.pipeline.Checkpoint`
     callback, or a directory of such snapshots, of which the latest round
-    wins.  A file that is not a snapshot raises ``ValueError`` (see
+    wins (see :func:`~repro.federated.state.latest_snapshot`).  A file
+    that is not a snapshot raises ``ValueError`` (see
     :func:`~repro.federated.state.load_round_state`).
     """
     if isinstance(resume_from, RoundState):
         return resume_from
     path = Path(resume_from)
     if path.is_dir():
-        candidates = [
-            (int(match.group(1)), entry)
-            for entry in path.glob(f"round_*{STATE_SUFFIX}")
-            if (match := _STATE_PATTERN.search(entry.name))
-        ]
-        if not candidates:
+        latest = latest_snapshot(path)
+        if latest is None:
             raise FileNotFoundError(
                 f"no round_<index>{STATE_SUFFIX} snapshots in {path}"
             )
-        _, path = max(candidates)
+        path = latest
     return load_round_state(path)
 
 
@@ -297,7 +295,7 @@ def run_experiment(
     seed:
         Override for ``config.seed`` (used when sweeping seeds).
     callbacks:
-        Extra round-pipeline hooks (see
+        Extra training-loop hooks (see
         :class:`~repro.federated.pipeline.RoundCallback`); a callback's
         ``should_stop`` may terminate the run early.
     resume_from:

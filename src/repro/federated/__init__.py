@@ -5,14 +5,13 @@
   forward/backward capture pass per shard.
 - :class:`~repro.federated.server.Server` -- owns the global model, the
   aggregation rule and the server auxiliary data.
-- :class:`~repro.federated.simulation.FederatedSimulation` -- the training
-  loop (broadcast, local computation, Byzantine crafting, aggregation,
-  model update, evaluation).
-- :class:`~repro.federated.pipeline.RoundPipeline` -- explicit stage-by-
-  stage execution of the loop, emitting typed
-  :class:`~repro.federated.pipeline.RoundEvent` objects to
+- :class:`~repro.federated.simulation.FederatedSimulation` -- the round
+  (broadcast, local computation, Byzantine crafting, aggregation, model
+  update) and the training loop around it, which evaluates the model and
+  emits typed :class:`~repro.federated.pipeline.RoundEvent` objects to
   :class:`~repro.federated.pipeline.RoundCallback` hooks (early stopping,
-  logging and checkpoint callbacks ship as built-ins).
+  logging and checkpoint callbacks ship as built-ins in
+  :mod:`repro.federated.pipeline`).
 - :class:`~repro.federated.history.TrainingHistory` -- per-round records,
   populated by the default
   :class:`~repro.federated.pipeline.HistoryRecorder` event consumer.
@@ -103,7 +102,6 @@ from repro.federated.pipeline import (
     RoundEndEvent,
     RoundEvent,
     RoundLogger,
-    RoundPipeline,
     RoundStartEvent,
 )
 from repro.federated.server import Server
@@ -177,7 +175,6 @@ __all__ = [
     "FederatedSimulation",
     "SimulationSettings",
     "TrainingHistory",
-    "RoundPipeline",
     "RoundEvent",
     "RoundStartEvent",
     "EvaluationEvent",

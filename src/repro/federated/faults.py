@@ -22,7 +22,7 @@ Two fault *seams* exist in the round:
   computes its upload, but the report never reaches the aggregation:
   dropped (device offline / churned away) or late (past the deadline;
   discarded, or buffered and delivered next round).  These are injected
-  at the pipeline seam *after* upload computation, so worker RNG streams
+  into the round matrix *after* upload computation, so worker RNG streams
   and pool state stay untouched and backend-invariant.
 - **crash faults** (:meth:`FaultModel.crash_failures`) -- a shard task
   raises.  Shard tasks are pure and their results are committed by the
@@ -204,13 +204,10 @@ class PoolFaultReport:
         committed shards, plus every extra attempt of a shard that ended
         as a :class:`~repro.federated.backends.TaskFailure` (transport
         re-dispatches of a remote backend included).
-    crashed_shards:
-        Number of shards scheduled to crash or lost for the round.
     """
 
     failed_workers: np.ndarray
     retried: int
-    crashed_shards: int
 
 
 # ---------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ without ever touching the training numerics.  Three pieces:
 - **Tracing hooks** -- :class:`TraceRecorder`, a
   :class:`~repro.federated.pipeline.RoundCallback` that appends span
   records (round, stage, task, wire round-trip, retry) to a JSONL file.
-  The pipeline and the execution backends discover it through the
+  The training loop and the execution backends discover it through the
   ``trace_span`` / ``trace_event`` duck-typed seam, so tracing is off by
   default and, when enabled, **bitwise-neutral**: spans only observe
   wall-clock time around existing calls -- they never consume RNG, touch
@@ -164,9 +164,9 @@ class StatusBoard:
 
 
 class StatusReporter(RoundCallback):
-    """Pipeline callback publishing round progress to a :class:`StatusBoard`.
+    """Round callback publishing round progress to a :class:`StatusBoard`.
 
-    Bound to the pipeline before the run (the ``bind`` seam), it
+    Bound to the simulation before the run (the ``bind`` seam), it
     publishes the static run facts once -- total rounds, population,
     cohort, resolved quorum -- then one snapshot per round start/end and
     evaluation.  Every ``on_round_end`` also publishes the same record a
@@ -180,9 +180,8 @@ class StatusReporter(RoundCallback):
         self._required_quorum: int | None = None
         self._expected: int | None = None
 
-    def bind(self, pipeline) -> None:
-        """Publish the static facts of the run the pipeline is about to do."""
-        simulation = pipeline.simulation
+    def bind(self, simulation) -> None:
+        """Publish the static facts of the run the simulation is about to do."""
         expected = int(simulation.n_workers)
         min_quorum = simulation.min_quorum
         required = resolve_quorum(min_quorum, expected)
@@ -248,7 +247,7 @@ class TraceRecorder(RoundCallback):
     ``start`` is seconds since the recorder was created (monotonic
     clock), so traces are self-relative and deterministic in *shape*
     while timing values naturally vary.  The recorder is discovered by
-    the round pipeline and the execution backends through its
+    the training loop and the execution backends through its
     :meth:`trace_span` / :meth:`trace_event` methods (duck-typed, so
     third-party recorders plug in the same way), and is bitwise-neutral
     by construction: recording reads the clock and writes to its own

@@ -1,18 +1,8 @@
-"""Hook-driven execution of the federated training loop.
+"""The events and hooks of the federated training loop.
 
-:class:`RoundPipeline` makes the stages of one aggregation round explicit
-
-    honest uploads -> byzantine uploads -> aggregate + server update ->
-    evaluate
-
-(the model broadcast before them is implicit: every pool reads the
-server's model object) and emits typed :class:`RoundEvent` objects to a
-list of :class:`RoundCallback` hooks, so callers observe or extend
-training without forking the loop.  There is one round function: the upload
-stages fill one ``(n, d)`` round matrix, honest rows first, and the
-server aggregates it -- or, when faults cost rows, its leading rows,
-where the survivors were moved -- without copying it again, in one call
-keyed by the rows' worker ids.  The hooks:
+:meth:`~repro.federated.simulation.FederatedSimulation.run` emits typed
+:class:`RoundEvent` objects to a list of :class:`RoundCallback` hooks, so
+callers observe or extend training without forking the loop:
 
 - ``on_round_start(event)``  -- before any stage of the round runs;
 - ``on_evaluation(event)``   -- after the global model was evaluated on
@@ -25,32 +15,27 @@ keyed by the rows' worker ids.  The hooks:
   stop-triggered evaluation fires after the round's ``on_round_end``,
   since the stop decision is what requested it).
 
-:class:`TrainingHistory` is populated by the default event consumer
-:class:`HistoryRecorder`; :class:`EarlyStopping`, :class:`RoundLogger`
-and :class:`Checkpoint` ship as built-in callbacks.  The default run
-(no extra callbacks) is decision-identical to the pre-pipeline loop.
+A callback with a ``bind`` method is handed the simulation before the
+first round.  :class:`TrainingHistory` is populated by the default event
+consumer :class:`HistoryRecorder`; :class:`EarlyStopping`,
+:class:`RoundLogger`, :class:`Checkpoint` and :class:`MetricsWriter` ship
+as built-in callbacks, and :func:`read_metrics` reads what the last one
+writes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable, Iterable, Mapping
-from contextlib import nullcontext
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.federated.faults import (
-    BYZANTINE_SCOPE,
-    HONEST_SCOPE,
-    ReportFaultPlan,
-    ShardFaultPlan,
-)
 from repro.federated.history import TrainingHistory
-from repro.federated.state import STATE_SUFFIX, save_round_state
+from repro.federated.state import save_round_state, snapshot_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.federated.simulation import FederatedSimulation
@@ -66,7 +51,6 @@ __all__ = [
     "RoundLogger",
     "Checkpoint",
     "MetricsWriter",
-    "RoundPipeline",
     "read_metrics",
 ]
 
@@ -76,7 +60,7 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RoundEvent:
-    """Base class of all pipeline events.
+    """Base class of all training-loop events.
 
     Attributes
     ----------
@@ -146,7 +130,7 @@ class RoundEndEvent(RoundEvent):
 # callbacks
 # ---------------------------------------------------------------------- #
 class RoundCallback:
-    """Base class for pipeline hooks; every method is an optional no-op."""
+    """Base class for training-loop hooks; every method is an optional no-op."""
 
     def on_round_start(self, event: RoundStartEvent) -> None:
         """Called before any stage of the round runs."""
@@ -165,8 +149,8 @@ class RoundCallback:
 class HistoryRecorder(RoundCallback):
     """Default event consumer: feeds a :class:`TrainingHistory`.
 
-    Records one point per :class:`EvaluationEvent`, reproducing exactly
-    what the pre-pipeline loop stored.
+    Records one point per :class:`EvaluationEvent`, and the ``fault_*``
+    counts of every round that reports them.
     """
 
     def __init__(self, history: TrainingHistory | None = None) -> None:
@@ -315,19 +299,19 @@ class Checkpoint(RoundCallback):
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self._pipeline: RoundPipeline | None = None
+        self._simulation: FederatedSimulation | None = None
 
-    def bind(self, pipeline: RoundPipeline) -> None:
-        """Remember the pipeline so snapshots can capture its simulation."""
-        self._pipeline = pipeline
+    def bind(self, simulation: FederatedSimulation) -> None:
+        """Remember the simulation whose state the snapshots capture."""
+        self._simulation = simulation
 
     def on_round_end(self, event: RoundEndEvent) -> None:
         """Write the finished round's snapshot."""
-        if self._pipeline is None:
-            raise RuntimeError("Checkpoint must be run by a RoundPipeline")
-        state = self._pipeline.simulation.capture_round_state(event.round_index)
+        if self._simulation is None:
+            raise RuntimeError("Checkpoint must be run by FederatedSimulation.run")
         save_round_state(
-            state, self.directory / f"round_{event.round_index}{STATE_SUFFIX}"
+            self._simulation.capture_round_state(event.round_index),
+            self.directory / snapshot_name(event.round_index),
         )
 
 
@@ -424,405 +408,3 @@ def read_metrics(path: str | Path) -> list[dict]:
                 f"{path}: malformed metrics record on line {number}"
             ) from None
     return records
-
-
-# ---------------------------------------------------------------------- #
-# a faulty round's rows
-# ---------------------------------------------------------------------- #
-def _compact_rows(matrix: np.ndarray, survivors: np.ndarray) -> np.ndarray:
-    """Move the ``survivors`` rows, in order, to the top of ``matrix``.
-
-    Returns the leading ``(m, d)`` rows: the bits, order and contiguity
-    of ``matrix[survivors]`` without a second matrix.  ``survivors`` is
-    increasing, so row ``i`` takes row ``survivors[i] >= i`` and a
-    forward pass reads every row before it is overwritten.
-    """
-    for row, source in enumerate(survivors.tolist()):
-        if row != source:
-            matrix[row] = matrix[source]
-    return matrix[: survivors.shape[0]]
-
-
-def _merge_arrivals(
-    matrix: np.ndarray,
-    survivors: np.ndarray,
-    survivor_ids: np.ndarray,
-    arrivals: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The survivors and last round's buffered ``(ids, rows)`` as one
-    ``(m + k, d)`` matrix in stable id order (a worker's fresh row before
-    its stale one); each row is written once, straight to its place.
-    Returns ``(worker ids, rows)``.
-    """
-    arrival_ids, arrival_rows = arrivals
-    ids = np.concatenate((survivor_ids, arrival_ids))
-    order = np.argsort(ids, kind="stable")
-    sources = [matrix[row] for row in survivors.tolist()] + list(arrival_rows)
-    rows = np.empty((ids.shape[0], matrix.shape[1]), dtype=np.float64)
-    for place, source in enumerate(order.tolist()):
-        rows[place] = sources[source]
-    return ids[order], rows
-
-
-# ---------------------------------------------------------------------- #
-# the pipeline
-# ---------------------------------------------------------------------- #
-class RoundPipeline:
-    """Run a :class:`FederatedSimulation` stage by stage, emitting events.
-
-    Parameters
-    ----------
-    simulation:
-        The simulation whose state (pools, server, model) the stages
-        operate on.
-    callbacks:
-        Hooks receiving the pipeline's events, in order.  Callbacks with
-        a ``bind`` method are handed the pipeline before the run (used by
-        :class:`Checkpoint` to reach the simulation).
-    """
-
-    def __init__(
-        self,
-        simulation: "FederatedSimulation",
-        callbacks: Iterable[RoundCallback] = (),
-    ) -> None:
-        self.simulation = simulation
-        self.callbacks = list(callbacks)
-        # Tracing seam: a callback exposing a callable ``trace_span``
-        # (e.g. :class:`repro.federated.observability.TraceRecorder`) is
-        # discovered here -- the last one wins -- and forwarded to the
-        # execution backend so shard tasks, wire round-trips and retry
-        # attempts land in the same trace as the pipeline stages.
-        # Tracing observes wall-clock time around existing calls only;
-        # it never changes results.
-        self._tracer = None
-        for callback in self.callbacks:
-            if callable(getattr(callback, "trace_span", None)):
-                self._tracer = callback
-        if self._tracer is not None:
-            backend = simulation.backend
-            if callable(getattr(backend, "set_tracer", None)):
-                backend.set_tracer(self._tracer)
-        for callback in self.callbacks:
-            bind = getattr(callback, "bind", None)
-            if callable(bind):
-                bind(self)
-
-    def _span(self, kind: str, name: str | None = None, **fields):
-        """A trace span context (no-op without an attached tracer)."""
-        if self._tracer is None:
-            return nullcontext()
-        return self._tracer.trace_span(kind, name, **fields)
-
-    # ------------------------------------------------------------------ #
-    # stages
-    # ------------------------------------------------------------------ #
-    def honest_uploads(
-        self,
-        crash_plan: ShardFaultPlan | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Stage 2: the honest pool computes its DP uploads, ``(n_honest, d)``."""
-        with self._span("stage", "honest_uploads"):
-            return self.simulation.honest_uploads(crash_plan=crash_plan, out=out)
-
-    def byzantine_uploads(
-        self,
-        honest_uploads: np.ndarray,
-        round_index: int,
-        crash_plan: ShardFaultPlan | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Stage 3: the attacker produces its uploads, ``(n_byzantine, d)``."""
-        with self._span("stage", "byzantine_uploads"):
-            return self.simulation.byzantine_uploads(
-                honest_uploads, round_index, crash_plan=crash_plan, out=out
-            )
-
-    def aggregate_and_update(
-        self,
-        uploads: np.ndarray,
-        worker_ids: np.ndarray,
-        fault_diagnostics: Mapping[str, float] | None = None,
-    ) -> dict[str, float]:
-        """Stages 4+5: aggregate the round's uploads and update the model.
-
-        ``worker_ids`` are the rows' server-state ids (see
-        :meth:`~repro.federated.simulation.FederatedSimulation
-        .global_worker_ids`): the row index in the classic mode, the
-        global population id under cohort subsampling.  The server keys
-        its per-worker state by the registered population and checks the
-        quorum against the round's expected cohort, so the whole round
-        matrix of a clean round and the surviving rows of a faulty one
-        take the same call; the selection diagnostic translates row
-        indices back to worker identities through the same ids.
-        """
-        simulation = self.simulation
-        with self._span("stage", "aggregate_and_update"):
-            simulation.server.update(
-                uploads,
-                worker_ids=worker_ids,
-                population=simulation.total_population,
-                expected=simulation.n_workers,
-            )
-        return self._selection_diagnostics(worker_ids, fault_diagnostics)
-
-    def _selection_diagnostics(
-        self,
-        row_ids: np.ndarray,
-        fault_diagnostics: Mapping[str, float] | None = None,
-    ) -> dict[str, float]:
-        """The round diagnostics dict, given the rows' server-state ids."""
-        simulation = self.simulation
-        byz_selected = 0.0
-        selected = getattr(simulation.server.aggregator, "last_selected", None)
-        if selected is not None and simulation.n_byzantine > 0:
-            selected = np.asarray(row_ids)[np.asarray(selected)]
-            byz_selected = float(np.mean(selected >= simulation.byzantine_id_floor))
-        diagnostics = {"byzantine_selected_fraction": byz_selected}
-        if fault_diagnostics:
-            diagnostics.update(fault_diagnostics)
-        return diagnostics
-
-    def evaluate(self) -> float:
-        """Stage 6: test accuracy of the current global model."""
-        with self._span("stage", "evaluate"):
-            return self.simulation.server.evaluate(self.simulation.test_dataset)
-
-    def run_round(self, round_index: int) -> dict[str, float]:
-        """Run stages 1-5 of one round; returns the round diagnostics.
-
-        The broadcast stage is implicit: all workers share the server's
-        model object, so no parameter copy is materialised.
-
-        The round fills one ``(n, d)`` round matrix, honest rows first:
-        the pools commit their shards straight into its rows, and the
-        attacker's crafted, copied or zeroed rows are written below them.
-        A row is read only after the stage that fills it has returned.
-
-        Every round runs through the fault seams; the default
-        :class:`~repro.federated.faults.NoFaults` model plans nothing,
-        which makes this the clean round.  Crash faults are injected into
-        the worker pools (shards retry under the simulation's
-        :class:`~repro.federated.backends.RetryPolicy`; exhausted shards
-        lose their workers and leave zero rows).  Pools can also lose
-        shards for real: a remote backend turns an exhausted transport
-        retry budget into ordered
-        :class:`~repro.federated.backends.TaskFailure` slots.  Report
-        faults mask the round matrix *after* computation -- worker
-        streams never observe them, so the fault trace is a pure function
-        of the round counters and identical across backends.
-
-        The late reports to buffer are copied out, the ``m`` surviving
-        rows move up, in order, to the matrix's leading rows, and
-        ``matrix[:m]`` goes to the server with its worker ids -- in a
-        clean round no row moves and that is the whole matrix.  When
-        last round's buffered reports arrive, survivors and arrivals are
-        written once each into one new ``(m + k, d)`` matrix in
-        worker-id order.  Six ``fault_*`` counts join the diagnostics
-        unless the round is clean: faults inactive, no pool report and
-        no arrivals.  Quorum enforcement lives in
-        :meth:`~repro.federated.server.Server.update`.
-        """
-        simulation = self.simulation
-        simulation.prepare_round(round_index)
-        faults = simulation.fault_model
-        n_honest = simulation.n_honest
-        n_byzantine = simulation.n_byzantine
-        n_workers = simulation.n_workers
-        matrix = np.empty(
-            (n_workers, simulation.model.num_parameters), dtype=np.float64
-        )
-        honest, byzantine = matrix[:n_honest], matrix[n_honest:]
-
-        self.honest_uploads(
-            self._crash_plan(round_index, HONEST_SCOPE, simulation.honest_pool),
-            out=honest,
-        )
-        crashed = np.zeros(n_workers, dtype=bool)
-        retried = 0
-        honest_report = simulation.honest_pool.last_fault_report
-        if honest_report is not None:
-            crashed[:n_honest] = honest_report.failed_workers
-            retried += honest_report.retried
-
-        # The omniscient attacker observes every committed honest upload
-        # (report faults happen at the server's deadline, not on the
-        # devices); only the rows of lost shards are invisible to it.
-        byzantine_pool = simulation.byzantine_pool
-        if byzantine_pool is not None:
-            # A pool's report describes the last round it ran; one that
-            # sits this round out (dormant attack, no honest rows to
-            # observe) must not replay it.
-            byzantine_pool.last_fault_report = None
-        attacker_view = honest[~crashed[:n_honest]] if crashed.any() else honest
-        if n_byzantine > 0 and attacker_view.shape[0] == 0:
-            # Every honest shard was lost: the attacker has nothing to
-            # observe or mimic, so its uploads degenerate to zeros.
-            byzantine[...] = 0.0
-        else:
-            self.byzantine_uploads(
-                attacker_view,
-                round_index,
-                self._crash_plan(round_index, BYZANTINE_SCOPE, byzantine_pool),
-                out=byzantine,
-            )
-        byzantine_report = (
-            byzantine_pool.last_fault_report if byzantine_pool is not None else None
-        )
-        if byzantine_report is not None:
-            crashed[n_honest:] = byzantine_report.failed_workers
-            retried += byzantine_report.retried
-
-        # Report faults over the round matrix (honest rows first).
-        plan = faults.report_faults(round_index, n_workers)
-        dropped, late = self._validated_report(plan, n_workers)
-        arrivals = simulation.pending
-        simulation.pending = None
-        faulty = (
-            faults.is_active
-            or honest_report is not None
-            or byzantine_report is not None
-            or arrivals is not None
-        )
-
-        # Buffered stragglers: stash this round's late reports for the
-        # next round -- copied before the survivors move -- and deliver
-        # last round's now (a worker may then contribute a stale and a
-        # fresh row; the id-keyed aggregation handles duplicates).
-        buffered = 0
-        if plan.buffer_late:
-            buffer_mask = late & ~dropped & ~crashed
-            buffered = int(np.count_nonzero(buffer_mask))
-            if buffered:
-                simulation.pending = (
-                    simulation.global_worker_ids(np.nonzero(buffer_mask)[0]),
-                    matrix[buffer_mask],
-                )
-        survivors = np.flatnonzero(~(crashed | dropped | late))
-        # From here on ids live in server-state space (identity in the
-        # classic mode, global population ids under cohort subsampling),
-        # so a buffered straggler row stays attributed to the *worker*
-        # that computed it even when the next round samples a different
-        # cohort.
-        worker_ids = simulation.global_worker_ids(survivors)
-        if arrivals is None:
-            rows = _compact_rows(matrix, survivors)
-        else:
-            worker_ids, rows = _merge_arrivals(
-                matrix, survivors, worker_ids, arrivals
-            )
-        diagnostics = {
-            "fault_dropped": float(np.count_nonzero(dropped)),
-            "fault_timed_out": float(np.count_nonzero(late)),
-            "fault_crashed": float(np.count_nonzero(crashed)),
-            "fault_retried": float(retried),
-            "fault_buffered": float(buffered),
-            "fault_survivors": float(rows.shape[0]),
-        }
-        return self.aggregate_and_update(
-            rows, worker_ids=worker_ids,
-            fault_diagnostics=diagnostics if faulty else None,
-        )
-
-    def _crash_plan(
-        self, round_index: int, scope: int, pool
-    ) -> ShardFaultPlan | None:
-        """The fault model's crash schedule for one pool and round
-        (``None`` without a pool: crafted uploads have no shards)."""
-        if pool is None:
-            return None
-        simulation = self.simulation
-        return ShardFaultPlan(
-            failures=simulation.fault_model.crash_failures(
-                round_index, scope, pool.n_shards
-            ),
-            policy=simulation.retry_policy,
-        )
-
-    @staticmethod
-    def _validated_report(
-        plan: ReportFaultPlan, n_workers: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The plan's masks as boolean ``(n_workers,)`` arrays, validated."""
-        dropped = np.asarray(plan.dropped, dtype=bool)
-        late = np.asarray(plan.late, dtype=bool)
-        if dropped.shape != (n_workers,) or late.shape != (n_workers,):
-            raise ValueError(
-                f"report fault plan must cover all {n_workers} workers, got "
-                f"dropped {dropped.shape} / late {late.shape}"
-            )
-        return dropped, late
-
-    # ------------------------------------------------------------------ #
-    # the loop
-    # ------------------------------------------------------------------ #
-    def _emit(self, hook: str, event: RoundEvent) -> None:
-        for callback in self.callbacks:
-            getattr(callback, hook)(event)
-
-    def _evaluate_and_emit(
-        self, round_index: int, total_rounds: int, diagnostics: dict[str, float]
-    ) -> float:
-        accuracy = self.evaluate()
-        self._emit(
-            "on_evaluation",
-            EvaluationEvent(
-                round_index=round_index,
-                total_rounds=total_rounds,
-                accuracy=accuracy,
-                diagnostics=diagnostics,
-            ),
-        )
-        return accuracy
-
-    def run(self) -> None:
-        """Run the full training loop, emitting events to the callbacks.
-
-        Evaluation happens every ``settings.eval_every`` rounds and on
-        the final round, matching the plain loop; when a callback's
-        ``should_stop`` answers ``True`` the loop terminates after a
-        final evaluation of the stop round (if it was not already due).
-        In that case the extra ``on_evaluation`` necessarily fires
-        *after* the stop round's ``on_round_end`` (whose ``accuracy`` is
-        ``None`` -- the stop decision is what triggered the evaluation).
-
-        A simulation restored from a checkpoint sets ``start_round``; the
-        loop then resumes at that round instead of round 0.
-        """
-        settings = self.simulation.settings
-        total_rounds = settings.total_rounds
-        start_round = self.simulation.start_round
-        if start_round >= total_rounds:
-            # Resumed from the final snapshot: nothing left to train, but
-            # evaluate once so the recorded history has its final point.
-            self._evaluate_and_emit(total_rounds - 1, total_rounds, {})
-            return
-        for round_index in range(start_round, total_rounds):
-            self._emit(
-                "on_round_start",
-                RoundStartEvent(round_index=round_index, total_rounds=total_rounds),
-            )
-            with self._span("round", None, round=round_index):
-                diagnostics = self.run_round(round_index)
-
-            is_last = round_index == total_rounds - 1
-            accuracy: float | None = None
-            if (round_index + 1) % settings.eval_every == 0 or is_last:
-                accuracy = self._evaluate_and_emit(
-                    round_index, total_rounds, diagnostics
-                )
-
-            end_event = RoundEndEvent(
-                round_index=round_index,
-                total_rounds=total_rounds,
-                diagnostics=diagnostics,
-                accuracy=accuracy,
-            )
-            self._emit("on_round_end", end_event)
-
-            if any(callback.should_stop(end_event) for callback in self.callbacks):
-                if accuracy is None:
-                    # Record the state the run actually stopped at.
-                    self._evaluate_and_emit(round_index, total_rounds, diagnostics)
-                return

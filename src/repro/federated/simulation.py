@@ -19,18 +19,17 @@ one small forward/backward per worker.  Both pools share one
 run concurrently (threads, worker processes or remote workers) with
 results bitwise identical to the serial reference.
 
-The loop itself is executed by a
-:class:`~repro.federated.pipeline.RoundPipeline`, which makes the stages
-above explicit and emits typed events to
-:class:`~repro.federated.pipeline.RoundCallback` hooks;
-:meth:`FederatedSimulation.run` accepts extra callbacks (early stopping,
-logging, checkpoints) and records history through the default
+:meth:`FederatedSimulation.run_round` is the round body and
+:meth:`FederatedSimulation.run` the loop around it, which emits typed
+events to :class:`~repro.federated.pipeline.RoundCallback` hooks (early
+stopping, logging, checkpoints) and records history through the default
 :class:`~repro.federated.pipeline.HistoryRecorder` consumer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,7 +41,13 @@ from repro.data.dataset import Dataset
 from repro.defenses.base import Aggregator
 from repro.federated.backends import ExecutionBackend, RetryPolicy, build_backend
 from repro.federated.engines import ClientEngine, build_engine
-from repro.federated.faults import FaultModel, ShardFaultPlan, build_faults
+from repro.federated.faults import (
+    BYZANTINE_SCOPE,
+    HONEST_SCOPE,
+    FaultModel,
+    ShardFaultPlan,
+    build_faults,
+)
 from repro.federated.sampling import (
     CohortSampler,
     WorkerSource,
@@ -51,7 +56,13 @@ from repro.federated.sampling import (
 )
 from repro.federated.state import RoundState
 from repro.federated.history import TrainingHistory
-from repro.federated.pipeline import HistoryRecorder, RoundCallback, RoundPipeline
+from repro.federated.pipeline import (
+    EvaluationEvent,
+    HistoryRecorder,
+    RoundCallback,
+    RoundEndEvent,
+    RoundStartEvent,
+)
 from repro.federated.server import Server
 from repro.federated.worker import WorkerPool
 from repro.nn.network import Sequential
@@ -85,6 +96,41 @@ class SimulationSettings:
             raise ValueError("learning_rate must be positive")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
+
+
+def _compact_rows(matrix: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    """Move the ``survivors`` rows, in order, to the top of ``matrix``.
+
+    Returns the leading ``(m, d)`` rows: the bits, order and contiguity
+    of ``matrix[survivors]`` without a second matrix.  ``survivors`` is
+    increasing, so row ``i`` takes row ``survivors[i] >= i`` and a
+    forward pass reads every row before it is overwritten.
+    """
+    for row, source in enumerate(survivors.tolist()):
+        if row != source:
+            matrix[row] = matrix[source]
+    return matrix[: survivors.shape[0]]
+
+
+def _merge_arrivals(
+    matrix: np.ndarray,
+    survivors: np.ndarray,
+    survivor_ids: np.ndarray,
+    arrivals: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The survivors and last round's buffered ``(ids, rows)`` as one
+    ``(m + k, d)`` matrix in stable id order (a worker's fresh row before
+    its stale one); each row is written once, straight to its place.
+    Returns ``(worker ids, rows)``.
+    """
+    arrival_ids, arrival_rows = arrivals
+    ids = np.concatenate((survivor_ids, arrival_ids))
+    order = np.argsort(ids, kind="stable")
+    sources = [matrix[row] for row in survivors.tolist()] + list(arrival_rows)
+    rows = np.empty((ids.shape[0], matrix.shape[1]), dtype=np.float64)
+    for place, source in enumerate(order.tolist()):
+        rows[place] = sources[source]
+    return ids[order], rows
 
 
 class FederatedSimulation:
@@ -232,6 +278,8 @@ class FederatedSimulation:
             engine = build_engine(engine)
         #: first round index :meth:`run` executes (set by checkpoint resume)
         self.start_round = 0
+        #: the tracer :meth:`run` found among its callbacks, or ``None``
+        self._tracer = None
         #: buffered straggler reports awaiting next-round delivery --
         #: ``(worker_ids, upload_rows)`` -- or ``None``; round state, like
         #: the pools' momentum and the generator streams
@@ -242,15 +290,29 @@ class FederatedSimulation:
         self.population_source = population
         self.sampler: CohortSampler | None = None
         self.cohort = 0
-        #: global honest worker ids sampled for the current round
-        self.current_plan: np.ndarray | None = None
-
-        self.byzantine_pool: WorkerPool | None = None
-        if population is not None:
-            cohort = len(population) if cohort is None else int(cohort)
-            if not 0 < cohort <= len(population):
+        # Each mode supplies the pools' datasets and generator streams,
+        # and the honest workers a protocol-following attacker poisons.
+        if population is None:
+            registered = len(honest_datasets)
+            streams = [
+                np.random.default_rng(child)
+                for child in np.random.SeedSequence(seed).spawn(
+                    registered + n_byzantine + 2
+                )
+            ]
+            self._server_rng, self._attack_rng = streams[0], streams[1]
+            honest_rngs = streams[2 : 2 + registered]
+            byzantine_rngs = streams[2 + registered :]
+            victim = honest_datasets.__getitem__
+            #: global ids of the honest workers in the round matrix's
+            #: leading rows: the identity for a fixed cohort
+            self.current_plan = np.arange(registered, dtype=np.int64)
+        else:
+            registered = len(population)
+            cohort = registered if cohort is None else int(cohort)
+            if not 0 < cohort <= registered:
                 raise ValueError(
-                    f"cohort must be in [1, {len(population)}], got {cohort}"
+                    f"cohort must be in [1, {registered}], got {cohort}"
                 )
             self.cohort = cohort
             self.sampler = (
@@ -263,68 +325,48 @@ class FederatedSimulation:
             # population costs nothing until a worker is actually drawn.
             self._server_rng = derive_rng(seed, "server")
             self._attack_rng = derive_rng(seed, "attack")
-            # The pool's slot count (cohort) is fixed; _prepare_round
+            # The pool's slot count (cohort) is fixed; prepare_round
             # re-points the slots at each round's sampled workers, so the
             # bootstrap contents below never feed a computation.
-            bootstrap = np.arange(cohort)
-            self.honest_pool = WorkerPool(
-                population.datasets(bootstrap),
-                dp_config,
-                population.round_rngs(bootstrap, 0),
-                engine=engine,
-                shard_size=shard_size,
-                backend=self.backend,
-            )
-            if n_byzantine > 0 and attack is not None and attack.follows_protocol:
-                poisoned_datasets = [
-                    attack.poison_dataset(
-                        population.dataset(i % len(population)).materialize()
-                    )
-                    for i in range(n_byzantine)
-                ]
-                self.byzantine_pool = WorkerPool(
-                    poisoned_datasets,
-                    dp_config,
-                    [derive_rng(seed, "byzantine", i) for i in range(n_byzantine)],
-                    engine=engine,
-                    shard_size=shard_size,
-                    backend=self.backend,
-                )
-        else:
-            seed_sequence = np.random.SeedSequence(seed)
-            worker_seeds = seed_sequence.spawn(len(honest_datasets) + n_byzantine + 2)
-            self._server_rng = np.random.default_rng(worker_seeds[0])
-            self._attack_rng = np.random.default_rng(worker_seeds[1])
+            self.current_plan = np.arange(cohort, dtype=np.int64)
+            honest_datasets = population.datasets(self.current_plan)
+            honest_rngs = population.round_rngs(self.current_plan, 0)
+            byzantine_rngs = [
+                derive_rng(seed, "byzantine", i) for i in range(n_byzantine)
+            ]
 
-            self.honest_pool = WorkerPool(
-                honest_datasets,
-                dp_config,
+            def victim(worker_id: int) -> Dataset:
+                return population.dataset(worker_id).materialize()
+
+        #: registered worker count keying per-worker server state: the
+        #: whole registered honest population plus the Byzantine workers,
+        #: so a worker's accumulated second-stage score survives the
+        #: rounds it is not sampled (:attr:`n_workers` for a fixed cohort)
+        self.total_population = registered + n_byzantine
+        #: first Byzantine global worker id (every id below is honest)
+        self.byzantine_id_floor = registered
+
+        self.honest_pool = WorkerPool(
+            honest_datasets,
+            dp_config,
+            honest_rngs,
+            engine=engine,
+            shard_size=shard_size,
+            backend=self.backend,
+        )
+        self.byzantine_pool: WorkerPool | None = None
+        if n_byzantine > 0 and attack.follows_protocol:
+            self.byzantine_pool = WorkerPool(
                 [
-                    np.random.default_rng(worker_seeds[2 + i])
-                    for i in range(len(honest_datasets))
+                    attack.poison_dataset(victim(i % registered))
+                    for i in range(n_byzantine)
                 ],
+                dp_config,
+                byzantine_rngs,
                 engine=engine,
                 shard_size=shard_size,
                 backend=self.backend,
             )
-
-            if n_byzantine > 0 and attack is not None and attack.follows_protocol:
-                offset = 2 + len(honest_datasets)
-                poisoned_datasets = [
-                    attack.poison_dataset(honest_datasets[i % len(honest_datasets)])
-                    for i in range(n_byzantine)
-                ]
-                self.byzantine_pool = WorkerPool(
-                    poisoned_datasets,
-                    dp_config,
-                    [
-                        np.random.default_rng(worker_seeds[offset + i])
-                        for i in range(n_byzantine)
-                    ],
-                    engine=engine,
-                    shard_size=shard_size,
-                    backend=self.backend,
-                )
 
         self.server = Server(
             model=model,
@@ -349,35 +391,15 @@ class FederatedSimulation:
         """Workers reporting per round (honest cohort + Byzantine)."""
         return self.n_honest + self.n_byzantine
 
-    @property
-    def total_population(self) -> int:
-        """Registered worker count keying per-worker server state.
-
-        Equals :attr:`n_workers` in the classic fixed-cohort mode; in
-        population mode it spans the whole registered honest population
-        plus the Byzantine workers, so a worker's accumulated second-stage
-        score survives the rounds it is not sampled.
-        """
-        if self.population_source is None:
-            return self.n_workers
-        return len(self.population_source) + self.n_byzantine
-
-    @property
-    def byzantine_id_floor(self) -> int:
-        """First Byzantine global worker id (every id below is honest)."""
-        if self.population_source is None:
-            return self.n_honest
-        return len(self.population_source)
-
     def prepare_round(self, round_index: int) -> None:
         """Draw the round's cohort and re-point the honest pool at it.
 
-        A no-op in the classic mode.  In population mode the sampler's
+        A no-op for a fixed cohort.  In population mode the sampler's
         plan -- keyed ``(seed, "sampler", round_index)``, independent of
         backend and restart point -- selects the honest workers, whose
         index views and generators are derived only now.
         """
-        if self.population_source is None or self.sampler is None:
+        if self.population_source is None:
             return
         plan = self.sampler.draw(
             round_index, len(self.population_source), self.cohort
@@ -389,43 +411,22 @@ class FederatedSimulation:
         )
 
     def global_worker_ids(self, local_ids: np.ndarray | None = None) -> np.ndarray:
-        """Map round-local row indices to population-global worker ids.
+        """Map round-local row indices to global worker ids.
 
-        Row ``i`` of the round matrix belongs to the ``i``-th sampled
-        honest worker for ``i < n_honest`` and to Byzantine worker
-        ``i - n_honest`` otherwise.  In the classic mode
-        the mapping is the identity.  ``local_ids=None`` maps the full
-        round.
+        Row ``i`` of the round matrix belongs to honest worker
+        ``current_plan[i]`` for ``i < n_honest`` and to Byzantine worker
+        ``byzantine_id_floor + i - n_honest`` otherwise: the identity for
+        a fixed cohort.  ``local_ids=None`` maps the full round.
         """
-        if self.population_source is None or self.current_plan is None:
-            full = np.arange(self.n_workers, dtype=np.int64)
-        else:
-            full = np.concatenate(
-                (
-                    self.current_plan,
-                    self.byzantine_id_floor
-                    + np.arange(self.n_byzantine, dtype=np.int64),
-                )
+        full = np.concatenate(
+            (
+                self.current_plan,
+                self.byzantine_id_floor + np.arange(self.n_byzantine, dtype=np.int64),
             )
+        )
         if local_ids is None:
             return full
         return full[np.asarray(local_ids, dtype=np.int64)]
-
-    def honest_uploads(
-        self,
-        crash_plan: ShardFaultPlan | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """This round's honest uploads, shape ``(n_honest, d)``.
-
-        ``crash_plan`` injects seeded shard crashes (retried under the
-        plan's retry policy); ``None`` is the empty plan.  ``out`` is the
-        array to fill and return (see
-        :meth:`~repro.federated.worker.WorkerPool.compute_uploads`).
-        """
-        return self.honest_pool.compute_uploads(
-            self.model, crash_plan=crash_plan, out=out
-        )
 
     def byzantine_uploads(
         self,
@@ -481,30 +482,261 @@ class FederatedSimulation:
         out[...] = rows
         return out
 
-    def run_round(self, round_index: int) -> dict[str, float]:
-        """Execute one aggregation round; returns per-round diagnostics.
+    def _span(self, kind: str, name: str | None = None, **fields):
+        """A span of the run's tracer (a no-op context without one)."""
+        if self._tracer is None:
+            return nullcontext()
+        return self._tracer.trace_span(kind, name, **fields)
 
-        The honest and Byzantine uploads fill one ``(n_workers, d)`` round
-        matrix (honest rows first) that travels to the server -- the
-        aggregation pipeline is array-first end-to-end, so no per-upload
-        Python lists are materialised on the hot path.  Reports buffered
-        by the previous call are delivered in this one.
+    def _crash_plan(
+        self, round_index: int, scope: int, pool: WorkerPool | None
+    ) -> ShardFaultPlan | None:
+        """The fault model's crash schedule for one pool and round
+        (``None`` without a pool: crafted uploads have no shards)."""
+        if pool is None:
+            return None
+        return ShardFaultPlan(
+            failures=self.fault_model.crash_failures(
+                round_index, scope, pool.n_shards
+            ),
+            policy=self.retry_policy,
+        )
+
+    def run_round(self, round_index: int) -> dict[str, float]:
+        """Run one aggregation round; returns the round diagnostics.
+
+        The broadcast is implicit: all workers share the server's model
+        object, so no parameter copy is materialised.
+
+        The round fills one ``(n, d)`` round matrix, honest rows first:
+        the pools commit their shards straight into its rows, and the
+        attacker's crafted, copied or zeroed rows are written below them.
+        A row is read only after the stage that fills it has returned.
+
+        Every round runs through the fault seams; the default
+        :class:`~repro.federated.faults.NoFaults` model plans nothing,
+        which makes this the clean round.  Crash faults are injected into
+        the worker pools (shards retry under :attr:`retry_policy`;
+        exhausted shards lose their workers and leave zero rows).  Pools
+        can also lose shards for real: a remote backend turns an
+        exhausted transport retry budget into ordered
+        :class:`~repro.federated.backends.TaskFailure` slots.  Report
+        faults mask the round matrix *after* computation -- worker
+        streams never observe them, so the fault trace is a pure function
+        of the round counters and identical across backends.
+
+        The late reports to buffer are copied out, the ``m`` surviving
+        rows move up, in order, to the matrix's leading rows, and
+        ``matrix[:m]`` goes to the server in one
+        :meth:`~repro.federated.server.Server.update` call keyed by the
+        rows' :meth:`global_worker_ids` -- in a clean round no row moves
+        and that is the whole matrix.  When last round's buffered reports
+        arrive, survivors and arrivals are written once each into one new
+        ``(m + k, d)`` matrix in worker-id order.  Six ``fault_*`` counts
+        join the diagnostics unless the round is clean: faults inactive,
+        no pool report and no arrivals.  The server checks the quorum
+        against the round's expected cohort and keys its per-worker state
+        by :attr:`total_population`.
         """
-        return RoundPipeline(self).run_round(round_index)
+        self.prepare_round(round_index)
+        n_honest, n_workers = self.n_honest, self.n_workers
+        matrix = np.empty((n_workers, self.model.num_parameters), dtype=np.float64)
+        honest, byzantine = matrix[:n_honest], matrix[n_honest:]
+
+        crash_plan = self._crash_plan(round_index, HONEST_SCOPE, self.honest_pool)
+        with self._span("stage", "honest_uploads"):
+            self.honest_pool.compute_uploads(
+                self.model, crash_plan=crash_plan, out=honest
+            )
+        crashed = np.zeros(n_workers, dtype=bool)
+        retried = 0
+        honest_report = self.honest_pool.last_fault_report
+        if honest_report is not None:
+            crashed[:n_honest] = honest_report.failed_workers
+            retried += honest_report.retried
+
+        # The omniscient attacker observes every committed honest upload
+        # (report faults happen at the server's deadline, not on the
+        # devices); only the rows of lost shards are invisible to it.
+        byzantine_pool = self.byzantine_pool
+        if byzantine_pool is not None:
+            # A pool's report describes the last round it ran; one that
+            # sits this round out (dormant attack, no honest rows to
+            # observe) must not replay it.
+            byzantine_pool.last_fault_report = None
+        attacker_view = honest[~crashed[:n_honest]] if crashed.any() else honest
+        if self.n_byzantine > 0 and attacker_view.shape[0] == 0:
+            # Every honest shard was lost: the attacker has nothing to
+            # observe or mimic, so its uploads degenerate to zeros.
+            byzantine[...] = 0.0
+        else:
+            crash_plan = self._crash_plan(round_index, BYZANTINE_SCOPE, byzantine_pool)
+            with self._span("stage", "byzantine_uploads"):
+                self.byzantine_uploads(
+                    attacker_view, round_index, crash_plan, out=byzantine
+                )
+        byzantine_report = (
+            byzantine_pool.last_fault_report if byzantine_pool is not None else None
+        )
+        if byzantine_report is not None:
+            crashed[n_honest:] = byzantine_report.failed_workers
+            retried += byzantine_report.retried
+
+        # Report faults over the round matrix (honest rows first).
+        plan = self.fault_model.report_faults(round_index, n_workers)
+        dropped = np.asarray(plan.dropped, dtype=bool)
+        late = np.asarray(plan.late, dtype=bool)
+        if dropped.shape != (n_workers,) or late.shape != (n_workers,):
+            raise ValueError(
+                f"report fault plan must cover all {n_workers} workers, got "
+                f"dropped {dropped.shape} / late {late.shape}"
+            )
+        arrivals = self.pending
+        self.pending = None
+        faulty = (
+            self.fault_model.is_active
+            or honest_report is not None
+            or byzantine_report is not None
+            or arrivals is not None
+        )
+
+        # Buffered stragglers: stash this round's late reports for the
+        # next round -- copied before the survivors move -- and deliver
+        # last round's now (a worker may then contribute a stale and a
+        # fresh row; the id-keyed aggregation handles duplicates).
+        buffered = 0
+        if plan.buffer_late:
+            buffer_mask = late & ~dropped & ~crashed
+            buffered = int(np.count_nonzero(buffer_mask))
+            if buffered:
+                self.pending = (
+                    self.global_worker_ids(np.nonzero(buffer_mask)[0]),
+                    matrix[buffer_mask],
+                )
+        survivors = np.flatnonzero(~(crashed | dropped | late))
+        # From here on rows are keyed by global worker ids, so a buffered
+        # straggler row stays attributed to the *worker* that computed it
+        # even when the next round samples a different cohort.
+        worker_ids = self.global_worker_ids(survivors)
+        if arrivals is None:
+            rows = _compact_rows(matrix, survivors)
+        else:
+            worker_ids, rows = _merge_arrivals(
+                matrix, survivors, worker_ids, arrivals
+            )
+        with self._span("stage", "aggregate_and_update"):
+            self.server.update(
+                rows,
+                worker_ids=worker_ids,
+                population=self.total_population,
+                expected=n_workers,
+            )
+
+        # The selection diagnostic: the share of selected rows whose
+        # worker is Byzantine.
+        byzantine_selected = 0.0
+        selected = getattr(self.server.aggregator, "last_selected", None)
+        if selected is not None and self.n_byzantine > 0:
+            selected_ids = worker_ids[np.asarray(selected)]
+            byzantine_selected = float(
+                np.mean(selected_ids >= self.byzantine_id_floor)
+            )
+        diagnostics = {"byzantine_selected_fraction": byzantine_selected}
+        if faulty:
+            diagnostics.update({
+                "fault_dropped": float(np.count_nonzero(dropped)),
+                "fault_timed_out": float(np.count_nonzero(late)),
+                "fault_crashed": float(np.count_nonzero(crashed)),
+                "fault_retried": float(retried),
+                "fault_buffered": float(buffered),
+                "fault_survivors": float(rows.shape[0]),
+            })
+        return diagnostics
 
     def run(self, callbacks: Iterable[RoundCallback] = ()) -> TrainingHistory:
         """Run the full training loop and return the recorded history.
 
-        Parameters
-        ----------
-        callbacks:
-            Extra :class:`~repro.federated.pipeline.RoundCallback` hooks;
-            they run after the default
-            :class:`~repro.federated.pipeline.HistoryRecorder`, and any
-            callback's ``should_stop`` may terminate training early.
+        The loop emits typed events to the default
+        :class:`~repro.federated.pipeline.HistoryRecorder`, then to
+        ``callbacks`` in order.  Before the first round, every callback
+        with a ``bind`` method is handed this simulation (the
+        :class:`~repro.federated.pipeline.Checkpoint` callback snapshots
+        its state), and the last callback with a callable ``trace_span``
+        (e.g. :class:`~repro.federated.observability.TraceRecorder`)
+        becomes the run's tracer: it receives a ``round`` span per round
+        and a ``stage`` span per stage, and is forwarded to the execution
+        backend so shard tasks, wire round-trips and retry attempts land
+        in the same trace.  Tracing reads the clock around existing calls
+        only; it never changes results.
+
+        Evaluation happens every ``settings.eval_every`` rounds and on
+        the final round.  When a callback's ``should_stop`` answers
+        ``True`` the loop ends after a final evaluation of the stop round
+        (if it was not already due); that ``on_evaluation`` fires *after*
+        the stop round's ``on_round_end``, whose ``accuracy`` is ``None``
+        -- the stop decision is what requested it.  A simulation restored
+        from a snapshot resumes at :attr:`start_round`.
         """
         recorder = HistoryRecorder()
-        RoundPipeline(self, [recorder, *callbacks]).run()
+        callbacks = [recorder, *callbacks]
+        self._tracer = None
+        for callback in callbacks:
+            if callable(getattr(callback, "trace_span", None)):
+                self._tracer = callback
+        if self._tracer is not None and callable(
+            getattr(self.backend, "set_tracer", None)
+        ):
+            self.backend.set_tracer(self._tracer)
+        for callback in callbacks:
+            bind = getattr(callback, "bind", None)
+            if callable(bind):
+                bind(self)
+        settings = self.settings
+        total_rounds = settings.total_rounds
+
+        def evaluate(round_index: int, diagnostics: Mapping[str, float]) -> float:
+            with self._span("stage", "evaluate"):
+                accuracy = self.server.evaluate(self.test_dataset)
+            event = EvaluationEvent(
+                round_index=round_index,
+                total_rounds=total_rounds,
+                accuracy=accuracy,
+                diagnostics=diagnostics,
+            )
+            for callback in callbacks:
+                callback.on_evaluation(event)
+            return accuracy
+
+        if self.start_round >= total_rounds:
+            # Resumed from the final snapshot: nothing left to train, but
+            # evaluate once so the recorded history has its final point.
+            evaluate(total_rounds - 1, {})
+        for round_index in range(self.start_round, total_rounds):
+            start_event = RoundStartEvent(
+                round_index=round_index, total_rounds=total_rounds
+            )
+            for callback in callbacks:
+                callback.on_round_start(start_event)
+            with self._span("round", None, round=round_index):
+                diagnostics = self.run_round(round_index)
+
+            accuracy: float | None = None
+            if (round_index + 1) % settings.eval_every == 0 or round_index == total_rounds - 1:
+                accuracy = evaluate(round_index, diagnostics)
+            end_event = RoundEndEvent(
+                round_index=round_index,
+                total_rounds=total_rounds,
+                diagnostics=diagnostics,
+                accuracy=accuracy,
+            )
+            for callback in callbacks:
+                callback.on_round_end(end_event)
+
+            if any(callback.should_stop(end_event) for callback in callbacks):
+                if accuracy is None:
+                    # Record the state the run actually stopped at.
+                    evaluate(round_index, diagnostics)
+                break
         return recorder.history
 
     # ------------------------------------------------------------------ #

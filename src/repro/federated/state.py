@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -41,12 +42,16 @@ from repro.core.config import DPConfig
 __all__ = [
     "STATE_SUFFIX",
     "RoundState",
+    "latest_snapshot",
     "load_round_state",
     "save_round_state",
+    "snapshot_name",
 ]
 
 #: File-name suffix of full-state snapshots (``round_<i>.state.npz``).
 STATE_SUFFIX = ".state.npz"
+
+_SNAPSHOT_NAME = re.compile(r"round_(\d+)" + re.escape(STATE_SUFFIX))
 
 _FORMAT_VERSION = 2
 
@@ -102,6 +107,26 @@ class RoundState:
     pending: tuple[np.ndarray, np.ndarray] | None = None
     aggregator_state: dict[str, np.ndarray] | None = None
     sampler_state: dict | None = None
+
+
+def snapshot_name(round_index: int) -> str:
+    """The file name of the snapshot taken after round ``round_index``."""
+    return f"round_{int(round_index)}{STATE_SUFFIX}"
+
+
+def latest_snapshot(directory: str | Path) -> Path | None:
+    """The snapshot of the latest round in ``directory``, or ``None``.
+
+    Only files named like :func:`snapshot_name` count, and their round
+    indices compare as numbers (``round_10`` is later than ``round_9``).
+    A missing directory holds no snapshot.
+    """
+    rounds = [
+        (int(match.group(1)), entry)
+        for entry in Path(directory).glob(f"round_*{STATE_SUFFIX}")
+        if (match := _SNAPSHOT_NAME.fullmatch(entry.name))
+    ]
+    return max(rounds)[1] if rounds else None
 
 
 def save_round_state(state: RoundState, path: str | Path) -> Path:

@@ -544,11 +544,8 @@ class WorkerPool:
             np.copyto(rows, uploads)
             np.copyto(self.state.slot_momentum[start:stop], rows)
         if crash_plan.is_active or retried or failed.any():
-            lost_shards = failed[[start for start, _ in self._shard_bounds]]
             self.last_fault_report = PoolFaultReport(
-                failed_workers=failed,
-                retried=retried,
-                crashed_shards=int(np.count_nonzero((failures > 0) | lost_shards)),
+                failed_workers=failed, retried=retried
             )
         return out
 

@@ -9,7 +9,7 @@ maintained by hand::
     python -m repro.tools.docs check       # exit 1 when the page is stale
     python -m repro.tools.docs linkcheck   # verify markdown links resolve
 
-``check`` is the CI sync gate (mirroring the lint baseline gate): any
+``check`` is the CI sync gate (like the lint gate): any
 change to a registry entry -- a new component, an alias, an edited
 summary, different ``config_defaults`` wiring -- fails CI until the page
 is regenerated and committed.  ``linkcheck`` walks ``docs/`` and the

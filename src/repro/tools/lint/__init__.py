@@ -20,11 +20,10 @@ REP006   blas-out-aliasing     ``out=`` of matmul/dot/einsum never aliases
                                an input buffer
 =======  ====================  ============================================
 
-Suppress per line with ``# repro-lint: disable=REP001 -- why``; accept
-pre-existing findings wholesale through ``tools/lint_baseline.json``
-(see :mod:`repro.tools.lint.baseline`).  Third-party scenario packs run
-the same checks on their own trees (``repro lint --unscoped mypack/``)
-and register additional rules on :data:`LINT_RULES` through the public
+Suppress per line with ``# repro-lint: disable=REP001 -- why``; every
+other finding fails the gate.  Third-party scenario packs run the same
+checks on their own trees (``repro lint --unscoped mypack/``) and
+register additional rules on :data:`LINT_RULES` through the public
 :class:`repro.registry.Registry` API.
 """
 
@@ -43,9 +42,6 @@ _EXPORTS = {
     "ModuleSource": "framework",
     "lint_paths": "framework",
     "lint_text": "framework",
-    "load_baseline": "baseline",
-    "partition": "baseline",
-    "write_baseline": "baseline",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,7 +1,7 @@
 """The ``repro lint`` command (also ``python -m repro.tools.lint``).
 
-Exit codes: ``0`` clean (every finding baselined or suppressed), ``1``
-new findings, ``2`` usage or I/O error.  The main ``repro`` CLI mounts
+Exit codes: ``0`` clean (every finding suppressed), ``1`` findings,
+``2`` usage or I/O error.  The main ``repro`` CLI mounts
 :func:`add_lint_arguments` on its own subparser, so flags behave
 identically through both entry points.  The linter itself loads only
 when a command runs: building either parser imports no rule.
@@ -11,16 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.tools.lint.baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.tools.lint.output import FORMATS, render
 from repro.registry import UnknownComponentError
 
@@ -52,23 +45,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="ignore the rules' path scoping and run every rule on every "
              "file (for linting third-party scenario packs whose layout "
              "differs from this repo)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE.json",
-        help=f"baseline file of accepted findings (default: "
-             f"{DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file: every finding is reported as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--show-baselined", action="store_true",
-        help="also print the baselined findings (they never fail the gate)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -125,32 +101,13 @@ def run_lint_command(arguments: argparse.Namespace) -> int:
     except FileNotFoundError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
-
-    baseline_path = Path(arguments.baseline) if arguments.baseline else DEFAULT_BASELINE
-    if arguments.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(
-            f"recorded {len(report.findings)} finding(s) into {baseline_path}"
-        )
-        return 0
-
-    baseline: Counter = Counter()
-    if not arguments.no_baseline and baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, KeyError, TypeError) as error:
-            print(f"repro lint: bad baseline: {error}", file=sys.stderr)
-            return 2
-    new, known = partition(report.findings, baseline)
     print(render(
         arguments.format,
-        new=new,
-        baselined=known,
+        findings=report.findings,
         suppressed=len(report.suppressed),
         files_checked=report.files_checked,
-        show_baselined=arguments.show_baselined,
     ))
-    return 1 if new else 0
+    return 1 if report.findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

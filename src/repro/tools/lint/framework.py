@@ -32,13 +32,11 @@ and is only run on matching files; rules with no targets run everywhere
 (``--unscoped`` promotes every rule to global, for linting third-party
 trees whose layout differs).
 
-Findings are suppressed per line with a trailing directive::
+A finding is suppressed on its line with a trailing directive::
 
     token = uuid.uuid4().hex  # repro-lint: disable=REP001 -- cache key only
 
-or accepted wholesale through the committed baseline file (see
-:mod:`repro.tools.lint.baseline`): pre-existing findings don't block CI,
-*new* ones fail it.
+Every finding without one fails the gate.
 """
 
 from __future__ import annotations
@@ -88,14 +86,6 @@ class Finding:
     symbol: str
     message: str
 
-    def fingerprint(self) -> tuple[str, str, str, str]:
-        """Identity used for baseline matching.
-
-        Deliberately excludes ``line``/``column`` so unrelated edits that
-        shift a baselined finding up or down the file do not resurrect it.
-        """
-        return (self.code, self.path, self.symbol, self.message)
-
     def as_dict(self) -> dict:
         return {
             "code": self.code,
@@ -111,7 +101,7 @@ class Finding:
 class ModuleSource:
     """One parsed file handed to every applicable rule."""
 
-    path: str  # posix display path, also used in findings and baselines
+    path: str  # posix display path, also used in findings
     text: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
@@ -154,7 +144,7 @@ class LintRule:
     through the :meth:`finding` helper).
     """
 
-    #: Stable identifier (``REP001``); what suppressions and baselines key on.
+    #: Stable identifier (``REP001``); what suppressions key on.
     code: str = ""
     #: Human slug (``naked-nondeterminism``).
     name: str = ""
@@ -305,7 +295,7 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced (before baseline partitioning)."""
+    """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)

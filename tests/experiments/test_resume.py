@@ -197,6 +197,32 @@ class TestResumeRoundTrip:
         assert "not a round-state snapshot" in str(raised.value)
         assert str(path) in str(raised.value)
 
+    def test_cli_serve_without_a_numbered_snapshot_starts_fresh(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A state dir whose only snapshot has no round index in its name
+        holds nothing to resume: serve announces no resume and starts a
+        fresh run (stopped here as it loads the data, before a socket
+        opens)."""
+        import repro.experiments.runner as runner
+        from repro.cli import main
+
+        save_round_state(captured_state(CLI_CONFIG), tmp_path / "round_latest.state.npz")
+
+        class Loading(Exception):
+            pass
+
+        def load_dataset(*args, **kwargs):
+            raise Loading
+
+        monkeypatch.setattr(runner, "load_dataset", load_dataset)
+        with pytest.raises(Loading):
+            main([
+                "serve", *CLI_ARGUMENTS[1:], "--port", "0",
+                "--state-dir", str(tmp_path),
+            ])
+        assert "resuming" not in capsys.readouterr().out
+
     def test_cli_compare_rejects_resume_flag(self, tmp_path):
         """compare has no well-defined resume semantics; the parser refuses."""
         from repro.cli import build_parser

@@ -24,8 +24,10 @@ from repro.federated.pipeline import Checkpoint
 from repro.federated.state import (
     STATE_SUFFIX,
     RoundState,
+    latest_snapshot,
     load_round_state,
     save_round_state,
+    snapshot_name,
 )
 
 CONFIG = ExperimentConfig(
@@ -178,6 +180,26 @@ class TestSnapshotFile:
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_round_state(tmp_path / f"round_2{STATE_SUFFIX}")
+
+
+class TestSnapshotNames:
+    """One definition of a snapshot's name: what ``Checkpoint`` writes is
+    what a directory resume and ``serve --state-dir`` look for."""
+
+    def test_latest_round_compares_as_a_number(self, tmp_path):
+        for index in (9, 10, 2):
+            (tmp_path / snapshot_name(index)).write_bytes(b"")
+        assert latest_snapshot(tmp_path) == tmp_path / "round_10.state.npz"
+
+    def test_names_without_a_round_index_do_not_count(self, tmp_path):
+        for name in ("round_latest.state.npz", "round_.state.npz", "xround_4.state.npz"):
+            (tmp_path / name).write_bytes(b"")
+        assert latest_snapshot(tmp_path) is None
+        (tmp_path / snapshot_name(3)).write_bytes(b"")
+        assert latest_snapshot(tmp_path) == tmp_path / snapshot_name(3)
+
+    def test_missing_directory_holds_no_snapshot(self, tmp_path):
+        assert latest_snapshot(tmp_path / "missing") is None
 
 
 class TestResolveStateCheckpoints:

@@ -496,7 +496,6 @@ class TestUncommittedShard:
             backend.inner.shutdown()
         lost = np.array([False, False, True, True, False, False])
         np.testing.assert_array_equal(pool.last_fault_report.failed_workers, lost)
-        assert pool.last_fault_report.crashed_shards == 1
         np.testing.assert_array_equal(uploads[lost], 0.0)
         np.testing.assert_array_equal(uploads[~lost], expected[~lost])
         for index in range(6):

@@ -296,6 +296,40 @@ class TestMetricsConcurrency:
         assert board.snapshot().payload["fault_totals"] == {"fault_survivors": 7.0}
 
 
+class TestStatusReporterRun:
+    @pytest.mark.parametrize("population", [None, 300], ids=["classic", "population"])
+    def test_run_binds_the_reporter_to_the_simulation(self, population):
+        """``run`` hands the reporter the simulation it runs, whose static
+        facts it publishes; only a population run has a cohort."""
+        from repro.experiments.presets import benchmark_preset
+        from repro.experiments.runner import prepare_experiment
+        from repro.federated.faults import resolve_quorum
+
+        sampling = {} if population is None else {"population": population, "cohort": 8}
+        config = benchmark_preset(
+            dataset="usps_like", scale=0.2, epochs=1, byzantine_fraction=0.25,
+            attack="gaussian", min_quorum=0.5, seed=1, **sampling,
+        )
+        simulation = prepare_experiment(config).simulation
+        board = StatusBoard()
+        try:
+            simulation.run([StatusReporter(board)])
+        finally:
+            simulation.close()
+        payload = board.snapshot().payload
+        n_workers = simulation.n_workers
+        assert payload["expected_cohort"] == n_workers
+        assert payload["population"] == simulation.total_population
+        assert payload["required_quorum"] == resolve_quorum(0.5, n_workers)
+        assert payload["rounds_completed"] == simulation.settings.total_rounds
+        if population is None:
+            assert "cohort" not in payload
+            assert payload["population"] == n_workers
+        else:
+            assert payload["cohort"] == 8
+            assert payload["population"] == population + simulation.n_byzantine
+
+
 # ---------------------------------------------------------------------- #
 # coordinator admin surface
 # ---------------------------------------------------------------------- #

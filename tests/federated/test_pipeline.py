@@ -1,4 +1,4 @@
-"""Tests for the hook-driven round pipeline and its built-in callbacks."""
+"""Tests for the training loop's events, its round body and the built-in callbacks."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.federated.pipeline import (
     RoundCallback,
     RoundEndEvent,
     RoundLogger,
-    RoundPipeline,
     RoundStartEvent,
 )
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
@@ -82,7 +81,7 @@ class TestEvents:
     def test_event_order_and_counts(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=4, eval_every=2)
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         kinds = [kind for kind, _ in spy.events]
         # Rounds 0-3, evaluations after rounds 1 and 3 (eval_every=2).
         assert kinds == [
@@ -95,7 +94,7 @@ class TestEvents:
     def test_round_indices_and_totals(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=3, eval_every=5)
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         starts = [e for kind, e in spy.events if kind == "start"]
         assert [e.round_index for e in starts] == [0, 1, 2]
         assert all(e.total_rounds == 3 for e in starts)
@@ -106,7 +105,7 @@ class TestEvents:
     def test_end_event_carries_diagnostics_and_accuracy(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=2, eval_every=1)
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         ends = [e for kind, e in spy.events if kind == "end"]
         assert all("byzantine_selected_fraction" in e.diagnostics for e in ends)
         assert all(e.accuracy is not None for e in ends)
@@ -114,23 +113,24 @@ class TestEvents:
     def test_unevaluated_round_has_no_accuracy(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=2, eval_every=2)
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         ends = [e for kind, e in spy.events if kind == "end"]
         assert ends[0].accuracy is None
         assert ends[1].accuracy is not None
 
 
 class TestStages:
-    def test_run_round_matches_simulation_run_round(self):
+    def test_run_round_returns_the_round_diagnostics(self):
         simulation = build_simulation()
-        diagnostics = RoundPipeline(simulation).run_round(0)
+        diagnostics = simulation.run_round(0)
         assert "byzantine_selected_fraction" in diagnostics
 
-    def test_pipeline_run_is_identical_to_simulation_run(self):
-        history_direct = build_simulation(seed=7).run()
+    def test_extra_history_recorder_sees_the_returned_history(self):
         recorder = HistoryRecorder()
-        RoundPipeline(build_simulation(seed=7), [recorder]).run()
-        assert history_direct.as_dict() == recorder.history.as_dict()
+        history = build_simulation(seed=7).run([recorder])
+        assert recorder.history is not history
+        assert recorder.history.as_dict() == history.as_dict()
+        assert history.rounds == [1, 3, 5]
 
     def test_clean_round_hands_the_server_its_round_matrix(self):
         """One server call per round: a clean round passes the matrix the
@@ -140,17 +140,19 @@ class TestStages:
         update = simulation.server.update
         committed, calls = [], []
 
-        class CommitSpy(RoundPipeline):
-            def honest_uploads(self, crash_plan=None, out=None):
-                committed.append(out)
-                return super().honest_uploads(crash_plan, out=out)
+        compute_uploads = simulation.honest_pool.compute_uploads
+
+        def committing_uploads(model, crash_plan=None, out=None):
+            committed.append(out)
+            return compute_uploads(model, crash_plan=crash_plan, out=out)
 
         def recording_update(uploads, **kwargs):
             calls.append((uploads, kwargs))
             return update(uploads, **kwargs)
 
+        simulation.honest_pool.compute_uploads = committing_uploads
         simulation.server.update = recording_update
-        diagnostics = CommitSpy(simulation).run_round(0)
+        diagnostics = simulation.run_round(0)
         assert len(calls) == 1
         uploads, kwargs = calls[0]
         assert uploads.shape == (3, simulation.model.num_parameters)
@@ -162,7 +164,7 @@ class TestStages:
     def test_evaluation_event_reports_the_test_accuracy(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=3, eval_every=3)
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         (evaluation,) = [e for kind, e in spy.events if kind == "evaluation"]
         server = simulation.server
         assert evaluation.accuracy == server.evaluate(simulation.test_dataset)
@@ -175,7 +177,7 @@ class TestShouldStop:
     def test_stop_terminates_early(self):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=10, eval_every=2)
-        RoundPipeline(simulation, [spy, StopAfter(2)]).run()
+        simulation.run([spy, StopAfter(2)])
         starts = [e for kind, e in spy.events if kind == "start"]
         assert [e.round_index for e in starts] == [0, 1, 2]
 
@@ -184,13 +186,13 @@ class TestShouldStop:
         # it so the recorded history ends at the stop round.
         recorder = HistoryRecorder()
         simulation = build_simulation(total_rounds=10, eval_every=2)
-        RoundPipeline(simulation, [recorder, StopAfter(2)]).run()
+        simulation.run([recorder, StopAfter(2)])
         assert recorder.history.rounds[-1] == 2
 
     def test_stop_on_evaluated_round_does_not_double_evaluate(self):
         recorder = HistoryRecorder()
         simulation = build_simulation(total_rounds=10, eval_every=2)
-        RoundPipeline(simulation, [recorder, StopAfter(3)]).run()
+        simulation.run([recorder, StopAfter(3)])
         assert recorder.history.rounds == [1, 3]
 
     def test_simulation_run_accepts_callbacks(self):
@@ -286,7 +288,7 @@ class TestRoundLogger:
     def test_logs_every_round_by_default(self):
         lines: list[str] = []
         simulation = build_simulation(total_rounds=3, eval_every=2)
-        RoundPipeline(simulation, [RoundLogger(log=lines.append)]).run()
+        simulation.run([RoundLogger(log=lines.append)])
         assert len(lines) == 3
         assert lines[0].startswith("round 1/3")
         assert "accuracy" in lines[1]  # round 2 is evaluated
@@ -295,7 +297,7 @@ class TestRoundLogger:
     def test_every_skips_unevaluated_rounds(self):
         lines: list[str] = []
         simulation = build_simulation(total_rounds=4, eval_every=4)
-        RoundPipeline(simulation, [RoundLogger(log=lines.append, every=2)]).run()
+        simulation.run([RoundLogger(log=lines.append, every=2)])
         # Rounds 2 and 4 logged by cadence; round 4 is also the evaluation.
         assert [line.split()[1] for line in lines] == ["2/4", "4/4"]
 
@@ -307,7 +309,7 @@ class TestRoundLogger:
 class TestCheckpoint:
     def test_directory_keeps_every_snapshot(self, tmp_path):
         simulation = build_simulation(total_rounds=5, eval_every=2)
-        RoundPipeline(simulation, [Checkpoint(tmp_path)]).run()
+        simulation.run([Checkpoint(tmp_path)])
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == [f"round_{index}.state.npz" for index in range(5)]
         for index, name in enumerate(files):
@@ -331,7 +333,7 @@ class TestCheckpoint:
                 ))
 
         directory = tmp_path / "state" / "run"
-        RoundPipeline(simulation, [Checkpoint(directory), StateSpy()]).run()
+        simulation.run([Checkpoint(directory), StateSpy()])
         assert len(seen) == 3
         for index, (parameters, momentum) in enumerate(seen):
             state = load_round_state(directory / f"round_{index}.state.npz")
@@ -359,7 +361,7 @@ class TestCheckpoint:
         finally:
             simulation.close()
 
-    def test_requires_pipeline_binding(self, tmp_path):
+    def test_requires_a_bound_simulation(self, tmp_path):
         checkpoint = Checkpoint(tmp_path)
         with pytest.raises(RuntimeError):
             checkpoint.on_round_end(RoundEndEvent(round_index=0, total_rounds=1))
@@ -372,7 +374,7 @@ class TestStartRound:
         simulation = build_simulation(total_rounds=6, eval_every=2)
         simulation.start_round = 3
         spy = EventSpy()
-        RoundPipeline(simulation, [spy]).run()
+        simulation.run([spy])
         starts = [e.round_index for kind, e in spy.events if kind == "start"]
         assert starts == [3, 4, 5]
 
@@ -380,5 +382,5 @@ class TestStartRound:
         simulation = build_simulation(total_rounds=4, eval_every=2)
         simulation.start_round = 4
         recorder = HistoryRecorder()
-        RoundPipeline(simulation, [recorder]).run()
+        simulation.run([recorder])
         assert recorder.history.rounds == [3]

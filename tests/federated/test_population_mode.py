@@ -29,7 +29,7 @@ import pytest
 
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment, run_experiment
-from repro.federated.pipeline import Checkpoint, RoundPipeline
+from repro.federated.pipeline import Checkpoint
 from repro.federated.state import load_round_state
 
 BASE = dict(
@@ -133,7 +133,7 @@ class TestRoundMatrix:
 
         simulation.server.update = recording_update
         try:
-            RoundPipeline(simulation).run_round(0)
+            simulation.run_round(0)
             (shape, kwargs), = calls
             assert shape == (simulation.n_workers, simulation.model.num_parameters)
             ids = kwargs["worker_ids"]
@@ -146,6 +146,24 @@ class TestRoundMatrix:
             assert kwargs["expected"] == simulation.n_workers
         finally:
             simulation.close()
+
+    def test_ids_before_the_first_draw_follow_the_bootstrap_plan(self):
+        """Before ``prepare_round`` the honest rows belong to the bootstrap
+        cohort and the Byzantine rows still sit above the population."""
+        simulation = prepare_experiment(
+            population_config(byzantine_fraction=0.25, attack="label_flip")
+        ).simulation
+        try:
+            ids = simulation.global_worker_ids()
+        finally:
+            simulation.close()
+        n_honest = simulation.n_honest
+        np.testing.assert_array_equal(ids[:n_honest], np.arange(simulation.cohort))
+        np.testing.assert_array_equal(
+            ids[n_honest:],
+            simulation.byzantine_id_floor + np.arange(simulation.n_byzantine),
+        )
+        assert simulation.byzantine_id_floor == 300
 
 
 class TestSamplerResume:

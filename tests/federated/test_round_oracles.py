@@ -32,7 +32,6 @@ from repro.defenses.registry import build_defense
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment
 from repro.federated.faults import FaultModel, ReportFaultPlan
-from repro.federated.pipeline import RoundPipeline
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
@@ -106,18 +105,20 @@ def population_simulation(faults: FaultModel) -> FederatedSimulation:
     return simulation
 
 
-class MatrixSpy(RoundPipeline):
-    """Keeps a copy of each round's full matrix and row ids, taken once
-    both upload stages have written it."""
+def spy_on_matrix(simulation: FederatedSimulation) -> list:
+    """Wraps the simulation's Byzantine stage to keep a copy of each
+    round's full matrix and row ids, taken once both upload stages have
+    written it; returns the list the copies go to."""
+    rounds = []
+    byzantine_uploads = simulation.byzantine_uploads
 
-    def __init__(self, simulation):
-        super().__init__(simulation)
-        self.rounds = []
-
-    def byzantine_uploads(self, honest_uploads, round_index, crash_plan=None, out=None):
-        result = super().byzantine_uploads(honest_uploads, round_index, crash_plan, out=out)
-        self.rounds.append((out.base.copy(), self.simulation.global_worker_ids()))
+    def spying_uploads(honest_uploads, round_index, crash_plan=None, out=None):
+        result = byzantine_uploads(honest_uploads, round_index, crash_plan, out=out)
+        rounds.append((out.base.copy(), simulation.global_worker_ids()))
         return result
+
+    simulation.byzantine_uploads = spying_uploads
+    return rounds
 
 
 @pytest.mark.parametrize("build", [classic_simulation, population_simulation],
@@ -139,14 +140,14 @@ def test_faulty_rounds_hand_the_server_the_gathered_rows(build, buffer_late):
         return aggregated
 
     server.update = recording_update
-    spy = MatrixSpy(simulation)
+    matrices = spy_on_matrix(simulation)
     try:
-        diagnostics = [spy.run_round(index) for index in range(ROUNDS)]
+        diagnostics = [simulation.run_round(index) for index in range(ROUNDS)]
     finally:
         simulation.close()
 
     pending, duplicates = None, 0
-    for index, ((matrix, ids), got) in enumerate(zip(spy.rounds, received)):
+    for index, ((matrix, ids), got) in enumerate(zip(matrices, received)):
         plan = faults.report_faults(index, matrix.shape[0])
         survivors = np.nonzero(~(plan.dropped | plan.late))[0]
         want_ids, want_rows = gather_oracle(matrix, survivors, ids[survivors], pending)

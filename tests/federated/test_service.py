@@ -701,7 +701,6 @@ class TestRemotePools:
             killer.join(timeout=10.0)
             report = pool.last_fault_report
             assert report is not None
-            assert report.crashed_shards == 1
             lost = report.failed_workers
             assert lost.sum() == 2  # one shard of two workers dropped out
             np.testing.assert_array_equal(uploads[lost], 0.0)

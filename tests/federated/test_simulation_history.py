@@ -136,7 +136,7 @@ class TestRounds:
 
     def test_label_flip_byzantine_uploads_shape(self):
         simulation = build_simulation(n_honest=4, n_byzantine=2, attack=LabelFlipAttack())
-        honest = simulation.honest_uploads()
+        honest = simulation.honest_pool.compute_uploads(simulation.model)
         byzantine = simulation.byzantine_uploads(honest, round_index=0)
         assert byzantine.shape == (2, honest.shape[1])
 
@@ -144,7 +144,7 @@ class TestRounds:
         simulation = build_simulation(
             n_honest=4, n_byzantine=7, attack=LocalModelPoisoningAttack()
         )
-        honest = simulation.honest_uploads()
+        honest = simulation.honest_pool.compute_uploads(simulation.model)
         byzantine = simulation.byzantine_uploads(honest, round_index=0)
         total = honest.sum(axis=0) + byzantine.sum(axis=0)
         assert float(np.dot(total, honest.sum(axis=0))) < 0.0
@@ -154,7 +154,7 @@ class TestRounds:
         simulation = build_simulation(
             n_honest=4, n_byzantine=2, attack=attack, total_rounds=10
         )
-        honest = simulation.honest_uploads()
+        honest = simulation.honest_pool.compute_uploads(simulation.model)
         byzantine = simulation.byzantine_uploads(honest, round_index=0)
         honest_rows = {tuple(np.round(row, 9)) for row in honest}
         for row in byzantine:
@@ -162,7 +162,7 @@ class TestRounds:
 
     def test_no_byzantine_returns_empty_array(self):
         simulation = build_simulation(n_honest=3)
-        honest = simulation.honest_uploads()
+        honest = simulation.honest_pool.compute_uploads(simulation.model)
         byzantine = simulation.byzantine_uploads(honest, round_index=0)
         assert byzantine.shape == (0, honest.shape[1])
 

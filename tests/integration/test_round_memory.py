@@ -54,7 +54,6 @@ import pytest
 
 from repro.experiments.presets import benchmark_preset, paper_preset
 from repro.experiments.runner import prepare_experiment
-from repro.federated.pipeline import RoundPipeline
 
 #: most a warm round may allocate above its pre-round heap
 ROUND_BUDGET_MIB = 6.0
@@ -79,11 +78,10 @@ BACKEND_OVERRIDES = {
 }
 
 
-def paper_pipeline(attack="alittle", **overrides):
-    setup = prepare_experiment(
+def paper_simulation(attack="alittle", **overrides):
+    return prepare_experiment(
         paper_preset(attack=attack, byzantine_fraction=0.6, seed=1, **overrides)
-    )
-    return setup.simulation, RoundPipeline(setup.simulation)
+    ).simulation
 
 
 @contextlib.contextmanager
@@ -113,15 +111,15 @@ def traced():
     ids=["clean", "dropout", "chaos", "stragglers"],
 )
 def test_paper_round_allocates_within_budget(overrides, budget_mib):
-    simulation, pipeline = paper_pipeline(**overrides)
+    simulation = paper_simulation(**overrides)
     try:
         # Round 0 builds what later rounds reuse: engine scratch, the
         # FirstAGG filter and its KS workspace, the selector's scores.
-        pipeline.run_round(0)
+        simulation.run_round(0)
         with traced():
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            pipeline.run_round(1)
+            simulation.run_round(1)
             _, peak = tracemalloc.get_traced_memory()
     finally:
         simulation.close()
@@ -130,13 +128,13 @@ def test_paper_round_allocates_within_budget(overrides, budget_mib):
 
 def byzantine_stage_peak(attack: str, **overrides) -> tuple[int, int]:
     """``(traced peak, crafted block bytes)`` of one warm Byzantine stage."""
-    simulation, pipeline = paper_pipeline(attack=attack, **overrides)
+    simulation = paper_simulation(attack=attack, **overrides)
     try:
-        pipeline.run_round(0)
+        simulation.run_round(0)
         simulation.prepare_round(1)
         matrix = np.empty((simulation.n_workers, simulation.model.num_parameters))
         honest, byzantine = matrix[: simulation.n_honest], matrix[simulation.n_honest :]
-        simulation.honest_uploads(out=honest)
+        simulation.honest_pool.compute_uploads(simulation.model, out=honest)
         with traced():
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
@@ -176,9 +174,9 @@ def test_dormant_attacker_copies_its_rows_once():
 def test_auxiliary_gradient_expands_a_bounded_block():
     """The server's mean auxiliary gradient expands four rows at a time
     (0.30 MiB; the whole ``(20, d)`` expansion read 1.08 MiB)."""
-    simulation, pipeline = paper_pipeline()
+    simulation = paper_simulation()
     try:
-        pipeline.run_round(0)
+        simulation.run_round(0)
         server = simulation.server
         features, labels = server.auxiliary.features, server.auxiliary.labels
         with traced():
@@ -194,11 +192,11 @@ def test_auxiliary_gradient_expands_a_bounded_block():
 
 @pytest.mark.parametrize("backend, overrides", list(BACKEND_OVERRIDES.items()))
 def test_round_zero_resident_heap_within_budget(backend, overrides):
-    simulation, pipeline = paper_pipeline(**overrides)
+    simulation = paper_simulation(**overrides)
     try:
         with traced():
             before, _ = tracemalloc.get_traced_memory()
-            pipeline.run_round(0)
+            simulation.run_round(0)
             after, _ = tracemalloc.get_traced_memory()
     finally:
         simulation.close()
@@ -245,9 +243,9 @@ def test_in_process_pools_compute_on_one_engine(overrides):
 
 
 def test_evaluation_leaves_nothing_on_the_layers():
-    simulation, pipeline = paper_pipeline()
+    simulation = paper_simulation()
     try:
-        pipeline.run_round(0)
+        simulation.run_round(0)
         with traced():
             before, _ = tracemalloc.get_traced_memory()
             simulation.server.evaluate(simulation.test_dataset)
@@ -259,15 +257,15 @@ def test_evaluation_leaves_nothing_on_the_layers():
 
 def round_peak_above(backend: str, evaluate: bool) -> float:
     """MiB a warm round peaks above the heap before an optional evaluation."""
-    simulation, pipeline = paper_pipeline(**BACKEND_OVERRIDES[backend])
+    simulation = paper_simulation(**BACKEND_OVERRIDES[backend])
     try:
-        pipeline.run_round(0)
+        simulation.run_round(0)
         with traced():
             before, _ = tracemalloc.get_traced_memory()
             if evaluate:
                 simulation.server.evaluate(simulation.test_dataset)
             tracemalloc.reset_peak()
-            pipeline.run_round(1)
+            simulation.run_round(1)
             _, peak = tracemalloc.get_traced_memory()
     finally:
         simulation.close()

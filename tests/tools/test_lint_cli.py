@@ -1,10 +1,9 @@
 """Framework and CLI behaviour of ``repro lint``.
 
-Covers the suppression directive, the committed-baseline workflow
-(count-aware matching, ``--write-baseline``, line-move tolerance), the
-three output formats (including a JSON round-trip back into findings),
-parse-error findings, and both entry points (``repro lint`` and
-``python -m repro.tools.lint``).
+Covers the suppression directive, the three output formats (including a
+JSON round-trip back into findings), parse-error findings, both entry
+points (``repro lint`` and ``python -m repro.tools.lint``) and the gate
+on this repository's own tree.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.tools.lint import lint_paths, lint_text, load_baseline, partition
-from repro.tools.lint.baseline import write_baseline
+from repro.tools.lint import Finding, lint_paths, lint_text
 from repro.tools.lint.cli import main as lint_main
 
 BAD_CORE = "import numpy as np\nx = np.zeros(3)\n"       # one REP003
@@ -84,50 +82,6 @@ class TestSuppression:
 
 
 # --------------------------------------------------------------------- #
-# baseline workflow
-# --------------------------------------------------------------------- #
-class TestBaseline:
-    def test_partition_is_count_aware(self, tree):
-        report = lint_paths(["src"])
-        assert len(report.findings) == 1
-        baseline_path = tree / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-
-        # Same tree: everything baselined, nothing new.
-        new, known = partition(lint_paths(["src"]).findings, load_baseline(baseline_path))
-        assert new == [] and len(known) == 1
-
-        # A *second* occurrence of the identical finding is new.
-        bad = tree / "src" / "repro" / "core" / "bad.py"
-        bad.write_text(BAD_CORE + "y = np.zeros(3)\n")
-        new, known = partition(lint_paths(["src"]).findings, load_baseline(baseline_path))
-        assert len(known) == 1 and len(new) == 1
-
-    def test_baseline_tolerates_line_moves(self, tree):
-        baseline_path = tree / "baseline.json"
-        write_baseline(baseline_path, lint_paths(["src"]).findings)
-        bad = tree / "src" / "repro" / "core" / "bad.py"
-        bad.write_text('"""Docstring pushing the finding down."""\n\n' + BAD_CORE)
-        new, known = partition(lint_paths(["src"]).findings, load_baseline(baseline_path))
-        assert new == [] and len(known) == 1
-
-    def test_write_baseline_then_gate_passes(self, tree, capsys):
-        assert lint_main(["src", "--write-baseline", "--baseline", "base.json"]) == 0
-        assert lint_main(["src", "--baseline", "base.json"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_no_baseline_flag_resurrects_findings(self, tree):
-        assert lint_main(["src", "--write-baseline", "--baseline", "base.json"]) == 0
-        assert lint_main(["src", "--baseline", "base.json", "--no-baseline"]) == 1
-
-    def test_corrupt_baseline_is_a_usage_error(self, tree, capsys):
-        Path("base.json").write_text('{"version": 99}')
-        assert lint_main(["src", "--baseline", "base.json"]) == 2
-        assert "bad baseline" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------- #
 # output formats
 # --------------------------------------------------------------------- #
 class TestFormats:
@@ -135,20 +89,16 @@ class TestFormats:
         assert lint_main(["src", "--format", "human"]) == 1
         out = capsys.readouterr().out
         assert "src/repro/core/bad.py:2:5: REP003 [implicit-dtype]" in out
-        assert "1 new finding(s)" in out
+        assert "1 finding(s), 0 suppressed" in out
 
     def test_json_round_trip(self, tree, capsys):
         assert lint_main(["src", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_checked"] == 2
-        assert payload["suppressed"] == 0 and payload["baselined"] == []
-        (finding,) = payload["new"]
-        # Every field a baseline entry needs survives the round trip:
-        # feeding the JSON back in as a baseline silences the finding.
-        Path("base.json").write_text(json.dumps(
-            {"version": 1, "findings": [finding]}
-        ))
-        assert lint_main(["src", "--baseline", "base.json"]) == 0
+        assert payload["suppressed"] == 0
+        (finding,) = payload["findings"]
+        # Every field of a finding survives the round trip.
+        assert [Finding(**finding)] == lint_paths(["src"]).findings
 
     def test_github_annotations(self, tree, capsys):
         assert lint_main(["src", "--format", "github"]) == 1
@@ -220,19 +170,7 @@ class TestRunner:
 
 class TestRepoIsClean:
     def test_committed_tree_has_no_new_findings(self):
-        """The acceptance gate: repo src/ lints clean against its baseline."""
+        """The acceptance gate: repo src/ lints clean."""
         repo_root = Path(__file__).resolve().parents[2]
         report = lint_paths([repo_root / "src"])
-        baseline_path = repo_root / "tools" / "lint_baseline.json"
-        baseline = load_baseline(baseline_path) if baseline_path.is_file() else {}
-        # Paths in the report are absolute here; rebase them the way the
-        # CI invocation (cwd = repo root) produces them before matching.
-        rebased = [
-            finding.__class__(**{
-                **finding.as_dict(),
-                "path": Path(finding.path).relative_to(repo_root).as_posix(),
-            })
-            for finding in report.findings
-        ]
-        new, _ = partition(sorted(rebased), baseline)
-        assert new == [], [finding.as_dict() for finding in new]
+        assert report.findings == [], [finding.as_dict() for finding in report.findings]

@@ -530,26 +530,6 @@ class TestRep007:
         findings = lint(self.BAD, "src/repro/analysis/tables.py", select=["REP007"])
         assert findings == []
 
-    def test_baseline_round_trip(self, tmp_path):
-        from repro.tools.lint import load_baseline, partition
-        from repro.tools.lint.baseline import write_baseline
-
-        findings = lint(self.BAD, self.PATH, select=["REP007"])
-        assert findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        new, known = partition(findings, load_baseline(baseline_path))
-        assert new == [] and len(known) == len(findings)
-        # A third misuse of an already-baselined shape is still new.
-        extra = lint(
-            self.BAD + "\n    for index, w in enumerate(cohort):\n"
-            "        r = derive_rng(seed, 'worker', index)\n",
-            self.PATH,
-            select=["REP007"],
-        )
-        new, _ = partition(extra, load_baseline(baseline_path))
-        assert len(new) == 1
-
 
 # --------------------------------------------------------------------- #
 # rule registration / extension API
