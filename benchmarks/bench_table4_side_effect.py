@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import paper
 from repro.analysis.tables import format_table
-from repro.experiments import benchmark_preset, reference_accuracy, run_grid
+from repro.experiments import benchmark_preset, run_grid
 from repro.experiments.sweep import accuracy_grid
 
 DATASETS = ("mnist_like", "fashion_like")

@@ -117,7 +117,7 @@ class NormTracingEngine(MaterializedEngine):
     ``python -m repro run --engine norm_trace_demo``.
     """
 
-    #: the most recently built instance (each worker pool builds its own)
+    #: the most recently built instance (each thread keeps one instance)
     last_instance: "NormTracingEngine | None" = None
 
     def __init__(self) -> None:

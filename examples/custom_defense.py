@@ -22,7 +22,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import TwoStageAggregator
 from repro.defenses.base import AggregationContext, Aggregator
 from repro.defenses.mean import MeanAggregator
-from repro.experiments import benchmark_preset, reference_accuracy, run_experiment
+from repro.experiments import benchmark_preset, reference_accuracy
 from repro.experiments.runner import run_experiment as _run  # noqa: F401 (shown for reference)
 from repro.federated.simulation import FederatedSimulation
 

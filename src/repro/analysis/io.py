@@ -40,6 +40,9 @@ def result_from_dict(payload: dict[str, Any]) -> RunResult:
     byzantine = history_data.get("byzantine_selected_fraction", [0.0] * len(rounds))
     for round_index, accuracy, selected in zip(rounds, accuracies, byzantine):
         history.record(int(round_index), float(accuracy), float(selected))
+    for entry in history_data.get("faults", []):
+        counts = dict(entry)
+        history.record_faults(int(counts.pop("round")), counts)
     return RunResult(
         final_accuracy=float(payload["final_accuracy"]),
         history=history,

@@ -22,7 +22,7 @@ Eight subcommands cover the common workflows:
 - ``lint``    -- run the AST-based invariant linter
   (:mod:`repro.tools.lint`) over a source tree: determinism,
   concurrency safety, dtype discipline, registry hygiene, service
-  robustness and ``out=`` aliasing, gated on the committed baseline.
+  robustness and ``out=`` aliasing; an unsuppressed finding exits 1.
 
 Operational failures exit with dedicated codes and one-line messages
 instead of tracebacks: ``2`` for a quorum violation (``QuorumError``),
@@ -68,10 +68,10 @@ from repro.experiments.configs import ExperimentConfig
 from repro.experiments.presets import benchmark_preset, paper_preset
 from repro.experiments.runner import run_experiment
 from repro.federated.backends import BACKENDS
-from repro.federated.engines import ENGINES
+from repro.federated.engines import DEFAULT_ENGINE, ENGINES
 from repro.federated.faults import FAULTS
 from repro.federated.sampling import SAMPLERS
-from repro.nn.models import MODELS, available_models
+from repro.nn.models import MODELS
 from repro.tools.lint.cli import add_lint_arguments, run_lint_command
 
 __all__ = ["main", "build_parser"]
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="activation point of adaptive_* attacks")
         sub.add_argument("--noniid", action="store_true", help="non-i.i.d. partitioning")
         # choices include aliases so every name build_engine accepts works here
-        sub.add_argument("--engine", default="materialized",
+        sub.add_argument("--engine", default=DEFAULT_ENGINE,
                          choices=ENGINES.names(include_aliases=True),
                          help="client compute engine (ghost_norm never materialises "
                               "per-example gradients)")

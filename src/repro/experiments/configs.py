@@ -21,6 +21,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.federated.engines import DEFAULT_ENGINE
 from repro.federated.faults import validate_quorum
 
 __all__ = ["ExperimentConfig"]
@@ -76,9 +77,9 @@ class ExperimentConfig:
         Model registry name, or ``None`` for the dataset default.
     engine:
         Client compute engine name (see
-        :func:`repro.federated.available_engines`; ``"materialized"`` is
-        the exact stacked-gradient reference, ``"ghost_norm"`` the
-        Gram-matrix path for linear-layer stacks).
+        :func:`repro.federated.available_engines`; the default
+        ``"materialized"`` is the exact stacked-gradient reference,
+        ``"ghost_norm"`` the Gram-matrix path for linear-layer stacks).
     shard_size:
         Maximum workers per shard task (``None``: whole pool in one
         shard under the serial backend; parallel backends split the pool
@@ -146,7 +147,7 @@ class ExperimentConfig:
     aux_per_class: int = 2
     aux_mismatched: bool = False
     model: str | None = None
-    engine: str = "materialized"
+    engine: str = DEFAULT_ENGINE
     shard_size: int | None = None
     backend: str = "serial"
     backend_kwargs: dict = field(default_factory=dict)

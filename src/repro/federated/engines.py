@@ -7,7 +7,9 @@ uploads (Algorithm 1, lines 4-12).  Engines are registered in the
 attacks, defenses, datasets and models: ``ExperimentConfig(engine=...)``,
 ``python -m repro run --engine ...`` and ``python -m repro list`` all see
 third-party engines registered through the public
-:class:`repro.registry.Registry` API.
+:class:`repro.registry.Registry` API.  An engine is always a name
+(:data:`DEFAULT_ENGINE` unless told otherwise): each thread that runs
+shard tasks keeps one engine per name (see :mod:`repro.federated.worker`).
 
 Both built-in engines start from one capture pass over the shard,
 :meth:`~repro.nn.network.Sequential.per_example_grad_factors`: a
@@ -45,8 +47,6 @@ Its activations grow with the shard's rows times the layer widths, so
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.core.config import DPConfig
@@ -60,6 +60,7 @@ from repro.nn.network import Sequential, expand_grad_factors
 from repro.registry import Registry
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "ENGINES",
     "ClientEngine",
     "GhostNormEngine",
@@ -71,6 +72,10 @@ __all__ = [
 
 #: Global registry of client compute engines.
 ENGINES = Registry("engine")
+
+#: The engine a pool, an experiment config and ``--engine`` use unless told
+#: otherwise: the exact reference.
+DEFAULT_ENGINE = "materialized"
 
 #: Expansion budget of one materialized worker group: a ``(rows, d)``
 #: float64 scratch that stays in cache while the group is bounded.
@@ -140,21 +145,6 @@ class ClientEngine:
         """
         raise NotImplementedError
 
-    def release(self) -> None:
-        """Drop any cached scratch buffers (no-op by default)."""
-
-    def clone(self) -> "ClientEngine":
-        """A fresh engine of the same configuration.
-
-        Parallel execution backends give every concurrent worker slot its
-        own engine (scratch buffers are per-instance and not thread-safe).
-        The default deep-copies the instance and drops the copy's scratch;
-        engines with cheaper fresh-construction may override.
-        """
-        duplicate = copy.deepcopy(self)
-        duplicate.release()
-        return duplicate
-
 
 @ENGINES.register(
     "materialized",
@@ -212,10 +202,6 @@ class MaterializedEngine(ClientEngine):
                 group, config, rngs[start:stop],
             )
         return momentum
-
-    def release(self) -> None:
-        """Drop the gradient workspace (the next round reallocates)."""
-        self._gradients = None
 
 
 @ENGINES.register(
@@ -338,10 +324,6 @@ class GhostNormEngine(ClientEngine):
 
         return finalize_uploads(bounded, state, config, rngs)
 
-    def release(self) -> None:
-        """Drop the bounded-gradient workspace (the next round reallocates)."""
-        self._bounded = None
-
 
 def pairwise_gradient_gram(
     model: Sequential,
@@ -376,12 +358,10 @@ def available_engines() -> list[str]:
     return ENGINES.names()
 
 
-def build_engine(engine: str | ClientEngine | None) -> ClientEngine:
-    """Resolve an engine specification to a :class:`ClientEngine` instance.
+def build_engine(name: str | None) -> ClientEngine:
+    """A new engine of the registered ``name`` (``None``: :data:`DEFAULT_ENGINE`).
 
-    ``engine`` may be a registered name, an existing instance (returned
-    as-is) or ``None`` for the default materialized engine.
+    Anything but a registered name, an engine instance included, raises
+    the registry's :class:`~repro.registry.UnknownComponentError`.
     """
-    if isinstance(engine, ClientEngine):
-        return engine
-    return ENGINES.build("materialized" if engine is None else engine)
+    return ENGINES.build(DEFAULT_ENGINE if name is None else name)

@@ -17,7 +17,8 @@ performs two model passes at most (honest pool, Byzantine pool) instead of
 one small forward/backward per worker.  Both pools share one
 :class:`~repro.federated.backends.ExecutionBackend`, so their shards may
 run concurrently (threads, worker processes or remote workers) with
-results bitwise identical to the serial reference.
+results bitwise identical to the serial reference, and on each thread
+one engine, which :meth:`FederatedSimulation.close` drops.
 
 :meth:`FederatedSimulation.run_round` is the round body and
 :meth:`FederatedSimulation.run` the loop around it, which emits typed
@@ -40,7 +41,6 @@ from repro.core.dp_protocol import BatchedDPState, upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.base import Aggregator
 from repro.federated.backends import ExecutionBackend, RetryPolicy, build_backend
-from repro.federated.engines import ClientEngine, build_engine
 from repro.federated.faults import (
     BYZANTINE_SCOPE,
     HONEST_SCOPE,
@@ -64,7 +64,7 @@ from repro.federated.pipeline import (
     RoundStartEvent,
 )
 from repro.federated.server import Server
-from repro.federated.worker import WorkerPool
+from repro.federated.worker import WorkerPool, drop_thread_engines
 from repro.nn.network import Sequential
 
 __all__ = ["SimulationSettings", "FederatedSimulation"]
@@ -164,14 +164,9 @@ class FederatedSimulation:
         Base seed; every worker and the server get independent generators
         derived from it.
     engine:
-        Client compute engine for the worker pools: a registered name, a
-        ready :class:`~repro.federated.engines.ClientEngine` instance
-        (then shared by both pools), or ``None`` for the default
-        materialized engine.  On an in-process backend the specification
-        is resolved once, so both pools compute on one instance and one
-        gradient scratch (they run one after the other); out-of-process
-        backends build their engines from the name.  Threads other than
-        the dispatching one keep their own replicas per pool.
+        The pools' registered engine name (``None``:
+        :data:`~repro.federated.engines.DEFAULT_ENGINE`).  Both pools run
+        on each thread's one engine of that name until :meth:`close`.
     shard_size:
         Maximum workers per shard task of both pools (see
         :class:`~repro.federated.worker.WorkerPool`); ``None`` lets each
@@ -235,7 +230,7 @@ class FederatedSimulation:
         test_dataset: Dataset,
         settings: SimulationSettings,
         seed: int = 0,
-        engine: str | ClientEngine | None = None,
+        engine: str | None = None,
         shard_size: int | None = None,
         backend: str | ExecutionBackend | None = None,
         faults: str | FaultModel | None = None,
@@ -274,8 +269,6 @@ class FederatedSimulation:
         self.test_dataset = test_dataset
         self.dp_config = dp_config
         self.backend = build_backend(backend)
-        if self.backend.in_process:
-            engine = build_engine(engine)
         #: first round index :meth:`run` executes (set by checkpoint resume)
         self.start_round = 0
         #: the tracer :meth:`run` found among its callbacks, or ``None``
@@ -889,9 +882,11 @@ class FederatedSimulation:
             rng.bit_generator.state = rng_state
 
     def close(self) -> None:
-        """Release the execution backend's pooled threads/processes.
+        """Release the backend's pooled threads/processes and this thread's engines.
 
-        Safe to call repeatedly; the backend lazily recreates its pools
-        if the simulation runs again afterwards.
+        Safe to call repeatedly; the backend lazily recreates its pools,
+        and the pools their engines, if the simulation runs again
+        afterwards.
         """
         self.backend.shutdown()
+        drop_thread_engines()

@@ -74,7 +74,7 @@ import numpy as np
 from repro.core.config import DPConfig
 from repro.federated.backends import RetryPolicy, TaskFailure, _ResilientRunner
 from repro.federated.engines import ENGINES
-from repro.federated.worker import _Replicas, _shard_task, _ShardPayload
+from repro.federated.worker import _shard_task, _ShardPayload
 from repro.nn.network import spec_dimensions
 
 __all__ = [
@@ -363,7 +363,7 @@ def encode_task(fn: Callable, item: tuple[int, object]) -> tuple[dict, list[np.n
             f"the remote backend runs only the worker pools' shard task, not {fn!r}"
         )
     index, payload = item
-    replicas, dp, policy = payload.replicas, payload.dp_config, fn.policy
+    dp, policy = payload.dp_config, fn.policy
     for state in payload.rng_states:
         if state["bit_generator"] != "PCG64":
             raise ValueError(
@@ -378,8 +378,8 @@ def encode_task(fn: Callable, item: tuple[int, object]) -> tuple[dict, list[np.n
             "backoff_base": float(policy.backoff_base),
             "timeout": None if policy.timeout is None else float(policy.timeout),
         },
-        "model": replicas.model,
-        "engine": replicas.engine,
+        "model": payload.model,
+        "engine": payload.engine,
         "dp": {
             "batch_size": int(dp.batch_size),
             "sigma": float(dp.sigma),
@@ -434,8 +434,8 @@ def decode_task(
     if labels.min() < 0 or labels.max() >= classes:
         raise WireError(f"labels must lie in [0, {classes})")
     payload = _ShardPayload(
-        replicas=_Replicas.of_spec(task["model"], task["engine"]),
-        caller=None,
+        model=task["model"],
+        engine=task["engine"],
         parameters=parameters,
         features=features,
         labels=labels,

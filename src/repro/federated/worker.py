@@ -49,19 +49,15 @@ wrap the same task in the backend's retry loop; since the task is pure,
 a retried attempt replays bitwise.  Commit order, not completion order, fixes every result, so
 every backend's uploads are bitwise identical to the serial loop.
 
-A task running on the dispatching thread uses the pool's own engine and
-the caller's model.  Pools run one after another, so they may share that
-engine and its scratch (a simulation's honest and Byzantine pools do on
-in-process backends).  Any other thread builds a private model replica
-and engine once -- cloned from a template the pool makes once per model,
-or, in another process, built from the model's layer spec
-(:meth:`~repro.nn.network.Sequential.spec`) and the engine's registered
-name (a :class:`~repro.nn.network.Sequential` caches per-call state on
-its layers, so concurrent shards must not share one) -- and keeps them
-for later rounds: one engine scratch per pool per worker thread.  The
-out-of-process recipe is plain data, which is what lets
-:mod:`repro.federated.wire` (protocol 3) describe a shard task to a
-remote worker without shipping code.  When no
+A model keeps no per-call state, so every in-process shard task, on
+any thread, computes on the caller's model.  Each thread keeps one
+engine per registered name until :func:`drop_thread_engines`: pools run
+one after another, so they share it and its scratch.  A payload that
+leaves the process carries the model's layer spec
+(:meth:`~repro.nn.network.Sequential.spec`) and flat parameters, and the
+executing thread builds that network once.  That recipe is plain data,
+which is what lets :mod:`repro.federated.wire` (protocol 3) describe a
+shard task to a remote worker without shipping code.  When no
 ``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
 
@@ -71,7 +67,6 @@ attacker controls all its fake workers at once).
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 from collections.abc import Iterator
@@ -88,32 +83,32 @@ from repro.federated.backends import (
     TaskFailure,
     build_backend,
 )
-from repro.federated.engines import ClientEngine, build_engine
+from repro.federated.engines import DEFAULT_ENGINE, ENGINES, ClientEngine, build_engine
 from repro.federated.faults import PoolFaultReport, ShardFaultPlan
 from repro.federated.sampling import IndexView
 from repro.nn.network import Sequential
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "drop_thread_engines"]
 
 
-#: Per-thread cache of (model, engine) replicas built by shard tasks,
-#: keyed by the owning pool's token: repeated shard tasks on the same
-#: thread reuse one model replica and one engine's scratch.  The cache must be
-#: thread-local, not merely process-local: threaded backends and
-#: service-mode workers running as threads of one process (the test
-#: harness does) would otherwise race on a shared model's parameters and
-#: activations.
-_REPLICAS = threading.local()
-_REPLICA_LIMIT = 8
+class _ThreadCache(threading.local):
+    """What shard tasks compute with, kept per thread so that no two
+    threads share an engine's scratch or a network's parameters.
 
-#: Tokens of in-process recipes.  They never leave the process, so a
-#: counter keeps them unique; out-of-process recipes are keyed by their
-#: JSON text instead (see :meth:`_Replicas.of_spec`).
-_LOCAL_TOKENS = itertools.count()
+    ``engines`` maps an engine name to the thread's engine, ``networks``
+    an out-of-process layer spec's JSON text to the network built from
+    it, and ``generators`` holds scratch generators, re-positioned before
+    every use (setting a state is ~10x cheaper than building one).
+    """
 
-#: Per-thread scratch generators, re-positioned before every use:
-#: setting a state is ~10x cheaper than building a ``Generator``.
-_SCRATCH_RNGS = threading.local()
+    def __init__(self) -> None:
+        self.engines: dict[str, ClientEngine] = {}
+        self.networks: dict[str, Sequential] = {}
+        self.generators: list[np.random.Generator | None] = []
+
+
+_THREAD_CACHE = _ThreadCache()
+_NETWORK_LIMIT = 8
 
 
 def _positioned(states: list[dict]) -> list[np.random.Generator]:
@@ -122,9 +117,7 @@ def _positioned(states: list[dict]) -> list[np.random.Generator]:
     Valid until the next call on the same thread: callers read the
     states back out rather than keep the objects.
     """
-    scratch = getattr(_SCRATCH_RNGS, "generators", None)
-    if scratch is None:
-        scratch = _SCRATCH_RNGS.generators = []
+    scratch = _THREAD_CACHE.generators
     scratch.extend([None] * (len(states) - len(scratch)))
     for index, state in enumerate(states):
         name = state["bit_generator"]
@@ -136,57 +129,43 @@ def _positioned(states: list[dict]) -> list[np.random.Generator]:
     return scratch[: len(states)]
 
 
-@dataclass(frozen=True)
-class _Replicas:
-    """Recipe for a pool's (model, engine) pair on a thread or process
-    other than the dispatching one.
+def _thread_engine(name: str) -> ClientEngine:
+    """The calling thread's engine of the registered ``name``, built on first use."""
+    engines = _THREAD_CACHE.engines
+    if name not in engines:
+        engines[name] = build_engine(name)
+    return engines[name]
 
-    Out of process, ``model`` is the model's layer spec (parameters travel
-    in every payload) and ``engine`` a registered engine name; the token
-    is their JSON text, so equal recipes share one replica (see
-    :meth:`of_spec`).  In process, ``model`` is a template clone nobody
-    computes on, so any thread may clone it, ``engine`` the pool's
-    engine specification, and the token a process-local counter value.
+
+def drop_thread_engines() -> None:
+    """Forget the calling thread's engines and their scratch; its next task builds new ones.
+
+    :meth:`~repro.federated.simulation.FederatedSimulation.close` calls it.
     """
+    _THREAD_CACHE.engines.clear()
 
-    token: str
-    model: Sequential | list[dict]
-    engine: str | ClientEngine | None
 
-    @classmethod
-    def of_spec(cls, spec: list[dict], engine: str) -> "_Replicas":
-        """The out-of-process recipe for a layer spec and engine name."""
-        token = json.dumps([spec, engine], sort_keys=True)
-        return cls(token=token, model=spec, engine=engine)
-
-    def resolve(self) -> tuple[Sequential, ClientEngine]:
-        """This thread's replica pair, built on first use."""
-        cache = getattr(_REPLICAS, "entries", None)
-        if cache is None:
-            cache = _REPLICAS.entries = {}
-        pair = cache.get(self.token)
-        if pair is None:
-            if isinstance(self.model, Sequential):
-                model, engine = self.model.clone(), self.engine
-                if isinstance(engine, ClientEngine):
-                    engine = engine.clone()
-            else:
-                model, engine = Sequential.from_spec(self.model), self.engine
-            engine = build_engine(engine)
-            if len(cache) >= _REPLICA_LIMIT:
-                cache.clear()
-            pair = cache[self.token] = (model, engine)
-        return pair
+def _thread_network(spec: list[dict], parameters: np.ndarray) -> Sequential:
+    """The calling thread's network of layer ``spec``, loaded with ``parameters``."""
+    networks = _THREAD_CACHE.networks
+    key = json.dumps(spec, sort_keys=True)
+    if key not in networks:
+        if len(networks) >= _NETWORK_LIMIT:
+            networks.clear()
+        networks[key] = Sequential.from_spec(spec)
+    model = networks[key]
+    model.set_flat_parameters(parameters)
+    return model
 
 
 @dataclass(frozen=True)
 class _ShardPayload:
     """Everything one shard task reads; it writes only to ``out``.
 
-    ``caller`` is ``(thread ident, model, engine)`` of the dispatching
-    thread on in-process backends (``None`` when the payload leaves the
-    process): tasks running there, or anywhere when the backend runs one
-    task at a time (``replicas is None``), use the caller's pair.
+    In process, ``model`` is the caller's model, which the task only
+    reads, and ``parameters`` is ``None``.  A payload that leaves the
+    process carries the model's layer spec and its flat parameters
+    instead.  ``engine`` is a registered engine name.
     ``momentum`` may be a view of the pool's rows: only the commit writes
     them, after the task finished.  ``out`` is the shard's rows of the
     caller's output array (the round matrix, in a round): in-process
@@ -197,9 +176,9 @@ class _ShardPayload:
     carries them.
     """
 
-    replicas: _Replicas | None
-    caller: tuple[int, Sequential, ClientEngine] | None
-    parameters: np.ndarray
+    model: Sequential | list[dict]
+    engine: str
+    parameters: np.ndarray | None
     features: np.ndarray
     labels: np.ndarray
     momentum: np.ndarray
@@ -216,19 +195,15 @@ class _ShardPayload:
 def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
     """The one shard task: ``payload -> (uploads, post-noise rng states)``.
 
-    Sampling already happened in the parent, so the task runs the engine
-    on the payload's mini-batches, a private copy of the shard's
-    momentum and generators positioned at the payload's states.  Pure:
-    a retried attempt computes exactly the same result.
+    Sampling already happened in the parent, so the task runs this
+    thread's engine on the payload's mini-batches, a private copy of the
+    shard's momentum and generators positioned at the payload's states.
+    Pure: a retried attempt computes exactly the same result.
     """
-    caller = payload.caller
-    if caller is not None and (
-        payload.replicas is None or caller[0] == threading.get_ident()
-    ):
-        _, model, engine = caller
-    else:
-        model, engine = payload.replicas.resolve()
-    model.set_flat_parameters(payload.parameters)
+    model = payload.model
+    if not isinstance(model, Sequential):
+        model = _thread_network(model, payload.parameters)
+    engine = _thread_engine(payload.engine)
     rngs = _positioned(payload.rng_states)
     # Every attempt starts from the pool's rows; the engine updates this
     # private copy, and by line 11 the momentum *is* the upload, so the
@@ -268,14 +243,10 @@ class WorkerPool:
         in worker order, so the pool reproduces exactly what the workers
         would have drawn sequentially.
     engine:
-        The client compute engine: a registered name (``"materialized"``,
-        ``"ghost_norm"``), a ready
-        :class:`~repro.federated.engines.ClientEngine` instance, or
-        ``None`` for the default materialized engine.  Threads and
-        processes other than the dispatching one get their own engine
-        (built from the name, or ``engine.clone()`` for a ready
-        instance).  Out-of-process backends build engines from a name
-        only; a ready instance raises :class:`TypeError`.
+        A registered engine name (``"materialized"``, ``"ghost_norm"``),
+        or ``None`` for :data:`~repro.federated.engines.DEFAULT_ENGINE`;
+        anything else raises :class:`~repro.registry.UnknownComponentError`.
+        Each thread running a shard task uses its own :attr:`engine`.
     shard_size:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -299,7 +270,7 @@ class WorkerPool:
         datasets: list[Dataset | IndexView],
         dp_config: DPConfig,
         rngs: list[np.random.Generator],
-        engine: str | ClientEngine | None = None,
+        engine: str | None = None,
         shard_size: int | None = None,
         backend: str | ExecutionBackend | None = None,
     ) -> None:
@@ -321,13 +292,9 @@ class WorkerPool:
         self.dp_config = dp_config
         self.rngs = list(rngs)
         self.backend = build_backend(backend)
-        if not self.backend.in_process and isinstance(engine, ClientEngine):
-            raise TypeError(
-                "an out-of-process backend builds its engines from a registered "
-                "name; a ready ClientEngine instance cannot leave this process"
-            )
-        self._engine_source = engine
-        self.engine = build_engine(engine)
+        #: the registered name of the engine every shard task computes with
+        self.engine_name = DEFAULT_ENGINE if engine is None else engine
+        ENGINES.get(self.engine_name)  # an unknown name fails here, not in a task
         self.state = BatchedDPState()
         n = len(self.datasets)
         if shard_size is None:
@@ -342,14 +309,15 @@ class WorkerPool:
         self._shard_bounds = [
             (start, min(start + size, n)) for start in range(0, n, size)
         ]
-        # The replica recipe published for threads and processes other
-        # than the caller, rebuilt when the pool meets a new model.
-        self._replicas: _Replicas | None = None
-        self._replica_source: Sequential | None = None
         #: what the last :meth:`compute_uploads` call's failures and
         #: retries looked like (``None`` after a call with an inactive
         #: plan and no failure); stale in a round the pool sat out
         self.last_fault_report: PoolFaultReport | None = None
+
+    @property
+    def engine(self) -> ClientEngine:
+        """The calling thread's engine of :attr:`engine_name` (every pool on it shares it)."""
+        return _thread_engine(self.engine_name)
 
     @property
     def n_workers(self) -> int:
@@ -397,29 +365,6 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # dispatch and commit
     # ------------------------------------------------------------------ #
-    def _replicas_for(self, model: Sequential) -> _Replicas | None:
-        """The replica recipe for ``model``, built once per model.
-
-        ``None`` on an in-process backend running one task at a time:
-        every task then uses the caller's model and the pool's engine.
-        """
-        backend = self.backend
-        if backend.in_process and backend.max_workers <= 1:
-            return None
-        if self._replicas is None or self._replica_source is not model:
-            if backend.in_process:
-                self._replicas = _Replicas(
-                    token=f"local-{next(_LOCAL_TOKENS)}",
-                    model=model.clone(),
-                    engine=self._engine_source,
-                )
-            else:
-                self._replicas = _Replicas.of_spec(
-                    model.spec(), self._engine_source or "materialized"
-                )
-            self._replica_source = model
-        return self._replicas
-
     def _payloads(
         self, model: Sequential, out: np.ndarray
     ) -> Iterator[tuple[int, _ShardPayload]]:
@@ -432,12 +377,9 @@ class WorkerPool:
         committed.  Each payload carries the shard's rows of ``out``.
         """
         batch, n_features = self.dp_config.batch_size, self.datasets[0].dim
-        replicas = self._replicas_for(model)
-        caller = (
-            (threading.get_ident(), model, self.engine)
-            if self.backend.in_process else None
-        )
-        parameters = model.get_flat_parameters()
+        parameters = None
+        if not self.backend.in_process:
+            model, parameters = model.spec(), model.get_flat_parameters()
         for index, (start, stop) in enumerate(self._shard_bounds):
             rngs = _positioned([rng.bit_generator.state for rng in self.rngs[start:stop]])
             features = np.empty(((stop - start) * batch, n_features), dtype=np.float64)
@@ -449,8 +391,8 @@ class WorkerPool:
                 rows = slice(position * batch, (position + 1) * batch)
                 dataset.gather(picks, features[rows], labels[rows])
             yield index, _ShardPayload(
-                replicas=replicas,
-                caller=caller,
+                model=model,
+                engine=self.engine_name,
                 parameters=parameters,
                 features=features,
                 labels=labels,

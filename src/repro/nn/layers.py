@@ -1,25 +1,20 @@
-"""Feed-forward layers whose backward pass records per-example gradient factors.
+"""Feed-forward layers that hold their parameters and nothing else.
 
-Every layer implements the protocol
-
-- ``forward(x, cache=True)``: compute the layer output for a batch ``x``
-  of shape ``(batch, ...)`` and cache whatever the backward pass needs.
-  Only the capture pass
-  (:meth:`~repro.nn.network.Sequential.per_example_grad_factors`) caches;
-  inference passes ``cache=False`` and leaves nothing on the layer, with
-  the same operations and so the same bits.
-- ``backward(grad_output)``: given the loss gradient with respect to the
-  layer output, return the loss gradient with respect to the layer input.
-  A layer with parameters also records :attr:`Layer.grad_factors`, the
-  per-example factors its parameter gradients are built from.
+Every layer implements ``forward(x)``, the output for a batch ``x`` of
+shape ``(batch, ...)``, and ``backward(grad_output, x, y)``, the loss
+gradient with respect to ``x`` given the one with respect to ``y =
+forward(x)``.  The caller keeps a pass's activations, so concurrent
+passes may share one layer.
 
 Per-example gradients are the central requirement of the paper's DP protocol
 (each example's gradient is normalised to unit norm before averaging).  A
 linear layer's per-example weight gradient is the rank-1 outer product
-``x_j (x) delta_j`` and its bias gradient is ``delta_j``, so the recorded
-pair ``(X, Delta)`` keeps every example's gradient without a ``(batch, in,
-out)`` tensor; :class:`~repro.nn.network.Sequential` expands or contracts
-the factors as its caller needs.
+``x_j (x) delta_j`` and its bias gradient is ``delta_j``, so the pair
+``(X, Delta)`` of its input and output gradient keeps every example's
+gradient without a ``(batch, in, out)`` tensor;
+:meth:`~repro.nn.network.Sequential.per_example_grad_factors` collects the
+pairs in its capture pass and :class:`~repro.nn.network.Sequential` expands
+or contracts them as its caller needs.
 """
 
 from __future__ import annotations
@@ -36,29 +31,19 @@ class Layer:
 
     Layers without parameters only implement :meth:`forward` and
     :meth:`backward`.  Layers with parameters additionally expose
-    ``parameters`` (list of arrays) and ``set_parameters``, record
-    :attr:`grad_factors` in ``backward``, and accept ``backward(grad_output,
-    input_gradient=False)``, which records the factors but forms no input
-    gradient (the lowest parametrised layer's is never consumed).
+    ``parameters`` (list of arrays) and ``set_parameters``.
     """
 
     #: arrays owned by the layer; empty for activation layers
     parameters: list[np.ndarray]
-    #: the ``(input, grad_output)`` pair a parametrised layer's backward
-    #: records, until :meth:`~repro.nn.network.Sequential
-    #: .per_example_grad_factors` takes it (and resets it to ``None``); for
-    #: ``Linear``, example ``j``'s flat gradient is ``[vec(x_j (x)
-    #: delta_j); delta_j]``
-    grad_factors: tuple[np.ndarray, np.ndarray] | None
 
     def __init__(self) -> None:
         self.parameters = []
-        self.grad_factors = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -106,21 +91,16 @@ class Linear(Layer):
             self.weight = glorot_uniform(rng, in_features, out_features)
         self.bias = zeros((out_features,))
         self.parameters = [self.weight, self.bias]
-        self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Linear expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        if cache:
-            self._input = x
         return x @ self.weight + self.bias
 
-    def backward(
-        self, grad_output: np.ndarray, input_gradient: bool = True
-    ) -> np.ndarray | None:
-        """Record ``(x, Delta)`` and return ``Delta @ W^T``.
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``Delta @ W^T``.
 
         The product takes a C-contiguous copy of ``W^T``: handed the
         transposed view, OpenBLAS (0.3.31) computes calls below ~19 rows
@@ -128,15 +108,8 @@ class Linear(Layer):
         would differ in the low bits from the same rows of a larger call.
         At the registered MLP widths the plain product gives a row the
         same bits for any row count that is a multiple of 4, and from ~19
-        rows up it equals the transposed product bit for bit.  With
-        ``input_gradient=False`` the product is skipped and ``None``
-        returned.
+        rows up it equals the transposed product bit for bit.
         """
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        self.grad_factors = (self._input, grad_output)
-        if not input_gradient:
-            return None
         return grad_output @ np.ascontiguousarray(self.weight.T)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -146,20 +119,11 @@ class Linear(Layer):
 class ReLU(Layer):
     """Rectified linear activation ``max(x, 0)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, 0.0)
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        mask = x > 0
-        if cache:
-            self._mask = mask
-        return np.where(mask, x, 0.0)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._mask
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return grad_output * (x > 0)
 
 
 class ELU(Layer):
@@ -170,17 +134,11 @@ class ELU(Layer):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = alpha
-        self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        if cache:
-            self._input = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return np.where(x > 0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        x = self._input
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         derivative = np.where(x > 0, 1.0, self.alpha * np.exp(np.minimum(x, 0.0)))
         return grad_output * derivative
 
@@ -188,35 +146,18 @@ class ELU(Layer):
 class Tanh(Layer):
     """Hyperbolic tangent activation."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        output = np.tanh(x)
-        if cache:
-            self._output = output
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return grad_output * (1.0 - y**2)
 
 
 class Flatten(Layer):
     """Flatten all but the leading (batch) dimension."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        if cache:
-            self._input_shape = x.shape
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._input_shape)
+    def backward(self, grad_output: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return grad_output.reshape(x.shape)

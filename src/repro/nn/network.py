@@ -10,6 +10,9 @@ The federated-learning code treats a model as
 Keeping everything as flat ``float64`` vectors makes the aggregation rules,
 attacks and statistical tests straightforward array code.
 
+A network holds only its layers' parameters, and every pass keeps its
+activations to itself, so concurrent passes share one model.
+
 A network's architecture is also plain data: :meth:`Sequential.spec` lists
 its layers as JSON-ready objects and :meth:`Sequential.from_spec` rebuilds
 the skeleton, which is how a model travels to another process without its
@@ -17,8 +20,6 @@ code.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -125,27 +126,20 @@ class Sequential:
     # ------------------------------------------------------------------ #
     # forward / prediction
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        """Run the network forward and return the logits.
-
-        With ``cache`` every layer keeps what its backward pass needs,
-        which only the capture pass (:meth:`per_example_grad_factors`)
-        reads; inference (:meth:`predict`, :meth:`predict_proba`,
-        :meth:`loss`) leaves nothing on the layers.  Either way the
-        logits are the same bits.
-        """
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the network forward and return the logits."""
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, cache=cache)
+            out = layer.forward(out)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Return the predicted class index for each example."""
-        return np.argmax(self.forward(x, cache=False), axis=-1)
+        return np.argmax(self.forward(x), axis=-1)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Return softmax class probabilities for each example."""
-        return softmax(self.forward(x, cache=False))
+        return softmax(self.forward(x))
 
     # ------------------------------------------------------------------ #
     # parameter handling
@@ -220,16 +214,12 @@ class Sequential:
             layers.append(layer_type(**values))
         return cls(layers)
 
-    def clone(self) -> "Sequential":
-        """Deep copy of the network (structure and parameters)."""
-        return copy.deepcopy(self)
-
     # ------------------------------------------------------------------ #
     # gradients
     # ------------------------------------------------------------------ #
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy loss on a batch."""
-        losses, _ = softmax_cross_entropy(self.forward(x, cache=False), y)
+        losses, _ = softmax_cross_entropy(self.forward(x), y)
         return float(np.mean(losses))
 
     def per_example_gradients(
@@ -274,16 +264,15 @@ class Sequential:
     ) -> tuple[np.ndarray, list[tuple[Layer, np.ndarray, np.ndarray]]]:
         """Rank-1 factors of the per-example gradients, layer by layer.
 
-        Runs one forward/backward pass in which every parametrised layer
-        records the pair of small factors its per-example gradients are
-        built from: the layer input ``X`` and the output gradient
+        Runs one forward/backward pass whose activations live only in
+        this call, and takes from it each parametrised layer's pair of
+        small factors: the layer input ``X`` and the output gradient
         ``Delta`` (the flat gradient of example ``j`` is ``[vec(x_j (x)
-        delta_j); delta_j]``).  The pass stops at the lowest parametrised
-        layer, which forms no input gradient: nothing consumes the
-        gradient with respect to the network input.  Both client engines
-        start here -- the ghost-norm engine contracts the factors into
-        Gram-matrix norms and weighted sums, the materialized engine
-        expands them one group of workers at a time
+        delta_j); delta_j]``).  The backward pass stops at the lowest
+        parametrised layer, whose input gradient nothing consumes.  Both
+        client engines start here -- the ghost-norm engine contracts the
+        factors into Gram-matrix norms and weighted sums, the materialized
+        engine expands them one group of workers at a time
         (:func:`expand_grad_factors`).
 
         Returns
@@ -292,41 +281,38 @@ class Sequential:
             Per-example loss values, shape ``(batch,)``.
         factors:
             One ``(layer, input, grad_output)`` triple per parametrised
-            layer, in network order.  The arrays are views/buffers owned by
-            the forward/backward pass -- consume them before the next pass
-            through the model.
+            layer, in network order.
 
         Raises
         ------
         RuntimeError
-            If a parametrised layer records no factors, or factors that do
-            not match a ``(weight (in, out), bias (out,))`` parameter pair.
+            If a parametrised layer's parameters are not a ``(weight (in,
+            out), bias (out,))`` pair for its input and output widths.
         """
-        parametrised = [index for index, layer in enumerate(self.layers) if layer.parameters]
-        for index in parametrised:
-            self.layers[index].grad_factors = None
-        losses, grad = softmax_cross_entropy(self.forward(x), y)
-        if parametrised:
-            for layer in reversed(self.layers[parametrised[0] + 1:]):
-                grad = layer.backward(grad)
-            self.layers[parametrised[0]].backward(grad, input_gradient=False)
+        outputs = [np.asarray(x, dtype=np.float64)]
+        for layer in self.layers:
+            outputs.append(layer.forward(outputs[-1]))
+        losses, grad = softmax_cross_entropy(outputs[-1], y)
+        lowest = next(
+            (index for index, layer in enumerate(self.layers) if layer.parameters),
+            len(self.layers),
+        )
         factors = []
-        for index in parametrised:
-            layer = self.layers[index]
-            recorded, layer.grad_factors = layer.grad_factors, None
-            name = type(layer).__name__
-            if recorded is None:
-                raise RuntimeError(f"{name} recorded no per-example gradient factors")
-            inputs, deltas = recorded
-            if [parameter.shape for parameter in layer.parameters] != [
-                (inputs.shape[1], deltas.shape[1]), (deltas.shape[1],)
-            ]:
-                raise RuntimeError(
-                    f"{name} does not follow the linear (weight, bias) "
-                    "gradient factor convention"
-                )
-            factors.append((layer, inputs, deltas))
-        return losses, factors
+        for index in range(len(self.layers) - 1, lowest - 1, -1):
+            layer, output = self.layers[index], outputs.pop()
+            inputs = outputs[-1]
+            if layer.parameters:
+                if [parameter.shape for parameter in layer.parameters] != [
+                    (inputs.shape[1], grad.shape[1]), (grad.shape[1],)
+                ]:
+                    raise RuntimeError(
+                        f"{type(layer).__name__} does not follow the linear "
+                        "(weight, bias) gradient factor convention"
+                    )
+                factors.append((layer, inputs, grad))
+            if index > lowest:
+                grad = layer.backward(grad, inputs, output)
+        return losses, factors[::-1]
 
     def parameter_layout(self) -> list[tuple[Layer, list[tuple[int, int, tuple[int, ...]]]]]:
         """Where each layer's parameters live in the flat vector.

@@ -11,7 +11,7 @@ roughly one run in four.
 
 The fix idiom this rule enforces: per-thread state lives behind
 ``threading.local()`` (the cache is then keyed per thread, as
-``_PROCESS_CACHE`` in ``federated/worker.py`` is today) or inside a
+``_THREAD_CACHE`` in ``federated/worker.py`` is today) or inside a
 per-shard workspace object owned by exactly one task.  Immutable
 module-level tables (tuples, frozensets, ``MappingProxyType(...)``)
 pass; a deliberately-shared lock-protected structure can carry a

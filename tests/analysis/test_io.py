@@ -79,6 +79,15 @@ class TestFiles:
         payload = json.loads(path.read_text())
         assert payload["run"]["kind"] == "single"
 
+    def test_save_and_load_keeps_fault_records(self, tmp_path):
+        run = make_run()
+        run.history.record_faults(0, {"fault_dropped": 2.0, "fault_survivors": 8.0})
+        run.history.record_faults(5, {"fault_dropped": 0.0, "fault_survivors": 10.0})
+        path = save_results({"run": run}, tmp_path / "faults.json")
+        restored = load_results(path)["run"].history
+        assert restored.faults == run.history.faults
+        assert restored.as_dict() == run.history.as_dict()
+
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_results(tmp_path / "absent.json")

@@ -13,8 +13,20 @@ import pytest
 from repro.core.config import DPConfig, ProtocolConfig
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_classification
+from repro.federated.worker import drop_thread_engines
 from repro.nn.layers import ELU, Linear
 from repro.nn.network import Sequential
+
+
+@pytest.fixture(autouse=True)
+def fresh_thread_engines() -> None:
+    """Start every test with no cached engine on its thread.
+
+    A thread keeps one engine per name, whose scratch grows to the
+    largest shard it served, so scratch sizes and ``tracemalloc``
+    readings would otherwise depend on which tests ran before.
+    """
+    drop_thread_engines()
 
 
 @pytest.fixture

@@ -8,7 +8,10 @@ parallel pools and the commit model (a lost shard leaves no trace).
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ from repro.federated.backends import (
     available_backends,
     build_backend,
 )
-from repro.federated.engines import GhostNormEngine, MaterializedEngine
+from repro.federated.engines import ENGINES, MaterializedEngine
 from repro.federated.worker import WorkerPool
+from repro.registry import UnknownComponentError
 from tests.helpers import make_model_and_data
 
 
@@ -186,8 +190,8 @@ class TestPoolBackends:
     """Threaded/process pools are bitwise identical to the serial path."""
 
     def assert_pool_matches_serial(self, backend, engine=None, rounds=3,
-                                   shard_size=2, n_workers=6, batch=4):
-        model, _ = make_model_and_data(seed=2)
+                                   shard_size=2, n_workers=6, batch=4, hidden=None):
+        model, _ = make_model_and_data(seed=2, hidden=hidden)
         shards = make_shards(n_workers, seed=3)
         config = DPConfig(batch_size=batch, sigma=0.9, momentum=0.2)
         serial = make_pool(shards, config, engine=engine, shard_size=shard_size)
@@ -212,24 +216,39 @@ class TestPoolBackends:
             ThreadedBackend(max_workers=3), engine="ghost_norm"
         )
 
-    @pytest.mark.parametrize("engine_class", [MaterializedEngine, GhostNormEngine])
-    def test_threaded_pool_clones_ready_engine_instance(self, engine_class):
-        """Executor threads compute on clones of a ready engine instance,
-        one per thread; the caller's instance never leaves its thread."""
+    @pytest.mark.parametrize("engine", ["materialized", "ghost_norm"])
+    def test_threads_share_the_model_under_fast_switching(self, engine):
+        """Four threads, more than the cores, compute shards on one model
+        while the interpreter switches threads every microsecond: state a
+        pass left on the model would change a bit."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_pool_matches_serial(
+                ThreadedBackend(max_workers=4), engine=engine, rounds=2,
+                shard_size=1, n_workers=8, hidden=5,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", ["materialized", "ghost_norm"])
+    def test_threads_keep_one_engine_per_name(self, name):
+        """Every thread computes on its own engine of the pool's name and
+        reuses it for each task it runs; no engine crosses threads."""
         calls = []
 
-        class Recording(engine_class):
+        @ENGINES.register("recording_demo", summary="test engine", replace=True)
+        class Recording(ENGINES.get(name).builder):
             def compute_uploads(self, *args, **kwargs):
-                calls.append((id(self), threading.get_ident()))
+                calls.append((threading.get_ident(), self))
                 return super().compute_uploads(*args, **kwargs)
 
-        engine = Recording()
         model, _ = make_model_and_data(seed=2)
         shards = make_shards(6, seed=3)
         config = DPConfig(batch_size=4, sigma=0.9, momentum=0.2)
-        serial = make_pool(shards, config, engine=engine_class(), shard_size=2)
+        serial = make_pool(shards, config, engine=name, shard_size=2)
         threaded = make_pool(
-            shards, config, engine=engine, shard_size=2,
+            shards, config, engine="recording_demo", shard_size=2,
             backend=ThreadedBackend(max_workers=2),
         )
         try:
@@ -241,22 +260,25 @@ class TestPoolBackends:
                 )
         finally:
             threaded.backend.shutdown()
-        caller = threading.get_ident()
-        assert {thread for owner, thread in calls if owner == id(engine)} <= {caller}
-        clones_by_thread: dict[int, set[int]] = {}
-        for owner, thread in calls:
-            if thread != caller:
-                clones_by_thread.setdefault(thread, set()).add(owner)
-        assert clones_by_thread
-        assert all(
-            len(owners) == 1 and id(engine) not in owners
-            for owners in clones_by_thread.values()
-        )
+            ENGINES.unregister("recording_demo")
+        assert len(calls) == 9
+        engines_by_thread: dict[int, set[int]] = {}
+        for thread, engine in calls:
+            engines_by_thread.setdefault(thread, set()).add(id(engine))
+        assert all(len(engines) == 1 for engines in engines_by_thread.values())
+        assert len(set.union(*engines_by_thread.values())) == len(engines_by_thread)
 
-    def test_pools_sharing_threads_keep_their_own_replicas(self):
-        """Worker threads cache one replica per pool recipe; recipes of two
-        pools never share a token, so a thread serving both never hands
-        one pool the other's model (here of another size)."""
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+    def test_engine_instance_is_refused(self, backend):
+        """An engine is a registered name on every backend."""
+        with pytest.raises(UnknownComponentError, match="unknown engine"):
+            make_pool(make_shards(2), DPConfig(batch_size=4),
+                      engine=MaterializedEngine(), backend=backend)
+
+    def test_pools_sharing_threads_compute_on_their_own_models(self):
+        """Shard tasks compute on the model their pool was handed, so a
+        worker thread serving two pools never hands one pool the other's
+        model (here of another size)."""
         linear, _ = make_model_and_data(seed=2)
         hidden, _ = make_model_and_data(seed=2, hidden=5)
         shards = make_shards(6, seed=3)
@@ -277,8 +299,6 @@ class TestPoolBackends:
                     )
         finally:
             backend.shutdown()
-        tokens = [threaded._replicas.token for _, _, threaded in pairs]
-        assert len(set(tokens)) == 2
 
     def test_process_pool_bitwise_identical(self):
         self.assert_pool_matches_serial(ProcessBackend(max_workers=2), rounds=2)
@@ -444,6 +464,22 @@ class TestBackendSimulation:
         assert isinstance(setup.simulation.backend, ThreadedBackend)
         setup.simulation.close()
         setup.simulation.close()
+
+    def test_simulation_close_frees_this_threads_engines(self):
+        """A run's engine scratch dies with the run: after ``close()`` the
+        calling thread holds no engine the run computed with."""
+        from repro.experiments.presets import benchmark_preset
+        from repro.experiments.runner import prepare_experiment
+
+        simulation = prepare_experiment(
+            benchmark_preset(epochs=1, scale=0.1, n_honest=2)
+        ).simulation
+        simulation.run_round(0)
+        engine = weakref.ref(simulation.honest_pool.engine)
+        assert engine()._gradients is not None
+        simulation.close()
+        gc.collect()
+        assert engine() is None
 
 
 class LosingBackend(ExecutionBackend):  # repro-lint: disable=REP004 -- test double, constructed directly

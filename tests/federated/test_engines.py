@@ -25,6 +25,7 @@ from repro.nn.layers import Linear
 from repro.nn.models import build_model
 from repro.nn.network import Sequential
 from repro.privacy.mechanisms import clip_gradients, normalize_gradients
+from repro.registry import UnknownComponentError
 from tests.helpers import make_model_and_data
 
 
@@ -65,13 +66,13 @@ class TestEngineRegistry:
     def test_none_builds_default(self):
         assert isinstance(build_engine(None), MaterializedEngine)
 
-    def test_instance_passes_through(self):
-        engine = GhostNormEngine()
-        assert build_engine(engine) is engine
+    def test_instance_is_refused(self):
+        with pytest.raises(UnknownComponentError, match="unknown engine"):
+            build_engine(GhostNormEngine())
 
-    def test_instance_with_kwargs_rejected(self):
+    def test_name_with_kwargs_rejected(self):
         with pytest.raises(TypeError):
-            build_engine(MaterializedEngine(), foo=1)
+            build_engine("materialized", foo=1)
 
     def test_registered_in_public_registry(self):
         assert ENGINES.names() == sorted(available_engines())
@@ -120,17 +121,19 @@ class TestGhostNormEquivalence:
         assert pool.engine._bounded.shape == (4, model.num_parameters)
 
     @pytest.mark.parametrize("engine", ["ghost_norm", "materialized"])
-    def test_rejects_layers_recording_no_factors(self, engine):
-        """A parametrised layer that records no factors fails loudly in both engines."""
+    def test_rejects_layers_off_the_linear_convention(self, engine):
+        """A parametrised layer the (X, Delta) factors cannot describe fails
+        loudly in both engines."""
 
-        class OpaqueLinear(Linear):
-            def backward(self, grad_output, input_gradient=True):
-                return grad_output @ self.weight.T  # records no factors
+        class ScaledLinear(Linear):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.parameters = [*self.parameters, np.ones(1)]
 
-        model = Sequential([OpaqueLinear(8, 3, np.random.default_rng(0))])
+        model = Sequential([ScaledLinear(8, 3, np.random.default_rng(0))])
         shards = make_shards(2, seed=5)
         pool = make_pool(shards, DPConfig(batch_size=4, sigma=1.0), engine=engine)
-        with pytest.raises(RuntimeError, match="OpaqueLinear"):
+        with pytest.raises(RuntimeError, match="ScaledLinear does not follow"):
             pool.compute_uploads(model)
 
     def test_momentum_state_identical_across_engines(self):
@@ -296,6 +299,9 @@ class TestGroupedEngine:
         ]
         for round_index in range(3):
             uploads = grouped.compute_uploads(model).copy()
+            if round_index == 0:
+                # a fresh engine's scratch is one worker's expansion
+                assert grouped.engine._gradients.shape == (16, model.num_parameters)
             with monkeypatch.context() as patch:
                 patch.setattr(engines, "_GROUP_BYTES", 1 << 62)
                 expected = whole.compute_uploads(model)
@@ -306,8 +312,9 @@ class TestGroupedEngine:
             assert [rng.bit_generator.state for rng in grouped.rngs] == [
                 rng.bit_generator.state for rng in whole.rngs
             ]
-        # the scratch kept between rounds is one worker's expansion
-        assert grouped.engine._gradients.shape == (16, model.num_parameters)
+        # both pools compute on this thread's engine, whose scratch the
+        # one-group expansion grew to the whole pool
+        assert grouped.engine is whole.engine
         assert whole.engine._gradients.shape == (320, model.num_parameters)
 
     def test_first_round_memory_bounded_by_group(self):

@@ -22,10 +22,8 @@ partitions differ).
 from __future__ import annotations
 
 import socket
-import threading
 
 import numpy as np
-import pytest
 
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment, run_experiment

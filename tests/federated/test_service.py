@@ -709,10 +709,11 @@ class TestRemotePools:
             backend.shutdown()
         thread.join(timeout=10.0)
 
-    def test_engine_instance_cannot_leave_the_process(self):
+    def test_engine_instance_is_refused(self):
         from repro.federated.engines import GhostNormEngine
+        from repro.registry import UnknownComponentError
 
-        with pytest.raises(TypeError, match="registered name"):
+        with pytest.raises(UnknownComponentError, match="unknown engine"):
             make_pool(make_shards(2), CONFIG, engine=GhostNormEngine(),
                       backend=RemoteBackend())
 

@@ -262,8 +262,8 @@ class TestTypedFrames:
             np.testing.assert_array_equal(copy, original)
         assert decoded.rng_states == payload.rng_states
         assert decoded.dp_config == payload.dp_config
-        assert decoded.replicas.model == payload.replicas.model
-        assert decoded.replicas.engine == payload.replicas.engine
+        assert decoded.model == payload.model
+        assert decoded.engine == payload.engine
         assert decoded_fn.policy == fn.policy
         assert_results([decoded_fn((decoded_index, decoded))], expected[1:])
 

@@ -28,13 +28,13 @@ thread; its 64-row blocks and the layers' per-example buffers left
 6.6 MiB resident serially and 10.1 MiB threaded.  FirstAGG sorts its
 candidates four rows at a time at this shape, so its KS workspace keeps
 0.20 MiB: the whole-matrix sort kept 1.0 MiB, and round 0 left 3.0 and
-4.3 MiB where it now leaves 2.2 and 3.5 MiB.
+4.3 MiB where it left 2.4 and 3.7 MiB while the layers kept the capture
+pass's activations and each thread a replica of the model; it now
+leaves 2.3 and 3.2 MiB.
 
-An evaluation runs a forward that stores nothing on the layers: caching
-the test set's activations (1,000 rows) left 1.47 MiB on them until the
-model's next forward, which on the remote coordinator, or on a threaded
-backend whose shards compute on replicas, is the server stage of the
-next round.
+A layer holds only its parameters, so an evaluation leaves nothing on
+the model: caching the test set's activations (1,000 rows) on the layers
+left 1.47 MiB until the model's next forward.
 
 A population round (the ``population`` benchmark's shape: ``usps_like``,
 cohort 64 of 10^4, 50 rows per worker, ``label_flip``) re-points the
@@ -47,6 +47,7 @@ each sampled worker got a copied dataset (one cohort's feature rows are
 from __future__ import annotations
 
 import contextlib
+import gc
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,7 @@ import pytest
 
 from repro.experiments.presets import benchmark_preset, paper_preset
 from repro.experiments.runner import prepare_experiment
+from repro.nn.network import Sequential
 
 #: most a warm round may allocate above its pre-round heap
 ROUND_BUDGET_MIB = 6.0
@@ -63,7 +65,7 @@ ROUND_BUDGET_MIB = 6.0
 STRAGGLER_BUDGET_MIB = 7.25
 
 #: most round 0 may leave on the heap, serially and on two threads
-#: (shards of 4 workers); measured 2.2 and 3.5 MiB
+#: (shards of 4 workers); measured 2.3 and 3.2 MiB
 RESIDENT_BUDGET_MIB = {"serial": 2.75, "threaded": 4.0}
 
 #: most an evaluation may leave on the heap; caching the test set's
@@ -201,6 +203,24 @@ def test_round_zero_resident_heap_within_budget(backend, overrides):
     finally:
         simulation.close()
     assert (after - before) / 2**20 <= RESIDENT_BUDGET_MIB[backend]
+
+
+def test_threaded_round_computes_on_the_one_model():
+    """Threaded shard tasks compute on the caller's model: after a round no
+    template or per-thread replica of it is alive (there were three)."""
+    existing = [value for value in gc.get_objects() if isinstance(value, Sequential)]
+    simulation = paper_simulation(**BACKEND_OVERRIDES["threaded"])
+    try:
+        simulation.run_round(0)
+        gc.collect()
+        alive = [
+            value for value in gc.get_objects()
+            if isinstance(value, Sequential)
+            and not any(value is other for other in existing)
+        ]
+    finally:
+        simulation.close()
+    assert alive == [simulation.model]
 
 
 def population_simulation(**overrides):

@@ -39,42 +39,17 @@ class TestLinear:
         layer = Linear(5, 3, rng)
         assert layer.num_parameters == 5 * 3 + 3
 
-    def test_backward_requires_forward(self, rng):
-        layer = Linear(4, 2, rng)
-        with pytest.raises(RuntimeError):
-            layer.backward(rng.normal(size=(3, 2)))
-
     def test_backward_input_gradient_shape(self, rng):
         layer = Linear(4, 2, rng)
         x = rng.normal(size=(3, 4))
-        layer.forward(x)
-        grad_input = layer.backward(rng.normal(size=(3, 2)))
+        grad_input = layer.backward(rng.normal(size=(3, 2)), x, layer.forward(x))
         assert grad_input.shape == (3, 4)
-
-    def test_backward_records_grad_factors(self, rng):
-        layer = Linear(4, 2, rng)
-        x = rng.normal(size=(3, 4))
-        layer.forward(x)
-        grad_out = rng.normal(size=(3, 2))
-        layer.backward(grad_out)
-        inputs, deltas = layer.grad_factors
-        assert inputs is x and deltas is grad_out
-
-    def test_backward_without_input_gradient_still_records(self, rng):
-        layer = Linear(3, 2, rng)
-        x = rng.normal(size=(2, 3))
-        layer.forward(x)
-        grad_out = rng.normal(size=(2, 2))
-        assert layer.backward(grad_out, input_gradient=False) is None
-        inputs, deltas = layer.grad_factors
-        assert inputs is x and deltas is grad_out
 
     def test_input_gradient_value(self, rng):
         layer = Linear(3, 2, rng)
         x = rng.normal(size=(2, 3))
-        layer.forward(x)
         grad_out = rng.normal(size=(2, 2))
-        grad_in = layer.backward(grad_out)
+        grad_in = layer.backward(grad_out, x, layer.forward(x))
         np.testing.assert_allclose(grad_in, grad_out @ layer.weight.T)
 
     def test_set_parameters_roundtrip(self, rng):
@@ -107,11 +82,6 @@ class TestActivations:
         x = rng.normal(size=(5, 7))
         assert layer.forward(x).shape == x.shape
 
-    @pytest.mark.parametrize("activation_cls", [ReLU, ELU, Tanh])
-    def test_backward_requires_forward(self, activation_cls, rng):
-        with pytest.raises(RuntimeError):
-            activation_cls().backward(rng.normal(size=(2, 2)))
-
     def test_relu_clamps_negative(self, rng):
         layer = ReLU()
         x = np.array([[-1.0, 0.0, 2.0]])
@@ -120,8 +90,7 @@ class TestActivations:
     def test_relu_gradient_mask(self):
         layer = ReLU()
         x = np.array([[-1.0, 0.5, 2.0]])
-        layer.forward(x)
-        grad = layer.backward(np.ones_like(x))
+        grad = layer.backward(np.ones_like(x), x, layer.forward(x))
         np.testing.assert_allclose(grad, [[0.0, 1.0, 1.0]])
 
     def test_elu_positive_is_identity(self):
@@ -141,8 +110,7 @@ class TestActivations:
     def test_elu_gradient_continuous_at_zero(self):
         layer = ELU()
         x = np.array([[1e-9, -1e-9]])
-        layer.forward(x)
-        grad = layer.backward(np.ones_like(x))
+        grad = layer.backward(np.ones_like(x), x, layer.forward(x))
         np.testing.assert_allclose(grad, [[1.0, 1.0]], atol=1e-6)
 
     def test_tanh_output_range(self, rng):
@@ -154,7 +122,7 @@ class TestActivations:
         layer = Tanh()
         x = np.array([[0.3]])
         out = layer.forward(x)
-        grad = layer.backward(np.ones_like(x))
+        grad = layer.backward(np.ones_like(x), x, out)
         np.testing.assert_allclose(grad, 1.0 - out**2)
 
     @pytest.mark.parametrize("activation_cls", [ReLU, ELU, Tanh])
@@ -163,8 +131,7 @@ class TestActivations:
         layer = activation_cls()
         x = rng.normal(size=(3, 4))
         step = 1e-6
-        layer.forward(x)
-        analytic = layer.backward(np.ones_like(x))
+        analytic = layer.backward(np.ones_like(x), x, layer.forward(x))
         numeric = (layer.forward(x + step) - layer.forward(x - step)) / (2.0 * step)
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
@@ -179,16 +146,13 @@ class TestFlatten:
         layer = Flatten()
         x = rng.normal(size=(4, 3, 2))
         out = layer.forward(x)
-        assert layer.backward(out).shape == x.shape
-
-    def test_backward_requires_forward(self, rng):
-        with pytest.raises(RuntimeError):
-            Flatten().backward(rng.normal(size=(2, 2)))
+        assert layer.backward(out, x, out).shape == x.shape
 
     def test_roundtrip_preserves_values(self, rng):
         layer = Flatten()
         x = rng.normal(size=(2, 3, 5))
-        np.testing.assert_allclose(layer.backward(layer.forward(x)), x)
+        out = layer.forward(x)
+        np.testing.assert_allclose(layer.backward(out, x, out), x)
 
 
 class TestLayerBase:
@@ -198,34 +162,8 @@ class TestLayerBase:
 
     def test_backward_not_implemented(self):
         with pytest.raises(NotImplementedError):
-            Layer().backward(np.zeros((1, 1)))
+            Layer().backward(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
 
     def test_base_layer_has_no_parameters(self):
         assert Layer().num_parameters == 0
 
-
-class TestInference:
-    """``forward(x, cache=False)`` computes the same bits and keeps nothing."""
-
-    @staticmethod
-    def layers(rng):
-        return [Linear(6, 6, rng), ReLU(), ELU(alpha=0.5), Tanh(), Flatten()]
-
-    def test_uncached_forward_matches_and_stores_nothing(self, rng):
-        x = rng.normal(size=(5, 6))
-        for layer, twin in zip(self.layers(np.random.default_rng(3)),
-                               self.layers(np.random.default_rng(3))):
-            np.testing.assert_array_equal(layer.forward(x, cache=False), twin.forward(x))
-            assert all(value is None for name, value in vars(layer).items()
-                       if name.startswith("_")), layer
-
-    def test_uncached_forward_keeps_the_capture_cache(self, rng):
-        """Inference between a capture forward and its backward changes nothing."""
-        layer, twin = (Linear(6, 4, np.random.default_rng(3)) for _ in range(2))
-        x, grad = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
-        layer.forward(x)
-        twin.forward(x)
-        layer.forward(rng.normal(size=(9, 6)), cache=False)
-        np.testing.assert_array_equal(layer.backward(grad), twin.backward(grad))
-        for ours, theirs in zip(layer.grad_factors, twin.grad_factors):
-            np.testing.assert_array_equal(ours, theirs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import ELU, Flatten, Layer, Linear, ReLU, Tanh
-from repro.nn.losses import softmax
+from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.nn import network
 from repro.nn.models import build_model
 from repro.nn.network import Sequential, expand_grad_factors, spec_dimensions
@@ -18,6 +18,31 @@ from tests.conftest import numerical_gradient
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(11)
+
+
+class Scale(Layer):
+    """An elementwise scale: parametrised, but not a (weight, bias) pair."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.parameters = [np.ones(width)]
+
+    def forward(self, x):
+        return x * self.parameters[0]
+
+    def backward(self, grad_output, x, y):
+        return grad_output * self.parameters[0]
+
+
+def assert_layers_hold_only_parameters(model):
+    """No layer keeps an array, or a container of them, besides its parameters."""
+    for layer in model.layers:
+        for name, value in vars(layer).items():
+            if name == "parameters":
+                continue
+            assert not isinstance(value, (tuple, list, dict)), (layer, name)
+            if isinstance(value, np.ndarray):
+                assert any(value is parameter for parameter in layer.parameters), (layer, name)
 
 
 @pytest.fixture
@@ -92,17 +117,6 @@ class TestFlatParameters:
         model.set_flat_parameters(model.get_flat_parameters() + 0.5)
         after = model.forward(x)
         assert not np.allclose(before, after)
-
-    def test_clone_is_independent(self, model, batch):
-        x, _ = batch
-        clone = model.clone()
-        np.testing.assert_allclose(clone.forward(x), model.forward(x))
-        clone.set_flat_parameters(clone.get_flat_parameters() + 1.0)
-        assert not np.allclose(clone.forward(x), model.forward(x))
-        # original unaffected
-        np.testing.assert_allclose(
-            model.get_flat_parameters(), model.get_flat_parameters()
-        )
 
 
 class TestGradients:
@@ -186,14 +200,11 @@ class TestGradients:
         )
 
     def test_no_per_example_buffer_left_on_layers(self, model, batch):
-        """Nothing batch-shaped outlives a call except the forward caches."""
+        """Nothing batch-shaped outlives a call: a layer holds its parameters only."""
         x, y = batch
         model.per_example_gradients(x, y, out=np.empty((10, model.num_parameters)))
         model.per_example_gradients(x, y)
-        for layer in model.layers:
-            assert layer.grad_factors is None
-            for value in vars(layer).values():
-                assert not (isinstance(value, np.ndarray) and value.ndim == 3)
+        assert_layers_hold_only_parameters(model)
 
     def test_per_example_gradients_rejects_bad_out(self, model, batch):
         x, y = batch
@@ -255,22 +266,41 @@ class TestGradFactorCapture:
             np.concatenate(rebuilt, axis=1), per_example, rtol=1e-12, atol=1e-15
         )
 
+    def test_factors_are_each_linear_layers_input_and_output_gradient(self, rng):
+        """The capture pass pairs each Linear's input with its output gradient."""
+        first, activation, second = Linear(4, 6, rng), ELU(), Linear(6, 3, rng)
+        model = Sequential([first, activation, second])
+        x = rng.normal(size=(7, 4))
+        y = rng.integers(0, 3, size=7)
+        hidden = first.forward(x)
+        active = activation.forward(hidden)
+        logits = second.forward(active)
+        _, delta = softmax_cross_entropy(logits, y)
+        hidden_delta = activation.backward(second.backward(delta, active, logits), hidden, active)
+        _, factors = model.per_example_grad_factors(x, y)
+        assert [layer for layer, _, _ in factors] == [first, second]
+        assert factors[0][1] is x
+        for (_, inputs, deltas), (expected_inputs, expected_deltas) in zip(
+            factors, [(x, hidden_delta), (active, delta)]
+        ):
+            np.testing.assert_array_equal(inputs, expected_inputs)
+            np.testing.assert_array_equal(deltas, expected_deltas)
+
     def test_capture_forms_no_network_input_gradient(self, rng):
-        """The lowest parametrised layer records factors but skips Delta @ W^T."""
+        """The lowest parametrised layer's factors need no backward call:
+        nothing forms Delta @ W^T there, nor runs the layers below it."""
         model = Sequential([Flatten(), Linear(5, 4, rng), ELU(), Linear(4, 3, rng)])
         x = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, size=4)
         calls = []
         for layer in model.layers:
-            def spy(grad, *args, _backward=layer.backward, _layer=layer, **kwargs):
-                calls.append((type(_layer).__name__, kwargs))
-                return _backward(grad, *args, **kwargs)
+            def spy(grad, x, y, _backward=layer.backward, _layer=layer):
+                calls.append(type(_layer).__name__)
+                return _backward(grad, x, y)
             layer.backward = spy
         _, factors = model.per_example_grad_factors(x, y)
-        assert calls == [("Linear", {}), ("ELU", {}), ("Linear", {"input_gradient": False})]
+        assert calls == ["Linear", "ELU"]
         assert [layer for layer, _, _ in factors] == [model.layers[1], model.layers[3]]
-        # the factors belong to the caller; the layers keep none
-        assert all(layer.grad_factors is None for layer in model.layers)
 
     def test_capture_does_not_break_materialized_path(self, rng):
         """Interleaved capture and materialized passes stay independent."""
@@ -283,17 +313,13 @@ class TestGradFactorCapture:
         _, after = model.per_example_gradients(x, y)
         np.testing.assert_array_equal(before, after)
 
-    def test_layer_recording_no_factors_raises(self, rng):
-        class OpaqueLinear(Linear):
-            def backward(self, grad_output, input_gradient=True):
-                return grad_output @ self.weight.T  # records no factors
-
-        model = Sequential([OpaqueLinear(4, 2, rng)])
+    def test_parametrised_non_linear_layer_raises(self, rng):
+        model = Sequential([Scale(4), Linear(4, 2, rng)])
         x = rng.normal(size=(3, 4))
         y = rng.integers(0, 2, size=3)
-        with pytest.raises(RuntimeError, match="OpaqueLinear recorded no"):
+        with pytest.raises(RuntimeError, match="Scale does not follow"):
             model.per_example_grad_factors(x, y)
-        with pytest.raises(RuntimeError, match="OpaqueLinear recorded no"):
+        with pytest.raises(RuntimeError, match="Scale does not follow"):
             model.per_example_gradients(x, y)
 
     def test_factors_off_the_linear_convention_raise(self, rng):
@@ -395,22 +421,28 @@ class TestSpec:
 
 
 
-class TestInferenceCachesNothing:
+class TestLayersKeepNoState:
     @staticmethod
     def build():
         rng = np.random.default_rng(5)
-        return Sequential([Linear(8, 6, rng), ELU(), Linear(6, 4, rng), ReLU(),
+        return Sequential([Flatten(), Linear(8, 6, rng), ELU(), Linear(6, 4, rng), ReLU(),
                            Linear(4, 3, rng), Tanh()])
 
-    def test_inference_stores_nothing_and_computes_the_same_bits(self):
-        model, reference = self.build(), self.build()
+    def test_inference_computes_the_forward_bits(self):
+        model = self.build()
         rng = np.random.default_rng(6)
-        x, y = rng.normal(size=(7, 8)), rng.integers(0, 3, size=7)
-        logits = reference.forward(x)  # caches, as the capture pass does
-        np.testing.assert_array_equal(model.forward(x, cache=False), logits)
+        x, y = rng.normal(size=(7, 2, 4)), rng.integers(0, 3, size=7)
+        logits = model.forward(x)
         np.testing.assert_array_equal(model.predict(x), np.argmax(logits, axis=-1))
         np.testing.assert_array_equal(model.predict_proba(x), softmax(logits))
-        assert model.loss(x, y) == reference.loss(x, y)
-        for layer in model.layers:
-            assert all(value is None for name, value in vars(layer).items()
-                       if name.startswith("_")), layer
+        losses, _ = softmax_cross_entropy(logits, y)
+        assert model.loss(x, y) == float(np.mean(losses))
+
+    def test_capture_leaves_only_parameters_on_layers(self):
+        model = self.build()
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(7, 2, 4)), rng.integers(0, 3, size=7)
+        model.per_example_grad_factors(x, y)
+        model.mean_gradient(x, y)
+        model.predict(x)
+        assert_layers_hold_only_parameters(model)
