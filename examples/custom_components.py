@@ -117,17 +117,14 @@ class NormTracingEngine(MaterializedEngine):
     ``python -m repro run --engine norm_trace_demo``.
     """
 
-    #: the most recently built instance (each thread keeps one instance)
-    last_instance: "NormTracingEngine | None" = None
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.mean_upload_norms: list[float] = []
-        NormTracingEngine.last_instance = self
+    #: mean upload norm of every call, in call order (every shard task
+    #: builds a new engine, so the trace lives on the class; cleared by
+    #: the demo before its run)
+    mean_upload_norms: list[float] = []
 
     def compute_uploads(self, model, features, labels, n_workers, *rest):
         uploads = super().compute_uploads(model, features, labels, n_workers, *rest)
-        self.mean_upload_norms.append(
+        NormTracingEngine.mean_upload_norms.append(
             float(np.linalg.norm(uploads, axis=1).mean())
         )
         return uploads
@@ -238,6 +235,7 @@ def main() -> None:
         n_honest=5,
     )
     ReverseCompletionBackend.completed_tasks.clear()
+    NormTracingEngine.mean_upload_norms.clear()
     early_stopping = EarlyStopping(target_accuracy=0.9, patience=4)
     result = run_experiment(
         config, callbacks=[early_stopping, RoundLogger(every=5)]
@@ -254,9 +252,9 @@ def main() -> None:
     )
     print(
         "custom engine traced "
-        f"{len(NormTracingEngine.last_instance.mean_upload_norms)} pool calls; "
+        f"{len(NormTracingEngine.mean_upload_norms)} shard tasks; "
         f"first mean upload norm "
-        f"{NormTracingEngine.last_instance.mean_upload_norms[0]:.3f}"
+        f"{NormTracingEngine.mean_upload_norms[0]:.3f}"
     )
 
     # The custom backend really ran the shards in reverse -- and because

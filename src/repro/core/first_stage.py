@@ -21,13 +21,15 @@ One ``einsum`` gives every squared norm.  The KS test uses Theorem 2: a
 filter precomputes, per rank, the order-statistic bounds just inside and
 just outside the critical statistic
 (:class:`repro.stats.ks.KSRankBounds`), so a round sorts the rows that
-passed the norm test, a bounded block at a time, and decides each with
-comparisons.  Only a row with an order statistic in the 1e-6 band between
-the two gets its exact statistic and p-value, and the mask always equals
-the one the p-values give.  :meth:`FirstStageFilter.inspect_batch`
+passed the norm test, a bounded block at a time into a buffer of its
+own, and decides each with comparisons.  Only a row with an order
+statistic in the 1e-6 band between the two gets its exact statistic and
+p-value, and the mask always equals the one the p-values give.  :meth:`FirstStageFilter.inspect_batch`
 computes every row's statistics and p-values itself: it is the exact
 reference the rank-bound decisions are tested against, and the tool for
-interactive inspection.
+interactive inspection.  Between calls a filter keeps only what its
+settings fix: the norm interval, the critical statistic and the rank
+bounds; no buffer outlives the call that sorted into it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ import numpy as np
 
 from repro.stats.ks import (
     KSRankBounds,
-    KSWorkspace,
     critical_statistic,
     ks_pvalues,
     ks_statistics,
+    sort_rows,
     theorem2_interval,
 )
 from repro.stats.norm_test import squared_norm_interval
@@ -104,10 +106,7 @@ class FirstStageFilter:
         self._norm_bounds = squared_norm_interval(self.sigma, self.dimension, self.norm_k)
         self._critical = critical_statistic(self.dimension, self.significance)
         self._rank_bounds = KSRankBounds.build(self.dimension, self.sigma, self._critical)
-        # Scratch buffers reused by every batched call (one filter instance
-        # serves a whole training run): the batched KS test sorts one
-        # bounded block of rows into them at a time.
-        self._ks_workspace = KSWorkspace()
+        # Rows the batched KS test sorts and decides at once.
         self._ks_block = max(1, _KS_BLOCK_BYTES // (8 * self.dimension))
 
     def norm_bounds(self) -> tuple[float, float]:
@@ -138,24 +137,21 @@ class FirstStageFilter:
 
         A 1-D upload is the one-row matrix, so its mask has one entry.
         The KS test runs only on rows that passed the norm test, a block of
-        at most ``_KS_BLOCK_BYTES`` at a time.  A block's sorted
-        coordinates are compared with the filter's rank bounds; a row the
-        bounds leave undecided gets its exact statistic and p-value.  Every
-        step is per row, so the blocking moves no decision, and the mask
-        equals ``norm_ok & (p-value >= significance)`` on every row.
+        at most ``_KS_BLOCK_BYTES`` at a time, each sorted into a new
+        buffer.  A block's sorted coordinates are compared with the
+        filter's rank bounds; a row the bounds leave undecided gets its
+        exact statistic and p-value.  Every step is per row, so the
+        blocking moves no decision, and the mask equals
+        ``norm_ok & (p-value >= significance)`` on every row.
         """
         matrix = self._as_matrix(uploads)
         _, accepted = self._norm_test_batch(matrix)
         candidates = np.flatnonzero(accepted)
         for start in range(0, candidates.size, self._ks_block):
             rows = candidates[start:start + self._ks_block]
-            ordered = self._ks_workspace.sort_rows(matrix, rows)
-            passed, undecided = self._rank_bounds.decide(ordered)
+            passed, undecided = self._rank_bounds.decide(sort_rows(matrix, rows))
             if undecided.any():
-                statistics = ks_statistics(
-                    matrix, self.sigma, workspace=self._ks_workspace,
-                    rows=rows[undecided],
-                )
+                statistics = ks_statistics(matrix, self.sigma, rows=rows[undecided])
                 pvalues = ks_pvalues(statistics, self.dimension)
                 passed[undecided] = pvalues >= self.significance
             accepted[rows] = passed
@@ -166,8 +162,7 @@ class FirstStageFilter:
 
         Every row gets its exact KS statistic and p-value, so this is the
         reference :meth:`accepts_batch` must agree with.  The whole matrix
-        sorts in this call's own temporaries, so the shared workspace stays
-        one :meth:`accepts_batch` block.
+        sorts at once, in this call's own buffers.
         """
         matrix = self._as_matrix(uploads)
         squared, norm_ok = self._norm_test_batch(matrix)

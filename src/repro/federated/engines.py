@@ -8,8 +8,10 @@ attacks, defenses, datasets and models: ``ExperimentConfig(engine=...)``,
 ``python -m repro run --engine ...`` and ``python -m repro list`` all see
 third-party engines registered through the public
 :class:`repro.registry.Registry` API.  An engine is always a name
-(:data:`DEFAULT_ENGINE` unless told otherwise): each thread that runs
-shard tasks keeps one engine per name (see :mod:`repro.federated.worker`).
+(:data:`DEFAULT_ENGINE` unless told otherwise), and an engine keeps
+nothing between calls: every shard task builds its own from the name
+(see :mod:`repro.federated.worker`), and each call allocates the scratch
+it needs and drops it on return.
 
 Both built-in engines start from one capture pass over the shard,
 :meth:`~repro.nn.network.Sequential.per_example_grad_factors`: a
@@ -26,8 +28,9 @@ Its activations grow with the shard's rows times the layer widths, so
   noises each worker on its own, so the engine works through the shard in
   **groups** of whole workers whose ``(rows, d)`` expansion fits
   :data:`_GROUP_BYTES` (one worker at the paper shape), reusing one
-  scratch for every group.  Every expanded value is a single rounded
-  product and every later step is per row, so grouping changes no bit.
+  scratch of the call for every group.  Every expanded value is a single
+  rounded product and every later step is per row, so grouping changes no
+  bit.
 - :class:`GhostNormEngine` -- the "ghost norm" trick for stacks of
   :class:`~repro.nn.layers.Linear` layers.  The slot Gram matrix
   factorises as ``(X X^T) (.) (Delta Delta^T)``, so
@@ -102,10 +105,12 @@ def _worker_groups(n_workers: int, batch: int, dimension: int) -> list[tuple[int
 class ClientEngine:
     """Base class of client compute engines.
 
-    An engine is a stateless-between-rounds compute strategy; per-round
-    scratch buffers may be cached on the instance (they are keyed by shape,
-    so one engine instance can serve several pool shards, and honest and
-    Byzantine pools may share an instance).
+    An engine keeps nothing between calls, as a
+    :class:`~repro.nn.layers.Layer` keeps nothing but its parameters:
+    :meth:`compute_uploads` allocates every buffer it needs, and what it
+    carries into the next round (momentum, generator states) lives in the
+    caller's ``state`` and ``rngs``.  So any instance of a registered
+    engine computes the same uploads, and every shard task builds its own.
     """
 
     def compute_uploads(
@@ -139,9 +144,8 @@ class ClientEngine:
 
         Returns
         -------
-        Uploads of shape ``(n_workers, d)``.  The array may be engine-owned
-        scratch or ``state.slot_momentum`` itself, overwritten by the next
-        call -- the caller copies it out.
+        Uploads of shape ``(n_workers, d)``: ``state.slot_momentum``
+        itself or a buffer of this call -- the caller copies it out.
         """
         raise NotImplementedError
 
@@ -156,17 +160,14 @@ class MaterializedEngine(ClientEngine):
 
     Captures the shard's gradient factors once, then for each group of
     :func:`_worker_groups` expands the group's exact per-example gradients
-    into one flat ``(rows, d)`` scratch (reused across groups and rounds,
-    sized by the largest group it has served) and feeds it to
+    into one flat ``(rows, d)`` scratch (allocated per call, sized by the
+    call's largest group and reused across its groups) and feeds it to
     :func:`~repro.core.dp_protocol.local_update_batch` with the group's
     momentum rows and generators.  The uploads land in the shard's
     momentum rows (Algorithm 1 line 11: the momentum *is* the upload),
     which the call returns.  Bitwise identical to the scalar per-worker
     protocol.
     """
-
-    def __init__(self) -> None:
-        self._gradients: np.ndarray | None = None
 
     def compute_uploads(
         self,
@@ -189,9 +190,7 @@ class MaterializedEngine(ClientEngine):
         _, factors = model.per_example_grad_factors(features, labels)
         groups = _worker_groups(n_workers, batch, dimension)
         rows = max(stop - start for start, stop in groups) * batch
-        scratch = self._gradients
-        if scratch is None or scratch.shape[0] < rows or scratch.shape[1] != dimension:
-            scratch = self._gradients = np.empty((rows, dimension), dtype=np.float64)
+        scratch = np.empty((rows, dimension), dtype=np.float64)
         for start, stop in groups:
             gradients = expand_grad_factors(
                 factors, scratch[: (stop - start) * batch], start * batch
@@ -237,9 +236,6 @@ class GhostNormEngine(ClientEngine):
     bounded-sum buffer -- no per-example gradient exists, not even the
     materialized path's one-group scratch.
     """
-
-    def __init__(self) -> None:
-        self._bounded: np.ndarray | None = None
 
     def compute_uploads(
         self,
@@ -306,10 +302,7 @@ class GhostNormEngine(ClientEngine):
 
         # Bounded slot sum without materialising the slots:
         # (1-beta) sum_l X_l^T (w (.) Delta_l)  [+ beta (sum_j w_ij) m_i].
-        bounded = self._bounded
-        if bounded is None or bounded.shape[0] < n_workers or bounded.shape[1] != dimension:
-            bounded = self._bounded = np.empty((n_workers, dimension), dtype=np.float64)
-        bounded = bounded[:n_workers]
+        bounded = np.empty((n_workers, dimension), dtype=np.float64)
         for ((_, slices), (inputs, deltas)) in zip(layout, shaped):
             (w_start, w_stop, _), (b_start, b_stop, _) = slices
             weighted_deltas = weights[:, :, np.newaxis] * deltas  # (n, b, out)

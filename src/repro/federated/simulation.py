@@ -17,8 +17,7 @@ performs two model passes at most (honest pool, Byzantine pool) instead of
 one small forward/backward per worker.  Both pools share one
 :class:`~repro.federated.backends.ExecutionBackend`, so their shards may
 run concurrently (threads, worker processes or remote workers) with
-results bitwise identical to the serial reference, and on each thread
-one engine, which :meth:`FederatedSimulation.close` drops.
+results bitwise identical to the serial reference.
 
 :meth:`FederatedSimulation.run_round` is the round body and
 :meth:`FederatedSimulation.run` the loop around it, which emits typed
@@ -64,7 +63,7 @@ from repro.federated.pipeline import (
     RoundStartEvent,
 )
 from repro.federated.server import Server
-from repro.federated.worker import WorkerPool, drop_thread_engines
+from repro.federated.worker import WorkerPool
 from repro.nn.network import Sequential
 
 __all__ = ["SimulationSettings", "FederatedSimulation"]
@@ -165,8 +164,8 @@ class FederatedSimulation:
         derived from it.
     engine:
         The pools' registered engine name (``None``:
-        :data:`~repro.federated.engines.DEFAULT_ENGINE`).  Both pools run
-        on each thread's one engine of that name until :meth:`close`.
+        :data:`~repro.federated.engines.DEFAULT_ENGINE`).  Every shard
+        task of both pools builds its own engine of that name.
     shard_size:
         Maximum workers per shard task of both pools (see
         :class:`~repro.federated.worker.WorkerPool`); ``None`` lets each
@@ -882,11 +881,11 @@ class FederatedSimulation:
             rng.bit_generator.state = rng_state
 
     def close(self) -> None:
-        """Release the backend's pooled threads/processes and this thread's engines.
+        """Release the backend's pooled threads/processes.
 
-        Safe to call repeatedly; the backend lazily recreates its pools,
-        and the pools their engines, if the simulation runs again
-        afterwards.
+        Nothing else outlives a round: every shard task builds its own
+        engine, whose scratch dies with the call.  Safe to call
+        repeatedly; the backend lazily recreates its pools if the
+        simulation runs again afterwards.
         """
         self.backend.shutdown()
-        drop_thread_engines()

@@ -49,11 +49,11 @@ wrap the same task in the backend's retry loop; since the task is pure,
 a retried attempt replays bitwise.  Commit order, not completion order, fixes every result, so
 every backend's uploads are bitwise identical to the serial loop.
 
-A model keeps no per-call state, so every in-process shard task, on
-any thread, computes on the caller's model.  Each thread keeps one
-engine per registered name until :func:`drop_thread_engines`: pools run
-one after another, so they share it and its scratch.  A payload that
-leaves the process carries the model's layer spec
+Neither a model nor an engine keeps per-call state, so every
+in-process shard task, on any thread, computes on the caller's model,
+and every task builds its engine from the payload's registered name; the
+engine's scratch lives only as long as the call.  A payload that leaves
+the process carries the model's layer spec
 (:meth:`~repro.nn.network.Sequential.spec`) and flat parameters, and the
 executing thread builds that network once.  That recipe is plain data,
 which is what lets :mod:`repro.federated.wire` (protocol 3) describe a
@@ -83,26 +83,25 @@ from repro.federated.backends import (
     TaskFailure,
     build_backend,
 )
-from repro.federated.engines import DEFAULT_ENGINE, ENGINES, ClientEngine, build_engine
+from repro.federated.engines import DEFAULT_ENGINE, ENGINES, build_engine
 from repro.federated.faults import PoolFaultReport, ShardFaultPlan
 from repro.federated.sampling import IndexView
 from repro.nn.network import Sequential
 
-__all__ = ["WorkerPool", "drop_thread_engines"]
+__all__ = ["WorkerPool"]
 
 
 class _ThreadCache(threading.local):
     """What shard tasks compute with, kept per thread so that no two
-    threads share an engine's scratch or a network's parameters.
+    threads share a network's parameters or a generator.
 
-    ``engines`` maps an engine name to the thread's engine, ``networks``
-    an out-of-process layer spec's JSON text to the network built from
-    it, and ``generators`` holds scratch generators, re-positioned before
-    every use (setting a state is ~10x cheaper than building one).
+    ``networks`` maps an out-of-process layer spec's JSON text to the
+    network built from it, and ``generators`` holds scratch generators,
+    re-positioned before every use (setting a state is ~10x cheaper than
+    building one).
     """
 
     def __init__(self) -> None:
-        self.engines: dict[str, ClientEngine] = {}
         self.networks: dict[str, Sequential] = {}
         self.generators: list[np.random.Generator | None] = []
 
@@ -127,22 +126,6 @@ def _positioned(states: list[dict]) -> list[np.random.Generator]:
             rng = scratch[index] = np.random.Generator(getattr(np.random, name)(0))
         rng.bit_generator.state = state
     return scratch[: len(states)]
-
-
-def _thread_engine(name: str) -> ClientEngine:
-    """The calling thread's engine of the registered ``name``, built on first use."""
-    engines = _THREAD_CACHE.engines
-    if name not in engines:
-        engines[name] = build_engine(name)
-    return engines[name]
-
-
-def drop_thread_engines() -> None:
-    """Forget the calling thread's engines and their scratch; its next task builds new ones.
-
-    :meth:`~repro.federated.simulation.FederatedSimulation.close` calls it.
-    """
-    _THREAD_CACHE.engines.clear()
 
 
 def _thread_network(spec: list[dict], parameters: np.ndarray) -> Sequential:
@@ -195,22 +178,24 @@ class _ShardPayload:
 def _shard_task(payload: _ShardPayload) -> tuple[np.ndarray, list[dict]]:
     """The one shard task: ``payload -> (uploads, post-noise rng states)``.
 
-    Sampling already happened in the parent, so the task runs this
-    thread's engine on the payload's mini-batches, a private copy of the
-    shard's momentum and generators positioned at the payload's states.
-    Pure: a retried attempt computes exactly the same result.
+    Sampling already happened in the parent, so the task runs a new
+    engine of the payload's registered name on the payload's mini-batches,
+    a private copy of the shard's momentum and generators positioned at
+    the payload's states.  Pure: a retried attempt computes exactly the
+    same result.
     """
     model = payload.model
     if not isinstance(model, Sequential):
         model = _thread_network(model, payload.parameters)
-    engine = _thread_engine(payload.engine)
+    engine = build_engine(payload.engine)
     rngs = _positioned(payload.rng_states)
     # Every attempt starts from the pool's rows; the engine updates this
     # private copy, and by line 11 the momentum *is* the upload, so the
     # copy doubles as the result.  The materialized engine returns the
     # copy itself (copying it onto itself is a no-op); other engines may
-    # return scratch.  What a discarded attempt wrote here is overwritten
-    # by the retry, or zeroed by the commit when the shard is lost.
+    # return a buffer of their own call.  What a discarded attempt wrote
+    # here is overwritten by the retry, or zeroed by the commit when the
+    # shard is lost.
     momentum = payload.out if payload.out is not None else np.empty_like(payload.momentum)
     np.copyto(momentum, payload.momentum)
     state = BatchedDPState(
@@ -246,7 +231,8 @@ class WorkerPool:
         A registered engine name (``"materialized"``, ``"ghost_norm"``),
         or ``None`` for :data:`~repro.federated.engines.DEFAULT_ENGINE`;
         anything else raises :class:`~repro.registry.UnknownComponentError`.
-        Each thread running a shard task uses its own :attr:`engine`.
+        Every shard task builds its own engine of this name, so
+        re-registering the name takes effect from the next call.
     shard_size:
         Maximum number of workers per shard task; ``None`` keeps the pool
         in one shard under the serial backend and splits it into
@@ -315,11 +301,6 @@ class WorkerPool:
         self.last_fault_report: PoolFaultReport | None = None
 
     @property
-    def engine(self) -> ClientEngine:
-        """The calling thread's engine of :attr:`engine_name` (every pool on it shares it)."""
-        return _thread_engine(self.engine_name)
-
-    @property
     def n_workers(self) -> int:
         """Number of workers in the pool."""
         return len(self.datasets)
@@ -341,7 +322,7 @@ class WorkerPool:
 
         Cross-device rounds draw a new cohort from the registered
         population each round; the pool's slot count (and therefore its
-        shard bounds and scratch sizes) stays constant while the slots'
+        shard bounds and momentum shape) stays constant while the slots'
         datasets and generators are swapped in.  Momentum is zeroed:
         a sampled worker starts its participation from a fresh local
         state, the standard stateless-client semantics of cross-device

@@ -31,7 +31,7 @@ class Layer:
 
     Layers without parameters only implement :meth:`forward` and
     :meth:`backward`.  Layers with parameters additionally expose
-    ``parameters`` (list of arrays) and ``set_parameters``.
+    ``parameters`` (list of arrays).
     """
 
     #: arrays owned by the layer; empty for activation layers
@@ -50,20 +50,6 @@ class Layer:
     def num_parameters(self) -> int:
         """Total number of scalar parameters owned by the layer."""
         return int(sum(p.size for p in self.parameters))
-
-    def set_parameters(self, new_parameters: list[np.ndarray]) -> None:
-        """Replace the layer parameters with ``new_parameters`` (same shapes)."""
-        if len(new_parameters) != len(self.parameters):
-            raise ValueError(
-                f"expected {len(self.parameters)} parameter arrays, "
-                f"got {len(new_parameters)}"
-            )
-        for current, new in zip(self.parameters, new_parameters):
-            if current.shape != new.shape:
-                raise ValueError(
-                    f"parameter shape mismatch: {current.shape} vs {new.shape}"
-                )
-            current[...] = new
 
 
 class Linear(Layer):

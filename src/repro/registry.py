@@ -257,9 +257,15 @@ class Registry:
 
         Builders taking ``**kwargs`` (and without an explicit
         ``valid_kwargs`` registration) accept everything here; their own
-        downstream constructor still enforces correctness.
+        downstream constructor still enforces correctness.  With no keyword
+        there is nothing to check, so the builder's signature is not read:
+        on Python 3.11, reading the signature of a class without its own
+        ``__init__`` leaves a ~14 KiB reference cycle for the cyclic
+        collector, and every shard task builds its engine this way.
         """
         entry = self.get(name)
+        if not kwargs:
+            return
         if entry.valid_kwargs is not None:
             declared = entry.valid_kwargs
             accepted: frozenset[str] = frozenset(

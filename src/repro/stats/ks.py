@@ -7,9 +7,11 @@ and tests the null hypothesis that the coordinates are drawn from
 Every test here is batched over the rows of an ``(n, d)`` sample matrix;
 a single sample is the one-row matrix.  This module provides:
 
+- :func:`sort_rows` -- a fresh row-sorted copy of a matrix or of some of
+  its rows, gathered without an intermediate copy,
 - :func:`ks_statistics` -- one two-sided D statistic
   ``sup_x |C_d(x) - Phi_sigma(x)|`` per row, from a single
-  ``np.sort(axis=1)``,
+  :func:`sort_rows`,
 - :func:`kolmogorov_survival` -- the asymptotic Kolmogorov distribution used
   to convert D into a p-value (scalar or element-wise over an array),
 - :func:`ks_pvalues` -- the p-values of a batch of statistics in one call,
@@ -26,7 +28,8 @@ FirstAGG decides its per-round KS tests with :class:`KSRankBounds`, so the
 CDF (:func:`repro.stats.distributions.normal_cdf`) is evaluated per round
 only for a sample whose statistic lies within a relative 1e-6 of the
 critical value.  :func:`ks_statistics` and :func:`ks_pvalues` serve that
-exact fallback and the diagnostics.
+exact fallback and the diagnostics.  Nothing here keeps a buffer between
+calls: each call sorts into an array of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from repro.stats.distributions import normal_cdf, normal_quantiles
 
 __all__ = [
-    "KSWorkspace",
+    "sort_rows",
     "ks_statistics",
     "kolmogorov_survival",
     "ks_pvalues",
@@ -61,96 +64,57 @@ def _ecdf_steps(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-class KSWorkspace:
-    """Reusable ``(n, d)`` scratch buffers for row-sorting a sample matrix.
+def sort_rows(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """A new row-sorted copy of the ``(n, d)`` ``matrix`` (or of ``matrix[rows]``).
 
-    A long-lived caller (the first-stage filter sorts a batch every round)
-    hands the same workspace to every call so the full-matrix temporaries
-    are allocated once instead of per round.  The sort buffer serves every
-    call; the difference buffer only :func:`ks_statistics` needs, so it is
-    allocated on first use.  Both grow to the largest ``n`` seen and are
-    re-created when ``d`` changes.
+    The selected rows are gathered straight into the result, so no
+    intermediate ``matrix[rows]`` copy is materialised.  Integer ``rows``
+    index like ``matrix[rows]``: negative ones count from the end, and
+    one outside ``[-n, n)`` raises :class:`IndexError`.  A boolean mask
+    raises :class:`TypeError` rather than index rows 0 and 1.
     """
-
-    def __init__(self) -> None:
-        self._ordered: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-
-    @staticmethod
-    def _fitted(buffer: np.ndarray | None, n: int, d: int) -> np.ndarray:
-        if buffer is None or buffer.shape[0] < n or buffer.shape[1] != d:
-            return np.empty((n, d), dtype=np.float64)
-        return buffer
-
-    def sort_rows(self, matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Row-sorted copy of ``matrix`` (or of ``matrix[rows]``).
-
-        The selected rows are gathered straight into the buffer, so no
-        intermediate ``matrix[rows]`` copy is materialised.  Rows index
-        like ``matrix[rows]``: negative ones count from the end, and one
-        outside ``[-n, n)`` raises :class:`IndexError`.  The returned
-        array is a view of the workspace, overwritten by the next call.
-        """
-        n = matrix.shape[0] if rows is None else len(rows)
-        self._ordered = self._fitted(self._ordered, n, matrix.shape[1])
-        ordered = self._ordered[:n]
-        if rows is None:
-            np.copyto(ordered, matrix)
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            size = matrix.shape[0]
-            if rows.size and not -size <= rows.min() <= rows.max() < size:
-                raise IndexError(f"rows out of range for a matrix of {size} rows")
-            # np.take's default mode="raise" builds the whole result in a
-            # temporary before it writes ``out``; "wrap" writes it directly.
-            np.take(matrix, rows, axis=0, out=ordered, mode="wrap")
-        ordered.sort(axis=1)
-        return ordered
-
-    def scratch(self, n: int, d: int) -> np.ndarray:
-        """An ``(n, d)`` view of the difference buffer, allocated on first use."""
-        self._scratch = self._fitted(self._scratch, n, d)
-        return self._scratch[:n]
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if rows is None:
+        ordered = matrix.copy()
+    else:
+        rows = np.asarray(rows)  # repro-lint: disable=REP003 -- index dtype checked
+        if rows.dtype == bool:
+            raise TypeError("rows must be integer indices, not a boolean mask")
+        rows = rows.astype(np.intp, copy=False)
+        size = matrix.shape[0]
+        if rows.size and not -size <= rows.min() <= rows.max() < size:
+            raise IndexError(f"rows out of range for a matrix of {size} rows")
+        ordered = np.empty((rows.size, matrix.shape[1]), dtype=np.float64)
+        # np.take's default mode="raise" builds the whole result in a
+        # temporary before it writes ``out``; "wrap" writes it directly.
+        np.take(matrix, rows, axis=0, out=ordered, mode="wrap")
+    ordered.sort(axis=1)
+    return ordered
 
 
 def ks_statistics(
-    samples: np.ndarray,
-    sigma: float,
-    workspace: KSWorkspace | None = None,
-    rows: np.ndarray | None = None,
+    samples: np.ndarray, sigma: float, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Two-sided KS statistics of every row of ``samples`` against ``N(0, sigma^2)``.
 
     ``samples`` is an ``(n, d)`` matrix whose rows are independent samples;
     the result has shape ``(n,)``.  The whole batch costs one
-    ``np.sort(axis=1)``, one ``normal_cdf`` evaluation of the whole matrix
-    and two row-wise maxima.  Passing a :class:`KSWorkspace` reuses its
-    buffers for the sorted rows and the differences; ``samples`` itself is
-    never modified either way.  ``rows`` restricts the
-    computation to ``samples[rows]`` (result shape ``(len(rows),)``); with a
-    workspace the selected rows are gathered straight into the scratch
-    buffer, so no intermediate ``samples[rows]`` copy is materialised.
+    :func:`sort_rows` copy, one ``normal_cdf`` evaluation of that copy in
+    place and two row-wise maxima; ``samples`` itself is never modified.
+    ``rows`` restricts the computation to ``samples[rows]`` (result shape
+    ``(len(rows),)``), gathered straight into the sorted copy.
     """
     matrix = np.asarray(samples, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"samples must be an (n, d) matrix, got shape {matrix.shape}")
     if matrix.shape[1] == 0:
         raise ValueError("cannot compute a KS statistic on an empty sample")
-    if rows is not None and workspace is None:
-        matrix = matrix[rows]
-    d = matrix.shape[1]
-    if workspace is not None:
-        ordered = workspace.sort_rows(matrix, rows)
-        scratch = workspace.scratch(*ordered.shape)
-        cdf_values = normal_cdf(ordered, sigma=sigma, out=ordered)
-    else:
-        scratch = None
-        cdf_values = normal_cdf(np.sort(matrix, axis=1), sigma=sigma)
-    upper_steps, lower_steps = _ecdf_steps(d)
-    diff = np.subtract(upper_steps, cdf_values, out=scratch)
-    d_plus = diff.max(axis=1)
-    # cdf_values is a buffer owned by this call (fresh or workspace): reuse
-    # it for the second difference instead of another (n, d) temporary.
+    ordered = sort_rows(matrix, rows)
+    cdf_values = normal_cdf(ordered, sigma=sigma, out=ordered)
+    upper_steps, lower_steps = _ecdf_steps(matrix.shape[1])
+    d_plus = np.subtract(upper_steps, cdf_values).max(axis=1)
+    # cdf_values is a buffer owned by this call: reuse it for the second
+    # difference instead of another (n, d) temporary.
     np.subtract(cdf_values, lower_steps, out=cdf_values)
     d_minus = cdf_values.max(axis=1)
     return np.maximum(d_plus, d_minus)

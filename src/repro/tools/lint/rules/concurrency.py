@@ -11,8 +11,10 @@ roughly one run in four.
 
 The fix idiom this rule enforces: per-thread state lives behind
 ``threading.local()`` (the cache is then keyed per thread, as
-``_THREAD_CACHE`` in ``federated/worker.py`` is today) or inside a
-per-shard workspace object owned by exactly one task.  Immutable
+``_THREAD_CACHE`` in ``federated/worker.py`` is today: it holds only
+scratch generators and networks built from a remote payload's layer
+spec, since engines keep nothing between calls) or inside a per-shard
+workspace object owned by exactly one task.  Immutable
 module-level tables (tuples, frozensets, ``MappingProxyType(...)``)
 pass; a deliberately-shared lock-protected structure can carry a
 per-line suppression naming the lock.

@@ -10,7 +10,6 @@ from repro.experiments.configs import ExperimentConfig
 from repro.experiments.reference import reference_accuracy, reference_config
 from repro.experiments.runner import prepare_experiment, run_experiment, run_seeds
 from repro.federated.backends import ThreadedBackend
-from repro.federated.engines import GhostNormEngine
 from repro.federated.faults import ChaosFaults
 
 
@@ -42,7 +41,7 @@ class TestPrepareExperiment:
             assert [pool.n_workers for pool in pools] == [4, 4]
             for pool in pools:
                 assert pool.shard_size == 2
-                assert isinstance(pool.engine, GhostNormEngine)
+                assert pool.engine_name == "ghost_norm"
                 assert pool.backend is simulation.backend
             assert isinstance(simulation.backend, ThreadedBackend)
             assert simulation.backend.max_workers == 2

@@ -28,7 +28,7 @@ from repro.federated.backends import (
     available_backends,
     build_backend,
 )
-from repro.federated.engines import ENGINES, MaterializedEngine
+from repro.federated.engines import ENGINES, MaterializedEngine, build_engine
 from repro.federated.worker import WorkerPool
 from repro.registry import UnknownComponentError
 from tests.helpers import make_model_and_data
@@ -232,15 +232,15 @@ class TestPoolBackends:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("name", ["materialized", "ghost_norm"])
-    def test_threads_keep_one_engine_per_name(self, name):
-        """Every thread computes on its own engine of the pool's name and
-        reuses it for each task it runs; no engine crosses threads."""
+    def test_every_task_builds_its_own_engine(self, name):
+        """Every shard task, on any thread, computes on a new engine of the
+        pool's name, and the threaded uploads equal the serial ones."""
         calls = []
 
         @ENGINES.register("recording_demo", summary="test engine", replace=True)
         class Recording(ENGINES.get(name).builder):
             def compute_uploads(self, *args, **kwargs):
-                calls.append((threading.get_ident(), self))
+                calls.append(self)
                 return super().compute_uploads(*args, **kwargs)
 
         model, _ = make_model_and_data(seed=2)
@@ -262,11 +262,8 @@ class TestPoolBackends:
             threaded.backend.shutdown()
             ENGINES.unregister("recording_demo")
         assert len(calls) == 9
-        engines_by_thread: dict[int, set[int]] = {}
-        for thread, engine in calls:
-            engines_by_thread.setdefault(thread, set()).add(id(engine))
-        assert all(len(engines) == 1 for engines in engines_by_thread.values())
-        assert len(set.union(*engines_by_thread.values())) == len(engines_by_thread)
+        # ``calls`` keeps every engine alive, so no two share an id
+        assert len({id(engine) for engine in calls}) == 9
 
     @pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
     def test_engine_instance_is_refused(self, backend):
@@ -465,21 +462,37 @@ class TestBackendSimulation:
         setup.simulation.close()
         setup.simulation.close()
 
-    def test_simulation_close_frees_this_threads_engines(self):
-        """A run's engine scratch dies with the run: after ``close()`` the
-        calling thread holds no engine the run computed with."""
+    def test_engines_die_with_their_task(self, monkeypatch):
+        """A run's engine scratch dies with the shard task that made it:
+        no engine a round built is alive after the round, before
+        ``close()``, on the calling thread or on the pool's threads."""
         from repro.experiments.presets import benchmark_preset
         from repro.experiments.runner import prepare_experiment
+        from repro.federated import worker
 
-        simulation = prepare_experiment(
-            benchmark_preset(epochs=1, scale=0.1, n_honest=2)
-        ).simulation
-        simulation.run_round(0)
-        engine = weakref.ref(simulation.honest_pool.engine)
-        assert engine()._gradients is not None
-        simulation.close()
-        gc.collect()
-        assert engine() is None
+        built = []
+
+        def recording(name):
+            engine = build_engine(name)
+            built.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(worker, "build_engine", recording)
+        for backend in ("serial", "threaded"):
+            built.clear()
+            simulation = prepare_experiment(
+                benchmark_preset(
+                    epochs=1, scale=0.1, n_honest=2,
+                    backend=backend, backend_kwargs={"max_workers": 2},
+                )
+            ).simulation
+            try:
+                simulation.run_round(0)
+                gc.collect()
+                assert built, backend
+                assert all(engine() is None for engine in built), backend
+            finally:
+                simulation.close()
 
 
 class LosingBackend(ExecutionBackend):  # repro-lint: disable=REP004 -- test double, constructed directly

@@ -4,10 +4,13 @@ A round fills one ``(n, d)`` round matrix: the pools commit their shards
 into its rows, and the two-stage rule masks it rather than copying it.
 At the paper shape (``alittle``, Byzantine fraction 0.6: 20 + 30 workers,
 d = 6570) that matrix is 2.5 MiB, and the rest of a round's peak is the
-capture pass's activations and a few ``(d,)`` vectors (~3.8 MiB in
-all).  The ALIE craft returns one row broadcast over the Byzantine rows
-and accumulates its standard deviation row by row (0.20 MiB; ``np.std``'s
-``(n_honest, d)`` deviations read 1.15 MiB and the round ~4.3 MiB);
+capture pass's activations, the materialized engine's one-worker
+``(16, d)`` expansion (0.8 MiB) and a few ``(d,)`` vectors: 4.1 MiB
+serially and 4.7 MiB on two threads, where an engine that kept its
+expansion between rounds read 3.7 and 2.9 MiB.  The ALIE craft returns
+one row broadcast over the Byzantine rows and accumulates its standard
+deviation row by row (0.20 MiB; ``np.std``'s ``(n_honest, d)``
+deviations read 1.15 MiB and the round ~4.3 MiB);
 tiling a ``(n_byzantine, d)`` block (1.5 MiB) before copying it into the
 matrix took the round to ~4.8 MiB.  Stacking the pools' result blocks and
 zeroing a filtered copy took the peak to ~8.8 MiB.  The server's
@@ -16,21 +19,27 @@ auxiliary gradient expands its 20 per-example rows four at a time
 
 A faulty round moves its survivors to the top of the round matrix and
 hands the server those leading rows: a dropout round (rate 0.2) reads
-~5.0 MiB and a ``chaos`` round at shard size 4 ~4.5 MiB, where
-gathering the survivors into a second matrix read 6.9 and 6.8 MiB.
-Delivering buffered stragglers builds the merged matrix in one
-allocation (~6.8 MiB; concatenating and then reordering read 7.9 MiB).
+4.1 MiB and a ``chaos`` round at shard size 4 3.7 MiB.  Gathering the
+survivors into a second matrix read 6.9 and 6.8 MiB, when the same
+rounds without it read 5.0 and 4.5 MiB.  Delivering buffered stragglers
+builds the merged matrix in one allocation (5.5 MiB; concatenating and
+then reordering read 7.9 MiB against 6.8).
 
 What a warm round allocates cannot show scratch that round 0 builds and
-keeps, so round 0's resident heap has its own bounds.  The materialized
-engine keeps one worker's ``(16, d)`` expansion (0.8 MiB) per executing
-thread; its 64-row blocks and the layers' per-example buffers left
-6.6 MiB resident serially and 10.1 MiB threaded.  FirstAGG sorts its
-candidates four rows at a time at this shape, so its KS workspace keeps
-0.20 MiB: the whole-matrix sort kept 1.0 MiB, and round 0 left 3.0 and
-4.3 MiB where it left 2.4 and 3.7 MiB while the layers kept the capture
-pass's activations and each thread a replica of the model; it now
-leaves 2.3 and 3.2 MiB.
+keeps, so round 0's resident heap has its own bounds.  Between rounds an
+engine keeps nothing (each shard task builds its own) and FirstAGG only
+its rank bounds, so round 0 leaves 1.42 MiB serially and 1.76 MiB on two
+threads (in a fresh process): the momentum, the generators and the
+round's records.  Kept scratch read more each time it existed:
+
+- an engine per executing thread, each with one worker's expansion, and
+  FirstAGG's sort buffer of four rows (0.20 MiB) left 2.34 and 3.31 MiB;
+- with the layers also keeping the capture pass's activations and each
+  thread a replica of the model, 2.4 and 3.7 MiB;
+- with FirstAGG sorting the whole matrix into its buffer, 3.0 and
+  4.3 MiB;
+- with 64-row engine blocks and the layers' per-example buffers, 6.6 and
+  10.1 MiB.
 
 A layer holds only its parameters, so an evaluation leaves nothing on
 the model: caching the test set's activations (1,000 rows) on the layers
@@ -53,20 +62,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.first_stage import FirstStageFilter
 from repro.experiments.presets import benchmark_preset, paper_preset
 from repro.experiments.runner import prepare_experiment
+from repro.federated import worker
+from repro.federated.engines import build_engine
 from repro.nn.network import Sequential
 
 #: most a warm round may allocate above its pre-round heap
 ROUND_BUDGET_MIB = 6.0
 
 #: most a warm round that delivers buffered stragglers may allocate;
-#: measured 6.8 MiB
+#: measured 5.5 MiB
 STRAGGLER_BUDGET_MIB = 7.25
 
 #: most round 0 may leave on the heap, serially and on two threads
-#: (shards of 4 workers); measured 2.3 and 3.2 MiB
-RESIDENT_BUDGET_MIB = {"serial": 2.75, "threaded": 4.0}
+#: (shards of 4 workers); measured 1.42 and 1.76 MiB
+RESIDENT_BUDGET_MIB = {"serial": 1.75, "threaded": 2.25}
 
 #: most an evaluation may leave on the heap; caching the test set's
 #: activations on the layers left 1.47 MiB
@@ -115,8 +127,8 @@ def traced():
 def test_paper_round_allocates_within_budget(overrides, budget_mib):
     simulation = paper_simulation(**overrides)
     try:
-        # Round 0 builds what later rounds reuse: engine scratch, the
-        # FirstAGG filter and its KS workspace, the selector's scores.
+        # Round 0 builds what later rounds reuse: the FirstAGG filter and
+        # its rank bounds, the selector's scores.
         simulation.run_round(0)
         with traced():
             tracemalloc.reset_peak()
@@ -247,19 +259,29 @@ def test_warm_prepare_round_copies_no_worker_rows():
     assert peak - before < cohort_rows / 4
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [{}, {"backend": "threaded", "backend_kwargs": {"max_workers": 2}}],
-    ids=["serial", "threaded"],
-)
-def test_in_process_pools_compute_on_one_engine(overrides):
-    """The pools run one after the other, so one gradient scratch serves both."""
-    simulation = population_simulation(**overrides)
+@pytest.mark.parametrize("backend, overrides", list(BACKEND_OVERRIDES.items()))
+def test_no_scratch_outlives_its_call(backend, overrides, monkeypatch):
+    """After a round no engine the round built and no FirstAGG filter
+    holds an array: an engine kept its gradient expansion (0.8 MiB at
+    this shape) and the filter its sort buffer between rounds."""
+    built = []
+
+    def recording(name):
+        built.append(build_engine(name))
+        return built[-1]
+
+    monkeypatch.setattr(worker, "build_engine", recording)
+    simulation = paper_simulation(**overrides)
     try:
-        assert simulation.byzantine_pool is not None
-        assert simulation.honest_pool.engine is simulation.byzantine_pool.engine
+        simulation.run_round(0)
+        gc.collect()
+        filters = [value for value in gc.get_objects() if isinstance(value, FirstStageFilter)]
     finally:
         simulation.close()
+    assert built and filters
+    for holder in built + filters:
+        arrays = [name for name, value in vars(holder).items() if isinstance(value, np.ndarray)]
+        assert arrays == [], type(holder).__name__
 
 
 def test_evaluation_leaves_nothing_on_the_layers():
@@ -275,8 +297,9 @@ def test_evaluation_leaves_nothing_on_the_layers():
     assert (after - before) / 2**20 <= EVALUATE_BUDGET_MIB
 
 
-def round_peak_above(backend: str, evaluate: bool) -> float:
-    """MiB a warm round peaks above the heap before an optional evaluation."""
+def round_heap_above(backend: str, evaluate: bool) -> tuple[float, float]:
+    """MiB a warm round peaks at and leaves above the heap before an
+    optional evaluation."""
     simulation = paper_simulation(**BACKEND_OVERRIDES[backend])
     try:
         simulation.run_round(0)
@@ -286,19 +309,23 @@ def round_peak_above(backend: str, evaluate: bool) -> float:
                 simulation.server.evaluate(simulation.test_dataset)
             tracemalloc.reset_peak()
             simulation.run_round(1)
-            _, peak = tracemalloc.get_traced_memory()
+            after, peak = tracemalloc.get_traced_memory()
     finally:
         simulation.close()
-    return (peak - before) / 2**20
+    return (peak - before) / 2**20, (after - before) / 2**20
 
 
-@pytest.mark.parametrize("backend, margin_mib", [("serial", 0.1), ("threaded", 0.5)])
+@pytest.mark.parametrize("backend, margin_mib", [("serial", 0.1), ("threaded", 1.35)])
 def test_round_after_an_evaluation_peaks_like_any_round(backend, margin_mib):
     """What an evaluation cached lived into the next round: its peak read
     4.56 MiB against 4.29 serially, and 5.38 against 3.92 when the shards
-    compute on thread replicas, which never overwrite the server model's
+    computed on thread replicas, which never overwrote the server model's
     layers.  A threaded round's peak moves by up to ~0.1 MiB with thread
-    timing, hence its wider margin."""
-    assert round_peak_above(backend, evaluate=True) <= (
-        round_peak_above(backend, evaluate=False) + margin_mib
-    )
+    timing (4.6-4.8 MiB), and every shard task allocates its own
+    one-worker expansion (0.8 MiB), which the peak holds only while two
+    tasks overlap: hence the threaded margin.  Either way the round
+    leaves no more resident after an evaluation than without one."""
+    evaluated_peak, evaluated_left = round_heap_above(backend, evaluate=True)
+    peak, left = round_heap_above(backend, evaluate=False)
+    assert evaluated_peak <= peak + margin_mib
+    assert evaluated_left <= left + 0.1

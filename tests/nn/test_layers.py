@@ -52,24 +52,6 @@ class TestLinear:
         grad_in = layer.backward(grad_out, x, layer.forward(x))
         np.testing.assert_allclose(grad_in, grad_out @ layer.weight.T)
 
-    def test_set_parameters_roundtrip(self, rng):
-        layer = Linear(3, 2, rng)
-        new_weight = rng.normal(size=(3, 2))
-        new_bias = rng.normal(size=(2,))
-        layer.set_parameters([new_weight, new_bias])
-        np.testing.assert_allclose(layer.weight, new_weight)
-        np.testing.assert_allclose(layer.bias, new_bias)
-
-    def test_set_parameters_shape_mismatch(self, rng):
-        layer = Linear(3, 2, rng)
-        with pytest.raises(ValueError):
-            layer.set_parameters([np.zeros((2, 3)), np.zeros(2)])
-
-    def test_set_parameters_wrong_count(self, rng):
-        layer = Linear(3, 2, rng)
-        with pytest.raises(ValueError):
-            layer.set_parameters([np.zeros((3, 2))])
-
 
 class TestActivations:
     @pytest.mark.parametrize("activation_cls", [ReLU, ELU, Tanh])

@@ -17,12 +17,12 @@ from scipy import stats as scipy_stats
 from repro.stats.ks import (
     RANK_BAND,
     KSRankBounds,
-    KSWorkspace,
     critical_statistic,
     kolmogorov_survival,
     ks_envelopes,
     ks_pvalues,
     ks_statistics,
+    sort_rows,
     theorem2_interval,
 )
 
@@ -87,49 +87,40 @@ class TestKsStatistic:
         assert ks_statistics(np.zeros((1, 100)), sigma=1.0)[0] == pytest.approx(0.5)
 
 
-class TestKSWorkspace:
-    def test_statistics_match_without_workspace(self, rng):
-        samples = rng.normal(size=(6, 300))
-        workspace = KSWorkspace()
-        for rows in (None, np.array([4, 1]), np.array([-1, -6, 2])):
-            np.testing.assert_array_equal(
-                ks_statistics(samples, 1.0, workspace=workspace, rows=rows),
-                ks_statistics(samples, 1.0, rows=rows),
-            )
-
-    def test_difference_buffer_allocated_on_first_use(self, rng):
-        """Sorting alone, as FirstAGG does, never allocates the second buffer."""
-        samples = rng.normal(size=(5, 200))
-        workspace = KSWorkspace()
-        ordered = workspace.sort_rows(samples)
-        np.testing.assert_array_equal(ordered, np.sort(samples, axis=1))
-        assert workspace._scratch is None
-        ks_statistics(samples, 1.0, workspace=workspace)
-        assert workspace._scratch.shape == (5, 200)
-
-    def test_sort_rows_gathers_without_a_temporary(self, rng):
-        """``np.take``'s default mode would buffer the whole gather first."""
+class TestSelectedRows:
+    def test_row_gather_needs_no_temporary(self, rng):
+        """``ks_statistics(rows=...)`` gathers through :func:`sort_rows`,
+        whose one allocation is its result: ``np.take``'s default mode
+        would buffer the whole gather first.  The samples stay unsorted."""
         matrix = rng.normal(size=(40, 4096))
+        before = matrix.copy()
         rows = np.arange(0, 40, 2)
-        workspace = KSWorkspace()
-        workspace.sort_rows(matrix, rows)  # sizes the buffer
         tracemalloc.start()
         try:
-            ordered = workspace.sort_rows(matrix, rows)
+            ordered = sort_rows(matrix, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(ordered, np.sort(matrix[rows], axis=1))
-        assert peak < ordered.nbytes / 2
+        assert peak < 1.5 * ordered.nbytes
+        for selected in (rows, np.array([-1, -40, 2])):
+            np.testing.assert_array_equal(
+                ks_statistics(matrix, 1.0, rows=selected),
+                ks_statistics(matrix[selected], 1.0),
+            )
+        np.testing.assert_array_equal(matrix, before)
 
     def test_out_of_range_rows_raise(self, rng):
         samples = rng.normal(size=(6, 50))
-        workspace = KSWorkspace()
         for bad in (np.array([0, 6]), np.array([-7])):
             with pytest.raises(IndexError):
-                ks_statistics(samples, 1.0, workspace=workspace, rows=bad)
-            with pytest.raises(IndexError):
                 ks_statistics(samples, 1.0, rows=bad)
+
+    def test_boolean_mask_is_refused(self, rng):
+        """As ``intp`` a mask would select rows 0 and 1, silently."""
+        samples = rng.normal(size=(6, 50))
+        with pytest.raises(TypeError, match="boolean mask"):
+            ks_statistics(samples, 1.0, rows=np.arange(6) > 3)
 
 
 class TestKolmogorovSurvival:

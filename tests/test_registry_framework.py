@@ -180,6 +180,20 @@ class TestBuild:
         registry.register("canonical", Widget, aliases=("alt",))
         assert isinstance(registry.build("alt"), Widget)
 
+    def test_build_without_kwargs_reads_no_signature(self, monkeypatch):
+        """No keyword can be unknown, so none is checked; an unknown name
+        still fails."""
+        from repro import registry as registry_module
+
+        def unreadable(builder):
+            raise AssertionError("signature read")
+
+        monkeypatch.setattr(registry_module, "_keyword_parameters", unreadable)
+        registry = make_registry()
+        assert isinstance(registry.build("plain"), Widget)
+        with pytest.raises(UnknownComponentError):
+            registry.build("nope")
+
 
 class TestDescribe:
     def test_rows_sorted_and_complete(self):
