@@ -110,6 +110,30 @@ class TestSelectedRows:
             )
         np.testing.assert_array_equal(matrix, before)
 
+    def test_no_rows_selects_every_row(self, rng):
+        """``rows=None`` sorts a copy of the whole matrix, not the matrix."""
+        samples = rng.normal(size=(6, 300))
+        before = samples.copy()
+        np.testing.assert_array_equal(sort_rows(samples), np.sort(before, axis=1))
+        np.testing.assert_array_equal(
+            ks_statistics(samples, 1.0),
+            ks_statistics(samples, 1.0, rows=np.arange(6)),
+        )
+        np.testing.assert_array_equal(samples, before)
+
+    def test_every_call_sorts_into_a_new_buffer(self, rng):
+        """FirstAGG keeps no sorted block between calls: a later call
+        leaves an earlier result as it was."""
+        matrix = rng.normal(size=(5, 200))
+        first = sort_rows(matrix)
+        kept = first.copy()
+        second = sort_rows(matrix, np.array([0, 1]))
+        third = sort_rows(matrix)
+        for result in (second, third):
+            assert not np.shares_memory(result, first)
+            assert not np.shares_memory(result, matrix)
+        np.testing.assert_array_equal(first, kept)
+
     def test_out_of_range_rows_raise(self, rng):
         samples = rng.normal(size=(6, 50))
         for bad in (np.array([0, 6]), np.array([-7])):
