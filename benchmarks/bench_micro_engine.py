@@ -14,8 +14,7 @@ workers, linear model on 64 features / 10 classes, d = 650):
 - ``micro-engine-paper``: the materialized engine at the model size the
   ``paper_train`` benchmark trains (mlp_medium, d = 6570, n = 20, b_c =
   16), where it expands gradients one worker at a time.  The first
-  call's ``tracemalloc`` peak and the bytes of the expansion scratch one
-  call allocates land in ``extra_info``.
+  call's ``tracemalloc`` peak lands in ``extra_info``.
 
 Every benchmark *asserts engine equivalence* on freshly seeded pools
 before timing (ghost vs materialized within the ``rtol 1e-9`` gate;
@@ -203,8 +202,5 @@ def bench_micro_engine_paper(benchmark, paper_setup):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["first_call_peak_mib"] = round(peak / 2**20, 2)
-    groups = engines._worker_groups(PAPER_WORKERS, config.batch_size, model.num_parameters)
-    rows = max(stop - start for start, stop in groups) * config.batch_size
-    benchmark.extra_info["scratch_bytes"] = rows * model.num_parameters * 8
     uploads = benchmark(pool.compute_uploads, model)
     assert uploads.shape == (PAPER_WORKERS, model.num_parameters)

@@ -68,22 +68,17 @@ def sort_rows(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """A new row-sorted copy of the ``(n, d)`` ``matrix`` (or of ``matrix[rows]``).
 
     The selected rows are gathered straight into the result, so no
-    intermediate ``matrix[rows]`` copy is materialised.  Integer ``rows``
-    index like ``matrix[rows]``: negative ones count from the end, and
-    one outside ``[-n, n)`` raises :class:`IndexError`.  A boolean mask
-    raises :class:`TypeError` rather than index rows 0 and 1.
+    intermediate ``matrix[rows]`` copy is materialised.  ``rows`` selects
+    what ``matrix[rows]`` would: negative rows count from the end, a
+    boolean mask selects its true rows, and a row outside ``[-n, n)``
+    raises :class:`IndexError`.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if rows is None:
         ordered = matrix.copy()
     else:
-        rows = np.asarray(rows)  # repro-lint: disable=REP003 -- index dtype checked
-        if rows.dtype == bool:
-            raise TypeError("rows must be integer indices, not a boolean mask")
-        rows = rows.astype(np.intp, copy=False)
-        size = matrix.shape[0]
-        if rows.size and not -size <= rows.min() <= rows.max() < size:
-            raise IndexError(f"rows out of range for a matrix of {size} rows")
+        # The row numbers ``matrix[rows]`` would read, all in [0, n).
+        rows = np.arange(matrix.shape[0], dtype=np.intp)[rows]
         ordered = np.empty((rows.size, matrix.shape[1]), dtype=np.float64)
         # np.take's default mode="raise" builds the whole result in a
         # temporary before it writes ``out``; "wrap" writes it directly.

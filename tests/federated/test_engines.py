@@ -310,6 +310,20 @@ def paper_shape_pool(seed_base=100):
     return model, make_pool(shards, config, seed_base=seed_base)
 
 
+def first_call_peak(monkeypatch, group_bytes: int) -> int:
+    """``tracemalloc`` peak of a fresh paper-shape pool's first call, with
+    ``group_bytes`` as the materialized engine's group budget."""
+    model, pool = paper_shape_pool()
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "_GROUP_BYTES", group_bytes)
+        tracemalloc.start()
+        try:
+            pool.compute_uploads(model)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestGroupedEngine:
     def test_paper_shape_grouped_equals_one_group(self, monkeypatch):
         """Uploads, momentum rows and post-noise generator states, 3 rounds."""
@@ -332,20 +346,24 @@ class TestGroupedEngine:
                 rng.bit_generator.state for rng in whole.rngs
             ]
 
-    def test_first_round_memory_bounded_by_group(self):
-        """The first paper-shape round peaks far below one (n b_c, d) tensor.
+    def test_first_round_memory_bounded_by_group(self, monkeypatch):
+        """The first paper-shape round peaks far below one (n b_c, d)
+        tensor, and expands one worker's ``(16, d)`` gradients at a time.
 
         The stacked tensor alone is 16.0 MiB, and 64-row blocks peaked at
         6.0 MiB; a tracemalloc peak is the same on every host, unlike RSS.
+        Each worker a group holds adds its expansion (0.80 MiB) and its
+        bounding temporaries (0.10 MiB) to the peak, so the peaks with
+        groups of one and of two workers extrapolate to the call's peak
+        without an expansion, and the default call's expansion is what it
+        peaks above that.
         """
-        model, pool = paper_shape_pool()
-        tracemalloc.start()
-        try:
-            pool.compute_uploads(model)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        model, _ = paper_shape_pool()
+        expansion = 16 * model.num_parameters * 8  # one worker's
+        budgets = (engines._GROUP_BYTES, expansion, 2 * expansion)
+        peak, one, two = (first_call_peak(monkeypatch, budget) for budget in budgets)
         assert peak < 5 << 20
+        assert expansion <= peak - (2 * one - two) <= engines._GROUP_BYTES
 
     def test_uploads_are_the_momentum_rows(self):
         """Line 11: the engine writes the uploads into the state and returns it."""

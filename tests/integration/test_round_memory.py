@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -315,16 +316,26 @@ def round_heap_above(backend: str, evaluate: bool) -> tuple[float, float]:
     return (peak - before) / 2**20, (after - before) / 2**20
 
 
-@pytest.mark.parametrize("backend, margin_mib", [("serial", 0.1), ("threaded", 1.35)])
-def test_round_after_an_evaluation_peaks_like_any_round(backend, margin_mib):
+@pytest.mark.parametrize("backend, margin_mib", [("serial", 0.1), ("threaded", 0.5)])
+def test_round_after_an_evaluation_peaks_like_any_round(backend, margin_mib, monkeypatch):
     """What an evaluation cached lived into the next round: its peak read
     4.56 MiB against 4.29 serially, and 5.38 against 3.92 when the shards
     computed on thread replicas, which never overwrote the server model's
-    layers.  A threaded round's peak moves by up to ~0.1 MiB with thread
-    timing (4.6-4.8 MiB), and every shard task allocates its own
-    one-worker expansion (0.8 MiB), which the peak holds only while two
-    tasks overlap: hence the threaded margin.  Either way the round
-    leaves no more resident after an evaluation than without one."""
+    layers.  Each shard task allocates its own one-worker expansion, so a
+    threaded round peaks ~1 MiB higher while two tasks overlap (4.6-4.7
+    MiB against 3.6-3.8 in the 4 of 40 rounds where none did); here the
+    tasks run one at a time on the pool's threads.  A threaded round's
+    peak still moves with thread timing (3.62-3.69 MiB), hence its wider
+    margin.  Either way the round leaves no more resident after an
+    evaluation than without one."""
+    lock = threading.Lock()
+    task = worker._shard_task
+
+    def one_at_a_time(payload):
+        with lock:
+            return task(payload)
+
+    monkeypatch.setattr(worker, "_shard_task", one_at_a_time)
     evaluated_peak, evaluated_left = round_heap_above(backend, evaluate=True)
     peak, left = round_heap_above(backend, evaluate=False)
     assert evaluated_peak <= peak + margin_mib

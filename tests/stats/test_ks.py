@@ -140,11 +140,15 @@ class TestSelectedRows:
             with pytest.raises(IndexError):
                 ks_statistics(samples, 1.0, rows=bad)
 
-    def test_boolean_mask_is_refused(self, rng):
-        """As ``intp`` a mask would select rows 0 and 1, silently."""
+    def test_boolean_mask_selects_its_rows(self, rng):
+        """A mask selects what ``samples[mask]`` does; as ``intp`` it
+        would select rows 0 and 1."""
         samples = rng.normal(size=(6, 50))
-        with pytest.raises(TypeError, match="boolean mask"):
-            ks_statistics(samples, 1.0, rows=np.arange(6) > 3)
+        mask = np.arange(6) > 3
+        np.testing.assert_array_equal(
+            ks_statistics(samples, 1.0, rows=mask), ks_statistics(samples[mask], 1.0)
+        )
+        np.testing.assert_array_equal(sort_rows(samples, mask), np.sort(samples[mask], axis=1))
 
 
 class TestKolmogorovSurvival:
