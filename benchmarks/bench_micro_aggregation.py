@@ -74,7 +74,10 @@ def bench_micro_second_stage_selection(benchmark, uploads):
     rng = np.random.default_rng(1)
     selector = SecondStageSelector(n_workers=N_WORKERS, gamma=0.5)
     server_gradient = rng.normal(size=DIMENSION)
-    report = benchmark(lambda: selector.select_scored(uploads @ server_gradient))
+    worker_ids = np.arange(N_WORKERS)
+    report = benchmark(
+        lambda: selector.select_scored(uploads @ server_gradient, worker_ids=worker_ids)
+    )
     assert len(report.selected) == selector.keep
 
 

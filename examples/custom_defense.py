@@ -56,7 +56,7 @@ def evaluate(aggregator: Aggregator, config) -> float:
     from repro.byzantine.registry import build_attack
     from repro.data.auxiliary import sample_auxiliary
     from repro.data.partition import partition_iid
-    from repro.data.registry import DATASET_SPECS, load_dataset
+    from repro.data.registry import DATASETS, load_dataset
     from repro.federated.simulation import SimulationSettings
     from repro.nn.models import build_model
 
@@ -75,7 +75,7 @@ def evaluate(aggregator: Aggregator, config) -> float:
     base_sigma = protocol_sigma(config.base_epsilon, delta, sampling_rate, total_rounds)
     learning_rate = transfer_learning_rate(config.base_lr, base_sigma, sigma)
 
-    spec = DATASET_SPECS[config.dataset]
+    spec = DATASETS.metadata(config.dataset)["spec"]
     model = build_model(config.model or "linear", spec.n_features, spec.n_classes, rng)
     attack = build_attack(config.attack) if config.n_byzantine else None
 

@@ -34,7 +34,7 @@ from repro.core.first_stage import FirstStageFilter
 from repro.core.second_stage import SecondStageSelector
 from repro.data.auxiliary import sample_auxiliary
 from repro.data.partition import partition_iid
-from repro.data.registry import DATASET_SPECS, load_dataset
+from repro.data.registry import DATASETS, load_dataset
 from repro.federated.worker import WorkerPool
 from repro.nn.models import build_model
 
@@ -45,7 +45,7 @@ N_BYZANTINE = 4
 def main() -> None:
     rng = np.random.default_rng(0)
     train, test = load_dataset("mnist_like", scale=0.3, seed=0)
-    spec = DATASET_SPECS["mnist_like"]
+    spec = DATASETS.metadata("mnist_like")["spec"]
     model = build_model("mlp_small", spec.n_features, spec.n_classes, rng)
     dp_config = DPConfig(batch_size=16, sigma=3.0, momentum=0.1)
 
@@ -109,7 +109,7 @@ def main() -> None:
     scores = uploads @ server_gradient
     scores[~first.accepted] = 0.0
     selector = SecondStageSelector(n_workers=len(uploads), gamma=N_HONEST / len(uploads))
-    second = selector.select_scored(scores)
+    second = selector.select_scored(scores, np.arange(len(uploads)))
 
     selected = np.zeros(len(uploads), dtype=bool)
     selected[second.selected] = True

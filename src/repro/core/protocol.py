@@ -130,8 +130,9 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
         n_workers, dimension = matrix.shape
         # Under faults the matrix holds only the surviving rows; the
         # second stage stays keyed by the expected population so a
-        # worker's accumulated score survives rounds it misses.
-        worker_ids = context.worker_ids
+        # worker's accumulated score survives rounds it misses.  A
+        # context without ids is a full cohort: row i is worker i.
+        worker_ids = np.arange(n_workers) if context.worker_ids is None else context.worker_ids
         population = n_workers if context.population is None else context.population
 
         # Stage 1: batched FirstAGG (Algorithm 3, lines 1-3) as a mask --
@@ -152,7 +153,7 @@ class TwoStageAggregator(Aggregator):  # repro-lint: disable=REP004 -- registere
             selector = self._second_stage_selector(population)
             scores = matrix @ context.server_gradient()
             scores[~accepted] = 0.0
-            selected = selector.select_scored(scores, worker_ids=worker_ids).selected
+            selected = selector.select_scored(scores, worker_ids).selected
             summed = selected[accepted[selected]]
         else:
             selected = np.arange(n_workers)

@@ -9,11 +9,11 @@ with the highest accumulated score.  Selected uploads enter the model update
 with weight 1; everything else is discarded (binary weights -- a deliberate
 difference from FLTrust-style real-valued weighting, Section 4.5).
 
-The one entry point is :meth:`SecondStageSelector.select_scored`, which
-takes the round's scores: ``uploads @ server_gradient``, one matvec over
-the round matrix (a single upload is the one-row matrix).  The two-stage
-rule computes them over the unfiltered matrix and sets a rejected row's
-score to ``0.0``, which is what Algorithm 2's zero vector would score.
+The one entry point is :meth:`SecondStageSelector.select_scored`: the
+round's scores ``uploads @ server_gradient`` (one matvec over the round
+matrix) and each row's worker id, which keys ``S``.  The two-stage rule
+scores the unfiltered matrix and sets a rejected row's score to ``0.0``,
+which is what Algorithm 2's zero vector would score.
 """
 
 from __future__ import annotations
@@ -111,9 +111,7 @@ class SecondStageSelector:
         return float(np.add.reduce(top[::-1]) / keep)
 
     def select_scored(
-        self,
-        scores: np.ndarray,
-        worker_ids: np.ndarray | None = None,
+        self, scores: np.ndarray, worker_ids: np.ndarray
     ) -> SecondStageReport:
         """Run lines 9-14 of Algorithm 3 on the round's inner-product scores.
 
@@ -122,51 +120,40 @@ class SecondStageSelector:
         Parameters
         ----------
         scores:
-            One inner-product score per upload row, ``(m,)``.  Without
-            ``worker_ids``, a full cohort (``m == n_workers``) is required.
+            One inner-product score per upload row, ``(m,)``.
         worker_ids:
-            ``None`` for the full-cohort reference path.  Under faults,
-            the ``(m,)`` worker index of each surviving row: the round's
-            keep count and threshold re-parameterise by the *realised*
-            cohort size ``m`` (``ceil(gamma * m)``), while the
-            accumulated score list stays keyed by the full population --
-            a worker's standing survives rounds it happens to miss, and
-            duplicate ids (buffered straggler + fresh report) accumulate
-            both rows' scores.
+            The ``(m,)`` worker index of each row (``np.arange(n_workers)``
+            for a full cohort).  The keep count and threshold follow the
+            *realised* cohort size ``m`` (``ceil(gamma * m)``, :attr:`keep`
+            when ``m == n_workers``), while ``S`` stays keyed by the full
+            population -- a worker's standing survives rounds it misses,
+            and duplicate ids (buffered straggler + fresh report)
+            accumulate both rows' scores.
 
         Returns
         -------
         A :class:`SecondStageReport` whose ``selected`` field contains
         the *row* indices of the uploads that enter the model update
-        (row ``i`` is worker ``i`` for the full cohort, and worker
-        ``worker_ids[i]`` otherwise).
+        (row ``i`` belongs to worker ``worker_ids[i]``).
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 1:
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
-        if worker_ids is None:
-            if scores.shape[0] != self.n_workers:
-                raise ValueError(
-                    f"expected {self.n_workers} scores, got {scores.shape[0]}"
-                )
-            ids = None
-            keep = self.keep
-        else:
-            ids = np.asarray(worker_ids, dtype=np.int64)
-            if scores.shape[0] != ids.shape[0]:
-                raise ValueError(
-                    f"expected one score per worker id ({ids.shape[0]}), "
-                    f"got {scores.shape[0]}"
-                )
-            if ids.shape[0] == 0:
-                raise ValueError("cannot select from an empty cohort")
-            if ids.min() < 0 or ids.max() >= self.n_workers:
-                raise ValueError(
-                    f"worker ids must be in [0, {self.n_workers}), got "
-                    f"[{ids.min()}, {ids.max()}]"
-                )
-            # Realised-cohort keep count: gamma of the m survivors.
-            keep = max(1, math.ceil(self.gamma * scores.shape[0]))
+        ids = np.asarray(worker_ids, dtype=np.int64)
+        if scores.shape[0] != ids.shape[0]:
+            raise ValueError(
+                f"expected one score per worker id ({ids.shape[0]}), "
+                f"got {scores.shape[0]}"
+            )
+        if ids.shape[0] == 0:
+            raise ValueError("cannot select from an empty cohort")
+        if ids.min() < 0 or ids.max() >= self.n_workers:
+            raise ValueError(
+                f"worker ids must be in [0, {self.n_workers}), got "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+        # Realised-cohort keep count: gamma of the m rows.
+        keep = max(1, math.ceil(self.gamma * scores.shape[0]))
 
         # Line 9: mean of the top ceil(gamma m) scores is the threshold.
         threshold = self._threshold(scores, keep)
@@ -175,16 +162,11 @@ class SecondStageSelector:
         # The accumulator is keyed by worker identity, so partial cohorts
         # feed the same cross-round standing as full ones.
         round_scores = np.where(scores < threshold, 0.0, scores)
-        if ids is None:
-            self.accumulated_scores += round_scores
-            standing = self.accumulated_scores
-        else:
-            np.add.at(self.accumulated_scores, ids, round_scores)
-            standing = self.accumulated_scores[ids]
+        np.add.at(self.accumulated_scores, ids, round_scores)
 
         # Line 14: select the rows whose workers have the highest
         # accumulated scores.
-        selected = self._top_k_stable(standing, keep)
+        selected = self._top_k_stable(self.accumulated_scores[ids], keep)
 
         return SecondStageReport(
             scores=scores,

@@ -23,7 +23,6 @@ from repro.data.auxiliary import sample_auxiliary, sample_mismatched_auxiliary
 from repro.data.dataset import Dataset
 from repro.data.partition import partition_iid, partition_noniid
 from repro.data.registry import (
-    DATASET_SPECS,
     DATASETS,
     DatasetSpec,
     available_datasets,
@@ -41,7 +40,6 @@ __all__ = [
     "sample_auxiliary",
     "sample_mismatched_auxiliary",
     "DATASETS",
-    "DATASET_SPECS",
     "DatasetSpec",
     "available_datasets",
     "load_dataset",

@@ -38,7 +38,6 @@ from repro.registry import Registry
 __all__ = [
     "DATASETS",
     "DatasetSpec",
-    "DATASET_SPECS",
     "available_datasets",
     "load_dataset",
     "register_dataset_spec",
@@ -46,9 +45,6 @@ __all__ = [
 
 #: Global registry of dataset loaders.
 DATASETS = Registry("dataset")
-
-#: Back-compat view: generation spec of every registered *synthetic* dataset.
-DATASET_SPECS: dict[str, DatasetSpec] = {}
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,6 @@ def register_dataset_spec(
         metadata={"spec": spec, "default_model": default_model},
         replace=replace,
     )
-    DATASET_SPECS[spec.name] = spec
     return spec
 
 

@@ -51,15 +51,16 @@ class AggregationContext:
     rng:
         Generator for any randomness the aggregator needs.
     worker_ids:
-        ``None`` for a full cohort (every expected worker reported, row
-        ``i`` belongs to worker ``i``).  Under faults, the ``(m,)``
-        worker index of each surviving upload row -- sorted ascending,
+        The ``(m,)`` worker index of each upload row -- sorted ascending,
         possibly with duplicates when buffered straggler reports join a
         fresh one.  Rules that keep per-worker state across rounds key it
-        by these ids.
+        by these ids.  The server always passes them; the ``None``
+        default, for direct callers, means a full cohort (row ``i``
+        belongs to worker ``i``).
     population:
-        Expected cohort size ``n`` when ``worker_ids`` is given (the
-        per-worker state dimension); ``None`` for a full cohort.
+        Number of workers the per-worker state is keyed by (the server
+        passes its registered population); ``None``, for direct
+        callers, means the number of rows.
     """
 
     model: Sequential

@@ -101,8 +101,9 @@ class ExperimentConfig:
         arguments.
     min_quorum:
         Minimum surviving cohort per round: an ``int >= 1`` absolute
-        count or a ``float`` in ``(0, 1]`` fraction of the population;
-        violations raise :class:`~repro.federated.faults.QuorumError`.
+        count or a ``float`` in ``(0, 1]`` fraction of the round's
+        reporting workers; violations raise
+        :class:`~repro.federated.faults.QuorumError`.
     retry_kwargs:
         Keyword arguments for the crash-retry
         :class:`~repro.federated.backends.RetryPolicy`
@@ -114,10 +115,11 @@ class ExperimentConfig:
         :data:`repro.federated.sampling.SAMPLERS`) draws ``cohort`` per
         round; only the sampled workers' data and generators are ever
         materialised, so peak memory scales with the cohort, not the
-        population.  ``sampling_kwargs`` feeds the sampler builder; its
-        optional ``"local_size"`` key sets the per-worker local dataset
-        size instead.  ``population=None`` (the default) keeps the
-        classic every-worker-every-round simulation.
+        population.  ``sampling_kwargs`` holds the sampler builder's
+        keyword arguments and nothing else; a worker's local dataset
+        holds ``max(batch_size, min(50, len(train)))`` rows.
+        ``population=None`` (the default) keeps the classic
+        every-worker-every-round simulation.
     eval_every:
         Evaluation cadence in rounds (``None``: about 8 points per run).
     seed:

@@ -180,16 +180,12 @@ def prepare_experiment(
         # derives a worker's local data on demand from its global id, so
         # registering 10**6 workers allocates nothing up front.
         shards: list = []
-        sampling_kwargs = dict(config.sampling_kwargs)
-        local_size = sampling_kwargs.pop("local_size", None)
-        if local_size is None:
-            local_size = max(config.batch_size, min(50, len(train)))
-        local_size = int(local_size)
+        local_size = max(config.batch_size, min(50, len(train)))
         population_source = WorkerSource(
             train, config.population, local_size, seed
         )
         sampler = build_sampler(
-            config.sampling, default_seed=seed, **sampling_kwargs
+            config.sampling, default_seed=seed, **config.sampling_kwargs
         )
     else:
         partition = partition_iid if config.iid else partition_noniid

@@ -32,9 +32,9 @@ Two fault *seams* exist in the round:
   lose their workers for the round.
 
 Graceful degradation is enforced by a quorum: the server aggregates over
-the surviving ``(m, d)`` sub-cohort and raises :class:`QuorumError`
-(naming the round and the survivor count) when fewer than
-:func:`resolve_quorum` workers report.
+the surviving ``(m, d)`` sub-cohort, and the round raises
+:class:`QuorumError` (naming the round and the survivor count) instead
+when fewer than :func:`resolve_quorum` workers report.
 
 The default :class:`NoFaults` model plans nothing: its empty plans make
 the faulty round the clean round, which stays byte-identical to the
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.federated.sampling import build_seeded, derive_rng
 from repro.registry import Registry
 
 __all__ = [
@@ -244,10 +245,10 @@ class FaultModel:
         """A generator keyed by ``(seed, component, *counters)``.
 
         The key tuple fully determines the stream: same counters, same
-        draws -- no hidden state survives between calls.
+        draws -- no hidden state survives between calls.  It is
+        :func:`~repro.federated.sampling.derive_rng`'s stream.
         """
-        key = (self.seed, int(component)) + tuple(int(c) for c in counters)
-        return np.random.default_rng(np.random.SeedSequence(key))
+        return derive_rng(self.seed, component, *counters)
 
     def report_faults(self, round_index: int, n_workers: int) -> ReportFaultPlan:
         """Report-level faults of ``round_index`` over the round matrix.
@@ -477,9 +478,10 @@ def build_faults(
 
     ``faults`` may be a registered name, an existing instance (returned
     as-is; ``kwargs`` must then be empty) or ``None`` for the no-fault
-    reference.  When ``default_seed`` is given and the spec does not pin
-    its own ``seed``, the builder receives ``seed=default_seed`` (if it
-    accepts one) so fault traces follow the experiment seed by default.
+    reference.  ``default_seed`` seeds a built model unless the spec
+    pins its own ``seed`` or the builder takes none (see
+    :func:`~repro.federated.sampling.build_seeded`), so fault traces
+    follow the experiment seed by default.
     """
     if faults is None:
         faults = "none"
@@ -489,12 +491,4 @@ def build_faults(
                 "cannot pass fault kwargs together with a FaultModel instance"
             )
         return faults
-    merged = dict(kwargs)
-    if default_seed is not None and "seed" not in merged:
-        try:
-            FAULTS.validate_kwargs(faults, {**merged, "seed": default_seed})
-        except TypeError:
-            pass  # builder takes no seed; leave the spec's kwargs alone
-        else:
-            merged["seed"] = default_seed
-    return FAULTS.build(faults, **merged)
+    return build_seeded(FAULTS, faults, default_seed, kwargs)

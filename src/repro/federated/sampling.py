@@ -10,10 +10,10 @@ free variable:
   so the plan for any round is a pure function of the experiment seed and
   the round number.  Traces therefore replay bit-identically regardless
   of execution backend or restart point.
-- :func:`derive_rng` is the shared keyed-derivation helper: stable string
-  component tags (hashed through CRC-32) plus integer counters feed a
-  ``SeedSequence``, mirroring the fault-model idiom.  Streams are keyed
-  by *stable identifiers* (worker id, round index), never by execution
+- :func:`derive_rng` is the keyed-derivation helper the fault models share:
+  string component tags (hashed through CRC-32) or integer tags plus
+  integer counters feed a ``SeedSequence``.  Streams are keyed by
+  *stable identifiers* (worker id, round index), never by execution
   order -- the property lint rule REP007 enforces.
 - :class:`WorkerSource` is the lazy population: it can stand in for a
   million registered workers while allocating nothing until a worker is
@@ -43,6 +43,7 @@ __all__ = [
     "WeightedSampler",
     "WorkerSource",
     "build_sampler",
+    "build_seeded",
     "derive_rng",
 ]
 
@@ -52,9 +53,9 @@ SAMPLERS = Registry("sampler")
 
 def _component_tag(component: str | int) -> int:
     """Stable integer tag for a derivation component name."""
-    if isinstance(component, int):
-        return int(component)
-    return zlib.crc32(component.encode("utf-8"))
+    if isinstance(component, str):
+        return zlib.crc32(component.encode("utf-8"))
+    return int(component)
 
 
 def derive_rng(
@@ -73,18 +74,30 @@ def derive_rng(
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def build_seeded(registry: Registry, spec: str, default_seed: int | None, kwargs: dict):
+    """``registry.build(spec, **kwargs)``, adding ``seed=default_seed`` when
+    it is given, ``kwargs`` pins no ``seed`` and the builder takes one."""
+    if default_seed is not None and "seed" not in kwargs:
+        try:
+            registry.validate_kwargs(spec, {**kwargs, "seed": default_seed})
+        except TypeError:
+            pass  # builder takes no seed; leave the spec's kwargs alone
+        else:
+            kwargs = {**kwargs, "seed": default_seed}
+    return registry.build(spec, **kwargs)
+
+
 class CohortSampler:
     """Base class: draw a sorted cohort of worker ids for each round.
 
-    Subclasses implement :meth:`_plan`.  Draws are stateless -- the plan
-    depends only on ``(seed, round_index, population, cohort)`` -- but the
-    sampler counts the rounds it has drawn so checkpoints can assert a
-    restored schedule resumes where it left off.
+    Subclasses implement :meth:`_plan`.  A sampler holds no state between
+    draws: the plan depends only on ``(seed, round_index, population,
+    cohort)``, so the round index is all a resumed run needs to continue
+    the schedule.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.rounds_drawn = 0
 
     def rng(self, round_index: int) -> np.random.Generator:
         """The round's plan stream, keyed ``(seed, "sampler", round)``."""
@@ -113,19 +126,10 @@ class CohortSampler:
             raise ValueError("sampled worker ids out of range")
         if np.any(np.diff(plan) <= 0):
             raise ValueError("sampler must return strictly increasing worker ids")
-        self.rounds_drawn += 1
         return plan
 
     def _plan(self, round_index: int, population: int, cohort: int) -> np.ndarray:
         raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable sampler state for round-state snapshots."""
-        return {"rounds_drawn": int(self.rounds_drawn)}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore sampler state captured by :meth:`state_dict`."""
-        self.rounds_drawn = int(state.get("rounds_drawn", 0))
 
 
 @SAMPLERS.register(
@@ -222,20 +226,11 @@ def build_sampler(
 ) -> CohortSampler:
     """Build a sampler from its registry name.
 
-    ``default_seed`` seeds the sampler's derivation stream when the
-    builder accepts a ``seed`` keyword and the caller did not pass one --
-    the same injection idiom :func:`~repro.federated.faults.build_faults`
-    uses, so custom samplers without a ``seed`` parameter still work.
+    ``default_seed`` seeds the sampler's derivation stream unless the
+    caller pins a ``seed`` or the builder takes none (see
+    :func:`build_seeded`).
     """
-    merged = dict(kwargs)
-    if default_seed is not None and "seed" not in merged:
-        try:
-            SAMPLERS.validate_kwargs(spec, {**merged, "seed": default_seed})
-        except TypeError:
-            pass
-        else:
-            merged["seed"] = default_seed
-    return SAMPLERS.build(spec, **merged)
+    return build_seeded(SAMPLERS, spec, default_seed, kwargs)
 
 
 class IndexView:

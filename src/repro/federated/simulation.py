@@ -44,8 +44,11 @@ from repro.federated.faults import (
     BYZANTINE_SCOPE,
     HONEST_SCOPE,
     FaultModel,
+    QuorumError,
     ShardFaultPlan,
     build_faults,
+    resolve_quorum,
+    validate_quorum,
 )
 from repro.federated.sampling import (
     CohortSampler,
@@ -189,9 +192,9 @@ class FederatedSimulation:
         the model's own seed (a name defaults it to ``seed``), so a
         fault trace replays bit-identically on every backend.
     min_quorum:
-        Minimum surviving cohort per round (``int`` count or fractional
-        ``float``); violations raise
-        :class:`~repro.federated.faults.QuorumError`.
+        Minimum surviving cohort per round (``int`` count or ``float``
+        fraction of :attr:`n_workers`); :meth:`run_round` raises
+        :class:`~repro.federated.faults.QuorumError` below it.
     retry:
         Shard retry policy for crash faults: a
         :class:`~repro.federated.backends.RetryPolicy`, a mapping of its
@@ -259,6 +262,7 @@ class FederatedSimulation:
             self.retry_policy = retry
         else:
             self.retry_policy = RetryPolicy(**retry)
+        validate_quorum(min_quorum)
         self.min_quorum = min_quorum
 
         self.model = model
@@ -367,7 +371,6 @@ class FederatedSimulation:
             dp_config=dp_config,
             auxiliary=auxiliary,
             rng=self._server_rng,
-            min_quorum=self.min_quorum,
         )
 
     # ------------------------------------------------------------------ #
@@ -526,9 +529,9 @@ class FederatedSimulation:
         arrive, survivors and arrivals are written once each into one new
         ``(m + k, d)`` matrix in worker-id order.  Six ``fault_*`` counts
         join the diagnostics unless the round is clean: faults inactive,
-        no pool report and no arrivals.  The server checks the quorum
-        against the round's expected cohort and keys its per-worker state
-        by :attr:`total_population`.
+        no pool report and no arrivals.  The round checks its quorum
+        against :attr:`n_workers` before it calls the server, which keys
+        its per-worker state by :attr:`total_population`.
         """
         self.prepare_round(round_index)
         n_honest, n_workers = self.n_honest, self.n_workers
@@ -616,12 +619,12 @@ class FederatedSimulation:
             worker_ids, rows = _merge_arrivals(
                 matrix, survivors, worker_ids, arrivals
             )
+        required = resolve_quorum(self.min_quorum, n_workers)
+        if rows.shape[0] < required:
+            raise QuorumError(round_index, rows.shape[0], required)
         with self._span("stage", "aggregate_and_update"):
             self.server.update(
-                rows,
-                worker_ids=worker_ids,
-                population=self.total_population,
-                expected=n_workers,
+                rows, worker_ids=worker_ids, population=self.total_population
             )
 
         # The selection diagnostic: the share of selected rows whose
@@ -754,7 +757,6 @@ class FederatedSimulation:
             honest_momentum=np.array(
                 self.honest_pool.state.slot_momentum, dtype=np.float64
             ),
-            honest_batch_size=int(self.honest_pool.state.batch_size),
             honest_rngs=[
                 rng.bit_generator.state for rng in self.honest_pool.rngs
             ],
@@ -763,9 +765,6 @@ class FederatedSimulation:
             byzantine_momentum=(
                 None if byzantine is None
                 else np.array(byzantine.state.slot_momentum, dtype=np.float64)
-            ),
-            byzantine_batch_size=(
-                None if byzantine is None else int(byzantine.state.batch_size)
             ),
             byzantine_rngs=(
                 None if byzantine is None
@@ -776,9 +775,6 @@ class FederatedSimulation:
                 else (np.array(self.pending[0]), np.array(self.pending[1]))
             ),
             aggregator_state=self.server.aggregator.state_dict() or None,
-            sampler_state=(
-                None if self.sampler is None else self.sampler.state_dict()
-            ),
         )
 
     def restore_round_state(self, state: RoundState) -> None:
@@ -818,12 +814,7 @@ class FederatedSimulation:
                 f"snapshot was written with other settings: {', '.join(differing)}"
             )
         self.model.set_flat_parameters(state.parameters)
-        self._restore_pool(
-            self.honest_pool,
-            state.honest_momentum,
-            state.honest_batch_size,
-            state.honest_rngs,
-        )
+        self._restore_pool(self.honest_pool, state.honest_momentum, state.honest_rngs)
         if self.byzantine_pool is not None:
             if len(state.byzantine_rngs) != self.byzantine_pool.n_workers:
                 raise ValueError(
@@ -831,34 +822,22 @@ class FederatedSimulation:
                     f"workers, simulation has {self.byzantine_pool.n_workers}"
                 )
             self._restore_pool(
-                self.byzantine_pool,
-                state.byzantine_momentum,
-                state.byzantine_batch_size,
-                state.byzantine_rngs,
+                self.byzantine_pool, state.byzantine_momentum, state.byzantine_rngs
             )
         self._server_rng.bit_generator.state = state.server_rng
         self._attack_rng.bit_generator.state = state.attack_rng
         # The defense rule may hold evolving server-side state (the
         # two-stage protocol accumulates per-worker scores across rounds).
         self.server.aggregator.load_state_dict(state.aggregator_state or {})
-        if self.sampler is not None and state.sampler_state is not None:
-            # Draws are keyed by the round index, so the restored counter
-            # is bookkeeping -- but it lets resumes assert the schedule
-            # picks up exactly where the snapshot left off.
-            self.sampler.load_state_dict(state.sampler_state)
         self.pending = (
             None if state.pending is None
             else (np.array(state.pending[0]), np.array(state.pending[1]))
         )
-        self.server.round_index = state.round_index + 1
         self.start_round = state.round_index + 1
 
     @staticmethod
     def _restore_pool(
-        pool: WorkerPool,
-        momentum: np.ndarray,
-        batch_size: int,
-        rng_states: list[dict],
+        pool: WorkerPool, momentum: np.ndarray, rng_states: list[dict]
     ) -> None:
         momentum = np.array(momentum, dtype=np.float64)
         if momentum.size and momentum.shape[0] != pool.n_workers:
@@ -866,16 +845,11 @@ class FederatedSimulation:
                 f"snapshot momentum covers {momentum.shape[0]} workers, "
                 f"pool has {pool.n_workers}"
             )
-        if momentum.size and batch_size != pool.dp_config.batch_size:
-            # ensure_shape would zero the momentum for another batch size.
-            raise ValueError(
-                f"snapshot momentum was computed at batch size {batch_size}, "
-                f"pool runs batch size {pool.dp_config.batch_size}"
-            )
-        # ensure_shape keeps a matching-shape state, so the restored
-        # momentum survives into the next round untouched.
+        # The snapshot's DP settings are this run's (restore_round_state
+        # checked), so ensure_shape keeps the restored momentum, which
+        # survives into the next round untouched.
         pool.state = BatchedDPState(
-            slot_momentum=momentum, batch_size=int(batch_size)
+            slot_momentum=momentum, batch_size=pool.dp_config.batch_size
         )
         for rng, rng_state in zip(pool.rngs, rng_states):
             rng.bit_generator.state = rng_state

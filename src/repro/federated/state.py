@@ -20,7 +20,10 @@ archive: the large numeric payloads are arrays, the structured metadata
 A snapshot also records the client DP settings and the server learning
 rate of the run that wrote it: the momentum and generator streams it
 holds replay only under those, so a restore refuses a run with other
-ones.  Capture/restore lives on :class:`~repro.federated.simulation
+ones, and a restored pool takes its batch size from them.  A cohort
+sampler's plan is keyed by the round index, so population mode adds
+nothing.  The format is version 3; older files are refused.
+Capture/restore lives on :class:`~repro.federated.simulation
 .FederatedSimulation` (:meth:`capture_round_state` /
 :meth:`restore_round_state`); this module owns the container and the
 file format.
@@ -53,7 +56,7 @@ STATE_SUFFIX = ".state.npz"
 
 _SNAPSHOT_NAME = re.compile(r"round_(\d+)" + re.escape(STATE_SUFFIX))
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -69,13 +72,13 @@ class RoundState:
         Flat global model parameters, shape ``(d,)``.
     server_rng, attack_rng:
         ``bit_generator.state`` dicts of the server and attacker streams.
-    honest_momentum, honest_batch_size, honest_rngs:
-        The honest pool's ``(n_honest, d)`` slot momentum, its protocol
-        batch size and its per-worker generator states.
+    honest_momentum, honest_rngs:
+        The honest pool's ``(n_honest, d)`` slot momentum and its
+        per-worker generator states.
     dp_config, learning_rate:
         The client DP settings and the server learning rate of the run
         that wrote the snapshot.
-    byzantine_momentum, byzantine_batch_size, byzantine_rngs:
+    byzantine_momentum, byzantine_rngs:
         Same for the protocol-following Byzantine pool; ``None`` when the
         attack crafts uploads instead of running the protocol.
     pending:
@@ -86,10 +89,6 @@ class RoundState:
         :meth:`~repro.defenses.base.Aggregator.state_dict` (e.g. the
         two-stage protocol's accumulated score list); ``None``/``{}``
         for stateless rules.
-    sampler_state:
-        The cohort sampler's JSON-serialisable state (population mode);
-        ``None`` for classic fixed-cohort runs and snapshots written
-        before samplers existed.
     """
 
     round_index: int
@@ -97,16 +96,13 @@ class RoundState:
     server_rng: dict
     attack_rng: dict
     honest_momentum: np.ndarray
-    honest_batch_size: int
     honest_rngs: list[dict]
     dp_config: DPConfig
     learning_rate: float
     byzantine_momentum: np.ndarray | None = None
-    byzantine_batch_size: int | None = None
     byzantine_rngs: list[dict] | None = None
     pending: tuple[np.ndarray, np.ndarray] | None = None
     aggregator_state: dict[str, np.ndarray] | None = None
-    sampler_state: dict | None = None
 
 
 def snapshot_name(round_index: int) -> str:
@@ -144,20 +140,13 @@ def save_round_state(state: RoundState, path: str | Path) -> Path:
         "round_index": int(state.round_index),
         "server_rng": state.server_rng,
         "attack_rng": state.attack_rng,
-        "honest_batch_size": int(state.honest_batch_size),
         "honest_rngs": state.honest_rngs,
         "dp_config": asdict(state.dp_config),
         "learning_rate": float(state.learning_rate),
-        "byzantine_batch_size": (
-            None if state.byzantine_batch_size is None
-            else int(state.byzantine_batch_size)
-        ),
         "byzantine_rngs": state.byzantine_rngs,
         "has_byzantine": state.byzantine_momentum is not None,
         "has_pending": state.pending is not None,
         "aggregator_keys": sorted(state.aggregator_state or {}),
-        # Optional key (readers use .get), so the format version holds.
-        "sampler_state": state.sampler_state,
     }
     arrays: dict[str, np.ndarray] = {
         "parameters": np.asarray(state.parameters, dtype=np.float64),
@@ -224,7 +213,7 @@ def _read_state(archive: np.lib.npyio.NpzFile) -> RoundState:
         )
     aggregator_state = {
         key: np.array(archive[f"agg__{key}"])
-        for key in meta.get("aggregator_keys", [])
+        for key in meta["aggregator_keys"]
     } or None
     return RoundState(
         round_index=int(meta["round_index"]),
@@ -232,7 +221,6 @@ def _read_state(archive: np.lib.npyio.NpzFile) -> RoundState:
         server_rng=meta["server_rng"],
         attack_rng=meta["attack_rng"],
         honest_momentum=np.array(archive["honest_momentum"]),
-        honest_batch_size=int(meta["honest_batch_size"]),
         honest_rngs=meta["honest_rngs"],
         dp_config=DPConfig(**meta["dp_config"]),
         learning_rate=float(meta["learning_rate"]),
@@ -240,9 +228,7 @@ def _read_state(archive: np.lib.npyio.NpzFile) -> RoundState:
             np.array(archive["byzantine_momentum"])
             if meta["has_byzantine"] else None
         ),
-        byzantine_batch_size=meta["byzantine_batch_size"],
         byzantine_rngs=meta["byzantine_rngs"],
         pending=pending,
         aggregator_state=aggregator_state,
-        sampler_state=meta.get("sampler_state"),
     )

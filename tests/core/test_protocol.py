@@ -186,7 +186,7 @@ class TestTwoStage:
             aggregator.aggregate([], context)
 
     def test_selection_is_select_scored_over_masked_scores(self, context, rng):
-        """The selection the rule makes is ``select_scored(m @ g)`` with the
+        """The selection the rule makes is ``select_scored(m @ g, arange(n))`` with the
         rows FirstAGG rejects scored 0.0, round after round."""
         config = ProtocolConfig(gamma=0.5)
         aggregator = TwoStageAggregator(config)
@@ -201,7 +201,7 @@ class TestTwoStage:
             accepted = first_stage.inspect_batch(matrix).accepted
             scores = matrix @ context.server_gradient()
             scores[~accepted] = 0.0
-            report = selector.select_scored(scores)
+            report = selector.select_scored(scores, np.arange(selector.n_workers))
 
             assert not accepted[-1]
             np.testing.assert_array_equal(aggregator.last_first_stage_accepted, accepted)

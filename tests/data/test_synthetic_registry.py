@@ -9,10 +9,20 @@ import pytest
 
 from repro.data import registry
 from repro.data.dataset import Dataset
-from repro.data.registry import DATASET_SPECS, available_datasets, load_dataset
+from repro.data.registry import DATASETS, available_datasets, load_dataset
 from repro.data.synthetic import make_classification, make_mismatched_space
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
+
+#: every registered dataset generated from a spec (the built-ins)
+SPEC_DATASETS = sorted(
+    name for name in DATASETS.names() if "spec" in DATASETS.metadata(name)
+)
+
+
+def spec_of(name: str) -> registry.DatasetSpec:
+    """The generation spec the registry holds for ``name``."""
+    return DATASETS.metadata(name)["spec"]
 
 
 @pytest.fixture
@@ -113,7 +123,7 @@ class TestInPlaceGeneration:
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("scale", [0.25, 1.0])
-    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("name", SPEC_DATASETS)
     def test_splits_byte_identical_to_oracle(self, monkeypatch, name, scale, seed):
         splits = load_dataset(name, scale=scale, seed=seed)
         monkeypatch.setattr(registry, "make_classification", make_classification_out_of_place)
@@ -122,7 +132,7 @@ class TestInPlaceGeneration:
             assert split.features.tobytes() == oracle.features.tobytes()
             assert split.labels.tobytes() == oracle.labels.tobytes()
 
-    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("name", SPEC_DATASETS)
     def test_load_peak_near_twice_the_output(self, name):
         """The out-of-place expressions peaked at 3.0-3.14x the splits."""
         tracemalloc.start()
@@ -173,10 +183,10 @@ class TestRegistry:
         for name in ("mnist_like", "fashion_like", "usps_like", "colorectal_like"):
             assert name in names
 
-    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("name", SPEC_DATASETS)
     def test_load_every_dataset_small_scale(self, name):
         train, test = load_dataset(name, scale=0.05, seed=0)
-        spec = DATASET_SPECS[name]
+        spec = spec_of(name)
         assert train.num_classes == spec.n_classes
         assert train.dim == spec.n_features
         assert len(train) > 0 and len(test) > 0
@@ -213,7 +223,7 @@ class TestRegistry:
     def test_split_sizes_close_to_requested(self):
         """The stratified split keeps train/test sizes close to the spec."""
         train, test = load_dataset("colorectal_like", scale=0.2, seed=1)
-        spec = DATASET_SPECS["colorectal_like"]
+        spec = spec_of("colorectal_like")
         expected_train = max(4 * spec.n_classes, round(spec.train_size * 0.2))
         expected_test = max(4 * spec.n_classes, round(spec.test_size * 0.2))
         assert abs(len(train) - expected_train) <= spec.n_classes
@@ -228,7 +238,7 @@ class TestRegistry:
     def test_mnist_like_sizes_mirror_paper_ratios(self):
         """MNIST-like is the largest dataset; Colorectal-like the smallest."""
         sizes = {
-            name: DATASET_SPECS[name].train_size
+            name: spec_of(name).train_size
             for name in ("mnist_like", "fashion_like", "usps_like", "colorectal_like")
         }
         assert sizes["mnist_like"] == sizes["fashion_like"]
@@ -236,4 +246,4 @@ class TestRegistry:
         assert sizes["colorectal_like"] < sizes["usps_like"]
 
     def test_colorectal_has_eight_classes(self):
-        assert DATASET_SPECS["colorectal_like"].n_classes == 8
+        assert spec_of("colorectal_like").n_classes == 8

@@ -77,7 +77,6 @@ class TestSnapshotFile:
             server_rng=np.random.default_rng(1).bit_generator.state,
             attack_rng=np.random.default_rng(2).bit_generator.state,
             honest_momentum=rng.standard_normal((n, d)),
-            honest_batch_size=4,
             honest_rngs=[
                 np.random.default_rng(10 + i).bit_generator.state
                 for i in range(n)
@@ -85,7 +84,6 @@ class TestSnapshotFile:
             dp_config=DPConfig(batch_size=4, sigma=1.5),
             learning_rate=0.25,
             byzantine_momentum=rng.standard_normal((2, d)) if with_optionals else None,
-            byzantine_batch_size=4 if with_optionals else None,
             byzantine_rngs=(
                 [np.random.default_rng(20 + i).bit_generator.state for i in range(2)]
                 if with_optionals else None
@@ -104,7 +102,6 @@ class TestSnapshotFile:
         assert loaded.round_index == state.round_index
         np.testing.assert_array_equal(loaded.parameters, state.parameters)
         np.testing.assert_array_equal(loaded.honest_momentum, state.honest_momentum)
-        assert loaded.honest_batch_size == state.honest_batch_size
         assert loaded.server_rng == state.server_rng
         assert loaded.attack_rng == state.attack_rng
         assert loaded.honest_rngs == state.honest_rngs
@@ -140,7 +137,7 @@ class TestSnapshotFile:
 
     @pytest.mark.parametrize(
         "malformed",
-        ["empty", "truncated", "text", "array", "foreign", "other_version"],
+        ["empty", "truncated", "text", "array", "foreign", "other_version", "version_2"],
     )
     def test_malformed_file_raises_value_error_naming_it(self, tmp_path, malformed):
         """Whatever is wrong with the file, the reader raises one
@@ -153,13 +150,21 @@ class TestSnapshotFile:
             path.write_bytes(path.read_bytes()[:100])
         elif malformed == "text":
             path.write_text("round 2\n")
-        elif malformed == "other_version":
-            # A complete snapshot whose only fault is its format version.
+        elif malformed in ("other_version", "version_2"):
+            # A complete snapshot whose only fault is its format version;
+            # version 2 also held the pools' batch sizes and the sampler's
+            # draw count.
             save_round_state(self.make_state(), path)
             with np.load(path) as archive:
                 arrays = dict(archive)
             meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-            meta["version"] += 1
+            if malformed == "version_2":
+                meta.update(
+                    version=2, honest_batch_size=4, byzantine_batch_size=4,
+                    sampler_state=None,
+                )
+            else:
+                meta["version"] += 1
             arrays["meta"] = np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
             )
@@ -175,7 +180,9 @@ class TestSnapshotFile:
             load_round_state(path)
         assert str(path) in str(raised.value)
         if malformed == "other_version":
-            assert "format version" in str(raised.value)
+            assert "format version 4" in str(raised.value)
+        if malformed == "version_2":
+            assert "format version 2" in str(raised.value)
 
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -361,17 +368,21 @@ class TestMismatchedSnapshots:
         assert "momentum" not in message
 
     def test_momentum_of_another_batch_size_is_refused(self, tmp_path):
+        """Momentum replays only at the batch size it was computed at, and
+        the snapshot's ``dp_config`` records it: a restore into a run of
+        another batch size is refused, naming both."""
         setup = prepare_experiment(CONFIG)
         try:
             setup.simulation.run_round(0)
             state = setup.simulation.capture_round_state(0)
         finally:
             setup.simulation.close()
+        other = dataclasses.replace(state.dp_config, batch_size=8)
         resumed = prepare_experiment(CONFIG)
         try:
-            with pytest.raises(ValueError, match="batch size 8"):
+            with pytest.raises(ValueError, match=r"batch_size 8 \(this run: 16\)"):
                 resumed.simulation.restore_round_state(
-                    dataclasses.replace(state, honest_batch_size=8)
+                    dataclasses.replace(state, dp_config=other)
                 )
         finally:
             resumed.simulation.close()

@@ -59,7 +59,7 @@ class TestPrepareExperiment:
                     expected.crash_failures(round_index, 0, 2),
                 )
 
-            assert simulation.server.min_quorum == 0.5
+            assert simulation.min_quorum == 0.5
             assert simulation.retry_policy.max_attempts == 4
             assert simulation.server.aggregator.config.gamma == 0.7
         finally:

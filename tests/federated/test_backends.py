@@ -434,7 +434,8 @@ class TestBackendSimulation:
         )
         assert serial.history.as_dict() == parallel.history.as_dict()
 
-    def test_chunked_evaluation_identical(self):
+    def test_chunked_evaluation_identical(self, monkeypatch):
+        import repro.federated.server as server_module
         from repro.federated.server import Server
         from repro.defenses.mean import MeanAggregator
 
@@ -447,7 +448,9 @@ class TestBackendSimulation:
             auxiliary=None,
             rng=np.random.default_rng(0),
         )
-        assert server.evaluate(dataset, batch_size=64) == server.evaluate(dataset)
+        whole = server.evaluate(dataset)
+        monkeypatch.setattr(server_module, "EVAL_BATCH_SIZE", 64)
+        assert server.evaluate(dataset) == whole
 
     def test_simulation_close_is_idempotent(self):
         from repro.experiments.presets import benchmark_preset

@@ -41,6 +41,7 @@ from repro.federated.faults import (
     validate_quorum,
 )
 from repro.federated.pipeline import MetricsWriter, read_metrics
+from repro.federated.sampling import derive_rng
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
@@ -163,6 +164,15 @@ class TestRegistry:
             assert isinstance(build_faults("test_blackout"), Blackout)
         finally:
             FAULTS.unregister("test_blackout")
+
+    def test_seedless_builder_gets_no_default_seed(self):
+        """A builder without a ``seed`` parameter builds under a default
+        seed, which it never sees."""
+        FAULTS.register("test_seedless", lambda: NoFaults(seed=4), replace=True)
+        try:
+            assert build_faults("test_seedless", default_seed=7).seed == 4
+        finally:
+            FAULTS.unregister("test_seedless")
 
 
 # --------------------------------------------------------------------- #
@@ -307,6 +317,23 @@ class TestResilientTasks:
 # fault model draws
 # --------------------------------------------------------------------- #
 class TestFaultModelDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2**31])
+    def test_streams_are_the_derived_streams(self, seed):
+        """A fault stream is ``derive_rng``'s stream for the same key, and
+        both draw from ``SeedSequence((seed, component, *counters))``."""
+        model = FaultModel(seed=seed)
+        for component in (1, 2, 3, 4):
+            for counters in ((), (0,), (7,), (3, HONEST_SCOPE), (3, BYZANTINE_SCOPE)):
+                want = np.random.default_rng(
+                    np.random.SeedSequence((seed, component, *counters))
+                ).random(8)
+                np.testing.assert_array_equal(
+                    model.rng(component, *counters).random(8), want
+                )
+                np.testing.assert_array_equal(
+                    derive_rng(seed, component, *counters).random(8), want
+                )
+
     def test_same_seed_same_trace(self):
         one = ChaosFaults(dropout=0.3, crash=0.3, seed=5)
         two = ChaosFaults(dropout=0.3, crash=0.3, seed=5)
@@ -381,6 +408,31 @@ class TestFaultyTraining:
         assert history.final_accuracy >= 0.0
         assert history.faults
         assert all(entry["fault_survivors"] == 1.0 for entry in history.faults)
+
+    def test_quorum_error_names_the_round_it_ran(self):
+        """A fresh simulation that runs round 5 reports round 5, whatever
+        number of updates it has made before."""
+        simulation = build_simulation(faults=build_faults("dropout", rate=1.0))
+        with pytest.raises(QuorumError) as excinfo:
+            simulation.run_round(5)
+        assert excinfo.value.round_index == 5
+        assert excinfo.value.survivors == 0
+
+    def test_quorum_is_checked_before_the_server_is_called(self):
+        simulation = build_simulation(faults=AllButOneDrop(), min_quorum=2)
+        calls = []
+        simulation.server.update = lambda *args, **kwargs: calls.append(args)
+        with pytest.raises(QuorumError) as excinfo:
+            simulation.run_round(0)
+        assert (excinfo.value.survivors, excinfo.value.required) == (1, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "min_quorum, error", [(0, ValueError), (1.5, ValueError), (True, TypeError)]
+    )
+    def test_invalid_quorum_is_refused_at_construction(self, min_quorum, error):
+        with pytest.raises(error):
+            build_simulation(min_quorum=min_quorum)
 
     def test_fractional_quorum_violation(self):
         simulation = build_simulation(faults=AllButOneDrop(), min_quorum=0.5)
@@ -516,7 +568,6 @@ class TestFaultyTraining:
         assert isinstance(simulation.fault_model, CrashFaults)
         assert simulation.min_quorum == 2
         assert simulation.retry_policy.max_attempts == 4
-        assert simulation.server.min_quorum == 2
 
 
 class TestCrossBackendDeterminism:

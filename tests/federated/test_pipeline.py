@@ -20,6 +20,7 @@ from repro.federated.pipeline import (
     RoundLogger,
     RoundStartEvent,
 )
+from repro.federated import server as server_module
 from repro.federated.simulation import FederatedSimulation, SimulationSettings
 from repro.federated.state import load_round_state
 from repro.nn.layers import Linear
@@ -134,8 +135,8 @@ class TestStages:
 
     def test_clean_round_hands_the_server_its_round_matrix(self):
         """One server call per round: a clean round passes the matrix the
-        pool committed into -- no gathered copy -- with every worker's id,
-        the registered population and the expected cohort."""
+        pool committed into -- no gathered copy -- with every worker's id
+        and the registered population."""
         simulation = build_simulation()
         update = simulation.server.update
         committed, calls = [], []
@@ -158,19 +159,18 @@ class TestStages:
         assert uploads.shape == (3, simulation.model.num_parameters)
         assert uploads.base is committed[0].base
         np.testing.assert_array_equal(kwargs["worker_ids"], np.arange(3))
-        assert kwargs["population"] == kwargs["expected"] == 3
+        assert kwargs["population"] == 3
         assert not any(key.startswith("fault_") for key in diagnostics)
 
-    def test_evaluation_event_reports_the_test_accuracy(self):
+    def test_evaluation_event_reports_the_test_accuracy(self, monkeypatch):
         spy = EventSpy()
         simulation = build_simulation(total_rounds=3, eval_every=3)
         simulation.run([spy])
         (evaluation,) = [e for kind, e in spy.events if kind == "evaluation"]
         server = simulation.server
         assert evaluation.accuracy == server.evaluate(simulation.test_dataset)
-        assert evaluation.accuracy == server.evaluate(
-            simulation.test_dataset, batch_size=7
-        )
+        monkeypatch.setattr(server_module, "EVAL_BATCH_SIZE", 7)
+        assert evaluation.accuracy == server.evaluate(simulation.test_dataset)
 
 
 class TestShouldStop:

@@ -8,8 +8,9 @@ The guarantees under test:
   identifiers, never execution order;
 - both pools of a protocol-following attack commit their shards into the
   round matrix identically on a parallel backend;
-- a full-state snapshot restores the sampler mid-schedule, so a resumed
-  run replays the identical participation trace;
+- a run resumed from a full-state snapshot mid-schedule replays the
+  identical participation trace: plans are keyed by the round index, so
+  the snapshot holds no sampler state;
 - faults compose: partial cohorts under fault injection stay
   backend-invariant, with per-worker server state keyed by global ids.
 
@@ -24,11 +25,11 @@ from __future__ import annotations
 import socket
 
 import numpy as np
+import pytest
 
 from repro.experiments.presets import benchmark_preset
 from repro.experiments.runner import prepare_experiment, run_experiment
 from repro.federated.pipeline import Checkpoint
-from repro.federated.state import load_round_state
 
 BASE = dict(
     dataset="usps_like",
@@ -97,6 +98,14 @@ class TestPopulationRuns:
         finally:
             setup.simulation.close()
 
+    def test_sampling_kwargs_hold_only_sampler_keywords(self):
+        """The runner sizes a worker's local data itself; a ``local_size``
+        in ``sampling_kwargs`` reaches the sampler builder, which refuses
+        it by name."""
+        config = population_config(sampling_kwargs={"local_size": 10})
+        with pytest.raises(TypeError, match="local_size"):
+            prepare_experiment(config)
+
 
 class TestRoundMatrix:
     def test_protocol_attack_serial_vs_threaded_bitwise(self):
@@ -116,8 +125,8 @@ class TestRoundMatrix:
 
     def test_clean_round_hands_the_server_global_ids(self):
         """A clean population round passes its whole round matrix with the
-        sampled cohort's global ids (Byzantine ids above the population),
-        the registered population and the cohort as the expected count."""
+        sampled cohort's global ids (Byzantine ids above the population)
+        and the registered population."""
         setup = prepare_experiment(
             population_config(byzantine_fraction=0.25, attack="label_flip")
         )
@@ -141,7 +150,6 @@ class TestRoundMatrix:
             )
             assert (ids[simulation.n_honest:] >= simulation.byzantine_id_floor).all()
             assert kwargs["population"] == simulation.total_population
-            assert kwargs["expected"] == simulation.n_workers
         finally:
             simulation.close()
 
@@ -165,15 +173,6 @@ class TestRoundMatrix:
 
 
 class TestSamplerResume:
-    def test_snapshot_records_sampler_state(self, tmp_path):
-        config = population_config()
-        run_params(config, tmp_path=tmp_path)
-        snapshots = sorted(tmp_path.glob("round_*.state.npz"))
-        assert snapshots
-        state = load_round_state(snapshots[-1])
-        assert state.sampler_state is not None
-        assert state.sampler_state["rounds_drawn"] > 0
-
     def test_resume_mid_schedule_is_bitwise_identical(self, tmp_path):
         config = population_config(byzantine_fraction=0.25, attack="label_flip")
         history, parameters = run_params(config, tmp_path=tmp_path)
@@ -183,11 +182,9 @@ class TestSamplerResume:
         resumed_history, resumed = run_params(config, resume_from=middle)
         np.testing.assert_array_equal(parameters, resumed)
         # The resumed tail of the history matches the uninterrupted run.
-        state = load_round_state(middle)
         for key, series in resumed_history.items():
             full = history[key]
             assert series == full[len(full) - len(series):], key
-        assert state.sampler_state["rounds_drawn"] == state.round_index + 1
 
 
 class TestFaultyPopulationRounds:

@@ -133,20 +133,6 @@ class TestRegistryAndState:
         explicit = build_sampler("uniform", default_seed=42, seed=7)
         assert explicit.seed == 7
 
-    def test_state_dict_round_trip(self):
-        sampler = UniformSampler(seed=9)
-        for round_index in range(3):
-            sampler.draw(round_index, 100, 8)
-        state = sampler.state_dict()
-        assert state == {"rounds_drawn": 3}
-        restored = UniformSampler(seed=9)
-        restored.load_state_dict(state)
-        assert restored.rounds_drawn == 3
-        # The restored sampler continues with the identical plan stream.
-        np.testing.assert_array_equal(
-            restored.draw(3, 100, 8), UniformSampler(seed=9).draw(3, 100, 8)
-        )
-
     def test_base_plan_abstract(self):
         with pytest.raises(NotImplementedError):
             CohortSampler().draw(0, 10, 2)

@@ -9,6 +9,7 @@ from repro.core.config import DPConfig
 from repro.core.dp_protocol import upload_noise_std
 from repro.data.dataset import Dataset
 from repro.defenses.mean import MeanAggregator
+from repro.federated import server as server_module
 from repro.federated.server import Server
 from repro.federated.worker import WorkerPool
 from tests.helpers import make_model_and_data
@@ -114,25 +115,32 @@ class TestServer:
         server = self.make_server(model, dataset, learning_rate=0.5)
         before = model.get_flat_parameters().copy()
         upload = np.ones(model.num_parameters)
-        aggregated = server.update([upload, upload])
+        aggregated = server.update(np.vstack([upload, upload]), np.arange(2), 2)
         np.testing.assert_allclose(aggregated, upload)
         np.testing.assert_allclose(model.get_flat_parameters(), before - 0.5 * upload)
 
-    def test_update_increments_round_index(self, setup):
-        model, dataset = setup
-        server = self.make_server(model, dataset)
-        assert server.round_index == 0
-        server.update([np.zeros(model.num_parameters)])
-        assert server.round_index == 1
-
-    def test_aggregation_context_reports_upload_noise(self, setup):
+    def test_update_hands_the_rule_its_context(self, setup):
+        """The rule sees the upload noise, the model and the rows' worker
+        ids keyed over the registered population."""
         model, dataset = setup
         server = self.make_server(model, dataset, sigma=3.2)
-        context = server.aggregation_context()
+        contexts = []
+
+        class Recording(MeanAggregator):
+            def aggregate(self, uploads, context):
+                contexts.append(context)
+                return super().aggregate(uploads, context)
+
+        server.aggregator = Recording()
+        server.update(np.zeros((2, model.num_parameters)), [1, 4], population=6)
+        (context,) = contexts
         assert context.upload_noise_std == pytest.approx(
             upload_noise_std(DPConfig(batch_size=8, sigma=3.2))
         )
         assert context.model is model
+        np.testing.assert_array_equal(context.worker_ids, [1, 4])
+        assert context.worker_ids.dtype == np.int64
+        assert context.population == 6
 
     def test_evaluate_returns_accuracy_in_unit_interval(self, setup):
         model, dataset = setup
@@ -140,7 +148,7 @@ class TestServer:
         accuracy = server.evaluate(dataset)
         assert 0.0 <= accuracy <= 1.0
 
-    def test_evaluate_chunked_matches_full_forward(self, setup):
+    def test_evaluate_chunked_matches_full_forward(self, setup, monkeypatch):
         """Chunked evaluation is exact, whatever the chunk size."""
         model, dataset = setup
         server = self.make_server(model, dataset)
@@ -148,17 +156,12 @@ class TestServer:
 
         full = accuracy_metric(model.predict(dataset.features), dataset.labels)
         for batch_size in (1, 7, len(dataset) - 1, len(dataset), 10 * len(dataset)):
-            assert server.evaluate(dataset, batch_size=batch_size) == full
-
-    def test_evaluate_rejects_nonpositive_batch_size(self, setup):
-        model, dataset = setup
-        server = self.make_server(model, dataset)
-        with pytest.raises(ValueError):
-            server.evaluate(dataset, batch_size=0)
+            monkeypatch.setattr(server_module, "EVAL_BATCH_SIZE", batch_size)
+            assert server.evaluate(dataset) == full
 
     def test_zero_update_leaves_model_unchanged(self, setup):
         model, dataset = setup
         server = self.make_server(model, dataset)
         before = model.get_flat_parameters().copy()
-        server.update([np.zeros(model.num_parameters)])
+        server.update(np.zeros((1, model.num_parameters)), np.arange(1), 1)
         np.testing.assert_array_equal(model.get_flat_parameters(), before)

@@ -98,7 +98,7 @@ def test_second_stage_selects_exactly_keep_workers(n_workers, gamma, dimension, 
     selector = SecondStageSelector(n_workers, gamma)
     uploads = np.vstack([rng.normal(size=dimension) for _ in range(n_workers)])
     server_gradient = rng.normal(size=dimension)
-    report = selector.select_scored(uploads @ server_gradient)
+    report = selector.select_scored(uploads @ server_gradient, np.arange(n_workers))
     assert len(report.selected) == selector.keep
     assert 1 <= selector.keep <= n_workers
     assert np.all(report.selected >= 0) and np.all(report.selected < n_workers)
@@ -123,7 +123,7 @@ def test_second_stage_accumulation_follows_algorithm3(
     for _ in range(rounds):
         uploads = np.vstack([rng.normal(size=dimension) for _ in range(n_workers)])
         server_gradient = rng.normal(size=dimension)
-        report = selector.select_scored(uploads @ server_gradient)
+        report = selector.select_scored(uploads @ server_gradient, np.arange(n_workers))
         delta = report.accumulated - previous
         for i in range(n_workers):
             if report.scores[i] < report.threshold:

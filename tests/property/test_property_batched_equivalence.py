@@ -3,8 +3,9 @@
 FirstAGG's rank-bound mask (``FirstStageFilter.accepts_batch``) must equal
 the exact p-value mask of ``inspect_batch``, on the whole matrix and on
 each row alone (a single upload is a one-row matrix).  The second stage's
-one matvec plus ``SecondStageSelector.select_scored`` must make the same
-selections as a per-upload scalar implementation.  Inputs are generated
+one matvec plus ``SecondStageSelector.select_scored``, keyed by a full
+cohort's ids ``np.arange(n)``, must make the same selections as a
+per-upload scalar implementation.  Inputs are generated
 from Hypothesis-drawn seeds/shapes through a continuous RNG, so score ties
 across *distinct* rows have probability zero and decision equality is
 exact.
@@ -153,7 +154,7 @@ class TestSecondStageEquivalence:
         for _ in range(rounds):
             uploads = rng.normal(size=(n, d))
             server_gradient = rng.normal(size=d)
-            report = selector.select_scored(uploads @ server_gradient)
+            report = selector.select_scored(uploads @ server_gradient, np.arange(n))
             scores, threshold, selected, reference_accumulated = reference_select(
                 reference_accumulated, uploads, server_gradient, selector.keep
             )
@@ -167,7 +168,8 @@ class TestSecondStageEquivalence:
     def test_zero_server_gradient(self):
         rng = np.random.default_rng(11)
         selector = SecondStageSelector(n_workers=6, gamma=0.5)
-        report = selector.select_scored(rng.normal(size=(6, 20)) @ np.zeros(20))
+        scores = rng.normal(size=(6, 20)) @ np.zeros(20)
+        report = selector.select_scored(scores, np.arange(6))
         np.testing.assert_array_equal(report.scores, 0.0)
         assert report.threshold == 0.0
         # All scores tie at zero: the stable rule keeps the lowest indices.
@@ -175,7 +177,7 @@ class TestSecondStageEquivalence:
 
     def test_all_uploads_zeroed_by_first_stage(self):
         selector = SecondStageSelector(n_workers=4, gamma=0.5)
-        report = selector.select_scored(np.zeros((4, 10)) @ np.ones(10))
+        report = selector.select_scored(np.zeros((4, 10)) @ np.ones(10), np.arange(4))
         np.testing.assert_array_equal(report.scores, 0.0)
         np.testing.assert_array_equal(report.selected, [0, 1])
 
@@ -184,7 +186,7 @@ class TestSecondStageEquivalence:
         selector = SecondStageSelector(n_workers=1, gamma=1.0)
         uploads = rng.normal(size=(1, 15))
         gradient = rng.normal(size=15)
-        report = selector.select_scored(uploads @ gradient)
+        report = selector.select_scored(uploads @ gradient, np.arange(selector.n_workers))
         np.testing.assert_array_equal(report.selected, [0])
         assert report.threshold == pytest.approx(float(uploads[0] @ gradient))
 
@@ -198,7 +200,7 @@ class TestSecondStageEquivalence:
         uploads[4, 3] = np.nan
         gradient = rng.normal(size=8)
         selector = SecondStageSelector(n_workers=5, gamma=0.6)
-        report = selector.select_scored(uploads @ gradient)
+        report = selector.select_scored(uploads @ gradient, np.arange(selector.n_workers))
         _, _, expected, _ = reference_select(
             np.zeros(5), uploads, gradient, selector.keep
         )
@@ -208,5 +210,6 @@ class TestSecondStageEquivalence:
     def test_gamma_one_keeps_everyone(self):
         rng = np.random.default_rng(9)
         selector = SecondStageSelector(n_workers=5, gamma=1.0)
-        report = selector.select_scored(rng.normal(size=(5, 8)) @ rng.normal(size=8))
+        scores = rng.normal(size=(5, 8)) @ rng.normal(size=8)
+        report = selector.select_scored(scores, np.arange(5))
         np.testing.assert_array_equal(report.selected, np.arange(5))

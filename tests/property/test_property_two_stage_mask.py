@@ -45,6 +45,7 @@ def zeroed_row_aggregate(
     stacked = np.asarray(uploads, dtype=np.float64)
     n_workers, dimension = stacked.shape
     population = n_workers if context.population is None else context.population
+    ids = np.arange(n_workers) if context.worker_ids is None else context.worker_ids
     config = aggregator.config
     if config.use_first_stage and context.upload_noise_std > 0:
         first_stage = aggregator._first_stage_filter(dimension, context.upload_noise_std)
@@ -55,10 +56,7 @@ def zeroed_row_aggregate(
     aggregator.last_first_stage_accepted = accepted
     if config.use_second_stage:
         selector = aggregator._second_stage_selector(population)
-        report = selector.select_scored(
-            filtered @ context.server_gradient(),
-            worker_ids=context.worker_ids,
-        )
+        report = selector.select_scored(filtered @ context.server_gradient(), ids)
         aggregator.last_selected = report.selected
         total = filtered[report.selected].sum(axis=0)
     else:
@@ -230,9 +228,9 @@ def test_nonfinite_server_gradient_scores_rejected_rows_zero(monkeypatch):
     scored = []
     original = SecondStageSelector.select_scored
 
-    def spy(selector, scores, worker_ids=None):
+    def spy(selector, scores, worker_ids):
         scored.append(np.array(scores))
-        return original(selector, scores, worker_ids=worker_ids)
+        return original(selector, scores, worker_ids)
 
     monkeypatch.setattr(SecondStageSelector, "select_scored", spy)
     aggregator = TwoStageAggregator()
