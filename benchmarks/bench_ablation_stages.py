@@ -1,9 +1,10 @@
 """Ablation -- first stage only vs second stage only vs the full protocol.
 
-DESIGN.md calls out the co-design as the paper's central claim (Section 4.7:
+The co-design of the two stages is the paper's central claim (Section 4.7:
 the first stage bounds the damage of any accepted upload, the second stage
 filters the uploads that slip through).  This ablation turns each stage off
-in turn under the Local-Model-Poisoning attack.
+in turn under the Local-Model-Poisoning attack, on the scaled-down substrate
+that README.md describes ("What this reproduction substitutes").
 """
 
 from __future__ import annotations

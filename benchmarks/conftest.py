@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures on the
-scaled-down substrate described in DESIGN.md §2.  The measured values are
+scaled-down substrate that README.md describes ("What this reproduction
+substitutes").  The measured values are
 
 - printed (run pytest with ``-s`` to see them live),
 - written to ``benchmarks/results/<name>.txt`` so they survive output

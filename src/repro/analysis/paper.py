@@ -1,10 +1,11 @@
 """The accuracies reported in the paper's tables and figures.
 
 Every benchmark prints the paper's reported numbers next to the values
-measured on this reproduction's scaled-down substrate (see DESIGN.md §2 for
-the substitutions), so the reader can compare the *shape* of each result --
-which method wins, how accuracy moves with the privacy level and the
-Byzantine fraction -- rather than the absolute numbers.
+measured on this reproduction's scaled-down substrate (see "What this
+reproduction substitutes" in README.md), so the reader can compare the
+*shape* of each result -- which method wins, how accuracy moves with the
+privacy level and the Byzantine fraction -- rather than the absolute
+numbers.
 
 The values below are transcribed from the paper (arXiv:2304.09762v1):
 Tables 2-6 and 15-17 verbatim, Figures 1-4 as the approximate levels the

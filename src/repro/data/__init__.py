@@ -2,7 +2,8 @@
 
 The paper evaluates on MNIST, Fashion-MNIST, USPS and Colorectal.  This
 offline reproduction registers synthetic stand-ins with matching class
-counts and relative sizes/difficulty (see DESIGN.md §2):
+counts and relative sizes/difficulty (see "What this reproduction
+substitutes" in README.md):
 
 ================  =======  =========  ========  ==========================
 registered name   classes  train size test size mirrors

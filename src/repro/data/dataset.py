@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Dataset"]
+
+#: The in-place data stages (generation, :meth:`Dataset.regroup`) work
+#: through scratch blocks of at most this many bytes.
+BLOCK_BYTES = 128 << 10
 
 
 @dataclass
@@ -64,6 +70,82 @@ class Dataset:
             num_classes=self.num_classes,
             name=self.name,
         )
+
+    def regroup(self, groups: Sequence[np.ndarray]) -> list["Dataset"]:
+        """Reorder the rows in place so that each group is contiguous.
+
+        ``groups`` are index arrays that together name every row exactly
+        once.  Afterwards the rows of ``groups[0]`` come first, in that
+        order, then those of ``groups[1]``, and so on; the result is one
+        writable row-slice view per group, with the same contents a
+        ``subset`` of each group would copy.  The rows move along the
+        cycles of that permutation with one spare row per cycle, through
+        scratch blocks of at most :data:`BLOCK_BYTES`, so the data is never
+        held twice.
+
+        This dataset's own arrays are then made read-only: the views hold
+        the data now, and a second ``regroup`` (or partition) of this
+        dataset raises :class:`ValueError` instead of silently rewriting
+        the views it returned the first time.
+        """
+        if not (self.features.flags.writeable and self.labels.flags.writeable):
+            raise ValueError(
+                "cannot regroup a read-only dataset: it was regrouped or "
+                "partitioned before, or its arrays are shared read-only"
+            )
+        n = len(self)
+        groups = [np.asarray(group, dtype=np.int64) for group in groups]
+        order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
+        pending = np.zeros(n, dtype=bool)
+        if order.size == n and np.all((order >= 0) & (order < n)):
+            pending[order] = True
+        if order.size != n or not pending.all():
+            raise ValueError("groups must name every row of the dataset exactly once")
+
+        # Position i receives row order[i]: walk each cycle of the
+        # permutation, set its first row aside and shift the rest one step
+        # along it, a bounded chunk of rows at a time.  The walk reads
+        # ``order`` through a memoryview and collects the cycle in an int64
+        # array: 8 bytes a row, where Python lists of the rows would take 36.
+        features, labels = self.features, self.labels
+        chunk = max(1, BLOCK_BYTES // max(1, features.itemsize * self.dim))
+        pending &= order != np.arange(n)
+        successor = memoryview(order)
+        start = 0
+        while start < n:
+            start += int(np.argmax(pending[start:]))
+            if not pending[start]:
+                break
+            cycle = array.array("q", [start])
+            position = successor[start]
+            while position != start:
+                cycle.append(position)
+                position = successor[position]
+            members = np.frombuffer(cycle, dtype=np.int64)
+            pending[members] = False
+            spare_features, spare_label = features[start].copy(), labels[start]
+            last = members.size - 1
+            for lo in range(0, last, chunk):
+                targets = members[lo : min(lo + chunk, last)]
+                sources = members[lo + 1 : lo + 1 + targets.size]
+                features[targets] = features[sources]
+                labels[targets] = labels[sources]
+            features[members[last]] = spare_features
+            labels[members[last]] = spare_label
+
+        bounds = np.cumsum([0] + [group.size for group in groups])
+        views = [
+            Dataset(
+                features=features[lo:hi],
+                labels=labels[lo:hi],
+                num_classes=self.num_classes,
+                name=self.name,
+            )
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        features.flags.writeable = False
+        labels.flags.writeable = False
+        return views
 
     def gather(self, picks: np.ndarray, features: np.ndarray, labels: np.ndarray) -> None:
         """Copy rows ``picks`` into ``features`` and ``labels``.

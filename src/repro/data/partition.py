@@ -30,15 +30,20 @@ def partition_iid(
     n_workers: int,
     rng: np.random.Generator | int | None = None,
 ) -> list[Dataset]:
-    """Split ``dataset`` into ``n_workers`` random shards of (near-)equal size."""
+    """Split ``dataset`` into ``n_workers`` random shards of (near-)equal size.
+
+    The shards are views of ``dataset``'s buffer, whose rows
+    :meth:`~repro.data.dataset.Dataset.regroup` reorders in place: no row
+    is copied, and ``dataset`` itself becomes read-only, so partitioning it
+    a second time raises :class:`ValueError`.
+    """
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
     if len(dataset) < n_workers:
         raise ValueError("cannot give every worker at least one example")
     rng = _as_rng(rng)
     permutation = rng.permutation(len(dataset))
-    shards = np.array_split(permutation, n_workers)
-    return [dataset.subset(indices) for indices in shards]
+    return dataset.regroup(np.array_split(permutation, n_workers))
 
 
 def partition_noniid(
@@ -61,6 +66,9 @@ def partition_noniid(
         Floor on each worker's share of a class before normalisation, which
         prevents degenerate empty splits while keeping the distribution
         strongly non-uniform.
+
+    Like :func:`partition_iid`, the shards are views of ``dataset``'s
+    buffer, regrouped in place, and ``dataset`` becomes read-only.
     """
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
@@ -101,7 +109,6 @@ def partition_noniid(
         [np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64) for chunks in per_worker]
     )
     shards = np.array_split(concatenated, n_workers)
-    partitions = [dataset.subset(indices) for indices in shards]
-    if any(len(part) == 0 for part in partitions):
+    if any(indices.size == 0 for indices in shards):
         raise RuntimeError("non-i.i.d. partition produced an empty shard")
-    return partitions
+    return dataset.regroup(shards)

@@ -22,7 +22,8 @@ the loaded train split, so no spec is required).
 ``scale`` lets experiments and benchmarks shrink every dataset
 proportionally (e.g. ``scale=0.25``) so the full table/figure sweeps
 complete quickly on CPU; the default ``scale=1.0`` sizes are already
-modest compared to the real datasets (see DESIGN.md §2).
+modest compared to the real datasets (see "What this reproduction
+substitutes" in README.md).
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ def load_dataset(
     name:
         One of :func:`available_datasets`.
     scale:
-        Multiplier on the train/test sizes (clamped so each split keeps at
-        least 4 examples per class).  Benchmarks use small scales.
+        Multiplier on the train/test sizes.  Each size is floored at
+        ``4 * n_classes`` examples, and the stratified split keeps at least
+        2 test examples of every class.  Benchmarks use small scales.
     seed:
         Base seed; combined with the spec's ``seed_offset`` so different
         datasets never share randomness for the same seed.
@@ -187,9 +189,12 @@ def load_dataset(
 def _load_from_spec(
     spec: DatasetSpec, scale: float = 1.0, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
-    """Generate the train/test splits of a synthetic spec-driven dataset."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    """Generate the train/test splits of a synthetic spec-driven dataset.
+
+    Both splits are views of the one generated buffer, whose rows
+    :meth:`~repro.data.dataset.Dataset.regroup` puts in split order in
+    place (train first, then test).
+    """
     train_size = max(4 * spec.n_classes, int(round(spec.train_size * scale)))
     test_size = max(4 * spec.n_classes, int(round(spec.test_size * scale)))
 
@@ -217,6 +222,7 @@ def _load_from_spec(
         n_test = min(n_test, members.size - 1)
         test_indices.append(members[:n_test])
         train_indices.append(members[n_test:])
-    train = combined.subset(rng.permutation(np.concatenate(train_indices)))
-    test = combined.subset(rng.permutation(np.concatenate(test_indices)))
+    train_order = rng.permutation(np.concatenate(train_indices))
+    test_order = rng.permutation(np.concatenate(test_indices))
+    train, test = combined.regroup([train_order, test_order])
     return train, test

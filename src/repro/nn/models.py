@@ -2,7 +2,8 @@
 
 The paper trains a small CNN for MNIST/Colorectal and a two-layer MLP
 (784-32-10, ELU) for Fashion/USPS with model sizes d in the 21k-34k range.
-In this CPU-only reproduction we use MLPs throughout (see DESIGN.md §2):
+In this CPU-only reproduction we use MLPs throughout (see "What this
+reproduction substitutes" in README.md):
 per-example gradients through dense layers are cheap batched einsums, the
 protocol only consumes flat gradient vectors, and the first-stage
 aggregation's requirement sigma^2 * d / b_c^2 >> 1 already holds for

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import dataset as dataset_module
 from repro.data.dataset import Dataset
 
 
@@ -80,6 +81,59 @@ class TestSubset:
         subset = dataset.subset(np.array([1, 1, 1]))
         assert len(subset) == 3
         assert np.all(subset.labels == dataset.labels[1])
+
+
+class TestRegroup:
+    """``regroup`` moves the rows in place; ``subset`` of each group is the oracle."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    def test_views_equal_subsets(self, rng, monkeypatch, n, chunk_rows):
+        if chunk_rows is not None:
+            # cycles longer than a chunk move in several chunks
+            monkeypatch.setattr(dataset_module, "BLOCK_BYTES", chunk_rows * 4 * 8)
+        data = Dataset(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n), 3, "demo")
+        permutation = rng.permutation(n)
+        groups = np.split(permutation, np.sort(rng.integers(0, n + 1, size=3)))
+        expected = [data.subset(group) for group in groups]
+        views = data.regroup(groups)
+        assert [len(view) for view in views] == [group.size for group in groups]
+        for view, oracle in zip(views, expected):
+            np.testing.assert_array_equal(view.features, oracle.features)
+            np.testing.assert_array_equal(view.labels, oracle.labels)
+            assert view.name == "demo" and view.num_classes == 3
+
+    def test_views_share_the_buffer_and_stay_writable(self, dataset):
+        views = dataset.regroup([np.arange(29, -1, -1)])
+        (view,) = views
+        assert np.shares_memory(view.features, dataset.features)
+        assert view.features.flags.writeable and view.labels.flags.writeable
+        view.features[0, 0] = 7.0
+        assert dataset.features[0, 0] == 7.0
+
+    def test_regrouped_dataset_is_frozen(self, dataset):
+        dataset.regroup([np.arange(10), np.arange(10, 30)])
+        assert not dataset.features.flags.writeable
+        assert not dataset.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.regroup([np.arange(30)])
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [np.arange(29)],  # a row missing
+            [np.arange(30), np.array([0])],  # a row twice
+            [np.arange(1, 31)],  # out of range
+            [np.arange(-1, 29)],  # negative
+            [],
+        ],
+    )
+    def test_rejects_groups_that_are_not_a_permutation(self, dataset, groups):
+        before = dataset.features.copy()
+        with pytest.raises(ValueError, match="exactly once"):
+            dataset.regroup(groups)
+        np.testing.assert_array_equal(dataset.features, before)
+        assert dataset.features.flags.writeable
 
 
 class TestSampleBatch:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def dataset(rng):
     return make_classification(600, 8, 5, rng=rng, name="source")
+
+
+def twin_datasets() -> list:
+    """Two copies of the ``dataset`` fixture's data, built from its seed.
+
+    A partition regroups its dataset in place and freezes it, so a test
+    that partitions twice needs two datasets.
+    """
+    return [make_classification(600, 8, 5, rng=17, name="source") for _ in range(2)]
 
 
 class TestIidPartition:
@@ -42,11 +53,13 @@ class TestIidPartition:
         shards = partition_iid(dataset, 4, rng=0)
         assert len(shards) == 4
 
-    def test_reproducible(self, dataset):
-        a = partition_iid(dataset, 6, rng=9)
-        b = partition_iid(dataset, 6, rng=9)
+    def test_reproducible(self):
+        first, second = twin_datasets()
+        a = partition_iid(first, 6, rng=9)
+        b = partition_iid(second, 6, rng=9)
         for shard_a, shard_b in zip(a, b):
             np.testing.assert_array_equal(shard_a.labels, shard_b.labels)
+            np.testing.assert_array_equal(shard_a.features, shard_b.features)
 
     def test_rejects_nonpositive_workers(self, dataset, rng):
         with pytest.raises(ValueError):
@@ -83,9 +96,10 @@ class TestNonIidPartition:
         # at least one class whose share varies by more than 15 percentage points
         assert spread.max() > 0.15
 
-    def test_more_skewed_than_iid(self, dataset, rng):
-        iid_shards = partition_iid(dataset, 10, np.random.default_rng(1))
-        noniid_shards = partition_noniid(dataset, 10, np.random.default_rng(1))
+    def test_more_skewed_than_iid(self):
+        iid_source, noniid_source = twin_datasets()
+        iid_shards = partition_iid(iid_source, 10, np.random.default_rng(1))
+        noniid_shards = partition_noniid(noniid_source, 10, np.random.default_rng(1))
 
         def skew(shards):
             fractions = np.array([s.class_counts() / len(s) for s in shards])
@@ -93,11 +107,13 @@ class TestNonIidPartition:
 
         assert skew(noniid_shards) > skew(iid_shards)
 
-    def test_reproducible(self, dataset):
-        a = partition_noniid(dataset, 6, rng=2)
-        b = partition_noniid(dataset, 6, rng=2)
+    def test_reproducible(self):
+        first, second = twin_datasets()
+        a = partition_noniid(first, 6, rng=2)
+        b = partition_noniid(second, 6, rng=2)
         for shard_a, shard_b in zip(a, b):
             np.testing.assert_array_equal(shard_a.labels, shard_b.labels)
+            np.testing.assert_array_equal(shard_a.features, shard_b.features)
 
     def test_rejects_nonpositive_workers(self, dataset, rng):
         with pytest.raises(ValueError):
@@ -107,6 +123,38 @@ class TestNonIidPartition:
         tiny = make_classification(10, 4, 2, rng=rng)
         with pytest.raises(ValueError):
             partition_noniid(tiny, 20, rng)
+
+
+@pytest.mark.parametrize("partition", [partition_iid, partition_noniid])
+class TestShardsShareTheBuffer:
+    """A partition moves the rows in place and hands out views of them."""
+
+    def test_shards_are_disjoint_views_covering_every_row(self, dataset, partition):
+        rows_before = np.column_stack([dataset.features, dataset.labels])
+        shards = partition(dataset, 7, rng=3)
+        for shard in shards:
+            assert np.shares_memory(shard.features, dataset.features)
+            assert np.shares_memory(shard.labels, dataset.labels)
+            assert shard.features.flags.writeable and shard.labels.flags.writeable
+        for a, b in itertools.combinations(shards, 2):
+            assert not np.shares_memory(a.features, b.features)
+            assert not np.shares_memory(a.labels, b.labels)
+        rows_after = np.concatenate(
+            [np.column_stack([shard.features, shard.labels]) for shard in shards]
+        )
+        # every row exactly once: the sorted rows match one for one
+        np.testing.assert_array_equal(
+            rows_after[np.lexsort(rows_after.T)], rows_before[np.lexsort(rows_before.T)]
+        )
+
+    def test_second_partition_raises_and_leaves_the_shards(self, dataset, partition):
+        shards = partition(dataset, 7, rng=3)
+        before = [shard.features.copy() for shard in shards]
+        for again in (partition_iid, partition_noniid):
+            with pytest.raises(ValueError, match="read-only"):
+                again(dataset, 7, rng=4)
+        for shard, features in zip(shards, before):
+            np.testing.assert_array_equal(shard.features, features)
 
 
 class TestAuxiliary:

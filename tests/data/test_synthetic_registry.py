@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.data import registry
-from repro.data.dataset import Dataset
+from repro.data.dataset import BLOCK_BYTES, Dataset
 from repro.data.registry import DATASETS, available_datasets, load_dataset
-from repro.data.synthetic import make_classification, make_mismatched_space
+from repro.data.synthetic import _row_blocks, make_classification, make_mismatched_space
 from repro.nn.layers import Linear
 from repro.nn.network import Sequential
 
@@ -132,9 +132,35 @@ class TestInPlaceGeneration:
             assert split.features.tobytes() == oracle.features.tobytes()
             assert split.labels.tobytes() == oracle.labels.tobytes()
 
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    @pytest.mark.parametrize("n_features", [64, 96])
+    def test_block_tails_byte_identical_to_oracle(self, n_features, tail):
+        """Sizes that leave 1, 2 or 3 rows after the last whole block.
+
+        A lone last row joins the block before it: as a one-row block it
+        would go to BLAS's GEMV, whose low bits differ from the GEMM's.
+        """
+        rows_per_block = BLOCK_BYTES // (8 * n_features)
+        n_samples = 2 * rows_per_block + tail
+        last = _row_blocks(n_samples, n_features)[-1]
+        assert last.stop - last.start == (rows_per_block + 1 if tail == 1 else tail)
+        data = make_classification(n_samples, n_features, 10, rng=tail)
+        oracle = make_classification_out_of_place(n_samples, n_features, 10, rng=tail)
+        assert data.features.tobytes() == oracle.features.tobytes()
+        assert data.labels.tobytes() == oracle.labels.tobytes()
+
     @pytest.mark.parametrize("name", SPEC_DATASETS)
-    def test_load_peak_near_twice_the_output(self, name):
-        """The out-of-place expressions peaked at 3.0-3.14x the splits."""
+    def test_load_peak_near_the_output(self, name):
+        """The splits are views of one buffer generated and split in place.
+
+        The out-of-place expressions peaked at 3.0-3.14x the splits, and an
+        in-place generator followed by copied splits at 2.0-2.15x; one
+        buffer peaks at 1.1-1.5x (the index arrays and scratch blocks).
+        """
+        # A process's first load also imports numpy.linalg lazily (~0.65 MiB
+        # traced), no part of the load itself: load once first, so the test
+        # reads the same alone as in the suite.
+        load_dataset(name, scale=0.05, seed=0)
         tracemalloc.start()
         try:
             splits = load_dataset(name, scale=1.0, seed=1)
@@ -142,7 +168,7 @@ class TestInPlaceGeneration:
         finally:
             tracemalloc.stop()
         output = sum(split.features.nbytes + split.labels.nbytes for split in splits)
-        assert peak <= 2.25 * output
+        assert peak <= 1.6 * output
 
 
 class TestMismatchedSpace:
